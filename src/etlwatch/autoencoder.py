@@ -34,7 +34,7 @@ from .errors import (
     NumericalError,
     TrainingDivergedError,
 )
-from .numerics import SeededRng, as_matrix
+from .numerics import SeededRng, as_matrix, require_finite
 from .preprocess import FeatureSchema, StandardizationStats
 
 MODEL_FORMAT_VERSION = 1
@@ -193,8 +193,8 @@ def init_params(
     if rng is None:
         rng = SeededRng(0)
     bound = np.sqrt(6.0 / (d + k))  # same fan sum for both matrices
-    w_e = np.array([rng.uniform(-bound, bound) for _ in range(k * d)]).reshape(k, d)
-    w_d = np.array([rng.uniform(-bound, bound) for _ in range(d * k)]).reshape(d, k)
+    w_e = rng.uniform_block(k * d, -bound, bound).reshape(k, d)
+    w_d = rng.uniform_block(d * k, -bound, bound).reshape(d, k)
     return AutoencoderParams(
         w_e=w_e,
         b_e=np.zeros(k),
@@ -266,22 +266,9 @@ def batch_loss(params: AutoencoderParams, x: np.ndarray, l1_penalty: float) -> L
     return total_loss(reconstruction_loss(x, xhat), latent_l1(h, l1_penalty))
 
 
-def backprop(params: AutoencoderParams, x_batch: np.ndarray, l1_penalty: float) -> Gradients:
-    """Exact gradients of the total loss for one standardized batch.
-
-    Returns gradients for all four parameter blocks. Raises
-    :class:`NumericalError` naming the offending block if any gradient is
-    non-finite.
-    """
-    x = as_matrix(np.atleast_2d(np.asarray(x_batch, dtype=np.float64)), "x_batch")
-    if x.shape[0] < 1:
-        raise ContractViolationError("backprop needs a non-empty batch")
-    if x.shape[1] != params.d:
-        raise ContractViolationError(
-            f"batch dimension {x.shape[1]} does not match model d={params.d}"
-        )
+def _gradients(params: AutoencoderParams, x: np.ndarray, l1_penalty: float) -> Gradients:
+    """Exact gradients for a validated (n, d) batch; may return non-finite values."""
     n = x.shape[0]
-
     with np.errstate(all="ignore"):
         z_h = x @ params.w_e.T + params.b_e
         h = params.hidden_activation.apply(z_h)
@@ -299,8 +286,25 @@ def backprop(params: AutoencoderParams, x_batch: np.ndarray, l1_penalty: float) 
         g_we = d_zh.T @ x
         g_be = d_zh.sum(axis=0)
 
-    grads = Gradients(w_e=g_we, b_e=g_be, w_d=g_wd, b_d=g_bd)
-    for name, arr in (("w_e", g_we), ("b_e", g_be), ("w_d", g_wd), ("b_d", g_bd)):
+    return Gradients(w_e=g_we, b_e=g_be, w_d=g_wd, b_d=g_bd)
+
+
+def backprop(params: AutoencoderParams, x_batch: np.ndarray, l1_penalty: float) -> Gradients:
+    """Exact gradients of the total loss for one standardized batch.
+
+    Returns gradients for all four parameter blocks. Raises
+    :class:`NumericalError` naming the offending block if any gradient is
+    non-finite.
+    """
+    x = as_matrix(np.atleast_2d(np.asarray(x_batch, dtype=np.float64)), "x_batch")
+    if x.shape[0] < 1:
+        raise ContractViolationError("backprop needs a non-empty batch")
+    if x.shape[1] != params.d:
+        raise ContractViolationError(
+            f"batch dimension {x.shape[1]} does not match model d={params.d}"
+        )
+    grads = _gradients(params, x, l1_penalty)
+    for name, arr in vars(grads).items():
         if not np.all(np.isfinite(arr)):
             raise NumericalError(f"non-finite gradient for parameter block {name}")
     return grads
@@ -329,10 +333,15 @@ def train(
 
     The epoch shuffle and the weight initialization both draw from a single
     rng seeded with ``cfg.seed``. After each epoch the loss breakdown on the
-    full training set is recorded. A non-finite epoch loss (or a non-finite
-    gradient mid-epoch) aborts with :class:`TrainingDivergedError`.
+    full training set is recorded. A non-finite ``x_train`` raises
+    :class:`NumericalError`. A step that leaves a non-finite parameter (from a
+    non-finite gradient or an overflowing update) or a non-finite epoch loss
+    aborts with :class:`TrainingDivergedError`.
+
+    Each step updates the parameters in place; ``w -= lr * g`` rounds exactly
+    as :func:`sgd_step`'s ``w - lr * g``.
     """
-    x = as_matrix(x_train, "x_train")
+    x = require_finite(as_matrix(x_train, "x_train"), "x_train")
     n = x.shape[0]
     if n < cfg.batch_size:
         raise ContractViolationError(
@@ -340,23 +349,28 @@ def train(
         )
     rng = SeededRng(cfg.seed)
     params = init_params(x.shape[1], cfg.latent_dim, activations, rng)
+    blocks = params.blocks()
+    lr = cfg.learning_rate
     history = TrainHistory()
 
     for epoch in range(cfg.epochs):
         started = time.perf_counter()
         perm = rng.shuffled_indices(n)
-        try:
+        with np.errstate(all="ignore"):  # a non-finite step is caught below
             for lo in range(0, n, cfg.batch_size):
                 batch = x[perm[lo : lo + cfg.batch_size]]
-                grads = backprop(params, batch, cfg.l1_penalty)
-                params = sgd_step(params, grads, cfg.learning_rate)
-        except NumericalError as exc:
-            raise TrainingDivergedError(epoch, cfg.learning_rate) from exc
+                grads = _gradients(params, batch, cfg.l1_penalty)
+                for name, arr in blocks.items():
+                    arr -= lr * getattr(grads, name)
+                if not all(np.isfinite(arr).all() for arr in blocks.values()):
+                    raise TrainingDivergedError(epoch, lr) from NumericalError(
+                        f"non-finite parameters after a step in epoch {epoch}"
+                    )
 
         with np.errstate(all="ignore"):
             epoch_loss = batch_loss(params, x, cfg.l1_penalty)
         if not np.isfinite(epoch_loss.l_total):
-            raise TrainingDivergedError(epoch, cfg.learning_rate)
+            raise TrainingDivergedError(epoch, lr)
         history.losses.append(epoch_loss)
         history.epoch_seconds.append(time.perf_counter() - started)
 

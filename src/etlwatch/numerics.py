@@ -4,6 +4,9 @@ Everything in this package computes in 64-bit floats. Matrices are plain
 2-D ``numpy`` arrays in row-major order; vectors are 1-D arrays. The random
 source is a splitmix64 generator written out here so that a given seed
 produces the same draw sequence on every platform and every numpy version.
+Scalar draws (``next_u64``, ``uniform``) and block draws (``next_u64_block``,
+``uniform_block``) consume one and the same sequence: a block of n draws
+returns, and advances the state by, exactly what n scalar draws would.
 """
 
 from __future__ import annotations
@@ -29,6 +32,11 @@ class SeededRng:
     copy of the state, so any 64-bit seed (including 0) is valid. Draw
     sequences are byte-identical across runs and platforms for equal seeds.
 
+    Because splitmix64 is counter-based (output t is a fixed mix of
+    ``seed + t * golden``), a block draw computes n outputs at once in
+    wrapping ``np.uint64`` arithmetic. Block and scalar draws are one
+    sequence and may be interleaved freely.
+
     Instances are cheap but stateful; do not share one across concurrent
     tasks.
     """
@@ -47,6 +55,21 @@ class SeededRng:
         z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
         return z ^ (z >> 31)
 
+    def next_u64_block(self, n: int) -> np.ndarray:
+        """Return the next ``n`` raw outputs as a ``uint64`` array.
+
+        Equal to ``n`` successive :meth:`next_u64` calls, including the state
+        left behind.
+        """
+        if n < 0:
+            raise ContractViolationError(f"block size must be >= 0, got {n}")
+        steps = np.arange(1, n + 1, dtype=np.uint64)
+        z = np.uint64(self._state) + steps * np.uint64(_GOLDEN)  # wraps mod 2^64
+        z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
+        z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
+        self._state = (self._state + n * _GOLDEN) & _MASK64
+        return z ^ (z >> np.uint64(31))
+
     def uniform(self, lo: float = 0.0, hi: float = 1.0) -> float:
         """Draw a float in [lo, hi).
 
@@ -61,6 +84,21 @@ class SeededRng:
             value = np.nextafter(hi, lo)
         return value
 
+    def uniform_block(
+        self, n: int, lo: float = 0.0, hi: float | np.ndarray = 1.0
+    ) -> np.ndarray:
+        """Draw ``n`` floats at once; element t equals the t-th ``uniform(lo, hi)``.
+
+        ``hi`` may be an array of ``n`` upper bounds, one per draw.
+        """
+        hi = np.asarray(hi, dtype=np.float64)
+        if not np.all(lo < hi):
+            raise ContractViolationError(f"uniform bounds require lo < hi, got lo={lo}")
+        u = (self.next_u64_block(n) >> np.uint64(11)).astype(np.float64) * 2.0**-53
+        value = lo + u * (hi - lo)
+        # guard the rare rounding onto the open bound, as uniform() does
+        return np.where(value >= hi, np.nextafter(hi, lo), value)
+
     def index(self, n: int) -> int:
         """Draw an integer in [0, n)."""
         if n < 1:
@@ -68,12 +106,17 @@ class SeededRng:
         return int(self.uniform(0.0, float(n)))
 
     def shuffled_indices(self, n: int) -> np.ndarray:
-        """Return a Fisher-Yates permutation of range(n)."""
-        perm = np.arange(n)
-        for i in range(n - 1, 0, -1):
-            j = self.index(i + 1)
+        """Return a Fisher-Yates permutation of range(n).
+
+        Swap i (from n-1 down to 1) exchanges i with ``index(i + 1)``; all
+        n-1 indices come from one block draw.
+        """
+        bounds = np.arange(n, 1, -1, dtype=np.float64)  # i + 1 for each swap
+        js = self.uniform_block(bounds.shape[0], 0.0, bounds).astype(np.int64)
+        perm = list(range(n))
+        for i, j in zip(range(n - 1, 0, -1), js.tolist()):
             perm[i], perm[j] = perm[j], perm[i]
-        return perm
+        return np.array(perm, dtype=np.int_)
 
 
 def as_matrix(m: np.ndarray, name: str = "matrix") -> np.ndarray:

@@ -29,6 +29,7 @@ from etlwatch.errors import (
     ModelFormatError,
     ModelShapeError,
     ModelVersionError,
+    NumericalError,
     TrainingDivergedError,
 )
 from etlwatch.numerics import SeededRng, finite_diff_grad
@@ -305,6 +306,33 @@ def small_training_set():
     return (x - x.mean(axis=0)) / x.std(axis=0)
 
 
+def reference_train(x, cfg, activations=(Activation.TANH, Activation.IDENTITY)):
+    """Training loop over the public backprop and sgd_step: the oracle for train.
+
+    Returns the final params, the per-epoch losses and the epoch at which a
+    step raised NumericalError or the epoch loss went non-finite (None if
+    training completed).
+    """
+    rng = SeededRng(cfg.seed)
+    params = init_params(x.shape[1], cfg.latent_dim, activations, rng)
+    losses = []
+    for epoch in range(cfg.epochs):
+        perm = rng.shuffled_indices(x.shape[0])
+        try:
+            with np.errstate(all="ignore"):
+                for lo in range(0, x.shape[0], cfg.batch_size):
+                    grads = backprop(params, x[perm[lo : lo + cfg.batch_size]], cfg.l1_penalty)
+                    params = sgd_step(params, grads, cfg.learning_rate)
+        except NumericalError:
+            return params, losses, epoch
+        with np.errstate(all="ignore"):
+            loss = batch_loss(params, x, cfg.l1_penalty)
+        if not np.isfinite(loss.l_total):
+            return params, losses, epoch
+        losses.append(loss)
+    return params, losses, None
+
+
 class TestTrain:
     def test_deterministic(self, small_training_set):
         cfg = TrainConfig(epochs=5, batch_size=32, seed=21, latent_dim=2)
@@ -338,6 +366,54 @@ class TestTrain:
     def test_requires_batch_size_rows(self):
         with pytest.raises(ContractViolationError):
             train(np.zeros((3, 2)), TrainConfig(batch_size=8, latent_dim=1))
+
+    @pytest.mark.parametrize("act_h", ALL_ACTIVATIONS)
+    @pytest.mark.parametrize("act_o", ALL_ACTIVATIONS)
+    def test_bitwise_equal_to_public_step_loop(self, small_training_set, act_h, act_o):
+        cfg = TrainConfig(learning_rate=0.01, epochs=3, batch_size=32, seed=9, latent_dim=4)
+        params, history = train(small_training_set, cfg, (act_h, act_o))
+        expected, losses, diverged_at = reference_train(small_training_set, cfg, (act_h, act_o))
+        assert diverged_at is None
+        for name, block in params.blocks().items():
+            np.testing.assert_array_equal(block, expected.blocks()[name], err_msg=name)
+        assert history.losses == losses
+
+    @pytest.mark.parametrize("lr", [100.0, 1e4])
+    def test_divergence_epoch_matches_public_step_loop(self, small_training_set, lr):
+        cfg = TrainConfig(learning_rate=lr, epochs=10, batch_size=32, seed=2, latent_dim=2)
+        _, _, diverged_at = reference_train(small_training_set, cfg)
+        assert diverged_at is not None
+        with pytest.raises(TrainingDivergedError) as info:
+            train(small_training_set, cfg)
+        assert info.value.epoch == diverged_at
+        assert isinstance(info.value.__cause__, NumericalError)
+
+    def test_overflowing_update_with_finite_gradients_diverges(self, small_training_set):
+        # inputs of order 1e9 give gradients of order 1e9: finite, but
+        # lr * g overflows, so only the updated parameters are non-finite
+        x = small_training_set * 1e9
+        cfg = TrainConfig(learning_rate=1e300, epochs=3, batch_size=32, seed=2, latent_dim=2)
+        rng = SeededRng(cfg.seed)
+        params = init_params(x.shape[1], cfg.latent_dim, rng=rng)
+        first_batch = x[rng.shuffled_indices(x.shape[0])[: cfg.batch_size]]
+        grads = backprop(params, first_batch, cfg.l1_penalty)
+        with np.errstate(over="ignore"), pytest.raises(NumericalError):
+            sgd_step(params, grads, cfg.learning_rate)
+        with pytest.raises(TrainingDivergedError) as info:
+            train(x, cfg)
+        assert info.value.epoch == 0
+        assert isinstance(info.value.__cause__, NumericalError)
+
+    def test_leaves_caller_input_unchanged(self, small_training_set):
+        x = small_training_set.copy()
+        train(x, TrainConfig(epochs=2, batch_size=32, seed=3, latent_dim=2))
+        assert x.tobytes() == small_training_set.tobytes()
+
+    def test_non_finite_input_names_x_train(self):
+        x = np.array([[SeededRng(i).uniform(-1, 1) for _ in range(4)] for i in range(200)])
+        x[17, 2] = np.nan
+        with pytest.raises(NumericalError, match="x_train"):
+            train(x, TrainConfig(epochs=2, batch_size=32, latent_dim=2))
 
     def test_config_validation(self):
         with pytest.raises(ContractViolationError):

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from etlwatch.autoencoder import init_params
 from etlwatch.errors import ContractViolationError, NumericalError
 from etlwatch.numerics import SeededRng, finite_diff_grad, matvec
 
@@ -85,6 +86,15 @@ class TestFiniteDiffGrad:
         assert np.max(np.abs(approx - analytic) / denom) < 1e-6
 
 
+def reference_shuffled_indices(rng: SeededRng, n: int) -> np.ndarray:
+    """Scalar Fisher-Yates, one draw per swap: the oracle for the block-drawn shuffle."""
+    perm = np.arange(n)
+    for i in range(n - 1, 0, -1):
+        j = rng.index(i + 1)
+        perm[i], perm[j] = perm[j], perm[i]
+    return perm
+
+
 class TestSeededRng:
     def test_identical_seeds_give_identical_streams(self):
         a, b = SeededRng(42), SeededRng(42)
@@ -122,3 +132,69 @@ class TestSeededRng:
         assert all(0 <= rng.index(7) < 7 for _ in range(200))
         with pytest.raises(ContractViolationError):
             rng.index(0)
+
+    def test_block_and_scalar_draws_interleave(self):
+        a, b = SeededRng(11), SeededRng(11)
+        mixed = [a.next_u64(), *a.next_u64_block(3).tolist(), a.next_u64()]
+        assert mixed == [b.next_u64() for _ in range(5)]
+
+    def test_block_rejects_negative_count(self):
+        with pytest.raises(ContractViolationError):
+            SeededRng(0).next_u64_block(-1)
+
+    def test_uniform_block_rejects_bad_bounds(self):
+        with pytest.raises(ContractViolationError):
+            SeededRng(0).uniform_block(2, 0.0, np.array([1.0, 0.0]))
+
+
+class TestRngOracles:
+    """Block draws against the scalar generator they must reproduce bit for bit."""
+
+    @given(
+        st.integers(min_value=0, max_value=2**64 - 1),
+        st.integers(min_value=0, max_value=300),
+    )
+    @settings(max_examples=60)
+    def test_block_draw_equals_successive_scalar_draws(self, seed, count):
+        block_rng, scalar_rng = SeededRng(seed), SeededRng(seed)
+        block = block_rng.next_u64_block(count)
+        assert block.dtype == np.uint64 and block.shape == (count,)
+        assert block.tolist() == [scalar_rng.next_u64() for _ in range(count)]
+        assert block_rng.next_u64() == scalar_rng.next_u64()
+
+    @pytest.mark.parametrize(
+        "lo, hi",
+        [
+            (-2.0, 3.0),
+            # one ulp wide: lo + u * (hi - lo) rounds onto hi for about half
+            # the draws, so the open-bound guard must match uniform()'s
+            (1.0, float(np.nextafter(1.0, 2.0))),
+        ],
+    )
+    def test_uniform_block_equals_successive_uniform(self, lo, hi):
+        block_rng, scalar_rng = SeededRng(3), SeededRng(3)
+        block = block_rng.uniform_block(200, lo, hi)
+        expected = [scalar_rng.uniform(lo, hi) for _ in range(200)]
+        assert block.tolist() == expected
+        assert block_rng.next_u64() == scalar_rng.next_u64()
+
+    @pytest.mark.parametrize("seed", [0, 7, 12345, 2**64 - 1])
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 100, 5700])
+    def test_shuffle_matches_scalar_fisher_yates(self, seed, n):
+        rng, oracle_rng = SeededRng(seed), SeededRng(seed)
+        perm = rng.shuffled_indices(n)
+        expected = reference_shuffled_indices(oracle_rng, n)
+        assert perm.dtype == expected.dtype
+        np.testing.assert_array_equal(perm, expected)
+        assert rng.next_u64() == oracle_rng.next_u64()
+
+    @pytest.mark.parametrize("d, k", [(16, 4), (16, 128), (1, 1)])
+    def test_init_params_matches_per_element_uniform(self, d, k):
+        rng, oracle_rng = SeededRng(7), SeededRng(7)
+        params = init_params(d, k, rng=rng)
+        bound = np.sqrt(6.0 / (d + k))
+        w_e = np.array([oracle_rng.uniform(-bound, bound) for _ in range(k * d)])
+        w_d = np.array([oracle_rng.uniform(-bound, bound) for _ in range(d * k)])
+        np.testing.assert_array_equal(params.w_e, w_e.reshape(k, d))
+        np.testing.assert_array_equal(params.w_d, w_d.reshape(d, k))
+        assert rng.next_u64() == oracle_rng.next_u64()
