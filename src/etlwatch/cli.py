@@ -62,7 +62,14 @@ from .streamgen import (
 
 
 def _read_records(path: str | Path) -> tuple[list[EtlEvent], list[bool | None]]:
-    """Read an event file; labels come back as None when absent."""
+    """Read an event file; labels come back as None when absent.
+
+    A line that is not a JSON object or whose fields do not parse stops the
+    read with one :class:`EtlwatchError` naming the file and line number, so
+    the CLI prints one line instead of a traceback. Turning such lines into
+    in-stream error records instead needs one stream reader shared by every
+    command, which does not exist yet.
+    """
     events: list[EtlEvent] = []
     labels: list[bool | None] = []
     with open(path, encoding="utf-8") as fh:
@@ -70,8 +77,11 @@ def _read_records(path: str | Path) -> tuple[list[EtlEvent], list[bool | None]]:
             line = line.strip()
             if not line:
                 continue
-            record = json.loads(line)
-            event = parse_event(record)
+            try:
+                record = json.loads(line)
+                event = parse_event(record)
+            except (ValueError, TypeError, EtlwatchError) as exc:
+                raise EtlwatchError(f"{path} line {line_no}: {exc}") from exc
             if not event.event_id:
                 event = replace_event_id(event, f"line-{line_no}")
             events.append(event)
@@ -220,7 +230,11 @@ def _run_evaluate(params: dict) -> tuple[list[str], list[str], dict]:
                 f"no --delta given and no manifest found at {manifest_path}"
             )
         with open(manifest_path, encoding="utf-8") as fh:
-            delta = json.load(fh)["delta"]
+            delta = json.load(fh).get("delta")
+        if delta is None:
+            raise EtlwatchError(
+                f"manifest {manifest_path} records no delta; pass --delta"
+            )
     report = metrics_at_threshold(
         [r.score for r in scored], [r.truth_label for r in scored], delta
     )
@@ -476,7 +490,10 @@ def cmd_replay(manifest):
     subcommand = payload.get("subcommand")
     if subcommand not in _RUNNERS:
         raise click.UsageError(f"manifest names unknown subcommand {subcommand!r}")
-    _execute(subcommand, payload["params"])
+    params = payload.get("params")
+    if not isinstance(params, dict):
+        raise click.UsageError("manifest has no params mapping to replay")
+    _execute(subcommand, params)
 
 
 if __name__ == "__main__":

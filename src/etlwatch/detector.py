@@ -10,6 +10,7 @@ delta = max(validation scores) admits every validation normal.
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -18,14 +19,19 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .autoencoder import AutoencoderParams, decode, encode
+from .autoencoder import AutoencoderParams
 from .errors import (
     ContractViolationError,
     EncodingError,
     EtlwatchError,
     InsufficientDataError,
 )
+from .numerics import as_vector
 from .preprocess import EtlEvent, FeatureSchema, StandardizationStats, standardize, vectorize
+
+# Events vectorized and scored per batch_scores call in score_stream. It
+# bounds the working set of a long stream; it cannot change a score.
+_SCORE_CHUNK = 1024
 
 
 @dataclass(frozen=True)
@@ -60,23 +66,30 @@ class StreamError:
 
 
 def batch_scores(params: AutoencoderParams, x_std: np.ndarray) -> np.ndarray:
-    """Per-row squared reconstruction error for already-standardized inputs."""
+    """Per-row squared reconstruction error for already-standardized inputs.
+
+    This is the one scoring forward pass. Each row's score is bitwise the
+    same whatever rows it is scored with and however many: the products are
+    ``einsum`` contractions, which reduce every output element over its own
+    row in a fixed order, whereas a BLAS matrix product picks its kernel,
+    and with it the summation order, by the shape of the whole batch.
+    """
     x_std = np.atleast_2d(np.asarray(x_std, dtype=np.float64))
-    diff = x_std - decode(params, encode(params, x_std))
+    if x_std.ndim != 2 or x_std.shape[1] != params.d:
+        raise ContractViolationError(
+            f"scoring expects rows of dimension {params.d}, got shape {x_std.shape}"
+        )
+    h = params.hidden_activation.apply(np.einsum("nd,kd->nk", x_std, params.w_e) + params.b_e)
+    xhat = params.output_activation.apply(np.einsum("nk,dk->nd", h, params.w_d) + params.b_d)
+    diff = x_std - xhat
     return np.sum(diff * diff, axis=1)
 
 
 def score(
     params: AutoencoderParams, stats: StandardizationStats, x_raw: np.ndarray
 ) -> float:
-    """Standardize, reconstruct, and return the squared error of one sample."""
-    x_raw = np.asarray(x_raw, dtype=np.float64)
-    if x_raw.ndim != 1 or x_raw.shape[0] != params.d:
-        raise ContractViolationError(
-            f"score expects a raw vector of length {params.d}, got shape {x_raw.shape}"
-        )
-    x_std = standardize(x_raw, stats)
-    return float(batch_scores(params, x_std)[0])
+    """Standardize one raw sample and return its :func:`batch_scores` value."""
+    return float(batch_scores(params, standardize(as_vector(x_raw, "raw sample"), stats))[0])
 
 
 def calibrate_threshold(validation_scores: Sequence[float], q: float) -> float:
@@ -109,29 +122,40 @@ def score_stream(
 
     Events that fail vectorization become :class:`StreamError` records in
     place, so a malformed record never aborts the run. Output order matches
-    input order and is independent of any batching a caller might apply.
+    input order. The valid rows are scored :data:`_SCORE_CHUNK` events at a
+    time; since :func:`batch_scores` is batch-invariant, every score equals
+    the one the library gives the same standardized row in any batch.
     """
     if schema.dim != params.d:
         raise ContractViolationError(
             f"schema dimension {schema.dim} does not match model d={params.d}"
         )
     results: list[DetectionResult | StreamError] = []
-    for i, event in enumerate(events):
-        event_id = event.event_id or f"event-{i}"
-        truth = truth_labels[i] if truth_labels is not None else None
-        try:
-            value = score(params, stats, vectorize(event, schema))
-        except (EncodingError, EtlwatchError) as exc:
-            results.append(StreamError(event_id=event_id, error=str(exc)))
-            continue
-        results.append(
-            DetectionResult(
-                event_id=event_id,
-                score=value,
-                is_anomaly=classify(value, cfg.delta),
-                truth_label=truth,
+    numbered = enumerate(events)
+    while chunk := list(itertools.islice(numbered, _SCORE_CHUNK)):
+        rows: list[np.ndarray] = []
+        errors: dict[int, str] = {}
+        for i, event in chunk:
+            try:
+                rows.append(vectorize(event, schema))
+            except (EncodingError, EtlwatchError) as exc:
+                errors[i] = str(exc)
+        x_std = standardize(np.array(rows, dtype=np.float64).reshape(-1, params.d), stats)
+        values = iter(batch_scores(params, x_std).tolist())
+        for i, event in chunk:
+            event_id = event.event_id or f"event-{i}"
+            if i in errors:
+                results.append(StreamError(event_id=event_id, error=errors[i]))
+                continue
+            value = next(values)
+            results.append(
+                DetectionResult(
+                    event_id=event_id,
+                    score=value,
+                    is_anomaly=classify(value, cfg.delta),
+                    truth_label=truth_labels[i] if truth_labels is not None else None,
+                )
             )
-        )
     return results
 
 

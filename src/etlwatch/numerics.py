@@ -142,21 +142,6 @@ def require_finite(arr: np.ndarray, context: str) -> np.ndarray:
     return arr
 
 
-def matvec(m: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Matrix-vector product with explicit shape checking.
-
-    result[i] = sum_j m[i, j] * v[j]
-    """
-    m = as_matrix(m)
-    v = as_vector(v)
-    if m.shape[1] != v.shape[0]:
-        raise ContractViolationError(
-            f"matvec shape mismatch: matrix is {m.shape[0]}x{m.shape[1]}, "
-            f"vector has length {v.shape[0]}"
-        )
-    return require_finite(m @ v, "matvec result")
-
-
 def finite_diff_grad(
     f: Callable[[np.ndarray], float], x: np.ndarray, h: float = 1e-5
 ) -> np.ndarray:

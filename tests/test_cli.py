@@ -3,7 +3,10 @@ import json
 import pytest
 from click.testing import CliRunner
 
+from etlwatch.autoencoder import load_model
 from etlwatch.cli import main
+from etlwatch.detector import batch_scores
+from etlwatch.preprocess import parse_event, standardize, vectorize_events
 
 
 @pytest.fixture
@@ -154,6 +157,51 @@ class TestDetect:
                                       "--out", str(tmp_path / "d.jsonl")])
         assert result.exit_code == 2
 
+    def test_scores_equal_library_batch_scores_bit_for_bit(self, runner, workspace, tmp_path):
+        _, stream, model = workspace
+        out = tmp_path / "det.jsonl"
+        run_ok(runner, ["detect", str(stream), "--model", str(model),
+                        "--delta", "1", "--out", str(out)])
+        params, stats, schema = load_model(model)
+        events = [parse_event(json.loads(line)) for line in stream.read_text().splitlines()]
+        expected = batch_scores(params, standardize(vectorize_events(events, schema), stats))
+        scores = [json.loads(line)["score"] for line in out.read_text().splitlines()]
+        assert scores == expected.tolist()
+
+        # a delta equal to an event's score classifies that event as normal
+        at = scores[len(scores) // 2]
+        run_ok(runner, ["detect", str(stream), "--model", str(model),
+                        "--delta", repr(at), "--out", str(out)])
+        records = [json.loads(line) for line in out.read_text().splitlines()]
+        assert records[len(scores) // 2]["is_anomaly"] is False
+        assert [r["is_anomaly"] for r in records] == [s > at for s in scores]
+
+    @pytest.mark.parametrize("command", ["detect", "train"])
+    @pytest.mark.parametrize(
+        "bad_line, reason",
+        [("{not json", "Expecting property name"), (None, "'abc'")],
+    )
+    def test_bad_input_line_is_one_line_error(
+        self, runner, workspace, tmp_path, command, bad_line, reason
+    ):
+        # None stands for a valid record whose amount is the string "abc"
+        _, stream, model = workspace
+        lines = stream.read_text().splitlines()[:30]
+        record = json.loads(lines[2])
+        record["amount"] = "abc"
+        lines[2] = bad_line or json.dumps(record)
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text("\n".join(lines) + "\n")
+        args = ["--out", str(tmp_path / "out.json")]
+        if command == "detect":
+            args += ["--model", str(model), "--delta", "1"]
+        result = runner.invoke(main, [command, str(bad), *args])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        message = result.output.strip()
+        assert message.startswith("Error:") and "\n" not in message
+        assert "line 3" in message and reason in message
+
 
 class TestEvaluate:
     @pytest.fixture
@@ -192,6 +240,17 @@ class TestEvaluate:
                                       "--out", str(tmp_path / "r.json")])
         assert result.exit_code == 1
         assert "ground truth" in result.output
+
+    def test_manifest_without_delta_is_one_line_error(self, runner, detections, tmp_path):
+        manifest = detections.parent / (detections.name + ".manifest.json")
+        payload = json.loads(manifest.read_text())
+        del payload["delta"]
+        manifest.write_text(json.dumps(payload))
+        result = runner.invoke(main, ["evaluate", str(detections),
+                                      "--out", str(tmp_path / "r.json")])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert result.output.startswith("Error:") and "--delta" in result.output
 
     def test_csv_format(self, runner, detections, tmp_path):
         report = tmp_path / "report.csv"
@@ -242,6 +301,24 @@ class TestReplay:
         original = model.read_bytes()
         run_ok(runner, ["replay", str(root / "model.json.manifest.json")])
         assert model.read_bytes() == original
+
+    def test_replay_of_detect_manifest_is_byte_identical(self, runner, workspace, tmp_path):
+        _, stream, model = workspace
+        out = tmp_path / "det.jsonl"
+        run_ok(runner, ["detect", str(stream), "--model", str(model),
+                        "--calibrate", str(stream), "--out", str(out)])
+        original = out.read_bytes()
+        out.unlink()
+        run_ok(runner, ["replay", str(tmp_path / "det.jsonl.manifest.json")])
+        assert out.read_bytes() == original
+
+    def test_manifest_without_params_is_usage_error(self, runner, tmp_path):
+        bad = tmp_path / "m.json"
+        bad.write_text(json.dumps({"subcommand": "detect"}))
+        result = runner.invoke(main, ["replay", str(bad)])
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)
+        assert "params" in result.output
 
     def test_unknown_subcommand_rejected(self, runner, tmp_path):
         bad = tmp_path / "m.json"

@@ -5,9 +5,11 @@ from hypothesis import strategies as st
 
 from etlwatch.autoencoder import Activation, AutoencoderParams
 from etlwatch.detector import (
+    _SCORE_CHUNK,
     DetectionResult,
     DetectorConfig,
     StreamError,
+    batch_scores,
     calibrate_threshold,
     classify,
     read_detections_jsonl,
@@ -17,7 +19,13 @@ from etlwatch.detector import (
     write_detections_jsonl,
 )
 from etlwatch.errors import ContractViolationError, InsufficientDataError
-from etlwatch.preprocess import FeatureSchema, StandardizationStats, fit_stats
+from etlwatch.preprocess import (
+    FeatureSchema,
+    StandardizationStats,
+    fit_stats,
+    standardize,
+    vectorize,
+)
 from etlwatch.streamgen import StreamConfig, generate
 
 
@@ -57,6 +65,41 @@ class TestScore:
     def test_dimension_mismatch(self):
         with pytest.raises(ContractViolationError):
             score(identity_model(3), passthrough_stats(3), np.zeros(2))
+
+
+class TestBatchScores:
+    def test_width_mismatch(self):
+        with pytest.raises(ContractViolationError, match="dimension 3"):
+            batch_scores(identity_model(3), np.zeros((4, 2)))
+
+    @given(
+        st.integers(min_value=1, max_value=20),
+        st.integers(min_value=1, max_value=40),
+        st.integers(min_value=1, max_value=200),
+        st.sampled_from(list(Activation)),
+        st.sampled_from(list(Activation)),
+        st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_row_scores_do_not_depend_on_batching(self, d, k, n, act_h, act_o, seed):
+        rnd = np.random.default_rng(seed)
+        params = AutoencoderParams(
+            w_e=rnd.normal(size=(k, d)), b_e=rnd.normal(size=k),
+            w_d=rnd.normal(size=(d, k)), b_d=rnd.normal(size=d),
+            hidden_activation=act_h, output_activation=act_o,
+        )
+        stats = StandardizationStats(mu=rnd.normal(size=d), sigma=rnd.uniform(0.1, 3.0, d))
+        x_raw = rnd.normal(scale=3.0, size=(n, d))
+        x_std = standardize(x_raw, stats)
+        full = batch_scores(params, x_std)
+        for chunk in (1, 2, 7, 64):
+            parts = np.concatenate(
+                [batch_scores(params, x_std[i : i + chunk]) for i in range(0, n, chunk)]
+            )
+            assert parts.tobytes() == full.tobytes(), f"chunk {chunk}"
+        for i in range(n):
+            assert batch_scores(params, x_std[i]).tobytes() == full[i : i + 1].tobytes()
+            assert score(params, stats, x_raw[i]) == full[i]
 
 
 class TestCalibrateThreshold:
@@ -161,6 +204,43 @@ class TestScoreStream:
         _, stats, schema, events = tiny_pipeline
         with pytest.raises(ContractViolationError):
             score_stream(identity_model(4), stats, events, schema, DetectorConfig())
+
+    def test_stats_model_mismatch(self, tiny_pipeline):
+        model, _, schema, events = tiny_pipeline
+        with pytest.raises(ContractViolationError, match="stats of dimension 4"):
+            score_stream(model, passthrough_stats(4), events, schema, DetectorConfig())
+
+    def test_records_stay_in_order_across_chunk_edges(self, tiny_pipeline):
+        from dataclasses import replace
+
+        _, stats, schema, events = tiny_pipeline
+        model = AutoencoderParams(
+            w_e=np.full((2, schema.dim), 0.1), b_e=np.zeros(2),
+            w_d=np.full((schema.dim, 2), 0.2), b_d=np.zeros(schema.dim),
+        )
+        n = 2 * _SCORE_CHUNK + 3
+        broken = {0, _SCORE_CHUNK - 1, _SCORE_CHUNK, n - 1}
+        stream = []
+        for i in range(n):
+            event = replace(events[i % len(events)], event_id=f"e{i}")
+            if i in broken:
+                event = replace(event, device_type="toaster")
+            stream.append(event)
+        stream[_SCORE_CHUNK + 1] = replace(stream[_SCORE_CHUNK + 1], event_id="")
+        truth = [i % 3 == 0 for i in range(n)]
+        results = score_stream(
+            model, stats, stream, schema, DetectorConfig(delta=1.0), truth_labels=truth
+        )
+        ids = [f"e{i}" for i in range(n)]
+        ids[_SCORE_CHUNK + 1] = f"event-{_SCORE_CHUNK + 1}"
+        assert [r.event_id for r in results] == ids
+        assert {i for i, r in enumerate(results) if isinstance(r, StreamError)} == broken
+        for i, (event, record) in enumerate(zip(stream, results)):
+            if i in broken:
+                assert "toaster" in record.error
+                continue
+            value = score(model, stats, vectorize(event, schema))
+            assert record == DetectionResult(record.event_id, value, value > 1.0, truth[i])
 
 
 class TestDetectionIO:

@@ -5,43 +5,9 @@ from hypothesis import strategies as st
 
 from etlwatch.autoencoder import init_params
 from etlwatch.errors import ContractViolationError, NumericalError
-from etlwatch.numerics import SeededRng, finite_diff_grad, matvec
+from etlwatch.numerics import SeededRng, finite_diff_grad
 
 finite_floats = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
-
-
-class TestMatvec:
-    def test_identity(self):
-        out = matvec(np.eye(2), np.array([3.0, -2.0]))
-        np.testing.assert_array_equal(out, [3.0, -2.0])
-
-    def test_zero_matrix(self):
-        out = matvec(np.zeros((3, 2)), np.array([1.7, -4.2]))
-        np.testing.assert_array_equal(out, [0.0, 0.0, 0.0])
-
-    def test_hand_expansion(self):
-        # [[1,2],[3,4]] @ [1,1]: rows give 1+2=3 and 3+4=7
-        out = matvec(np.array([[1.0, 2.0], [3.0, 4.0]]), np.array([1.0, 1.0]))
-        np.testing.assert_array_equal(out, [3.0, 7.0])
-
-    def test_dimension_mismatch_names_both_shapes(self):
-        with pytest.raises(ContractViolationError, match=r"2x3.*length 2"):
-            matvec(np.zeros((2, 3)), np.zeros(2))
-
-    @given(
-        st.integers(min_value=1, max_value=5),
-        st.integers(min_value=1, max_value=5),
-        st.floats(min_value=-100, max_value=100),
-        st.floats(min_value=-100, max_value=100),
-        st.randoms(use_true_random=False),
-    )
-    def test_linearity(self, rows, cols, a, b, rnd):
-        m = np.array([[rnd.uniform(-10, 10) for _ in range(cols)] for _ in range(rows)])
-        u = np.array([rnd.uniform(-10, 10) for _ in range(cols)])
-        v = np.array([rnd.uniform(-10, 10) for _ in range(cols)])
-        left = matvec(m, a * u + b * v)
-        right = a * matvec(m, u) + b * matvec(m, v)
-        np.testing.assert_allclose(left, right, rtol=1e-12, atol=1e-9)
 
 
 class TestFiniteDiffGrad:
