@@ -267,24 +267,27 @@ def batch_loss(params: AutoencoderParams, x: np.ndarray, l1_penalty: float) -> L
 
 
 def _gradients(params: AutoencoderParams, x: np.ndarray, l1_penalty: float) -> Gradients:
-    """Exact gradients for a validated (n, d) batch; may return non-finite values."""
+    """Exact gradients for a validated (n, d) batch; may return non-finite values.
+
+    Callers run it under ``np.errstate(all="ignore")`` and check the result.
+    """
     n = x.shape[0]
-    with np.errstate(all="ignore"):
-        z_h = x @ params.w_e.T + params.b_e
-        h = params.hidden_activation.apply(z_h)
-        z_o = h @ params.w_d.T + params.b_d
-        xhat = params.output_activation.apply(z_o)
+    z_h = x @ params.w_e.T + params.b_e
+    h = params.hidden_activation.apply(z_h)
+    z_o = h @ params.w_d.T + params.b_d
+    xhat = params.output_activation.apply(z_o)
 
-        d_xhat = (2.0 / n) * (xhat - x)
-        d_zo = d_xhat * params.output_activation.derivative(z_o, xhat)
-        g_wd = d_zo.T @ h
-        g_bd = d_zo.sum(axis=0)
+    d_zo = (2.0 / n) * (xhat - x)
+    if params.output_activation is not Activation.IDENTITY:  # identity: x * 1.0 == x
+        d_zo *= params.output_activation.derivative(z_o, xhat)
+    g_wd = d_zo.T @ h
+    g_bd = d_zo.sum(axis=0)
 
-        # sign(0) = 0 is the chosen subgradient of the L1 term
-        d_h = d_zo @ params.w_d + (l1_penalty / n) * np.sign(h)
-        d_zh = d_h * params.hidden_activation.derivative(z_h, h)
-        g_we = d_zh.T @ x
-        g_be = d_zh.sum(axis=0)
+    # sign(0) = 0 is the chosen subgradient of the L1 term
+    d_h = d_zo @ params.w_d + (l1_penalty / n) * np.sign(h)
+    d_zh = d_h * params.hidden_activation.derivative(z_h, h)
+    g_we = d_zh.T @ x
+    g_be = d_zh.sum(axis=0)
 
     return Gradients(w_e=g_we, b_e=g_be, w_d=g_wd, b_d=g_bd)
 
@@ -303,7 +306,8 @@ def backprop(params: AutoencoderParams, x_batch: np.ndarray, l1_penalty: float) 
         raise ContractViolationError(
             f"batch dimension {x.shape[1]} does not match model d={params.d}"
         )
-    grads = _gradients(params, x, l1_penalty)
+    with np.errstate(all="ignore"):
+        grads = _gradients(params, x, l1_penalty)
     for name, arr in vars(grads).items():
         if not np.all(np.isfinite(arr)):
             raise NumericalError(f"non-finite gradient for parameter block {name}")
@@ -334,12 +338,15 @@ def train(
     The epoch shuffle and the weight initialization both draw from a single
     rng seeded with ``cfg.seed``. After each epoch the loss breakdown on the
     full training set is recorded. A non-finite ``x_train`` raises
-    :class:`NumericalError`. A step that leaves a non-finite parameter (from a
-    non-finite gradient or an overflowing update) or a non-finite epoch loss
+    :class:`NumericalError`. An epoch that leaves a non-finite parameter (from
+    a non-finite gradient or an overflowing update) or a non-finite epoch loss
     aborts with :class:`TrainingDivergedError`.
 
-    Each step updates the parameters in place; ``w -= lr * g`` rounds exactly
-    as :func:`sgd_step`'s ``w - lr * g``.
+    Each step updates the parameters in place; ``g *= lr; w -= g`` rounds
+    exactly as :func:`sgd_step`'s ``w - lr * g``. Parameters are checked for
+    finiteness once per epoch, before its loss: a non-finite value stays
+    non-finite under every later update, so the check names the same epoch
+    as a check after every step would.
     """
     x = require_finite(as_matrix(x_train, "x_train"), "x_train")
     n = x.shape[0]
@@ -355,17 +362,18 @@ def train(
 
     for epoch in range(cfg.epochs):
         started = time.perf_counter()
-        perm = rng.shuffled_indices(n)
+        shuffled = x[rng.shuffled_indices(n)]
         with np.errstate(all="ignore"):  # a non-finite step is caught below
             for lo in range(0, n, cfg.batch_size):
-                batch = x[perm[lo : lo + cfg.batch_size]]
-                grads = _gradients(params, batch, cfg.l1_penalty)
+                grads = _gradients(params, shuffled[lo : lo + cfg.batch_size], cfg.l1_penalty)
                 for name, arr in blocks.items():
-                    arr -= lr * getattr(grads, name)
-                if not all(np.isfinite(arr).all() for arr in blocks.values()):
-                    raise TrainingDivergedError(epoch, lr) from NumericalError(
-                        f"non-finite parameters after a step in epoch {epoch}"
-                    )
+                    g = getattr(grads, name)
+                    g *= lr
+                    arr -= g
+        if not all(np.isfinite(arr).all() for arr in blocks.values()):
+            raise TrainingDivergedError(epoch, lr) from NumericalError(
+                f"non-finite parameters after epoch {epoch}"
+            )
 
         with np.errstate(all="ignore"):
             epoch_loss = batch_loss(params, x, cfg.l1_penalty)

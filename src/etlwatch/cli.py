@@ -12,6 +12,7 @@ Exit codes: 0 on success, 1 on runtime failure (IO, divergence, bad data),
 from __future__ import annotations
 
 import csv
+import dataclasses
 import json
 import time
 from pathlib import Path
@@ -47,7 +48,6 @@ from .preprocess import (
     FeatureSchema,
     fit_stats,
     parse_event,
-    replace_event_id,
     standardize,
     vectorize_events,
 )
@@ -64,26 +64,25 @@ from .streamgen import (
 def _read_records(path: str | Path) -> tuple[list[EtlEvent], list[bool | None]]:
     """Read an event file; labels come back as None when absent.
 
-    A line that is not a JSON object or whose fields do not parse stops the
-    read with one :class:`EtlwatchError` naming the file and line number, so
-    the CLI prints one line instead of a traceback. Turning such lines into
-    in-stream error records instead needs one stream reader shared by every
-    command, which does not exist yet.
+    A line that is not UTF-8, not a JSON object or whose fields do not parse
+    stops the read with one :class:`EtlwatchError` naming the file and line
+    number, so the CLI prints one line instead of a traceback. Turning such
+    lines into in-stream error records instead needs one stream reader shared
+    by every command, which does not exist yet.
     """
     events: list[EtlEvent] = []
     labels: list[bool | None] = []
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
+    with open(path, "rb") as fh:
+        for line_no, raw in enumerate(fh, start=1):
+            if not raw.strip():
                 continue
             try:
-                record = json.loads(line)
+                record = json.loads(raw.decode("utf-8"))
                 event = parse_event(record)
             except (ValueError, TypeError, EtlwatchError) as exc:
                 raise EtlwatchError(f"{path} line {line_no}: {exc}") from exc
             if not event.event_id:
-                event = replace_event_id(event, f"line-{line_no}")
+                event = dataclasses.replace(event, event_id=f"line-{line_no}")
             events.append(event)
             labels.append(bool(record["label"]) if "label" in record else None)
     return events, labels
@@ -229,8 +228,12 @@ def _run_evaluate(params: dict) -> tuple[list[str], list[str], dict]:
             raise EtlwatchError(
                 f"no --delta given and no manifest found at {manifest_path}"
             )
-        with open(manifest_path, encoding="utf-8") as fh:
-            delta = json.load(fh).get("delta")
+        try:
+            with open(manifest_path, encoding="utf-8") as fh:
+                manifest = json.load(fh)
+        except ValueError as exc:
+            raise EtlwatchError(f"manifest {manifest_path} is not valid JSON: {exc}") from exc
+        delta = manifest.get("delta") if isinstance(manifest, dict) else None
         if delta is None:
             raise EtlwatchError(
                 f"manifest {manifest_path} records no delta; pass --delta"
@@ -481,19 +484,31 @@ def cmd_sweep(stream, knob, grid, lr, k, l1_penalty, epochs, batch, seed, out_di
     })
 
 
+class _RecordedParams(dict):
+    """Params read back from a manifest; a key a runner needs but lacks is a usage error."""
+
+    def __missing__(self, key: str) -> None:
+        raise click.UsageError(f"manifest params lack {key!r}")
+
+
 @main.command("replay")
 @click.argument("manifest", type=click.Path(exists=True, dir_okay=False))
 def cmd_replay(manifest):
     """Re-run the subcommand recorded in a manifest file."""
-    with open(manifest, encoding="utf-8") as fh:
-        payload = json.load(fh)
+    try:
+        with open(manifest, encoding="utf-8") as fh:
+            payload = json.load(fh)
+    except ValueError as exc:
+        raise click.UsageError(f"manifest {manifest} is not valid JSON: {exc}") from exc
+    if not isinstance(payload, dict):
+        raise click.UsageError(f"manifest {manifest} does not hold a JSON object")
     subcommand = payload.get("subcommand")
     if subcommand not in _RUNNERS:
         raise click.UsageError(f"manifest names unknown subcommand {subcommand!r}")
     params = payload.get("params")
     if not isinstance(params, dict):
         raise click.UsageError("manifest has no params mapping to replay")
-    _execute(subcommand, params)
+    _execute(subcommand, _RecordedParams(params))
 
 
 if __name__ == "__main__":

@@ -197,23 +197,33 @@ def write_detections_csv(
 def read_detections_jsonl(
     path: str | Path,
 ) -> list[DetectionResult | StreamError]:
+    """Read back a file written by :func:`write_detections_jsonl`.
+
+    A line that is not a UTF-8 JSON object or lacks a field raises
+    :class:`ContractViolationError` naming the file and line number.
+    """
     records: list[DetectionResult | StreamError] = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
+    with open(path, "rb") as fh:
+        for line_no, raw in enumerate(fh, start=1):
+            if not raw.strip():
                 continue
-            payload = json.loads(line)
-            if "error" in payload:
-                records.append(StreamError(event_id=payload["event_id"], error=payload["error"]))
-            else:
-                truth = payload.get("truth_label")
-                records.append(
-                    DetectionResult(
+            try:
+                payload = json.loads(raw.decode("utf-8"))
+                if not isinstance(payload, dict):
+                    raise ValueError("not a JSON object")
+                if "error" in payload:
+                    record = StreamError(event_id=payload["event_id"], error=payload["error"])
+                else:
+                    truth = payload.get("truth_label")
+                    record = DetectionResult(
                         event_id=payload["event_id"],
                         score=float(payload["score"]),
                         is_anomaly=bool(payload["is_anomaly"]),
                         truth_label=None if truth is None else bool(truth),
                     )
-                )
+            except KeyError as exc:
+                raise ContractViolationError(f"{path} line {line_no}: no field {exc}") from exc
+            except (ValueError, TypeError) as exc:
+                raise ContractViolationError(f"{path} line {line_no}: {exc}") from exc
+            records.append(record)
     return records

@@ -7,6 +7,9 @@ produces the same draw sequence on every platform and every numpy version.
 Scalar draws (``next_u64``, ``uniform``) and block draws (``next_u64_block``,
 ``uniform_block``) consume one and the same sequence: a block of n draws
 returns, and advances the state by, exactly what n scalar draws would.
+``uniform`` takes its 53-bit fractions from a block drawn ahead; the next raw
+or block draw first gives back the fractions not yet used, so buffering never
+changes which value a call returns.
 """
 
 from __future__ import annotations
@@ -23,6 +26,8 @@ _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
+# fractions uniform() draws ahead in one block
+_AHEAD = 256
 
 
 class SeededRng:
@@ -35,20 +40,31 @@ class SeededRng:
     Because splitmix64 is counter-based (output t is a fixed mix of
     ``seed + t * golden``), a block draw computes n outputs at once in
     wrapping ``np.uint64`` arithmetic. Block and scalar draws are one
-    sequence and may be interleaved freely.
+    sequence and may be interleaved freely. :meth:`uniform` draws its
+    fractions ``_AHEAD`` at a time; ``_state`` then runs ahead of the
+    sequence by the fractions still buffered, which :meth:`_give_back`
+    rewinds before any raw draw.
 
     Instances are cheap but stateful; do not share one across concurrent
     tasks.
     """
 
-    __slots__ = ("seed", "_state")
+    __slots__ = ("seed", "_state", "_ahead")
 
     def __init__(self, seed: int) -> None:
         self.seed = seed & _MASK64
         self._state = self.seed
+        self._ahead: list[float] = []  # unused fractions, the next one last
+
+    def _give_back(self) -> None:
+        """Rewind the state over the fractions drawn ahead but not used."""
+        if self._ahead:
+            self._state = (self._state - len(self._ahead) * _GOLDEN) & _MASK64
+            self._ahead = []
 
     def next_u64(self) -> int:
         """Return the next raw 64-bit output."""
+        self._give_back()
         self._state = (self._state + _GOLDEN) & _MASK64
         z = self._state
         z = ((z ^ (z >> 30)) * _MIX1) & _MASK64
@@ -63,6 +79,7 @@ class SeededRng:
         """
         if n < 0:
             raise ContractViolationError(f"block size must be >= 0, got {n}")
+        self._give_back()
         steps = np.arange(1, n + 1, dtype=np.uint64)
         z = np.uint64(self._state) + steps * np.uint64(_GOLDEN)  # wraps mod 2^64
         z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
@@ -78,7 +95,10 @@ class SeededRng:
         """
         if not lo < hi:
             raise ContractViolationError(f"uniform bounds require lo < hi, got [{lo}, {hi})")
-        u = (self.next_u64() >> 11) * 2.0**-53
+        if not self._ahead:
+            fractions = (self.next_u64_block(_AHEAD) >> np.uint64(11)) * 2.0**-53
+            self._ahead = fractions[::-1].tolist()
+        u = self._ahead.pop()
         value = lo + u * (hi - lo)
         if value >= hi:  # guard the rare rounding onto the open bound
             value = np.nextafter(hi, lo)

@@ -14,7 +14,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -247,23 +247,9 @@ def read_events_jsonl(path: str | Path) -> list[EtlEvent]:
                 raise ContractViolationError(f"line {line_no} is not valid JSON") from exc
             event = parse_event(record)
             if not event.event_id:
-                event = replace_event_id(event, f"line-{line_no}")
+                event = replace(event, event_id=f"line-{line_no}")
             events.append(event)
     return events
-
-
-def replace_event_id(event: EtlEvent, event_id: str) -> EtlEvent:
-    return EtlEvent(
-        timestamp=event.timestamp,
-        amount=event.amount,
-        latency_ms=event.latency_ms,
-        task_duration_s=event.task_duration_s,
-        records_loaded=event.records_loaded,
-        device_type=event.device_type,
-        geo_region=event.geo_region,
-        missing_mask=event.missing_mask,
-        event_id=event_id,
-    )
 
 
 def write_matrix_csv(x: np.ndarray, schema: FeatureSchema, path: str | Path) -> None:

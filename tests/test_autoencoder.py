@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from etlwatch import autoencoder
 from etlwatch.autoencoder import (
     Activation,
     AutoencoderParams,
@@ -387,6 +388,31 @@ class TestTrain:
             train(small_training_set, cfg)
         assert info.value.epoch == diverged_at
         assert isinstance(info.value.__cause__, NumericalError)
+
+    @pytest.mark.parametrize("poison", [np.nan, np.inf])
+    def test_step_going_non_finite_mid_epoch_names_that_epoch(
+        self, small_training_set, monkeypatch, poison
+    ):
+        # 256 rows in batches of 32: 8 steps per epoch; the fourth step of
+        # epoch 2 returns a non-finite gradient
+        cfg = TrainConfig(learning_rate=0.01, epochs=5, batch_size=32, seed=4, latent_dim=2)
+        steps = 0
+        kernel = autoencoder._gradients
+
+        def poisoned(params, x, l1_penalty):
+            nonlocal steps
+            steps += 1
+            grads = kernel(params, x, l1_penalty)
+            if steps == 2 * 8 + 4:
+                grads.b_d[0] = poison
+            return grads
+
+        monkeypatch.setattr(autoencoder, "_gradients", poisoned)
+        with pytest.raises(TrainingDivergedError) as info:
+            train(small_training_set, cfg)
+        assert info.value.epoch == 2
+        assert isinstance(info.value.__cause__, NumericalError)
+        assert steps == 3 * 8  # epoch 2 ran to its end before the check
 
     def test_overflowing_update_with_finite_gradients_diverges(self, small_training_set):
         # inputs of order 1e9 give gradients of order 1e9: finite, but

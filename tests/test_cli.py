@@ -20,6 +20,15 @@ def run_ok(runner, args):
     return result
 
 
+def error_line(result, exit_code):
+    """The one ``Error:`` line of a run that failed cleanly with ``exit_code``."""
+    assert result.exit_code == exit_code, result.output
+    assert isinstance(result.exception, SystemExit)
+    errors = [line for line in result.output.splitlines() if line.startswith("Error:")]
+    assert len(errors) == 1, result.output
+    return errors[0]
+
+
 @pytest.fixture(scope="module")
 def workspace(tmp_path_factory):
     """One generated stream + trained model shared across CLI tests."""
@@ -179,19 +188,19 @@ class TestDetect:
     @pytest.mark.parametrize("command", ["detect", "train"])
     @pytest.mark.parametrize(
         "bad_line, reason",
-        [("{not json", "Expecting property name"), (None, "'abc'")],
+        [(b"{not json", "Expecting property name"), (None, "'abc'"), (b"\xff\xfe", "utf-8")],
     )
     def test_bad_input_line_is_one_line_error(
         self, runner, workspace, tmp_path, command, bad_line, reason
     ):
         # None stands for a valid record whose amount is the string "abc"
         _, stream, model = workspace
-        lines = stream.read_text().splitlines()[:30]
+        lines = stream.read_bytes().splitlines()[:30]
         record = json.loads(lines[2])
         record["amount"] = "abc"
-        lines[2] = bad_line or json.dumps(record)
+        lines[2] = bad_line or json.dumps(record).encode()
         bad = tmp_path / "bad.jsonl"
-        bad.write_text("\n".join(lines) + "\n")
+        bad.write_bytes(b"\n".join(lines) + b"\n")
         args = ["--out", str(tmp_path / "out.json")]
         if command == "detect":
             args += ["--model", str(model), "--delta", "1"]
@@ -251,6 +260,33 @@ class TestEvaluate:
         assert result.exit_code == 1
         assert isinstance(result.exception, SystemExit)
         assert result.output.startswith("Error:") and "--delta" in result.output
+
+    @pytest.mark.parametrize(
+        "bad_line",
+        [b"{broken", b"[1, 2]", b'{"event_id": "x", "is_anomaly": true}', b"\xff\xfe"],
+    )
+    def test_malformed_detection_line_is_one_line_error(
+        self, runner, detections, tmp_path, bad_line
+    ):
+        lines = detections.read_bytes().splitlines(keepends=True)
+        lines.insert(4, bad_line + b"\n")
+        detections.write_bytes(b"".join(lines))
+        result = runner.invoke(main, ["evaluate", str(detections), "--delta", "1",
+                                      "--out", str(tmp_path / "r.json")])
+        message = error_line(result, 1)
+        assert result.output.strip() == message
+        assert detections.name in message and "line 5" in message
+
+    @pytest.mark.parametrize("manifest_text", ["not json", "[1, 2]"])
+    def test_unreadable_manifest_is_one_line_error(
+        self, runner, detections, tmp_path, manifest_text
+    ):
+        manifest = detections.parent / (detections.name + ".manifest.json")
+        manifest.write_text(manifest_text)
+        result = runner.invoke(main, ["evaluate", str(detections),
+                                      "--out", str(tmp_path / "r.json")])
+        message = error_line(result, 1)
+        assert result.output.strip() == message and manifest.name in message
 
     def test_csv_format(self, runner, detections, tmp_path):
         report = tmp_path / "report.csv"
@@ -319,6 +355,21 @@ class TestReplay:
         assert result.exit_code == 2
         assert isinstance(result.exception, SystemExit)
         assert "params" in result.output
+
+    @pytest.mark.parametrize(
+        "manifest_text, reason",
+        [
+            ("not json", "not valid JSON"),
+            ("[1, 2]", "JSON object"),
+            ('{"subcommand": "detect", "params": {}}', "lack 'model'"),
+            ('{"subcommand": "generate", "params": {"n": 5}}', "lack 'mix'"),
+        ],
+    )
+    def test_bad_manifest_is_usage_error(self, runner, tmp_path, manifest_text, reason):
+        bad = tmp_path / "m.json"
+        bad.write_text(manifest_text)
+        result = runner.invoke(main, ["replay", str(bad)])
+        assert reason in error_line(result, 2)
 
     def test_unknown_subcommand_rejected(self, runner, tmp_path):
         bad = tmp_path / "m.json"

@@ -52,13 +52,65 @@ class TestFiniteDiffGrad:
         assert np.max(np.abs(approx - analytic) / denom) < 1e-6
 
 
-def reference_shuffled_indices(rng: SeededRng, n: int) -> np.ndarray:
+def reference_uniform(rng, lo: float = 0.0, hi: float = 1.0) -> float:
+    """One ``uniform(lo, hi)`` from one ``next_u64()``, with no draw-ahead buffer."""
+    u = (rng.next_u64() >> 11) * 2.0**-53
+    value = lo + u * (hi - lo)
+    if value >= hi:
+        value = np.nextafter(hi, lo)
+    return value
+
+
+def reference_shuffled_indices(rng, n: int) -> np.ndarray:
     """Scalar Fisher-Yates, one draw per swap: the oracle for the block-drawn shuffle."""
     perm = np.arange(n)
     for i in range(n - 1, 0, -1):
-        j = rng.index(i + 1)
+        j = int(reference_uniform(rng, 0.0, float(i + 1)))
         perm[i], perm[j] = perm[j], perm[i]
     return perm
+
+
+class ReferenceRng:
+    """Scalar-only oracle for :class:`SeededRng`: every draw is one ``next_u64()``.
+
+    Its inner generator never draws ahead, so its sequence is splitmix64 one
+    output at a time. It has the public draw methods of ``SeededRng`` and can
+    stand in for it.
+    """
+
+    def __init__(self, seed: int) -> None:
+        self._rng = SeededRng(seed)
+
+    def next_u64(self) -> int:
+        return self._rng.next_u64()
+
+    def next_u64_block(self, n: int) -> np.ndarray:
+        return np.array([self.next_u64() for _ in range(n)], dtype=np.uint64)
+
+    def uniform(self, lo: float = 0.0, hi: float = 1.0) -> float:
+        return reference_uniform(self, lo, hi)
+
+    def uniform_block(self, n: int, lo: float = 0.0, hi: float = 1.0) -> np.ndarray:
+        return np.array([self.uniform(lo, hi) for _ in range(n)])
+
+    def index(self, n: int) -> int:
+        return int(self.uniform(0.0, float(n)))
+
+    def shuffled_indices(self, n: int) -> np.ndarray:
+        return reference_shuffled_indices(self, n)
+
+
+def _draw(rng, method: str, count: int) -> list:
+    """``count`` draws of one kind, as a list."""
+    if method == "uniform":
+        return [rng.uniform(-1.0, 2.0) for _ in range(count)]
+    if method == "index":
+        return [rng.index(7) for _ in range(count)]
+    if method == "next_u64":
+        return [rng.next_u64() for _ in range(count)]
+    if method == "uniform_block":
+        return rng.uniform_block(count, -1.0, 2.0).tolist()
+    return getattr(rng, method)(count).tolist()  # next_u64_block, shuffled_indices
 
 
 class TestSeededRng:
@@ -138,11 +190,41 @@ class TestRngOracles:
         ],
     )
     def test_uniform_block_equals_successive_uniform(self, lo, hi):
-        block_rng, scalar_rng = SeededRng(3), SeededRng(3)
+        block_rng, oracle_rng = SeededRng(3), SeededRng(3)
         block = block_rng.uniform_block(200, lo, hi)
-        expected = [scalar_rng.uniform(lo, hi) for _ in range(200)]
+        expected = [reference_uniform(oracle_rng, lo, hi) for _ in range(200)]
         assert block.tolist() == expected
-        assert block_rng.next_u64() == scalar_rng.next_u64()
+        assert block_rng.next_u64() == oracle_rng.next_u64()
+
+    @pytest.mark.parametrize("lo, hi", [(-2.0, 3.0), (1.0, float(np.nextafter(1.0, 2.0)))])
+    @pytest.mark.parametrize("seed", [0, 7, 2**64 - 1])
+    def test_buffered_uniform_equals_one_raw_draw_per_call(self, seed, lo, hi):
+        # 600 draws cross two refills of the draw-ahead block
+        rng, oracle_rng = SeededRng(seed), SeededRng(seed)
+        values = [rng.uniform(lo, hi) for _ in range(600)]
+        assert values == [reference_uniform(oracle_rng, lo, hi) for _ in range(600)]
+        assert rng.next_u64() == oracle_rng.next_u64()
+
+    @given(
+        st.integers(min_value=0, max_value=2**64 - 1),
+        st.lists(
+            st.tuples(
+                st.sampled_from(
+                    ["uniform", "index", "next_u64", "next_u64_block",
+                     "uniform_block", "shuffled_indices"]
+                ),
+                st.integers(min_value=0, max_value=300),
+            ),
+            max_size=10,
+        ),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_any_interleaving_equals_the_scalar_oracle(self, seed, calls):
+        rng, oracle = SeededRng(seed), ReferenceRng(seed)
+        for method, count in calls:
+            assert _draw(rng, method, count) == _draw(oracle, method, count), method
+        assert rng.next_u64() == oracle.next_u64()
+        assert rng.uniform() == oracle.uniform()
 
     @pytest.mark.parametrize("seed", [0, 7, 12345, 2**64 - 1])
     @pytest.mark.parametrize("n", [0, 1, 2, 3, 100, 5700])
@@ -159,8 +241,8 @@ class TestRngOracles:
         rng, oracle_rng = SeededRng(7), SeededRng(7)
         params = init_params(d, k, rng=rng)
         bound = np.sqrt(6.0 / (d + k))
-        w_e = np.array([oracle_rng.uniform(-bound, bound) for _ in range(k * d)])
-        w_d = np.array([oracle_rng.uniform(-bound, bound) for _ in range(d * k)])
+        w_e = np.array([reference_uniform(oracle_rng, -bound, bound) for _ in range(k * d)])
+        w_d = np.array([reference_uniform(oracle_rng, -bound, bound) for _ in range(d * k)])
         np.testing.assert_array_equal(params.w_e, w_e.reshape(k, d))
         np.testing.assert_array_equal(params.w_d, w_d.reshape(d, k))
         assert rng.next_u64() == oracle_rng.next_u64()

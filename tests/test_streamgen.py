@@ -2,7 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from test_numerics import ReferenceRng
 
+from etlwatch import streamgen
 from etlwatch.errors import ContractViolationError
 from etlwatch.numerics import SeededRng
 from etlwatch.preprocess import MASKABLE_FIELDS
@@ -37,6 +39,14 @@ class TestGenerate:
         a = generate(StreamConfig(n_events=200, seed=5))
         b = generate(StreamConfig(n_events=200, seed=5))
         assert a == b
+
+    @pytest.mark.parametrize("seed", [0, 7, 2**64 - 1])
+    def test_equals_a_run_on_the_scalar_reference_rng(self, monkeypatch, seed):
+        # a 20 % anomaly rate exercises every injector's draws
+        cfg = StreamConfig(n_events=1500, anomaly_rate=0.2, seed=seed)
+        events = generate(cfg)
+        monkeypatch.setattr(streamgen, "SeededRng", ReferenceRng)
+        assert generate(cfg) == events
 
     def test_different_seeds_differ(self):
         a = generate(StreamConfig(n_events=50, seed=5))
