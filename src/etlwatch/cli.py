@@ -12,7 +12,6 @@ Exit codes: 0 on success, 1 on runtime failure (IO, divergence, bad data),
 from __future__ import annotations
 
 import csv
-import dataclasses
 import json
 import time
 from pathlib import Path
@@ -43,49 +42,17 @@ from .evaluation import (
     sweep_latent_dim,
     sweep_learning_rate,
 )
-from .preprocess import (
-    EtlEvent,
-    FeatureSchema,
-    fit_stats,
-    parse_event,
-    standardize,
-    vectorize_events,
-)
+from .preprocess import FeatureSchema, fit_stats, standardize, vectorize_events
 from .streamgen import (
     ANOMALY_CLASSES,
     AnomalyMix,
+    LabeledEvent,
     StreamConfig,
     generate as generate_stream,
-    read_labeled_events,
+    labels_sibling_path,
+    read_stream,
     write_labeled_events,
 )
-
-
-def _read_records(path: str | Path) -> tuple[list[EtlEvent], list[bool | None]]:
-    """Read an event file; labels come back as None when absent.
-
-    A line that is not UTF-8, not a JSON object or whose fields do not parse
-    stops the read with one :class:`EtlwatchError` naming the file and line
-    number, so the CLI prints one line instead of a traceback. Turning such
-    lines into in-stream error records instead needs one stream reader shared
-    by every command, which does not exist yet.
-    """
-    events: list[EtlEvent] = []
-    labels: list[bool | None] = []
-    with open(path, "rb") as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            if not raw.strip():
-                continue
-            try:
-                record = json.loads(raw.decode("utf-8"))
-                event = parse_event(record)
-            except (ValueError, TypeError, EtlwatchError) as exc:
-                raise EtlwatchError(f"{path} line {line_no}: {exc}") from exc
-            if not event.event_id:
-                event = dataclasses.replace(event, event_id=f"line-{line_no}")
-            events.append(event)
-            labels.append(bool(record["label"]) if "label" in record else None)
-    return events, labels
 
 
 def _manifest_path(primary_output: str | Path) -> Path:
@@ -154,7 +121,7 @@ def _train_config(params: dict) -> TrainConfig:
 
 
 def _run_train(params: dict) -> tuple[list[str], list[str], dict]:
-    events, labels = _read_records(params["stream"])
+    events, labels, _ = read_stream(params["stream"])
     if any(label is not None for label in labels):
         events = [e for e, label in zip(events, labels) if not label]
     schema = FeatureSchema()
@@ -184,12 +151,12 @@ def _run_train(params: dict) -> tuple[list[str], list[str], dict]:
 
 def _run_detect(params: dict) -> tuple[list[str], list[str], dict]:
     model, stats, schema = load_model(params["model"])
-    events, truth = _read_records(params["stream"])
+    events, truth, _ = read_stream(params["stream"])
 
     if params["delta"] is not None:
         delta = params["delta"]
     else:
-        val_events, val_labels = _read_records(params["calibrate"])
+        val_events, val_labels, _ = read_stream(params["calibrate"])
         if any(label is not None for label in val_labels):
             val_events = [e for e, label in zip(val_events, val_labels) if not label]
         x_val = standardize(vectorize_events(val_events, schema), stats)
@@ -250,16 +217,15 @@ def _run_evaluate(params: dict) -> tuple[list[str], list[str], dict]:
 
 
 def _run_sweep(params: dict) -> tuple[list[str], list[str], dict]:
-    labeled = read_labeled_events(params["stream"])
-    bundle = make_bundle(labeled)
-    base = _train_config(params)
-    seed = params["seed"]
     if params["knob"] == "lr":
-        grid = [float(v) for v in params["grid"]]
-        result = sweep_learning_rate(base, grid, bundle, seed)
+        knob_type, sweep = float, sweep_learning_rate
     else:
-        grid = [int(v) for v in params["grid"]]
-        result = sweep_latent_dim(base, grid, bundle, seed)
+        knob_type, sweep = int, sweep_latent_dim
+    grid = [knob_type(v) for v in params["grid"]]
+    stream, seed = params["stream"], params["seed"]
+    columns = read_stream(stream, labels_sibling_path(stream))
+    bundle = make_bundle([LabeledEvent(*row) for row in zip(*columns)])
+    result = sweep(_train_config(params), grid, bundle, seed)
     out_dir = Path(params["out_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
     outputs = []
@@ -508,7 +474,10 @@ def cmd_replay(manifest):
     params = payload.get("params")
     if not isinstance(params, dict):
         raise click.UsageError("manifest has no params mapping to replay")
-    _execute(subcommand, _RecordedParams(params))
+    try:
+        _execute(subcommand, _RecordedParams(params))
+    except (TypeError, ValueError) as exc:
+        raise click.UsageError(f"manifest params do not fit {subcommand!r}: {exc}") from exc
 
 
 if __name__ == "__main__":

@@ -27,7 +27,14 @@ from .errors import (
     InsufficientDataError,
 )
 from .numerics import as_vector
-from .preprocess import EtlEvent, FeatureSchema, StandardizationStats, standardize, vectorize
+from .preprocess import (
+    EtlEvent,
+    FeatureSchema,
+    StandardizationStats,
+    read_jsonl,
+    standardize,
+    vectorize,
+)
 
 # Events vectorized and scored per batch_scores call in score_stream. It
 # bounds the working set of a long stream; it cannot change a score.
@@ -202,28 +209,16 @@ def read_detections_jsonl(
     A line that is not a UTF-8 JSON object or lacks a field raises
     :class:`ContractViolationError` naming the file and line number.
     """
-    records: list[DetectionResult | StreamError] = []
-    with open(path, "rb") as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            if not raw.strip():
-                continue
-            try:
-                payload = json.loads(raw.decode("utf-8"))
-                if not isinstance(payload, dict):
-                    raise ValueError("not a JSON object")
-                if "error" in payload:
-                    record = StreamError(event_id=payload["event_id"], error=payload["error"])
-                else:
-                    truth = payload.get("truth_label")
-                    record = DetectionResult(
-                        event_id=payload["event_id"],
-                        score=float(payload["score"]),
-                        is_anomaly=bool(payload["is_anomaly"]),
-                        truth_label=None if truth is None else bool(truth),
-                    )
-            except KeyError as exc:
-                raise ContractViolationError(f"{path} line {line_no}: no field {exc}") from exc
-            except (ValueError, TypeError) as exc:
-                raise ContractViolationError(f"{path} line {line_no}: {exc}") from exc
-            records.append(record)
-    return records
+
+    def parse(record: dict, line_no: int) -> DetectionResult | StreamError:
+        if "error" in record:
+            return StreamError(event_id=record["event_id"], error=record["error"])
+        truth = record.get("truth_label")
+        return DetectionResult(
+            event_id=record["event_id"],
+            score=float(record["score"]),
+            is_anomaly=bool(record["is_anomaly"]),
+            truth_label=None if truth is None else bool(truth),
+        )
+
+    return read_jsonl(path, parse)

@@ -332,22 +332,7 @@ def emit_report(result: SweepResult, path: str | Path, fmt: str = "csv") -> None
                 "knob_value": entry.knob_value,
                 "diverged": entry.diverged,
                 "overcomplete": entry.overcomplete,
-                "report": None
-                if entry.report is None
-                else {
-                    "auc": entry.report.auc,
-                    "acc": entry.report.acc,
-                    "precision": entry.report.precision,
-                    "recall": entry.report.recall,
-                    "confusion": {
-                        "tp": entry.report.confusion.tp,
-                        "fp": entry.report.confusion.fp,
-                        "tn": entry.report.confusion.tn,
-                        "fn": entry.report.confusion.fn,
-                    },
-                    "n": entry.report.n,
-                    "delta_used": entry.report.delta_used,
-                },
+                "report": None if entry.report is None else metrics_to_dict(entry.report),
             }
             for entry in result.entries
         ],

@@ -6,7 +6,8 @@ a fixed-width float vector: numeric fields in schema order (missing ones emit
 fields, one missing indicator per maskable numeric field, and a (sin, cos)
 encoding of the hour of day. :func:`fit_stats` / :func:`standardize` apply
 per-feature (x - mu) / sigma rescaling; stats are fit on training data once
-and frozen for every later split and stream.
+and frozen for every later split and stream. :func:`read_jsonl` is the one
+reader of JSON-lines files: event streams, label files and detections.
 """
 
 from __future__ import annotations
@@ -14,15 +15,18 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable, TypeVar
 
 import numpy as np
 
-from .errors import ContractViolationError, EncodingError, InsufficientDataError
+from .errors import ContractViolationError, EncodingError, EtlwatchError, InsufficientDataError
 from .numerics import as_matrix, as_vector
 
 MS_PER_DAY = 86_400_000
+
+T = TypeVar("T")
 
 DEFAULT_DEVICE_TYPES = ("mobile", "web", "pos")
 DEFAULT_GEO_REGIONS = ("na", "eu", "apac", "latam")
@@ -233,23 +237,29 @@ def event_to_dict(event: EtlEvent) -> dict:
     }
 
 
-def read_events_jsonl(path: str | Path) -> list[EtlEvent]:
-    """Read line-delimited event records, ignoring any label fields."""
-    events = []
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
+def read_jsonl(path: str | Path, parse: Callable[[dict, int], T]) -> list[T]:
+    """Return ``parse(record, line_no)`` for every non-blank line of a JSON-lines file.
+
+    Each line must be a UTF-8 JSON object. A line that is not, or whose
+    record ``parse`` rejects with a KeyError, ValueError, TypeError or
+    :class:`EtlwatchError`, stops the read with one
+    :class:`ContractViolationError` naming the file and line number.
+    """
+    out: list[T] = []
+    with open(path, "rb") as fh:
+        for line_no, raw in enumerate(fh, start=1):
+            if not raw.strip():
                 continue
             try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ContractViolationError(f"line {line_no} is not valid JSON") from exc
-            event = parse_event(record)
-            if not event.event_id:
-                event = replace(event, event_id=f"line-{line_no}")
-            events.append(event)
-    return events
+                record = json.loads(raw.decode("utf-8"))
+                if not isinstance(record, dict):
+                    raise ValueError("not a JSON object")
+                out.append(parse(record, line_no))
+            except KeyError as exc:
+                raise ContractViolationError(f"{path} line {line_no}: no field {exc}") from exc
+            except (ValueError, TypeError, EtlwatchError) as exc:
+                raise ContractViolationError(f"{path} line {line_no}: {exc}") from exc
+    return out
 
 
 def write_matrix_csv(x: np.ndarray, schema: FeatureSchema, path: str | Path) -> None:

@@ -43,6 +43,7 @@ from .preprocess import (
     EtlEvent,
     event_to_dict,
     parse_event,
+    read_jsonl,
 )
 
 ANOMALY_CLASSES = ("delay", "missing", "duplicate", "spike")
@@ -418,49 +419,47 @@ def write_labeled_events(
                 )
 
 
-def read_labeled_events(
+def read_stream(
     path: str | Path, labels_path: str | Path | None = None
-) -> list[LabeledEvent]:
-    """Read a labeled stream; falls back to the sibling labels file."""
-    rows: list[dict] = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                rows.append(json.loads(line))
+) -> tuple[list[EtlEvent], list[bool | None], list[str | None]]:
+    """Read an event stream: its events, labels and anomaly classes in line order.
 
-    if rows and "label" not in rows[0]:
-        labels_path = labels_path or labels_sibling_path(path)
-        if not Path(labels_path).exists():
-            raise ContractViolationError(
-                f"{path} has no label fields and no labels file at {labels_path}"
-            )
-        by_id: dict[str, dict] = {}
-        with open(labels_path, encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if line:
-                    record = json.loads(line)
-                    by_id[record["event_id"]] = record
-        for row in rows:
-            try:
-                label_row = by_id[row["event_id"]]
-            except KeyError as exc:
-                raise ContractViolationError(
-                    f"event {row.get('event_id')!r} has no entry in {labels_path}"
-                ) from exc
-            row["label"] = label_row["label"]
-            row["anomaly_class"] = label_row["anomaly_class"]
+    A label is None where a record carries none; an event without an id gets
+    ``line-<n>``. When ``labels_path`` is given, that file fills the label
+    and class of every record without an inline label, matched by
+    ``event_id``, and such a record missing from it is an error. Every line
+    goes through :func:`~etlwatch.preprocess.read_jsonl`, so a bad line of
+    either file raises one :class:`ContractViolationError` naming it.
+    """
+    labels: list[bool | None] = []
+    classes: list[str | None] = []
 
-    out = []
-    for row in rows:
-        if "label" not in row:
-            raise ContractViolationError("stream record carries no label")
-        out.append(
-            LabeledEvent(
-                event=parse_event(row),
-                label=bool(row["label"]),
-                anomaly_class=row.get("anomaly_class"),
-            )
+    def parse(record: dict, line_no: int) -> EtlEvent:
+        event = parse_event(record)
+        if not event.event_id:
+            event = replace(event, event_id=f"line-{line_no}")
+        labels.append(bool(record["label"]) if "label" in record else None)
+        classes.append(record.get("anomaly_class"))
+        return event
+
+    events = read_jsonl(path, parse)
+    if labels_path is None or None not in labels:
+        return events, labels, classes
+    if not Path(labels_path).exists():
+        raise ContractViolationError(
+            f"{path} has unlabeled records and no labels file at {labels_path}"
         )
-    return out
+    held_out = dict(
+        read_jsonl(
+            labels_path,
+            lambda r, _: (str(r["event_id"]), (bool(r["label"]), r.get("anomaly_class"))),
+        )
+    )
+    for i, event in enumerate(events):
+        if labels[i] is None:
+            if event.event_id not in held_out:
+                raise ContractViolationError(
+                    f"event {event.event_id!r} has no entry in {labels_path}"
+                )
+            labels[i], classes[i] = held_out[event.event_id]
+    return events, labels, classes

@@ -185,7 +185,7 @@ class TestDetect:
         assert records[len(scores) // 2]["is_anomaly"] is False
         assert [r["is_anomaly"] for r in records] == [s > at for s in scores]
 
-    @pytest.mark.parametrize("command", ["detect", "train"])
+    @pytest.mark.parametrize("command", ["detect", "train", "sweep"])
     @pytest.mark.parametrize(
         "bad_line, reason",
         [(b"{not json", "Expecting property name"), (None, "'abc'"), (b"\xff\xfe", "utf-8")],
@@ -204,6 +204,8 @@ class TestDetect:
         args = ["--out", str(tmp_path / "out.json")]
         if command == "detect":
             args += ["--model", str(model), "--delta", "1"]
+        if command == "sweep":
+            args = ["--knob", "k", "--grid", "4", "--epochs", "1", "--out-dir", str(tmp_path)]
         result = runner.invoke(main, [command, str(bad), *args])
         assert result.exit_code == 1
         assert isinstance(result.exception, SystemExit)
@@ -363,6 +365,13 @@ class TestReplay:
             ("[1, 2]", "JSON object"),
             ('{"subcommand": "detect", "params": {}}', "lack 'model'"),
             ('{"subcommand": "generate", "params": {"n": 5}}', "lack 'mix'"),
+            ('{"subcommand": "sweep", "params": {"knob": "k", "grid": 5}}', "not iterable"),
+            (
+                '{"subcommand": "generate", "params": {"n": "abc", "anomaly_rate": 0.05, '
+                '"seed": 7, "mix": {"delay": 0.25, "missing": 0.25, "duplicate": 0.25, '
+                '"spike": 0.25}}}',
+                "not supported between",
+            ),
         ],
     )
     def test_bad_manifest_is_usage_error(self, runner, tmp_path, manifest_text, reason):

@@ -16,7 +16,7 @@ from etlwatch.preprocess import (
     fit_stats,
     hour_angle,
     parse_event,
-    read_events_jsonl,
+    read_jsonl,
     standardize,
     vectorize,
     vectorize_events,
@@ -178,14 +178,33 @@ class TestEventIO:
         with pytest.raises(ContractViolationError, match="amount"):
             parse_event({"timestamp": 0})
 
-    def test_read_events_jsonl(self, tmp_path):
-        from etlwatch.preprocess import event_to_dict
-        import json
+    def test_read_jsonl_skips_blank_lines_and_numbers_the_rest(self, tmp_path):
+        path = tmp_path / "records.jsonl"
+        path.write_bytes(b'{"a": 1}\n\n  \n{"a": 2}\n')
+        assert read_jsonl(path, lambda record, line_no: (record["a"], line_no)) == [
+            (1, 1), (2, 4)
+        ]
 
-        path = tmp_path / "events.jsonl"
-        events = [make_event(event_id=f"e{i}") for i in range(3)]
-        path.write_text("\n".join(json.dumps(event_to_dict(e)) for e in events) + "\n")
-        assert read_events_jsonl(path) == events
+    @pytest.mark.parametrize(
+        "line, reason",
+        [
+            (b"[1, 2]", "not a JSON object"),
+            (b'{"b": 1}', "no field 'a'"),
+            (b'{"a": -1}', "negative"),
+        ],
+    )
+    def test_read_jsonl_bad_line_names_file_and_line(self, tmp_path, line, reason):
+        def parse(record, line_no):
+            if int(record["a"]) < 0:
+                raise InsufficientDataError("negative")
+            return record["a"]
+
+        path = tmp_path / "records.jsonl"
+        path.write_bytes(b'{"a": 1}\n' + line + b"\n")
+        with pytest.raises(ContractViolationError) as info:
+            read_jsonl(path, parse)
+        message = str(info.value)
+        assert message.startswith(f"{path} line 2: ") and reason in message
 
     def test_matrix_csv_header_names_every_slot(self, tmp_path):
         path = tmp_path / "features.csv"

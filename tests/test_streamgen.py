@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -7,7 +8,7 @@ from test_numerics import ReferenceRng
 from etlwatch import streamgen
 from etlwatch.errors import ContractViolationError
 from etlwatch.numerics import SeededRng
-from etlwatch.preprocess import MASKABLE_FIELDS
+from etlwatch.preprocess import MASKABLE_FIELDS, event_to_dict
 from etlwatch.streamgen import (
     ANOMALY_CLASSES,
     AnomalyMix,
@@ -17,7 +18,7 @@ from etlwatch.streamgen import (
     inject,
     labels_sibling_path,
     numeric_bands,
-    read_labeled_events,
+    read_stream,
     sample_gamma,
     sample_poisson,
     write_labeled_events,
@@ -178,12 +179,18 @@ class TestConfigValidation:
             LabeledEvent(event=event, label=False, anomaly_class="delay")
 
 
+def read_labeled(path):
+    columns = read_stream(path, labels_sibling_path(path))
+    return [LabeledEvent(*row) for row in zip(*columns)]
+
+
 class TestLabeledEventFiles:
     def test_inline_round_trip(self, tmp_path):
         events = generate(StreamConfig(n_events=60, seed=4))
         path = tmp_path / "stream.jsonl"
         write_labeled_events(events, path)
-        assert read_labeled_events(path) == events
+        assert not labels_sibling_path(path).exists()
+        assert read_labeled(path) == events
         assert len(path.read_text().splitlines()) == 60
 
     def test_holdout_round_trip(self, tmp_path):
@@ -192,12 +199,34 @@ class TestLabeledEventFiles:
         write_labeled_events(events, path, holdout=True)
         assert "label" not in path.read_text().splitlines()[0]
         assert labels_sibling_path(path).exists()
-        assert read_labeled_events(path) == events
+        assert read_labeled(path) == events
+        # without a labels file the labels come back absent, not guessed
+        assert read_stream(path)[1:] == ([None] * 60, [None] * 60)
 
     def test_holdout_without_labels_file_fails(self, tmp_path):
         events = generate(StreamConfig(n_events=5, seed=4))
         path = tmp_path / "stream.jsonl"
         write_labeled_events(events, path, holdout=True)
         labels_sibling_path(path).unlink()
-        with pytest.raises(ContractViolationError):
-            read_labeled_events(path)
+        with pytest.raises(ContractViolationError, match="no labels file"):
+            read_labeled(path)
+
+    def test_holdout_event_missing_from_labels_file_fails(self, tmp_path):
+        events = generate(StreamConfig(n_events=5, seed=4))
+        path = tmp_path / "stream.jsonl"
+        write_labeled_events(events, path, holdout=True)
+        labels = labels_sibling_path(path)
+        labels.write_text("\n".join(labels.read_text().splitlines()[1:]) + "\n")
+        with pytest.raises(ContractViolationError, match="evt-000000"):
+            read_labeled(path)
+
+    def test_unlabeled_events_get_line_ids(self, tmp_path):
+        events = [e.event for e in generate(StreamConfig(n_events=3, seed=4))]
+        rows = [event_to_dict(e) for e in events]
+        del rows[1]["event_id"]
+        path = tmp_path / "events.jsonl"
+        path.write_text("\n".join(json.dumps(r) for r in rows) + "\n\n")
+        read, labels, classes = read_stream(path)
+        assert [e.event_id for e in read] == ["evt-000000", "line-2", "evt-000002"]
+        assert read[0] == events[0] and read[2] == events[2]
+        assert labels == classes == [None, None, None]
