@@ -10,7 +10,7 @@ from .autoencoder import (  # noqa: F401
     save_model,
     train,
 )
-from .detector import DetectorConfig, calibrate_threshold, score, score_stream  # noqa: F401
+from .detector import calibrate_threshold, score, score_stream  # noqa: F401
 from .errors import EtlwatchError  # noqa: F401
 from .evaluation import DataBundle, auc, metrics_at_threshold, standard_benchmark  # noqa: F401
 from .preprocess import EtlEvent, FeatureSchema, fit_stats, standardize, vectorize  # noqa: F401

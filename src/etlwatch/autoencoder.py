@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import enum
 import json
+import math
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -118,16 +119,6 @@ class AutoencoderParams:
     def blocks(self) -> dict[str, np.ndarray]:
         return {"w_e": self.w_e, "b_e": self.b_e, "w_d": self.w_d, "b_d": self.b_d}
 
-    def copy(self) -> AutoencoderParams:
-        return AutoencoderParams(
-            w_e=self.w_e.copy(),
-            b_e=self.b_e.copy(),
-            w_d=self.w_d.copy(),
-            b_d=self.b_d.copy(),
-            hidden_activation=self.hidden_activation,
-            output_activation=self.output_activation,
-        )
-
 
 @dataclass(frozen=True)
 class TrainConfig:
@@ -141,10 +132,14 @@ class TrainConfig:
     latent_dim: int = 32
 
     def __post_init__(self) -> None:
-        if self.learning_rate <= 0:
-            raise ContractViolationError(f"learning_rate must be > 0, got {self.learning_rate}")
-        if self.l1_penalty < 0:
-            raise ContractViolationError(f"l1_penalty must be >= 0, got {self.l1_penalty}")
+        if not (self.learning_rate > 0 and math.isfinite(self.learning_rate)):
+            raise ContractViolationError(
+                f"learning_rate must be finite and > 0, got {self.learning_rate}"
+            )
+        if not (self.l1_penalty >= 0 and math.isfinite(self.l1_penalty)):
+            raise ContractViolationError(
+                f"l1_penalty must be finite and >= 0, got {self.l1_penalty}"
+            )
         if self.epochs < 1 or self.batch_size < 1 or self.latent_dim < 1:
             raise ContractViolationError(
                 "epochs, batch_size and latent_dim must all be >= 1"

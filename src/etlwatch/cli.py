@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import time
 from pathlib import Path
 
@@ -22,7 +23,6 @@ from . import __version__
 from .autoencoder import TrainConfig, load_model, save_model, train
 from .detector import (
     DetectionResult,
-    DetectorConfig,
     StreamError,
     batch_scores,
     calibrate_threshold,
@@ -33,14 +33,12 @@ from .detector import (
 )
 from .errors import EtlwatchError
 from .evaluation import (
-    MetricsReport,
     emit_report,
     make_bundle,
     metrics_at_threshold,
-    metrics_to_dict,
     report_filename,
-    sweep_latent_dim,
-    sweep_learning_rate,
+    sweep,
+    write_metrics_report,
 )
 from .preprocess import FeatureSchema, fit_stats, standardize, vectorize_events
 from .streamgen import (
@@ -109,6 +107,12 @@ def _run_generate(params: dict) -> tuple[list[str], list[str], dict]:
     return [], [params["out"]], {"n_anomalies": n_anomalies}
 
 
+def _read_stream_and_labels(path: str) -> tuple:
+    """:func:`read_stream`, with the held-out labels file when one sits beside it."""
+    labels_path = labels_sibling_path(path)
+    return read_stream(path, labels_path if labels_path.exists() else None)
+
+
 def _train_config(params: dict) -> TrainConfig:
     return TrainConfig(
         learning_rate=params["lr"],
@@ -121,7 +125,7 @@ def _train_config(params: dict) -> TrainConfig:
 
 
 def _run_train(params: dict) -> tuple[list[str], list[str], dict]:
-    events, labels, _ = read_stream(params["stream"])
+    events, labels, _ = _read_stream_and_labels(params["stream"])
     if any(label is not None for label in labels):
         events = [e for e, label in zip(events, labels) if not label]
     schema = FeatureSchema()
@@ -151,20 +155,18 @@ def _run_train(params: dict) -> tuple[list[str], list[str], dict]:
 
 def _run_detect(params: dict) -> tuple[list[str], list[str], dict]:
     model, stats, schema = load_model(params["model"])
-    events, truth, _ = read_stream(params["stream"])
+    events, truth, _ = _read_stream_and_labels(params["stream"])
 
     if params["delta"] is not None:
         delta = params["delta"]
     else:
-        val_events, val_labels, _ = read_stream(params["calibrate"])
+        val_events, val_labels, _ = _read_stream_and_labels(params["calibrate"])
         if any(label is not None for label in val_labels):
             val_events = [e for e, label in zip(val_events, val_labels) if not label]
         x_val = standardize(vectorize_events(val_events, schema), stats)
         delta = calibrate_threshold(batch_scores(model, x_val), params["quantile"])
 
-    results = score_stream(
-        model, stats, events, schema, DetectorConfig(delta=delta), truth_labels=truth
-    )
+    results = score_stream(model, stats, events, schema, delta, truth_labels=truth)
     out = params["out"]
     write_detections_jsonl(results, out)
     write_detections_csv(results, Path(out).with_suffix(".csv"))
@@ -208,7 +210,7 @@ def _run_evaluate(params: dict) -> tuple[list[str], list[str], dict]:
     report = metrics_at_threshold(
         [r.score for r in scored], [r.truth_label for r in scored], delta
     )
-    _write_metrics_report(report, params["out"], params["format"])
+    write_metrics_report(report, params["out"], params["format"])
     click.echo(
         f"n={report.n} auc={report.auc:.4f} acc={report.acc:.4f} "
         f"precision={_fmt(report.precision)} recall={_fmt(report.recall)}"
@@ -217,15 +219,20 @@ def _run_evaluate(params: dict) -> tuple[list[str], list[str], dict]:
 
 
 def _run_sweep(params: dict) -> tuple[list[str], list[str], dict]:
-    if params["knob"] == "lr":
-        knob_type, sweep = float, sweep_learning_rate
-    else:
-        knob_type, sweep = int, sweep_latent_dim
-    grid = [knob_type(v) for v in params["grid"]]
+    knob = params["knob"]
+    grid = [float(v) for v in params["grid"]]
+    if knob == "k":
+        if not all(v.is_integer() and v >= 1 for v in grid):
+            raise click.UsageError(f"every k in --grid must be an integer >= 1, got {grid}")
+        grid = [int(v) for v in grid]
+    elif knob != "lr":
+        raise click.UsageError(f"unknown sweep knob {knob!r}")
+    elif not all(math.isfinite(v) and v > 0 for v in grid):
+        raise click.UsageError(f"every lr in --grid must be finite and > 0, got {grid}")
     stream, seed = params["stream"], params["seed"]
     columns = read_stream(stream, labels_sibling_path(stream))
     bundle = make_bundle([LabeledEvent(*row) for row in zip(*columns)])
-    result = sweep(_train_config(params), grid, bundle, seed)
+    result = sweep(knob, _train_config(params), grid, bundle, seed)
     out_dir = Path(params["out_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
     outputs = []
@@ -233,11 +240,14 @@ def _run_sweep(params: dict) -> tuple[list[str], list[str], dict]:
         out_path = out_dir / report_filename(result.knob, seed, fmt)
         emit_report(result, out_path, fmt)
         outputs.append(str(out_path))
+    d = bundle.x_train.shape[1]
+    noted = set()
     for entry in result.entries:
-        if entry.overcomplete:
+        k = entry.knob_value if knob == "k" else params["k"]
+        if entry.overcomplete and k not in noted:
+            noted.add(k)
             click.echo(
-                f"note: {result.knob}={entry.knob_value:g} is overcomplete "
-                f"(latent dimension exceeds input dimension)"
+                f"note: k={k} is overcomplete (latent dimension exceeds input dimension {d})"
             )
         if entry.diverged:
             click.echo(f"note: {result.knob}={entry.knob_value:g} diverged")
@@ -256,30 +266,6 @@ _RUNNERS = {
 
 def _fmt(value: float | None) -> str:
     return "undefined" if value is None else f"{value:.4f}"
-
-
-def _write_metrics_report(report: MetricsReport, path: str, fmt: str) -> None:
-    if fmt == "json":
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(metrics_to_dict(report), fh, indent=1)
-            fh.write("\n")
-        return
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["auc", "acc", "precision", "recall", "tp", "fp", "tn", "fn", "n", "delta_used"]
-        )
-        confusion = report.confusion
-        writer.writerow(
-            [
-                repr(report.auc),
-                repr(report.acc),
-                "" if report.precision is None else repr(report.precision),
-                "" if report.recall is None else repr(report.recall),
-                confusion.tp, confusion.fp, confusion.tn, confusion.fn,
-                report.n, repr(report.delta_used),
-            ]
-        )
 
 
 # --- flag parsing -------------------------------------------------------------
@@ -310,14 +296,14 @@ def _check_rate(ctx: object, param: object, value: float) -> float:
 
 
 def _check_positive(ctx: object, param: object, value: float) -> float:
-    if value is not None and value <= 0:
-        raise click.BadParameter("must be > 0")
+    if value is not None and not (value > 0 and math.isfinite(value)):
+        raise click.BadParameter("must be finite and > 0")
     return value
 
 
 def _check_non_negative(ctx: object, param: object, value: float) -> float:
-    if value is not None and value < 0:
-        raise click.BadParameter("must be >= 0")
+    if value is not None and not (value >= 0 and math.isfinite(value)):
+        raise click.BadParameter("must be finite and >= 0")
     return value
 
 

@@ -42,21 +42,6 @@ _SCORE_CHUNK = 1024
 
 
 @dataclass(frozen=True)
-class DetectorConfig:
-    delta: float = 0.0
-    calibration_quantile: float = 0.95
-
-    def __post_init__(self) -> None:
-        if self.delta < 0:
-            raise ContractViolationError(f"delta must be >= 0, got {self.delta}")
-        if not 0.0 < self.calibration_quantile < 1.0:
-            raise ContractViolationError(
-                f"calibration quantile must lie strictly inside (0, 1), "
-                f"got {self.calibration_quantile}"
-            )
-
-
-@dataclass(frozen=True)
 class DetectionResult:
     event_id: str
     score: float
@@ -122,10 +107,10 @@ def score_stream(
     stats: StandardizationStats,
     events: Iterable[EtlEvent],
     schema: FeatureSchema,
-    cfg: DetectorConfig,
+    delta: float,
     truth_labels: Sequence[bool | None] | None = None,
 ) -> list[DetectionResult | StreamError]:
-    """Score a sequence of raw events, one output record per input event.
+    """Score a sequence of raw events against ``delta``, one record per event.
 
     Events that fail vectorization become :class:`StreamError` records in
     place, so a malformed record never aborts the run. Output order matches
@@ -137,6 +122,8 @@ def score_stream(
         raise ContractViolationError(
             f"schema dimension {schema.dim} does not match model d={params.d}"
         )
+    if not (delta >= 0 and math.isfinite(delta)):
+        raise ContractViolationError(f"delta must be finite and >= 0, got {delta}")
     results: list[DetectionResult | StreamError] = []
     numbered = enumerate(events)
     while chunk := list(itertools.islice(numbered, _SCORE_CHUNK)):
@@ -159,7 +146,7 @@ def score_stream(
                 DetectionResult(
                     event_id=event_id,
                     score=value,
-                    is_anomaly=classify(value, cfg.delta),
+                    is_anomaly=classify(value, delta),
                     truth_label=truth_labels[i] if truth_labels is not None else None,
                 )
             )

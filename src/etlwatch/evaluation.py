@@ -17,16 +17,11 @@ import csv
 import json
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
-from .autoencoder import (
-    DEFAULT_ACTIVATIONS,
-    Activation,
-    TrainConfig,
-    train,
-)
+from .autoencoder import TrainConfig, train
 from .detector import batch_scores, calibrate_threshold
 from .errors import (
     ContractViolationError,
@@ -222,108 +217,116 @@ def standard_benchmark(seed: int = 7, n_events: int = 10_000) -> DataBundle:
     return make_bundle(generate(cfg))
 
 
-def evaluate_config(
-    bundle: DataBundle,
-    cfg: TrainConfig,
-    activations: tuple[Activation, Activation] = DEFAULT_ACTIVATIONS,
-    calibration_quantile: float = 0.95,
-) -> MetricsReport:
+# Quantile of the validation normals' scores that sets delta; ``detect``'s
+# --quantile defaults to the same value.
+_DELTA_QUANTILE = 0.95
+
+# sweep knob -> the TrainConfig field its grid values set
+_KNOB_FIELDS = {"lr": "learning_rate", "k": "latent_dim"}
+
+
+def evaluate_config(bundle: DataBundle, cfg: TrainConfig) -> MetricsReport:
     """Train on the bundle, calibrate delta on validation normals, score test."""
-    params, _ = train(bundle.x_train, cfg, activations)
-    delta = calibrate_threshold(
-        batch_scores(params, bundle.x_val), calibration_quantile
-    )
+    params, _ = train(bundle.x_train, cfg)
+    delta = calibrate_threshold(batch_scores(params, bundle.x_val), _DELTA_QUANTILE)
     test_scores = batch_scores(params, bundle.x_test)
     return metrics_at_threshold(test_scores, bundle.y_test, delta)
 
 
-def _run_sweep(
+def sweep(
     knob: str,
+    base_cfg: TrainConfig,
     grid: Sequence[float],
-    configs: Sequence[TrainConfig],
     bundle: DataBundle,
     seed: int,
 ) -> SweepResult:
+    """Retrain once per grid value of ``knob`` on identical data and seed.
+
+    ``knob`` is ``"lr"`` (learning rate) or ``"k"`` (latent dimension); the
+    grid must be non-empty and ascending. A point whose latent dimension
+    exceeds the input dimension is flagged overcomplete, and one whose
+    training diverges is kept as a diverged entry without a report.
+    """
+    if knob not in _KNOB_FIELDS:
+        raise ContractViolationError(f"unknown sweep knob {knob!r}")
+    if not grid:
+        raise ContractViolationError("sweep grid must be non-empty")
+    if list(grid) != sorted(grid):
+        raise ContractViolationError(f"{knob} grid must be sorted ascending")
     entries = []
-    for value, cfg in zip(grid, configs):
+    for value in grid:
+        cfg = replace(base_cfg, seed=seed, **{_KNOB_FIELDS[knob]: value})
         overcomplete = cfg.latent_dim > bundle.x_train.shape[1]
         try:
-            report = evaluate_config(bundle, cfg)
+            report, diverged = evaluate_config(bundle, cfg), False
         except TrainingDivergedError:
-            entries.append(
-                SweepEntry(knob_value=value, report=None, diverged=True,
-                           overcomplete=overcomplete)
-            )
-            continue
-        entries.append(
-            SweepEntry(knob_value=value, report=report, overcomplete=overcomplete)
-        )
+            report, diverged = None, True
+        entries.append(SweepEntry(value, report, diverged, overcomplete))
     return SweepResult(
         knob=knob, grid=tuple(float(v) for v in grid), entries=tuple(entries), seed=seed
     )
 
 
-def sweep_learning_rate(
-    base_cfg: TrainConfig,
-    grid: Sequence[float],
-    bundle: DataBundle,
-    seed: int,
-) -> SweepResult:
-    """Retrain per learning rate on identical data and seed."""
-    if not grid:
-        raise ContractViolationError("sweep grid must be non-empty")
-    if list(grid) != sorted(grid):
-        raise ContractViolationError("learning-rate grid must be sorted ascending")
-    configs = [replace(base_cfg, learning_rate=lr, seed=seed) for lr in grid]
-    return _run_sweep("lr", grid, configs, bundle, seed)
-
-
 def sweep_latent_dim(
-    base_cfg: TrainConfig,
-    grid: Sequence[int],
-    bundle: DataBundle,
-    seed: int,
+    base_cfg: TrainConfig, grid: Sequence[int], bundle: DataBundle, seed: int
 ) -> SweepResult:
-    """Retrain per latent dimension; overcomplete k > d is allowed but flagged."""
-    if not grid:
-        raise ContractViolationError("sweep grid must be non-empty")
-    configs = [replace(base_cfg, latent_dim=int(k), seed=seed) for k in grid]
-    return _run_sweep("k", grid, configs, bundle, seed)
+    """``sweep("k", ...)``; the benchmark calls the k sweep, and traces it, by this name."""
+    return sweep("k", base_cfg, grid, bundle, seed)
 
 
 # --- report files -------------------------------------------------------------
 
-def _cell(value: float | None) -> str:
-    return "" if value is None else repr(float(value))
+# CSV columns of a MetricsReport: the fields of metrics_to_dict in order,
+# with the confusion counts lifted to the top level. A sweep CSV row keeps
+# the first _RATES of them, after the knob value.
+_METRIC_COLUMNS = ("auc", "acc", "precision", "recall", "tp", "fp", "tn", "fn", "n", "delta_used")
+_RATES = 4
+
+
+def _cell(value: object) -> str:
+    return "" if value is None else repr(value)
+
+
+def _metric_cells(report: MetricsReport | None) -> list[str]:
+    """A report's CSV cells, one per _METRIC_COLUMNS; blanks when there is none."""
+    if report is None:
+        return [""] * len(_METRIC_COLUMNS)
+    fields = metrics_to_dict(report)
+    fields.update(fields.pop("confusion"))
+    return [_cell(fields[name]) for name in _METRIC_COLUMNS]
+
+
+def _write_csv(path: str | Path, header: Sequence[str], rows: Iterable[list[str]]) -> None:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def _write_json(path: str | Path, payload: dict) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh, indent=1)
+        fh.write("\n")
+
+
+def _check_format(fmt: str) -> None:
+    if fmt not in ("csv", "json"):
+        raise ContractViolationError(f"format must be 'csv' or 'json', got {fmt!r}")
 
 
 def emit_report(result: SweepResult, path: str | Path, fmt: str = "csv") -> None:
     """Write a sweep report; CSV for plotting, JSON with full confusion counts."""
-    if fmt not in ("csv", "json"):
-        raise ContractViolationError(f"format must be 'csv' or 'json', got {fmt!r}")
+    _check_format(fmt)
     if not result.entries:
         raise ContractViolationError("refusing to emit a report for an empty grid")
     if fmt == "csv":
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["knob_value", "auc", "acc", "precision", "recall"])
-            for entry in result.entries:
-                report = entry.report
-                if report is None:
-                    writer.writerow([repr(entry.knob_value), "", "", "", ""])
-                else:
-                    writer.writerow(
-                        [
-                            repr(entry.knob_value),
-                            _cell(report.auc),
-                            _cell(report.acc),
-                            _cell(report.precision),
-                            _cell(report.recall),
-                        ]
-                    )
+        _write_csv(
+            path,
+            ["knob_value", *_METRIC_COLUMNS[:_RATES]],
+            ([_cell(e.knob_value), *_metric_cells(e.report)[:_RATES]] for e in result.entries),
+        )
         return
-
-    payload = {
+    _write_json(path, {
         "knob": result.knob,
         "seed": result.seed,
         "grid": list(result.grid),
@@ -336,10 +339,16 @@ def emit_report(result: SweepResult, path: str | Path, fmt: str = "csv") -> None
             }
             for entry in result.entries
         ],
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=1)
-        fh.write("\n")
+    })
+
+
+def write_metrics_report(report: MetricsReport, path: str | Path, fmt: str) -> None:
+    """Write one report: CSV with every field in one row, or its JSON mapping."""
+    _check_format(fmt)
+    if fmt == "csv":
+        _write_csv(path, _METRIC_COLUMNS, [_metric_cells(report)])
+    else:
+        _write_json(path, metrics_to_dict(report))
 
 
 def report_filename(knob: str, seed: int, fmt: str) -> str:

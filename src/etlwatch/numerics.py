@@ -1,4 +1,4 @@
-"""Dense linear-algebra helpers, a portable seeded RNG, and a gradient checker.
+"""Dense linear-algebra helpers and a portable seeded RNG.
 
 Everything in this package computes in 64-bit floats. Matrices are plain
 2-D ``numpy`` arrays in row-major order; vectors are 1-D arrays. The random
@@ -13,8 +13,6 @@ changes which value a call returns.
 """
 
 from __future__ import annotations
-
-from typing import Callable
 
 import numpy as np
 
@@ -161,28 +159,3 @@ def require_finite(arr: np.ndarray, context: str) -> np.ndarray:
         raise NumericalError(f"non-finite values in {context}")
     return arr
 
-
-def finite_diff_grad(
-    f: Callable[[np.ndarray], float], x: np.ndarray, h: float = 1e-5
-) -> np.ndarray:
-    """Central-difference gradient of a scalar function.
-
-    result[i] = (f(x + h*e_i) - f(x - h*e_i)) / (2h)
-
-    Used throughout the test suite as the independent oracle against which
-    analytic gradients are checked.
-    """
-    if h <= 0:
-        raise ContractViolationError(f"step size must be positive, got {h}")
-    x = as_vector(x)
-    grad = np.empty_like(x)
-    for i in range(x.shape[0]):
-        probe = x.copy()
-        probe[i] = x[i] + h
-        f_plus = float(f(probe))
-        probe[i] = x[i] - h
-        f_minus = float(f(probe))
-        if not (np.isfinite(f_plus) and np.isfinite(f_minus)):
-            raise NumericalError(f"non-finite function value at probe index {i}")
-        grad[i] = (f_plus - f_minus) / (2.0 * h)
-    return grad

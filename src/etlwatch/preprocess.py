@@ -12,7 +12,6 @@ reader of JSON-lines files: event streams, label files and detections.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 from dataclasses import dataclass
@@ -261,16 +260,3 @@ def read_jsonl(path: str | Path, parse: Callable[[dict, int], T]) -> list[T]:
                 raise ContractViolationError(f"{path} line {line_no}: {exc}") from exc
     return out
 
-
-def write_matrix_csv(x: np.ndarray, schema: FeatureSchema, path: str | Path) -> None:
-    """Write a feature matrix as CSV with one named column per schema slot."""
-    x = as_matrix(x, "feature matrix")
-    if x.shape[1] != schema.dim:
-        raise ContractViolationError(
-            f"matrix has {x.shape[1]} columns but schema dimension is {schema.dim}"
-        )
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(schema.column_names())
-        for row in x:
-            writer.writerow([repr(float(v)) for v in row])

@@ -33,13 +33,13 @@ from etlwatch.evaluation import (
     evaluate_config,
     make_bundle,
     metrics_to_dict,
-    sweep_latent_dim,
-    sweep_learning_rate,
 )
-from etlwatch.numerics import SeededRng, finite_diff_grad
+from etlwatch.evaluation import sweep as run_sweep
+from etlwatch.numerics import SeededRng
 from etlwatch.preprocess import FeatureSchema, StandardizationStats, fit_stats, standardize
 from etlwatch.streamgen import StreamConfig, generate
 
+from gradcheck import finite_diff_grad
 from test_autoencoder import flatten_grads, flatten_params, unflatten_params
 
 BENCHMARK_SEED = 7
@@ -85,8 +85,8 @@ def run_benchmark_pipeline(out_dir: Path) -> dict:
     report = evaluate_config(bundle, base)
     detection_seconds = time.perf_counter() - started
 
-    lr_sweep = sweep_learning_rate(base, LR_GRID, bundle, seed=BENCHMARK_SEED)
-    k_sweep = sweep_latent_dim(base, K_GRID, bundle, seed=BENCHMARK_SEED)
+    lr_sweep = run_sweep("lr", base, LR_GRID, bundle, seed=BENCHMARK_SEED)
+    k_sweep = run_sweep("k", base, K_GRID, bundle, seed=BENCHMARK_SEED)
 
     with open(out_dir / "benchmark_metrics.json", "w", encoding="utf-8") as fh:
         json.dump(metrics_to_dict(report), fh, indent=1)

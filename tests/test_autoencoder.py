@@ -33,8 +33,10 @@ from etlwatch.errors import (
     NumericalError,
     TrainingDivergedError,
 )
-from etlwatch.numerics import SeededRng, finite_diff_grad
+from etlwatch.numerics import SeededRng
 from etlwatch.preprocess import FeatureSchema, StandardizationStats
+
+from gradcheck import finite_diff_grad
 
 ALL_ACTIVATIONS = list(Activation)
 
@@ -72,8 +74,13 @@ def flatten_grads(g: Gradients) -> np.ndarray:
     return np.concatenate([g.w_e.ravel(), g.b_e, g.w_d.ravel(), g.b_d])
 
 
-def check_gradients(params, batch, l1_penalty, h=1e-6, tol=1e-5):
-    """Compare backprop against the central-difference oracle."""
+def check_gradients(params, batch, l1_penalty, h=3e-5, tol=1e-5):
+    """Compare backprop against the finite-difference oracle.
+
+    The step h trades round-off, which grows as h shrinks and swamps
+    gradient components near 1e-6, against the chance that a probe straddles
+    a ReLU or L1 kink, which grows with h.
+    """
     analytic = flatten_grads(backprop(params, batch, l1_penalty))
 
     def loss_of(theta):
@@ -249,7 +256,8 @@ class TestBackprop:
     @pytest.mark.parametrize("act_h", ALL_ACTIVATIONS)
     @pytest.mark.parametrize("act_o", [Activation.IDENTITY, Activation.SIGMOID])
     def test_every_activation_against_oracle(self, act_h, act_o):
-        rng = SeededRng(hash((act_h.value, act_o.value)) % 2**32)
+        # one fixed seed per pair: every run checks the same instances
+        rng = SeededRng(2 * ALL_ACTIVATIONS.index(act_h) + (act_o is Activation.SIGMOID))
         p = init_params(4, 3, (act_h, act_o), rng)
         batch = np.array([[rng.uniform(-1.5, 1.5) for _ in range(4)] for _ in range(5)])
         check_gradients(p, batch, l1_penalty=0.01)
@@ -448,6 +456,11 @@ class TestTrain:
             TrainConfig(l1_penalty=-1.0)
         with pytest.raises(ContractViolationError):
             TrainConfig(epochs=0)
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ContractViolationError, match="learning_rate"):
+                TrainConfig(learning_rate=bad)
+            with pytest.raises(ContractViolationError, match="l1_penalty"):
+                TrainConfig(l1_penalty=bad)
 
 
 @pytest.fixture

@@ -290,6 +290,25 @@ class TestEvaluate:
         message = error_line(result, 1)
         assert result.output.strip() == message and manifest.name in message
 
+    def test_holdout_labels_give_the_inline_result(self, runner, tmp_path):
+        # train skips the held-out anomalies, detect calibrates on normals
+        # only and carries truth labels, so evaluate reads the same report
+        outputs = {}
+        for layout in ("inline", "holdout"):
+            d = tmp_path / layout
+            d.mkdir()
+            stream, model = d / "stream.jsonl", d / "model.json"
+            run_ok(runner, ["generate", "--n", "400", "--seed", "7", "--out", str(stream)]
+                   + (["--holdout"] if layout == "holdout" else []))
+            trained = run_ok(runner, ["train", str(stream), "--epochs", "2", "--k", "4",
+                                      "--out", str(model)])
+            run_ok(runner, ["detect", str(stream), "--model", str(model),
+                            "--calibrate", str(stream), "--out", str(d / "det.jsonl")])
+            run_ok(runner, ["evaluate", str(d / "det.jsonl"), "--out", str(d / "r.json")])
+            outputs[layout] = (trained.output, (d / "r.json").read_bytes())
+        assert (tmp_path / "holdout" / "stream.labels.jsonl").exists()
+        assert outputs["holdout"] == outputs["inline"]
+
     def test_csv_format(self, runner, detections, tmp_path):
         report = tmp_path / "report.csv"
         run_ok(runner, ["evaluate", str(detections), "--format", "csv",
@@ -313,16 +332,53 @@ class TestSweep:
         result = run_ok(runner, ["sweep", str(stream), "--knob", "k",
                                  "--grid", "4,32,128", "--epochs", "2",
                                  "--seed", "7", "--out-dir", str(tmp_path)])
-        assert "overcomplete" in result.output
+        notes = [line for line in result.output.splitlines() if "overcomplete" in line]
+        assert notes == [
+            f"note: k={k} is overcomplete (latent dimension exceeds input dimension 16)"
+            for k in (32, 128)
+        ]
         payload = json.loads((tmp_path / "sweep_k_7.json").read_text())
         flags = {e["knob_value"]: e["overcomplete"] for e in payload["entries"]}
         assert flags == {4.0: False, 32.0: True, 128.0: True}
+        # every point of an lr sweep shares one k, so its note is printed once
+        result = run_ok(runner, ["sweep", str(stream), "--knob", "lr",
+                                 "--grid", "0.0005,0.001", "--epochs", "2", "--k", "32",
+                                 "--seed", "7", "--out-dir", str(tmp_path)])
+        notes = [line for line in result.output.splitlines() if "overcomplete" in line]
+        assert notes == [
+            "note: k=32 is overcomplete (latent dimension exceeds input dimension 16)"
+        ]
 
     def test_bad_grid_is_usage_error(self, runner, workspace, tmp_path):
         _, stream, _ = workspace
         result = runner.invoke(main, ["sweep", str(stream), "--knob", "lr",
                                       "--grid", "abc", "--out-dir", str(tmp_path)])
         assert result.exit_code == 2
+
+
+@pytest.mark.parametrize(
+    "args, reason",
+    [
+        (["sweep", "--knob", "k", "--grid", "4.5,8.9"], "integer >= 1"),
+        (["sweep", "--knob", "k", "--grid", "0,4"], "integer >= 1"),
+        (["sweep", "--knob", "lr", "--grid", "nan"], "finite and > 0"),
+        (["sweep", "--knob", "lr", "--grid", "0.001,inf"], "finite and > 0"),
+        (["sweep", "--knob", "lr", "--grid", "0.001", "--lambda", "nan"], "finite and >= 0"),
+        (["train", "--lr", "inf"], "finite and > 0"),
+        (["detect", "--delta", "nan"], "finite and >= 0"),
+    ],
+)
+def test_bad_value_is_usage_error(runner, workspace, tmp_path, args, reason):
+    _, stream, model = workspace
+    command, *flags = args
+    out = {
+        "sweep": ["--epochs", "1", "--out-dir", str(tmp_path / "out")],
+        "train": ["--out", str(tmp_path / "out")],
+        "detect": ["--model", str(model), "--out", str(tmp_path / "out")],
+    }[command]
+    result = runner.invoke(main, [command, str(stream), *flags, *out])
+    assert reason in error_line(result, 2)
+    assert not (tmp_path / "out").exists()
 
 
 class TestReplay:
@@ -366,6 +422,8 @@ class TestReplay:
             ('{"subcommand": "detect", "params": {}}', "lack 'model'"),
             ('{"subcommand": "generate", "params": {"n": 5}}', "lack 'mix'"),
             ('{"subcommand": "sweep", "params": {"knob": "k", "grid": 5}}', "not iterable"),
+            ('{"subcommand": "sweep", "params": {"knob": "k", "grid": [4.5]}}', "integer >= 1"),
+            ('{"subcommand": "sweep", "params": {"knob": "x", "grid": [1]}}', "unknown sweep knob"),
             (
                 '{"subcommand": "generate", "params": {"n": "abc", "anomaly_rate": 0.05, '
                 '"seed": 7, "mix": {"delay": 0.25, "missing": 0.25, "duplicate": 0.25, '

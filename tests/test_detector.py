@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,7 +9,6 @@ from etlwatch.autoencoder import Activation, AutoencoderParams
 from etlwatch.detector import (
     _SCORE_CHUNK,
     DetectionResult,
-    DetectorConfig,
     StreamError,
     batch_scores,
     calibrate_threshold,
@@ -168,14 +169,13 @@ def tiny_pipeline():
 class TestScoreStream:
     def test_empty_stream(self, tiny_pipeline):
         model, stats, schema, _ = tiny_pipeline
-        assert score_stream(model, stats, [], schema, DetectorConfig(delta=1.0)) == []
+        assert score_stream(model, stats, [], schema, 1.0) == []
 
     def test_concatenation_equals_concatenated_results(self, tiny_pipeline):
         model, stats, schema, events = tiny_pipeline
-        cfg = DetectorConfig(delta=0.5)
-        whole = score_stream(model, stats, events, schema, cfg)
-        parts = score_stream(model, stats, events[:25], schema, cfg) + score_stream(
-            model, stats, events[25:], schema, cfg
+        whole = score_stream(model, stats, events, schema, 0.5)
+        parts = score_stream(model, stats, events[:25], schema, 0.5) + score_stream(
+            model, stats, events[25:], schema, 0.5
         )
         assert whole == parts
 
@@ -184,7 +184,7 @@ class TestScoreStream:
 
         model, stats, schema, events = tiny_pipeline
         broken = [events[0], replace(events[1], device_type="toaster"), events[2]]
-        results = score_stream(model, stats, broken, schema, DetectorConfig(delta=0.0))
+        results = score_stream(model, stats, broken, schema, 0.0)
         assert len(results) == 3
         assert isinstance(results[0], DetectionResult)
         assert isinstance(results[1], StreamError)
@@ -195,7 +195,7 @@ class TestScoreStream:
         model, stats, schema, events = tiny_pipeline
         truth = [i % 2 == 0 for i in range(len(events))]
         results = score_stream(
-            model, stats, events, schema, DetectorConfig(delta=0.0), truth_labels=truth
+            model, stats, events, schema, 0.0, truth_labels=truth
         )
         assert [r.event_id for r in results] == [e.event_id for e in events]
         assert [r.truth_label for r in results] == truth
@@ -203,12 +203,18 @@ class TestScoreStream:
     def test_schema_model_mismatch(self, tiny_pipeline):
         _, stats, schema, events = tiny_pipeline
         with pytest.raises(ContractViolationError):
-            score_stream(identity_model(4), stats, events, schema, DetectorConfig())
+            score_stream(identity_model(4), stats, events, schema, 0.0)
 
     def test_stats_model_mismatch(self, tiny_pipeline):
         model, _, schema, events = tiny_pipeline
         with pytest.raises(ContractViolationError, match="stats of dimension 4"):
-            score_stream(model, passthrough_stats(4), events, schema, DetectorConfig())
+            score_stream(model, passthrough_stats(4), events, schema, 0.0)
+
+    def test_rejects_bad_delta(self, tiny_pipeline):
+        model, stats, schema, events = tiny_pipeline
+        for delta in (-1.0, math.nan, math.inf):
+            with pytest.raises(ContractViolationError, match="delta"):
+                score_stream(model, stats, events, schema, delta)
 
     def test_records_stay_in_order_across_chunk_edges(self, tiny_pipeline):
         from dataclasses import replace
@@ -229,7 +235,7 @@ class TestScoreStream:
         stream[_SCORE_CHUNK + 1] = replace(stream[_SCORE_CHUNK + 1], event_id="")
         truth = [i % 3 == 0 for i in range(n)]
         results = score_stream(
-            model, stats, stream, schema, DetectorConfig(delta=1.0), truth_labels=truth
+            model, stats, stream, schema, 1.0, truth_labels=truth
         )
         ids = [f"e{i}" for i in range(n)]
         ids[_SCORE_CHUNK + 1] = f"event-{_SCORE_CHUNK + 1}"
@@ -264,9 +270,3 @@ class TestDetectionIO:
         assert len(lines) == 2
 
 
-class TestDetectorConfig:
-    def test_validation(self):
-        with pytest.raises(ContractViolationError):
-            DetectorConfig(delta=-1.0)
-        with pytest.raises(ContractViolationError):
-            DetectorConfig(calibration_quantile=1.0)

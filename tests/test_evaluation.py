@@ -10,15 +10,19 @@ from hypothesis import strategies as st
 from etlwatch.autoencoder import TrainConfig
 from etlwatch.errors import ContractViolationError, UndefinedMetricError
 from etlwatch.evaluation import (
+    ConfusionCounts,
     DataBundle,
+    MetricsReport,
+    SweepEntry,
     SweepResult,
     auc,
     emit_report,
     make_bundle,
     metrics_at_threshold,
     report_filename,
+    sweep,
     sweep_latent_dim,
-    sweep_learning_rate,
+    write_metrics_report,
 )
 from etlwatch.streamgen import StreamConfig, generate
 
@@ -164,27 +168,37 @@ def test_trained_model_separates_class_means(small_bundle):
 
 class TestSweeps:
     def test_grid_of_one(self, small_bundle):
-        result = sweep_learning_rate(FAST, [0.001], small_bundle, seed=3)
+        result = sweep("lr", FAST, [0.001], small_bundle, seed=3)
         assert result.knob == "lr"
         assert len(result.entries) == 1
         assert result.entries[0].report is not None
 
     def test_deterministic(self, small_bundle):
-        a = sweep_learning_rate(FAST, [0.0005, 0.001], small_bundle, seed=3)
-        b = sweep_learning_rate(FAST, [0.0005, 0.001], small_bundle, seed=3)
+        a = sweep("lr", FAST, [0.0005, 0.001], small_bundle, seed=3)
+        b = sweep("lr", FAST, [0.0005, 0.001], small_bundle, seed=3)
         assert a == b
 
     def test_latent_sweep_flags_overcomplete(self, small_bundle):
         result = sweep_latent_dim(FAST, [4, 32], small_bundle, seed=3)
+        assert result == sweep("k", FAST, [4, 32], small_bundle, seed=3)
         assert [e.overcomplete for e in result.entries] == [False, True]
 
     def test_empty_grid_rejected(self, small_bundle):
-        with pytest.raises(ContractViolationError):
-            sweep_learning_rate(FAST, [], small_bundle, seed=3)
+        for knob in ("lr", "k"):
+            with pytest.raises(ContractViolationError, match="non-empty"):
+                sweep(knob, FAST, [], small_bundle, seed=3)
 
     def test_unsorted_lr_grid_rejected(self, small_bundle):
-        with pytest.raises(ContractViolationError):
-            sweep_learning_rate(FAST, [0.01, 0.001], small_bundle, seed=3)
+        with pytest.raises(ContractViolationError, match="ascending"):
+            sweep("lr", FAST, [0.01, 0.001], small_bundle, seed=3)
+
+    def test_unsorted_k_grid_rejected(self, small_bundle):
+        with pytest.raises(ContractViolationError, match="ascending"):
+            sweep("k", FAST, [8, 4], small_bundle, seed=3)
+
+    def test_unknown_knob_rejected(self, small_bundle):
+        with pytest.raises(ContractViolationError, match="knob"):
+            sweep("epochs", FAST, [1, 2], small_bundle, seed=3)
 
 
 @pytest.fixture(scope="module")
@@ -232,3 +246,125 @@ class TestEmitReport:
         empty = SweepResult(knob="lr", grid=(), entries=(), seed=1)
         with pytest.raises(ContractViolationError):
             emit_report(empty, tmp_path / "x.csv", "csv")
+
+
+
+
+# The report writers' exact bytes for literal reports, as written before the
+# writers shared one row builder.
+FULL_REPORT = MetricsReport(
+    auc=0.9406547655943305, acc=0.938, precision=0.4427083333333333,
+    recall=0.8333333333333334, confusion=ConfusionCounts(tp=85, fp=107, tn=1791, fn=17),
+    n=2000, delta_used=0.7161755119351951,
+)
+UNDEFINED_PRECISION = MetricsReport(
+    auc=0.5, acc=0.949, precision=None, recall=0.0,
+    confusion=ConfusionCounts(tp=0, fp=0, tn=1898, fn=102), n=2000, delta_used=1e16,
+)
+LITERAL_SWEEP = SweepResult(knob="k", grid=(4.0, 8.0, 32.0), seed=7, entries=(
+    SweepEntry(knob_value=4, report=UNDEFINED_PRECISION),
+    SweepEntry(knob_value=8, report=None, diverged=True),
+    SweepEntry(knob_value=32, report=FULL_REPORT, overcomplete=True),
+))
+METRICS_HEADER = b"auc,acc,precision,recall,tp,fp,tn,fn,n,delta_used\r\n"
+UNDEFINED_PRECISION_JSON = """{
+ "auc": 0.5,
+ "acc": 0.949,
+ "precision": null,
+ "recall": 0.0,
+ "confusion": {
+  "tp": 0,
+  "fp": 0,
+  "tn": 1898,
+  "fn": 102
+ },
+ "n": 2000,
+ "delta_used": 1e+16
+}
+"""
+LITERAL_SWEEP_JSON = """{
+ "knob": "k",
+ "seed": 7,
+ "grid": [
+  4.0,
+  8.0,
+  32.0
+ ],
+ "entries": [
+  {
+   "knob_value": 4,
+   "diverged": false,
+   "overcomplete": false,
+   "report": {
+    "auc": 0.5,
+    "acc": 0.949,
+    "precision": null,
+    "recall": 0.0,
+    "confusion": {
+     "tp": 0,
+     "fp": 0,
+     "tn": 1898,
+     "fn": 102
+    },
+    "n": 2000,
+    "delta_used": 1e+16
+   }
+  },
+  {
+   "knob_value": 8,
+   "diverged": true,
+   "overcomplete": false,
+   "report": null
+  },
+  {
+   "knob_value": 32,
+   "diverged": false,
+   "overcomplete": true,
+   "report": {
+    "auc": 0.9406547655943305,
+    "acc": 0.938,
+    "precision": 0.4427083333333333,
+    "recall": 0.8333333333333334,
+    "confusion": {
+     "tp": 85,
+     "fp": 107,
+     "tn": 1791,
+     "fn": 17
+    },
+    "n": 2000,
+    "delta_used": 0.7161755119351951
+   }
+  }
+ ]
+}
+"""
+
+
+class TestWriterBytes:
+    def test_sweep_csv(self, tmp_path):
+        emit_report(LITERAL_SWEEP, tmp_path / "s.csv", "csv")
+        assert (tmp_path / "s.csv").read_bytes() == (
+            b"knob_value,auc,acc,precision,recall\r\n"
+            b"4,0.5,0.949,,0.0\r\n"
+            b"8,,,,\r\n"
+            b"32,0.9406547655943305,0.938,0.4427083333333333,0.8333333333333334\r\n"
+        )
+
+    def test_sweep_json(self, tmp_path):
+        emit_report(LITERAL_SWEEP, tmp_path / "s.json", "json")
+        assert (tmp_path / "s.json").read_bytes() == LITERAL_SWEEP_JSON.encode()
+
+    def test_metrics_csv(self, tmp_path):
+        write_metrics_report(FULL_REPORT, tmp_path / "full.csv", "csv")
+        write_metrics_report(UNDEFINED_PRECISION, tmp_path / "undefined.csv", "csv")
+        assert (tmp_path / "full.csv").read_bytes() == METRICS_HEADER + (
+            b"0.9406547655943305,0.938,0.4427083333333333,0.8333333333333334,"
+            b"85,107,1791,17,2000,0.7161755119351951\r\n"
+        )
+        assert (tmp_path / "undefined.csv").read_bytes() == METRICS_HEADER + (
+            b"0.5,0.949,,0.0,0,0,1898,102,2000,1e+16\r\n"
+        )
+
+    def test_metrics_json(self, tmp_path):
+        write_metrics_report(UNDEFINED_PRECISION, tmp_path / "m.json", "json")
+        assert (tmp_path / "m.json").read_bytes() == UNDEFINED_PRECISION_JSON.encode()

@@ -1,3 +1,6 @@
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,7 +8,9 @@ from hypothesis import strategies as st
 
 from etlwatch.autoencoder import init_params
 from etlwatch.errors import ContractViolationError, NumericalError
-from etlwatch.numerics import SeededRng, finite_diff_grad
+from etlwatch.numerics import SeededRng
+
+from gradcheck import finite_diff_grad
 
 finite_floats = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
 
@@ -23,6 +28,11 @@ class TestFiniteDiffGrad:
         # f = x0*x1 has gradient (x1, x0)
         grad = finite_diff_grad(lambda x: x[0] * x[1], np.array([2.0, 5.0]), h=1e-5)
         np.testing.assert_allclose(grad, [5.0, 2.0], atol=1e-6)
+
+    def test_cancels_the_h_squared_error(self):
+        # a plain central difference at h = 0.01 is off by h^2/6 * cos(0.7) ~ 1.3e-5
+        grad = finite_diff_grad(lambda x: np.sin(x[0]), np.array([0.7]), h=1e-2)
+        assert grad[0] == pytest.approx(np.cos(0.7), abs=1e-9)
 
     def test_nonfinite_probe_reports_index(self):
         def f(x):
@@ -50,6 +60,16 @@ class TestFiniteDiffGrad:
         approx = finite_diff_grad(f, x, h=1e-5)
         denom = np.maximum(np.abs(analytic), 1.0)
         assert np.max(np.abs(approx - analytic) / denom) < 1e-6
+
+
+def test_no_test_seeds_from_the_process_random_string_hash():
+    # the built-in hash of a str changes per process, so a seed taken from it
+    # makes a test check different instances on every run
+    offenders = [
+        path.name for path in Path(__file__).parent.rglob("*.py")
+        if re.search(r"\bhash\(", path.read_text(encoding="utf-8"))
+    ]
+    assert offenders == []
 
 
 def reference_uniform(rng, lo: float = 0.0, hi: float = 1.0) -> float:

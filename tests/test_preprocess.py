@@ -20,7 +20,6 @@ from etlwatch.preprocess import (
     standardize,
     vectorize,
     vectorize_events,
-    write_matrix_csv,
 )
 
 SCHEMA = FeatureSchema()
@@ -46,6 +45,10 @@ class TestVectorize:
     def test_dimension_is_16(self):
         assert SCHEMA.dim == 16
         assert vectorize(make_event(), SCHEMA).shape == (16,)
+
+    def test_column_names_name_every_slot(self):
+        names = SCHEMA.column_names()
+        assert len(names) == len(set(names)) == SCHEMA.dim == 16
 
     def test_all_present_means_zero_indicators(self):
         x = vectorize(make_event(), SCHEMA)
@@ -205,14 +208,6 @@ class TestEventIO:
             read_jsonl(path, parse)
         message = str(info.value)
         assert message.startswith(f"{path} line 2: ") and reason in message
-
-    def test_matrix_csv_header_names_every_slot(self, tmp_path):
-        path = tmp_path / "features.csv"
-        x = vectorize_events([make_event()], SCHEMA)
-        write_matrix_csv(x, SCHEMA, path)
-        header = path.read_text().splitlines()[0]
-        assert header.split(",") == SCHEMA.column_names()
-        assert len(header.split(",")) == 16
 
     def test_nonfinite_numeric_rejected(self):
         with pytest.raises(ContractViolationError, match="latency_ms"):
