@@ -229,6 +229,8 @@ def _run_sweep(params: dict) -> tuple[list[str], list[str], dict]:
         raise click.UsageError(f"unknown sweep knob {knob!r}")
     elif not all(math.isfinite(v) and v > 0 for v in grid):
         raise click.UsageError(f"every lr in --grid must be finite and > 0, got {grid}")
+    if not all(a < b for a, b in zip(grid, grid[1:])):
+        raise click.UsageError(f"--grid must be strictly ascending, got {grid}")
     stream, seed = params["stream"], params["seed"]
     columns = read_stream(stream, labels_sibling_path(stream))
     bundle = make_bundle([LabeledEvent(*row) for row in zip(*columns)])

@@ -14,29 +14,26 @@ import itertools
 import json
 import math
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .autoencoder import AutoencoderParams
-from .errors import (
-    ContractViolationError,
-    EncodingError,
-    EtlwatchError,
-    InsufficientDataError,
-)
+from .errors import ContractViolationError, InsufficientDataError
 from .numerics import as_vector
 from .preprocess import (
     EtlEvent,
     FeatureSchema,
     StandardizationStats,
+    encode_events,
     read_jsonl,
     standardize,
-    vectorize,
+    vectorize,  # noqa: F401  unused here; the benchmark traces vectorize under this name
 )
 
-# Events vectorized and scored per batch_scores call in score_stream. It
+# Events encoded and scored per batch_scores call in score_stream. It
 # bounds the working set of a long stream; it cannot change a score.
 _SCORE_CHUNK = 1024
 
@@ -95,13 +92,6 @@ def calibrate_threshold(validation_scores: Sequence[float], q: float) -> float:
     return float(np.sort(np.asarray(validation_scores, dtype=np.float64))[rank - 1])
 
 
-def classify(score_value: float, delta: float) -> bool:
-    """True iff the score strictly exceeds delta; equality is normal."""
-    if delta < 0:
-        raise ContractViolationError(f"delta must be >= 0, got {delta}")
-    return score_value > delta
-
-
 def score_stream(
     params: AutoencoderParams,
     stats: StandardizationStats,
@@ -112,11 +102,12 @@ def score_stream(
 ) -> list[DetectionResult | StreamError]:
     """Score a sequence of raw events against ``delta``, one record per event.
 
-    Events that fail vectorization become :class:`StreamError` records in
+    Events that fail to encode become :class:`StreamError` records in
     place, so a malformed record never aborts the run. Output order matches
-    input order. The valid rows are scored :data:`_SCORE_CHUNK` events at a
-    time; since :func:`batch_scores` is batch-invariant, every score equals
-    the one the library gives the same standardized row in any batch.
+    input order. Each :data:`_SCORE_CHUNK` events are encoded, scored and
+    compared with delta as one batch; since :func:`batch_scores` is
+    batch-invariant, every score equals the one the library gives the same
+    standardized row in any batch.
     """
     if schema.dim != params.d:
         raise ContractViolationError(
@@ -125,50 +116,58 @@ def score_stream(
     if not (delta >= 0 and math.isfinite(delta)):
         raise ContractViolationError(f"delta must be finite and >= 0, got {delta}")
     results: list[DetectionResult | StreamError] = []
-    numbered = enumerate(events)
-    while chunk := list(itertools.islice(numbered, _SCORE_CHUNK)):
-        rows: list[np.ndarray] = []
-        errors: dict[int, str] = {}
-        for i, event in chunk:
-            try:
-                rows.append(vectorize(event, schema))
-            except (EncodingError, EtlwatchError) as exc:
-                errors[i] = str(exc)
-        x_std = standardize(np.array(rows, dtype=np.float64).reshape(-1, params.d), stats)
-        values = iter(batch_scores(params, x_std).tolist())
-        for i, event in chunk:
+    stream = iter(events)
+    start = 0
+    while chunk := list(itertools.islice(stream, _SCORE_CHUNK)):
+        x, errors = encode_events(chunk, schema)
+        scores = batch_scores(params, standardize(x, stats))
+        values = iter(zip(scores.tolist(), (scores > delta).tolist()))
+        failed = {start + pos: str(exc) for pos, exc in errors}
+        for i, event in enumerate(chunk, start):
             event_id = event.event_id or f"event-{i}"
-            if i in errors:
-                results.append(StreamError(event_id=event_id, error=errors[i]))
+            if i in failed:
+                results.append(StreamError(event_id=event_id, error=failed[i]))
                 continue
-            value = next(values)
-            results.append(
-                DetectionResult(
-                    event_id=event_id,
-                    score=value,
-                    is_anomaly=classify(value, delta),
-                    truth_label=truth_labels[i] if truth_labels is not None else None,
-                )
-            )
+            value, flagged = next(values)
+            truth = truth_labels[i] if truth_labels is not None else None
+            results.append(DetectionResult(event_id, value, flagged, truth))
+        start += len(chunk)
     return results
+
+
+def _json_number(value: float) -> str:
+    """``value`` as ``json.dumps`` writes it: a finite float is its repr."""
+    return float.__repr__(value) if math.isfinite(value) else json.dumps(value)
+
+
+_JSON_BOOL = {True: "true", False: "false"}
+
+
+def _jsonl_line(record: DetectionResult | StreamError) -> str:
+    """The ``json.dumps`` text of a record's mapping, with its newline."""
+    head = '{"event_id": ' + encode_basestring_ascii(record.event_id)
+    if isinstance(record, StreamError):
+        return f'{head}, "error": {encode_basestring_ascii(record.error)}}}\n'
+    line = f'{head}, "score": {_json_number(record.score)}, "is_anomaly": '
+    line += _JSON_BOOL[record.is_anomaly]
+    if record.truth_label is not None:
+        line += ', "truth_label": ' + _JSON_BOOL[record.truth_label]
+    return line + "}\n"
 
 
 def write_detections_jsonl(
     results: Sequence[DetectionResult | StreamError], path: str | Path
 ) -> None:
+    """One JSON object per line, byte for byte what ``json.dumps`` writes for it."""
     with open(path, "w", encoding="utf-8") as fh:
-        for record in results:
-            if isinstance(record, StreamError):
-                payload: dict = {"event_id": record.event_id, "error": record.error}
-            else:
-                payload = {
-                    "event_id": record.event_id,
-                    "score": record.score,
-                    "is_anomaly": record.is_anomaly,
-                }
-                if record.truth_label is not None:
-                    payload["truth_label"] = record.truth_label
-            fh.write(json.dumps(payload) + "\n")
+        fh.writelines(map(_jsonl_line, results))
+
+
+def _csv_row(record: DetectionResult | StreamError) -> list:
+    if isinstance(record, StreamError):
+        return [record.event_id, "", "", "", record.error]
+    truth = "" if record.truth_label is None else record.truth_label
+    return [record.event_id, repr(record.score), record.is_anomaly, truth, ""]
 
 
 def write_detections_csv(
@@ -178,14 +177,7 @@ def write_detections_csv(
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["event_id", "score", "is_anomaly", "truth_label", "error"])
-        for record in results:
-            if isinstance(record, StreamError):
-                writer.writerow([record.event_id, "", "", "", record.error])
-            else:
-                truth = "" if record.truth_label is None else record.truth_label
-                writer.writerow(
-                    [record.event_id, repr(record.score), record.is_anomaly, truth, ""]
-                )
+        writer.writerows(map(_csv_row, results))
 
 
 def read_detections_jsonl(

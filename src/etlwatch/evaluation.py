@@ -85,16 +85,22 @@ class SweepResult:
 
 
 def _average_ranks(values: np.ndarray) -> np.ndarray:
-    """1-based ranks with ties assigned their group's average rank."""
+    """1-based ranks: sorted position p ranks p + 1, and a run of equal sorted
+    values at i..j ranks 0.5 * ((i + 1) + (j + 1)). NaN equals nothing, so it
+    ranks alone. Only the runs get work arrays, so few ties cost little memory.
+    """
     order = np.argsort(values, kind="mergesort")
-    ranks = np.empty(values.shape[0], dtype=np.float64)
-    i = 0
-    while i < values.shape[0]:
-        j = i
-        while j + 1 < values.shape[0] and values[order[j + 1]] == values[order[i]]:
-            j += 1
-        ranks[order[i : j + 1]] = 0.5 * ((i + 1) + (j + 1))
-        i = j + 1
+    ordered = values[order]
+    tied = np.zeros(ordered.shape[0] + 1, dtype=bool)  # tied[p]: sorted p-1 == sorted p
+    np.equal(ordered[1:], ordered[:-1], out=tied[1:-1])
+    del ordered
+    edges = np.flatnonzero(tied[1:] != tied[:-1])  # each run's first, then last position
+    first, last = edges[0::2], edges[1::2]
+    sorted_ranks = np.arange(1.0, tied.shape[0])
+    run_ranks = 0.5 * ((first + 1) + (last + 1))
+    sorted_ranks[tied[1:] | tied[:-1]] = np.repeat(run_ranks, last - first + 1)
+    ranks = np.empty_like(sorted_ranks)
+    ranks[order] = sorted_ranks
     return ranks
 
 
@@ -243,16 +249,16 @@ def sweep(
     """Retrain once per grid value of ``knob`` on identical data and seed.
 
     ``knob`` is ``"lr"`` (learning rate) or ``"k"`` (latent dimension); the
-    grid must be non-empty and ascending. A point whose latent dimension
-    exceeds the input dimension is flagged overcomplete, and one whose
-    training diverges is kept as a diverged entry without a report.
+    grid must be non-empty and strictly ascending. A point whose latent
+    dimension exceeds the input dimension is flagged overcomplete, and one
+    whose training diverges is kept as a diverged entry without a report.
     """
     if knob not in _KNOB_FIELDS:
         raise ContractViolationError(f"unknown sweep knob {knob!r}")
     if not grid:
         raise ContractViolationError("sweep grid must be non-empty")
-    if list(grid) != sorted(grid):
-        raise ContractViolationError(f"{knob} grid must be sorted ascending")
+    if not all(a < b for a, b in zip(grid, grid[1:])):
+        raise ContractViolationError(f"{knob} grid must be strictly ascending")
     entries = []
     for value in grid:
         cfg = replace(base_cfg, seed=seed, **{_KNOB_FIELDS[knob]: value})

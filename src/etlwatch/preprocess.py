@@ -1,10 +1,12 @@
 """Feature extraction and standardization for raw ETL events.
 
-An :class:`EtlEvent` is one pipeline record. :func:`vectorize` turns it into
-a fixed-width float vector: numeric fields in schema order (missing ones emit
-0 with a companion indicator set to 1), one-hot blocks for the categorical
-fields, one missing indicator per maskable numeric field, and a (sin, cos)
-encoding of the hour of day. :func:`fit_stats` / :func:`standardize` apply
+An :class:`EtlEvent` is one pipeline record. :func:`encode_events` turns a
+list of them into fixed-width float rows, one column at a time: numeric
+fields in schema order (missing ones emit 0 with a companion indicator set
+to 1), one-hot blocks for the categorical fields, one missing indicator per
+maskable numeric field, and a (sin, cos) encoding of the hour of day.
+:func:`vectorize_events` and :func:`vectorize` are its all-or-nothing and
+one-event forms. :func:`fit_stats` / :func:`standardize` apply
 per-feature (x - mu) / sigma rescaling; stats are fit on training data once
 and frozen for every later split and stream. :func:`read_jsonl` is the one
 reader of JSON-lines files: event streams, label files and detections.
@@ -12,11 +14,12 @@ reader of JSON-lines files: event streams, label files and detections.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, TypeVar
+from typing import Callable, Iterable, TypeVar
 
 import numpy as np
 
@@ -146,40 +149,65 @@ def hour_angle(timestamp_ms: int) -> float:
     return 2.0 * math.pi * (timestamp_ms % MS_PER_DAY) / MS_PER_DAY
 
 
+def encode_events(
+    events: Iterable[EtlEvent], schema: FeatureSchema
+) -> tuple[np.ndarray, list[tuple[int, EncodingError]]]:
+    """Encode events column by column; return the rows and the failures.
+
+    The (m, d) matrix holds one row per event that encodes, in input order.
+    Each event that does not is listed as ``(position, EncodingError)``
+    instead; an unknown ``device_type`` is reported before an unknown
+    ``geo_region``. A masked numeric encodes as 0 and its value is never
+    read. Hour columns use ``math.sin``/``math.cos`` per event, so every
+    value is bitwise what a per-event encoding gives.
+    """
+    device_at = len(schema.numeric_fields)
+    device_col = {v: device_at + j for j, v in enumerate(schema.device_types)}
+    region_at = device_at + len(schema.device_types)
+    region_col = {v: region_at + j for j, v in enumerate(schema.geo_regions)}
+    rows: list[EtlEvent] = []
+    hot: list[tuple[int, int]] = []
+    errors: list[tuple[int, EncodingError]] = []
+    for position, event in enumerate(events):
+        device = device_col.get(event.device_type)
+        region = region_col.get(event.geo_region)
+        if device is None:
+            errors.append((position, EncodingError("device_type", event.device_type)))
+        elif region is None:
+            errors.append((position, EncodingError("geo_region", event.geo_region)))
+        else:
+            rows.append(event)
+            hot.append((device, region))
+
+    n_mask = len(schema.maskable_fields)
+    x = np.zeros((len(rows), schema.dim), dtype=np.float64)
+    flags = itertools.chain.from_iterable(e.missing_mask[:n_mask] for e in rows)
+    missing = np.fromiter(map(bool, flags), bool, len(rows) * n_mask).reshape(-1, n_mask)
+    for j, name in enumerate(schema.numeric_fields):
+        if name in schema.maskable_fields:
+            masked = missing[:, schema.maskable_fields.index(name)].tolist()
+            x[:, j] = [0.0 if m else float(getattr(e, name)) for e, m in zip(rows, masked)]
+        else:
+            x[:, j] = [float(getattr(e, name)) for e in rows]
+    x[np.arange(len(rows))[:, None], np.array(hot, dtype=np.intp).reshape(-1, 2)] = 1.0
+    x[:, -2 - n_mask : -2] = missing
+    angles = [hour_angle(e.timestamp) for e in rows]
+    x[:, -2] = [math.sin(a) for a in angles]
+    x[:, -1] = [math.cos(a) for a in angles]
+    return x, errors
+
+
+def vectorize_events(events: Iterable[EtlEvent], schema: FeatureSchema) -> np.ndarray:
+    """:func:`encode_events` as an (n, d) matrix; raises the first EncodingError."""
+    x, errors = encode_events(events, schema)
+    if errors:
+        raise errors[0][1]
+    return x
+
+
 def vectorize(event: EtlEvent, schema: FeatureSchema) -> np.ndarray:
     """Encode one event as a feature vector of length ``schema.dim``."""
-    values: list[float] = []
-    for name in schema.numeric_fields:
-        if name in schema.maskable_fields and event.missing_mask[
-            schema.maskable_fields.index(name)
-        ]:
-            values.append(0.0)
-        else:
-            values.append(float(getattr(event, name)))
-
-    for field_name, block, category in (
-        ("device_type", schema.device_types, event.device_type),
-        ("geo_region", schema.geo_regions, event.geo_region),
-    ):
-        if category not in block:
-            raise EncodingError(field_name, category)
-        values.extend(1.0 if v == category else 0.0 for v in block)
-
-    values.extend(
-        1.0 if event.missing_mask[i] else 0.0 for i in range(len(schema.maskable_fields))
-    )
-
-    angle = hour_angle(event.timestamp)
-    values.append(math.sin(angle))
-    values.append(math.cos(angle))
-    return np.array(values, dtype=np.float64)
-
-
-def vectorize_events(events: list[EtlEvent], schema: FeatureSchema) -> np.ndarray:
-    """Stack per-event feature vectors into an (n, d) matrix."""
-    if not events:
-        return np.empty((0, schema.dim), dtype=np.float64)
-    return np.stack([vectorize(e, schema) for e in events])
+    return vectorize_events([event], schema)[0]
 
 
 def fit_stats(x: np.ndarray, epsilon: float = 1e-8) -> StandardizationStats:

@@ -1,0 +1,108 @@
+"""Straightforward per-item implementations that the fast paths are checked against.
+
+Each function is the plain form the library once used: one event, one
+record or one tie group at a time. The tests compare the library's
+column-wise encoder, its line writers and its rank computation with these,
+bit for bit and byte for byte.
+"""
+
+import csv
+import json
+import math
+
+import numpy as np
+
+from etlwatch.detector import DetectionResult, StreamError, batch_scores
+from etlwatch.errors import EncodingError
+from etlwatch.preprocess import hour_angle, standardize
+
+
+def vectorize_row(event, schema):
+    """Encode one event, one slot after another."""
+    values = []
+    for name in schema.numeric_fields:
+        if name in schema.maskable_fields and event.missing_mask[
+            schema.maskable_fields.index(name)
+        ]:
+            values.append(0.0)
+        else:
+            values.append(float(getattr(event, name)))
+
+    for field_name, block, category in (
+        ("device_type", schema.device_types, event.device_type),
+        ("geo_region", schema.geo_regions, event.geo_region),
+    ):
+        if category not in block:
+            raise EncodingError(field_name, category)
+        values.extend(1.0 if v == category else 0.0 for v in block)
+
+    values.extend(
+        1.0 if event.missing_mask[i] else 0.0 for i in range(len(schema.maskable_fields))
+    )
+
+    angle = hour_angle(event.timestamp)
+    values.append(math.sin(angle))
+    values.append(math.cos(angle))
+    return np.array(values, dtype=np.float64)
+
+
+def write_detections_jsonl(results, path):
+    """One ``json.dumps`` of a dict per record."""
+    with open(path, "w", encoding="utf-8") as fh:
+        for record in results:
+            if isinstance(record, StreamError):
+                payload = {"event_id": record.event_id, "error": record.error}
+            else:
+                payload = {
+                    "event_id": record.event_id,
+                    "score": record.score,
+                    "is_anomaly": record.is_anomaly,
+                }
+                if record.truth_label is not None:
+                    payload["truth_label"] = record.truth_label
+            fh.write(json.dumps(payload) + "\n")
+
+
+def write_detections_csv(results, path):
+    """One ``writerow`` per record."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["event_id", "score", "is_anomaly", "truth_label", "error"])
+        for record in results:
+            if isinstance(record, StreamError):
+                writer.writerow([record.event_id, "", "", "", record.error])
+            else:
+                truth = "" if record.truth_label is None else record.truth_label
+                writer.writerow(
+                    [record.event_id, repr(record.score), record.is_anomaly, truth, ""]
+                )
+
+
+def average_ranks(values):
+    """1-based ranks, walking the sorted values one tie group at a time."""
+    order = np.argsort(values, kind="mergesort")
+    ranks = np.empty(values.shape[0], dtype=np.float64)
+    i = 0
+    while i < values.shape[0]:
+        j = i
+        while j + 1 < values.shape[0] and values[order[j + 1]] == values[order[i]]:
+            j += 1
+        ranks[order[i : j + 1]] = 0.5 * ((i + 1) + (j + 1))
+        i = j + 1
+    return ranks
+
+
+def score_one_at_a_time(params, stats, events, schema, delta, truth_labels=None):
+    """Score a stream event by event, each as a batch of one."""
+    results = []
+    for i, event in enumerate(events):
+        event_id = event.event_id or f"event-{i}"
+        try:
+            row = vectorize_row(event, schema)
+        except EncodingError as exc:
+            results.append(StreamError(event_id=event_id, error=str(exc)))
+            continue
+        value = float(batch_scores(params, standardize(row, stats))[0])
+        truth = truth_labels[i] if truth_labels is not None else None
+        results.append(DetectionResult(event_id, value, value > delta, truth))
+    return results

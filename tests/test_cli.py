@@ -366,6 +366,8 @@ class TestSweep:
         (["sweep", "--knob", "lr", "--grid", "0.001", "--lambda", "nan"], "finite and >= 0"),
         (["train", "--lr", "inf"], "finite and > 0"),
         (["detect", "--delta", "nan"], "finite and >= 0"),
+        (["sweep", "--knob", "k", "--grid", "4,4"], "strictly ascending"),
+        (["sweep", "--knob", "k", "--grid", "8,4"], "strictly ascending"),
     ],
 )
 def test_bad_value_is_usage_error(runner, workspace, tmp_path, args, reason):
@@ -424,6 +426,8 @@ class TestReplay:
             ('{"subcommand": "sweep", "params": {"knob": "k", "grid": 5}}', "not iterable"),
             ('{"subcommand": "sweep", "params": {"knob": "k", "grid": [4.5]}}', "integer >= 1"),
             ('{"subcommand": "sweep", "params": {"knob": "x", "grid": [1]}}', "unknown sweep knob"),
+            ('{"subcommand": "sweep", "params": {"knob": "lr", "grid": [0.01, 0.01]}}',
+             "strictly ascending"),
             (
                 '{"subcommand": "generate", "params": {"n": "abc", "anomaly_rate": 0.05, '
                 '"seed": 7, "mix": {"delay": 0.25, "missing": 0.25, "duplicate": 0.25, '

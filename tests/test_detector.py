@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -12,7 +13,6 @@ from etlwatch.detector import (
     StreamError,
     batch_scores,
     calibrate_threshold,
-    classify,
     read_detections_jsonl,
     score,
     score_stream,
@@ -28,10 +28,19 @@ from etlwatch.preprocess import (
     vectorize,
 )
 from etlwatch.streamgen import StreamConfig, generate
+import reference
 
 
 def passthrough_stats(d: int) -> StandardizationStats:
     return StandardizationStats(mu=np.zeros(d), sigma=np.ones(d))
+
+
+def squeezed_model(d: int) -> AutoencoderParams:
+    """A two-unit bottleneck, so most rows score above zero."""
+    return AutoencoderParams(
+        w_e=np.full((2, d), 0.1), b_e=np.zeros(2),
+        w_d=np.full((d, 2), 0.2), b_d=np.zeros(d),
+    )
 
 
 def identity_model(d: int) -> AutoencoderParams:
@@ -136,24 +145,6 @@ class TestCalibrateThreshold:
         assert calibrate_threshold(scores, lo) <= calibrate_threshold(scores, hi)
 
 
-class TestClassify:
-    def test_boundary_is_normal(self):
-        assert classify(0.0, 0.0) is False
-
-    def test_above_threshold_is_anomaly(self):
-        assert classify(5.0, 4.0) is True
-
-    @given(
-        st.floats(min_value=0, max_value=100),
-        st.floats(min_value=0, max_value=100),
-        st.floats(min_value=0, max_value=100),
-    )
-    def test_raising_delta_never_creates_anomalies(self, value, d1, d2):
-        lo, hi = sorted((d1, d2))
-        if not classify(value, lo):
-            assert not classify(value, hi)
-
-
 @pytest.fixture(scope="module")
 def tiny_pipeline():
     events = [e.event for e in generate(StreamConfig(n_events=40, anomaly_rate=0.0, seed=3))]
@@ -216,14 +207,71 @@ class TestScoreStream:
             with pytest.raises(ContractViolationError, match="delta"):
                 score_stream(model, stats, events, schema, delta)
 
+    def test_score_equal_to_delta_is_normal(self, tiny_pipeline):
+        _, stats, schema, events = tiny_pipeline
+        model = squeezed_model(schema.dim)
+        value = score_stream(model, stats, events[:1], schema, 0.0)[0].score
+        assert value > 0
+        assert score_stream(model, stats, events[:1], schema, value)[0].is_anomaly is False
+
+    def test_score_above_delta_is_anomaly(self, tiny_pipeline):
+        _, stats, schema, events = tiny_pipeline
+        model = squeezed_model(schema.dim)
+        value = score_stream(model, stats, events[:1], schema, 0.0)[0].score
+        below = float(np.nextafter(value, 0.0))
+        assert score_stream(model, stats, events[:1], schema, below)[0].is_anomaly is True
+
+    @given(
+        st.floats(min_value=0, max_value=100),
+        st.floats(min_value=0, max_value=100),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_raising_delta_never_flags_more_events(self, tiny_pipeline, d1, d2):
+        _, stats, schema, events = tiny_pipeline
+        model = squeezed_model(schema.dim)
+        lo, hi = sorted((d1, d2))
+        flagged = [
+            {r.event_id for r in score_stream(model, stats, events, schema, d) if r.is_anomaly}
+            for d in (lo, hi)
+        ]
+        assert flagged[1] <= flagged[0]
+
+    @pytest.mark.parametrize("n", [_SCORE_CHUNK - 1, _SCORE_CHUNK, _SCORE_CHUNK + 1])
+    def test_chunks_equal_scoring_one_event_at_a_time(self, tiny_pipeline, n):
+        from dataclasses import replace
+
+        _, stats, schema, events = tiny_pipeline
+        rnd = np.random.default_rng(n)
+        k = 5
+        model = AutoencoderParams(
+            w_e=rnd.normal(size=(k, schema.dim)), b_e=rnd.normal(size=k),
+            w_d=rnd.normal(size=(schema.dim, k)), b_d=rnd.normal(size=schema.dim),
+            hidden_activation=Activation.TANH,
+        )
+        # unknown values just before and after the first chunk edge, and at the ends
+        bad = {0: ("device_type", "toaster"), _SCORE_CHUNK - 2: ("geo_region", "mars"),
+               _SCORE_CHUNK - 1: ("device_type", ""), _SCORE_CHUNK: ("geo_region", "EU"),
+               n - 1: ("device_type", "WEB")}
+        stream = []
+        for i in range(n):
+            event = replace(events[i % len(events)], event_id="" if i % 7 == 0 else f"e{i}")
+            if i in bad:
+                event = replace(event, **{bad[i][0]: bad[i][1]})
+            stream.append(event)
+        truth = [None if i % 5 == 0 else i % 3 == 0 for i in range(n)]
+        whole = score_stream(model, stats, stream, schema, 0.0, truth_labels=truth)
+        delta = float(np.median([r.score for r in whole if isinstance(r, DetectionResult)]))
+        for d in (0.0, delta):
+            expected = reference.score_one_at_a_time(model, stats, stream, schema, d, truth)
+            assert score_stream(model, stats, stream, schema, d, truth_labels=truth) == expected
+        errors = {i for i, r in enumerate(whole) if isinstance(r, StreamError)}
+        assert errors == {i for i in bad if i < n}
+
     def test_records_stay_in_order_across_chunk_edges(self, tiny_pipeline):
         from dataclasses import replace
 
         _, stats, schema, events = tiny_pipeline
-        model = AutoencoderParams(
-            w_e=np.full((2, schema.dim), 0.1), b_e=np.zeros(2),
-            w_d=np.full((schema.dim, 2), 0.2), b_d=np.zeros(schema.dim),
-        )
+        model = squeezed_model(schema.dim)
         n = 2 * _SCORE_CHUNK + 3
         broken = {0, _SCORE_CHUNK - 1, _SCORE_CHUNK, n - 1}
         stream = []
@@ -270,3 +318,45 @@ class TestDetectionIO:
         assert len(lines) == 2
 
 
+
+    def test_writers_match_reference_bytes_for_odd_records(self, tmp_path):
+        ids = ['say "hi"', "back\\slash", "a,b", "line\nbreak", "naïve-ünïcødé-事件", ""]
+        scores = [0.0, 5e-324, 1e16, math.inf, -0.0, 0.1, 2e16, math.nan]
+        records = [
+            DetectionResult(event_id, value, value > 1.0, truth)
+            for event_id, value, truth in itertools.product(ids, scores, [None, True, False])
+        ] + [StreamError(event_id, f"cannot encode {event_id!r}") for event_id in ids]
+        self.assert_matches_reference(records, tmp_path)
+
+    @given(
+        st.lists(
+            st.one_of(
+                st.builds(
+                    DetectionResult,
+                    st.text(st.characters(blacklist_categories=("Cs",))),
+                    st.floats(),
+                    st.booleans(),
+                    st.sampled_from([None, True, False]),
+                ),
+                st.builds(
+                    StreamError,
+                    st.text(st.characters(blacklist_categories=("Cs",))),
+                    st.text(st.characters(blacklist_categories=("Cs",))),
+                ),
+            ),
+            max_size=20,
+        )
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_writers_match_reference_bytes(self, tmp_path_factory, records):
+        self.assert_matches_reference(records, tmp_path_factory.mktemp("writers"))
+
+    @staticmethod
+    def assert_matches_reference(records, root):
+        for write, write_reference in (
+            (write_detections_jsonl, reference.write_detections_jsonl),
+            (write_detections_csv, reference.write_detections_csv),
+        ):
+            write(records, root / "ours")
+            write_reference(records, root / "theirs")
+            assert (root / "ours").read_bytes() == (root / "theirs").read_bytes()

@@ -15,6 +15,7 @@ from etlwatch.evaluation import (
     MetricsReport,
     SweepEntry,
     SweepResult,
+    _average_ranks,
     auc,
     emit_report,
     make_bundle,
@@ -25,6 +26,7 @@ from etlwatch.evaluation import (
     write_metrics_report,
 )
 from etlwatch.streamgen import StreamConfig, generate
+from reference import average_ranks
 
 
 def brute_force_auc(scores, labels):
@@ -90,6 +92,26 @@ class TestAuc:
         forward = auc([float(s) for s in scores], labels)
         backward = auc([-float(s) for s in scores], labels)
         assert forward + backward == pytest.approx(1.0, abs=1e-12)
+
+
+class TestAverageRanks:
+    @given(
+        st.lists(
+            st.one_of(
+                st.sampled_from([0.0, -0.0, 1.0, 2.5, math.inf, -math.inf, math.nan]),
+                st.floats(),
+            ),
+            max_size=60,
+        )
+    )
+    @settings(max_examples=200)
+    def test_matches_the_tie_group_loop_bit_for_bit(self, values):
+        values = np.array(values, dtype=np.float64)
+        assert _average_ranks(values).tobytes() == average_ranks(values).tobytes()
+
+    def test_each_nan_ranks_alone(self):
+        values = np.array([math.nan, 1.0, math.nan, 1.0])
+        np.testing.assert_array_equal(_average_ranks(values), [3.0, 1.5, 4.0, 1.5])
 
 
 class TestMetricsAtThreshold:
@@ -189,12 +211,17 @@ class TestSweeps:
                 sweep(knob, FAST, [], small_bundle, seed=3)
 
     def test_unsorted_lr_grid_rejected(self, small_bundle):
-        with pytest.raises(ContractViolationError, match="ascending"):
+        with pytest.raises(ContractViolationError, match="strictly ascending"):
             sweep("lr", FAST, [0.01, 0.001], small_bundle, seed=3)
 
     def test_unsorted_k_grid_rejected(self, small_bundle):
-        with pytest.raises(ContractViolationError, match="ascending"):
+        with pytest.raises(ContractViolationError, match="strictly ascending"):
             sweep("k", FAST, [8, 4], small_bundle, seed=3)
+
+    def test_repeated_grid_value_rejected(self, small_bundle):
+        for knob, grid in (("k", [4, 4]), ("lr", [0.001, 0.01, 0.01])):
+            with pytest.raises(ContractViolationError, match="strictly ascending"):
+                sweep(knob, FAST, grid, small_bundle, seed=3)
 
     def test_unknown_knob_rejected(self, small_bundle):
         with pytest.raises(ContractViolationError, match="knob"):

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from etlwatch.errors import (
 from etlwatch.preprocess import (
     EtlEvent,
     FeatureSchema,
+    encode_events,
     fit_stats,
     hour_angle,
     parse_event,
@@ -21,6 +23,7 @@ from etlwatch.preprocess import (
     vectorize,
     vectorize_events,
 )
+from reference import vectorize_row
 
 SCHEMA = FeatureSchema()
 
@@ -91,6 +94,102 @@ class TestVectorize:
         assert hour_angle(0) == 0.0
         assert hour_angle(86_400_000) == 0.0
         assert hour_angle(43_200_000) == pytest.approx(math.pi)
+
+
+# Values a masked field may hold, since EtlEvent checks only present fields;
+# the encoder must never read them.
+MASKED_VALUE = st.one_of(st.floats(), st.none(), st.just("n/a"))
+TRUTHY_OR_NOT = st.sampled_from([False, True, 0, 1, 2, "", "x", None, (), (0,)])
+
+
+@st.composite
+def events(draw):
+    """Events with masked NaN/inf values, odd mask entries and unknown categories."""
+    mask = tuple(draw(TRUTHY_OR_NOT) for _ in range(3))
+    numerics = {
+        name: draw(MASKED_VALUE if missing else st.floats(allow_nan=False, allow_infinity=False))
+        for name, missing in zip(("amount", "latency_ms", "task_duration_s"), mask)
+    }
+    return EtlEvent(
+        timestamp=draw(st.integers(min_value=-(2**62), max_value=2**62)),
+        records_loaded=draw(
+            st.one_of(st.integers(min_value=-(2**70), max_value=2**70), st.floats(-1e9, 1e9))
+        ),
+        device_type=draw(st.sampled_from([*SCHEMA.device_types, "tablet", "", "WEB"])),
+        geo_region=draw(st.sampled_from([*SCHEMA.geo_regions, "mars", "EU"])),
+        missing_mask=mask,
+        event_id=draw(st.text(max_size=5)),
+        **numerics,
+    )
+
+
+def reference_rows(chunk):
+    """Per-event reference encodings: the rows, and (position, error) for the rest."""
+    rows, errors = [], []
+    for position, event in enumerate(chunk):
+        try:
+            rows.append(vectorize_row(event, SCHEMA))
+        except EncodingError as exc:
+            errors.append((position, exc))
+    return np.array(rows, dtype=np.float64).reshape(-1, SCHEMA.dim), errors
+
+
+def describe(errors):
+    return [(position, exc.field, exc.value, str(exc)) for position, exc in errors]
+
+
+class TestEncodeEvents:
+    @given(st.lists(events(), max_size=30))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_per_event_reference_bit_for_bit(self, chunk):
+        x, errors = encode_events(chunk, SCHEMA)
+        want_x, want_errors = reference_rows(chunk)
+        assert x.shape == want_x.shape and x.tobytes() == want_x.tobytes()
+        assert describe(errors) == describe(want_errors)
+        for event in chunk:
+            try:
+                want = vectorize_row(event, SCHEMA)
+            except EncodingError as exc:
+                with pytest.raises(EncodingError, match=f"^{re.escape(str(exc))}$"):
+                    vectorize(event, SCHEMA)
+                continue
+            assert vectorize(event, SCHEMA).tobytes() == want.tobytes()
+
+    @given(st.lists(events(), min_size=1, max_size=30))
+    @settings(max_examples=60, deadline=None)
+    def test_vectorize_events_raises_the_first_error(self, chunk):
+        _, want_errors = reference_rows(chunk)
+        if not want_errors:
+            assert vectorize_events(chunk, SCHEMA).tobytes() == reference_rows(chunk)[0].tobytes()
+            return
+        with pytest.raises(EncodingError) as info:
+            vectorize_events(chunk, SCHEMA)
+        first = want_errors[0][1]
+        assert (info.value.field, info.value.value) == (first.field, first.value)
+
+    def test_device_is_checked_before_region(self):
+        event = make_event(device_type="tablet", geo_region="mars")
+        with pytest.raises(EncodingError) as info:
+            vectorize_row(event, SCHEMA)
+        assert info.value.field == "device_type"
+        _, errors = encode_events([make_event(), event], SCHEMA)
+        assert describe(errors) == describe([(1, info.value)])
+
+    def test_chunk_where_every_event_fails(self):
+        chunk = [make_event(device_type="tablet"), make_event(geo_region="mars")] * 3
+        x, errors = encode_events(chunk, SCHEMA)
+        assert x.shape == (0, SCHEMA.dim)
+        assert [(position, exc.field) for position, exc in errors] == [
+            (i, "device_type" if i % 2 == 0 else "geo_region") for i in range(6)
+        ]
+
+    def test_masked_nan_and_inf_encode_as_zero(self):
+        event = make_event(
+            amount=math.nan, latency_ms=math.inf, missing_mask=(True, True, False)
+        )
+        x = vectorize(event, SCHEMA)
+        assert x.tobytes() == vectorize_row(event, SCHEMA).tobytes()
+        assert np.all(np.isfinite(x)) and x[0] == x[1] == 0.0
 
 
 class TestFitStats:
