@@ -232,18 +232,36 @@ def standardize(x: np.ndarray, stats: StandardizationStats) -> np.ndarray:
     return (x - stats.mu) / stats.sigma
 
 
+def _integral(record: dict, name: str) -> int:
+    value = record[name]
+    if isinstance(value, float) and not value.is_integer():
+        raise ContractViolationError(f"field {name!r} must be an integer, got {value}")
+    return int(value)
+
+
 def parse_event(record: dict) -> EtlEvent:
-    """Build an :class:`EtlEvent` from one decoded JSON record."""
+    """Build an :class:`EtlEvent` from one decoded JSON record.
+
+    Every field but ``event_id`` is required. A masked numeric is kept as
+    read; ``timestamp`` and ``records_loaded`` take a float only if integral.
+    """
     try:
+        timestamp = _integral(record, "timestamp")
+        amount, latency, duration = (
+            record["amount"], record["latency_ms"], record["task_duration_s"]
+        )
+        mask = tuple(bool(b) for b in record["missing_mask"])
+        # padded so a short mask reaches EtlEvent's length check
+        amount_masked, latency_masked, duration_masked = (*mask, False, False, False)[:3]
         return EtlEvent(
-            timestamp=int(record["timestamp"]),
-            amount=float(record["amount"]),
-            latency_ms=float(record["latency_ms"]),
-            task_duration_s=float(record["task_duration_s"]),
-            records_loaded=int(record["records_loaded"]),
+            timestamp=timestamp,
+            amount=amount if amount_masked else float(amount),
+            latency_ms=latency if latency_masked else float(latency),
+            task_duration_s=duration if duration_masked else float(duration),
+            records_loaded=_integral(record, "records_loaded"),
             device_type=str(record["device_type"]),
             geo_region=str(record["geo_region"]),
-            missing_mask=tuple(bool(b) for b in record["missing_mask"]),
+            missing_mask=mask,
             event_id=str(record.get("event_id", "")),
         )
     except KeyError as exc:
@@ -268,8 +286,8 @@ def read_jsonl(path: str | Path, parse: Callable[[dict, int], T]) -> list[T]:
     """Return ``parse(record, line_no)`` for every non-blank line of a JSON-lines file.
 
     Each line must be a UTF-8 JSON object. A line that is not, or whose
-    record ``parse`` rejects with a KeyError, ValueError, TypeError or
-    :class:`EtlwatchError`, stops the read with one
+    record ``parse`` rejects with a KeyError, ValueError, TypeError,
+    OverflowError or :class:`EtlwatchError`, stops the read with one
     :class:`ContractViolationError` naming the file and line number.
     """
     out: list[T] = []
@@ -284,7 +302,7 @@ def read_jsonl(path: str | Path, parse: Callable[[dict, int], T]) -> list[T]:
                 out.append(parse(record, line_no))
             except KeyError as exc:
                 raise ContractViolationError(f"{path} line {line_no}: no field {exc}") from exc
-            except (ValueError, TypeError, EtlwatchError) as exc:
+            except (ValueError, TypeError, OverflowError, EtlwatchError) as exc:
                 raise ContractViolationError(f"{path} line {line_no}: {exc}") from exc
     return out
 

@@ -31,8 +31,6 @@ from dataclasses import dataclass, replace
 from functools import lru_cache
 from pathlib import Path
 
-from scipy import stats as sps
-
 from .errors import ContractViolationError
 from .numerics import SeededRng
 from .preprocess import (
@@ -229,24 +227,29 @@ def load_factor(cfg: StreamConfig, timestamp: int) -> float:
     return 1.0 + cfg.diurnal_amplitude * math.sin(2.0 * math.pi * (frac - 0.375))
 
 
+def _ppf(dist: str, **shape: float) -> tuple[float, float]:
+    # scipy loads on the first band, not at import: only generation pays for it
+    from scipy import stats
+
+    lo, hi = getattr(stats, dist).ppf(BAND_QUANTILES, **shape)
+    return float(lo), float(hi)
+
+
 @lru_cache(maxsize=None)
 def _normal_band() -> tuple[float, float]:
-    lo, hi = sps.norm.ppf(BAND_QUANTILES)
-    return float(lo), float(hi)
+    return _ppf("norm")
 
 
 @lru_cache(maxsize=None)
 def _unit_gamma_band(shape: float) -> tuple[float, float]:
-    lo, hi = sps.gamma.ppf(BAND_QUANTILES, a=shape)
-    return float(lo), float(hi)
+    return _ppf("gamma", a=shape)
 
 
 @lru_cache(maxsize=4096)
 def _poisson_band(mean: float) -> tuple[float, float]:
     # mean arrives rounded to 0.01 so the cache actually hits; the band is
     # definitional and both generation and tests go through this helper.
-    lo, hi = sps.poisson.ppf(BAND_QUANTILES, mu=mean)
-    return float(lo), float(hi)
+    return _ppf("poisson", mu=mean)
 
 
 def records_band(cfg: StreamConfig, timestamp: int) -> tuple[float, float]:

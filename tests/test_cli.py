@@ -214,6 +214,74 @@ class TestDetect:
         assert "line 3" in message and reason in message
 
 
+def stream_with_line(workspace, path, mask, **raw):
+    """Write the first 100 lines of the shared stream to ``path``, line 3 edited.
+
+    Line 3 gets ``mask`` as its missing_mask and each field of ``raw`` as
+    that raw JSON text, so a value ``json.dumps`` cannot write (``1e999``)
+    reaches the file as written.
+    """
+    _, stream, _ = workspace
+    lines = stream.read_text().splitlines()[:100]
+    record = json.loads(lines[2])
+    record["missing_mask"] = mask
+    record.update({field: f"<{field}>" for field in raw})
+    text = json.dumps(record)
+    for field, value in raw.items():
+        text = text.replace(f'"<{field}>"', value)
+    lines[2] = text
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
+def command_args(command, workspace, out):
+    _, _, model = workspace
+    if command == "detect":
+        return ["--model", str(model), "--delta", "1", "--out", str(out)]
+    return ["--epochs", "1", "--k", "4", "--out", str(out)]
+
+
+class TestStreamFields:
+    @pytest.mark.parametrize("command", ["detect", "train"])
+    @pytest.mark.parametrize("masked", ["null", '"n/a"', "1e999"])
+    def test_masked_value_is_never_read(self, runner, workspace, tmp_path, command, masked):
+        outputs = []
+        for name, value in (("zero", "0.0"), ("odd", masked)):
+            stream = stream_with_line(
+                workspace, tmp_path / f"{name}.jsonl", [True, False, False], amount=value
+            )
+            out = tmp_path / f"{name}.out.json"
+            run_ok(runner, [command, str(stream), *command_args(command, workspace, out)])
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize("command", ["detect", "train"])
+    @pytest.mark.parametrize(
+        "field, value, reason",
+        [
+            ("amount", "null", "NoneType"),
+            ("records_loaded", "1e999", "'records_loaded' must be an integer, got inf"),
+            ("timestamp", "Infinity", "'timestamp' must be an integer, got inf"),
+            ("records_loaded", "NaN", "'records_loaded' must be an integer, got nan"),
+            ("records_loaded", "7.9", "'records_loaded' must be an integer, got 7.9"),
+            pytest.param(
+                "records_loaded", "1" + "0" * 400, "int too large to convert to float",
+                id="records_loaded-400-digits",
+            ),
+        ],
+    )
+    def test_unusable_field_is_one_line_error(
+        self, runner, workspace, tmp_path, command, field, value, reason
+    ):
+        stream = stream_with_line(
+            workspace, tmp_path / "bad.jsonl", [False, False, False], **{field: value}
+        )
+        out = tmp_path / "out.json"
+        result = runner.invoke(main, [command, str(stream), *command_args(command, workspace, out)])
+        message = error_line(result, 1)
+        assert "line 3" in message and reason in message
+
+
 class TestEvaluate:
     @pytest.fixture
     def detections(self, runner, workspace, tmp_path):

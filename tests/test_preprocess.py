@@ -1,3 +1,4 @@
+import json
 import math
 import re
 
@@ -15,6 +16,7 @@ from etlwatch.preprocess import (
     EtlEvent,
     FeatureSchema,
     encode_events,
+    event_to_dict,
     fit_stats,
     hour_angle,
     parse_event,
@@ -271,14 +273,42 @@ class TestStandardize:
 
 class TestEventIO:
     def test_parse_event_round_trip(self):
-        from etlwatch.preprocess import event_to_dict
-
         event = make_event()
         assert parse_event(event_to_dict(event)) == event
 
     def test_parse_event_missing_field(self):
         with pytest.raises(ContractViolationError, match="amount"):
             parse_event({"timestamp": 0})
+
+    @pytest.mark.parametrize("text", ["null", '"n/a"', "1e999"])
+    def test_masked_value_is_kept_as_read(self, text):
+        record = event_to_dict(make_event(amount=0.0, missing_mask=(True, False, False)))
+        zero = parse_event(record)
+        record["amount"] = json.loads(text)
+        event = parse_event(record)
+        assert event.amount is record["amount"]
+        np.testing.assert_array_equal(vectorize(event, SCHEMA), vectorize(zero, SCHEMA))
+
+    def test_masked_field_is_still_required(self):
+        record = event_to_dict(make_event(missing_mask=(True, False, False)))
+        del record["amount"]
+        with pytest.raises(ContractViolationError, match="amount"):
+            parse_event(record)
+
+    @pytest.mark.parametrize("field", ["timestamp", "records_loaded"])
+    @pytest.mark.parametrize("text", ["1e999", "Infinity", "NaN", "7.9"])
+    def test_integer_field_rejects_a_non_integral_float(self, field, text):
+        record = event_to_dict(make_event())
+        record[field] = json.loads(text)
+        with pytest.raises(ContractViolationError, match=f"'{field}' must be an integer"):
+            parse_event(record)
+
+    @pytest.mark.parametrize("field", ["timestamp", "records_loaded"])
+    def test_integer_field_accepts_an_integral_float(self, field):
+        record = event_to_dict(make_event())
+        record[field] = 7.0
+        value = getattr(parse_event(record), field)
+        assert value == 7 and type(value) is int
 
     def test_read_jsonl_skips_blank_lines_and_numbers_the_rest(self, tmp_path):
         path = tmp_path / "records.jsonl"

@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -98,6 +102,46 @@ class TestGenerate:
             for field, (lo, hi) in bands.items():
                 value = float(getattr(event, field))
                 assert lo <= value <= hi, (field, value, lo, hi)
+
+
+COLD_START = """
+import json, sys
+
+def scipy_loaded():
+    return any(name == "scipy" or name.startswith("scipy.") for name in sys.modules)
+
+import etlwatch, etlwatch.cli
+on_import = scipy_loaded()
+from etlwatch.streamgen import StreamConfig, generate
+events = [item.event for item in generate(StreamConfig(n_events=3, seed=52))]
+print(json.dumps({
+    "on_import": on_import,
+    "on_generate": scipy_loaded(),
+    "events": [[e.records_loaded, e.amount, e.latency_ms, e.task_duration_s] for e in events],
+}))
+"""
+
+# Seed 52 is the first seed whose first three events hold a rejected draw
+# (event 1's latency), so these values move if the bands are not applied.
+SEED_52_PREFIX = [
+    [3, 40.33941813132947, 79.17152293160756, 17.917800295514475],
+    [4, 74.6635212216672, 131.67755852142236, 22.503766905769012],
+    [8, 156.69984998273483, 62.85608022675232, 75.16167141778334],
+]
+
+
+def test_scipy_loads_only_when_a_stream_is_generated():
+    src = str(Path(streamgen.__file__).resolve().parents[1])
+    paths = [src, os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    child = subprocess.run(
+        [sys.executable, "-c", COLD_START], env=env, capture_output=True, text=True,
+        check=True, timeout=120,
+    )
+    result = json.loads(child.stdout)
+    assert result["on_import"] is False
+    assert result["on_generate"] is True
+    assert result["events"] == SEED_52_PREFIX
 
 
 class TestInject:
