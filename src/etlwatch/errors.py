@@ -23,6 +23,9 @@ class EncodingError(EtlwatchError):
         self.field = field
         self.value = value
 
+    def __reduce__(self):  # pickle by the arguments, so it crosses a process boundary
+        return type(self), (self.field, self.value)
+
 
 class InsufficientDataError(EtlwatchError):
     """Too few samples to perform the requested computation."""
@@ -41,6 +44,9 @@ class TrainingDivergedError(EtlwatchError):
         )
         self.epoch = epoch
         self.learning_rate = learning_rate
+
+    def __reduce__(self):
+        return type(self), (self.epoch, self.learning_rate)
 
 
 class UndefinedMetricError(EtlwatchError):

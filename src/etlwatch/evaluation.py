@@ -7,14 +7,20 @@ recall come from the confusion matrix at a fixed threshold; a metric whose
 denominator is zero is reported as ``None``, never silently as 0 or 1.
 
 Sweeps retrain one model per grid value from the same seed on the same data
-bundle, so the knob under study is the only varying factor. Grid points run
-serially; results are listed in grid order.
+bundle, so the knob under study is the only varying factor. Grid points are
+independent, so a sweep runs them on every usable CPU: the calling process
+takes every n-th point and forked workers take the rest, each process with
+one OpenBLAS thread, and results are listed in grid order. Every point gives
+the same bits in any process, so the reports do not depend on the CPU count.
+With one usable CPU, or where numpy's OpenBLAS cannot be pinned or ``fork``
+is unavailable, the points run serially in the calling process.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+import os
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -239,6 +245,83 @@ def evaluate_config(bundle: DataBundle, cfg: TrainConfig) -> MetricsReport:
     return metrics_at_threshold(test_scores, bundle.y_test, delta)
 
 
+# The bundle of the sweep in progress; forked workers inherit it unpickled.
+_BUNDLE: DataBundle | None = None
+
+
+def _point(cfg: TrainConfig) -> tuple[MetricsReport | None, bool]:
+    """One grid point on ``_BUNDLE``: its report, or None and True if it diverged.
+
+    ``evaluate_config`` is looked up at call time, so a wrapper bound to the
+    module name is the one called.
+    """
+    try:
+        return evaluate_config(_BUNDLE, cfg), False
+    except TrainingDivergedError:
+        return None, True
+
+
+def _openblas_threads():
+    """Get and set functions for the thread count of numpy's bundled OpenBLAS,
+    or None where numpy was built without one that can be asked."""
+    import ctypes
+    from glob import glob
+
+    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
+    for path in glob(os.path.join(libs, "*openblas*")):
+        lib = ctypes.CDLL(path)
+        get = getattr(lib, "scipy_openblas_get_num_threads64_", None)
+        set_ = getattr(lib, "scipy_openblas_set_num_threads64_", None)
+        if get is not None and set_ is not None:
+            get.argtypes, get.restype = [], ctypes.c_int
+            set_.argtypes, set_.restype = [ctypes.c_int], None
+            return get, set_
+    return None
+
+
+def _run_points(
+    bundle: DataBundle, cfgs: list[TrainConfig]
+) -> list[tuple[MetricsReport | None, bool]]:
+    """``_point`` of every config on ``bundle``, in order, on every usable CPU.
+
+    With ``ways`` usable processes the caller runs ``cfgs[0::ways]`` and a
+    fork pool of ``ways - 1`` workers runs the rest. Every process uses one
+    OpenBLAS thread, since two processes of two threads each on two cores run
+    slower than one; the caller gets its own count back afterwards.
+    """
+    import multiprocessing
+
+    global _BUNDLE
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    ways = min(cpus, len(cfgs))
+    blas = _openblas_threads() if ways > 1 else None
+    _BUNDLE = bundle
+    try:
+        if (
+            blas is None
+            or "fork" not in multiprocessing.get_all_start_methods()
+            or multiprocessing.current_process().daemon
+        ):
+            return [_point(cfg) for cfg in cfgs]
+        get_threads, set_threads = blas
+        threads = get_threads()
+        theirs = [i for i in range(len(cfgs)) if i % ways]
+        results: list = [None] * len(cfgs)
+        try:
+            set_threads(1)
+            fork = multiprocessing.get_context("fork")
+            with fork.Pool(ways - 1, initializer=set_threads, initargs=(1,)) as pool:
+                pending = pool.map_async(_point, [cfgs[i] for i in theirs], chunksize=1)
+                results[::ways] = [_point(cfg) for cfg in cfgs[::ways]]
+                for i, result in zip(theirs, pending.get()):
+                    results[i] = result
+        finally:
+            set_threads(threads)
+        return results
+    finally:
+        _BUNDLE = None
+
+
 def sweep(
     knob: str,
     base_cfg: TrainConfig,
@@ -259,17 +342,13 @@ def sweep(
         raise ContractViolationError("sweep grid must be non-empty")
     if not all(a < b for a, b in zip(grid, grid[1:])):
         raise ContractViolationError(f"{knob} grid must be strictly ascending")
-    entries = []
-    for value in grid:
-        cfg = replace(base_cfg, seed=seed, **{_KNOB_FIELDS[knob]: value})
-        overcomplete = cfg.latent_dim > bundle.x_train.shape[1]
-        try:
-            report, diverged = evaluate_config(bundle, cfg), False
-        except TrainingDivergedError:
-            report, diverged = None, True
-        entries.append(SweepEntry(value, report, diverged, overcomplete))
+    cfgs = [replace(base_cfg, seed=seed, **{_KNOB_FIELDS[knob]: value}) for value in grid]
+    entries = tuple(
+        SweepEntry(value, report, diverged, cfg.latent_dim > bundle.x_train.shape[1])
+        for value, cfg, (report, diverged) in zip(grid, cfgs, _run_points(bundle, cfgs))
+    )
     return SweepResult(
-        knob=knob, grid=tuple(float(v) for v in grid), entries=tuple(entries), seed=seed
+        knob=knob, grid=tuple(float(v) for v in grid), entries=entries, seed=seed
     )
 
 

@@ -236,7 +236,17 @@ def _integral(record: dict, name: str) -> int:
     value = record[name]
     if isinstance(value, float) and not value.is_integer():
         raise ContractViolationError(f"field {name!r} must be an integer, got {value}")
-    return int(value)
+    try:
+        return int(value)
+    except (TypeError, ValueError):
+        raise ContractViolationError(f"field {name!r} must be an integer, got {value!r}") from None
+
+
+def _number(value: object, name: str) -> float:
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise ContractViolationError(f"field {name!r} must be a number, got {value!r}") from None
 
 
 def parse_event(record: dict) -> EtlEvent:
@@ -255,9 +265,9 @@ def parse_event(record: dict) -> EtlEvent:
         amount_masked, latency_masked, duration_masked = (*mask, False, False, False)[:3]
         return EtlEvent(
             timestamp=timestamp,
-            amount=amount if amount_masked else float(amount),
-            latency_ms=latency if latency_masked else float(latency),
-            task_duration_s=duration if duration_masked else float(duration),
+            amount=amount if amount_masked else _number(amount, "amount"),
+            latency_ms=latency if latency_masked else _number(latency, "latency_ms"),
+            task_duration_s=duration if duration_masked else _number(duration, "task_duration_s"),
             records_loaded=_integral(record, "records_loaded"),
             device_type=str(record["device_type"]),
             geo_region=str(record["geo_region"]),

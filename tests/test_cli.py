@@ -259,7 +259,10 @@ class TestStreamFields:
     @pytest.mark.parametrize(
         "field, value, reason",
         [
-            ("amount", "null", "NoneType"),
+            ("amount", "null", "field 'amount' must be a number, got None"),
+            ("latency_ms", '"abc"', "field 'latency_ms' must be a number, got 'abc'"),
+            ("task_duration_s", "[]", "field 'task_duration_s' must be a number, got []"),
+            ("timestamp", "null", "field 'timestamp' must be an integer, got None"),
             ("records_loaded", "1e999", "'records_loaded' must be an integer, got inf"),
             ("timestamp", "Infinity", "'timestamp' must be an integer, got inf"),
             ("records_loaded", "NaN", "'records_loaded' must be an integer, got nan"),

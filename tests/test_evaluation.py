@@ -1,6 +1,9 @@
 import csv
 import json
 import math
+import multiprocessing
+import os
+import pickle
 
 import numpy as np
 import pytest
@@ -8,7 +11,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from etlwatch.autoencoder import TrainConfig
-from etlwatch.errors import ContractViolationError, UndefinedMetricError
+from etlwatch import evaluation
+from etlwatch.errors import (
+    ContractViolationError,
+    EncodingError,
+    TrainingDivergedError,
+    UndefinedMetricError,
+)
 from etlwatch.evaluation import (
     ConfusionCounts,
     DataBundle,
@@ -226,6 +235,113 @@ class TestSweeps:
     def test_unknown_knob_rejected(self, small_bundle):
         with pytest.raises(ContractViolationError, match="knob"):
             sweep("epochs", FAST, [1, 2], small_bundle, seed=3)
+
+
+def use_cpus(monkeypatch, n):
+    monkeypatch.setattr(evaluation.os, "sched_getaffinity", lambda pid: set(range(n)))
+
+
+@pytest.mark.skipif(
+    evaluation._openblas_threads() is None
+    or "fork" not in multiprocessing.get_all_start_methods(),
+    reason="the sweep pool needs fork and numpy's OpenBLAS",
+)
+class TestSweepPool:
+    """Three CPUs are claimed, so the caller runs points 0, 3, ... and two
+    forked workers run the rest, whatever the host has."""
+
+    @pytest.mark.parametrize("knob, grid", [("lr", [0.0005, 0.001, 0.005, 0.01]),
+                                            ("k", [4, 8, 16, 32])])
+    def test_same_result_as_serial(self, monkeypatch, small_bundle, knob, grid):
+        use_cpus(monkeypatch, 3)
+        pooled = sweep(knob, FAST, grid, small_bundle, seed=3)
+        use_cpus(monkeypatch, 1)
+        assert pooled == sweep(knob, FAST, grid, small_bundle, seed=3)
+
+    def test_diverged_point_in_a_worker_keeps_its_position(self, monkeypatch, small_bundle):
+        caller, evaluate_config = os.getpid(), evaluation.evaluate_config
+
+        def in_a_worker_only(bundle, cfg):
+            assert cfg.learning_rate < 1 or os.getpid() != caller
+            return evaluate_config(bundle, cfg)
+
+        use_cpus(monkeypatch, 3)
+        monkeypatch.setattr(evaluation, "evaluate_config", in_a_worker_only)
+        result = sweep("lr", FAST, [0.001, 0.01, 1e6], small_bundle, seed=3)
+        assert [e.diverged for e in result.entries] == [False, False, True]
+        assert [e.report is None for e in result.entries] == [False, False, True]
+
+    def test_worker_error_reaches_the_caller_with_its_type(self, monkeypatch, small_bundle):
+        caller, evaluate_config = os.getpid(), evaluation.evaluate_config
+
+        def fails_in_a_worker(bundle, cfg):
+            if os.getpid() != caller:
+                raise UndefinedMetricError(f"worker failed at k={cfg.latent_dim}")
+            return evaluate_config(bundle, cfg)
+
+        use_cpus(monkeypatch, 3)
+        monkeypatch.setattr(evaluation, "evaluate_config", fails_in_a_worker)
+        with pytest.raises(UndefinedMetricError, match="worker failed at k=8"):
+            sweep("k", FAST, [4, 8], small_bundle, seed=3)
+
+    @pytest.mark.parametrize(
+        "error",
+        [EncodingError("device_type", "x"), TrainingDivergedError(2, 0.5), UndefinedMetricError("m")],
+    )
+    def test_errors_survive_the_trip_back_from_a_worker(self, error):
+        # a worker's error that cannot be unpickled stops the pool's result
+        # thread, and the caller then waits for the result for ever
+        back = pickle.loads(pickle.dumps(error))
+        assert type(back) is type(error)
+        assert (str(back), vars(back)) == (str(error), vars(error))
+
+    def test_points_run_on_one_blas_thread_and_the_caller_gets_its_count_back(
+        self, monkeypatch, small_bundle
+    ):
+        get_threads, set_threads = evaluation._openblas_threads()
+        before, evaluate_config = get_threads(), evaluation.evaluate_config
+
+        def one_thread(bundle, cfg):
+            if get_threads() != 1:
+                raise UndefinedMetricError(f"k={cfg.latent_dim} ran on {get_threads()} threads")
+            return evaluate_config(bundle, cfg)
+
+        def fails(bundle, cfg):
+            raise UndefinedMetricError("point failed")
+
+        use_cpus(monkeypatch, 3)
+        try:
+            set_threads(3)
+            monkeypatch.setattr(evaluation, "evaluate_config", one_thread)
+            sweep("k", FAST, [4, 8, 16, 32], small_bundle, seed=3)
+            assert get_threads() == 3
+            monkeypatch.setattr(evaluation, "evaluate_config", fails)
+            with pytest.raises(UndefinedMetricError):
+                sweep("k", FAST, [4, 8], small_bundle, seed=3)
+            assert get_threads() == 3
+        finally:
+            set_threads(before)
+
+    def test_daemonic_caller_runs_serially(self, monkeypatch, small_bundle):
+        use_cpus(monkeypatch, 1)
+        serial = sweep("k", FAST, [4, 8], small_bundle, seed=3)
+        use_cpus(monkeypatch, 3)
+        ctx = multiprocessing.get_context("fork")
+        receive, send = ctx.Pipe(duplex=False)
+
+        def run():
+            try:
+                send.send(sweep("k", FAST, [4, 8], small_bundle, seed=3))
+            except Exception as exc:  # a pool in a daemon raises here
+                send.send(repr(exc))
+
+        daemon = ctx.Process(target=run, daemon=True)
+        daemon.start()
+        assert receive.poll(120), "the daemonic sweep sent nothing"
+        got = receive.recv()
+        daemon.join(10)
+        assert not daemon.is_alive()
+        assert got == serial
 
 
 @pytest.fixture(scope="module")

@@ -295,6 +295,24 @@ class TestEventIO:
         with pytest.raises(ContractViolationError, match="amount"):
             parse_event(record)
 
+    @pytest.mark.parametrize("field", ["amount", "latency_ms", "task_duration_s"])
+    @pytest.mark.parametrize("value, shown", [(None, "None"), ("abc", "'abc'"), ([], "[]")])
+    def test_unreadable_number_names_its_field(self, field, value, shown):
+        record = event_to_dict(make_event())
+        record[field] = value
+        with pytest.raises(ContractViolationError) as info:
+            parse_event(record)
+        assert str(info.value) == f"field {field!r} must be a number, got {shown}"
+
+    @pytest.mark.parametrize("field", ["timestamp", "records_loaded"])
+    @pytest.mark.parametrize("value", [None, "abc", "7.9"])
+    def test_unreadable_integer_names_its_field(self, field, value):
+        record = event_to_dict(make_event())
+        record[field] = value
+        with pytest.raises(ContractViolationError) as info:
+            parse_event(record)
+        assert str(info.value) == f"field {field!r} must be an integer, got {value!r}"
+
     @pytest.mark.parametrize("field", ["timestamp", "records_loaded"])
     @pytest.mark.parametrize("text", ["1e999", "Infinity", "NaN", "7.9"])
     def test_integer_field_rejects_a_non_integral_float(self, field, text):
