@@ -38,7 +38,7 @@ from .preprocess import (
 _SCORE_CHUNK = 1024
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DetectionResult:
     event_id: str
     score: float
@@ -46,7 +46,7 @@ class DetectionResult:
     truth_label: bool | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class StreamError:
     """In-stream record for an event that could not be scored."""
 
@@ -135,24 +135,22 @@ def score_stream(
     return results
 
 
-def _json_number(value: float) -> str:
-    """``value`` as ``json.dumps`` writes it: a finite float is its repr."""
-    return float.__repr__(value) if math.isfinite(value) else json.dumps(value)
-
-
 _JSON_BOOL = {True: "true", False: "false"}
+# How a scored record's line ends, by its truth label.
+_JSONL_END = {None: "}\n", True: ', "truth_label": true}\n', False: ', "truth_label": false}\n'}
 
 
 def _jsonl_line(record: DetectionResult | StreamError) -> str:
     """The ``json.dumps`` text of a record's mapping, with its newline."""
-    head = '{"event_id": ' + encode_basestring_ascii(record.event_id)
+    event_id = encode_basestring_ascii(record.event_id)
     if isinstance(record, StreamError):
-        return f'{head}, "error": {encode_basestring_ascii(record.error)}}}\n'
-    line = f'{head}, "score": {_json_number(record.score)}, "is_anomaly": '
-    line += _JSON_BOOL[record.is_anomaly]
-    if record.truth_label is not None:
-        line += ', "truth_label": ' + _JSON_BOOL[record.truth_label]
-    return line + "}\n"
+        return f'{{"event_id": {event_id}, "error": {encode_basestring_ascii(record.error)}}}\n'
+    value = record.score  # json.dumps writes a finite float as its repr
+    number = float.__repr__(value) if math.isfinite(value) else json.dumps(value)
+    return (
+        f'{{"event_id": {event_id}, "score": {number}, '
+        f'"is_anomaly": {_JSON_BOOL[record.is_anomaly]}{_JSONL_END[record.truth_label]}'
+    )
 
 
 def write_detections_jsonl(
@@ -167,7 +165,8 @@ def _csv_row(record: DetectionResult | StreamError) -> list:
     if isinstance(record, StreamError):
         return [record.event_id, "", "", "", record.error]
     truth = "" if record.truth_label is None else record.truth_label
-    return [record.event_id, repr(record.score), record.is_anomaly, truth, ""]
+    # csv.writer writes a float as float.__repr__ does
+    return [record.event_id, record.score, record.is_anomaly, truth, ""]
 
 
 def write_detections_csv(
@@ -191,13 +190,13 @@ def read_detections_jsonl(
 
     def parse(record: dict, line_no: int) -> DetectionResult | StreamError:
         if "error" in record:
-            return StreamError(event_id=record["event_id"], error=record["error"])
+            return StreamError(record["event_id"], record["error"])
         truth = record.get("truth_label")
         return DetectionResult(
-            event_id=record["event_id"],
-            score=float(record["score"]),
-            is_anomaly=bool(record["is_anomaly"]),
-            truth_label=None if truth is None else bool(truth),
+            record["event_id"],
+            float(record["score"]),
+            bool(record["is_anomaly"]),
+            None if truth is None else bool(truth),
         )
 
     return read_jsonl(path, parse)

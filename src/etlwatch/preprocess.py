@@ -38,7 +38,7 @@ MASKABLE_FIELDS = ("amount", "latency_ms", "task_duration_s")
 NUMERIC_FIELDS = ("amount", "latency_ms", "task_duration_s", "records_loaded")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EtlEvent:
     """One raw pipeline record.
 
@@ -59,16 +59,14 @@ class EtlEvent:
     event_id: str = ""
 
     def __post_init__(self) -> None:
-        if len(self.missing_mask) != len(MASKABLE_FIELDS):
+        mask = self.missing_mask
+        if len(mask) != len(MASKABLE_FIELDS):
             raise ContractViolationError(
-                f"missing_mask must have {len(MASKABLE_FIELDS)} entries, "
-                f"got {len(self.missing_mask)}"
+                f"missing_mask must have {len(MASKABLE_FIELDS)} entries, got {len(mask)}"
             )
-        for name in NUMERIC_FIELDS:
-            value = getattr(self, name)
-            if name in MASKABLE_FIELDS and self.missing_mask[MASKABLE_FIELDS.index(name)]:
-                continue
-            if not math.isfinite(float(value)):
+        values = (self.amount, self.latency_ms, self.task_duration_s, self.records_loaded)
+        for value, masked, name in zip(values, (*mask, False), NUMERIC_FIELDS):
+            if not masked and not math.isfinite(float(value)):
                 raise ContractViolationError(f"non-finite value for field {name!r}: {value}")
 
 
@@ -234,45 +232,59 @@ def standardize(x: np.ndarray, stats: StandardizationStats) -> np.ndarray:
 
 def _integral(record: dict, name: str) -> int:
     value = record[name]
+    if value.__class__ is int:
+        return value
     if isinstance(value, float) and not value.is_integer():
         raise ContractViolationError(f"field {name!r} must be an integer, got {value}")
-    try:
-        return int(value)
-    except (TypeError, ValueError):
-        raise ContractViolationError(f"field {name!r} must be an integer, got {value!r}") from None
+    if not isinstance(value, bool):
+        try:
+            return int(value)
+        except (TypeError, ValueError):
+            pass
+    raise ContractViolationError(f"field {name!r} must be an integer, got {value!r}")
 
 
 def _number(value: object, name: str) -> float:
-    try:
-        return float(value)
-    except (TypeError, ValueError):
-        raise ContractViolationError(f"field {name!r} must be a number, got {value!r}") from None
+    if value.__class__ is float:
+        return value
+    if not isinstance(value, bool):
+        try:
+            return float(value)
+        except (TypeError, ValueError):
+            pass
+    raise ContractViolationError(f"field {name!r} must be a number, got {value!r}")
 
 
 def parse_event(record: dict) -> EtlEvent:
     """Build an :class:`EtlEvent` from one decoded JSON record.
 
-    Every field but ``event_id`` is required. A masked numeric is kept as
-    read; ``timestamp`` and ``records_loaded`` take a float only if integral.
+    Every field but ``event_id`` is required; a null ``event_id`` counts as
+    absent. ``missing_mask`` must be an array. A masked numeric is kept as
+    read; any other numeric must be a number, not a boolean, and
+    ``timestamp`` and ``records_loaded`` take a float only if integral.
     """
     try:
         timestamp = _integral(record, "timestamp")
         amount, latency, duration = (
             record["amount"], record["latency_ms"], record["task_duration_s"]
         )
-        mask = tuple(bool(b) for b in record["missing_mask"])
+        mask = record["missing_mask"]
+        if not isinstance(mask, list):
+            raise ContractViolationError(f"field 'missing_mask' must be an array, got {mask!r}")
+        mask = tuple(map(bool, mask))
         # padded so a short mask reaches EtlEvent's length check
         amount_masked, latency_masked, duration_masked = (*mask, False, False, False)[:3]
+        event_id = record.get("event_id")
         return EtlEvent(
-            timestamp=timestamp,
-            amount=amount if amount_masked else _number(amount, "amount"),
-            latency_ms=latency if latency_masked else _number(latency, "latency_ms"),
-            task_duration_s=duration if duration_masked else _number(duration, "task_duration_s"),
-            records_loaded=_integral(record, "records_loaded"),
-            device_type=str(record["device_type"]),
-            geo_region=str(record["geo_region"]),
-            missing_mask=mask,
-            event_id=str(record.get("event_id", "")),
+            timestamp,
+            amount if amount_masked else _number(amount, "amount"),
+            latency if latency_masked else _number(latency, "latency_ms"),
+            duration if duration_masked else _number(duration, "task_duration_s"),
+            _integral(record, "records_loaded"),
+            str(record["device_type"]),
+            str(record["geo_region"]),
+            mask,
+            "" if event_id is None else str(event_id),
         )
     except KeyError as exc:
         raise ContractViolationError(f"event record is missing field {exc.args[0]!r}") from exc
@@ -292,6 +304,11 @@ def event_to_dict(event: EtlEvent) -> dict:
     }
 
 
+# One decoder for every line of every file; json.loads uses one like it.
+_DECODER = json.JSONDecoder()
+_JSON_BLANKS = " \t\n\r"
+
+
 def read_jsonl(path: str | Path, parse: Callable[[dict, int], T]) -> list[T]:
     """Return ``parse(record, line_no)`` for every non-blank line of a JSON-lines file.
 
@@ -303,10 +320,18 @@ def read_jsonl(path: str | Path, parse: Callable[[dict, int], T]) -> list[T]:
     out: list[T] = []
     with open(path, "rb") as fh:
         for line_no, raw in enumerate(fh, start=1):
-            if not raw.strip():
+            if raw.isspace():  # the ASCII blanks bytes.strip() removes
                 continue
             try:
-                record = json.loads(raw.decode("utf-8"))
+                text = raw.decode("utf-8")
+                try:
+                    record, end = _DECODER.raw_decode(text)
+                except ValueError:
+                    end = -1
+                if end < 0 or text[end:].strip(_JSON_BLANKS):
+                    # a leading blank, bad JSON or trailing data: json.loads
+                    # accepts the first and words the error for the others
+                    record = json.loads(text)
                 if not isinstance(record, dict):
                     raise ValueError("not a JSON object")
                 out.append(parse(record, line_no))

@@ -1,9 +1,9 @@
 """Straightforward per-item implementations that the fast paths are checked against.
 
 Each function is the plain form the library once used: one event, one
-record or one tie group at a time. The tests compare the library's
-column-wise encoder, its line writers and its rank computation with these,
-bit for bit and byte for byte.
+record, one line or one tie group at a time. The tests compare the
+library's column-wise encoder, its line writers, its JSON-lines reader and
+its rank computation with these, bit for bit and byte for byte.
 """
 
 import csv
@@ -13,7 +13,7 @@ import math
 import numpy as np
 
 from etlwatch.detector import DetectionResult, StreamError, batch_scores
-from etlwatch.errors import EncodingError
+from etlwatch.errors import ContractViolationError, EncodingError, EtlwatchError
 from etlwatch.preprocess import hour_angle, standardize
 
 
@@ -106,3 +106,22 @@ def score_one_at_a_time(params, stats, events, schema, delta, truth_labels=None)
         truth = truth_labels[i] if truth_labels is not None else None
         results.append(DetectionResult(event_id, value, value > delta, truth))
     return results
+
+
+def read_jsonl(path, parse):
+    """One ``json.loads`` per non-blank line, errors worded as the library words them."""
+    out = []
+    with open(path, "rb") as fh:
+        for line_no, raw in enumerate(fh, start=1):
+            if not raw.strip():
+                continue
+            try:
+                record = json.loads(raw.decode("utf-8"))
+                if not isinstance(record, dict):
+                    raise ValueError("not a JSON object")
+                out.append(parse(record, line_no))
+            except KeyError as exc:
+                raise ContractViolationError(f"{path} line {line_no}: no field {exc}") from exc
+            except (ValueError, TypeError, OverflowError, EtlwatchError) as exc:
+                raise ContractViolationError(f"{path} line {line_no}: {exc}") from exc
+    return out

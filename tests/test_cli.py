@@ -271,6 +271,16 @@ class TestStreamFields:
                 "records_loaded", "1" + "0" * 400, "int too large to convert to float",
                 id="records_loaded-400-digits",
             ),
+            ("missing_mask", '"abc"', "field 'missing_mask' must be an array, got 'abc'"),
+            (
+                "missing_mask", '{"x": 1, "y": 0, "z": 0}',
+                "field 'missing_mask' must be an array, got {'x': 1, 'y': 0, 'z': 0}",
+            ),
+            ("missing_mask", "null", "field 'missing_mask' must be an array, got None"),
+            ("timestamp", "true", "field 'timestamp' must be an integer, got True"),
+            ("records_loaded", "false", "field 'records_loaded' must be an integer, got False"),
+            ("amount", "true", "field 'amount' must be a number, got True"),
+            ("task_duration_s", "false", "field 'task_duration_s' must be a number, got False"),
         ],
     )
     def test_unusable_field_is_one_line_error(

@@ -1,5 +1,7 @@
+import dataclasses
 import itertools
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -21,6 +23,7 @@ from etlwatch.detector import (
 )
 from etlwatch.errors import ContractViolationError, InsufficientDataError
 from etlwatch.preprocess import (
+    EtlEvent,
     FeatureSchema,
     StandardizationStats,
     fit_stats,
@@ -295,6 +298,26 @@ class TestScoreStream:
                 continue
             value = score(model, stats, vectorize(event, schema))
             assert record == DetectionResult(record.event_id, value, value > 1.0, truth[i])
+
+
+RECORDS = [
+    EtlEvent(1_767_225_600_000, 52.3, 140.0, 61.0, 9, "web", "eu", (False, True, False), "e-1"),
+    DetectionResult("e-1", 1.5, True, False),
+    StreamError("e-2", "unknown device_type 'toaster'"),
+]
+
+
+@pytest.mark.parametrize("record", RECORDS, ids=lambda record: type(record).__name__)
+def test_record_is_frozen_hashable_picklable_and_replaceable(record):
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        record.event_id = "other"
+    twin = dataclasses.replace(record)
+    assert twin == record and twin is not record
+    assert len({record, twin}) == 1  # equal records hash equal
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        assert pickle.loads(pickle.dumps(record, protocol)) == record
+    changed = dataclasses.replace(record, event_id="other")
+    assert changed.event_id == "other" and changed != record and record.event_id != "other"
 
 
 class TestDetectionIO:

@@ -25,6 +25,7 @@ from etlwatch.preprocess import (
     vectorize,
     vectorize_events,
 )
+from reference import read_jsonl as per_line_read_jsonl
 from reference import vectorize_row
 
 SCHEMA = FeatureSchema()
@@ -271,6 +272,40 @@ class TestStandardize:
         np.testing.assert_allclose(left, right, rtol=1e-9, atol=1e-9)
 
 
+JSON_VALUE = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats()
+    | st.text(st.characters(blacklist_categories=("Cs",)), max_size=4),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=6,
+)
+# Blanks JSON allows (" \t\r") and ones it does not: a form feed, a BOM,
+# a no-break space.
+LINE_EDGE = st.sampled_from(["", "", " ", "\t", "\r", " \t\r", "\x0c", "\ufeff", "\xa0"])
+
+
+@st.composite
+def jsonl_line(draw):
+    """One line of a JSON-lines file, without its newline: mostly a JSON
+    value (an object more often than not) between blanks, sometimes a blank
+    line, trailing data, half of a value split over two lines or bytes that
+    are not UTF-8."""
+    kind = draw(st.sampled_from(["object", "object", "object", "value", "blank", "odd"]))
+    if kind == "blank":
+        return draw(st.sampled_from([b"", b" ", b"\t", b"\r", b" \r", b"\x0b\x0c"]))
+    if kind == "odd":
+        return draw(st.sampled_from(
+            [b'{"x": [1', b"2]}", b'{"a": 1} {"b": 2}', b'{"a": 1}x', b"NaN", b"-Infinity",
+             b"\xff\xfe", b'{"a": "\xc3"}', b"{", b'{"a": NaN}', b'{"a": 1,}']
+        ))
+    if kind == "object":
+        value = draw(st.dictionaries(st.text(max_size=3), JSON_VALUE, max_size=3))
+    else:
+        value = draw(JSON_VALUE)
+    text = json.dumps(value, ensure_ascii=draw(st.booleans()))
+    return (draw(LINE_EDGE) + text + draw(LINE_EDGE | st.just(" 1"))).encode("utf-8")
+
+
 class TestEventIO:
     def test_parse_event_round_trip(self):
         event = make_event()
@@ -355,6 +390,20 @@ class TestEventIO:
             read_jsonl(path, parse)
         message = str(info.value)
         assert message.startswith(f"{path} line 2: ") and reason in message
+
+    @given(st.lists(jsonl_line(), max_size=6), st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_read_jsonl_matches_per_line_json_loads(self, tmp_path_factory, lines, final_newline):
+        path = tmp_path_factory.mktemp("jsonl") / "lines.jsonl"
+        path.write_bytes(b"\n".join(lines) + (b"\n" if final_newline else b""))
+        outcomes = []
+        for read in (read_jsonl, per_line_read_jsonl):
+            try:
+                # repr, because a decoded NaN is not equal to itself
+                outcomes.append(repr(read(path, lambda record, line_no: (record, line_no))))
+            except ContractViolationError as exc:
+                outcomes.append(f"error: {exc}")
+        assert outcomes[0] == outcomes[1]
 
     def test_nonfinite_numeric_rejected(self):
         with pytest.raises(ContractViolationError, match="latency_ms"):

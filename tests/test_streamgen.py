@@ -274,3 +274,12 @@ class TestLabeledEventFiles:
         assert [e.event_id for e in read] == ["evt-000000", "line-2", "evt-000002"]
         assert read[0] == events[0] and read[2] == events[2]
         assert labels == classes == [None, None, None]
+
+    def test_null_event_id_counts_as_absent(self, tmp_path):
+        events = [e.event for e in generate(StreamConfig(n_events=3, seed=4))]
+        rows = [event_to_dict(e) for e in events]
+        rows[0]["event_id"] = rows[2]["event_id"] = None
+        path = tmp_path / "events.jsonl"
+        path.write_text("\n".join(json.dumps(r) for r in rows) + "\n")
+        read, _, _ = read_stream(path)
+        assert [e.event_id for e in read] == ["line-1", "evt-000001", "line-3"]
