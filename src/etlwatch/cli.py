@@ -22,8 +22,6 @@ import click
 from . import __version__
 from .autoencoder import TrainConfig, load_model, save_model, train
 from .detector import (
-    DetectionResult,
-    StreamError,
     batch_scores,
     calibrate_threshold,
     read_detections_jsonl,
@@ -126,10 +124,8 @@ def _train_config(params: dict) -> TrainConfig:
 
 def _run_train(params: dict) -> tuple[list[str], list[str], dict]:
     events, labels, _ = _read_stream_and_labels(params["stream"])
-    if any(label is not None for label in labels):
-        events = [e for e, label in zip(events, labels) if not label]
     schema = FeatureSchema()
-    x_raw = vectorize_events(events, schema)
+    x_raw = vectorize_events(events.where([not label for label in labels]), schema)
     stats = fit_stats(x_raw)
     params_out, history = train(standardize(x_raw, stats), _train_config(params))
     save_model(params["out"], params_out, stats, schema)
@@ -161,8 +157,7 @@ def _run_detect(params: dict) -> tuple[list[str], list[str], dict]:
         delta = params["delta"]
     else:
         val_events, val_labels, _ = _read_stream_and_labels(params["calibrate"])
-        if any(label is not None for label in val_labels):
-            val_events = [e for e, label in zip(val_events, val_labels) if not label]
+        val_events = val_events.where([not label for label in val_labels])
         x_val = standardize(vectorize_events(val_events, schema), stats)
         delta = calibrate_threshold(batch_scores(model, x_val), params["quantile"])
 
@@ -170,11 +165,9 @@ def _run_detect(params: dict) -> tuple[list[str], list[str], dict]:
     out = params["out"]
     write_detections_jsonl(results, out)
     write_detections_csv(results, Path(out).with_suffix(".csv"))
-    flagged = sum(1 for r in results if isinstance(r, DetectionResult) and r.is_anomaly)
-    errors = sum(1 for r in results if not isinstance(r, DetectionResult))
     click.echo(
         f"scored {len(results)} events at delta={delta!r}: "
-        f"{flagged} anomalies, {errors} error records"
+        f"{int(results.flags.sum())} anomalies, {len(results.errors)} error records"
     )
     inputs = [params["stream"], params["model"]]
     if params["delta"] is None:
@@ -184,8 +177,7 @@ def _run_detect(params: dict) -> tuple[list[str], list[str], dict]:
 
 def _run_evaluate(params: dict) -> tuple[list[str], list[str], dict]:
     records = read_detections_jsonl(params["detections"])
-    scored = [r for r in records if not isinstance(r, StreamError)]
-    if not scored or any(r.truth_label is None for r in scored):
+    if not records.truth or None in records.truth:
         raise EtlwatchError(
             "evaluation needs ground truth: the detection file must carry "
             "truth_label on every scored record"
@@ -207,9 +199,7 @@ def _run_evaluate(params: dict) -> tuple[list[str], list[str], dict]:
             raise EtlwatchError(
                 f"manifest {manifest_path} records no delta; pass --delta"
             )
-    report = metrics_at_threshold(
-        [r.score for r in scored], [r.truth_label for r in scored], delta
-    )
+    report = metrics_at_threshold(records.scores, records.truth, delta)
     write_metrics_report(report, params["out"], params["format"])
     click.echo(
         f"n={report.n} auc={report.auc:.4f} acc={report.acc:.4f} "

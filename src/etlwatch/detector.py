@@ -5,10 +5,18 @@ standardized feature vector and the autoencoder's reconstruction. The
 decision threshold delta is calibrated as a nearest-rank quantile of scores
 on held-out normal data; a score strictly above delta is an anomaly, so
 delta = max(validation scores) admits every validation normal.
+
+A scored stream is a :class:`Detections`: columns of ids, scores, flags and
+truth labels, with the errors held by position. :func:`score_stream` builds
+it, the two writers format their lines from its columns, and
+:func:`read_detections_jsonl` reads one back; a
+:class:`DetectionResult` or :class:`StreamError` is built only when a
+record is asked for.
 """
 
 from __future__ import annotations
 
+import bisect
 import csv
 import itertools
 import json
@@ -16,7 +24,7 @@ import math
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
 import numpy as np
 
@@ -24,11 +32,16 @@ from .autoencoder import AutoencoderParams
 from .errors import ContractViolationError, InsufficientDataError
 from .numerics import as_vector
 from .preprocess import (
+    ABSENT,
     EtlEvent,
+    EventBatch,
     FeatureSchema,
+    FirstFailure,
+    Records,
     StandardizationStats,
     encode_events,
-    read_jsonl,
+    float_error,
+    read_chunks,
     standardize,
     vectorize,  # noqa: F401  unused here; the benchmark traces vectorize under this name
 )
@@ -52,6 +65,115 @@ class StreamError:
 
     event_id: str
     error: str
+
+
+T = TypeVar("T")
+
+
+class Detections(Sequence):
+    """The records of one scored stream, held as columns.
+
+    ``ids`` has one entry per record, and ``errors`` maps the position of
+    each record that could not be scored to its message. ``scores``,
+    ``flags`` and ``truth`` have one entry per scored record, in order.
+    Indexing and iterating build :class:`DetectionResult` and
+    :class:`StreamError` records on demand.
+    """
+
+    __slots__ = ("ids", "scores", "flags", "truth", "errors", "_error_at")
+
+    def __init__(
+        self,
+        ids: list[str],
+        scores: np.ndarray,
+        flags: np.ndarray,
+        truth: list[bool | None],
+        errors: dict[int, str],
+    ) -> None:
+        self.ids = ids
+        self.scores = np.asarray(scores, dtype=np.float64)
+        self.flags = np.asarray(flags, dtype=bool)
+        self.truth = truth
+        self.errors = errors
+        self._error_at = sorted(errors)
+        scored = len(ids) - len(errors)
+        if not len(self.scores) == len(self.flags) == len(truth) == scored or (
+            errors and not 0 <= self._error_at[0] <= self._error_at[-1] < len(ids)
+        ):
+            raise ContractViolationError("detection columns do not describe one stream")
+
+    @classmethod
+    def from_records(cls, records: Iterable[DetectionResult | StreamError]) -> Detections:
+        """The records as columns; a :class:`Detections` is returned as it is."""
+        if isinstance(records, Detections):
+            return records
+        ids, scores, flags, truth, errors = [], [], [], [], {}
+        for position, record in enumerate(records):
+            ids.append(record.event_id)
+            if isinstance(record, StreamError):
+                errors[position] = record.error
+            else:
+                scores.append(record.score)
+                flags.append(record.is_anomaly)
+                truth.append(record.truth_label)
+        return cls(ids, scores, flags, truth, errors)
+
+    @classmethod
+    def concat(cls, parts: Iterable[Detections]) -> Detections:
+        ids, scores, flags, truth, errors = [], [np.zeros(0)], [np.zeros(0, bool)], [], {}
+        for part in parts:
+            errors.update((len(ids) + position, error) for position, error in part.errors.items())
+            ids += part.ids
+            scores.append(part.scores)
+            flags.append(part.flags)
+            truth += part.truth
+        return cls(ids, np.concatenate(scores), np.concatenate(flags), truth, errors)
+
+    def rows(
+        self,
+        scored: Callable[[str, float, bool, bool | None], T],
+        failed: Callable[[str, str], T],
+    ) -> Iterator[T]:
+        """``scored(event_id, score, is_anomaly, truth_label)`` or
+        ``failed(event_id, error)`` of every record, in order."""
+        ids, errors = self.ids, self.errors
+        keep = [True] * len(ids)
+        for position in errors:
+            keep[position] = False
+        done = map(
+            scored, itertools.compress(ids, keep), self.scores.tolist(), self.flags.tolist(),
+            self.truth,
+        )
+
+        def runs() -> Iterator[Iterable[T]]:  # the scored records between errors, and each error
+            start = 0
+            for position in self._error_at:
+                yield itertools.islice(done, position - start)
+                yield (failed(ids[position], errors[position]),)
+                start = position + 1
+            yield done
+
+        return itertools.chain.from_iterable(runs())
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def __iter__(self) -> Iterator[DetectionResult | StreamError]:
+        return self.rows(DetectionResult, StreamError)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[i] for i in range(len(self))[index]]
+        i = range(len(self))[index]
+        if i in self.errors:
+            return StreamError(self.ids[i], self.errors[i])
+        k = i - bisect.bisect_left(self._error_at, i)
+        return DetectionResult(
+            self.ids[i], float(self.scores[k]), bool(self.flags[k]), self.truth[k]
+        )
+
+    def __repr__(self) -> str:
+        return f"Detections(<{len(self)} records, {len(self.errors)} errors>)"
 
 
 def batch_scores(params: AutoencoderParams, x_std: np.ndarray) -> np.ndarray:
@@ -99,15 +221,17 @@ def score_stream(
     schema: FeatureSchema,
     delta: float,
     truth_labels: Sequence[bool | None] | None = None,
-) -> list[DetectionResult | StreamError]:
+) -> Detections:
     """Score a sequence of raw events against ``delta``, one record per event.
 
     Events that fail to encode become :class:`StreamError` records in
     place, so a malformed record never aborts the run. Output order matches
-    input order. Each :data:`_SCORE_CHUNK` events are encoded, scored and
-    compared with delta as one batch; since :func:`batch_scores` is
-    batch-invariant, every score equals the one the library gives the same
-    standardized row in any batch.
+    input order. The events are read as an :class:`EventBatch`; each
+    :data:`_SCORE_CHUNK` of them are encoded, scored and compared with delta
+    as one batch, and the chunks' columns are joined into one
+    :class:`Detections`. Since :func:`batch_scores` is batch-invariant,
+    every score equals the one the library gives the same standardized row
+    in any batch.
     """
     if schema.dim != params.d:
         raise ContractViolationError(
@@ -115,24 +239,21 @@ def score_stream(
         )
     if not (delta >= 0 and math.isfinite(delta)):
         raise ContractViolationError(f"delta must be finite and >= 0, got {delta}")
-    results: list[DetectionResult | StreamError] = []
-    stream = iter(events)
-    start = 0
-    while chunk := list(itertools.islice(stream, _SCORE_CHUNK)):
-        x, errors = encode_events(chunk, schema)
+    batch = EventBatch.from_events(events)
+    parts = []
+    for start in range(0, len(batch), _SCORE_CHUNK):
+        chunk = batch[start : start + _SCORE_CHUNK]
+        x, failed = encode_events(chunk, schema)
         scores = batch_scores(params, standardize(x, stats))
-        values = iter(zip(scores.tolist(), (scores > delta).tolist()))
-        failed = {start + pos: str(exc) for pos, exc in errors}
-        for i, event in enumerate(chunk, start):
-            event_id = event.event_id or f"event-{i}"
-            if i in failed:
-                results.append(StreamError(event_id=event_id, error=failed[i]))
-                continue
-            value, flagged = next(values)
-            truth = truth_labels[i] if truth_labels is not None else None
-            results.append(DetectionResult(event_id, value, flagged, truth))
-        start += len(chunk)
-    return results
+        errors = {position: str(exc) for position, exc in failed}
+        ids = [event_id or f"event-{start + i}" for i, event_id in enumerate(chunk.event_id)]
+        if truth_labels is None:
+            truth = [None] * len(scores)
+        else:
+            truth = truth_labels[start : start + len(chunk)]
+            truth = [label for i, label in enumerate(truth) if i not in errors]
+        parts.append(Detections(ids, scores, scores > delta, truth, errors))
+    return Detections.concat(parts)
 
 
 _JSON_BOOL = {True: "true", False: "false"}
@@ -140,63 +261,80 @@ _JSON_BOOL = {True: "true", False: "false"}
 _JSONL_END = {None: "}\n", True: ', "truth_label": true}\n', False: ', "truth_label": false}\n'}
 
 
-def _jsonl_line(record: DetectionResult | StreamError) -> str:
-    """The ``json.dumps`` text of a record's mapping, with its newline."""
-    event_id = encode_basestring_ascii(record.event_id)
-    if isinstance(record, StreamError):
-        return f'{{"event_id": {event_id}, "error": {encode_basestring_ascii(record.error)}}}\n'
-    value = record.score  # json.dumps writes a finite float as its repr
+def _jsonl_scored(event_id: str, value: float, flagged: bool, truth: bool | None) -> str:
+    """The ``json.dumps`` text of a scored record's mapping, with its newline."""
     number = float.__repr__(value) if math.isfinite(value) else json.dumps(value)
     return (
-        f'{{"event_id": {event_id}, "score": {number}, '
-        f'"is_anomaly": {_JSON_BOOL[record.is_anomaly]}{_JSONL_END[record.truth_label]}'
+        f'{{"event_id": {encode_basestring_ascii(event_id)}, "score": {number}, '
+        f'"is_anomaly": {_JSON_BOOL[flagged]}{_JSONL_END[truth]}'
+    )
+
+
+def _jsonl_failed(event_id: str, error: str) -> str:
+    return (
+        f'{{"event_id": {encode_basestring_ascii(event_id)}, '
+        f'"error": {encode_basestring_ascii(error)}}}\n'
     )
 
 
 def write_detections_jsonl(
-    results: Sequence[DetectionResult | StreamError], path: str | Path
+    results: Iterable[DetectionResult | StreamError], path: str | Path
 ) -> None:
     """One JSON object per line, byte for byte what ``json.dumps`` writes for it."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.writelines(map(_jsonl_line, results))
+        fh.writelines(Detections.from_records(results).rows(_jsonl_scored, _jsonl_failed))
 
 
-def _csv_row(record: DetectionResult | StreamError) -> list:
-    if isinstance(record, StreamError):
-        return [record.event_id, "", "", "", record.error]
-    truth = "" if record.truth_label is None else record.truth_label
+def _csv_scored(event_id: str, value: float, flagged: bool, truth: bool | None) -> list:
     # csv.writer writes a float as float.__repr__ does
-    return [record.event_id, record.score, record.is_anomaly, truth, ""]
+    return [event_id, value, flagged, "" if truth is None else truth, ""]
+
+
+def _csv_failed(event_id: str, error: str) -> list:
+    return [event_id, "", "", "", error]
 
 
 def write_detections_csv(
-    results: Sequence[DetectionResult | StreamError], path: str | Path
+    results: Iterable[DetectionResult | StreamError], path: str | Path
 ) -> None:
     """Spreadsheet-friendly mirror of the line-delimited output."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["event_id", "score", "is_anomaly", "truth_label", "error"])
-        writer.writerows(map(_csv_row, results))
+        writer.writerows(Detections.from_records(results).rows(_csv_scored, _csv_failed))
 
 
-def read_detections_jsonl(
-    path: str | Path,
-) -> list[DetectionResult | StreamError]:
+# The fields of a detection record, and what a record that lacks one reads as.
+_DETECTION_FIELDS = {
+    "event_id": ABSENT, "error": ABSENT, "score": ABSENT, "is_anomaly": ABSENT,
+    "truth_label": None,
+}
+
+
+def read_detections_jsonl(path: str | Path) -> Detections:
     """Read back a file written by :func:`write_detections_jsonl`.
 
-    A line that is not a UTF-8 JSON object or lacks a field raises
-    :class:`ContractViolationError` naming the file and line number.
+    A record with an ``error`` field is an error record. A line that is not
+    a UTF-8 JSON object, lacks a field or whose score ``float`` rejects
+    raises :class:`ContractViolationError` naming the file and the first
+    such line.
     """
+    return Detections.concat(read_chunks(path, _DETECTION_FIELDS, _check_detection_records))
 
-    def parse(record: dict, line_no: int) -> DetectionResult | StreamError:
-        if "error" in record:
-            return StreamError(record["event_id"], record["error"])
-        truth = record.get("truth_label")
-        return DetectionResult(
-            record["event_id"],
-            float(record["score"]),
-            bool(record["is_anomaly"]),
-            None if truth is None else bool(truth),
-        )
 
-    return read_jsonl(path, parse)
+def _check_detection_records(records: Records, first: FirstFailure) -> Detections | None:
+    ids, failed, score, flag, truth = records.values.values()
+    first.absent(records, "event_id", "no field 'event_id'")
+    scored = [i for i, error in enumerate(failed) if error is ABSENT]
+    first.absent(records, "score", "no field 'score'", scored)
+    scores = [score[i] for i in scored]
+    try:
+        scores = list(map(float, scores))
+    except (TypeError, ValueError, OverflowError):
+        first.scan(scores, lambda v: float_error(v) is not None, float_error, scored)
+    first.absent(records, "is_anomaly", "no field 'is_anomaly'", scored)
+    if first.message is not None:
+        return None  # read_chunks raises it
+    errors = {i: error for i, error in enumerate(failed) if error is not ABSENT}
+    truth = [None if truth[i] is None else bool(truth[i]) for i in scored]
+    return Detections(ids, scores, [bool(flag[i]) for i in scored], truth, errors)

@@ -8,12 +8,15 @@ denominator is zero is reported as ``None``, never silently as 0 or 1.
 
 Sweeps retrain one model per grid value from the same seed on the same data
 bundle, so the knob under study is the only varying factor. Grid points are
-independent, so a sweep runs them on every usable CPU: the calling process
-takes every n-th point and forked workers take the rest, each process with
-one OpenBLAS thread, and results are listed in grid order. Every point gives
-the same bits in any process, so the reports do not depend on the CPU count.
-With one usable CPU, or where numpy's OpenBLAS cannot be pinned or ``fork``
-is unavailable, the points run serially in the calling process.
+independent, so a sweep runs them on every usable CPU, longest first: the
+points wait in one queue in descending latent dimension (lr points, which
+cost the same, keep grid order), and the calling process and a pool of
+forked workers each take the next point whenever they are free. Every
+process uses one OpenBLAS thread, and results are listed in grid order.
+Every point gives the same bits in any process, so the reports do not
+depend on the CPU count. With one usable CPU, or where numpy's OpenBLAS
+cannot be pinned or ``fork`` is unavailable, or in a daemonic process, the
+points run serially in the calling process.
 """
 
 from __future__ import annotations
@@ -245,8 +248,10 @@ def evaluate_config(bundle: DataBundle, cfg: TrainConfig) -> MetricsReport:
     return metrics_at_threshold(test_scores, bundle.y_test, delta)
 
 
-# The bundle of the sweep in progress; forked workers inherit it unpickled.
+# The bundle of the sweep in progress, and its points longest first with the
+# shared index of the next one to take; forked workers inherit them unpickled.
 _BUNDLE: DataBundle | None = None
+_QUEUE: tuple[list[TrainConfig], object] | None = None
 
 
 def _point(cfg: TrainConfig) -> tuple[MetricsReport | None, bool]:
@@ -259,6 +264,19 @@ def _point(cfg: TrainConfig) -> tuple[MetricsReport | None, bool]:
         return evaluate_config(_BUNDLE, cfg), False
     except TrainingDivergedError:
         return None, True
+
+
+def _take_points(start: int) -> list[tuple[int, tuple[MetricsReport | None, bool]]]:
+    """Run point ``start`` of ``_QUEUE``, then each next point that no process
+    has taken, until none is left; return them by queue position."""
+    cfgs, taken = _QUEUE
+    done, i = [], start
+    while i < len(cfgs):
+        done.append((i, _point(cfgs[i])))
+        with taken.get_lock():
+            i = taken.value
+            taken.value += 1
+    return done
 
 
 def _openblas_threads():
@@ -284,14 +302,17 @@ def _run_points(
 ) -> list[tuple[MetricsReport | None, bool]]:
     """``_point`` of every config on ``bundle``, in order, on every usable CPU.
 
-    With ``ways`` usable processes the caller runs ``cfgs[0::ways]`` and a
-    fork pool of ``ways - 1`` workers runs the rest. Every process uses one
-    OpenBLAS thread, since two processes of two threads each on two cores run
-    slower than one; the caller gets its own count back afterwards.
+    With ``ways`` usable processes the points queue longest first (stable,
+    so points of one latent dimension keep their order). Fork workers
+    ``0 .. ways - 2`` start on the queue's first points and the caller on the
+    next, and then each process takes the next point left whenever it is
+    free. Every process uses one OpenBLAS thread, since two processes of two
+    threads each on two cores run slower than one; the caller gets its own
+    count back afterwards.
     """
     import multiprocessing
 
-    global _BUNDLE
+    global _BUNDLE, _QUEUE
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
     ways = min(cpus, len(cfgs))
     blas = _openblas_threads() if ways > 1 else None
@@ -305,21 +326,24 @@ def _run_points(
             return [_point(cfg) for cfg in cfgs]
         get_threads, set_threads = blas
         threads = get_threads()
-        theirs = [i for i in range(len(cfgs)) if i % ways]
-        results: list = [None] * len(cfgs)
+        order = sorted(range(len(cfgs)), key=lambda i: -cfgs[i].latent_dim)
+        fork = multiprocessing.get_context("fork")
+        _QUEUE = [cfgs[i] for i in order], fork.Value("i", ways)
         try:
             set_threads(1)
-            fork = multiprocessing.get_context("fork")
             with fork.Pool(ways - 1, initializer=set_threads, initargs=(1,)) as pool:
-                pending = pool.map_async(_point, [cfgs[i] for i in theirs], chunksize=1)
-                results[::ways] = [_point(cfg) for cfg in cfgs[::ways]]
-                for i, result in zip(theirs, pending.get()):
-                    results[i] = result
+                theirs = [pool.apply_async(_take_points, (j,)) for j in range(ways - 1)]
+                done = _take_points(ways - 1)
+                for pending in theirs:
+                    done += pending.get()
         finally:
             set_threads(threads)
+        results: list = [None] * len(cfgs)
+        for i, result in done:
+            results[order[i]] = result
         return results
     finally:
-        _BUNDLE = None
+        _BUNDLE = _QUEUE = None
 
 
 def sweep(

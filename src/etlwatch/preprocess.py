@@ -1,15 +1,27 @@
 """Feature extraction and standardization for raw ETL events.
 
-An :class:`EtlEvent` is one pipeline record. :func:`encode_events` turns a
-list of them into fixed-width float rows, one column at a time: numeric
-fields in schema order (missing ones emit 0 with a companion indicator set
-to 1), one-hot blocks for the categorical fields, one missing indicator per
-maskable numeric field, and a (sin, cos) encoding of the hour of day.
-:func:`vectorize_events` and :func:`vectorize` are its all-or-nothing and
-one-event forms. :func:`fit_stats` / :func:`standardize` apply
-per-feature (x - mu) / sigma rescaling; stats are fit on training data once
-and frozen for every later split and stream. :func:`read_jsonl` is the one
-reader of JSON-lines files: event streams, label files and detections.
+An :class:`EtlEvent` is one pipeline record. An :class:`EventBatch` holds
+many of them as one list per field and builds an ``EtlEvent`` only when one
+is asked for. :meth:`EventBatch.from_records` checks decoded records against
+the stream schema one column at a time: type scans over each column, then
+one ``np.isfinite`` per numeric column. It is the only copy of the schema;
+:func:`parse_event` runs it on a batch of one record. A bad record is
+reported as a record-by-record check would report it: the first bad record,
+with its first failing check.
+
+:func:`encode_events` turns a batch into fixed-width float rows, one column
+at a time: numeric fields in schema order (missing ones emit 0 with a
+companion indicator set to 1), one-hot blocks for the categorical fields,
+one missing indicator per maskable numeric field, and a (sin, cos) encoding
+of the hour of day. :func:`vectorize_events` and :func:`vectorize` are its
+all-or-nothing and one-event forms. :func:`fit_stats` / :func:`standardize`
+apply per-feature (x - mu) / sigma rescaling; stats are fit on training data
+once and frozen for every later split and stream.
+
+JSON-lines files (event streams, label files and detections) share one line
+decoder. :func:`read_chunks` gathers the records into columns a run at a
+time and checks each run; :func:`read_jsonl` hands each record to a parse
+function.
 """
 
 from __future__ import annotations
@@ -17,9 +29,10 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields as dataclass_fields
+from operator import attrgetter, itemgetter
 from pathlib import Path
-from typing import Callable, Iterable, TypeVar
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, TypeVar
 
 import numpy as np
 
@@ -68,6 +81,258 @@ class EtlEvent:
         for value, masked, name in zip(values, (*mask, False), NUMERIC_FIELDS):
             if not masked and not math.isfinite(float(value)):
                 raise ContractViolationError(f"non-finite value for field {name!r}: {value}")
+
+
+EVENT_FIELDS = tuple(field.name for field in dataclass_fields(EtlEvent))
+_EVENT_ROW = attrgetter(*EVENT_FIELDS)
+
+
+class _Absent:
+    """The type of :data:`ABSENT`, which no decoded JSON value has."""
+
+
+# Stands for a field a decoded record lacks.
+ABSENT = _Absent()
+# Each field of an event record, and what a record that lacks it reads as:
+# every field but event_id is required, and a missing event_id reads as null.
+EVENT_RECORD_FIELDS = {name: ABSENT for name in EVENT_FIELDS[:-1]} | {"event_id": None}
+
+
+class Records(NamedTuple):
+    """Decoded JSON records held as columns."""
+
+    values: dict[str, list]  # each field's value per record, or its default
+    gaps: set[str]  # the fields some record lacks
+    line_nos: Sequence[int]  # each record's line in its file
+
+
+def _gather(records: Sequence[dict], fields: dict[str, object], line_nos=()) -> Records:
+    """Each field's value in every record; the field's default where a record lacks it."""
+    values, gaps = {}, set()
+    for name, default in fields.items():
+        try:
+            values[name] = list(map(itemgetter(name), records))
+        except KeyError:
+            values[name] = [record.get(name, default) for record in records]
+            gaps.add(name)
+    return Records(values, gaps, line_nos)
+
+
+class FirstFailure:
+    """The first bad row of a batch of records, and what is wrong with it.
+
+    Checks run in the order one record's fields are checked, each over the
+    rows before the first bad row found so far. So a check may assume that
+    every earlier check passed, and the last row found is the first bad row,
+    with the message of its first failing check.
+    """
+
+    __slots__ = ("row", "message")
+
+    def __init__(self, rows: int) -> None:
+        self.row = rows
+        self.message: str | None = None
+
+    def scan(self, values: Sequence, bad: Callable, message: Callable, rows=None) -> None:
+        """Find the first value for which ``bad`` holds; ``rows`` numbers the
+        values when they are not the rows 0, 1, 2, ..."""
+        for row, value in zip(range(len(values)) if rows is None else rows, values):
+            if row >= self.row:
+                return
+            if bad(value):
+                self.row, self.message = row, message(value)
+                return
+
+    def types(self, values: Sequence, allowed: set[type], message: Callable, rows=None) -> None:
+        """:meth:`scan` for a value of a type not ``allowed``, once a set of
+        the column's types shows that there is one."""
+        if not set(map(type, values)) <= allowed:
+            self.scan(values, lambda value: type(value) not in allowed, message, rows)
+
+    def absent(self, records: Records, name: str, message: str, rows=None) -> None:
+        """:meth:`scan` for a record that lacks the field ``name``."""
+        if name in records.gaps:
+            values = records.values[name]
+            if rows is not None:
+                values = [values[i] for i in rows]
+            if _Absent in set(map(type, values)):
+                self.scan(values, lambda value: value is ABSENT, lambda _: message, rows)
+
+
+def float_error(value: object) -> str | None:
+    """Why ``float(value)`` fails, or None when it does not."""
+    try:
+        float(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        return str(exc)
+    return None
+
+
+def _floats(values: list, first: FirstFailure) -> list[float]:
+    """``float`` of every value, up to the first one it fails on."""
+    try:
+        return list(map(float, values))
+    except (TypeError, ValueError, OverflowError):
+        first.scan(values, lambda value: float_error(value) is not None, float_error)
+        return list(map(float, values[: first.row]))
+
+
+def _integers(values: list, name: str, first: FirstFailure) -> list[int]:
+    """The values as ints, up to the first that is not an int or an integral float."""
+    if set(map(type, values)) <= {int}:
+        return values
+    first.scan(
+        values,
+        lambda v: type(v) is not int and not (type(v) is float and v.is_integer()),
+        lambda v: f"field {name!r} must be an integer, got {v!r}",
+    )
+    return [int(v) if type(v) is float else v for v in values[: first.row]]
+
+
+class EventBatch(Sequence[EtlEvent]):
+    """Events held as one list per :class:`EtlEvent` field, in input order.
+
+    ``batch[i]`` builds the event of row ``i``; a slice and :meth:`where`
+    give new batches over the same values. The columns are not checked
+    here: :meth:`from_events` takes them from checked events and
+    :meth:`from_records` checks decoded records.
+    """
+
+    __slots__ = EVENT_FIELDS
+
+    def __init__(self, *columns: list) -> None:
+        if len(columns) != len(EVENT_FIELDS) or len(set(map(len, columns))) > 1:
+            raise ContractViolationError(
+                f"an event batch needs {len(EVENT_FIELDS)} columns of one length"
+            )
+        for name, column in zip(EVENT_FIELDS, columns):
+            setattr(self, name, column)
+
+    def columns(self) -> list[list]:
+        return [getattr(self, name) for name in EVENT_FIELDS]
+
+    def __len__(self) -> int:
+        return len(self.timestamp)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return EventBatch(*(column[index] for column in self.columns()))
+        return EtlEvent(*(column[index] for column in self.columns()))
+
+    def __iter__(self) -> Iterator[EtlEvent]:
+        return itertools.starmap(EtlEvent, zip(*self.columns()))
+
+    def where(self, keep: Iterable[bool]) -> EventBatch:
+        """The rows whose entry of ``keep`` is true."""
+        keep = list(keep)
+        return EventBatch(*(list(itertools.compress(c, keep)) for c in self.columns()))
+
+    @classmethod
+    def concat(cls, batches: Iterable[EventBatch]) -> EventBatch:
+        columns = [[] for _ in EVENT_FIELDS]
+        for batch in batches:
+            for column, part in zip(columns, batch.columns()):
+                column += part
+        return cls(*columns)
+
+    @classmethod
+    def from_events(cls, events: Iterable[EtlEvent]) -> EventBatch:
+        """The events as a batch; a batch is returned as it is."""
+        if isinstance(events, EventBatch):
+            return events
+        columns = [list(column) for column in zip(*map(_EVENT_ROW, events))]
+        return cls(*(columns or [[] for _ in EVENT_FIELDS]))
+
+    @classmethod
+    def from_records(cls, records: Records, first: FirstFailure) -> EventBatch:
+        """Check decoded event records against the stream schema.
+
+        ``records`` holds every field of :data:`EVENT_RECORD_FIELDS`. The
+        first bad record and its message go to ``first``, and the batch
+        holds the records before it. Every field but ``event_id`` is
+        required, and a null ``event_id`` counts as absent. ``timestamp``
+        and ``records_loaded`` must be JSON integers, or integral floats.
+        ``missing_mask`` must be an array of booleans, one per maskable
+        field. A masked numeric is kept as read and never read; any other
+        must be a finite JSON number.
+        """
+        raw = records.values
+
+        def present(*names: str) -> None:
+            for name in names:
+                first.absent(records, name, f"event record is missing field {name!r}")
+
+        present("timestamp")
+        timestamp = _integers(raw["timestamp"], "timestamp", first)
+        present(*MASKABLE_FIELDS, "missing_mask")
+        masks = raw["missing_mask"]
+        first.types(masks, {list}, lambda m: f"field 'missing_mask' must be an array, got {m!r}")
+        if not set(map(type, itertools.chain.from_iterable(masks[: first.row]))) <= {bool}:
+            first.scan(
+                masks,
+                lambda m: not set(map(type, m)) <= {bool},
+                lambda m: f"field 'missing_mask' must be an array of booleans, got {m!r}",
+            )
+        head, size = masks[: first.row], len(MASKABLE_FIELDS)
+        odd_size = bool(set(map(len, head)) - {size})
+        if odd_size:  # padded here; the length is checked below
+            head = [(*m, *[False] * size)[:size] for m in head]
+        masked = list(zip(*head)) or [()] * size
+
+        numbers = {}  # each number column as floats; a masked value as read, or 0.0
+        converted = set()
+        for name, flags in zip(MASKABLE_FIELDS, masked):
+            values = raw[name][: first.row]
+            if not set(map(type, values)) <= {float}:  # an int, or an odd masked value
+                if True in flags:
+                    values = [0.0 if m else v for v, m in zip(values, flags)]
+                first.types(
+                    values, {int, float}, lambda v: f"field {name!r} must be a number, got {v!r}"
+                )
+                values = _floats(values[: first.row], first)
+                converted.add(name)
+            numbers[name] = values
+        present("records_loaded")
+        records_loaded = _integers(raw["records_loaded"][: first.row], "records_loaded", first)
+        present("device_type", "geo_region")
+        if odd_size:
+            first.scan(
+                masks,
+                lambda m: len(m) != size,
+                lambda m: f"missing_mask must have {size} entries, got {len(m)}",
+            )
+        for name, flags in zip(MASKABLE_FIELDS, masked):
+            values = np.array(numbers[name][: first.row], dtype=np.float64)
+            bad = ~np.isfinite(values)
+            if bad.any():  # a masked value may be anything
+                bad = np.flatnonzero(bad & ~np.array(flags[: len(values)], dtype=bool))
+                if bad.size:
+                    first.row = int(bad[0])
+                    first.message = f"non-finite value for field {name!r}: {values[first.row]}"
+        _floats(records_loaded[: first.row], first)  # EtlEvent checks that it is finite
+
+        n = first.row
+        for name, flags in zip(MASKABLE_FIELDS, masked):
+            values, flags = numbers[name][:n], flags[:n]
+            if name in converted and True in flags:  # a masked value is kept as read
+                numbers[name] = [v if m else f for v, f, m in zip(raw[name], values, flags)]
+            else:
+                numbers[name] = values
+        categories = []
+        for name in ("device_type", "geo_region"):
+            values = raw[name][:n]
+            categories.append(values if set(map(type, values)) <= {str} else list(map(str, values)))
+        ids = raw["event_id"][:n]
+        if not set(map(type, ids)) <= {str}:
+            ids = ["" if v is None else str(v) for v in ids]
+        return cls(
+            timestamp[:n],
+            *numbers.values(),
+            records_loaded[:n],
+            *categories,
+            list(map(tuple, masks[:n])),
+            ids,
+        )
 
 
 @dataclass(frozen=True)
@@ -152,46 +417,53 @@ def encode_events(
 ) -> tuple[np.ndarray, list[tuple[int, EncodingError]]]:
     """Encode events column by column; return the rows and the failures.
 
-    The (m, d) matrix holds one row per event that encodes, in input order.
-    Each event that does not is listed as ``(position, EncodingError)``
-    instead; an unknown ``device_type`` is reported before an unknown
-    ``geo_region``. A masked numeric encodes as 0 and its value is never
-    read. Hour columns use ``math.sin``/``math.cos`` per event, so every
-    value is bitwise what a per-event encoding gives.
+    ``events`` is read as an :class:`EventBatch` (see
+    :meth:`EventBatch.from_events`). The (m, d) matrix holds one row per
+    event that encodes, in input order. Each event that does not is listed
+    as ``(position, EncodingError)`` instead; an unknown ``device_type`` is
+    reported before an unknown ``geo_region``. A masked numeric encodes as 0
+    and its value is never read, and nothing of an event that fails is read
+    past its categories. Hour columns use ``math.sin``/``math.cos`` per
+    event, so every value is bitwise what a per-event encoding gives.
     """
+    batch = EventBatch.from_events(events)
     device_at = len(schema.numeric_fields)
     device_col = {v: device_at + j for j, v in enumerate(schema.device_types)}
     region_at = device_at + len(schema.device_types)
     region_col = {v: region_at + j for j, v in enumerate(schema.geo_regions)}
-    rows: list[EtlEvent] = []
-    hot: list[tuple[int, int]] = []
+    devices = list(map(device_col.get, batch.device_type))
+    regions = list(map(region_col.get, batch.geo_region))
     errors: list[tuple[int, EncodingError]] = []
-    for position, event in enumerate(events):
-        device = device_col.get(event.device_type)
-        region = region_col.get(event.geo_region)
-        if device is None:
-            errors.append((position, EncodingError("device_type", event.device_type)))
-        elif region is None:
-            errors.append((position, EncodingError("geo_region", event.geo_region)))
-        else:
-            rows.append(event)
-            hot.append((device, region))
+    if None in devices or None in regions:
+        keep = [True] * len(devices)
+        for position, (device, region) in enumerate(zip(devices, regions)):
+            if device is None or region is None:
+                keep[position] = False
+                field = "device_type" if device is None else "geo_region"
+                errors.append((position, EncodingError(field, getattr(batch, field)[position])))
+        batch = batch.where(keep)
+        devices = list(itertools.compress(devices, keep))
+        regions = list(itertools.compress(regions, keep))
 
-    n_mask = len(schema.maskable_fields)
-    x = np.zeros((len(rows), schema.dim), dtype=np.float64)
-    flags = itertools.chain.from_iterable(e.missing_mask[:n_mask] for e in rows)
-    missing = np.fromiter(map(bool, flags), bool, len(rows) * n_mask).reshape(-1, n_mask)
+    n, n_mask = len(batch), len(schema.maskable_fields)
+    x = np.zeros((n, schema.dim), dtype=np.float64)
+    flags = itertools.chain.from_iterable(batch.missing_mask)
+    size = len(MASKABLE_FIELDS)  # every event's mask has this many entries
+    missing = np.fromiter(map(bool, flags), bool, n * size).reshape(n, size)[:, :n_mask]
     for j, name in enumerate(schema.numeric_fields):
+        values = getattr(batch, name)
         if name in schema.maskable_fields:
-            masked = missing[:, schema.maskable_fields.index(name)].tolist()
-            x[:, j] = [0.0 if m else float(getattr(e, name)) for e, m in zip(rows, masked)]
-        else:
-            x[:, j] = [float(getattr(e, name)) for e in rows]
-    x[np.arange(len(rows))[:, None], np.array(hot, dtype=np.intp).reshape(-1, 2)] = 1.0
+            masked = missing[:, schema.maskable_fields.index(name)]
+            if masked.any():
+                values = [0.0 if m else v for v, m in zip(values, masked.tolist())]
+        x[:, j] = list(map(float, values))
+    rows = np.arange(n)
+    x[rows, devices] = 1.0
+    x[rows, regions] = 1.0
     x[:, -2 - n_mask : -2] = missing
-    angles = [hour_angle(e.timestamp) for e in rows]
-    x[:, -2] = [math.sin(a) for a in angles]
-    x[:, -1] = [math.cos(a) for a in angles]
+    angles = list(map(hour_angle, batch.timestamp))
+    x[:, -2] = list(map(math.sin, angles))
+    x[:, -1] = list(map(math.cos, angles))
     return x, errors
 
 
@@ -230,64 +502,18 @@ def standardize(x: np.ndarray, stats: StandardizationStats) -> np.ndarray:
     return (x - stats.mu) / stats.sigma
 
 
-def _integral(record: dict, name: str) -> int:
-    value = record[name]
-    if value.__class__ is int:
-        return value
-    if isinstance(value, float) and not value.is_integer():
-        raise ContractViolationError(f"field {name!r} must be an integer, got {value}")
-    if not isinstance(value, bool):
-        try:
-            return int(value)
-        except (TypeError, ValueError):
-            pass
-    raise ContractViolationError(f"field {name!r} must be an integer, got {value!r}")
-
-
-def _number(value: object, name: str) -> float:
-    if value.__class__ is float:
-        return value
-    if not isinstance(value, bool):
-        try:
-            return float(value)
-        except (TypeError, ValueError):
-            pass
-    raise ContractViolationError(f"field {name!r} must be a number, got {value!r}")
-
-
 def parse_event(record: dict) -> EtlEvent:
     """Build an :class:`EtlEvent` from one decoded JSON record.
 
-    Every field but ``event_id`` is required; a null ``event_id`` counts as
-    absent. ``missing_mask`` must be an array. A masked numeric is kept as
-    read; any other numeric must be a number, not a boolean, and
-    ``timestamp`` and ``records_loaded`` take a float only if integral.
+    This is :meth:`EventBatch.from_records` on one record, so it applies the
+    same schema; a bad record raises its first failing check. A missing or
+    null ``event_id`` gives the id ``""``.
     """
-    try:
-        timestamp = _integral(record, "timestamp")
-        amount, latency, duration = (
-            record["amount"], record["latency_ms"], record["task_duration_s"]
-        )
-        mask = record["missing_mask"]
-        if not isinstance(mask, list):
-            raise ContractViolationError(f"field 'missing_mask' must be an array, got {mask!r}")
-        mask = tuple(map(bool, mask))
-        # padded so a short mask reaches EtlEvent's length check
-        amount_masked, latency_masked, duration_masked = (*mask, False, False, False)[:3]
-        event_id = record.get("event_id")
-        return EtlEvent(
-            timestamp,
-            amount if amount_masked else _number(amount, "amount"),
-            latency if latency_masked else _number(latency, "latency_ms"),
-            duration if duration_masked else _number(duration, "task_duration_s"),
-            _integral(record, "records_loaded"),
-            str(record["device_type"]),
-            str(record["geo_region"]),
-            mask,
-            "" if event_id is None else str(event_id),
-        )
-    except KeyError as exc:
-        raise ContractViolationError(f"event record is missing field {exc.args[0]!r}") from exc
+    first = FirstFailure(1)
+    batch = EventBatch.from_records(_gather([record], EVENT_RECORD_FIELDS), first)
+    if first.message is not None:
+        raise ContractViolationError(first.message)
+    return batch[0]
 
 
 def event_to_dict(event: EtlEvent) -> dict:
@@ -309,15 +535,21 @@ _DECODER = json.JSONDecoder()
 _JSON_BLANKS = " \t\n\r"
 
 
-def read_jsonl(path: str | Path, parse: Callable[[dict, int], T]) -> list[T]:
-    """Return ``parse(record, line_no)`` for every non-blank line of a JSON-lines file.
+# Records decoded before they are gathered into columns and checked; it
+# bounds the decoded objects held at once.
+_CHUNK = 1024
 
-    Each line must be a UTF-8 JSON object. A line that is not, or whose
-    record ``parse`` rejects with a KeyError, ValueError, TypeError,
-    OverflowError or :class:`EtlwatchError`, stops the read with one
-    :class:`ContractViolationError` naming the file and line number.
+
+def _json_runs(path: str | Path) -> Iterator[tuple[list[int], list[dict], Exception | None]]:
+    """The records of a JSON-lines file in runs of up to :data:`_CHUNK`, each
+    with the line numbers of its records, skipping blank lines.
+
+    The first line that is not a UTF-8 JSON object ends the last run, which
+    carries a :class:`ContractViolationError` that names the file and line
+    with the message per-line ``json.loads`` gives; the others carry None.
     """
-    out: list[T] = []
+    line_nos: list[int] = []
+    records: list[dict] = []
     with open(path, "rb") as fh:
         for line_no, raw in enumerate(fh, start=1):
             if raw.isspace():  # the ASCII blanks bytes.strip() removes
@@ -334,10 +566,59 @@ def read_jsonl(path: str | Path, parse: Callable[[dict, int], T]) -> list[T]:
                     record = json.loads(text)
                 if not isinstance(record, dict):
                     raise ValueError("not a JSON object")
+            except ValueError as exc:
+                yield line_nos, records, ContractViolationError(f"{path} line {line_no}: {exc}")
+                return
+            line_nos.append(line_no)
+            records.append(record)
+            if len(records) == _CHUNK:
+                yield line_nos, records, None
+                line_nos, records = [], []
+    yield line_nos, records, None
+
+
+def read_jsonl(path: str | Path, parse: Callable[[dict, int], T]) -> list[T]:
+    """Return ``parse(record, line_no)`` for every non-blank line of a JSON-lines file.
+
+    Each line must be a UTF-8 JSON object. A line that is not, or whose
+    record ``parse`` rejects with a KeyError, ValueError, TypeError,
+    OverflowError or :class:`EtlwatchError`, stops the read with one
+    :class:`ContractViolationError` naming the file and line number.
+    """
+    out: list[T] = []
+    for line_nos, records, failure in _json_runs(path):
+        for line_no, record in zip(line_nos, records):
+            try:
                 out.append(parse(record, line_no))
             except KeyError as exc:
                 raise ContractViolationError(f"{path} line {line_no}: no field {exc}") from exc
             except (ValueError, TypeError, OverflowError, EtlwatchError) as exc:
                 raise ContractViolationError(f"{path} line {line_no}: {exc}") from exc
+        if failure is not None:
+            raise failure
     return out
 
+
+def read_chunks(
+    path: str | Path,
+    fields: dict[str, object],
+    check: Callable[[Records, FirstFailure], T],
+) -> list[T]:
+    """``check`` of each run of records of a JSON-lines file, in line order.
+
+    Each run of up to :data:`_CHUNK` records is :func:`_gather`-ed into the
+    ``fields`` columns, and ``check`` reports its first bad record to its
+    :class:`FirstFailure`. The first bad line, a bad record or a line that
+    is not a UTF-8 JSON object, raises one :class:`ContractViolationError`
+    naming the file and line; a line that fails to decode is reported only
+    once the records before it have been checked.
+    """
+    parts = []
+    for line_nos, records, failure in _json_runs(path):
+        first = FirstFailure(len(records))
+        parts.append(check(_gather(records, fields, line_nos), first))
+        if first.message is not None:
+            raise ContractViolationError(f"{path} line {line_nos[first.row]}: {first.message}")
+        if failure is not None:
+            raise failure
+    return parts

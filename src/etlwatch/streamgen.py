@@ -25,6 +25,7 @@ with the same seed reproduces the stream exactly.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass, replace
@@ -36,11 +37,15 @@ from .numerics import SeededRng
 from .preprocess import (
     DEFAULT_DEVICE_TYPES,
     DEFAULT_GEO_REGIONS,
+    EVENT_RECORD_FIELDS,
     MASKABLE_FIELDS,
     MS_PER_DAY,
     EtlEvent,
+    EventBatch,
+    FirstFailure,
+    Records,
     event_to_dict,
-    parse_event,
+    read_chunks,
     read_jsonl,
 )
 
@@ -422,47 +427,66 @@ def write_labeled_events(
                 )
 
 
+# The fields of a stream record: an event's, and its optional label and class.
+STREAM_FIELDS = EVENT_RECORD_FIELDS | {"label": None, "anomaly_class": None}
+
+
 def read_stream(
     path: str | Path, labels_path: str | Path | None = None
-) -> tuple[list[EtlEvent], list[bool | None], list[str | None]]:
+) -> tuple[EventBatch, list[bool | None], list[str | None]]:
     """Read an event stream: its events, labels and anomaly classes in line order.
 
-    A label is None where a record carries none; an event without an id gets
-    ``line-<n>``. When ``labels_path`` is given, that file fills the label
-    and class of every record without an inline label, matched by
-    ``event_id``, and such a record missing from it is an error. Every line
-    goes through :func:`~etlwatch.preprocess.read_jsonl`, so a bad line of
-    either file raises one :class:`ContractViolationError` naming it.
+    The records are checked as columns by :meth:`EventBatch.from_records`,
+    then ``label``, which must be ``true`` or ``false``; a null or absent
+    label is None. An event without an id gets ``line-<n>``. When
+    ``labels_path`` is given, that file fills the label and class of every
+    record without an inline label, matched by ``event_id``, and such a
+    record missing from it is an error. The first bad line of either file
+    raises one :class:`ContractViolationError` naming it.
     """
-    labels: list[bool | None] = []
-    classes: list[str | None] = []
-
-    def parse(record: dict, line_no: int) -> EtlEvent:
-        event = parse_event(record)
-        if not event.event_id:
-            event = replace(event, event_id=f"line-{line_no}")
-        labels.append(bool(record["label"]) if "label" in record else None)
-        classes.append(record.get("anomaly_class"))
-        return event
-
-    events = read_jsonl(path, parse)
+    parts = read_chunks(path, STREAM_FIELDS, _check_stream_records)
+    events = EventBatch.concat(part[0] for part in parts)
+    labels = list(itertools.chain.from_iterable(part[1] for part in parts))
+    classes = list(itertools.chain.from_iterable(part[2] for part in parts))
     if labels_path is None or None not in labels:
         return events, labels, classes
     if not Path(labels_path).exists():
         raise ContractViolationError(
             f"{path} has unlabeled records and no labels file at {labels_path}"
         )
-    held_out = dict(
-        read_jsonl(
-            labels_path,
-            lambda r, _: (str(r["event_id"]), (bool(r["label"]), r.get("anomaly_class"))),
-        )
-    )
-    for i, event in enumerate(events):
+    held_out = dict(read_jsonl(labels_path, _held_out_label))
+    for i, event_id in enumerate(events.event_id):
         if labels[i] is None:
-            if event.event_id not in held_out:
+            if event_id not in held_out:
                 raise ContractViolationError(
-                    f"event {event.event_id!r} has no entry in {labels_path}"
+                    f"event {event_id!r} has no entry in {labels_path}"
                 )
-            labels[i], classes[i] = held_out[event.event_id]
+            labels[i], classes[i] = held_out[event_id]
     return events, labels, classes
+
+
+def _check_stream_records(
+    records: Records, first: FirstFailure
+) -> tuple[EventBatch, list[bool | None], list[str | None]]:
+    """The events, labels and classes of a run of stream records; an event
+    without an id gets ``line-<n>``."""
+    events = EventBatch.from_records(records, first)
+    first.types(records.values["label"], {bool, type(None)}, _label_message)
+    if "" in events.event_id:
+        events.event_id = [i or f"line-{no}" for i, no in zip(events.event_id, records.line_nos)]
+    return events, records.values["label"], records.values["anomaly_class"]
+
+
+def _label_message(value: object) -> str:
+    return f"field 'label' must be a boolean, got {value!r}"
+
+
+def _held_out_label(record: dict, line_no: int) -> tuple[str, tuple[bool, str | None]]:
+    """A labels-file record as ``(event_id, (label, anomaly_class))``; a null
+    label counts as absent."""
+    event_id, label = str(record["event_id"]), record.get("label")
+    if label is None:
+        raise KeyError("label")
+    if type(label) is not bool:
+        raise ContractViolationError(_label_message(label))
+    return event_id, (label, record.get("anomaly_class"))

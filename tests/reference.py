@@ -2,19 +2,21 @@
 
 Each function is the plain form the library once used: one event, one
 record, one line or one tie group at a time. The tests compare the
-library's column-wise encoder, its line writers, its JSON-lines reader and
-its rank computation with these, bit for bit and byte for byte.
+library's column-wise encoder, its column readers of streams and
+detections, its line writers, its JSON-lines reader and its rank
+computation with these, bit for bit and byte for byte.
 """
 
 import csv
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 
 from etlwatch.detector import DetectionResult, StreamError, batch_scores
 from etlwatch.errors import ContractViolationError, EncodingError, EtlwatchError
-from etlwatch.preprocess import hour_angle, standardize
+from etlwatch.preprocess import EtlEvent, hour_angle, standardize
 
 
 def vectorize_row(event, schema):
@@ -125,3 +127,86 @@ def read_jsonl(path, parse):
             except (ValueError, TypeError, OverflowError, EtlwatchError) as exc:
                 raise ContractViolationError(f"{path} line {line_no}: {exc}") from exc
     return out
+
+
+def _integral(record, name):
+    value = record[name]
+    if type(value) is int:
+        return value
+    if type(value) is float and value.is_integer():
+        return int(value)
+    raise ContractViolationError(f"field {name!r} must be an integer, got {value!r}")
+
+
+def _number(value, name):
+    if type(value) not in (int, float):
+        raise ContractViolationError(f"field {name!r} must be a number, got {value!r}")
+    return float(value)
+
+
+def parse_event(record):
+    """Check and build one event record, one field after another."""
+    try:
+        timestamp = _integral(record, "timestamp")
+        amount, latency, duration = (
+            record["amount"], record["latency_ms"], record["task_duration_s"]
+        )
+        mask = record["missing_mask"]
+        if not isinstance(mask, list):
+            raise ContractViolationError(f"field 'missing_mask' must be an array, got {mask!r}")
+        if not all(type(bit) is bool for bit in mask):
+            raise ContractViolationError(
+                f"field 'missing_mask' must be an array of booleans, got {mask!r}"
+            )
+        mask = tuple(mask)
+        # padded so a short mask reaches EtlEvent's length check
+        amount_masked, latency_masked, duration_masked = (*mask, False, False, False)[:3]
+        event_id = record.get("event_id")
+        return EtlEvent(
+            timestamp,
+            amount if amount_masked else _number(amount, "amount"),
+            latency if latency_masked else _number(latency, "latency_ms"),
+            duration if duration_masked else _number(duration, "task_duration_s"),
+            _integral(record, "records_loaded"),
+            str(record["device_type"]),
+            str(record["geo_region"]),
+            mask,
+            "" if event_id is None else str(event_id),
+        )
+    except KeyError as exc:
+        raise ContractViolationError(f"event record is missing field {exc.args[0]!r}") from exc
+
+
+def read_stream(path):
+    """The events, inline labels and classes of a stream, one line at a time."""
+    labels, classes = [], []
+
+    def parse(record, line_no):
+        event = parse_event(record)
+        if not event.event_id:
+            event = replace(event, event_id=f"line-{line_no}")
+        label = record.get("label")
+        if label is not None and type(label) is not bool:
+            raise ContractViolationError(f"field 'label' must be a boolean, got {label!r}")
+        labels.append(label)
+        classes.append(record.get("anomaly_class"))
+        return event
+
+    return read_jsonl(path, parse), labels, classes
+
+
+def read_detections_jsonl(path):
+    """Detection records, one line at a time."""
+
+    def parse(record, line_no):
+        if "error" in record:
+            return StreamError(record["event_id"], record["error"])
+        truth = record.get("truth_label")
+        return DetectionResult(
+            record["event_id"],
+            float(record["score"]),
+            bool(record["is_anomaly"]),
+            None if truth is None else bool(truth),
+        )
+
+    return read_jsonl(path, parse)

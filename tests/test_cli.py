@@ -281,6 +281,13 @@ class TestStreamFields:
             ("records_loaded", "false", "field 'records_loaded' must be an integer, got False"),
             ("amount", "true", "field 'amount' must be a number, got True"),
             ("task_duration_s", "false", "field 'task_duration_s' must be a number, got False"),
+            ("amount", '"5_0.0"', "field 'amount' must be a number, got '5_0.0'"),
+            ("records_loaded", '" 8 "', "field 'records_loaded' must be an integer, got ' 8 '"),
+            (
+                "missing_mask", '["false", false, false]',
+                "field 'missing_mask' must be an array of booleans, got ['false', False, False]",
+            ),
+            ("label", '"false"', "field 'label' must be a boolean, got 'false'"),
         ],
     )
     def test_unusable_field_is_one_line_error(

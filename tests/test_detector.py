@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import json
 import math
 import pickle
 
@@ -9,9 +10,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from etlwatch.autoencoder import Activation, AutoencoderParams
+from etlwatch import preprocess
 from etlwatch.detector import (
     _SCORE_CHUNK,
     DetectionResult,
+    Detections,
     StreamError,
     batch_scores,
     calibrate_threshold,
@@ -163,13 +166,13 @@ def tiny_pipeline():
 class TestScoreStream:
     def test_empty_stream(self, tiny_pipeline):
         model, stats, schema, _ = tiny_pipeline
-        assert score_stream(model, stats, [], schema, 1.0) == []
+        assert list(score_stream(model, stats, [], schema, 1.0)) == []
 
     def test_concatenation_equals_concatenated_results(self, tiny_pipeline):
         model, stats, schema, events = tiny_pipeline
-        whole = score_stream(model, stats, events, schema, 0.5)
-        parts = score_stream(model, stats, events[:25], schema, 0.5) + score_stream(
-            model, stats, events[25:], schema, 0.5
+        whole = list(score_stream(model, stats, events, schema, 0.5))
+        parts = list(score_stream(model, stats, events[:25], schema, 0.5)) + list(
+            score_stream(model, stats, events[25:], schema, 0.5)
         )
         assert whole == parts
 
@@ -266,7 +269,8 @@ class TestScoreStream:
         delta = float(np.median([r.score for r in whole if isinstance(r, DetectionResult)]))
         for d in (0.0, delta):
             expected = reference.score_one_at_a_time(model, stats, stream, schema, d, truth)
-            assert score_stream(model, stats, stream, schema, d, truth_labels=truth) == expected
+            got = score_stream(model, stats, stream, schema, d, truth_labels=truth)
+            assert list(got) == expected
         errors = {i for i, r in enumerate(whole) if isinstance(r, StreamError)}
         assert errors == {i for i in bad if i < n}
 
@@ -300,6 +304,18 @@ class TestScoreStream:
             assert record == DetectionResult(record.event_id, value, value > 1.0, truth[i])
 
 
+TEXT = st.text(st.characters(blacklist_categories=("Cs",)))
+DETECTION_RECORDS = st.lists(
+    st.one_of(
+        st.builds(
+            DetectionResult, TEXT, st.floats(), st.booleans(), st.sampled_from([None, True, False])
+        ),
+        st.builds(StreamError, TEXT, TEXT),
+    ),
+    max_size=20,
+)
+
+
 RECORDS = [
     EtlEvent(1_767_225_600_000, 52.3, 140.0, 61.0, 9, "web", "eu", (False, True, False), "e-1"),
     DetectionResult("e-1", 1.5, True, False),
@@ -329,7 +345,7 @@ class TestDetectionIO:
         ]
         path = tmp_path / "detections.jsonl"
         write_detections_jsonl(records, path)
-        assert read_detections_jsonl(path) == records
+        assert list(read_detections_jsonl(path)) == records
         assert len(path.read_text().splitlines()) == 3
 
     def test_csv_mirror_has_header_and_rows(self, tmp_path):
@@ -345,31 +361,13 @@ class TestDetectionIO:
     def test_writers_match_reference_bytes_for_odd_records(self, tmp_path):
         ids = ['say "hi"', "back\\slash", "a,b", "line\nbreak", "naïve-ünïcødé-事件", ""]
         scores = [0.0, 5e-324, 1e16, math.inf, -0.0, 0.1, 2e16, math.nan]
-        records = [
+        records = [StreamError("first", "unknown device_type 'toaster'")] + [
             DetectionResult(event_id, value, value > 1.0, truth)
             for event_id, value, truth in itertools.product(ids, scores, [None, True, False])
         ] + [StreamError(event_id, f"cannot encode {event_id!r}") for event_id in ids]
         self.assert_matches_reference(records, tmp_path)
 
-    @given(
-        st.lists(
-            st.one_of(
-                st.builds(
-                    DetectionResult,
-                    st.text(st.characters(blacklist_categories=("Cs",))),
-                    st.floats(),
-                    st.booleans(),
-                    st.sampled_from([None, True, False]),
-                ),
-                st.builds(
-                    StreamError,
-                    st.text(st.characters(blacklist_categories=("Cs",))),
-                    st.text(st.characters(blacklist_categories=("Cs",))),
-                ),
-            ),
-            max_size=20,
-        )
-    )
+    @given(DETECTION_RECORDS)
     @settings(max_examples=60, deadline=None)
     def test_writers_match_reference_bytes(self, tmp_path_factory, records):
         self.assert_matches_reference(records, tmp_path_factory.mktemp("writers"))
@@ -383,3 +381,123 @@ class TestDetectionIO:
             write(records, root / "ours")
             write_reference(records, root / "theirs")
             assert (root / "ours").read_bytes() == (root / "theirs").read_bytes()
+
+
+def odd_records():
+    """Error records first and last; ids with quotes, commas, a newline and
+    non-ASCII text; every truth label; 1e16, the score of one masked field."""
+    ids = ['say "hi"', "a,b", "naïve-ünïcødé-事件", "line\nbreak", ""]
+    scored = [
+        DetectionResult(event_id, [0.25, 1e16, 2e16][i % 3], i % 2 == 0, truth)
+        for i, (event_id, truth) in enumerate(itertools.product(ids, [None, True, False]))
+    ]
+    return [
+        StreamError("first", "unknown device_type 'toaster'"),
+        *scored[:7],
+        StreamError('mid, "事件"', "unknown geo_region 'mars'"),
+        *scored[7:],
+        StreamError('last "one"', "unknown geo_region 'EU'"),
+    ]
+
+
+WRITERS = [
+    (write_detections_jsonl, reference.write_detections_jsonl, "jsonl"),
+    (write_detections_csv, reference.write_detections_csv, "csv"),
+]
+
+
+class TestDetections:
+    def test_records_come_back_by_position(self):
+        records = odd_records()
+        detections = Detections.from_records(records)
+        assert len(detections) == len(records)
+        assert list(detections) == records
+        assert [detections[i] for i in range(-len(records), len(records))] == records * 2
+        assert detections[3:12:4] == records[3:12:4]
+        assert sorted(detections.errors) == [0, 8, len(records) - 1]
+        scored = [r for r in records if isinstance(r, DetectionResult)]
+        assert detections.truth == [r.truth_label for r in scored]
+        with pytest.raises(IndexError):
+            detections[len(records)]
+
+    def test_columns_that_disagree_are_refused(self):
+        with pytest.raises(ContractViolationError):
+            Detections(["a", "b"], np.zeros(2), np.zeros(2, bool), [None, None], {1: "boom"})
+        with pytest.raises(ContractViolationError):
+            Detections(["a"], np.zeros(0), np.zeros(0, bool), [], {1: "boom"})
+
+    def test_scored_stream_writes_reference_bytes(self, tmp_path, tiny_pipeline):
+        model, stats, schema, events = tiny_pipeline
+        stream = list(events)
+        for i in (0, 17, len(stream) - 1):
+            stream[i] = dataclasses.replace(stream[i], device_type="toaster")
+        stream[5] = dataclasses.replace(stream[5], event_id='say "hi", 事件')
+        truth = [None if i % 5 == 0 else i % 2 == 0 for i in range(len(stream))]
+        detections = score_stream(model, stats, stream, schema, 0.5, truth_labels=truth)
+        assert sorted(detections.errors) == [0, 17, len(stream) - 1]
+        for write, write_reference, suffix in WRITERS:
+            write(detections, tmp_path / f"ours.{suffix}")
+            write_reference(list(detections), tmp_path / f"theirs.{suffix}")
+            assert (tmp_path / f"ours.{suffix}").read_bytes() == (
+                tmp_path / f"theirs.{suffix}"
+            ).read_bytes()
+
+    def test_read_back_writes_the_same_bytes(self, tmp_path):
+        records = odd_records()
+        self.assert_round_trip(records, tmp_path)
+        back = read_detections_jsonl(tmp_path / "first.jsonl")
+        assert list(back) == records
+        assert back.scores.tolist() == [r.score for r in records if isinstance(r, DetectionResult)]
+
+    @given(DETECTION_RECORDS, st.sampled_from([1, 2, 1024]))
+    @settings(max_examples=60, deadline=None)
+    def test_read_back_round_trips(self, tmp_path_factory, records, chunk):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(preprocess, "_CHUNK", chunk)
+            self.assert_round_trip(records, tmp_path_factory.mktemp("round"))
+
+    @staticmethod
+    def assert_round_trip(records, root):
+        write_detections_jsonl(records, root / "first.jsonl")
+        write_detections_csv(records, root / "first.csv")
+        back = read_detections_jsonl(root / "first.jsonl")
+        # repr, because a NaN score is not equal to itself
+        assert repr(list(back)) == repr(reference.read_detections_jsonl(root / "first.jsonl"))
+        write_detections_jsonl(back, root / "second.jsonl")
+        write_detections_csv(back, root / "second.csv")
+        for suffix in ("jsonl", "csv"):
+            first, second = root / f"first.{suffix}", root / f"second.{suffix}"
+            assert first.read_bytes() == second.read_bytes()
+
+
+DETECTION_LINE = st.one_of(
+    st.fixed_dictionaries(
+        {"event_id": st.sampled_from(["a", 5, None])},
+        optional={
+            "score": st.sampled_from([1.5, 0, "2.5", "abc", None, [], 10**400]),
+            "is_anomaly": st.sampled_from([True, False, 0, "x"]),
+            "truth_label": st.sampled_from([True, False, None, 1, ""]),
+            "error": st.sampled_from(["boom", None]),
+        },
+    ).map(json.dumps),
+    st.fixed_dictionaries({}, optional={"score": st.just(1.0), "error": st.just("x")}).map(
+        json.dumps
+    ),
+    st.sampled_from(["{not json", "[1]", ""]),
+)
+
+
+@given(st.lists(DETECTION_LINE, max_size=8), st.sampled_from([1, 2, 1024]))
+@settings(max_examples=200, deadline=None)
+def test_detection_reader_matches_per_record_reader(tmp_path_factory, lines, chunk):
+    path = tmp_path_factory.mktemp("detections") / "detections.jsonl"
+    path.write_text("\n".join(lines) + "\n")
+    outcomes = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(preprocess, "_CHUNK", chunk)
+        for read in (read_detections_jsonl, reference.read_detections_jsonl):
+            try:
+                outcomes.append(repr(list(read(path))))
+            except ContractViolationError as exc:
+                outcomes.append(f"error: {exc}")
+    assert outcomes[0] == outcomes[1]

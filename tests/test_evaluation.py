@@ -247,8 +247,9 @@ def use_cpus(monkeypatch, n):
     reason="the sweep pool needs fork and numpy's OpenBLAS",
 )
 class TestSweepPool:
-    """Three CPUs are claimed, so the caller runs points 0, 3, ... and two
-    forked workers run the rest, whatever the host has."""
+    """Three CPUs are claimed, so two forked workers start on the two
+    longest points, the caller on the third, and the three share the rest,
+    whatever the host has."""
 
     @pytest.mark.parametrize("knob, grid", [("lr", [0.0005, 0.001, 0.005, 0.01]),
                                             ("k", [4, 8, 16, 32])])
@@ -261,15 +262,45 @@ class TestSweepPool:
     def test_diverged_point_in_a_worker_keeps_its_position(self, monkeypatch, small_bundle):
         caller, evaluate_config = os.getpid(), evaluation.evaluate_config
 
-        def in_a_worker_only(bundle, cfg):
-            assert cfg.learning_rate < 1 or os.getpid() != caller
+        def diverges_in_a_worker(bundle, cfg):
+            if cfg.latent_dim == 16:  # the second longest point: a worker starts on it
+                assert os.getpid() != caller
+                raise TrainingDivergedError(1, cfg.learning_rate)
             return evaluate_config(bundle, cfg)
 
         use_cpus(monkeypatch, 3)
-        monkeypatch.setattr(evaluation, "evaluate_config", in_a_worker_only)
-        result = sweep("lr", FAST, [0.001, 0.01, 1e6], small_bundle, seed=3)
-        assert [e.diverged for e in result.entries] == [False, False, True]
-        assert [e.report is None for e in result.entries] == [False, False, True]
+        monkeypatch.setattr(evaluation, "evaluate_config", diverges_in_a_worker)
+        result = sweep("k", FAST, [4, 8, 16, 32], small_bundle, seed=3)
+        assert [e.diverged for e in result.entries] == [False, False, True, False]
+        assert [e.report is None for e in result.entries] == [False, False, True, False]
+
+    def test_each_point_runs_once_longest_first_and_comes_back_in_grid_order(
+        self, monkeypatch, small_bundle
+    ):
+        # more processes than the host has cores, all taking from one queue
+        started = multiprocessing.get_context("fork").SimpleQueue()  # put writes at once
+        evaluate_config = evaluation.evaluate_config
+
+        def logged(bundle, cfg):
+            started.put((cfg.latent_dim, os.getpid()))
+            return evaluate_config(bundle, cfg)
+
+        use_cpus(monkeypatch, 6)
+        monkeypatch.setattr(evaluation, "evaluate_config", logged)
+        grid = [4, 6, 8, 10, 12, 14, 16, 20, 24, 32]
+        result = sweep("k", FAST, grid, small_bundle, seed=3)
+        runs = []
+        while not started.empty():
+            runs.append(started.get())
+        assert sorted(k for k, _ in runs) == grid  # none skipped, none run twice
+        by_process = {}
+        for k, pid in runs:
+            by_process.setdefault(pid, []).append(k)
+        assert all(ks == sorted(ks, reverse=True) for ks in by_process.values())
+        assert [e.knob_value for e in result.entries] == grid
+        use_cpus(monkeypatch, 1)
+        monkeypatch.setattr(evaluation, "evaluate_config", evaluate_config)
+        assert result == sweep("k", FAST, grid, small_bundle, seed=3)
 
     def test_worker_error_reaches_the_caller_with_its_type(self, monkeypatch, small_bundle):
         caller, evaluate_config = os.getpid(), evaluation.evaluate_config

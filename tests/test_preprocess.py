@@ -14,6 +14,7 @@ from etlwatch.errors import (
 )
 from etlwatch.preprocess import (
     EtlEvent,
+    EventBatch,
     FeatureSchema,
     encode_events,
     event_to_dict,
@@ -25,6 +26,7 @@ from etlwatch.preprocess import (
     vectorize,
     vectorize_events,
 )
+import reference
 from reference import read_jsonl as per_line_read_jsonl
 from reference import vectorize_row
 
@@ -331,7 +333,9 @@ class TestEventIO:
             parse_event(record)
 
     @pytest.mark.parametrize("field", ["amount", "latency_ms", "task_duration_s"])
-    @pytest.mark.parametrize("value, shown", [(None, "None"), ("abc", "'abc'"), ([], "[]")])
+    @pytest.mark.parametrize(
+        "value, shown", [(None, "None"), ("abc", "'abc'"), ([], "[]"), ("5_0.0", "'5_0.0'")]
+    )
     def test_unreadable_number_names_its_field(self, field, value, shown):
         record = event_to_dict(make_event())
         record[field] = value
@@ -340,7 +344,7 @@ class TestEventIO:
         assert str(info.value) == f"field {field!r} must be a number, got {shown}"
 
     @pytest.mark.parametrize("field", ["timestamp", "records_loaded"])
-    @pytest.mark.parametrize("value", [None, "abc", "7.9"])
+    @pytest.mark.parametrize("value", [None, "abc", "7.9", " 8 "])
     def test_unreadable_integer_names_its_field(self, field, value):
         record = event_to_dict(make_event())
         record[field] = value
@@ -405,6 +409,81 @@ class TestEventIO:
                 outcomes.append(f"error: {exc}")
         assert outcomes[0] == outcomes[1]
 
+    @pytest.mark.parametrize("mask", [["false", False, False], [0, 0, 0], [None, True, False]])
+    def test_mask_entries_must_be_booleans(self, mask):
+        record = event_to_dict(make_event())
+        record["missing_mask"] = mask
+        with pytest.raises(ContractViolationError) as info:
+            parse_event(record)
+        assert str(info.value) == f"field 'missing_mask' must be an array of booleans, got {mask!r}"
+
     def test_nonfinite_numeric_rejected(self):
         with pytest.raises(ContractViolationError, match="latency_ms"):
             make_event(latency_ms=float("nan"))
+
+
+class TestEventBatch:
+    @given(st.lists(events(), max_size=12))
+    @settings(max_examples=40, deadline=None)
+    def test_holds_the_events_it_was_built_from(self, chunk):
+        batch = EventBatch.from_events(chunk)
+        assert EventBatch.from_events(batch) is batch
+        assert len(batch) == len(chunk)
+        # repr, because a masked NaN is not equal to itself
+        assert repr(list(batch)) == repr(chunk)
+        assert repr([batch[i] for i in range(len(chunk))]) == repr(chunk)
+        assert repr(list(batch[1::2])) == repr(chunk[1::2])
+        keep = [i % 3 != 1 for i in range(len(chunk))]
+        assert repr(list(batch.where(keep))) == repr([e for e, k in zip(chunk, keep) if k])
+        halves = EventBatch.concat([batch[:5], batch[5:]])
+        assert repr(list(halves)) == repr(chunk)
+        x, errors = encode_events(chunk, SCHEMA)
+        x_batch, errors_batch = encode_events(batch, SCHEMA)
+        assert x.tobytes() == x_batch.tobytes() and describe(errors) == describe(errors_batch)
+
+    def test_columns_must_have_one_length(self):
+        with pytest.raises(ContractViolationError):
+            EventBatch([1], [2.0], [3.0], [4.0], [5], ["web"], ["eu"], [(False,) * 3], [])
+
+
+LEFT_OUT = object()
+# Faults each field of an event record can have, checked in a fixed order;
+# a fully masked mask is valid and lets the numeric faults through.
+FAULTS = [
+    ("timestamp", value) for value in (LEFT_OUT, "8", 7.9, math.inf, None, True)
+] + [
+    ("amount", value) for value in (LEFT_OUT, "5_0.0", True, math.inf, math.nan, 10**400)
+] + [
+    ("latency_ms", value) for value in (LEFT_OUT, None, -math.inf)
+] + [
+    ("task_duration_s", value) for value in (LEFT_OUT, "61", math.nan, [])
+] + [
+    ("records_loaded", value) for value in (LEFT_OUT, " 8 ", 7.9, 10**400, False)
+] + [
+    ("device_type", LEFT_OUT), ("geo_region", LEFT_OUT), ("event_id", None), ("event_id", 5),
+] + [
+    ("missing_mask", value)
+    for value in (LEFT_OUT, "abc", ["false", False, False], [0, 0, 0], [True, False],
+                  [False] * 4, [True] * 3, [True, False, True])
+]
+
+
+def outcome(parse, record):
+    try:
+        return repr(parse(record))
+    except (ContractViolationError, OverflowError) as exc:
+        return f"error: {exc}"
+
+
+@pytest.mark.parametrize("first_fault", FAULTS, ids=repr)
+def test_faults_in_one_record_give_the_per_record_check_order(first_fault):
+    """Every pair of faults in one record: the column check names the one a
+    field-by-field check meets first."""
+    for second_fault in FAULTS:
+        record = event_to_dict(make_event())
+        for field, value in (first_fault, second_fault):
+            if value is LEFT_OUT:
+                record.pop(field, None)
+            else:
+                record[field] = value
+        assert outcome(parse_event, record) == outcome(reference.parse_event, record)

@@ -7,9 +7,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import reference
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from test_numerics import ReferenceRng
 
-from etlwatch import streamgen
+from etlwatch import preprocess, streamgen
 from etlwatch.errors import ContractViolationError
 from etlwatch.numerics import SeededRng
 from etlwatch.preprocess import MASKABLE_FIELDS, event_to_dict
@@ -283,3 +286,141 @@ class TestLabeledEventFiles:
         path.write_text("\n".join(json.dumps(r) for r in rows) + "\n")
         read, _, _ = read_stream(path)
         assert [e.event_id for e in read] == ["line-1", "evt-000001", "line-3"]
+
+
+HUGE = "1" + "0" * 400  # a JSON integer too large for a float
+# (what a field holds in a good record, what it may hold in a bad one)
+FIELD_TEXT = {
+    "event_id": (st.sampled_from(['"e1"', '"e2"', '""', "null", '"say \\"hi\\", naïve"']),
+                 st.sampled_from(["5", "true", "[]"])),
+    "timestamp": (st.integers(-(2**70), 2**70).map(str) | st.just("7.0"),
+                  st.sampled_from(['" 8 "', '"8"', "7.9", "1e999", "NaN", "true", "null", "[]"])),
+    "amount": (st.floats(allow_nan=False, allow_infinity=False).map(json.dumps),
+               st.sampled_from(['"5_0.0"', '"abc"', "null", "true", "false", "{}", "1e999",
+                                "-1e999", "NaN", "Infinity", HUGE, '"n/a"'])),
+    "latency_ms": (st.integers(-(2**70), 2**70).map(str),
+                   st.sampled_from(['"1"', "null", "false", "[]", "-Infinity", "NaN", HUGE])),
+    "task_duration_s": (st.just("61.0"), st.sampled_from(['"61"', "true", "1e999", HUGE])),
+    "records_loaded": (st.integers(0, 2**70).map(str) | st.just("8.0"),
+                       st.sampled_from(['" 8 "', "7.9", "1e999", "false", "null", HUGE])),
+    "device_type": (st.sampled_from(['"web"', '"pos"', '"mars"']),
+                    st.sampled_from(["5", "null", "true", "[1]"])),
+    "geo_region": (st.sampled_from(['"eu"', '"na"', '"moon"']), st.sampled_from(["null", "{}"])),
+    "missing_mask": (
+        st.lists(st.sampled_from(["true", "false"]), min_size=3, max_size=3).map(
+            lambda bits: "[" + ", ".join(bits) + "]"
+        ),
+        st.sampled_from(['["false", false, false]', '["", false, 0]', "[1, 0, 0]",
+                         "[true, false]", "[false, false, false, true]", "[]", '"abc"',
+                         '{"x": 1}', "null", "[null, true, false]"]),
+    ),
+    "label": (st.sampled_from(["true", "false", "null"]), st.sampled_from(['"false"', "1", "0"])),
+    "anomaly_class": (st.sampled_from(["null", '"delay"']), st.just("5")),
+}
+OPTIONAL = ("event_id", "label", "anomaly_class")
+
+
+@st.composite
+def stream_line(draw):
+    """One line of a stream file: mostly a record in which each field may
+    be left out or hold a value of the wrong JSON type, alone or with
+    others; sometimes a line that is not a JSON object, or a blank one."""
+    if draw(st.integers(0, 8)) == 0:
+        return draw(st.sampled_from(["{not json", "[1, 2]", '"text"', "", "  ", '{"a": 1} x',
+                                     "{"]))
+    fields = []
+    for name, (good_text, bad_text) in FIELD_TEXT.items():
+        form = draw(st.sampled_from(["good"] * (3 if name in OPTIONAL else 12) + ["bad", "out"]))
+        if form != "out":
+            fields.append(f'"{name}": {draw(bad_text if form == "bad" else good_text)}')
+    return "{" + ", ".join(draw(st.permutations(fields))) + "}"
+
+
+# The mask and numbers of a valid record, so that the reader also sees
+# files that read through: masked null, "n/a" and 1e999 among them.
+VALID_RECORD = st.builds(
+    lambda mask, masked, ts, n, id_text: (
+        f'{{"event_id": {id_text}, "timestamp": {ts}, '
+        f'"amount": {masked if mask[0] else "52.5"}, '
+        f'"latency_ms": {masked if mask[1] else "140"}, '
+        f'"task_duration_s": {masked if mask[2] else "61.0"}, "records_loaded": {n}, '
+        f'"device_type": "web", "geo_region": "eu", '
+        f'"missing_mask": [{", ".join("true" if bit else "false" for bit in mask)}]}}'
+    ),
+    st.tuples(st.booleans(), st.booleans(), st.booleans()),
+    st.sampled_from(["null", '"n/a"', "1e999", "NaN", "0.0", "[]"]),
+    st.integers(0, 2**62),
+    st.integers(0, 50),
+    st.sampled_from(['"e1"', "null", '""']),
+)
+
+
+def read_outcome(read, path):
+    try:
+        events, labels, classes = read(path)
+    except ContractViolationError as exc:
+        return f"error: {exc}"
+    # repr, because a masked NaN is not equal to itself
+    return repr((list(events), labels, classes))
+
+
+@given(
+    st.lists(st.one_of(VALID_RECORD, VALID_RECORD, stream_line()), max_size=12),
+    st.sampled_from([1, 2, 3, 1024]),
+)
+@settings(max_examples=400, deadline=None)
+def test_column_reader_matches_per_record_reader(tmp_path_factory, lines, chunk):
+    path = tmp_path_factory.mktemp("stream") / "stream.jsonl"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(preprocess, "_CHUNK", chunk)
+        got = read_outcome(read_stream, path)
+    assert got == read_outcome(reference.read_stream, path)
+
+
+def test_bad_record_is_reported_before_a_later_undecodable_line(tmp_path):
+    good = json.dumps(event_to_dict(generate(StreamConfig(n_events=1, seed=4))[0].event))
+    bad = good.replace('"missing_mask": [false', '"missing_mask": ["false"')
+    path = tmp_path / "stream.jsonl"
+    path.write_text("\n".join([good, good, bad, good, "{not json"]) + "\n")
+    with pytest.raises(ContractViolationError, match="line 3: field 'missing_mask'"):
+        read_stream(path)
+    path.write_text("\n".join([good, "{not json", bad]) + "\n")
+    with pytest.raises(ContractViolationError, match="line 2: Expecting property name"):
+        read_stream(path)
+
+
+class TestHeldOutLabels:
+    @pytest.fixture
+    def holdout(self, tmp_path):
+        path = tmp_path / "stream.jsonl"
+        write_labeled_events(generate(StreamConfig(n_events=3, seed=4)), path, holdout=True)
+        return path
+
+    def edit_label(self, path, text):
+        labels = labels_sibling_path(path)
+        lines = labels.read_text().splitlines()
+        record = json.loads(lines[1])
+        lines[1] = json.dumps(record).replace(
+            f'"label": {json.dumps(record["label"])}', f'"label": {text}'
+        )
+        labels.write_text("\n".join(lines) + "\n")
+        return labels
+
+    @pytest.mark.parametrize("text, reason", [
+        ('"false"', "field 'label' must be a boolean, got 'false'"),
+        ("0", "field 'label' must be a boolean, got 0"),
+        ("null", "no field 'label'"),  # a null label counts as absent
+    ])
+    def test_label_must_be_a_boolean(self, holdout, text, reason):
+        labels = self.edit_label(holdout, text)
+        with pytest.raises(ContractViolationError) as info:
+            read_stream(holdout, labels)
+        assert str(info.value) == f"{labels} line 2: {reason}"
+
+    def test_null_inline_label_reads_from_the_labels_file(self, holdout):
+        lines = holdout.read_text().splitlines()
+        lines[1] = lines[1][:-1] + ', "label": null}'
+        holdout.write_text("\n".join(lines) + "\n")
+        _, labels, _ = read_stream(holdout, labels_sibling_path(holdout))
+        assert labels == [e.label for e in generate(StreamConfig(n_events=3, seed=4))]
