@@ -47,19 +47,26 @@ class Activation(str, enum.Enum):
     RELU = "relu"
     SIGMOID = "sigmoid"
 
-    def apply(self, z: np.ndarray) -> np.ndarray:
+    def apply(self, z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """The activation of z, written into ``out`` when given (which may be
+        z itself) and into a new array otherwise; identity returns z as is."""
         if self is Activation.IDENTITY:
-            return z
+            if out is None or out is z:
+                return z
+            out[...] = z
+            return out
         if self is Activation.TANH:
-            return np.tanh(z)
+            return np.tanh(z, out=out)
         if self is Activation.RELU:
-            return np.maximum(z, 0.0)
+            return np.maximum(z, 0.0, out=out)
         # sigmoid, split for stability at large |z|
-        out = np.empty_like(z)
+        if out is None:
+            out = np.empty_like(z)
         pos = z >= 0
+        neg = ~pos
         out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-        ez = np.exp(z[~pos])
-        out[~pos] = ez / (1.0 + ez)
+        ez = np.exp(z[neg])  # z[neg] is unchanged even when out is z
+        out[neg] = ez / (1.0 + ez)
         return out
 
     def derivative(self, z: np.ndarray, activated: np.ndarray) -> np.ndarray:
@@ -207,7 +214,9 @@ def encode(params: AutoencoderParams, x_std: np.ndarray) -> np.ndarray:
         raise ContractViolationError(
             f"encode expects inputs of dimension {params.d}, got shape {x_std.shape}"
         )
-    return params.hidden_activation.apply(x_std @ params.w_e.T + params.b_e)
+    z = x_std @ params.w_e.T
+    z += params.b_e
+    return params.hidden_activation.apply(z, out=z)
 
 
 def decode(params: AutoencoderParams, h: np.ndarray) -> np.ndarray:
@@ -217,7 +226,9 @@ def decode(params: AutoencoderParams, h: np.ndarray) -> np.ndarray:
         raise ContractViolationError(
             f"decode expects latents of dimension {params.k}, got shape {h.shape}"
         )
-    return params.output_activation.apply(h @ params.w_d.T + params.b_d)
+    z = h @ params.w_d.T
+    z += params.b_d
+    return params.output_activation.apply(z, out=z)
 
 
 def reconstruction_loss(x: np.ndarray, xhat: np.ndarray) -> float:
@@ -255,10 +266,28 @@ def total_loss(l_rec: float, l_reg: float) -> LossBreakdown:
 
 
 def batch_loss(params: AutoencoderParams, x: np.ndarray, l1_penalty: float) -> LossBreakdown:
-    """Forward pass plus loss decomposition for a standardized batch."""
+    """Forward pass plus loss decomposition for a standardized batch.
+
+    Equal bit for bit to ``total_loss(reconstruction_loss(x, xhat),
+    latent_l1(h, l1_penalty))`` with ``h = encode(params, x)`` and ``xhat =
+    decode(params, h)``, but it allocates only two n-row arrays, the two
+    products of :func:`encode` and :func:`decode`: the difference, its square
+    and ``|h|`` overwrite them in place. ``train`` runs it over the whole
+    training set every epoch, where allocating and first touching fresh
+    n-row arrays costs more than the arithmetic done on them.
+    """
+    x = np.asarray(x, dtype=np.float64)
     h = encode(params, x)
-    xhat = decode(params, h)
-    return total_loss(reconstruction_loss(x, xhat), latent_l1(h, l1_penalty))
+    diff = decode(params, h)
+    if l1_penalty < 0:
+        raise ContractViolationError(f"l1_penalty must be >= 0, got {l1_penalty}")
+    np.subtract(x, diff, out=diff)
+    np.abs(h, out=h)
+    if diff.ndim == 1:
+        return total_loss(float(diff @ diff), float(l1_penalty * np.sum(h)))
+    np.multiply(diff, diff, out=diff)
+    l_rec = float(np.mean(np.sum(diff, axis=1)))
+    return total_loss(l_rec, float(l1_penalty * np.mean(np.sum(h, axis=1))))
 
 
 def _gradients(params: AutoencoderParams, x: np.ndarray, l1_penalty: float) -> Gradients:

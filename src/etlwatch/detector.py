@@ -314,10 +314,13 @@ _DETECTION_FIELDS = {
 def read_detections_jsonl(path: str | Path) -> Detections:
     """Read back a file written by :func:`write_detections_jsonl`.
 
-    A record with an ``error`` field is an error record. A line that is not
-    a UTF-8 JSON object, lacks a field or whose score ``float`` rejects
-    raises :class:`ContractViolationError` naming the file and the first
-    such line.
+    A record with an ``error`` field is an error record. In every other
+    record ``score`` must be a JSON number (not a boolean), ``is_anomaly``
+    a boolean and ``truth_label``, if present, a boolean or null; nothing
+    is coerced. A line that is not a UTF-8 JSON object, lacks a field,
+    holds a field of another type or a score too large for a float raises
+    :class:`ContractViolationError` naming the file, the first such line
+    and the field.
     """
     return Detections.concat(read_chunks(path, _DETECTION_FIELDS, _check_detection_records))
 
@@ -328,13 +331,24 @@ def _check_detection_records(records: Records, first: FirstFailure) -> Detection
     scored = [i for i, error in enumerate(failed) if error is ABSENT]
     first.absent(records, "score", "no field 'score'", scored)
     scores = [score[i] for i in scored]
+    first.types(
+        scores, {int, float}, lambda v: f"field 'score' must be a number, got {v!r}", scored
+    )
     try:
         scores = list(map(float, scores))
     except (TypeError, ValueError, OverflowError):
         first.scan(scores, lambda v: float_error(v) is not None, float_error, scored)
     first.absent(records, "is_anomaly", "no field 'is_anomaly'", scored)
+    flags = [flag[i] for i in scored]
+    first.types(
+        flags, {bool}, lambda v: f"field 'is_anomaly' must be a boolean, got {v!r}", scored
+    )
+    truth = [truth[i] for i in scored]
+    first.types(
+        truth, {bool, type(None)},
+        lambda v: f"field 'truth_label' must be a boolean or null, got {v!r}", scored,
+    )
     if first.message is not None:
         return None  # read_chunks raises it
     errors = {i: error for i, error in enumerate(failed) if error is not ABSENT}
-    truth = [None if truth[i] is None else bool(truth[i]) for i in scored]
-    return Detections(ids, scores, [bool(flag[i]) for i in scored], truth, errors)
+    return Detections(ids, scores, flags, truth, errors)

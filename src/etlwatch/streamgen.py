@@ -214,14 +214,21 @@ def sample_poisson(rng: SeededRng, mean: float) -> int:
             return int(k)
 
 
-def sample_categorical(rng: SeededRng, weights: tuple[float, ...]) -> int:
-    u = rng.uniform() * sum(weights)
-    acc = 0.0
-    for i, w in enumerate(weights):
-        acc += w
+def running_sums(weights: tuple[float, ...]) -> tuple[float, list[float]]:
+    """``sum(weights)`` and the running sums of the weights, which
+    :func:`sample_categorical` reads; work them out once per set of weights."""
+    return sum(weights), list(itertools.accumulate(weights))
+
+
+def sample_categorical(rng: SeededRng, sums: tuple[float, list[float]]) -> int:
+    """Index i with probability proportional to weight i, given
+    :func:`running_sums` of the weights."""
+    total, running = sums
+    u = rng.uniform() * total
+    for i, acc in enumerate(running):
         if u < acc:
             return i
-    return len(weights) - 1
+    return len(running) - 1
 
 
 # --- normal-event structure ------------------------------------------------
@@ -257,14 +264,81 @@ def _poisson_band(mean: float) -> tuple[float, float]:
     return _ppf("poisson", mu=mean)
 
 
-def records_band(cfg: StreamConfig, timestamp: int) -> tuple[float, float]:
-    lf = load_factor(cfg, timestamp)
-    return _poisson_band(round(cfg.records_mean * lf, 2))
+_NO_MASK = (False,) * len(MASKABLE_FIELDS)
 
 
-def amount_log_location(cfg: StreamConfig, device_type: str) -> float:
-    device_index = DEFAULT_DEVICE_TYPES.index(device_type)
-    return cfg.amount_log_mu + cfg.amount_device_offsets[device_index]
+class _NormalEvents:
+    """Normal traffic of one config: its draws and their conditional
+    0.001-0.999 quantile bands.
+
+    What depends on the config alone (the amount band and log location of
+    each device type, the unit latency and duration bands, the categorical
+    weights' sums) is worked out once here; an event's load factor, record
+    mean and duration scale once per event. Generation truncates its draws
+    to these bands and :func:`numeric_bands` reports them, so each band has
+    this one definition.
+    """
+
+    __slots__ = ("cfg", "devices", "geos", "amount", "_latency", "_duration")
+
+    def __init__(self, cfg: StreamConfig) -> None:
+        self.cfg = cfg
+        self.devices = running_sums(cfg.device_weights)
+        self.geos = running_sums(cfg.geo_weights)
+        z_lo, z_hi = _normal_band()
+        sigma = cfg.amount_log_sigma
+        # per device type: the log location of its amounts, and their band
+        self.amount = [
+            (log_mu, (math.exp(log_mu + sigma * z_lo), math.exp(log_mu + sigma * z_hi)))
+            for log_mu in (cfg.amount_log_mu + offset for offset in cfg.amount_device_offsets)
+        ]
+        g_lo, g_hi = _unit_gamma_band(cfg.latency_shape)
+        self._latency = (g_lo * cfg.latency_scale, g_hi * cfg.latency_scale)
+        self._duration = _unit_gamma_band(cfg.duration_shape)
+
+    @staticmethod
+    def records_band(mean: float) -> tuple[float, float]:
+        return _poisson_band(round(mean, 2))
+
+    def latency_band(self, lf: float) -> tuple[float, float]:
+        lo, hi = self._latency
+        return lo * lf, hi * lf
+
+    def duration_scale(self, records_loaded: int) -> float:
+        cfg = self.cfg
+        return cfg.duration_scale * max(records_loaded, 1) / cfg.records_mean
+
+    def duration_band(self, scale: float) -> tuple[float, float]:
+        lo, hi = self._duration
+        return lo * scale, hi * scale
+
+    def draw(self, rng: SeededRng, timestamp: int, event_id: str) -> EtlEvent:
+        cfg = self.cfg
+        lf = load_factor(cfg, timestamp)
+        device = sample_categorical(rng, self.devices)
+        geo = sample_categorical(rng, self.geos)
+        mean = cfg.records_mean * lf
+        records = _truncated(self.records_band(mean), sample_poisson, rng, mean)
+        log_mu, amount_band = self.amount[device]
+        amount = _truncated(amount_band, sample_lognormal, rng, log_mu, cfg.amount_log_sigma)
+        latency = _truncated(
+            self.latency_band(lf), sample_gamma, rng, cfg.latency_shape, cfg.latency_scale * lf
+        )
+        scale = self.duration_scale(records)
+        duration = _truncated(
+            self.duration_band(scale), sample_gamma, rng, cfg.duration_shape, scale
+        )
+        return EtlEvent(
+            timestamp,
+            amount,
+            latency,
+            duration,
+            records,
+            DEFAULT_DEVICE_TYPES[device],
+            DEFAULT_GEO_REGIONS[geo],
+            _NO_MASK,
+            event_id,
+        )
 
 
 def numeric_bands(
@@ -277,70 +351,25 @@ def numeric_bands(
     draws are truncated to these bands and the generator invariant test
     re-derives them from the emitted fields.
     """
+    normal = _NormalEvents(cfg)
     lf = load_factor(cfg, timestamp)
-    z_lo, z_hi = _normal_band()
-    log_mu = amount_log_location(cfg, device_type)
-    amount_band = (
-        math.exp(log_mu + cfg.amount_log_sigma * z_lo),
-        math.exp(log_mu + cfg.amount_log_sigma * z_hi),
-    )
-    g_lo, g_hi = _unit_gamma_band(cfg.latency_shape)
-    latency_band = (g_lo * cfg.latency_scale * lf, g_hi * cfg.latency_scale * lf)
-    d_lo, d_hi = _unit_gamma_band(cfg.duration_shape)
-    duration_scale = cfg.duration_scale * max(records_loaded, 1) / cfg.records_mean
-    duration_band = (d_lo * duration_scale, d_hi * duration_scale)
     return {
-        "amount": amount_band,
-        "latency_ms": latency_band,
-        "task_duration_s": duration_band,
-        "records_loaded": records_band(cfg, timestamp),
+        "amount": normal.amount[DEFAULT_DEVICE_TYPES.index(device_type)][1],
+        "latency_ms": normal.latency_band(lf),
+        "task_duration_s": normal.duration_band(normal.duration_scale(records_loaded)),
+        "records_loaded": normal.records_band(cfg.records_mean * lf),
     }
 
 
-def _truncated(draw, lo: float, hi: float, max_tries: int = 10_000) -> float:
+def _truncated(band: tuple[float, float], draw, *args, max_tries: int = 10_000):
+    """``draw(*args)`` until a value lies inside ``band``."""
+    lo, hi = band
     for _ in range(max_tries):
-        value = draw()
+        value = draw(*args)
         if lo <= value <= hi:
             return value
     raise ContractViolationError(
         f"could not draw a value inside [{lo}, {hi}] after {max_tries} tries"
-    )
-
-
-def _draw_normal_event(cfg: StreamConfig, rng: SeededRng, timestamp: int, event_id: str) -> EtlEvent:
-    lf = load_factor(cfg, timestamp)
-    device = DEFAULT_DEVICE_TYPES[sample_categorical(rng, cfg.device_weights)]
-    geo = DEFAULT_GEO_REGIONS[sample_categorical(rng, cfg.geo_weights)]
-    records = int(
-        _truncated(
-            lambda: sample_poisson(rng, cfg.records_mean * lf),
-            *records_band(cfg, timestamp),
-        )
-    )
-    bands = numeric_bands(cfg, timestamp, records, device)
-    amount = _truncated(
-        lambda: sample_lognormal(rng, amount_log_location(cfg, device), cfg.amount_log_sigma),
-        *bands["amount"],
-    )
-    latency = _truncated(
-        lambda: sample_gamma(rng, cfg.latency_shape, cfg.latency_scale * lf),
-        *bands["latency_ms"],
-    )
-    duration_scale = cfg.duration_scale * max(records, 1) / cfg.records_mean
-    duration = _truncated(
-        lambda: sample_gamma(rng, cfg.duration_shape, duration_scale),
-        *bands["task_duration_s"],
-    )
-    return EtlEvent(
-        timestamp=timestamp,
-        amount=amount,
-        latency_ms=latency,
-        task_duration_s=duration,
-        records_loaded=records,
-        device_type=device,
-        geo_region=geo,
-        missing_mask=(False,) * len(MASKABLE_FIELDS),
-        event_id=event_id,
     )
 
 
@@ -372,22 +401,18 @@ def inject(event: EtlEvent, anomaly_class: str, rng: SeededRng) -> EtlEvent:
 def generate(cfg: StreamConfig) -> list[LabeledEvent]:
     """Generate ``cfg.n_events`` labeled events with strictly increasing timestamps."""
     rng = SeededRng(cfg.seed)
+    normal = _NormalEvents(cfg)
+    mix = running_sums(cfg.mix.weights())
     timestamp = cfg.start_timestamp
     out: list[LabeledEvent] = []
     for i in range(cfg.n_events):
         timestamp += max(1, round(sample_exponential(rng, cfg.mean_gap_ms)))
-        event = _draw_normal_event(cfg, rng, timestamp, event_id=f"evt-{i:06d}")
+        event = normal.draw(rng, timestamp, f"evt-{i:06d}")
         if rng.uniform() < cfg.anomaly_rate:
-            anomaly_class = ANOMALY_CLASSES[sample_categorical(rng, cfg.mix.weights())]
-            out.append(
-                LabeledEvent(
-                    event=inject(event, anomaly_class, rng),
-                    label=True,
-                    anomaly_class=anomaly_class,
-                )
-            )
+            anomaly_class = ANOMALY_CLASSES[sample_categorical(rng, mix)]
+            out.append(LabeledEvent(inject(event, anomaly_class, rng), True, anomaly_class))
         else:
-            out.append(LabeledEvent(event=event, label=False))
+            out.append(LabeledEvent(event, False))
     return out
 
 

@@ -1,10 +1,11 @@
 """Straightforward per-item implementations that the fast paths are checked against.
 
 Each function is the plain form the library once used: one event, one
-record, one line or one tie group at a time. The tests compare the
-library's column-wise encoder, its column readers of streams and
-detections, its line writers, its JSON-lines reader and its rank
-computation with these, bit for bit and byte for byte.
+record, one line or one tie group at a time, with fresh arrays for every
+intermediate. The tests compare the library's column-wise encoder, its
+column readers of streams and detections, its line writers, its JSON-lines
+reader, its rank computation, its epoch loss and its stream generator with
+these, bit for bit and byte for byte.
 """
 
 import csv
@@ -14,9 +15,29 @@ from dataclasses import replace
 
 import numpy as np
 
+from etlwatch import streamgen
+from etlwatch.autoencoder import latent_l1, reconstruction_loss, total_loss
 from etlwatch.detector import DetectionResult, StreamError, batch_scores
 from etlwatch.errors import ContractViolationError, EncodingError, EtlwatchError
-from etlwatch.preprocess import EtlEvent, hour_angle, standardize
+from etlwatch.numerics import SeededRng
+from etlwatch.preprocess import (
+    DEFAULT_DEVICE_TYPES,
+    DEFAULT_GEO_REGIONS,
+    MASKABLE_FIELDS,
+    EtlEvent,
+    hour_angle,
+    standardize,
+)
+from etlwatch.streamgen import (
+    ANOMALY_CLASSES,
+    LabeledEvent,
+    inject,
+    load_factor,
+    sample_exponential,
+    sample_gamma,
+    sample_lognormal,
+    sample_poisson,
+)
 
 
 def vectorize_row(event, schema):
@@ -201,12 +222,133 @@ def read_detections_jsonl(path):
     def parse(record, line_no):
         if "error" in record:
             return StreamError(record["event_id"], record["error"])
+        event_id, score = record["event_id"], record["score"]
+        if type(score) not in (int, float):
+            raise ContractViolationError(f"field 'score' must be a number, got {score!r}")
+        score = float(score)
+        flag = record["is_anomaly"]
+        if type(flag) is not bool:
+            raise ContractViolationError(f"field 'is_anomaly' must be a boolean, got {flag!r}")
         truth = record.get("truth_label")
-        return DetectionResult(
-            record["event_id"],
-            float(record["score"]),
-            bool(record["is_anomaly"]),
-            None if truth is None else bool(truth),
-        )
+        if truth is not None and type(truth) is not bool:
+            raise ContractViolationError(
+                f"field 'truth_label' must be a boolean or null, got {truth!r}"
+            )
+        return DetectionResult(event_id, score, flag, truth)
 
     return read_jsonl(path, parse)
+
+
+def forward(params, x):
+    """The latents and the reconstruction of x, each intermediate a fresh array."""
+    x = np.asarray(x, dtype=np.float64)
+    h = params.hidden_activation.apply(x @ params.w_e.T + params.b_e)
+    return h, params.output_activation.apply(h @ params.w_d.T + params.b_d)
+
+
+def batch_loss(params, x, l1_penalty):
+    """The epoch loss composed from the public loss terms."""
+    h, xhat = forward(params, x)
+    return total_loss(reconstruction_loss(x, xhat), latent_l1(h, l1_penalty))
+
+
+def sample_categorical(rng, weights):
+    u = rng.uniform() * sum(weights)
+    acc = 0.0
+    for i, w in enumerate(weights):
+        acc += w
+        if u < acc:
+            return i
+    return len(weights) - 1
+
+
+def records_band(cfg, timestamp):
+    lf = load_factor(cfg, timestamp)
+    return streamgen._poisson_band(round(cfg.records_mean * lf, 2))
+
+
+def numeric_bands(cfg, timestamp, records_loaded, device_type):
+    """Each numeric field's band, worked out from scratch for one event."""
+    lf = load_factor(cfg, timestamp)
+    z_lo, z_hi = streamgen._normal_band()
+    log_mu = cfg.amount_log_mu + cfg.amount_device_offsets[
+        DEFAULT_DEVICE_TYPES.index(device_type)
+    ]
+    amount_band = (
+        math.exp(log_mu + cfg.amount_log_sigma * z_lo),
+        math.exp(log_mu + cfg.amount_log_sigma * z_hi),
+    )
+    g_lo, g_hi = streamgen._unit_gamma_band(cfg.latency_shape)
+    latency_band = (g_lo * cfg.latency_scale * lf, g_hi * cfg.latency_scale * lf)
+    d_lo, d_hi = streamgen._unit_gamma_band(cfg.duration_shape)
+    duration_scale = cfg.duration_scale * max(records_loaded, 1) / cfg.records_mean
+    duration_band = (d_lo * duration_scale, d_hi * duration_scale)
+    return {
+        "amount": amount_band,
+        "latency_ms": latency_band,
+        "task_duration_s": duration_band,
+        "records_loaded": records_band(cfg, timestamp),
+    }
+
+
+def _truncated(draw, lo, hi, max_tries=10_000):
+    for _ in range(max_tries):
+        value = draw()
+        if lo <= value <= hi:
+            return value
+    raise ContractViolationError(
+        f"could not draw a value inside [{lo}, {hi}] after {max_tries} tries"
+    )
+
+
+def _draw_normal_event(cfg, rng, timestamp, event_id):
+    lf = load_factor(cfg, timestamp)
+    device = DEFAULT_DEVICE_TYPES[sample_categorical(rng, cfg.device_weights)]
+    geo = DEFAULT_GEO_REGIONS[sample_categorical(rng, cfg.geo_weights)]
+    records = int(
+        _truncated(
+            lambda: sample_poisson(rng, cfg.records_mean * lf),
+            *records_band(cfg, timestamp),
+        )
+    )
+    bands = numeric_bands(cfg, timestamp, records, device)
+    log_mu = cfg.amount_log_mu + cfg.amount_device_offsets[DEFAULT_DEVICE_TYPES.index(device)]
+    amount = _truncated(
+        lambda: sample_lognormal(rng, log_mu, cfg.amount_log_sigma), *bands["amount"]
+    )
+    latency = _truncated(
+        lambda: sample_gamma(rng, cfg.latency_shape, cfg.latency_scale * lf),
+        *bands["latency_ms"],
+    )
+    duration_scale = cfg.duration_scale * max(records, 1) / cfg.records_mean
+    duration = _truncated(
+        lambda: sample_gamma(rng, cfg.duration_shape, duration_scale),
+        *bands["task_duration_s"],
+    )
+    return EtlEvent(
+        timestamp=timestamp,
+        amount=amount,
+        latency_ms=latency,
+        task_duration_s=duration,
+        records_loaded=records,
+        device_type=device,
+        geo_region=geo,
+        missing_mask=(False,) * len(MASKABLE_FIELDS),
+        event_id=event_id,
+    )
+
+
+def generate(cfg):
+    """A labeled stream, each event's bands and draws worked out on their own."""
+    rng = SeededRng(cfg.seed)
+    timestamp = cfg.start_timestamp
+    out = []
+    for i in range(cfg.n_events):
+        timestamp += max(1, round(sample_exponential(rng, cfg.mean_gap_ms)))
+        event = _draw_normal_event(cfg, rng, timestamp, event_id=f"evt-{i:06d}")
+        if rng.uniform() < cfg.anomaly_rate:
+            anomaly_class = ANOMALY_CLASSES[sample_categorical(rng, cfg.mix.weights())]
+            out.append(LabeledEvent(inject(event, anomaly_class, rng), True, anomaly_class))
+        else:
+            out.append(LabeledEvent(event, False))
+    return out

@@ -36,6 +36,7 @@ from etlwatch.errors import (
 from etlwatch.numerics import SeededRng
 from etlwatch.preprocess import FeatureSchema, StandardizationStats
 
+import reference
 from gradcheck import finite_diff_grad
 
 ALL_ACTIVATIONS = list(Activation)
@@ -220,6 +221,54 @@ class TestLosses:
         assert breakdown.l_total == breakdown.l_rec + breakdown.l_reg
 
 
+class TestBatchLoss:
+    """batch_loss overwrites its temporaries in place; every bit must stay as
+    the loss terms composed on fresh arrays give it."""
+
+    @staticmethod
+    def assert_same_as_reference(params, x, l1_penalty):
+        # repr, because a NaN loss is not equal to itself
+        expected = reference.batch_loss(params, x, l1_penalty)
+        with np.errstate(all="ignore"):
+            assert repr(batch_loss(params, x, l1_penalty)) == repr(expected)
+        h, xhat = reference.forward(params, x)
+        np.testing.assert_array_equal(encode(params, x), h)
+        np.testing.assert_array_equal(decode(params, h), xhat)
+
+    @pytest.mark.parametrize("act_h", ALL_ACTIVATIONS)
+    @pytest.mark.parametrize("act_o", ALL_ACTIVATIONS)
+    def test_bitwise_equal_to_reference(self, act_h, act_o):
+        rng = SeededRng(31)
+        params = init_params(6, 4, (act_h, act_o), rng)
+        x = rng.uniform_block(1001 * 6, -40.0, 40.0).reshape(1001, 6)
+        x_before = x.copy()
+        self.assert_same_as_reference(params, x, 0.3)
+        self.assert_same_as_reference(params, x[0], 0.3)  # one 1-D sample
+        np.testing.assert_array_equal(x, x_before)
+
+    @pytest.mark.parametrize("act_h", ALL_ACTIVATIONS)
+    @pytest.mark.parametrize("act_o", ALL_ACTIVATIONS)
+    @pytest.mark.parametrize("poison", [np.nan, np.inf, -np.inf])
+    def test_bitwise_equal_to_reference_on_non_finite_rows(self, act_h, act_o, poison):
+        rng = SeededRng(32)
+        params = init_params(5, 3, (act_h, act_o), rng)
+        x = rng.uniform_block(20 * 5, -2.0, 2.0).reshape(20, 5)
+        x[3, 1] = poison
+        x[11] = poison
+        with np.errstate(all="ignore"):
+            self.assert_same_as_reference(params, x, 1e-4)
+            self.assert_same_as_reference(params, x[3], 1e-4)
+
+    def test_takes_a_list_and_keeps_the_checks(self):
+        params = init_params(3, 2, rng=SeededRng(3))
+        rows = [[0.5, -1.0, 2.0], [1.0, 1.0, 1.0]]
+        assert batch_loss(params, rows, 0.1) == reference.batch_loss(params, np.array(rows), 0.1)
+        with pytest.raises(ContractViolationError, match="encode expects"):
+            batch_loss(params, np.zeros((2, 4)), 0.1)
+        with pytest.raises(ContractViolationError, match="l1_penalty"):
+            batch_loss(params, rows, -1.0)
+
+
 class TestBackprop:
     def test_perfect_reconstruction_gives_zero_gradients(self):
         # identity network reconstructs exactly; lambda=0 means a loss minimum
@@ -335,7 +384,7 @@ def reference_train(x, cfg, activations=(Activation.TANH, Activation.IDENTITY)):
         except NumericalError:
             return params, losses, epoch
         with np.errstate(all="ignore"):
-            loss = batch_loss(params, x, cfg.l1_penalty)
+            loss = reference.batch_loss(params, x, cfg.l1_penalty)
         if not np.isfinite(loss.l_total):
             return params, losses, epoch
         losses.append(loss)

@@ -367,6 +367,31 @@ class TestEvaluate:
         assert result.output.strip() == message
         assert detections.name in message and "line 5" in message
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("truth_label", "false"), ("truth_label", 0), ("is_anomaly", "no"),
+         ("is_anomaly", 1), ("score", "2.5"), ("score", True)],
+    )
+    def test_detection_field_of_another_type_is_one_line_error(
+        self, runner, tmp_path, field, value
+    ):
+        # "truth_label": "false" once read as a positive: a missed anomaly, fn 1
+        rows = [
+            {"event_id": "a", "score": 0.5, "is_anomaly": False, "truth_label": False},
+            {"event_id": "b", "score": 9.0, "is_anomaly": True, "truth_label": True},
+            {"event_id": "c", "score": 0.25, "is_anomaly": False, "truth_label": False},
+        ]
+        rows[0][field] = value
+        detections = tmp_path / "det.jsonl"
+        detections.write_text("\n".join(json.dumps(r) for r in rows) + "\n")
+        report = tmp_path / "r.json"
+        result = runner.invoke(main, ["evaluate", str(detections), "--delta", "1",
+                                      "--out", str(report)])
+        message = error_line(result, 1)
+        assert result.output.strip() == message
+        assert f"{detections} line 1: field '{field}' must be" in message
+        assert not report.exists()
+
     @pytest.mark.parametrize("manifest_text", ["not json", "[1, 2]"])
     def test_unreadable_manifest_is_one_line_error(
         self, runner, detections, tmp_path, manifest_text

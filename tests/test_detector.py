@@ -474,15 +474,24 @@ DETECTION_LINE = st.one_of(
     st.fixed_dictionaries(
         {"event_id": st.sampled_from(["a", 5, None])},
         optional={
-            "score": st.sampled_from([1.5, 0, "2.5", "abc", None, [], 10**400]),
-            "is_anomaly": st.sampled_from([True, False, 0, "x"]),
-            "truth_label": st.sampled_from([True, False, None, 1, ""]),
+            "score": st.sampled_from([1.5, 0, "2.5", "abc", None, [], 10**400, True, math.nan]),
+            "is_anomaly": st.sampled_from([True, False, 0, "x", "no", None]),
+            "truth_label": st.sampled_from([True, False, None, 1, "", "false", 0]),
             "error": st.sampled_from(["boom", None]),
         },
     ).map(json.dumps),
     st.fixed_dictionaries({}, optional={"score": st.just(1.0), "error": st.just("x")}).map(
         json.dumps
     ),
+    # a scored record, most often with every field present and of its type
+    st.fixed_dictionaries(
+        {
+            "event_id": st.just("s"),
+            "score": st.sampled_from([2.5, 0, -1e300, math.inf, math.nan, "2.5", False]),
+            "is_anomaly": st.sampled_from([True, False, True, False, "no", 1]),
+        },
+        optional={"truth_label": st.sampled_from([True, False, None, True, "false", 0])},
+    ).map(json.dumps),
     st.sampled_from(["{not json", "[1]", ""]),
 )
 

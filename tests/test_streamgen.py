@@ -56,6 +56,26 @@ class TestGenerate:
         monkeypatch.setattr(streamgen, "SeededRng", ReferenceRng)
         assert generate(cfg) == events
 
+    @pytest.mark.parametrize("seed", [0, 7, 2**64 - 1])
+    @pytest.mark.parametrize(
+        "changes",
+        [
+            {"anomaly_rate": 0.2, "mix": AnomalyMix(0.55, 0.05, 0.1, 0.3)},
+            {"records_mean": 14.0},  # Poisson means >= 10 take the PTRS branch
+            {"latency_shape": 0.6},  # gamma shape < 1 takes the boost path
+            {"diurnal_amplitude": 0.0},
+        ],
+        ids=["skewed-mix", "ptrs", "gamma-boost", "flat-day"],
+    )
+    def test_equals_the_per_event_reference(self, seed, changes):
+        cfg = StreamConfig(n_events=400, seed=seed, **changes)
+        events = generate(cfg)
+        assert events == reference.generate(cfg)
+        for item in events[:50]:
+            event = item.event
+            args = (cfg, event.timestamp, event.records_loaded, event.device_type)
+            assert numeric_bands(*args) == reference.numeric_bands(*args)
+
     def test_different_seeds_differ(self):
         a = generate(StreamConfig(n_events=50, seed=5))
         b = generate(StreamConfig(n_events=50, seed=6))
