@@ -315,14 +315,24 @@ def read_detections_jsonl(path: str | Path) -> Detections:
     """Read back a file written by :func:`write_detections_jsonl`.
 
     A record with an ``error`` field is an error record. In every other
-    record ``score`` must be a JSON number (not a boolean), ``is_anomaly``
-    a boolean and ``truth_label``, if present, a boolean or null; nothing
-    is coerced. A line that is not a UTF-8 JSON object, lacks a field,
-    holds a field of another type or a score too large for a float raises
+    record ``score`` must be a JSON number (not a boolean) other than
+    ``NaN``, ``is_anomaly`` a boolean and ``truth_label``, if present, a
+    boolean or null; nothing is coerced. ``Infinity`` is a score: ``detect``
+    writes it for an event whose error overflows. A line that is not a UTF-8
+    JSON object, lacks a field, holds a field of another type, a ``NaN``
+    score or a score too large for a float raises
     :class:`ContractViolationError` naming the file, the first such line
     and the field.
     """
     return Detections.concat(read_chunks(path, _DETECTION_FIELDS, _check_detection_records))
+
+
+def _score_error(value: int | float) -> str | None:
+    """Why a JSON number is not a score: it is NaN or too large for a float."""
+    error = float_error(value)
+    if error is None and math.isnan(value):
+        return "field 'score' must not be NaN"
+    return error
 
 
 def _check_detection_records(records: Records, first: FirstFailure) -> Detections | None:
@@ -336,8 +346,11 @@ def _check_detection_records(records: Records, first: FirstFailure) -> Detection
     )
     try:
         scores = list(map(float, scores))
+        nan = any(map(math.isnan, scores))
     except (TypeError, ValueError, OverflowError):
-        first.scan(scores, lambda v: float_error(v) is not None, float_error, scored)
+        nan = True
+    if nan:  # or a number too large for a float
+        first.scan(scores, lambda v: _score_error(v) is not None, _score_error, scored)
     first.absent(records, "is_anomaly", "no field 'is_anomaly'", scored)
     flags = [flag[i] for i in scored]
     first.types(

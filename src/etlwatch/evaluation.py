@@ -41,6 +41,7 @@ from .preprocess import (
     FeatureSchema,
     StandardizationStats,
     fit_stats,
+    fork_ways,
     standardize,
     vectorize_events,
 )
@@ -302,27 +303,22 @@ def _run_points(
 ) -> list[tuple[MetricsReport | None, bool]]:
     """``_point`` of every config on ``bundle``, in order, on every usable CPU.
 
-    With ``ways`` usable processes the points queue longest first (stable,
-    so points of one latent dimension keep their order). Fork workers
-    ``0 .. ways - 2`` start on the queue's first points and the caller on the
-    next, and then each process takes the next point left whenever it is
-    free. Every process uses one OpenBLAS thread, since two processes of two
-    threads each on two cores run slower than one; the caller gets its own
-    count back afterwards.
+    With ``ways`` usable processes (:func:`fork_ways`) the points queue
+    longest first (stable, so points of one latent dimension keep their
+    order). Fork workers ``0 .. ways - 2`` start on the queue's first points
+    and the caller on the next, and then each process takes the next point
+    left whenever it is free. Every process uses one OpenBLAS thread, since
+    two processes of two threads each on two cores run slower than one; the
+    caller gets its own count back afterwards.
     """
     import multiprocessing
 
     global _BUNDLE, _QUEUE
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    ways = min(cpus, len(cfgs))
+    ways = fork_ways(len(cfgs))
     blas = _openblas_threads() if ways > 1 else None
     _BUNDLE = bundle
     try:
-        if (
-            blas is None
-            or "fork" not in multiprocessing.get_all_start_methods()
-            or multiprocessing.current_process().daemon
-        ):
+        if blas is None:
             return [_point(cfg) for cfg in cfgs]
         get_threads, set_threads = blas
         threads = get_threads()

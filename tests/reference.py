@@ -226,6 +226,8 @@ def read_detections_jsonl(path):
         if type(score) not in (int, float):
             raise ContractViolationError(f"field 'score' must be a number, got {score!r}")
         score = float(score)
+        if math.isnan(score):
+            raise ContractViolationError("field 'score' must not be NaN")
         flag = record["is_anomaly"]
         if type(flag) is not bool:
             raise ContractViolationError(f"field 'is_anomaly' must be a boolean, got {flag!r}")

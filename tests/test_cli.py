@@ -392,6 +392,30 @@ class TestEvaluate:
         assert f"{detections} line 1: field '{field}' must be" in message
         assert not report.exists()
 
+    def test_nan_score_is_one_line_error_and_infinity_a_score(self, runner, tmp_path):
+        # a NaN score once ranked above every number for the AUC (auc 1.0)
+        # while the confusion counts had it below delta (fn 1)
+        rows = [
+            '{"event_id": "a", "score": NaN, "is_anomaly": false, "truth_label": true}',
+            '{"event_id": "b", "score": 9.0, "is_anomaly": true, "truth_label": true}',
+            '{"event_id": "c", "score": 0.25, "is_anomaly": false, "truth_label": false}',
+            '{"event_id": "d", "score": 0.3, "is_anomaly": false, "truth_label": false}',
+        ]
+        detections, report = tmp_path / "det.jsonl", tmp_path / "r.json"
+        detections.write_text("\n".join(rows) + "\n")
+        args = ["evaluate", str(detections), "--delta", "1", "--out", str(report)]
+        result = runner.invoke(main, args)
+        assert result.output.strip() == error_line(result, 1)
+        assert error_line(result, 1) == (
+            f"Error: {detections} line 1: field 'score' must not be NaN"
+        )
+        assert not report.exists()
+        detections.write_text("\n".join(rows).replace("NaN", "Infinity") + "\n")
+        run_ok(runner, args)
+        payload = json.loads(report.read_text())
+        confusion = payload["confusion"]
+        assert (payload["auc"], confusion["tp"], confusion["fn"]) == (1.0, 2, 0)
+
     @pytest.mark.parametrize("manifest_text", ["not json", "[1, 2]"])
     def test_unreadable_manifest_is_one_line_error(
         self, runner, detections, tmp_path, manifest_text

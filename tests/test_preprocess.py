@@ -1,16 +1,25 @@
 import json
 import math
+import multiprocessing
+import os
+import pickle
 import re
+import threading
+import time
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from etlwatch import preprocess
+from etlwatch.detector import read_detections_jsonl
 from etlwatch.errors import (
     ContractViolationError,
     EncodingError,
+    EtlwatchError,
     InsufficientDataError,
+    UndefinedMetricError,
 )
 from etlwatch.preprocess import (
     EtlEvent,
@@ -19,13 +28,16 @@ from etlwatch.preprocess import (
     encode_events,
     event_to_dict,
     fit_stats,
+    fork_ways,
     hour_angle,
     parse_event,
+    read_chunks,
     read_jsonl,
     standardize,
     vectorize,
     vectorize_events,
 )
+from etlwatch.streamgen import read_stream
 import reference
 from reference import read_jsonl as per_line_read_jsonl
 from reference import vectorize_row
@@ -487,3 +499,215 @@ def test_faults_in_one_record_give_the_per_record_check_order(first_fault):
             else:
                 record[field] = value
         assert outcome(parse_event, record) == outcome(reference.parse_event, record)
+
+
+# --- reading a file in line-aligned byte ranges ---------------------------------
+
+FORK = "fork" in multiprocessing.get_all_start_methods() and hasattr(os, "sched_getaffinity")
+needs_fork = pytest.mark.skipif(not FORK, reason="ranged reads need fork and sched_getaffinity")
+
+
+def claim_cpus(monkeypatch, n):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+
+
+@pytest.fixture
+def split(monkeypatch):
+    """Split every file, and claim ``n`` CPUs with ``split(n)``."""
+    monkeypatch.setattr(preprocess, "_SPLIT_BYTES", 1)
+    return lambda n: claim_cpus(monkeypatch, n)
+
+
+def stream_body(*, bad: dict[int, bytes] = {}) -> bytes:
+    """Eight stream lines: LF and CRLF ends, a blank and a whitespace-only
+    line, a line that starts with blanks, a record without an id (it gets
+    ``line-<n>``) and a last line without a newline; ``bad`` replaces
+    lines by their index."""
+    records = [
+        event_to_dict(make_event(amount=float(i), event_id=f"e-{i}")) | {"label": i % 2 == 0}
+        for i in range(6)
+    ]
+    del records[3]["event_id"]
+    lines = [json.dumps(record).encode() for record in records]
+    lines = [
+        lines[0] + b"\n", lines[1] + b"\r\n", b"\n", b" \t \r\n", b"  " + lines[2] + b"\n",
+        lines[3] + b"\r\n", lines[4] + b"\n", lines[5],
+    ]
+    for i, line in bad.items():
+        lines[i] = line + lines[i][len(lines[i].rstrip()):]
+    return b"".join(lines)
+
+
+def detection_body(*, bad: dict[int, bytes] = {}) -> bytes:
+    lines = [
+        b'{"event_id": "a", "score": 0.5, "is_anomaly": false, "truth_label": true}\r\n',
+        b'\n',
+        b'{"event_id": "b", "error": "unknown geo_region \'mars\'"}\n',
+        b' \t \n',
+        b'{"event_id": "c", "score": Infinity, "is_anomaly": true}\n',
+        b'{"event_id": "d", "score": 2, "is_anomaly": true, "truth_label": null}\n',
+        b'{"event_id": "e", "score": 0.25, "is_anomaly": false, "truth_label": false}',
+    ]
+    for i, line in bad.items():
+        lines[i] = line + lines[i][len(lines[i].rstrip()):]
+    return b"".join(lines)
+
+
+def split_at(body: bytes, t: int) -> bytes:
+    """``body`` padded with blanks so that a read in two ranges seeks to its
+    byte ``t``: blanks before the first line move the midpoint back, and
+    blanks after the last line move it forward."""
+    n = len(body)
+    return b" " * (n - 2 * t) + body if 2 * t < n else body + b" " * (2 * t - n)
+
+
+def near_line_starts(body: bytes) -> list[int]:
+    """Offsets at and just before every line start: a seek there lands on a
+    line start, on a newline, or on a CR or inside a line."""
+    starts = [0] + [i + 1 for i, byte in enumerate(body) if byte == ord("\n")]
+    return sorted({t for s in starts for t in (s - 2, s - 1, s) if 0 <= t < len(body)})
+
+
+def read_outcome(read, path):
+    """What a read gives, as pickle bytes, or its error's type and text."""
+    try:
+        return pickle.dumps(read(path))
+    except Exception as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+CASES = [
+    (read_stream, stream_body(), None),
+    (read_stream, stream_body(bad={6: b"{broken"}), "line 7: Expecting property name"),
+    (read_stream, stream_body(bad={5: b'{"missing_mask": ["false"]}'}),
+     "line 6: event record is missing field 'timestamp'"),
+    # a bad record early and an undecodable line late; then the other way round
+    (read_stream, stream_body(bad={1: b"[1]", 7: b'{"timestamp": 1}'}),
+     "line 2: not a JSON object"),
+    (read_stream, stream_body(bad={0: b'{"timestamp": "8"}', 6: b"{broken"}),
+     "line 1: field 'timestamp' must be an integer"),
+    (read_detections_jsonl, detection_body(), None),
+    (read_detections_jsonl, detection_body(bad={5: b'{"event_id": "d", "score": NaN}'}),
+     "line 6: field 'score' must not be NaN"),
+    (read_detections_jsonl, detection_body(bad={2: b'{"score": 1}', 6: b"{broken"}),
+     "line 3: no field 'event_id'"),
+]
+
+
+@needs_fork
+class TestRangedRead:
+    @pytest.mark.parametrize("cpus", [2, 3])
+    @pytest.mark.parametrize("read, body, error", CASES, ids=range(len(CASES)))
+    def test_same_result_and_error_as_one_range_at_every_split(
+        self, tmp_path, split, cpus, read, body, error
+    ):
+        path = tmp_path / "lines.jsonl"
+        # two ranges split at every line start; three at some of them
+        for t in near_line_starts(body)[:: cpus - 1]:
+            path.write_bytes(split_at(body, t))
+            split(1)
+            want = read_outcome(read, path)
+            if error is not None:
+                assert want.startswith("ContractViolationError: ") and error in want
+            split(cpus)
+            assert read_outcome(read, path) == want, f"split at byte {t}"
+            assert not multiprocessing.active_children()
+
+    def test_each_cpu_reads_one_range_and_numbers_its_lines(self, tmp_path, split):
+        path = tmp_path / "lines.jsonl"
+        path.write_bytes(b"".join(b'{"a": %d}\n' % i for i in range(30)))
+        split(3)
+        parts = read_chunks(path, {"a": None}, lambda records, first: (
+            os.getpid(), list(records.line_nos), records.values["a"]
+        ))
+        pids = [pid for pid, _, _ in parts]
+        assert len(parts) == 3 and pids[0] == os.getpid() and len(set(pids)) == 3
+        assert [n for _, line_nos, _ in parts for n in line_nos] == list(range(1, 31))
+        assert [a for _, _, values in parts for a in values] == list(range(30))
+        assert not multiprocessing.active_children()
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs os.mkfifo")
+    def test_fifo_is_read_in_one_range(self, tmp_path, split):
+        fifo = tmp_path / "fifo"
+        os.mkfifo(fifo)
+        split(3)
+        writer = threading.Thread(target=fifo.write_bytes, args=(stream_body(),))
+        writer.start()
+        try:
+            events, labels, _ = read_stream(fifo)
+        finally:
+            writer.join()
+        assert events.event_id == ["e-0", "e-1", "e-2", "line-6", "e-4", "e-5"]
+        assert labels == [True, False, True, False, True, False]
+        writer = threading.Thread(target=fifo.write_bytes, args=(stream_body(),))
+        writer.start()
+        try:
+            parts = read_chunks(fifo, {}, lambda records, first: os.getpid())
+        finally:
+            writer.join()
+        assert parts == [os.getpid()]
+
+    def test_fork_ways_is_the_usable_cpus_up_to_the_jobs(self, monkeypatch):
+        claim_cpus(monkeypatch, 3)
+        assert [fork_ways(jobs) for jobs in (0, 1, 2, 3, 50)] == [1, 1, 2, 3, 3]
+        claim_cpus(monkeypatch, 1)
+        assert fork_ways(50) == 1
+
+
+@needs_fork
+class TestReaderProcesses:
+    """A worker's death or exception, and the caller's own, end the read
+    with an error and leave no process behind."""
+
+    @pytest.fixture
+    def path(self, tmp_path, split):
+        split(3)
+        path = tmp_path / "lines.jsonl"
+        path.write_bytes(b"".join(b'{"a": %d}\n' % i for i in range(30)))
+        return path
+
+    def test_worker_that_dies_without_sending_is_an_error(self, path):
+        caller = os.getpid()
+
+        def dies_in_a_worker(records, first):
+            if os.getpid() != caller:
+                os._exit(3)
+            return records.values["a"]
+
+        with pytest.raises(EtlwatchError, match="reader process ended with exit code 3"):
+            read_chunks(path, {"a": None}, dies_in_a_worker)
+        assert not multiprocessing.active_children()
+
+    def test_worker_exception_reaches_the_caller(self, path):
+        caller = os.getpid()
+
+        def fails_in_a_worker(records, first):
+            if os.getpid() != caller:
+                raise UndefinedMetricError(f"failed at line {records.line_nos[0]}")
+            return records.values["a"]
+
+        with pytest.raises(UndefinedMetricError, match="failed at line 12"):
+            read_chunks(path, {"a": None}, fails_in_a_worker)
+        assert not multiprocessing.active_children()
+
+    def test_caller_exception_stops_the_workers(self, path):
+        caller = os.getpid()
+
+        def fails_in_the_caller(records, first):
+            if os.getpid() == caller:
+                raise UndefinedMetricError("failed in the caller")
+            time.sleep(60)  # a worker still busy is stopped, not waited for
+
+        started = time.monotonic()
+        with pytest.raises(UndefinedMetricError, match="failed in the caller"):
+            read_chunks(path, {"a": None}, fails_in_the_caller)
+        assert time.monotonic() - started < 30
+        assert not multiprocessing.active_children()
+
+    def test_caller_bad_line_stops_the_workers(self, path):
+        lines = path.read_bytes().splitlines(keepends=True)
+        lines[1] = b"{broken\n"
+        path.write_bytes(b"".join(lines))
+        with pytest.raises(ContractViolationError, match="line 2: Expecting property name"):
+            read_chunks(path, {"a": None}, lambda records, first: records.values["a"])
+        assert not multiprocessing.active_children()
