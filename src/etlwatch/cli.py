@@ -151,8 +151,6 @@ def _run_train(params: dict) -> tuple[list[str], list[str], dict]:
 
 def _run_detect(params: dict) -> tuple[list[str], list[str], dict]:
     model, stats, schema = load_model(params["model"])
-    events, truth, _ = _read_stream_and_labels(params["stream"])
-
     if params["delta"] is not None:
         delta = params["delta"]
     else:
@@ -161,7 +159,7 @@ def _run_detect(params: dict) -> tuple[list[str], list[str], dict]:
         x_val = standardize(vectorize_events(val_events, schema), stats)
         delta = calibrate_threshold(batch_scores(model, x_val), params["quantile"])
 
-    results = score_stream(model, stats, events, schema, delta, truth_labels=truth)
+    results = score_stream(model, stats, params["stream"], schema, delta)
     out = params["out"]
     write_detections_jsonl(results, out)
     write_detections_csv(results, Path(out).with_suffix(".csv"))

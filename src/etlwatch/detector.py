@@ -18,9 +18,11 @@ from __future__ import annotations
 
 import bisect
 import csv
+import io
 import itertools
 import json
 import math
+import os
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
@@ -45,9 +47,16 @@ from .preprocess import (
     standardize,
     vectorize,  # noqa: F401  unused here; the benchmark traces vectorize under this name
 )
+from .streamgen import (
+    STREAM_FIELDS,
+    _check_stream_records,
+    fill_held_out_labels,
+    labels_sibling_path,
+)
 
-# Events encoded and scored per batch_scores call in score_stream. It
-# bounds the working set of a long stream; it cannot change a score.
+# Events encoded and scored per batch_scores call when score_stream is given
+# events (a stream file is scored in read_chunks' runs). It bounds the
+# working set of a long stream; it cannot change a score.
 _SCORE_CHUNK = 1024
 
 
@@ -217,21 +226,29 @@ def calibrate_threshold(validation_scores: Sequence[float], q: float) -> float:
 def score_stream(
     params: AutoencoderParams,
     stats: StandardizationStats,
-    events: Iterable[EtlEvent],
+    events: Iterable[EtlEvent] | str | os.PathLike,
     schema: FeatureSchema,
     delta: float,
     truth_labels: Sequence[bool | None] | None = None,
 ) -> Detections:
-    """Score a sequence of raw events against ``delta``, one record per event.
+    """Score a stream of raw events against ``delta``, one record per event.
 
     Events that fail to encode become :class:`StreamError` records in
     place, so a malformed record never aborts the run. Output order matches
-    input order. The events are read as an :class:`EventBatch`; each
-    :data:`_SCORE_CHUNK` of them are encoded, scored and compared with delta
-    as one batch, and the chunks' columns are joined into one
+    input order. Each chunk of events is encoded, scored and compared with
+    delta as one batch, and the chunks' columns are joined into one
     :class:`Detections`. Since :func:`batch_scores` is batch-invariant,
     every score equals the one the library gives the same standardized row
     in any batch.
+
+    ``events`` is a sequence of events, read as an :class:`EventBatch` in
+    chunks of :data:`_SCORE_CHUNK`, with one truth label per event or none.
+    Or it is the path of a stream file, read as :func:`read_stream` reads
+    it, with its inline labels, else its sibling labels file when there is
+    one, as the truth: each run of records that :func:`read_chunks` checks
+    is scored in the process that reads it, so a large file is decoded,
+    encoded and scored on every usable CPU, with the same records and errors
+    as scoring what :func:`read_stream` returns.
     """
     if schema.dim != params.d:
         raise ContractViolationError(
@@ -239,21 +256,73 @@ def score_stream(
         )
     if not (delta >= 0 and math.isfinite(delta)):
         raise ContractViolationError(f"delta must be finite and >= 0, got {delta}")
+    if isinstance(events, (str, os.PathLike)):
+        if truth_labels is not None:
+            raise ContractViolationError("a stream file carries its own truth labels")
+        return _score_file(params, stats, events, schema, delta)
     batch = EventBatch.from_events(events)
+    if truth_labels is None:
+        truth_labels = [None] * len(batch)
+    elif len(truth_labels) != len(batch):
+        raise ContractViolationError(
+            f"truth_labels has {len(truth_labels)} entries for {len(batch)} events"
+        )
     parts = []
     for start in range(0, len(batch), _SCORE_CHUNK):
         chunk = batch[start : start + _SCORE_CHUNK]
-        x, failed = encode_events(chunk, schema)
-        scores = batch_scores(params, standardize(x, stats))
-        errors = {position: str(exc) for position, exc in failed}
         ids = [event_id or f"event-{start + i}" for i, event_id in enumerate(chunk.event_id)]
-        if truth_labels is None:
-            truth = [None] * len(scores)
-        else:
-            truth = truth_labels[start : start + len(chunk)]
-            truth = [label for i, label in enumerate(truth) if i not in errors]
-        parts.append(Detections(ids, scores, scores > delta, truth, errors))
+        labels = truth_labels[start : start + len(chunk)]
+        parts.append(_score_chunk(params, stats, schema, delta, chunk, ids, labels))
     return Detections.concat(parts)
+
+
+def _score_chunk(
+    params: AutoencoderParams,
+    stats: StandardizationStats,
+    schema: FeatureSchema,
+    delta: float,
+    events: EventBatch,
+    ids: list[str],
+    labels: Sequence[bool | None],
+) -> Detections:
+    """Encode, score and flag one chunk of events, with one id and one truth
+    label per event; an event that fails to encode becomes an error record."""
+    x, failed = encode_events(events, schema)
+    scores = batch_scores(params, standardize(x, stats))
+    errors = {position: str(exc) for position, exc in failed}
+    truth = [label for i, label in enumerate(labels) if i not in errors]
+    return Detections(ids, scores, scores > delta, truth, errors)
+
+
+def _score_file(
+    params: AutoencoderParams,
+    stats: StandardizationStats,
+    path: str | os.PathLike,
+    schema: FeatureSchema,
+    delta: float,
+) -> Detections:
+    """:func:`score_stream` of a stream file; a reader process sends back
+    each run's scored columns and inline labels, never its events."""
+
+    def check(records: Records, first: FirstFailure) -> tuple[Detections, list] | None:
+        events, labels, _ = _check_stream_records(records, first)
+        if first.message is not None:
+            return None  # read_chunks raises it
+        return _score_chunk(params, stats, schema, delta, events, events.event_id, labels), labels
+
+    parts = read_chunks(path, STREAM_FIELDS, check)
+    detections = Detections.concat(part for part, _ in parts)
+    labels = list(itertools.chain.from_iterable(labels for _, labels in parts))
+    if None not in labels:
+        return detections
+    labels_path = labels_sibling_path(path)
+    fill_held_out_labels(
+        path, labels_path if labels_path.exists() else None, detections.ids, labels,
+        [None] * len(labels),
+    )
+    errors = detections.errors
+    truth = [label for i, label in enumerate(labels) if i not in errors]
+    return Detections(detections.ids, detections.scores, detections.flags, truth, errors)
 
 
 _JSON_BOOL = {True: "true", False: "false"}
@@ -285,23 +354,38 @@ def write_detections_jsonl(
         fh.writelines(Detections.from_records(results).rows(_jsonl_scored, _jsonl_failed))
 
 
-def _csv_scored(event_id: str, value: float, flagged: bool, truth: bool | None) -> list:
-    # csv.writer writes a float as float.__repr__ does
-    return [event_id, value, flagged, "" if truth is None else truth, ""]
+# A scored record's truth_label column, as csv.writer writes it.
+_CSV_TRUTH = {None: "", True: "True", False: "False"}
 
 
-def _csv_failed(event_id: str, error: str) -> list:
-    return [event_id, "", "", "", error]
+def _csv_line(row: list) -> str:
+    """The line ``csv.writer`` writes for ``row``."""
+    buffer = io.StringIO()
+    csv.writer(buffer).writerow(row)
+    return buffer.getvalue()
+
+
+def _csv_scored(event_id: str, value: float, flagged: bool, truth: bool | None) -> str:
+    """``csv.writer``'s line for a scored record: it quotes only an id that
+    holds a comma, a quote, a CR or an LF, and writes a float as
+    ``float.__repr__`` does."""
+    if "," in event_id or '"' in event_id or "\n" in event_id or "\r" in event_id:
+        return _csv_line([event_id, value, flagged, _CSV_TRUTH[truth], ""])
+    return f"{event_id},{float.__repr__(value)},{flagged},{_CSV_TRUTH[truth]},\r\n"
+
+
+def _csv_failed(event_id: str, error: str) -> str:
+    return _csv_line([event_id, "", "", "", error])
 
 
 def write_detections_csv(
     results: Iterable[DetectionResult | StreamError], path: str | Path
 ) -> None:
-    """Spreadsheet-friendly mirror of the line-delimited output."""
+    """Spreadsheet-friendly mirror of the line-delimited output, byte for
+    byte what ``csv.writer`` writes for its rows."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["event_id", "score", "is_anomaly", "truth_label", "error"])
-        writer.writerows(Detections.from_records(results).rows(_csv_scored, _csv_failed))
+        fh.write(_csv_line(["event_id", "score", "is_anomaly", "truth_label", "error"]))
+        fh.writelines(Detections.from_records(results).rows(_csv_scored, _csv_failed))
 
 
 # The fields of a detection record, and what a record that lacks one reads as.

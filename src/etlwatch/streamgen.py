@@ -31,6 +31,7 @@ import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from pathlib import Path
+from typing import Sequence
 
 from .errors import ContractViolationError
 from .numerics import SeededRng
@@ -473,21 +474,37 @@ def read_stream(
     events = EventBatch.concat(part[0] for part in parts)
     labels = list(itertools.chain.from_iterable(part[1] for part in parts))
     classes = list(itertools.chain.from_iterable(part[2] for part in parts))
+    fill_held_out_labels(path, labels_path, events.event_id, labels, classes)
+    return events, labels, classes
+
+
+def fill_held_out_labels(
+    path: str | Path,
+    labels_path: str | Path | None,
+    event_ids: Sequence[str],
+    labels: list[bool | None],
+    classes: list[str | None],
+) -> None:
+    """Fill in place the label and class of every record of the stream at
+    ``path`` that has no inline label, from the labels file at
+    ``labels_path`` matched by ``event_id``; nothing is read when
+    ``labels_path`` is None or every record has a label. A missing labels
+    file, a bad line of it or a record it lacks raises one
+    :class:`ContractViolationError`."""
     if labels_path is None or None not in labels:
-        return events, labels, classes
+        return
     if not Path(labels_path).exists():
         raise ContractViolationError(
             f"{path} has unlabeled records and no labels file at {labels_path}"
         )
     held_out = dict(read_jsonl(labels_path, _held_out_label))
-    for i, event_id in enumerate(events.event_id):
+    for i, event_id in enumerate(event_ids):
         if labels[i] is None:
             if event_id not in held_out:
                 raise ContractViolationError(
                     f"event {event_id!r} has no entry in {labels_path}"
                 )
             labels[i], classes[i] = held_out[event_id]
-    return events, labels, classes
 
 
 def _check_stream_records(

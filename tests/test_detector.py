@@ -197,6 +197,21 @@ class TestScoreStream:
         assert [r.event_id for r in results] == [e.event_id for e in events]
         assert [r.truth_label for r in results] == truth
 
+    @pytest.mark.parametrize("n_labels", [8, 12])
+    def test_truth_labels_of_another_length_are_refused(self, tiny_pipeline, n_labels):
+        model, stats, schema, events = tiny_pipeline
+        with pytest.raises(ContractViolationError) as info:
+            score_stream(model, stats, events[:10], schema, 0.5, truth_labels=[True] * n_labels)
+        assert str(info.value) == f"truth_labels has {n_labels} entries for 10 events"
+
+    def test_stream_file_takes_no_truth_labels(self, tiny_pipeline, tmp_path):
+        model, stats, schema, _ = tiny_pipeline
+        path = tmp_path / "stream.jsonl"
+        path.write_text("")
+        assert list(score_stream(model, stats, path, schema, 0.5)) == []
+        with pytest.raises(ContractViolationError, match="carries its own truth labels"):
+            score_stream(model, stats, str(path), schema, 0.5, truth_labels=[])
+
     def test_schema_model_mismatch(self, tiny_pipeline):
         _, stats, schema, events = tiny_pipeline
         with pytest.raises(ContractViolationError):
@@ -304,14 +319,19 @@ class TestScoreStream:
             assert record == DetectionResult(record.event_id, value, value > 1.0, truth[i])
 
 
-TEXT = st.text(st.characters(blacklist_categories=("Cs",)))
+# any text, rich in what csv.writer quotes: commas, quotes, CR and LF
+TEXT = st.text(st.one_of(st.sampled_from(',"\r\n'), st.characters(blacklist_categories=("Cs",))))
 
 
 def detection_records(scores=st.floats()):
     return st.lists(
         st.one_of(
             st.builds(
-                DetectionResult, TEXT, scores, st.booleans(), st.sampled_from([None, True, False])
+                DetectionResult,
+                TEXT,
+                st.one_of(scores, st.sampled_from([math.inf, -math.inf])),
+                st.booleans(),
+                st.sampled_from([None, True, False]),
             ),
             st.builds(StreamError, TEXT, TEXT),
         ),

@@ -13,7 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from etlwatch import preprocess
-from etlwatch.detector import read_detections_jsonl
+from etlwatch.autoencoder import AutoencoderParams
+from etlwatch.detector import read_detections_jsonl, score_stream
 from etlwatch.errors import (
     ContractViolationError,
     EncodingError,
@@ -37,7 +38,7 @@ from etlwatch.preprocess import (
     vectorize,
     vectorize_events,
 )
-from etlwatch.streamgen import read_stream
+from etlwatch.streamgen import labels_sibling_path, read_stream
 import reference
 from reference import read_jsonl as per_line_read_jsonl
 from reference import vectorize_row
@@ -518,13 +519,18 @@ def split(monkeypatch):
     return lambda n: claim_cpus(monkeypatch, n)
 
 
-def stream_body(*, bad: dict[int, bytes] = {}) -> bytes:
+def stream_body(
+    *, bad: dict[int, bytes] = {}, change: dict[int, dict] = {}, labels: bool = True
+) -> bytes:
     """Eight stream lines: LF and CRLF ends, a blank and a whitespace-only
     line, a line that starts with blanks, a record without an id (it gets
-    ``line-<n>``) and a last line without a newline; ``bad`` replaces
-    lines by their index."""
+    ``line-6``) and a last line without a newline. The six records are
+    labeled inline unless ``labels`` is false, ``change`` updates records by
+    their index, and ``bad`` replaces lines by their index."""
     records = [
-        event_to_dict(make_event(amount=float(i), event_id=f"e-{i}")) | {"label": i % 2 == 0}
+        event_to_dict(make_event(amount=float(i), event_id=f"e-{i}"))
+        | ({"label": i % 2 == 0} if labels else {})
+        | change.get(i, {})
         for i in range(6)
     ]
     del records[3]["event_id"]
@@ -710,4 +716,96 @@ class TestReaderProcesses:
         path.write_bytes(b"".join(lines))
         with pytest.raises(ContractViolationError, match="line 2: Expecting property name"):
             read_chunks(path, {"a": None}, lambda records, first: records.values["a"])
+        assert not multiprocessing.active_children()
+
+
+STREAM_IDS = ["e-0", "e-1", "e-2", "line-6", "e-4", "e-5"]
+
+
+def labels_file(*, without: str | None = None) -> bytes:
+    """A held-out labels file for :func:`stream_body`, less one id."""
+    return b"".join(
+        json.dumps({"event_id": event_id, "label": i % 2 == 0, "anomaly_class": None}).encode()
+        + b"\n"
+        for i, event_id in enumerate(STREAM_IDS)
+        if event_id != without
+    )
+
+
+UNKNOWN = {1: {"device_type": "toaster"}, 5: {"geo_region": "mars"}}
+SCORING_CASES = [
+    (stream_body(change=UNKNOWN), None, None),
+    (stream_body(labels=False), labels_file(), None),
+    # some labels inline and some held out, one of them an unencodable record's
+    (stream_body(change={2: {"label": None}, 4: {"label": None, "device_type": "toaster"}}),
+     labels_file(), None),
+    (stream_body(labels=False), None, None),
+    (stream_body(labels=False), labels_file(without="e-4"), "event 'e-4' has no entry in"),
+    (stream_body(bad={6: b"{broken"}), None, "line 7: Expecting property name"),
+    # a bad line is raised before a held-out id that the labels file lacks
+    (stream_body(labels=False, bad={6: b"{broken"}), labels_file(without="e-0"),
+     "line 7: Expecting property name"),
+]
+
+
+@needs_fork
+class TestRangedScoring:
+    """A stream file is scored in the processes that read it, with the
+    records and the error of scoring what a one-range read gives."""
+
+    MODEL = AutoencoderParams(
+        w_e=np.full((2, SCHEMA.dim), 0.1), b_e=np.zeros(2),
+        w_d=np.full((SCHEMA.dim, 2), 0.2), b_d=np.zeros(SCHEMA.dim),
+    )
+    STATS = preprocess.StandardizationStats(mu=np.zeros(SCHEMA.dim), sigma=np.ones(SCHEMA.dim))
+    DELTA = 2e4
+
+    def outcome(self, path, score_file):
+        try:
+            if score_file:
+                detections = score_stream(self.MODEL, self.STATS, path, SCHEMA, self.DELTA)
+            else:
+                labels_path = labels_sibling_path(path)
+                events, labels, _ = read_stream(path, labels_path if labels_path.exists() else None)
+                detections = score_stream(
+                    self.MODEL, self.STATS, events, SCHEMA, self.DELTA, truth_labels=labels
+                )
+        except Exception as exc:
+            return f"{type(exc).__name__}: {exc}"
+        d = detections
+        return pickle.dumps((d.ids, d.scores, d.flags, d.truth, d.errors))
+
+    @pytest.mark.parametrize("cpus", [2, 3])
+    @pytest.mark.parametrize("body, labels, error", SCORING_CASES, ids=range(len(SCORING_CASES)))
+    def test_same_records_and_error_as_scoring_a_one_range_read(
+        self, tmp_path, split, cpus, body, labels, error
+    ):
+        path = tmp_path / "stream.jsonl"
+        if labels is not None:
+            labels_sibling_path(path).write_bytes(labels)
+        for t in near_line_starts(body)[:: cpus - 1]:
+            path.write_bytes(split_at(body, t))
+            split(1)
+            want = self.outcome(path, score_file=False)
+            if error is None:
+                assert isinstance(want, bytes), want
+            else:
+                assert want.startswith("ContractViolationError: ") and error in want
+            assert self.outcome(path, score_file=True) == want, "one range"
+            split(cpus)
+            assert self.outcome(path, score_file=True) == want, f"split at byte {t}"
+            assert not multiprocessing.active_children()
+
+    def test_ids_truth_and_errors(self, tmp_path, split):
+        path = tmp_path / "stream.jsonl"
+        path.write_bytes(stream_body(labels=False, change=UNKNOWN))
+        labels_sibling_path(path).write_bytes(labels_file())
+        split(3)
+        detections = score_stream(self.MODEL, self.STATS, path, SCHEMA, self.DELTA)
+        assert detections.ids == STREAM_IDS
+        assert detections.errors == {
+            1: "cannot encode field 'device_type': unknown value 'toaster'",
+            5: "cannot encode field 'geo_region': unknown value 'mars'",
+        }
+        assert detections.truth == [True, True, False, True]
         assert not multiprocessing.active_children()
