@@ -4,12 +4,12 @@ Everything in this package computes in 64-bit floats. Matrices are plain
 2-D ``numpy`` arrays in row-major order; vectors are 1-D arrays. The random
 source is a splitmix64 generator written out here so that a given seed
 produces the same draw sequence on every platform and every numpy version.
-Scalar draws (``next_u64``, ``uniform``) and block draws (``next_u64_block``,
-``uniform_block``) consume one and the same sequence: a block of n draws
-returns, and advances the state by, exactly what n scalar draws would.
-``uniform`` takes its 53-bit fractions from a block drawn ahead; the next raw
-or block draw first gives back the fractions not yet used, so buffering never
-changes which value a call returns.
+Scalar draws (``next_u64``, ``uniform``, ``unit``) and block draws
+(``next_u64_block``, ``uniform_block``) consume one and the same sequence: a
+block of n draws returns, and advances the state by, exactly what n scalar
+draws would. ``uniform`` and ``unit`` take their 53-bit fractions from a block
+drawn ahead; the next raw or block draw first gives back the fractions not yet
+used, so buffering never changes which value a call returns.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
-# fractions uniform() draws ahead in one block
+# fractions unit() draws ahead in one block
 _AHEAD = 256
 
 
@@ -38,7 +38,7 @@ class SeededRng:
     Because splitmix64 is counter-based (output t is a fixed mix of
     ``seed + t * golden``), a block draw computes n outputs at once in
     wrapping ``np.uint64`` arithmetic. Block and scalar draws are one
-    sequence and may be interleaved freely. :meth:`uniform` draws its
+    sequence and may be interleaved freely. :meth:`unit` draws its
     fractions ``_AHEAD`` at a time; ``_state`` then runs ahead of the
     sequence by the fractions still buffered, which :meth:`_give_back`
     rewinds before any raw draw.
@@ -93,14 +93,21 @@ class SeededRng:
         """
         if not lo < hi:
             raise ContractViolationError(f"uniform bounds require lo < hi, got [{lo}, {hi})")
-        if not self._ahead:
-            fractions = (self.next_u64_block(_AHEAD) >> np.uint64(11)) * 2.0**-53
-            self._ahead = fractions[::-1].tolist()
-        u = self._ahead.pop()
-        value = lo + u * (hi - lo)
+        value = lo + self.unit() * (hi - lo)
         if value >= hi:  # guard the rare rounding onto the open bound
             value = np.nextafter(hi, lo)
         return value
+
+    def unit(self) -> float:
+        """Draw a float in [0, 1): the value ``uniform()`` would return.
+
+        With the default bounds ``0.0 + u * 1.0 == u`` and the open-bound
+        guard never fires, so this skips both.
+        """
+        if not self._ahead:
+            fractions = (self.next_u64_block(_AHEAD) >> np.uint64(11)) * 2.0**-53
+            self._ahead = fractions[::-1].tolist()
+        return self._ahead.pop()
 
     def uniform_block(
         self, n: int, lo: float = 0.0, hi: float | np.ndarray = 1.0

@@ -142,17 +142,17 @@ class LabeledEvent:
             raise ContractViolationError(f"unknown anomaly class {self.anomaly_class!r}")
 
 
-# --- distribution samplers (all driven by SeededRng.uniform) --------------
+# --- distribution samplers (all driven by SeededRng.unit) -----------------
 
 def sample_exponential(rng: SeededRng, mean: float) -> float:
-    return -mean * math.log(1.0 - rng.uniform())
+    return -mean * math.log(1.0 - rng.unit())
 
 
 def sample_normal(rng: SeededRng) -> float:
     # Box-Muller; the sine partner is discarded to keep each call independent
     # of caller state.
-    u1 = 1.0 - rng.uniform()
-    u2 = rng.uniform()
+    u1 = 1.0 - rng.unit()
+    u2 = rng.unit()
     return math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2)
 
 
@@ -165,7 +165,7 @@ def sample_gamma(rng: SeededRng, shape: float, scale: float) -> float:
     if shape <= 0 or scale <= 0:
         raise ContractViolationError("gamma shape and scale must be > 0")
     if shape < 1.0:
-        boost = (1.0 - rng.uniform()) ** (1.0 / shape)
+        boost = (1.0 - rng.unit()) ** (1.0 / shape)
         return sample_gamma(rng, shape + 1.0, scale) * boost
     d = shape - 1.0 / 3.0
     c = 1.0 / math.sqrt(9.0 * d)
@@ -174,7 +174,7 @@ def sample_gamma(rng: SeededRng, shape: float, scale: float) -> float:
         v = (1.0 + c * x) ** 3
         if v <= 0.0:
             continue
-        u = rng.uniform()
+        u = rng.unit()
         if u < 1.0 - 0.0331 * x**4:
             return d * v * scale
         if math.log(u) < 0.5 * x * x + d * (1.0 - v + math.log(v)):
@@ -188,10 +188,10 @@ def sample_poisson(rng: SeededRng, mean: float) -> int:
     if mean < 10.0:
         limit = math.exp(-mean)
         k = 0
-        product = rng.uniform()
+        product = rng.unit()
         while product > limit:
             k += 1
-            product *= rng.uniform()
+            product *= rng.unit()
         return k
     # PTRS (transformed rejection with squeeze), Hormann 1993
     slam = math.sqrt(mean)
@@ -201,8 +201,8 @@ def sample_poisson(rng: SeededRng, mean: float) -> int:
     inv_alpha = 1.1239 + 1.1328 / (b - 3.4)
     vr = 0.9277 - 3.6224 / (b - 2.0)
     while True:
-        u = rng.uniform() - 0.5
-        v = rng.uniform()
+        u = rng.unit() - 0.5
+        v = rng.unit()
         us = 0.5 - abs(u)
         k = math.floor((2.0 * a / us + b) * u + mean + 0.43)
         if us >= 0.07 and v <= vr:
@@ -225,7 +225,7 @@ def sample_categorical(rng: SeededRng, sums: tuple[float, list[float]]) -> int:
     """Index i with probability proportional to weight i, given
     :func:`running_sums` of the weights."""
     total, running = sums
-    u = rng.uniform() * total
+    u = rng.unit() * total
     for i, acc in enumerate(running):
         if u < acc:
             return i
@@ -409,7 +409,7 @@ def generate(cfg: StreamConfig) -> list[LabeledEvent]:
     for i in range(cfg.n_events):
         timestamp += max(1, round(sample_exponential(rng, cfg.mean_gap_ms)))
         event = normal.draw(rng, timestamp, f"evt-{i:06d}")
-        if rng.uniform() < cfg.anomaly_rate:
+        if rng.unit() < cfg.anomaly_rate:
             anomaly_class = ANOMALY_CLASSES[sample_categorical(rng, mix)]
             out.append(LabeledEvent(inject(event, anomaly_class, rng), True, anomaly_class))
         else:

@@ -4,8 +4,8 @@ Each function is the plain form the library once used: one event, one
 record, one line or one tie group at a time, with fresh arrays for every
 intermediate. The tests compare the library's column-wise encoder, its
 column readers of streams and detections, its line writers, its JSON-lines
-reader, its rank computation, its epoch loss and its stream generator with
-these, bit for bit and byte for byte.
+reader, its rank computation, its epoch loss, its gradient kernel and its
+stream generator with these, bit for bit and byte for byte.
 """
 
 import csv
@@ -16,7 +16,7 @@ from dataclasses import replace
 import numpy as np
 
 from etlwatch import streamgen
-from etlwatch.autoencoder import latent_l1, reconstruction_loss, total_loss
+from etlwatch.autoencoder import Gradients, latent_l1, reconstruction_loss, total_loss
 from etlwatch.detector import DetectionResult, StreamError, batch_scores
 from etlwatch.errors import ContractViolationError, EncodingError, EtlwatchError
 from etlwatch.numerics import SeededRng
@@ -252,6 +252,22 @@ def batch_loss(params, x, l1_penalty):
     """The epoch loss composed from the public loss terms."""
     h, xhat = forward(params, x)
     return total_loss(reconstruction_loss(x, xhat), latent_l1(h, l1_penalty))
+
+
+def gradients(params, x, l1_penalty):
+    """The gradients of batch_loss for an (n, d) batch, each intermediate a
+    fresh array: what the in-place kernel behind backprop must reproduce."""
+    n = x.shape[0]
+    z_h = x @ params.w_e.T + params.b_e
+    h = params.hidden_activation.apply(z_h)
+    z_o = h @ params.w_d.T + params.b_d
+    xhat = params.output_activation.apply(z_o)
+    d_zo = (2.0 / n) * (xhat - x) * params.output_activation.derivative(z_o, xhat)
+    d_h = d_zo @ params.w_d + (l1_penalty / n) * np.sign(h)
+    d_zh = d_h * params.hidden_activation.derivative(z_h, h)
+    return Gradients(
+        w_e=d_zh.T @ x, b_e=d_zh.sum(axis=0), w_d=d_zo.T @ h, b_d=d_zo.sum(axis=0)
+    )
 
 
 def sample_categorical(rng, weights):

@@ -117,6 +117,35 @@ class TestInitParams:
             init_params(0, 3)
 
 
+SPECIAL_FLOATS = [0.0, -0.0, np.inf, -np.inf, np.nan]
+
+
+class TestActivationInPlace:
+    """``apply`` and ``derivative`` with ``out=`` must give the same bits as
+    their allocating forms, whether ``out`` is a new array or z itself."""
+
+    @given(
+        st.sampled_from(ALL_ACTIVATIONS),
+        st.lists(st.floats(allow_nan=True, allow_infinity=True), max_size=40),
+    )
+    @settings(max_examples=200)
+    def test_out_forms_equal_allocating_forms(self, act, values):
+        z = np.array(values + SPECIAL_FLOATS)
+        with np.errstate(all="ignore"):
+            activated = act.apply(z.copy())
+            derivative = act.derivative(z, activated)
+            applied = [act.apply(z, out=np.empty_like(z))]
+            derived = [act.derivative(z, activated, out=np.empty_like(z))]
+            z_itself = z.copy()
+            applied.append(act.apply(z_itself, out=z_itself))
+            z_itself = z.copy()
+            derived.append(act.derivative(z_itself, activated, out=z_itself))
+        for arr in applied:
+            assert arr.tobytes() == activated.tobytes()
+        for arr in derived:
+            assert arr.tobytes() == derivative.tobytes()
+
+
 class TestForwardPass:
     def test_encode_identity_network(self):
         x = np.array([0.3, -1.2, 5.0])
@@ -315,6 +344,31 @@ class TestBackprop:
         with pytest.raises(ContractViolationError):
             backprop(identity_params(2), np.empty((0, 2)), 0.0)
 
+    @pytest.mark.parametrize("act_h", ALL_ACTIVATIONS)
+    @pytest.mark.parametrize("act_o", ALL_ACTIVATIONS)
+    def test_bitwise_equal_to_fresh_array_reference(self, act_h, act_o):
+        rng = SeededRng(18)
+        p = init_params(6, 5, (act_h, act_o), rng)
+        for n in (1, 7, 64):
+            batch = rng.uniform_block(n * 6, -3.0, 3.0).reshape(n, 6)
+            expected = reference.gradients(p, batch, 0.2)
+            got = backprop(p, batch, 0.2)
+            for name, arr in vars(expected).items():
+                assert getattr(got, name).tobytes() == arr.tobytes(), name
+
+    def test_successive_calls_return_fresh_arrays(self):
+        rng = SeededRng(16)
+        p = init_params(5, 3, rng=rng)
+        batch = rng.uniform_block(4 * 5, -2.0, 2.0).reshape(4, 5)
+        first = vars(backprop(p, batch, 0.1))
+        kept = {name: arr.copy() for name, arr in first.items()}
+        second = vars(backprop(p, batch[:3], 0.1))
+        for a in first.values():
+            for b in second.values():
+                assert not np.shares_memory(a, b)
+        for name, arr in first.items():
+            np.testing.assert_array_equal(arr, kept[name], err_msg=name)
+
 
 class TestSgdStep:
     def test_zero_gradients_fixed_point(self):
@@ -425,44 +479,67 @@ class TestTrain:
         with pytest.raises(ContractViolationError):
             train(np.zeros((3, 2)), TrainConfig(batch_size=8, latent_dim=1))
 
-    @pytest.mark.parametrize("act_h", ALL_ACTIVATIONS)
-    @pytest.mark.parametrize("act_o", ALL_ACTIVATIONS)
-    def test_bitwise_equal_to_public_step_loop(self, small_training_set, act_h, act_o):
-        cfg = TrainConfig(learning_rate=0.01, epochs=3, batch_size=32, seed=9, latent_dim=4)
-        params, history = train(small_training_set, cfg, (act_h, act_o))
-        expected, losses, diverged_at = reference_train(small_training_set, cfg, (act_h, act_o))
+    @staticmethod
+    def assert_same_as_public_step_loop(x, cfg, activations):
+        params, history = train(x, cfg, activations)
+        expected, losses, diverged_at = reference_train(x, cfg, activations)
         assert diverged_at is None
         for name, block in params.blocks().items():
             np.testing.assert_array_equal(block, expected.blocks()[name], err_msg=name)
         assert history.losses == losses
 
+    @staticmethod
+    def assert_diverges_as_public_step_loop(x, cfg):
+        _, _, diverged_at = reference_train(x, cfg)
+        assert diverged_at is not None
+        with pytest.raises(TrainingDivergedError) as info:
+            train(x, cfg)
+        assert info.value.epoch == diverged_at
+        assert isinstance(info.value.__cause__, NumericalError)
+
+    @pytest.mark.parametrize("act_h", ALL_ACTIVATIONS)
+    @pytest.mark.parametrize("act_o", ALL_ACTIVATIONS)
+    def test_bitwise_equal_to_public_step_loop(self, small_training_set, act_h, act_o):
+        cfg = TrainConfig(learning_rate=0.01, epochs=3, batch_size=32, seed=9, latent_dim=4)
+        self.assert_same_as_public_step_loop(small_training_set, cfg, (act_h, act_o))
+
+    @pytest.mark.parametrize("act_h", ALL_ACTIVATIONS)
+    @pytest.mark.parametrize("act_o", ALL_ACTIVATIONS)
+    def test_short_last_batch_bitwise_equal_to_public_step_loop(
+        self, small_training_set, act_h, act_o
+    ):
+        # 256 rows in batches of 48: five full batches, then one of 16 rows
+        # that has work arrays of its own
+        cfg = TrainConfig(learning_rate=0.01, epochs=3, batch_size=48, seed=9, latent_dim=4)
+        self.assert_same_as_public_step_loop(small_training_set, cfg, (act_h, act_o))
+
     @pytest.mark.parametrize("lr", [100.0, 1e4])
     def test_divergence_epoch_matches_public_step_loop(self, small_training_set, lr):
         cfg = TrainConfig(learning_rate=lr, epochs=10, batch_size=32, seed=2, latent_dim=2)
-        _, _, diverged_at = reference_train(small_training_set, cfg)
-        assert diverged_at is not None
-        with pytest.raises(TrainingDivergedError) as info:
-            train(small_training_set, cfg)
-        assert info.value.epoch == diverged_at
-        assert isinstance(info.value.__cause__, NumericalError)
+        self.assert_diverges_as_public_step_loop(small_training_set, cfg)
+
+    def test_short_last_batch_divergence_epoch_matches_public_step_loop(
+        self, small_training_set
+    ):
+        cfg = TrainConfig(learning_rate=100.0, epochs=10, batch_size=48, seed=2, latent_dim=2)
+        self.assert_diverges_as_public_step_loop(small_training_set, cfg)
 
     @pytest.mark.parametrize("poison", [np.nan, np.inf])
     def test_step_going_non_finite_mid_epoch_names_that_epoch(
         self, small_training_set, monkeypatch, poison
     ):
         # 256 rows in batches of 32: 8 steps per epoch; the fourth step of
-        # epoch 2 returns a non-finite gradient
+        # epoch 2 writes a non-finite gradient
         cfg = TrainConfig(learning_rate=0.01, epochs=5, batch_size=32, seed=4, latent_dim=2)
         steps = 0
         kernel = autoencoder._gradients
 
-        def poisoned(params, x, l1_penalty):
+        def poisoned(params, x, l1_penalty, grads, scratch):
             nonlocal steps
             steps += 1
-            grads = kernel(params, x, l1_penalty)
+            kernel(params, x, l1_penalty, grads, scratch)
             if steps == 2 * 8 + 4:
                 grads.b_d[0] = poison
-            return grads
 
         monkeypatch.setattr(autoencoder, "_gradients", poisoned)
         with pytest.raises(TrainingDivergedError) as info:

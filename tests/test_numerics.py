@@ -110,6 +110,9 @@ class ReferenceRng:
     def uniform(self, lo: float = 0.0, hi: float = 1.0) -> float:
         return reference_uniform(self, lo, hi)
 
+    def unit(self) -> float:
+        return reference_uniform(self)
+
     def uniform_block(self, n: int, lo: float = 0.0, hi: float = 1.0) -> np.ndarray:
         return np.array([self.uniform(lo, hi) for _ in range(n)])
 
@@ -245,6 +248,30 @@ class TestRngOracles:
             assert _draw(rng, method, count) == _draw(oracle, method, count), method
         assert rng.next_u64() == oracle.next_u64()
         assert rng.uniform() == oracle.uniform()
+
+    @given(
+        st.integers(min_value=0, max_value=2**64 - 1),
+        st.lists(
+            st.tuples(
+                st.sampled_from(["unit", "uniform", "next_u64", "next_u64_block"]),
+                st.integers(min_value=0, max_value=300),
+            ),
+            max_size=10,
+        ),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_unit_equals_uniform_with_default_bounds(self, seed, calls):
+        # the same calls on the scalar oracle, with every unit() drawn as
+        # uniform() instead
+        rng, oracle = SeededRng(seed), ReferenceRng(seed)
+        for method, count in calls:
+            if method == "unit":
+                got = [rng.unit() for _ in range(count)]
+                assert got == [oracle.uniform() for _ in range(count)]
+            else:
+                assert _draw(rng, method, count) == _draw(oracle, method, count), method
+        assert rng.next_u64() == oracle.next_u64()
+        assert rng.unit() == oracle.uniform()
 
     @pytest.mark.parametrize("seed", [0, 7, 12345, 2**64 - 1])
     @pytest.mark.parametrize("n", [0, 1, 2, 3, 100, 5700])
