@@ -25,8 +25,9 @@ import enum
 import json
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -62,15 +63,16 @@ class Activation(str, enum.Enum):
             return np.tanh(z, out=out)
         if self is Activation.RELU:
             return np.maximum(z, 0.0, out=out)
-        # sigmoid, split for stability at large |z|
-        if out is None:
-            out = np.empty_like(z)
-        pos = z >= 0
-        neg = ~pos
-        out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-        ez = np.exp(z[neg])  # z[neg] is unchanged even when out is z
-        out[neg] = ez / (1.0 + ez)
-        return out
+        # sigmoid, split for stability at large |z|: 1 / (1 + e^-z) where
+        # z >= 0 and e^z / (1 + e^z) elsewhere. Only z >= 0 is negated, so a
+        # NaN keeps its sign and payload.
+        pos = np.greater_equal(z, 0.0)
+        e = np.array(z, dtype=np.float64)
+        np.negative(e, out=e, where=pos)
+        np.exp(e, out=e)
+        numerator = np.where(pos, 1.0, e)
+        np.add(1.0, e, out=e)
+        return np.divide(numerator, e, out=out)
 
     def derivative(
         self, z: np.ndarray, activated: np.ndarray, out: np.ndarray | None = None
@@ -92,7 +94,7 @@ class Activation(str, enum.Enum):
             return np.subtract(1.0, out, out=out)
         if self is Activation.RELU:
             if out is None:
-                return (z > 0.0).astype(np.float64)
+                return np.greater(z, 0.0).astype(np.float64)
             return np.greater(z, 0.0, out=out)  # True/False cast to 1.0/0.0
         if out is None:
             return activated * (1.0 - activated)
@@ -180,15 +182,41 @@ class LossBreakdown:
     l_total: float
 
 
-@dataclass
 class TrainHistory:
-    """Per-epoch losses on the full training set plus wall time per epoch."""
+    """Per-epoch losses on the full training set plus wall time per epoch.
 
-    losses: list[LossBreakdown] = field(default_factory=list)
-    epoch_seconds: list[float] = field(default_factory=list)
+    ``epoch_seconds`` times each epoch's shuffle and steps, not its loss.
+    The history :func:`train` returns computes its ``losses`` on first
+    read, each with :func:`batch_loss` on a copy of the parameters taken
+    after its epoch, so they are the bits a loss computed during training
+    would have; an epoch whose loss :func:`train` computed at once, because
+    its bound could not rule out an overflow, keeps that value. Until then
+    the history holds the copies, epochs x P x 8 bytes for P = 2kd + k + d
+    parameters (0.43 MB at the defaults, 1.7 MB at k = 128), and a copy of
+    the training set; the first read drops both.
+    """
+
+    def __init__(
+        self, losses: list[LossBreakdown] | None = None, epoch_seconds: list[float] | None = None
+    ) -> None:
+        self._losses: list[LossBreakdown | None] = list(losses or [])
+        self.epoch_seconds: list[float] = list(epoch_seconds or [])
+        # epoch -> its loss, for the entries still None
+        self._loss_at: Callable[[int], LossBreakdown] | None = None
+
+    @property
+    def losses(self) -> list[LossBreakdown]:
+        if self._loss_at is not None:
+            with np.errstate(all="ignore"):
+                self._losses = [
+                    self._loss_at(epoch) if loss is None else loss
+                    for epoch, loss in enumerate(self._losses)
+                ]
+            self._loss_at = None
+        return self._losses
 
     def __len__(self) -> int:
-        return len(self.losses)
+        return len(self._losses)
 
 
 @dataclass
@@ -292,9 +320,9 @@ def batch_loss(params: AutoencoderParams, x: np.ndarray, l1_penalty: float) -> L
     latent_l1(h, l1_penalty))`` with ``h = encode(params, x)`` and ``xhat =
     decode(params, h)``, but it allocates only two n-row arrays, the two
     products of :func:`encode` and :func:`decode`: the difference, its square
-    and ``|h|`` overwrite them in place. ``train`` runs it over the whole
-    training set every epoch, where allocating and first touching fresh
-    n-row arrays costs more than the arithmetic done on them.
+    and ``|h|`` overwrite them in place. A training history runs it over
+    the whole training set once per epoch, where allocating and first
+    touching fresh n-row arrays costs more than the arithmetic done on them.
     """
     x = np.asarray(x, dtype=np.float64)
     h = encode(params, x)
@@ -409,6 +437,33 @@ def sgd_step(params: AutoencoderParams, grads: Gradients, lr: float) -> Autoenco
     )
 
 
+# batch_loss stays finite while _loss_bound is below this: the factor of
+# about 1.8e8 up to the largest float64 absorbs the rounding of every sum.
+_LOSS_BOUND_LIMIT = 1e300
+
+
+def _loss_bound(
+    x_max: float, theta_max: float, n: int, d: int, k: int,
+    activations: tuple[Activation, Activation], l1_penalty: float,
+) -> float:
+    """A bound on the magnitude of every intermediate of :func:`batch_loss`
+    over n rows with |x| <= x_max and parameters with |theta| <= theta_max.
+
+    It covers both pre-activations, the reconstruction, the squared
+    differences, their row sums and n-row sum, and the L1 term. tanh and
+    sigmoid are bounded by 1, identity and relu by their input.
+    """
+
+    def activated(act: Activation, z: float) -> float:
+        return 1.0 if act in (Activation.TANH, Activation.SIGMOID) else z
+
+    z_h = (d * x_max + 1.0) * theta_max
+    h = activated(activations[0], z_h)
+    z_o = (k * h + 1.0) * theta_max
+    diff = x_max + activated(activations[1], z_o)
+    return z_h + z_o + n * (d * diff * diff + k * h * max(1.0, l1_penalty))
+
+
 def train(
     x_train: np.ndarray,
     cfg: TrainConfig,
@@ -417,21 +472,29 @@ def train(
     """Mini-batch SGD over shuffled epochs; fully determined by cfg.
 
     The epoch shuffle and the weight initialization both draw from a single
-    rng seeded with ``cfg.seed``. After each epoch the loss breakdown on the
-    full training set is recorded. A non-finite ``x_train`` raises
-    :class:`NumericalError`. An epoch that leaves a non-finite parameter (from
-    a non-finite gradient or an overflowing update) or a non-finite epoch loss
-    aborts with :class:`TrainingDivergedError`.
+    rng seeded with ``cfg.seed``. The history records each epoch's loss
+    breakdown on the full training set and the wall time of its shuffle and
+    steps. A non-finite ``x_train`` raises :class:`NumericalError`. An epoch
+    that leaves a non-finite parameter (from a non-finite gradient or an
+    overflowing update) or a non-finite epoch loss aborts with
+    :class:`TrainingDivergedError`.
 
     The parameters are views of one flat vector and the gradients views of
     a second, so each step's update is ``grad *= lr; theta -= grad``, which
     rounds exactly as :func:`sgd_step`'s per-block ``w - lr * g``. The
     gradient kernel behind :func:`backprop` writes into the second vector,
     with work arrays kept for the two batch lengths an epoch has, so a step
-    allocates nothing. Parameters are checked for finiteness once per epoch,
-    before its loss: a non-finite value stays non-finite under every later
-    update, so the check names the same epoch as a check after every step
-    would.
+    allocates nothing. Parameters are checked for finiteness once per epoch:
+    a non-finite value stays non-finite under every later update, so the
+    check names the same epoch as a check after every step would.
+
+    Most callers never read the losses, so each epoch only copies the
+    parameters into one epochs x P array, and the history computes the
+    losses from those rows on first read (see :class:`TrainHistory`); it
+    keeps a copy of the training set until then. An epoch's loss is computed
+    at once, as the divergence check needs, only when :func:`_loss_bound`
+    from max|x| (once per call) and max|theta| (once per epoch) cannot rule
+    out an overflow in :func:`batch_loss`; a deferred loss is then finite.
     """
     x = require_finite(as_matrix(x_train, "x_train"), "x_train")
     n, d = x.shape
@@ -448,6 +511,8 @@ def train(
     grads = Gradients(*_views(grad, d, k))
     scratch = {m: _scratch(m, d, k) for m in {size, n % size} if m}
     lr = cfg.learning_rate
+    x_max = max(float(x.max()), -float(x.min()))
+    thetas = np.empty((cfg.epochs, theta.size))
     history = TrainHistory()
 
     for epoch in range(cfg.epochs):
@@ -459,18 +524,30 @@ def train(
                 _gradients(params, batch, cfg.l1_penalty, grads, scratch[batch.shape[0]])
                 grad *= lr
                 theta -= grad
-        if not np.isfinite(theta).all():
+        history.epoch_seconds.append(time.perf_counter() - started)
+        theta_max = float(np.abs(theta).max())  # NaN or inf if any parameter is
+        if not math.isfinite(theta_max):
             raise TrainingDivergedError(epoch, lr) from NumericalError(
                 f"non-finite parameters after epoch {epoch}"
             )
 
-        with np.errstate(all="ignore"):
-            epoch_loss = batch_loss(params, x, cfg.l1_penalty)
-        if not np.isfinite(epoch_loss.l_total):
-            raise TrainingDivergedError(epoch, lr)
-        history.losses.append(epoch_loss)
-        history.epoch_seconds.append(time.perf_counter() - started)
+        thetas[epoch] = theta
+        epoch_loss = None
+        bound = _loss_bound(x_max, theta_max, n, d, k, activations, cfg.l1_penalty)
+        if not bound < _LOSS_BOUND_LIMIT:  # NaN, from 0 * inf, included
+            with np.errstate(all="ignore"):
+                epoch_loss = batch_loss(params, x, cfg.l1_penalty)
+            if not np.isfinite(epoch_loss.l_total):
+                raise TrainingDivergedError(epoch, lr)
+        history._losses.append(epoch_loss)
 
+    x_kept = x.copy()  # the caller may change x_train before the losses are read
+
+    def loss_at(epoch: int) -> LossBreakdown:
+        after = AutoencoderParams(*_views(thetas[epoch], d, k), *activations)
+        return batch_loss(after, x_kept, cfg.l1_penalty)
+
+    history._loss_at = loss_at
     return params, history
 
 

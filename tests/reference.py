@@ -4,8 +4,8 @@ Each function is the plain form the library once used: one event, one
 record, one line or one tie group at a time, with fresh arrays for every
 intermediate. The tests compare the library's column-wise encoder, its
 column readers of streams and detections, its line writers, its JSON-lines
-reader, its rank computation, its epoch loss, its gradient kernel and its
-stream generator with these, bit for bit and byte for byte.
+reader, its rank computation, its sigmoid, its epoch loss, its gradient
+kernel and its stream generator with these, bit for bit and byte for byte.
 """
 
 import csv
@@ -239,6 +239,19 @@ def read_detections_jsonl(path):
         return DetectionResult(event_id, score, flag, truth)
 
     return read_jsonl(path, parse)
+
+
+def sigmoid(z, out=None):
+    """The sigmoid split by boolean masks: 1 / (1 + e^-z) where z >= 0 and
+    e^z / (1 + e^z) elsewhere, NaN included."""
+    if out is None:
+        out = np.empty_like(z)
+    pos = z >= 0
+    neg = ~pos
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[neg])  # z[neg] is unchanged even when out is z
+    out[neg] = ez / (1.0 + ez)
+    return out
 
 
 def forward(params, x):

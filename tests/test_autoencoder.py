@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from etlwatch import autoencoder
@@ -33,8 +33,10 @@ from etlwatch.errors import (
     NumericalError,
     TrainingDivergedError,
 )
+from etlwatch.evaluation import evaluate_config, make_bundle
 from etlwatch.numerics import SeededRng
 from etlwatch.preprocess import FeatureSchema, StandardizationStats
+from etlwatch.streamgen import StreamConfig, generate
 
 import reference
 from gradcheck import finite_diff_grad
@@ -144,6 +146,43 @@ class TestActivationInPlace:
             assert arr.tobytes() == activated.tobytes()
         for arr in derived:
             assert arr.tobytes() == derivative.tobytes()
+
+    @pytest.mark.parametrize("act", ALL_ACTIVATIONS)
+    def test_derivative_of_a_python_float_equals_the_array_form(self, act):
+        for value in [0.5, -0.5, 0.0, -0.0, 3.0, -40.0]:
+            z = np.array([value])
+            expected = act.derivative(z, act.apply(z.copy()))
+            got = act.derivative(value, act.apply(value))
+            assert np.float64(got).tobytes() == expected[0].tobytes(), value
+
+
+def _nan(bits: int) -> float:
+    return float(np.array([bits], dtype=np.uint64).view(np.float64)[0])
+
+
+class TestSigmoid:
+    """The mask-free sigmoid gives the bits of the masked formula in
+    ``reference.sigmoid``, NaN signs and payloads included."""
+
+    SPECIAL = SPECIAL_FLOATS + [
+        _nan(0xFFF8000000000000), _nan(0x7FF8000000000123), _nan(0xFFF8000000000456),
+        709.9, -745.5, 5e-324, -5e-324,
+    ]
+
+    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=60))
+    @settings(max_examples=200)
+    def test_bitwise_equal_to_masked_formula(self, values):
+        z = np.array(values + self.SPECIAL)
+        with np.errstate(all="ignore"):
+            expected = reference.sigmoid(z.copy())
+            results = [
+                Activation.SIGMOID.apply(z.copy()),
+                Activation.SIGMOID.apply(z.copy(), out=np.empty_like(z)),
+            ]
+            z_itself = z.copy()
+            results.append(Activation.SIGMOID.apply(z_itself, out=z_itself))
+        for got in results:
+            assert got.tobytes() == expected.tobytes()
 
 
 class TestForwardPass:
@@ -563,6 +602,113 @@ class TestTrain:
             train(x, cfg)
         assert info.value.epoch == 0
         assert isinstance(info.value.__cause__, NumericalError)
+
+    @staticmethod
+    def count_batch_loss(monkeypatch):
+        calls = []
+        original = autoencoder.batch_loss
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(autoencoder, "batch_loss", counted)
+        return calls
+
+    def test_losses_are_computed_once_on_first_read(self, small_training_set, monkeypatch):
+        cfg = TrainConfig(learning_rate=0.01, epochs=4, batch_size=32, seed=3, latent_dim=2)
+        _, expected, _ = reference_train(small_training_set, cfg)
+        calls = self.count_batch_loss(monkeypatch)
+        x = small_training_set.copy()
+        _, history = train(x, cfg)
+        x[:] = 0.0  # the history holds a copy of the training set
+        assert len(history) == 4
+        assert not calls
+        assert history.losses == expected
+        assert len(calls) == 4
+        assert history.losses == expected
+        assert len(calls) == 4
+
+    def test_evaluate_config_computes_no_loss(self, monkeypatch):
+        bundle = make_bundle(generate(StreamConfig(n_events=1000, seed=13)))
+        calls = self.count_batch_loss(monkeypatch)
+        evaluate_config(bundle, TrainConfig(epochs=3, latent_dim=4))
+        assert not calls
+
+    def test_finite_parameters_with_an_overflowing_loss_diverge_at_that_epoch(
+        self, small_training_set
+    ):
+        # inputs of order 1e155 square past the largest float64 in the loss,
+        # while a learning rate of 1e-300 leaves the parameters finite
+        x = small_training_set * 1e155
+        cfg = TrainConfig(learning_rate=1e-300, epochs=3, batch_size=32, seed=2, latent_dim=2)
+        assert reference_train(x, cfg)[2] == 0
+        with pytest.raises(TrainingDivergedError) as info:
+            train(x, cfg)
+        assert info.value.epoch == 0
+        assert info.value.__cause__ is None
+
+    def test_losses_near_the_largest_float_are_computed_in_place(
+        self, small_training_set, monkeypatch
+    ):
+        x = small_training_set * 1e150
+        cfg = TrainConfig(learning_rate=1e-300, epochs=3, batch_size=32, seed=2, latent_dim=2)
+        _, expected, diverged_at = reference_train(x, cfg)
+        assert diverged_at is None
+        assert all(1e300 < loss.l_total < math.inf for loss in expected)
+        calls = self.count_batch_loss(monkeypatch)
+        _, history = train(x, cfg)
+        assert len(calls) == 3  # the guard could not rule out an overflow
+        assert history.losses == expected
+        assert len(calls) == 3
+
+    @given(
+        st.sampled_from(ALL_ACTIVATIONS),
+        st.sampled_from(ALL_ACTIVATIONS),
+        st.floats(0.0, 308.0),
+        st.floats(0.0, 308.0),
+        st.floats(-6.0, 308.0),
+        st.one_of(st.none(), st.tuples(*[st.sampled_from("+-~")] * 3)),
+        st.sampled_from([3, 64]),
+    )
+    @example(Activation.TANH, Activation.TANH, 300.0, 10.0, -4.0, ("~", "+", "+"), 64)
+    @example(Activation.TANH, Activation.IDENTITY, 0.0, 0.0, 308.0, ("+", "+", "+"), 3)
+    @settings(max_examples=300, deadline=None)
+    def test_a_deferred_loss_is_finite(
+        self, act_h, act_o, theta_exp, x_exp, l1_exp, signs, d
+    ):
+        """Random parameters and inputs, or ones of one magnitude whose signs
+        are all + or all - (every sum reaches its bound) or alternate (~:
+        overflowing products of both signs can add up to NaN where a product
+        sums in several partial sums, as BLAS does over 64 inputs), for the
+        encoder, the decoder and the input."""
+        n, k = 40, 4
+        theta_scale, x_scale, l1_penalty = 10.0**theta_exp, 10.0**x_exp, 10.0**l1_exp
+
+        def signed(shape, sign, scale):
+            if sign == "~":
+                return scale * np.where(np.indices(shape).sum(axis=0) % 2, -1.0, 1.0)
+            return np.full(shape, scale if sign == "+" else -scale)
+
+        rng = SeededRng(int(theta_exp * 1e6))
+        params = init_params(d, k, (act_h, act_o), rng)
+        if signs is None:
+            blocks = {name: block * theta_scale for name, block in params.blocks().items()}
+            x = rng.uniform_block(n * d, -1.0, 1.0).reshape(n, d) * x_scale
+        else:
+            enc, dec, x_sign = signs
+            blocks = {
+                name: signed(block.shape, enc if name.endswith("_e") else dec, theta_scale)
+                for name, block in params.blocks().items()
+            }
+            x = signed((n, d), x_sign, x_scale)
+        params = AutoencoderParams(**blocks, hidden_activation=act_h, output_activation=act_o)
+        theta_max = max(float(np.abs(block).max()) for block in blocks.values())
+        x_max = float(np.abs(x).max())
+        bound = autoencoder._loss_bound(x_max, theta_max, n, d, k, (act_h, act_o), l1_penalty)
+        if bound < autoencoder._LOSS_BOUND_LIMIT:
+            with np.errstate(all="ignore"):
+                assert math.isfinite(batch_loss(params, x, l1_penalty).l_total)
 
     def test_leaves_caller_input_unchanged(self, small_training_set):
         x = small_training_set.copy()
