@@ -10,8 +10,8 @@ Sweeps retrain one model per grid value from the same seed on the same data
 bundle, so the knob under study is the only varying factor. Grid points are
 independent, so a sweep runs them on every usable CPU, longest first: the
 points wait in one queue in descending latent dimension (lr points, which
-cost the same, keep grid order), and the calling process and a pool of
-forked workers each take the next point whenever they are free. Every
+cost the same, keep grid order), and the calling process and one forked
+worker per other CPU each take the next point whenever they are free. Every
 process uses one OpenBLAS thread, and results are listed in grid order.
 Every point gives the same bits in any process, so the reports do not
 depend on the CPU count. With one usable CPU, or where numpy's OpenBLAS
@@ -25,6 +25,7 @@ import csv
 import json
 import os
 from dataclasses import dataclass, replace
+from functools import partial
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -42,6 +43,7 @@ from .preprocess import (
     StandardizationStats,
     fit_stats,
     fork_ways,
+    forked,
     standardize,
     vectorize_events,
 )
@@ -249,31 +251,27 @@ def evaluate_config(bundle: DataBundle, cfg: TrainConfig) -> MetricsReport:
     return metrics_at_threshold(test_scores, bundle.y_test, delta)
 
 
-# The bundle of the sweep in progress, and its points longest first with the
-# shared index of the next one to take; forked workers inherit them unpickled.
-_BUNDLE: DataBundle | None = None
-_QUEUE: tuple[list[TrainConfig], object] | None = None
-
-
-def _point(cfg: TrainConfig) -> tuple[MetricsReport | None, bool]:
-    """One grid point on ``_BUNDLE``: its report, or None and True if it diverged.
+def _point(bundle: DataBundle, cfg: TrainConfig) -> tuple[MetricsReport | None, bool]:
+    """One grid point on ``bundle``: its report, or None and True if it diverged.
 
     ``evaluate_config`` is looked up at call time, so a wrapper bound to the
     module name is the one called.
     """
     try:
-        return evaluate_config(_BUNDLE, cfg), False
+        return evaluate_config(bundle, cfg), False
     except TrainingDivergedError:
         return None, True
 
 
-def _take_points(start: int) -> list[tuple[int, tuple[MetricsReport | None, bool]]]:
-    """Run point ``start`` of ``_QUEUE``, then each next point that no process
-    has taken, until none is left; return them by queue position."""
-    cfgs, taken = _QUEUE
+def _take_points(
+    bundle: DataBundle, queue: list[TrainConfig], taken, start: int
+) -> list[tuple[int, tuple[MetricsReport | None, bool]]]:
+    """Run point ``start`` of ``queue``, then each next point that no process
+    has taken (``taken`` is the shared index of the next), until none is
+    left; return them by queue position."""
     done, i = [], start
-    while i < len(cfgs):
-        done.append((i, _point(cfgs[i])))
+    while i < len(queue):
+        done.append((i, _point(bundle, queue[i])))
         with taken.get_lock():
             i = taken.value
             taken.value += 1
@@ -305,41 +303,32 @@ def _run_points(
 
     With ``ways`` usable processes (:func:`fork_ways`) the points queue
     longest first (stable, so points of one latent dimension keep their
-    order). Fork workers ``0 .. ways - 2`` start on the queue's first points
-    and the caller on the next, and then each process takes the next point
-    left whenever it is free. Every process uses one OpenBLAS thread, since
-    two processes of two threads each on two cores run slower than one; the
-    caller gets its own count back afterwards.
+    order). :func:`forked` workers ``1 .. ways - 1`` start on the queue's
+    first points and the caller on the next, and then each process takes the
+    next point left whenever it is free. Every process uses one OpenBLAS
+    thread, since two processes of two threads each on two cores run slower
+    than one; the caller gets its own count back afterwards.
     """
-    import multiprocessing
-
-    global _BUNDLE, _QUEUE
     ways = fork_ways(len(cfgs))
     blas = _openblas_threads() if ways > 1 else None
-    _BUNDLE = bundle
+    if blas is None:
+        return [_point(bundle, cfg) for cfg in cfgs]
+    import multiprocessing
+
+    get_threads, set_threads = blas
+    threads = get_threads()
+    order = sorted(range(len(cfgs)), key=lambda i: -cfgs[i].latent_dim)
+    queue, taken = [cfgs[i] for i in order], multiprocessing.get_context("fork").Value("i", ways)
+    jobs = [partial(_take_points, bundle, queue, taken, (job - 1) % ways) for job in range(ways)]
     try:
-        if blas is None:
-            return [_point(cfg) for cfg in cfgs]
-        get_threads, set_threads = blas
-        threads = get_threads()
-        order = sorted(range(len(cfgs)), key=lambda i: -cfgs[i].latent_dim)
-        fork = multiprocessing.get_context("fork")
-        _QUEUE = [cfgs[i] for i in order], fork.Value("i", ways)
-        try:
-            set_threads(1)
-            with fork.Pool(ways - 1, initializer=set_threads, initargs=(1,)) as pool:
-                theirs = [pool.apply_async(_take_points, (j,)) for j in range(ways - 1)]
-                done = _take_points(ways - 1)
-                for pending in theirs:
-                    done += pending.get()
-        finally:
-            set_threads(threads)
-        results: list = [None] * len(cfgs)
-        for i, result in done:
-            results[order[i]] = result
-        return results
+        set_threads(1)  # forked workers inherit the count
+        done = [point for points in forked(jobs, "a sweep process", "points") for point in points]
     finally:
-        _BUNDLE = _QUEUE = None
+        set_threads(threads)
+    results: list = [None] * len(cfgs)
+    for i, result in done:
+        results[order[i]] = result
+    return results
 
 
 def sweep(

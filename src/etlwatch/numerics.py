@@ -14,6 +14,8 @@ used, so buffering never changes which value a call returns.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import ContractViolationError, NumericalError
@@ -89,10 +91,13 @@ class SeededRng:
         """Draw a float in [lo, hi).
 
         Uses the top 53 bits of the raw output, so all 2^53 representable
-        offsets in [0, 1) are reachable.
+        offsets in [0, 1) are reachable. The width ``hi - lo`` must be
+        finite: wider bounds are rejected, since every draw would overflow.
         """
-        if not lo < hi:
-            raise ContractViolationError(f"uniform bounds require lo < hi, got [{lo}, {hi})")
+        if not lo < hi or math.isinf(float(hi) - float(lo)):
+            raise ContractViolationError(
+                f"uniform bounds require lo < hi and a finite hi - lo, got [{lo}, {hi})"
+            )
         value = lo + self.unit() * (hi - lo)
         if value >= hi:  # guard the rare rounding onto the open bound
             value = np.nextafter(hi, lo)
@@ -117,10 +122,14 @@ class SeededRng:
         ``hi`` may be an array of ``n`` upper bounds, one per draw.
         """
         hi = np.asarray(hi, dtype=np.float64)
-        if not np.all(lo < hi):
-            raise ContractViolationError(f"uniform bounds require lo < hi, got lo={lo}")
+        with np.errstate(over="ignore"):
+            width = hi - lo
+        if not np.all((lo < hi) & np.isfinite(width)):
+            raise ContractViolationError(
+                f"uniform bounds require lo < hi and a finite hi - lo, got lo={lo}, hi={hi}"
+            )
         u = (self.next_u64_block(n) >> np.uint64(11)).astype(np.float64) * 2.0**-53
-        value = lo + u * (hi - lo)
+        value = lo + u * width
         # guard the rare rounding onto the open bound, as uniform() does
         return np.where(value >= hi, np.nextafter(hi, lo), value)
 

@@ -31,7 +31,9 @@ import itertools
 import json
 import math
 import os
+from contextlib import closing
 from dataclasses import dataclass, fields as dataclass_fields
+from functools import partial
 from operator import attrgetter, itemgetter
 from pathlib import Path
 from typing import BinaryIO, Callable, Iterable, Iterator, NamedTuple, Sequence, TypeVar
@@ -566,6 +568,59 @@ def fork_ways(jobs: int) -> int:
     return 1
 
 
+def forked(jobs: Sequence[Callable[[], T]], who: str, what: str) -> Iterator[T]:
+    """Each job's result in job order: job 0 runs in the caller while each
+    other job runs in a forked worker of its own, or, where :func:`fork_ways`
+    gives fewer ways than there are jobs, the caller runs every job in turn.
+
+    A worker's exception is raised where its result would be, and a worker
+    that ends without sending raises :class:`EtlwatchError` ("<who> ended
+    with exit code <n> before it sent its <what>"). Closing the iterator, or
+    any exception, terminates and reaps every worker.
+    """
+    if len(jobs) < 2 or fork_ways(len(jobs)) < len(jobs):
+        for job in jobs:
+            yield job()
+        return
+    import multiprocessing
+
+    fork = multiprocessing.get_context("fork")
+    workers = []
+    try:
+        for job in jobs[1:]:
+            receive, send = fork.Pipe(duplex=False)
+            worker = fork.Process(target=_send_result, args=(send, job))
+            worker.start()
+            send.close()  # the worker's end, so its death reads as EOF here
+            workers.append((worker, receive))
+        yield jobs[0]()
+        for worker, receive in workers:
+            try:
+                result, error = receive.recv()
+            except EOFError:
+                worker.join()
+                raise EtlwatchError(
+                    f"{who} ended with exit code {worker.exitcode} before it sent its {what}"
+                ) from None
+            if error is not None:
+                raise error
+            yield result
+    finally:
+        for worker, receive in workers:
+            worker.terminate()  # a worker that has sent has nothing left to do
+            worker.join()
+            receive.close()
+
+
+def _send_result(send, job: Callable) -> None:
+    """A forked worker: send back ``job()``, or the exception it raised."""
+    try:
+        result = job(), None
+    except Exception as exc:  # the caller raises it where the result would be
+        result = None, exc
+    send.send(result)
+
+
 def _json_runs(
     fh: BinaryIO, path: str | Path, start: int = 0, end: float = math.inf
 ) -> Iterator[tuple[list[int], list[dict], Exception | None]]:
@@ -654,15 +709,10 @@ def _check_range(
     return parts, None
 
 
-def _send_range(send, path, fields, check, start: int, end: float) -> None:
-    """A reader process: :func:`_check_range` over its own handle of the file,
-    sent back; an exception is sent back in place of the range's failure."""
-    try:
-        with open(path, "rb") as fh:
-            result = _check_range(fh, path, fields, check, start, end)
-    except Exception as exc:  # the caller raises it once the ranges before are clean
-        result = [], exc
-    send.send(result)
+def _read_range(path, fields, check, start: int, end: float) -> tuple[list, Exception | None]:
+    """:func:`_check_range` over a handle of its own: a reader process's job."""
+    with open(path, "rb") as fh:
+        return _check_range(fh, path, fields, check, start, end)
 
 
 def read_chunks(
@@ -680,12 +730,13 @@ def read_chunks(
     once the records before it have been checked.
 
     A file of at least :data:`_SPLIT_BYTES` per process is read as
-    line-aligned byte ranges, one per usable CPU (:func:`fork_ways`): forked
-    workers check ranges 1, 2, ... and send back their parts and their first
-    failure, while the caller checks range 0. The parts are joined in range
-    order and the first failure in line order is raised, so the result and
-    every error are those of a read in one range, which is what a small
-    file, one usable CPU or a file that cannot be seeked (a FIFO) gets.
+    line-aligned byte ranges, one per usable CPU (:func:`fork_ways`), with
+    :func:`forked`: workers check ranges 1, 2, ... and send back their parts
+    and their first failure, while the caller checks range 0 from its own
+    handle. The parts are joined in range order and the first failure in
+    line order is raised, so the result and every error are those of a read
+    in one range, which is what a small file, one usable CPU or a file that
+    cannot be seeked (a FIFO) gets.
     """
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size if fh.seekable() else 0
@@ -695,40 +746,18 @@ def read_chunks(
             fh.seek(size * i // ways)
             fh.readline()
             bounds.append(fh.tell())
+        if ways > 1:
+            fh.seek(0)
         bounds.append(math.inf)
-        workers = []
-        try:
-            if ways > 1:
-                import multiprocessing
-
-                fork = multiprocessing.get_context("fork")
-                for start, end in zip(bounds[1:], bounds[2:]):
-                    receive, send = fork.Pipe(duplex=False)
-                    worker = fork.Process(
-                        target=_send_range, args=(send, path, fields, check, start, end)
-                    )
-                    worker.start()
-                    send.close()  # the worker's end, so its death reads as EOF here
-                    workers.append((worker, receive))
-                fh.seek(0)
-            parts, failure = _check_range(fh, path, fields, check, 0, bounds[1])
-            for worker, receive in workers:
-                if failure is not None:
-                    break
-                try:
-                    theirs, failure = receive.recv()
-                except EOFError:
-                    worker.join()
-                    raise EtlwatchError(
-                        f"{path}: a reader process ended with exit code {worker.exitcode} "
-                        "before it sent its records"
-                    ) from None
+        jobs = [partial(_check_range, fh, path, fields, check, 0, bounds[1])]
+        jobs += [
+            partial(_read_range, path, fields, check, start, end)
+            for start, end in zip(bounds[1:], bounds[2:])
+        ]
+        parts = []
+        with closing(forked(jobs, f"{path}: a reader process", "records")) as ranges:
+            for theirs, failure in ranges:
                 parts += theirs
-        finally:
-            for worker, receive in workers:
-                worker.terminate()  # a worker that has sent has nothing left to do
-                worker.join()
-                receive.close()
-    if failure is not None:
-        raise failure
+                if failure is not None:
+                    raise failure
     return parts

@@ -1,11 +1,17 @@
 import json
+import multiprocessing
+import os
+import time
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
 from etlwatch.autoencoder import load_model
+from etlwatch import cli
 from etlwatch.cli import main
-from etlwatch.detector import batch_scores
+from etlwatch.detector import DetectionResult, StreamError, batch_scores
+from etlwatch.errors import EtlwatchError
 from etlwatch.preprocess import parse_event, standardize, vectorize_events
 
 
@@ -212,6 +218,69 @@ class TestDetect:
         message = result.output.strip()
         assert message.startswith("Error:") and "\n" not in message
         assert "line 3" in message and reason in message
+
+
+FORK = "fork" in multiprocessing.get_all_start_methods() and hasattr(os, "sched_getaffinity")
+
+
+@pytest.mark.skipif(not FORK, reason="the forked writer needs fork and sched_getaffinity")
+class TestDetectionWriters:
+    """detect writes its CSV file in a forked worker from ``_SPLIT_ROWS``
+    records on; a failure on either side ends the run with an error and
+    leaves no process behind."""
+
+    RECORDS = [DetectionResult("a", 0.5, False, True), StreamError("b", "unknown device")]
+
+    @pytest.fixture(autouse=True)
+    def two_cpus(self, monkeypatch):
+        monkeypatch.setattr(cli, "_SPLIT_ROWS", 2)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        yield
+        assert not multiprocessing.active_children()
+
+    def test_csv_file_is_written_in_a_worker_from_split_rows_on_two_cpus(
+        self, monkeypatch, tmp_path
+    ):
+        def pid(results, path):
+            Path(path).write_text(str(os.getpid()))
+
+        monkeypatch.setattr(cli, "write_detections_jsonl", pid)
+        monkeypatch.setattr(cli, "write_detections_csv", pid)
+        caller = str(os.getpid())
+        for records, cpus, csv_in_caller in (
+            (self.RECORDS, 2, False), (self.RECORDS[:1], 2, True), (self.RECORDS, 1, True)
+        ):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+            cli._write_detections(records, tmp_path / "d.jsonl", tmp_path / "d.csv")
+            assert tmp_path.joinpath("d.jsonl").read_text() == caller
+            assert (tmp_path.joinpath("d.csv").read_text() == caller) == csv_in_caller
+
+    def test_csv_worker_that_dies_is_an_error(self, monkeypatch, tmp_path):
+        monkeypatch.setattr(cli, "write_detections_csv", lambda results, path: os._exit(3))
+        with pytest.raises(EtlwatchError, match="d.csv ended with exit code 3"):
+            cli._write_detections(self.RECORDS, tmp_path / "d.jsonl", tmp_path / "d.csv")
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_csv_path_that_is_a_directory(self, monkeypatch, runner, workspace, tmp_path, cpus):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        tmp_path.joinpath("d.csv").mkdir()
+        with pytest.raises(IsADirectoryError, match="d.csv"):
+            cli._write_detections(self.RECORDS, tmp_path / "d.jsonl", tmp_path / "d.csv")
+        _, stream, model = workspace
+        result = runner.invoke(main, ["detect", str(stream), "--model", str(model),
+                                      "--delta", "1", "--out", str(tmp_path / "d.jsonl")])
+        assert "Is a directory" in error_line(result, 1)
+
+    def test_caller_failure_stops_the_worker(self, monkeypatch, tmp_path):
+        def fails(results, path):
+            raise EtlwatchError("failed in the caller")
+
+        monkeypatch.setattr(cli, "write_detections_jsonl", fails)
+        monkeypatch.setattr(cli, "write_detections_csv", lambda results, path: time.sleep(60))
+        started = time.monotonic()
+        with pytest.raises(EtlwatchError, match="failed in the caller"):
+            cli._write_detections(self.RECORDS, tmp_path / "d.jsonl", tmp_path / "d.csv")
+        assert time.monotonic() - started < 30
 
 
 def stream_with_line(workspace, path, mask, **raw):

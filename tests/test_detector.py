@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import json
 import math
+import os
 import pickle
 
 import numpy as np
@@ -10,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from etlwatch.autoencoder import Activation, AutoencoderParams
-from etlwatch import preprocess
+from etlwatch import cli, preprocess
 from etlwatch.detector import (
     _SCORE_CHUNK,
     DetectionResult,
@@ -387,7 +388,7 @@ class TestDetectionIO:
 
 
     def test_writers_match_reference_bytes_for_odd_records(self, tmp_path):
-        ids = ['say "hi"', "back\\slash", "a,b", "line\nbreak", "naïve-ünïcødé-事件", ""]
+        ids = ['say "hi"', "back\\slash", "a,b", "line\nbreak", "cr\rid", "naïve-ünïcødé-事件", ""]
         scores = [0.0, 5e-324, 1e16, math.inf, -0.0, 0.1, 2e16, math.nan]
         records = [StreamError("first", "unknown device_type 'toaster'")] + [
             DetectionResult(event_id, value, value > 1.0, truth)
@@ -409,6 +410,18 @@ class TestDetectionIO:
             write(records, root / "ours")
             write_reference(records, root / "theirs")
             assert (root / "ours").read_bytes() == (root / "theirs").read_bytes()
+        reference.write_detections_jsonl(records, root / "theirs.jsonl")
+        reference.write_detections_csv(records, root / "theirs.csv")
+        # detect writes both files, the CSV one in a forked worker where two
+        # CPUs are usable
+        for cpus in (1, 2):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(cli, "_SPLIT_ROWS", 1)
+                patch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+                cli._write_detections(records, root / "both.jsonl", root / "both.csv")
+            for suffix in (".jsonl", ".csv"):
+                ours, theirs = root / f"both{suffix}", root / f"theirs{suffix}"
+                assert ours.read_bytes() == theirs.read_bytes(), f"{cpus} CPUs"
 
 
 def odd_records():

@@ -4,6 +4,7 @@ import math
 import multiprocessing
 import os
 import pickle
+import time
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from etlwatch import evaluation
 from etlwatch.errors import (
     ContractViolationError,
     EncodingError,
+    EtlwatchError,
     TrainingDivergedError,
     UndefinedMetricError,
 )
@@ -373,6 +375,65 @@ class TestSweepPool:
         daemon.join(10)
         assert not daemon.is_alive()
         assert got == serial
+
+
+@pytest.mark.skipif(
+    evaluation._openblas_threads() is None
+    or "fork" not in multiprocessing.get_all_start_methods(),
+    reason="the sweep's workers need fork and numpy's OpenBLAS",
+)
+class TestSweepProcesses:
+    """A worker's death or exception, and the caller's own, end the sweep
+    with an error and leave no process behind."""
+
+    GRID = [4, 8, 16, 32]
+
+    @pytest.fixture(autouse=True)
+    def three_cpus(self, monkeypatch):
+        use_cpus(monkeypatch, 3)
+        yield
+        assert not multiprocessing.active_children()
+
+    def test_worker_that_dies_without_sending_is_an_error(self, monkeypatch, small_bundle):
+        caller = os.getpid()
+
+        def dies_in_a_worker(bundle, cfg):
+            if os.getpid() != caller:
+                os._exit(3)
+            return None
+
+        monkeypatch.setattr(evaluation, "evaluate_config", dies_in_a_worker)
+        started = time.monotonic()
+        with pytest.raises(EtlwatchError, match="a sweep process ended with exit code 3"):
+            sweep("k", FAST, self.GRID, small_bundle, seed=3)
+        assert time.monotonic() - started < 30
+
+    def test_worker_exception_reaches_the_caller(self, monkeypatch, small_bundle):
+        caller = os.getpid()
+
+        def fails_in_a_worker(bundle, cfg):
+            if os.getpid() != caller:
+                raise UndefinedMetricError(f"failed at k={cfg.latent_dim}")
+            return None
+
+        monkeypatch.setattr(evaluation, "evaluate_config", fails_in_a_worker)
+        # the two workers start on the two longest points
+        with pytest.raises(UndefinedMetricError, match="failed at k=32"):
+            sweep("k", FAST, self.GRID, small_bundle, seed=3)
+
+    def test_caller_exception_stops_the_workers(self, monkeypatch, small_bundle):
+        caller = os.getpid()
+
+        def fails_in_the_caller(bundle, cfg):
+            if os.getpid() == caller:
+                raise UndefinedMetricError("failed in the caller")
+            time.sleep(60)  # a worker still busy is stopped, not waited for
+
+        monkeypatch.setattr(evaluation, "evaluate_config", fails_in_the_caller)
+        started = time.monotonic()
+        with pytest.raises(UndefinedMetricError, match="failed in the caller"):
+            sweep("k", FAST, self.GRID, small_bundle, seed=3)
+        assert time.monotonic() - started < 30
 
 
 @pytest.fixture(scope="module")

@@ -187,6 +187,32 @@ class TestSeededRng:
         with pytest.raises(ContractViolationError):
             SeededRng(0).uniform_block(2, 0.0, np.array([1.0, 0.0]))
 
+    @pytest.mark.filterwarnings("error")  # as under python -W error
+    @pytest.mark.parametrize(
+        "lo, hi",
+        [(-1e308, 1e308), (-np.inf, 0.0), (0.0, np.inf), (-np.inf, np.inf), (-1e307, 1.79e308)],
+    )
+    def test_a_width_wider_than_the_largest_float_is_rejected(self, lo, hi):
+        # lo + u * (hi - lo) is then inf or NaN, which the open-bound guard
+        # used to clamp to the float just below hi on every draw
+        message = "uniform bounds require lo < hi and a finite hi - lo, got "
+        with pytest.raises(ContractViolationError, match=re.escape(f"{message}[{lo}, {hi})")):
+            SeededRng(0).uniform(lo, hi)
+        with pytest.raises(ContractViolationError, match=re.escape(f"{message}lo={lo}, hi={hi}")):
+            SeededRng(0).uniform_block(6, lo, hi)
+        with pytest.raises(ContractViolationError, match=re.escape(f"{message}lo={lo}, hi=[")):
+            SeededRng(0).uniform_block(3, lo, np.full(3, hi))
+
+    @pytest.mark.filterwarnings("error")
+    def test_the_widest_finite_width_draws_as_before(self):
+        top = np.finfo(np.float64).max
+        lo, hi = -top / 2, float(np.nextafter(top / 2, 0.0))
+        rng, block_rng, oracle_rng = SeededRng(8), SeededRng(8), SeededRng(8)
+        values = [rng.uniform(lo, hi) for _ in range(300)]
+        assert values == [reference_uniform(oracle_rng, lo, hi) for _ in range(300)]
+        assert block_rng.uniform_block(300, lo, hi).tolist() == values
+        assert all(lo <= value < hi for value in values)
+
 
 class TestRngOracles:
     """Block draws against the scalar generator they must reproduce bit for bit."""
