@@ -19,14 +19,18 @@ apply per-feature (x - mu) / sigma rescaling; stats are fit on training data
 once and frozen for every later split and stream.
 
 JSON-lines files (event streams, label files and detections) share one line
-decoder. :func:`read_chunks` gathers the records into columns a run at a
-time and checks each run, reading a large file in line-aligned byte ranges
-on every usable CPU; :func:`read_jsonl` hands each record to a parse
-function.
+decoder. orjson decodes the lines, and the stdlib ``json`` decoder those it
+rejects or could read differently, so every line gives the record or the
+error per-line ``json.loads`` gives; a line nested too deeply for ``json`` is
+an error, not a crash. :func:`read_chunks` gathers the records into columns
+a run at a time and checks each run, reading a large file in line-aligned
+byte ranges on every usable CPU; :func:`read_jsonl` hands each record to a
+parse function.
 """
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import json
 import math
@@ -144,7 +148,10 @@ class FirstFailure:
             if row >= self.row:
                 return
             if bad(value):
-                self.row, self.message = row, message(value)
+                try:
+                    self.row, self.message = row, message(value)
+                except RecursionError as exc:  # a value nested too deeply to show
+                    self.row, self.message = row, str(exc)
                 return
 
     def types(self, values: Sequence, allowed: set[type], message: Callable, rows=None) -> None:
@@ -534,18 +541,34 @@ def event_to_dict(event: EtlEvent) -> dict:
     }
 
 
-# One decoder for every line of every file; json.loads uses one like it.
+# The decoder of every line that orjson does not decode; json.loads uses one
+# like it.
 _DECODER = json.JSONDecoder()
 _JSON_BLANKS = " \t\n\r"
+# orjson reads an integer literal outside the 64-bit range as a float, where
+# json gives the exact int. Such a literal holds a run of at least 19 digits.
+_DIGIT_RUN = b"0" * 19
+# Maps each digit to "0" and "{" to "[", so that one search finds a digit run
+# and one count finds the brackets that open arrays and objects.
+_GUARD = bytes.maketrans(b"0123456789{", b"0000000000[")
+# orjson decodes only a line with fewer opening brackets than this, so it
+# never builds a value nested this deep: it recurses without a limit of its
+# own (a line nested a million deep crashes the interpreter), and a value
+# nested near the recursion limit cannot be shown in an error message. json
+# decodes the other lines, and a RecursionError from it is the line's error.
+_DEEP = 512
 
 
-# Records decoded before they are gathered into columns and checked; it
-# bounds the decoded objects held at once.
+# Lines decoded at a time, before their records are gathered into columns
+# and checked; it bounds the decoded objects held at once.
 _CHUNK = 1024
 # Bytes of a file per reader process. On a 2-vCPU host a reader costs about
-# 30 ms to fork, hear from and reap, and about 5 ms more per MiB it sends
-# back, while decoding and checking a MiB of stream lines takes about 50 ms;
-# so a file is split only where every process gets at least this much.
+# 25-30 ms to fork, hear from and reap, with what it sends back. Decoding,
+# checking and scoring a MiB of stream lines, as detect does, takes about
+# 28 ms, and splitting it broke even at about this much per process (best
+# of 7). Decoding and checking alone takes about 20 ms, and a plain read
+# split in two was no faster up to 4 MiB per process, nor slower. So a file
+# is split only where every process gets at least this much.
 _SPLIT_BYTES = 1 << 20
 # Bytes read at a time when a reader counts the lines before its range.
 _COUNT_BLOCK = 1 << 20
@@ -623,50 +646,85 @@ def _send_result(send, job: Callable) -> None:
 
 def _json_runs(
     fh: BinaryIO, path: str | Path, start: int = 0, end: float = math.inf
-) -> Iterator[tuple[list[int], list[dict], Exception | None]]:
+) -> Iterator[tuple[Sequence[int], list[dict], Exception | None]]:
     """The records of the lines of a JSON-lines file that start at byte
-    ``start`` or later and before byte ``end``, in runs of up to
-    :data:`_CHUNK`, each with the line numbers of its records, skipping
-    blank lines. ``fh`` is the file, opened in binary mode at offset 0;
-    ``start`` is 0 or the start of a line.
+    ``start`` or later and before byte ``end``, one run per block of
+    :data:`_CHUNK` lines, each with the line numbers of its records,
+    skipping blank lines. ``fh`` is the file, opened in binary mode at
+    offset 0; ``start`` is 0 or the start of a line.
 
-    The first line that is not a UTF-8 JSON object ends the last run, which
-    carries a :class:`ContractViolationError` that names the file and line
-    with the message per-line ``json.loads`` gives; the others carry None.
+    Each line gives the record that per-line ``json.loads`` of its UTF-8
+    text gives, with the same types and float bits. orjson decodes a block
+    of lines at once when each line is shorter than :data:`_DEEP` bytes (so
+    it has fewer opening brackets), no line holds a run of 19 digits, and
+    orjson accepts every line as a JSON object; any other block goes line by
+    line through :func:`_decode_line`. The first line that is not a UTF-8
+    JSON object, or is nested too deeply for json to decode, ends the last
+    run, which carries a :class:`ContractViolationError` that names the file
+    and line with the message of json's ValueError or RecursionError; the
+    others carry None.
     """
-    first_line = 1
+    from orjson import loads  # here, not at import, which it would slow by ~15 ms
+
+    line_no = 1
     for offset in range(0, start, _COUNT_BLOCK):  # number lines by the newlines before
-        first_line += fh.read(min(_COUNT_BLOCK, start - offset)).count(b"\n")
-    line_nos: list[int] = []
-    records: list[dict] = []
+        line_no += fh.read(min(_COUNT_BLOCK, start - offset)).count(b"\n")
     at = start
-    for line_no, raw in enumerate(fh, start=first_line):
-        if at >= end:
-            break
-        at += len(raw)
-        if raw.isspace():  # the ASCII blanks bytes.strip() removes
-            continue
-        try:
-            text = raw.decode("utf-8")
+    while at < end and (lines := list(itertools.islice(fh, _CHUNK))):
+        starts = list(itertools.accumulate(map(len, lines), initial=at))
+        del lines[bisect.bisect_left(starts, end, hi=len(lines)) :]  # those from end on
+        at = starts[len(lines)]
+        line_nos = range(line_no, line_no + len(lines))
+        line_no += len(lines)
+        if max(map(len, lines)) < _DEEP and _DIGIT_RUN not in b"".join(lines).translate(_GUARD):
             try:
-                record, stop = _DECODER.raw_decode(text)
-            except ValueError:
-                stop = -1
-            if stop < 0 or text[stop:].strip(_JSON_BLANKS):
-                # a leading blank, bad JSON or trailing data: json.loads
-                # accepts the first and words the error for the others
-                record = json.loads(text)
-            if not isinstance(record, dict):
-                raise ValueError("not a JSON object")
-        except ValueError as exc:
-            yield line_nos, records, ContractViolationError(f"{path} line {line_no}: {exc}")
-            return
-        line_nos.append(line_no)
-        records.append(record)
-        if len(records) == _CHUNK:
-            yield line_nos, records, None
-            line_nos, records = [], []
-    yield line_nos, records, None
+                records = list(map(loads, lines))
+            except ValueError:  # a blank line, bad JSON or JSON that orjson rejects
+                records = None
+            if records is not None and set(map(type, records)) == {dict}:
+                yield line_nos, records, None
+                continue
+        numbered, records = [], []
+        for no, raw in zip(line_nos, lines):
+            if raw.isspace():  # the ASCII blanks bytes.strip() removes
+                continue
+            try:
+                record = _decode_line(raw, loads)
+                if not isinstance(record, dict):
+                    raise ValueError("not a JSON object")
+            except (ValueError, RecursionError) as exc:
+                yield numbered, records, ContractViolationError(f"{path} line {no}: {exc}")
+                return
+            numbered.append(no)
+            records.append(record)
+        yield numbered, records, None
+
+
+def _decode_line(raw: bytes, loads: Callable[[bytes], object]) -> object:
+    """The value of one line as per-line ``json.loads`` of its UTF-8 text
+    gives it, or raises its ValueError or RecursionError.
+
+    orjson (``loads``) decodes a line with no run of 19 digits and fewer
+    than :data:`_DEEP` opening brackets. json decodes the other lines and
+    those orjson rejects: ``NaN``, ``Infinity``, ``1e400``, a lone surrogate
+    escape, bad UTF-8 or bad JSON.
+    """
+    guard = raw.translate(_GUARD)
+    if _DIGIT_RUN not in guard and guard.count(b"[") < _DEEP:
+        try:
+            return loads(raw)
+        except ValueError:
+            pass
+    text = raw.decode("utf-8")
+    try:
+        value, stop = _DECODER.raw_decode(text)
+    except ValueError:
+        stop = -1
+    if stop < 0 or text[stop:].strip(_JSON_BLANKS):
+        # a leading blank, bad JSON or trailing data: json.loads accepts the
+        # first and words the error for the others
+        value = json.loads(text)
+    return value
 
 
 def read_jsonl(path: str | Path, parse: Callable[[dict, int], T]) -> list[T]:

@@ -12,7 +12,7 @@ from etlwatch import cli
 from etlwatch.cli import main
 from etlwatch.detector import DetectionResult, StreamError, batch_scores
 from etlwatch.errors import EtlwatchError
-from etlwatch.preprocess import parse_event, standardize, vectorize_events
+from etlwatch.preprocess import hour_angle, parse_event, standardize, vectorize_events
 
 
 @pytest.fixture
@@ -369,6 +369,81 @@ class TestStreamFields:
         result = runner.invoke(main, [command, str(stream), *command_args(command, workspace, out)])
         message = error_line(result, 1)
         assert "line 3" in message and reason in message
+
+
+    def test_a_timestamp_of_21_digits_scores_as_json_reads_it(self, runner, workspace, tmp_path):
+        # orjson reads an integer this large as a float, whose hour of day differs
+        timestamp = 123_456_789_012_345_678_901
+        assert hour_angle(timestamp) != hour_angle(int(float(timestamp)))
+        stream = stream_with_line(
+            workspace, tmp_path / "wide.jsonl", [False, False, False], timestamp=str(timestamp)
+        )
+        out = tmp_path / "det.jsonl"
+        run_ok(runner, ["detect", str(stream), *command_args("detect", workspace, out)])
+        params, stats, schema = load_model(workspace[2])
+        events = [parse_event(json.loads(line)) for line in stream.read_text().splitlines()]
+        assert events[2].timestamp == timestamp
+        expected = batch_scores(params, standardize(vectorize_events(events, schema), stats))
+        assert [json.loads(line)["score"] for line in out.read_text().splitlines()] == (
+            expected.tolist()
+        )
+
+
+def nested_line_args(workspace, tmp_path, command, **raw):
+    """The arguments of ``command`` on a file whose line 3 holds each field of
+    ``raw`` as that raw JSON text: a stream for detect and train, detections
+    for evaluate."""
+    if command != "evaluate":
+        path = stream_with_line(workspace, tmp_path / "deep.jsonl", [False, False, False], **raw)
+        return path, [command, str(path), *command_args(command, workspace, tmp_path / "out")]
+    rows = [
+        {"event_id": str(i), "score": float(i), "is_anomaly": i > 1, "truth_label": i > 1}
+        for i in range(4)
+    ]
+    rows[2].update({field: f"<{field}>" for field in raw})
+    text = "\n".join(map(json.dumps, rows))
+    for field, value in raw.items():
+        text = text.replace(f'"<{field}>"', value)
+    path = tmp_path / "det.jsonl"
+    path.write_text(text + "\n")
+    return path, ["evaluate", str(path), "--delta", "1", "--out", str(tmp_path / "r.json")]
+
+
+JSON_TOO_DEEP = (
+    "maximum recursion depth exceeded while decoding a JSON array from a unicode string"
+)
+
+
+@pytest.mark.parametrize("nan", [False, True], ids=["plain", "with-NaN"])
+@pytest.mark.parametrize(
+    "command, field",
+    [("detect", "junk"), ("detect", "missing_mask"), ("train", "junk"),
+     ("train", "missing_mask"), ("evaluate", "junk"), ("evaluate", "score")],
+)
+def test_a_line_nested_too_deeply_is_one_line_error(
+    runner, workspace, tmp_path, command, field, nan
+):
+    # 3000 deep is too deep for json, so orjson is never given it; a NaN on
+    # the line as well is what orjson rejects
+    raw = {field: "[" * 3000 + "]" * 3000} | ({"nan": "NaN"} if nan else {})
+    path, args = nested_line_args(workspace, tmp_path, command, **raw)
+    result = runner.invoke(main, args)
+    message = error_line(result, 1)
+    assert result.output.strip() == message
+    assert message == f"Error: {path} line 3: {JSON_TOO_DEEP}"
+
+
+@pytest.mark.parametrize(
+    "command, field, reason",
+    [("detect", "missing_mask", "field 'missing_mask' must be an array of booleans, got [[["),
+     ("evaluate", "score", "field 'score' must be a number, got [[[")],
+)
+def test_a_value_nested_300_deep_is_shown_in_its_error(
+    runner, workspace, tmp_path, command, field, reason
+):
+    path, args = nested_line_args(workspace, tmp_path, command, **{field: "[" * 300 + "]" * 300})
+    message = error_line(runner.invoke(main, args), 1)
+    assert message.startswith(f"Error: {path} line 3: {reason}")
 
 
 class TestEvaluate:

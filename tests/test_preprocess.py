@@ -4,8 +4,11 @@ import multiprocessing
 import os
 import pickle
 import re
+import subprocess
+import sys
 import threading
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -311,7 +314,9 @@ def jsonl_line(draw):
     if kind == "odd":
         return draw(st.sampled_from(
             [b'{"x": [1', b"2]}", b'{"a": 1} {"b": 2}', b'{"a": 1}x', b"NaN", b"-Infinity",
-             b"\xff\xfe", b'{"a": "\xc3"}', b"{", b'{"a": NaN}', b'{"a": 1,}']
+             b"\xff\xfe", b'{"a": "\xc3"}', b"{", b'{"a": NaN}', b'{"a": 1,}',
+             b'{"a": 18446744073709551616}', b'{"a": -9223372036854775809}', b'{"a": 1e400}',
+             b'{"a": "\\ud800"}', b'{"a": "\x01"}', b'\xef\xbb\xbf{"a": 1}', b'{"a": 1}\x0c']
         ))
     if kind == "object":
         value = draw(st.dictionaries(st.text(max_size=3), JSON_VALUE, max_size=3))
@@ -319,6 +324,47 @@ def jsonl_line(draw):
         value = draw(JSON_VALUE)
     text = json.dumps(value, ensure_ascii=draw(st.booleans()))
     return (draw(LINE_EDGE) + text + draw(LINE_EDGE | st.just(" 1"))).encode("utf-8")
+
+
+# Integers of 18, 19 and 20 or more digits on both sides of -2**63, 2**63
+# and 2**64: orjson reads one outside the 64-bit range as a float.
+EDGE_INTEGERS = [
+    10**18 - 1, 10**18, 2**63 - 1, 2**63, 2**63 + 1, 2**64 - 1, 2**64, 2**64 + 1, 10**25,
+    -(10**18) + 1, -(10**18), -(2**63) + 1, -(2**63), -(2**63) - 1, -(2**64), -(10**25),
+]
+# Lines whose values or errors orjson could give differently from json.
+EDGE_LINES = [
+    *(b'{"a": %d, "b": [%d]}' % (n, n) for n in EDGE_INTEGERS),
+    *(b'{"a": %s}' % text for text in (b"-0", b"-0.0", b"1e400", b"-1e400", b"1e-400")),
+    *(b'{"a": %s}' % text for text in (b"NaN", b"Infinity", b"-Infinity")),
+    b'{"a": 1.7976931348623157e308, "b": 1.7976931348623159e308}',
+    b'{"a": "\\ud800"}', b'{"a": "\\udc00\\ud800"}', b'{"a": "\\ud83d\\ude00"}',
+    b'{"a": "x\x01y"}', b'{"a": "\t"}', b'{"a": "\x7f"}',
+    b'\xef\xbb\xbf{"a": 1}', b'{"a": 1}\x0c', b'\x0c{"a": 1}', b"\x0c", b"\x0b\x0c",
+    b'{"id": "12345678901234567890"}',  # a run of digits in a string
+    b'{"a": %s}' % (b"[" * 300 + b"]" * 300),  # few brackets enough for orjson
+    b'{"a": %s}' % (b"[" * 600 + b"]" * 600),  # too many: json decodes it
+]
+
+
+def same_outcome(path):
+    """read_jsonl's records and line numbers, or its error, against those of
+    one json.loads per line."""
+    outcomes = []
+    for read in (read_jsonl, per_line_read_jsonl):
+        try:
+            # repr, because a decoded NaN is not equal to itself
+            outcomes.append(repr(read(path, lambda record, line_no: (record, line_no))))
+        except ContractViolationError as exc:
+            outcomes.append(f"error: {exc}")
+    assert outcomes[0] == outcomes[1]
+
+
+def nested(depth, inner=None):
+    """``inner`` inside ``depth`` arrays, built without recursion."""
+    for _ in range(depth):
+        inner = [inner]
+    return inner
 
 
 class TestEventIO:
@@ -413,14 +459,49 @@ class TestEventIO:
     def test_read_jsonl_matches_per_line_json_loads(self, tmp_path_factory, lines, final_newline):
         path = tmp_path_factory.mktemp("jsonl") / "lines.jsonl"
         path.write_bytes(b"\n".join(lines) + (b"\n" if final_newline else b""))
-        outcomes = []
-        for read in (read_jsonl, per_line_read_jsonl):
-            try:
-                # repr, because a decoded NaN is not equal to itself
-                outcomes.append(repr(read(path, lambda record, line_no: (record, line_no))))
-            except ContractViolationError as exc:
-                outcomes.append(f"error: {exc}")
-        assert outcomes[0] == outcomes[1]
+        same_outcome(path)
+
+    @pytest.mark.parametrize("line", EDGE_LINES, ids=lambda line: repr(line[:40]))
+    @pytest.mark.parametrize("alone", [True, False], ids=["alone", "after-a-block"])
+    def test_read_jsonl_matches_per_line_json_loads_on_edge_lines(self, tmp_path, line, alone):
+        # after a block, the line is the first of the second block of lines
+        block = b"" if alone else b'{"a": 1, "b": [2.5, null]}\n' * preprocess._CHUNK
+        path = tmp_path / "lines.jsonl"
+        path.write_bytes(block + line + b'\n{"c": "d"}\n')
+        same_outcome(path)
+
+    @pytest.mark.parametrize("nan", [False, True], ids=["plain", "with-NaN"])
+    def test_a_line_nested_too_deeply_is_a_bad_line(self, tmp_path, nan):
+        # a NaN makes orjson reject the line; either way json decodes it
+        path = tmp_path / "lines.jsonl"
+        deep = b"[" * 3000 + b"]" * 3000
+        path.write_bytes(b'{"a": 1}\n{"a": %s%s}\n' % (deep, b', "b": NaN' if nan else b""))
+        with pytest.raises(ContractViolationError) as info:
+            read_jsonl(path, lambda record, line_no: record)
+        assert str(info.value) == (
+            f"{path} line 2: maximum recursion depth exceeded while decoding a JSON array"
+            " from a unicode string"
+        )
+
+    @pytest.mark.parametrize("field", ["timestamp", "amount", "missing_mask", "records_loaded"])
+    def test_a_value_too_deep_to_show_is_a_check_failure(self, field):
+        record = event_to_dict(make_event())
+        record[field] = nested(5000)
+        with pytest.raises(ContractViolationError, match="maximum recursion depth exceeded"):
+            parse_event(record)
+
+    def test_orjson_is_imported_by_the_first_read_not_by_the_cli(self, tmp_path):
+        path = tmp_path / "lines.jsonl"
+        path.write_bytes(b'{"a": 1}\n')
+        code = (
+            "import sys, etlwatch.cli, etlwatch.preprocess as p\n"
+            "assert 'orjson' not in sys.modules\n"
+            "p.read_jsonl(sys.argv[1], lambda record, line_no: record)\n"
+            "assert 'orjson' in sys.modules\n"
+        )
+        paths = [str(Path(preprocess.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+        subprocess.run([sys.executable, "-c", code, str(path)], env=env, check=True)
 
     @pytest.mark.parametrize("mask", [["false", False, False], [0, 0, 0], [None, True, False]])
     def test_mask_entries_must_be_booleans(self, mask):
@@ -592,6 +673,10 @@ CASES = [
      "line 2: not a JSON object"),
     (read_stream, stream_body(bad={0: b'{"timestamp": "8"}', 6: b"{broken"}),
      "line 1: field 'timestamp' must be an integer"),
+    (read_stream, stream_body(change={4: {"timestamp": 2**70, "records_loaded": -(2**63) - 1}}),
+     None),
+    (read_stream, stream_body(bad={4: b'{"junk": %s}' % (b"[" * 3000 + b"]" * 3000)}),
+     "line 5: maximum recursion depth exceeded"),
     (read_detections_jsonl, detection_body(), None),
     (read_detections_jsonl, detection_body(bad={5: b'{"event_id": "d", "score": NaN}'}),
      "line 6: field 'score' must not be NaN"),
