@@ -546,16 +546,15 @@ def event_to_dict(event: EtlEvent) -> dict:
 _DECODER = json.JSONDecoder()
 _JSON_BLANKS = " \t\n\r"
 # orjson reads an integer literal outside the 64-bit range as a float, where
-# json gives the exact int. Such a literal holds a run of at least 19 digits.
+# json gives the exact int. Such a literal holds a run of at least 19 digits,
+# which one search finds once every digit is mapped to "0".
 _DIGIT_RUN = b"0" * 19
-# Maps each digit to "0" and "{" to "[", so that one search finds a digit run
-# and one count finds the brackets that open arrays and objects.
-_GUARD = bytes.maketrans(b"0123456789{", b"0000000000[")
-# orjson decodes only a line with fewer opening brackets than this, so it
-# never builds a value nested this deep: it recurses without a limit of its
-# own (a line nested a million deep crashes the interpreter), and a value
+_DIGITS = bytes.maketrans(b"0123456789", b"0000000000")
+# orjson decodes a block of lines only when every line is shorter than this,
+# so it never builds a value nested this deep: it recurses without a limit of
+# its own (a line nested a million deep crashes the interpreter), and a value
 # nested near the recursion limit cannot be shown in an error message. json
-# decodes the other lines, and a RecursionError from it is the line's error.
+# decodes the longer lines, and a RecursionError from it is the line's error.
 _DEEP = 512
 
 
@@ -655,14 +654,14 @@ def _json_runs(
 
     Each line gives the record that per-line ``json.loads`` of its UTF-8
     text gives, with the same types and float bits. orjson decodes a block
-    of lines at once when each line is shorter than :data:`_DEEP` bytes (so
-    it has fewer opening brackets), no line holds a run of 19 digits, and
-    orjson accepts every line as a JSON object; any other block goes line by
-    line through :func:`_decode_line`. The first line that is not a UTF-8
-    JSON object, or is nested too deeply for json to decode, ends the last
-    run, which carries a :class:`ContractViolationError` that names the file
-    and line with the message of json's ValueError or RecursionError; the
-    others carry None.
+    of lines at once when every line is shorter than :data:`_DEEP` bytes, no
+    line holds a run of 19 digits, and orjson accepts every line as a JSON
+    object. Any other block, such as one with a longer line (a long id or
+    error text), goes line by line through the stdlib ``json`` decoder. The
+    first line that is not a UTF-8 JSON object, or is nested too deeply for
+    json to decode, ends the last run, which carries a
+    :class:`ContractViolationError` that names the file and line with the
+    message of json's ValueError or RecursionError; the others carry None.
     """
     from orjson import loads  # here, not at import, which it would slow by ~15 ms
 
@@ -676,7 +675,7 @@ def _json_runs(
         at = starts[len(lines)]
         line_nos = range(line_no, line_no + len(lines))
         line_no += len(lines)
-        if max(map(len, lines)) < _DEEP and _DIGIT_RUN not in b"".join(lines).translate(_GUARD):
+        if max(map(len, lines)) < _DEEP and _DIGIT_RUN not in b"".join(lines).translate(_DIGITS):
             try:
                 records = list(map(loads, lines))
             except ValueError:  # a blank line, bad JSON or JSON that orjson rejects
@@ -689,7 +688,15 @@ def _json_runs(
             if raw.isspace():  # the ASCII blanks bytes.strip() removes
                 continue
             try:
-                record = _decode_line(raw, loads)
+                text = raw.decode("utf-8")
+                try:
+                    record, stop = _DECODER.raw_decode(text)
+                except ValueError:
+                    stop = -1
+                if stop < 0 or text[stop:].strip(_JSON_BLANKS):
+                    # a leading blank, bad JSON or trailing data: json.loads
+                    # accepts the first and words the error for the others
+                    record = json.loads(text)
                 if not isinstance(record, dict):
                     raise ValueError("not a JSON object")
             except (ValueError, RecursionError) as exc:
@@ -698,33 +705,6 @@ def _json_runs(
             numbered.append(no)
             records.append(record)
         yield numbered, records, None
-
-
-def _decode_line(raw: bytes, loads: Callable[[bytes], object]) -> object:
-    """The value of one line as per-line ``json.loads`` of its UTF-8 text
-    gives it, or raises its ValueError or RecursionError.
-
-    orjson (``loads``) decodes a line with no run of 19 digits and fewer
-    than :data:`_DEEP` opening brackets. json decodes the other lines and
-    those orjson rejects: ``NaN``, ``Infinity``, ``1e400``, a lone surrogate
-    escape, bad UTF-8 or bad JSON.
-    """
-    guard = raw.translate(_GUARD)
-    if _DIGIT_RUN not in guard and guard.count(b"[") < _DEEP:
-        try:
-            return loads(raw)
-        except ValueError:
-            pass
-    text = raw.decode("utf-8")
-    try:
-        value, stop = _DECODER.raw_decode(text)
-    except ValueError:
-        stop = -1
-    if stop < 0 or text[stop:].strip(_JSON_BLANKS):
-        # a leading blank, bad JSON or trailing data: json.loads accepts the
-        # first and words the error for the others
-        value = json.loads(text)
-    return value
 
 
 def read_jsonl(path: str | Path, parse: Callable[[dict, int], T]) -> list[T]:

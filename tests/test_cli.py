@@ -8,7 +8,7 @@ import pytest
 from click.testing import CliRunner
 
 from etlwatch.autoencoder import load_model
-from etlwatch import cli
+from etlwatch import cli, preprocess
 from etlwatch.cli import main
 from etlwatch.detector import DetectionResult, StreamError, batch_scores
 from etlwatch.errors import EtlwatchError
@@ -423,8 +423,8 @@ JSON_TOO_DEEP = (
 def test_a_line_nested_too_deeply_is_one_line_error(
     runner, workspace, tmp_path, command, field, nan
 ):
-    # 3000 deep is too deep for json, so orjson is never given it; a NaN on
-    # the line as well is what orjson rejects
+    # 3000 deep is too deep for json; the line is too long for orjson, which
+    # would also reject a NaN on it
     raw = {field: "[" * 3000 + "]" * 3000} | ({"nan": "NaN"} if nan else {})
     path, args = nested_line_args(workspace, tmp_path, command, **raw)
     result = runner.invoke(main, args)
@@ -433,15 +433,18 @@ def test_a_line_nested_too_deeply_is_one_line_error(
     assert message == f"Error: {path} line 3: {JSON_TOO_DEEP}"
 
 
+@pytest.mark.parametrize("depth", [80, 300], ids=["orjson", "json"])
 @pytest.mark.parametrize(
     "command, field, reason",
     [("detect", "missing_mask", "field 'missing_mask' must be an array of booleans, got [[["),
      ("evaluate", "score", "field 'score' must be a number, got [[[")],
 )
-def test_a_value_nested_300_deep_is_shown_in_its_error(
-    runner, workspace, tmp_path, command, field, reason
+def test_a_deeply_nested_value_is_shown_in_its_error(
+    runner, workspace, tmp_path, command, field, reason, depth
 ):
-    path, args = nested_line_args(workspace, tmp_path, command, **{field: "[" * 300 + "]" * 300})
+    path, args = nested_line_args(workspace, tmp_path, command, **{field: "[" * depth + "]" * depth})
+    # orjson decodes a block of lines only if each is shorter than _DEEP bytes
+    assert (len(path.read_bytes().split(b"\n")[2]) < preprocess._DEEP) == (depth == 80)
     message = error_line(runner.invoke(main, args), 1)
     assert message.startswith(f"Error: {path} line 3: {reason}")
 
