@@ -35,8 +35,6 @@ from .errors import ContractViolationError, InsufficientDataError
 from .numerics import as_vector
 from .preprocess import (
     ABSENT,
-    EtlEvent,
-    EventBatch,
     FeatureSchema,
     FirstFailure,
     Records,
@@ -53,12 +51,6 @@ from .streamgen import (
     fill_held_out_labels,
     labels_sibling_path,
 )
-
-# Events encoded and scored per batch_scores call when score_stream is given
-# events (a stream file is scored in read_chunks' runs). It bounds the
-# working set of a long stream; it cannot change a score.
-_SCORE_CHUNK = 1024
-
 
 @dataclass(frozen=True, slots=True)
 class DetectionResult:
@@ -110,22 +102,6 @@ class Detections(Sequence):
             errors and not 0 <= self._error_at[0] <= self._error_at[-1] < len(ids)
         ):
             raise ContractViolationError("detection columns do not describe one stream")
-
-    @classmethod
-    def from_records(cls, records: Iterable[DetectionResult | StreamError]) -> Detections:
-        """The records as columns; a :class:`Detections` is returned as it is."""
-        if isinstance(records, Detections):
-            return records
-        ids, scores, flags, truth, errors = [], [], [], [], {}
-        for position, record in enumerate(records):
-            ids.append(record.event_id)
-            if isinstance(record, StreamError):
-                errors[position] = record.error
-            else:
-                scores.append(record.score)
-                flags.append(record.is_anomaly)
-                truth.append(record.truth_label)
-        return cls(ids, scores, flags, truth, errors)
 
     @classmethod
     def concat(cls, parts: Iterable[Detections]) -> Detections:
@@ -226,29 +202,24 @@ def calibrate_threshold(validation_scores: Sequence[float], q: float) -> float:
 def score_stream(
     params: AutoencoderParams,
     stats: StandardizationStats,
-    events: Iterable[EtlEvent] | str | os.PathLike,
+    path: str | os.PathLike,
     schema: FeatureSchema,
     delta: float,
-    truth_labels: Sequence[bool | None] | None = None,
 ) -> Detections:
-    """Score a stream of raw events against ``delta``, one record per event.
+    """Score the events of a stream file against ``delta``, one record per event.
 
-    Events that fail to encode become :class:`StreamError` records in
-    place, so a malformed record never aborts the run. Output order matches
-    input order. Each chunk of events is encoded, scored and compared with
-    delta as one batch, and the chunks' columns are joined into one
-    :class:`Detections`. Since :func:`batch_scores` is batch-invariant,
-    every score equals the one the library gives the same standardized row
-    in any batch.
-
-    ``events`` is a sequence of events, read as an :class:`EventBatch` in
-    chunks of :data:`_SCORE_CHUNK`, with one truth label per event or none.
-    Or it is the path of a stream file, read as :func:`read_stream` reads
-    it, with its inline labels, else its sibling labels file when there is
-    one, as the truth: each run of records that :func:`read_chunks` checks
-    is scored in the process that reads it, so a large file is decoded,
-    encoded and scored on every usable CPU, with the same records and errors
-    as scoring what :func:`read_stream` returns.
+    The file is read as :func:`read_stream` reads it, with its inline
+    labels, else its sibling labels file when there is one, as the truth.
+    Events that fail to encode become :class:`StreamError` records in place,
+    so a malformed record never aborts the run; output order matches input
+    order. Each run of records that :func:`read_chunks` checks is encoded,
+    scored and compared with delta as one batch in the process that reads
+    it, and a reader process sends back only the run's columns and inline
+    labels. So a large file is decoded, encoded and scored on every usable
+    CPU, with the same records and errors as scoring what
+    :func:`read_stream` returns; since :func:`batch_scores` is
+    batch-invariant, every score equals the one the library gives the same
+    standardized row in any batch.
     """
     if schema.dim != params.d:
         raise ContractViolationError(
@@ -256,59 +227,16 @@ def score_stream(
         )
     if not (delta >= 0 and math.isfinite(delta)):
         raise ContractViolationError(f"delta must be finite and >= 0, got {delta}")
-    if isinstance(events, (str, os.PathLike)):
-        if truth_labels is not None:
-            raise ContractViolationError("a stream file carries its own truth labels")
-        return _score_file(params, stats, events, schema, delta)
-    batch = EventBatch.from_events(events)
-    if truth_labels is None:
-        truth_labels = [None] * len(batch)
-    elif len(truth_labels) != len(batch):
-        raise ContractViolationError(
-            f"truth_labels has {len(truth_labels)} entries for {len(batch)} events"
-        )
-    parts = []
-    for start in range(0, len(batch), _SCORE_CHUNK):
-        chunk = batch[start : start + _SCORE_CHUNK]
-        ids = [event_id or f"event-{start + i}" for i, event_id in enumerate(chunk.event_id)]
-        labels = truth_labels[start : start + len(chunk)]
-        parts.append(_score_chunk(params, stats, schema, delta, chunk, ids, labels))
-    return Detections.concat(parts)
-
-
-def _score_chunk(
-    params: AutoencoderParams,
-    stats: StandardizationStats,
-    schema: FeatureSchema,
-    delta: float,
-    events: EventBatch,
-    ids: list[str],
-    labels: Sequence[bool | None],
-) -> Detections:
-    """Encode, score and flag one chunk of events, with one id and one truth
-    label per event; an event that fails to encode becomes an error record."""
-    x, failed = encode_events(events, schema)
-    scores = batch_scores(params, standardize(x, stats))
-    errors = {position: str(exc) for position, exc in failed}
-    truth = [label for i, label in enumerate(labels) if i not in errors]
-    return Detections(ids, scores, scores > delta, truth, errors)
-
-
-def _score_file(
-    params: AutoencoderParams,
-    stats: StandardizationStats,
-    path: str | os.PathLike,
-    schema: FeatureSchema,
-    delta: float,
-) -> Detections:
-    """:func:`score_stream` of a stream file; a reader process sends back
-    each run's scored columns and inline labels, never its events."""
 
     def check(records: Records, first: FirstFailure) -> tuple[Detections, list] | None:
         events, labels, _ = _check_stream_records(records, first)
         if first.message is not None:
             return None  # read_chunks raises it
-        return _score_chunk(params, stats, schema, delta, events, events.event_id, labels), labels
+        x, failed = encode_events(events, schema)
+        scores = batch_scores(params, standardize(x, stats))
+        errors = {position: str(exc) for position, exc in failed}
+        truth = [label for i, label in enumerate(labels) if i not in errors]
+        return Detections(events.event_id, scores, scores > delta, truth, errors), labels
 
     parts = read_chunks(path, STREAM_FIELDS, check)
     detections = Detections.concat(part for part, _ in parts)
@@ -346,12 +274,10 @@ def _jsonl_failed(event_id: str, error: str) -> str:
     )
 
 
-def write_detections_jsonl(
-    results: Iterable[DetectionResult | StreamError], path: str | Path
-) -> None:
-    """One JSON object per line, byte for byte what ``json.dumps`` writes for it."""
+def write_detections_jsonl(detections: Detections, path: str | Path) -> None:
+    """One JSON object per record, byte for byte what ``json.dumps`` writes for it."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.writelines(Detections.from_records(results).rows(_jsonl_scored, _jsonl_failed))
+        fh.writelines(detections.rows(_jsonl_scored, _jsonl_failed))
 
 
 # A scored record's truth_label column, as csv.writer writes it.
@@ -378,14 +304,12 @@ def _csv_failed(event_id: str, error: str) -> str:
     return _csv_line([event_id, "", "", "", error])
 
 
-def write_detections_csv(
-    results: Iterable[DetectionResult | StreamError], path: str | Path
-) -> None:
+def write_detections_csv(detections: Detections, path: str | Path) -> None:
     """Spreadsheet-friendly mirror of the line-delimited output, byte for
     byte what ``csv.writer`` writes for its rows."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(_csv_line(["event_id", "score", "is_anomaly", "truth_label", "error"]))
-        fh.writelines(Detections.from_records(results).rows(_csv_scored, _csv_failed))
+        fh.writelines(detections.rows(_csv_scored, _csv_failed))
 
 
 # The fields of a detection record, and what a record that lacks one reads as.

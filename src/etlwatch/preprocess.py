@@ -18,14 +18,14 @@ all-or-nothing and one-event forms. :func:`fit_stats` / :func:`standardize`
 apply per-feature (x - mu) / sigma rescaling; stats are fit on training data
 once and frozen for every later split and stream.
 
-JSON-lines files (event streams, label files and detections) share one line
-decoder. orjson decodes the lines, and the stdlib ``json`` decoder those it
-rejects or could read differently, so every line gives the record or the
-error per-line ``json.loads`` gives; a line nested too deeply for ``json`` is
-an error, not a crash. :func:`read_chunks` gathers the records into columns
-a run at a time and checks each run, reading a large file in line-aligned
-byte ranges on every usable CPU; :func:`read_jsonl` hands each record to a
-parse function.
+JSON-lines files (event streams, label files and detections) share one
+reader, :func:`read_chunks`, and one line decoder. orjson decodes the lines,
+and the stdlib ``json`` decoder those it rejects or could read differently,
+so every line gives the record or the error per-line ``json.loads`` gives; a
+line nested too deeply for ``json`` is an error, not a crash.
+:func:`read_chunks` gathers the records into columns a run at a time and
+checks each run, reading a large file in line-aligned byte ranges on every
+usable CPU.
 """
 
 from __future__ import annotations
@@ -188,6 +188,26 @@ def _floats(values: list, first: FirstFailure) -> list[float]:
         return list(map(float, values[: first.row]))
 
 
+def _str_error(value: object) -> str | None:
+    """Why ``str(value)`` fails, or None when it does not."""
+    try:
+        str(value)
+    except RecursionError as exc:  # a value nested too deeply to show
+        return str(exc)
+    return None
+
+
+def _strings(values: list, first: FirstFailure) -> list[str]:
+    """``str`` of every value, up to the first one it fails on."""
+    if set(map(type, values)) <= {str}:
+        return values
+    try:
+        return list(map(str, values))
+    except RecursionError:
+        first.scan(values, lambda value: _str_error(value) is not None, _str_error)
+        return list(map(str, values[: first.row]))
+
+
 def _integers(values: list, name: str, first: FirstFailure) -> list[int]:
     """The values as ints, up to the first that is not an int or an integral float."""
     if set(map(type, values)) <= {int}:
@@ -305,7 +325,13 @@ class EventBatch(Sequence[EtlEvent]):
             numbers[name] = values
         present("records_loaded")
         records_loaded = _integers(raw["records_loaded"][: first.row], "records_loaded", first)
-        present("device_type", "geo_region")
+        categories = []
+        for name in ("device_type", "geo_region"):
+            present(name)
+            categories.append(_strings(raw[name][: first.row], first))
+        ids = raw["event_id"][: first.row]
+        if not set(map(type, ids)) <= {str}:
+            ids = _strings(["" if v is None else v for v in ids], first)
         if odd_size:
             first.scan(
                 masks,
@@ -329,20 +355,13 @@ class EventBatch(Sequence[EtlEvent]):
                 numbers[name] = [v if m else f for v, f, m in zip(raw[name], values, flags)]
             else:
                 numbers[name] = values
-        categories = []
-        for name in ("device_type", "geo_region"):
-            values = raw[name][:n]
-            categories.append(values if set(map(type, values)) <= {str} else list(map(str, values)))
-        ids = raw["event_id"][:n]
-        if not set(map(type, ids)) <= {str}:
-            ids = ["" if v is None else str(v) for v in ids]
         return cls(
             timestamp[:n],
             *numbers.values(),
             records_loaded[:n],
-            *categories,
+            *(values[:n] for values in categories),
             list(map(tuple, masks[:n])),
-            ids,
+            ids[:n],
         )
 
 
@@ -541,10 +560,6 @@ def event_to_dict(event: EtlEvent) -> dict:
     }
 
 
-# The decoder of every line that orjson does not decode; json.loads uses one
-# like it.
-_DECODER = json.JSONDecoder()
-_JSON_BLANKS = " \t\n\r"
 # orjson reads an integer literal outside the 64-bit range as a float, where
 # json gives the exact int. Such a literal holds a run of at least 19 digits,
 # which one search finds once every digit is mapped to "0".
@@ -688,15 +703,7 @@ def _json_runs(
             if raw.isspace():  # the ASCII blanks bytes.strip() removes
                 continue
             try:
-                text = raw.decode("utf-8")
-                try:
-                    record, stop = _DECODER.raw_decode(text)
-                except ValueError:
-                    stop = -1
-                if stop < 0 or text[stop:].strip(_JSON_BLANKS):
-                    # a leading blank, bad JSON or trailing data: json.loads
-                    # accepts the first and words the error for the others
-                    record = json.loads(text)
+                record = json.loads(raw.decode("utf-8"))
                 if not isinstance(record, dict):
                     raise ValueError("not a JSON object")
             except (ValueError, RecursionError) as exc:
@@ -705,29 +712,6 @@ def _json_runs(
             numbered.append(no)
             records.append(record)
         yield numbered, records, None
-
-
-def read_jsonl(path: str | Path, parse: Callable[[dict, int], T]) -> list[T]:
-    """Return ``parse(record, line_no)`` for every non-blank line of a JSON-lines file.
-
-    Each line must be a UTF-8 JSON object. A line that is not, or whose
-    record ``parse`` rejects with a KeyError, ValueError, TypeError,
-    OverflowError or :class:`EtlwatchError`, stops the read with one
-    :class:`ContractViolationError` naming the file and line number.
-    """
-    out: list[T] = []
-    with open(path, "rb") as fh:
-        for line_nos, records, failure in _json_runs(fh, path):
-            for line_no, record in zip(line_nos, records):
-                try:
-                    out.append(parse(record, line_no))
-                except KeyError as exc:
-                    raise ContractViolationError(f"{path} line {line_no}: no field {exc}") from exc
-                except (ValueError, TypeError, OverflowError, EtlwatchError) as exc:
-                    raise ContractViolationError(f"{path} line {line_no}: {exc}") from exc
-            if failure is not None:
-                raise failure
-    return out
 
 
 def _check_range(

@@ -36,6 +36,7 @@ from typing import Sequence
 from .errors import ContractViolationError
 from .numerics import SeededRng
 from .preprocess import (
+    ABSENT,
     DEFAULT_DEVICE_TYPES,
     DEFAULT_GEO_REGIONS,
     EVENT_RECORD_FIELDS,
@@ -47,7 +48,6 @@ from .preprocess import (
     Records,
     event_to_dict,
     read_chunks,
-    read_jsonl,
 )
 
 ANOMALY_CLASSES = ("delay", "missing", "duplicate", "spike")
@@ -497,7 +497,9 @@ def fill_held_out_labels(
         raise ContractViolationError(
             f"{path} has unlabeled records and no labels file at {labels_path}"
         )
-    held_out = dict(read_jsonl(labels_path, _held_out_label))
+    held_out = dict(
+        itertools.chain.from_iterable(read_chunks(labels_path, _LABEL_FIELDS, _check_labels))
+    )
     for i, event_id in enumerate(event_ids):
         if labels[i] is None:
             if event_id not in held_out:
@@ -523,12 +525,20 @@ def _label_message(value: object) -> str:
     return f"field 'label' must be a boolean, got {value!r}"
 
 
-def _held_out_label(record: dict, line_no: int) -> tuple[str, tuple[bool, str | None]]:
-    """A labels-file record as ``(event_id, (label, anomaly_class))``; a null
-    label counts as absent."""
-    event_id, label = str(record["event_id"]), record.get("label")
-    if label is None:
-        raise KeyError("label")
-    if type(label) is not bool:
-        raise ContractViolationError(_label_message(label))
-    return event_id, (label, record.get("anomaly_class"))
+# The fields of a labels-file record; every field but anomaly_class is required.
+_LABEL_FIELDS = {"event_id": ABSENT, "label": None, "anomaly_class": None}
+
+
+def _check_labels(
+    records: Records, first: FirstFailure
+) -> list[tuple[str, tuple[bool, str | None]]] | None:
+    """A run of labels-file records as ``(event_id, (label, anomaly_class))``
+    pairs, with ``str`` of each ``event_id``; a null label counts as absent."""
+    ids, labels, classes = records.values.values()
+    first.absent(records, "event_id", "no field 'event_id'")
+    first.types(
+        labels, {bool}, lambda label: "no field 'label'" if label is None else _label_message(label)
+    )
+    if first.message is not None:
+        return None  # read_chunks raises it
+    return list(zip(map(str, ids), zip(labels, classes)))

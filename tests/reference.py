@@ -3,8 +3,8 @@
 Each function is the plain form the library once used: one event, one
 record, one line or one tie group at a time, with fresh arrays for every
 intermediate. The tests compare the library's column-wise encoder, its
-column readers of streams and detections, its line writers, its JSON-lines
-reader, its rank computation, its sigmoid, its epoch loss, its gradient
+column readers of streams, labels files and detections, its line writers,
+its JSON-lines reader, its rank computation, its sigmoid, its epoch loss, its gradient
 kernel and its stream generator with these, bit for bit and byte for byte.
 """
 
@@ -17,7 +17,7 @@ import numpy as np
 
 from etlwatch import streamgen
 from etlwatch.autoencoder import Gradients, latent_l1, reconstruction_loss, total_loss
-from etlwatch.detector import DetectionResult, StreamError, batch_scores
+from etlwatch.detector import DetectionResult, Detections, StreamError, batch_scores
 from etlwatch.errors import ContractViolationError, EncodingError, EtlwatchError
 from etlwatch.numerics import SeededRng
 from etlwatch.preprocess import (
@@ -99,6 +99,20 @@ def write_detections_csv(results, path):
                 writer.writerow(
                     [record.event_id, repr(record.score), record.is_anomaly, truth, ""]
                 )
+
+
+def detections(records):
+    """The records as :class:`Detections` columns, one record at a time."""
+    ids, scores, flags, truth, errors = [], [], [], [], {}
+    for position, record in enumerate(records):
+        ids.append(record.event_id)
+        if isinstance(record, StreamError):
+            errors[position] = record.error
+        else:
+            scores.append(record.score)
+            flags.append(record.is_anomaly)
+            truth.append(record.truth_label)
+    return Detections(ids, scores, flags, truth, errors)
 
 
 def average_ranks(values):
@@ -214,6 +228,21 @@ def read_stream(path):
         return event
 
     return read_jsonl(path, parse), labels, classes
+
+
+def read_held_out_labels(path):
+    """A labels file as ``{event_id: (label, anomaly_class)}``, one line at a
+    time; a null label counts as absent."""
+
+    def parse(record, line_no):
+        event_id, label = str(record["event_id"]), record.get("label")
+        if label is None:
+            raise KeyError("label")
+        if type(label) is not bool:
+            raise ContractViolationError(f"field 'label' must be a boolean, got {label!r}")
+        return event_id, (label, record.get("anomaly_class"))
+
+    return dict(read_jsonl(path, parse))
 
 
 def read_detections_jsonl(path):

@@ -13,6 +13,7 @@ from etlwatch.cli import main
 from etlwatch.detector import DetectionResult, StreamError, batch_scores
 from etlwatch.errors import EtlwatchError
 from etlwatch.preprocess import hour_angle, parse_event, standardize, vectorize_events
+import reference
 
 
 @pytest.fixture
@@ -229,7 +230,9 @@ class TestDetectionWriters:
     records on; a failure on either side ends the run with an error and
     leaves no process behind."""
 
-    RECORDS = [DetectionResult("a", 0.5, False, True), StreamError("b", "unknown device")]
+    RECORDS = reference.detections(
+        [DetectionResult("a", 0.5, False, True), StreamError("b", "unknown device")]
+    )
 
     @pytest.fixture(autouse=True)
     def two_cpus(self, monkeypatch):
@@ -248,7 +251,9 @@ class TestDetectionWriters:
         monkeypatch.setattr(cli, "write_detections_csv", pid)
         caller = str(os.getpid())
         for records, cpus, csv_in_caller in (
-            (self.RECORDS, 2, False), (self.RECORDS[:1], 2, True), (self.RECORDS, 1, True)
+            (self.RECORDS, 2, False),
+            (reference.detections(self.RECORDS[:1]), 2, True),
+            (self.RECORDS, 1, True),
         ):
             monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
             cli._write_detections(records, tmp_path / "d.jsonl", tmp_path / "d.csv")

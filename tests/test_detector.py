@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 from etlwatch.autoencoder import Activation, AutoencoderParams
 from etlwatch import cli, preprocess
 from etlwatch.detector import (
-    _SCORE_CHUNK,
     DetectionResult,
     Detections,
     StreamError,
@@ -30,6 +29,7 @@ from etlwatch.preprocess import (
     EtlEvent,
     FeatureSchema,
     StandardizationStats,
+    event_to_dict,
     fit_stats,
     standardize,
     vectorize,
@@ -164,104 +164,111 @@ def tiny_pipeline():
     return model, stats, schema, events
 
 
+def write_stream(path, events, truth=None):
+    """Write ``events`` as a stream file, each with its truth label inline
+    (null where it is None, or everywhere when ``truth`` is None)."""
+    truth = [None] * len(events) if truth is None else truth
+    path.write_text(
+        "".join(json.dumps(event_to_dict(e) | {"label": t}) + "\n" for e, t in zip(events, truth))
+    )
+    return path
+
+
+@pytest.fixture(scope="module")
+def tiny_stream(tiny_pipeline, tmp_path_factory):
+    """The tiny pipeline's events as a stream file without labels."""
+    return write_stream(tmp_path_factory.mktemp("stream") / "stream.jsonl", tiny_pipeline[3])
+
+
+# Lines read, checked and scored at a time.
+CHUNK = preprocess._CHUNK
+
+
 class TestScoreStream:
-    def test_empty_stream(self, tiny_pipeline):
+    def test_empty_stream(self, tiny_pipeline, tmp_path):
         model, stats, schema, _ = tiny_pipeline
-        assert list(score_stream(model, stats, [], schema, 1.0)) == []
+        path = tmp_path / "stream.jsonl"
+        path.write_text("")
+        assert list(score_stream(model, stats, path, schema, 1.0)) == []
+        assert list(score_stream(model, stats, str(path), schema, 1.0)) == []
 
-    def test_concatenation_equals_concatenated_results(self, tiny_pipeline):
+    def test_concatenation_equals_concatenated_results(self, tiny_pipeline, tmp_path):
         model, stats, schema, events = tiny_pipeline
-        whole = list(score_stream(model, stats, events, schema, 0.5))
-        parts = list(score_stream(model, stats, events[:25], schema, 0.5)) + list(
-            score_stream(model, stats, events[25:], schema, 0.5)
-        )
-        assert whole == parts
 
-    def test_bad_event_becomes_error_record(self, tiny_pipeline):
-        from dataclasses import replace
+        def scored(name, part):
+            return list(score_stream(model, stats, write_stream(tmp_path / name, part), schema, 0.5))
 
+        whole = scored("whole.jsonl", events)
+        assert whole == scored("head.jsonl", events[:25]) + scored("tail.jsonl", events[25:])
+
+    def test_bad_event_becomes_error_record(self, tiny_pipeline, tmp_path):
         model, stats, schema, events = tiny_pipeline
-        broken = [events[0], replace(events[1], device_type="toaster"), events[2]]
-        results = score_stream(model, stats, broken, schema, 0.0)
+        broken = [events[0], dataclasses.replace(events[1], device_type="toaster"), events[2]]
+        path = write_stream(tmp_path / "stream.jsonl", broken)
+        results = score_stream(model, stats, path, schema, 0.0)
         assert len(results) == 3
         assert isinstance(results[0], DetectionResult)
         assert isinstance(results[1], StreamError)
         assert "toaster" in results[1].error
         assert isinstance(results[2], DetectionResult)
 
-    def test_order_preserved_and_truth_passthrough(self, tiny_pipeline):
+    def test_order_preserved_and_truth_passthrough(self, tiny_pipeline, tmp_path):
         model, stats, schema, events = tiny_pipeline
         truth = [i % 2 == 0 for i in range(len(events))]
-        results = score_stream(
-            model, stats, events, schema, 0.0, truth_labels=truth
-        )
+        path = write_stream(tmp_path / "stream.jsonl", events, truth)
+        results = score_stream(model, stats, path, schema, 0.0)
         assert [r.event_id for r in results] == [e.event_id for e in events]
         assert [r.truth_label for r in results] == truth
 
-    @pytest.mark.parametrize("n_labels", [8, 12])
-    def test_truth_labels_of_another_length_are_refused(self, tiny_pipeline, n_labels):
-        model, stats, schema, events = tiny_pipeline
-        with pytest.raises(ContractViolationError) as info:
-            score_stream(model, stats, events[:10], schema, 0.5, truth_labels=[True] * n_labels)
-        assert str(info.value) == f"truth_labels has {n_labels} entries for 10 events"
-
-    def test_stream_file_takes_no_truth_labels(self, tiny_pipeline, tmp_path):
-        model, stats, schema, _ = tiny_pipeline
-        path = tmp_path / "stream.jsonl"
-        path.write_text("")
-        assert list(score_stream(model, stats, path, schema, 0.5)) == []
-        with pytest.raises(ContractViolationError, match="carries its own truth labels"):
-            score_stream(model, stats, str(path), schema, 0.5, truth_labels=[])
-
-    def test_schema_model_mismatch(self, tiny_pipeline):
-        _, stats, schema, events = tiny_pipeline
+    def test_schema_model_mismatch(self, tiny_pipeline, tiny_stream):
+        _, stats, schema, _ = tiny_pipeline
         with pytest.raises(ContractViolationError):
-            score_stream(identity_model(4), stats, events, schema, 0.0)
+            score_stream(identity_model(4), stats, tiny_stream, schema, 0.0)
 
-    def test_stats_model_mismatch(self, tiny_pipeline):
-        model, _, schema, events = tiny_pipeline
+    def test_stats_model_mismatch(self, tiny_pipeline, tiny_stream):
+        model, _, schema, _ = tiny_pipeline
         with pytest.raises(ContractViolationError, match="stats of dimension 4"):
-            score_stream(model, passthrough_stats(4), events, schema, 0.0)
+            score_stream(model, passthrough_stats(4), tiny_stream, schema, 0.0)
 
-    def test_rejects_bad_delta(self, tiny_pipeline):
-        model, stats, schema, events = tiny_pipeline
+    def test_rejects_bad_delta(self, tiny_pipeline, tiny_stream):
+        model, stats, schema, _ = tiny_pipeline
         for delta in (-1.0, math.nan, math.inf):
             with pytest.raises(ContractViolationError, match="delta"):
-                score_stream(model, stats, events, schema, delta)
+                score_stream(model, stats, tiny_stream, schema, delta)
 
-    def test_score_equal_to_delta_is_normal(self, tiny_pipeline):
+    def test_score_equal_to_delta_is_normal(self, tiny_pipeline, tmp_path):
         _, stats, schema, events = tiny_pipeline
         model = squeezed_model(schema.dim)
-        value = score_stream(model, stats, events[:1], schema, 0.0)[0].score
+        path = write_stream(tmp_path / "stream.jsonl", events[:1])
+        value = score_stream(model, stats, path, schema, 0.0)[0].score
         assert value > 0
-        assert score_stream(model, stats, events[:1], schema, value)[0].is_anomaly is False
+        assert score_stream(model, stats, path, schema, value)[0].is_anomaly is False
 
-    def test_score_above_delta_is_anomaly(self, tiny_pipeline):
+    def test_score_above_delta_is_anomaly(self, tiny_pipeline, tmp_path):
         _, stats, schema, events = tiny_pipeline
         model = squeezed_model(schema.dim)
-        value = score_stream(model, stats, events[:1], schema, 0.0)[0].score
+        path = write_stream(tmp_path / "stream.jsonl", events[:1])
+        value = score_stream(model, stats, path, schema, 0.0)[0].score
         below = float(np.nextafter(value, 0.0))
-        assert score_stream(model, stats, events[:1], schema, below)[0].is_anomaly is True
+        assert score_stream(model, stats, path, schema, below)[0].is_anomaly is True
 
     @given(
         st.floats(min_value=0, max_value=100),
         st.floats(min_value=0, max_value=100),
     )
     @settings(max_examples=40, deadline=None)
-    def test_raising_delta_never_flags_more_events(self, tiny_pipeline, d1, d2):
-        _, stats, schema, events = tiny_pipeline
+    def test_raising_delta_never_flags_more_events(self, tiny_pipeline, tiny_stream, d1, d2):
+        _, stats, schema, _ = tiny_pipeline
         model = squeezed_model(schema.dim)
         lo, hi = sorted((d1, d2))
         flagged = [
-            {r.event_id for r in score_stream(model, stats, events, schema, d) if r.is_anomaly}
+            {r.event_id for r in score_stream(model, stats, tiny_stream, schema, d) if r.is_anomaly}
             for d in (lo, hi)
         ]
         assert flagged[1] <= flagged[0]
 
-    @pytest.mark.parametrize("n", [_SCORE_CHUNK - 1, _SCORE_CHUNK, _SCORE_CHUNK + 1])
-    def test_chunks_equal_scoring_one_event_at_a_time(self, tiny_pipeline, n):
-        from dataclasses import replace
-
+    @pytest.mark.parametrize("n", [CHUNK - 1, CHUNK, CHUNK + 1])
+    def test_chunks_equal_scoring_one_event_at_a_time(self, tiny_pipeline, tmp_path, n):
         _, stats, schema, events = tiny_pipeline
         rnd = np.random.default_rng(n)
         k = 5
@@ -270,46 +277,47 @@ class TestScoreStream:
             w_d=rnd.normal(size=(schema.dim, k)), b_d=rnd.normal(size=schema.dim),
             hidden_activation=Activation.TANH,
         )
-        # unknown values just before and after the first chunk edge, and at the ends
-        bad = {0: ("device_type", "toaster"), _SCORE_CHUNK - 2: ("geo_region", "mars"),
-               _SCORE_CHUNK - 1: ("device_type", ""), _SCORE_CHUNK: ("geo_region", "EU"),
+        # unknown values just before and after the first run's edge, and at the ends
+        bad = {0: ("device_type", "toaster"), CHUNK - 2: ("geo_region", "mars"),
+               CHUNK - 1: ("device_type", ""), CHUNK: ("geo_region", "EU"),
                n - 1: ("device_type", "WEB")}
         stream = []
         for i in range(n):
-            event = replace(events[i % len(events)], event_id="" if i % 7 == 0 else f"e{i}")
+            event = dataclasses.replace(
+                events[i % len(events)], event_id="" if i % 7 == 0 else f"e{i}"
+            )
             if i in bad:
-                event = replace(event, **{bad[i][0]: bad[i][1]})
+                event = dataclasses.replace(event, **{bad[i][0]: bad[i][1]})
             stream.append(event)
         truth = [None if i % 5 == 0 else i % 3 == 0 for i in range(n)]
-        whole = score_stream(model, stats, stream, schema, 0.0, truth_labels=truth)
+        path = write_stream(tmp_path / "stream.jsonl", stream, truth)
+        read, labels, _ = reference.read_stream(path)
+        whole = score_stream(model, stats, path, schema, 0.0)
         delta = float(np.median([r.score for r in whole if isinstance(r, DetectionResult)]))
         for d in (0.0, delta):
-            expected = reference.score_one_at_a_time(model, stats, stream, schema, d, truth)
-            got = score_stream(model, stats, stream, schema, d, truth_labels=truth)
-            assert list(got) == expected
+            expected = reference.score_one_at_a_time(model, stats, read, schema, d, labels)
+            assert list(score_stream(model, stats, path, schema, d)) == expected
         errors = {i for i, r in enumerate(whole) if isinstance(r, StreamError)}
         assert errors == {i for i in bad if i < n}
 
-    def test_records_stay_in_order_across_chunk_edges(self, tiny_pipeline):
-        from dataclasses import replace
-
+    def test_records_stay_in_order_across_chunk_edges(self, tiny_pipeline, tmp_path):
         _, stats, schema, events = tiny_pipeline
         model = squeezed_model(schema.dim)
-        n = 2 * _SCORE_CHUNK + 3
-        broken = {0, _SCORE_CHUNK - 1, _SCORE_CHUNK, n - 1}
+        n = 2 * CHUNK + 3
+        broken = {0, CHUNK - 1, CHUNK, n - 1}
         stream = []
         for i in range(n):
-            event = replace(events[i % len(events)], event_id=f"e{i}")
+            event = dataclasses.replace(events[i % len(events)], event_id=f"e{i}")
             if i in broken:
-                event = replace(event, device_type="toaster")
+                event = dataclasses.replace(event, device_type="toaster")
             stream.append(event)
-        stream[_SCORE_CHUNK + 1] = replace(stream[_SCORE_CHUNK + 1], event_id="")
+        stream[CHUNK + 1] = dataclasses.replace(stream[CHUNK + 1], event_id="")
         truth = [i % 3 == 0 for i in range(n)]
         results = score_stream(
-            model, stats, stream, schema, 1.0, truth_labels=truth
+            model, stats, write_stream(tmp_path / "stream.jsonl", stream, truth), schema, 1.0
         )
         ids = [f"e{i}" for i in range(n)]
-        ids[_SCORE_CHUNK + 1] = f"event-{_SCORE_CHUNK + 1}"
+        ids[CHUNK + 1] = f"line-{CHUNK + 2}"
         assert [r.event_id for r in results] == ids
         assert {i for i, r in enumerate(results) if isinstance(r, StreamError)} == broken
         for i, (event, record) in enumerate(zip(stream, results)):
@@ -373,19 +381,17 @@ class TestDetectionIO:
             DetectionResult(event_id="c", score=0.25, is_anomaly=False),
         ]
         path = tmp_path / "detections.jsonl"
-        write_detections_jsonl(records, path)
+        write_detections_jsonl(reference.detections(records), path)
         assert list(read_detections_jsonl(path)) == records
         assert len(path.read_text().splitlines()) == 3
 
     def test_csv_mirror_has_header_and_rows(self, tmp_path):
         records = [DetectionResult(event_id="a", score=1.0, is_anomaly=False)]
         path = tmp_path / "detections.csv"
-        write_detections_csv(records, path)
+        write_detections_csv(reference.detections(records), path)
         lines = path.read_text().splitlines()
         assert lines[0] == "event_id,score,is_anomaly,truth_label,error"
         assert len(lines) == 2
-
-
 
     def test_writers_match_reference_bytes_for_odd_records(self, tmp_path):
         ids = ['say "hi"', "back\\slash", "a,b", "line\nbreak", "cr\rid", "naïve-ünïcødé-事件", ""]
@@ -403,11 +409,12 @@ class TestDetectionIO:
 
     @staticmethod
     def assert_matches_reference(records, root):
+        detections = reference.detections(records)
         for write, write_reference in (
             (write_detections_jsonl, reference.write_detections_jsonl),
             (write_detections_csv, reference.write_detections_csv),
         ):
-            write(records, root / "ours")
+            write(detections, root / "ours")
             write_reference(records, root / "theirs")
             assert (root / "ours").read_bytes() == (root / "theirs").read_bytes()
         reference.write_detections_jsonl(records, root / "theirs.jsonl")
@@ -418,7 +425,7 @@ class TestDetectionIO:
             with pytest.MonkeyPatch.context() as patch:
                 patch.setattr(cli, "_SPLIT_ROWS", 1)
                 patch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
-                cli._write_detections(records, root / "both.jsonl", root / "both.csv")
+                cli._write_detections(detections, root / "both.jsonl", root / "both.csv")
             for suffix in (".jsonl", ".csv"):
                 ours, theirs = root / f"both{suffix}", root / f"theirs{suffix}"
                 assert ours.read_bytes() == theirs.read_bytes(), f"{cpus} CPUs"
@@ -450,7 +457,7 @@ WRITERS = [
 class TestDetections:
     def test_records_come_back_by_position(self):
         records = odd_records()
-        detections = Detections.from_records(records)
+        detections = reference.detections(records)
         assert len(detections) == len(records)
         assert list(detections) == records
         assert [detections[i] for i in range(-len(records), len(records))] == records * 2
@@ -474,7 +481,8 @@ class TestDetections:
             stream[i] = dataclasses.replace(stream[i], device_type="toaster")
         stream[5] = dataclasses.replace(stream[5], event_id='say "hi", 事件')
         truth = [None if i % 5 == 0 else i % 2 == 0 for i in range(len(stream))]
-        detections = score_stream(model, stats, stream, schema, 0.5, truth_labels=truth)
+        path = write_stream(tmp_path / "stream.jsonl", stream, truth)
+        detections = score_stream(model, stats, path, schema, 0.5)
         assert sorted(detections.errors) == [0, 17, len(stream) - 1]
         for write, write_reference, suffix in WRITERS:
             write(detections, tmp_path / f"ours.{suffix}")
@@ -493,9 +501,11 @@ class TestDetections:
     def test_nan_score_does_not_read_back_and_infinity_does(self, tmp_path):
         path = tmp_path / "detections.jsonl"
         records = [DetectionResult("a", math.inf, True), StreamError("b", "unknown device_type")]
-        write_detections_jsonl(records, path)
+        write_detections_jsonl(reference.detections(records), path)
         assert list(read_detections_jsonl(path)) == records
-        write_detections_jsonl([*records, DetectionResult("c", math.nan, False)], path)
+        write_detections_jsonl(
+            reference.detections([*records, DetectionResult("c", math.nan, False)]), path
+        )
         with pytest.raises(ContractViolationError) as info:
             read_detections_jsonl(path)
         assert str(info.value) == f"{path} line 3: field 'score' must not be NaN"
@@ -509,8 +519,9 @@ class TestDetections:
 
     @staticmethod
     def assert_round_trip(records, root):
-        write_detections_jsonl(records, root / "first.jsonl")
-        write_detections_csv(records, root / "first.csv")
+        detections = reference.detections(records)
+        write_detections_jsonl(detections, root / "first.jsonl")
+        write_detections_csv(detections, root / "first.csv")
         back = read_detections_jsonl(root / "first.jsonl")
         # repr, because -0.0 equals 0.0
         assert repr(list(back)) == repr(reference.read_detections_jsonl(root / "first.jsonl"))

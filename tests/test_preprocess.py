@@ -36,7 +36,6 @@ from etlwatch.preprocess import (
     hour_angle,
     parse_event,
     read_chunks,
-    read_jsonl,
     standardize,
     vectorize,
     vectorize_events,
@@ -347,11 +346,23 @@ EDGE_LINES = [
 ]
 
 
+def json_lines(path, parse=lambda record, line_no: (record, line_no)):
+    """``parse(record, line_no)`` of each record that ``_json_runs`` decodes,
+    or the error of its first bad line."""
+    out = []
+    with open(path, "rb") as fh:
+        for line_nos, records, failure in preprocess._json_runs(fh, path):
+            out += map(parse, records, line_nos)
+            if failure is not None:
+                raise failure
+    return out
+
+
 def same_outcome(path):
-    """read_jsonl's records and line numbers, or its error, against those of
+    """_json_runs' records and line numbers, or its error, against those of
     one json.loads per line."""
     outcomes = []
-    for read in (read_jsonl, per_line_read_jsonl):
+    for read in (json_lines, per_line_read_jsonl):
         try:
             # repr, because a decoded NaN is not equal to itself
             outcomes.append(repr(read(path, lambda record, line_no: (record, line_no))))
@@ -426,44 +437,30 @@ class TestEventIO:
         value = getattr(parse_event(record), field)
         assert value == 7 and type(value) is int
 
-    def test_read_jsonl_skips_blank_lines_and_numbers_the_rest(self, tmp_path):
+    def test_json_runs_skip_blank_lines_and_number_the_rest(self, tmp_path):
         path = tmp_path / "records.jsonl"
         path.write_bytes(b'{"a": 1}\n\n  \n{"a": 2}\n')
-        assert read_jsonl(path, lambda record, line_no: (record["a"], line_no)) == [
+        assert json_lines(path, lambda record, line_no: (record["a"], line_no)) == [
             (1, 1), (2, 4)
         ]
 
-    @pytest.mark.parametrize(
-        "line, reason",
-        [
-            (b"[1, 2]", "not a JSON object"),
-            (b'{"b": 1}', "no field 'a'"),
-            (b'{"a": -1}', "negative"),
-        ],
-    )
-    def test_read_jsonl_bad_line_names_file_and_line(self, tmp_path, line, reason):
-        def parse(record, line_no):
-            if int(record["a"]) < 0:
-                raise InsufficientDataError("negative")
-            return record["a"]
-
+    def test_json_runs_bad_line_names_file_and_line(self, tmp_path):
         path = tmp_path / "records.jsonl"
-        path.write_bytes(b'{"a": 1}\n' + line + b"\n")
+        path.write_bytes(b'{"a": 1}\n[1, 2]\n{"a": 3}\n')
         with pytest.raises(ContractViolationError) as info:
-            read_jsonl(path, parse)
-        message = str(info.value)
-        assert message.startswith(f"{path} line 2: ") and reason in message
+            json_lines(path)
+        assert str(info.value) == f"{path} line 2: not a JSON object"
 
     @given(st.lists(jsonl_line(), max_size=6), st.booleans())
     @settings(max_examples=300, deadline=None)
-    def test_read_jsonl_matches_per_line_json_loads(self, tmp_path_factory, lines, final_newline):
+    def test_json_runs_match_per_line_json_loads(self, tmp_path_factory, lines, final_newline):
         path = tmp_path_factory.mktemp("jsonl") / "lines.jsonl"
         path.write_bytes(b"\n".join(lines) + (b"\n" if final_newline else b""))
         same_outcome(path)
 
     @pytest.mark.parametrize("line", EDGE_LINES, ids=lambda line: repr(line[:40]))
     @pytest.mark.parametrize("alone", [True, False], ids=["alone", "after-a-block"])
-    def test_read_jsonl_matches_per_line_json_loads_on_edge_lines(self, tmp_path, line, alone):
+    def test_json_runs_match_per_line_json_loads_on_edge_lines(self, tmp_path, line, alone):
         # after a block, the line is the first of the second block of lines
         block = b"" if alone else b'{"a": 1, "b": [2.5, null]}\n' * preprocess._CHUNK
         path = tmp_path / "lines.jsonl"
@@ -477,13 +474,16 @@ class TestEventIO:
         deep = b"[" * 3000 + b"]" * 3000
         path.write_bytes(b'{"a": 1}\n{"a": %s%s}\n' % (deep, b', "b": NaN' if nan else b""))
         with pytest.raises(ContractViolationError) as info:
-            read_jsonl(path, lambda record, line_no: record)
+            json_lines(path)
         assert str(info.value) == (
             f"{path} line 2: maximum recursion depth exceeded while decoding a JSON array"
             " from a unicode string"
         )
 
-    @pytest.mark.parametrize("field", ["timestamp", "amount", "missing_mask", "records_loaded"])
+    @pytest.mark.parametrize("field", [
+        "timestamp", "amount", "missing_mask", "records_loaded", "device_type", "geo_region",
+        "event_id",
+    ])
     def test_a_value_too_deep_to_show_is_a_check_failure(self, field):
         record = event_to_dict(make_event())
         record[field] = nested(5000)
@@ -496,7 +496,7 @@ class TestEventIO:
         code = (
             "import sys, etlwatch.cli, etlwatch.preprocess as p\n"
             "assert 'orjson' not in sys.modules\n"
-            "p.read_jsonl(sys.argv[1], lambda record, line_no: record)\n"
+            "with open(sys.argv[1], 'rb') as fh: list(p._json_runs(fh, sys.argv[1]))\n"
             "assert 'orjson' in sys.modules\n"
         )
         paths = [str(Path(preprocess.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
@@ -833,32 +833,45 @@ SCORING_CASES = [
 ]
 
 
+MODEL = AutoencoderParams(
+    w_e=np.full((2, SCHEMA.dim), 0.1), b_e=np.zeros(2),
+    w_d=np.full((SCHEMA.dim, 2), 0.2), b_d=np.zeros(SCHEMA.dim),
+)
+STATS = preprocess.StandardizationStats(mu=np.zeros(SCHEMA.dim), sigma=np.ones(SCHEMA.dim))
+DELTA = 2e4
+
+
+def score_one_at_a_time(path):
+    """The stream at ``path`` read and scored one record at a time, each
+    record without an inline label labeled from its sibling labels file."""
+    events, labels, _ = reference.read_stream(path)
+    labels_path = labels_sibling_path(path)
+    if None in labels and labels_path.exists():
+        held_out = reference.read_held_out_labels(labels_path)
+        for i, event in enumerate(events):
+            if labels[i] is None:
+                if event.event_id not in held_out:
+                    raise ContractViolationError(
+                        f"event {event.event_id!r} has no entry in {labels_path}"
+                    )
+                labels[i] = held_out[event.event_id][0]
+    return reference.score_one_at_a_time(MODEL, STATS, events, SCHEMA, DELTA, labels)
+
+
 @needs_fork
 class TestRangedScoring:
     """A stream file is scored in the processes that read it, with the
-    records and the error of scoring what a one-range read gives."""
-
-    MODEL = AutoencoderParams(
-        w_e=np.full((2, SCHEMA.dim), 0.1), b_e=np.zeros(2),
-        w_d=np.full((SCHEMA.dim, 2), 0.2), b_d=np.zeros(SCHEMA.dim),
-    )
-    STATS = preprocess.StandardizationStats(mu=np.zeros(SCHEMA.dim), sigma=np.ones(SCHEMA.dim))
-    DELTA = 2e4
+    records and the error of scoring one record at a time."""
 
     def outcome(self, path, score_file):
         try:
             if score_file:
-                detections = score_stream(self.MODEL, self.STATS, path, SCHEMA, self.DELTA)
+                d = score_stream(MODEL, STATS, path, SCHEMA, DELTA)
             else:
-                labels_path = labels_sibling_path(path)
-                events, labels, _ = read_stream(path, labels_path if labels_path.exists() else None)
-                detections = score_stream(
-                    self.MODEL, self.STATS, events, SCHEMA, self.DELTA, truth_labels=labels
-                )
+                d = reference.detections(score_one_at_a_time(path))
         except Exception as exc:
             return f"{type(exc).__name__}: {exc}"
-        d = detections
-        return pickle.dumps((d.ids, d.scores, d.flags, d.truth, d.errors))
+        return d.ids, d.scores.tolist(), d.flags.tolist(), d.truth, d.errors
 
     @pytest.mark.parametrize("cpus", [2, 3])
     @pytest.mark.parametrize("body, labels, error", SCORING_CASES, ids=range(len(SCORING_CASES)))
@@ -873,9 +886,9 @@ class TestRangedScoring:
             split(1)
             want = self.outcome(path, score_file=False)
             if error is None:
-                assert isinstance(want, bytes), want
+                assert isinstance(want, tuple), want
             else:
-                assert want.startswith("ContractViolationError: ") and error in want
+                assert isinstance(want, str) and want.startswith("ContractViolationError: ") and error in want
             assert self.outcome(path, score_file=True) == want, "one range"
             split(cpus)
             assert self.outcome(path, score_file=True) == want, f"split at byte {t}"
@@ -886,7 +899,7 @@ class TestRangedScoring:
         path.write_bytes(stream_body(labels=False, change=UNKNOWN))
         labels_sibling_path(path).write_bytes(labels_file())
         split(3)
-        detections = score_stream(self.MODEL, self.STATS, path, SCHEMA, self.DELTA)
+        detections = score_stream(MODEL, STATS, path, SCHEMA, DELTA)
         assert detections.ids == STREAM_IDS
         assert detections.errors == {
             1: "cannot encode field 'device_type': unknown value 'toaster'",
@@ -894,3 +907,78 @@ class TestRangedScoring:
         }
         assert detections.truth == [True, True, False, True]
         assert not multiprocessing.active_children()
+
+
+# A labels-file line for e-4 (line 5) with each fault a labels record can
+# have, and what the per-record reader says of it.
+BAD_LABELS = {
+    "string-label": (b'{"event_id": "e-4", "label": "false", "anomaly_class": null}',
+                     "field 'label' must be a boolean, got 'false'"),
+    "no-label": (b'{"event_id": "e-4", "anomaly_class": null}', "no field 'label'"),
+    "null-label": (b'{"event_id": "e-4", "label": null, "anomaly_class": null}',
+                   "no field 'label'"),
+    "no-event-id": (b'{"label": true, "anomaly_class": null}', "no field 'event_id'"),
+    "no-event-id-nor-boolean-label": (b'{"label": "false"}', "no field 'event_id'"),
+    "broken": (b"{broken", "Expecting property name"),
+}
+
+
+class TestBadLabelsFile:
+    """A bad line of a held-out labels file ends read_stream and
+    score_stream with the per-record reader's message, however the file is
+    read."""
+
+    @staticmethod
+    def labels_body(line):
+        lines = labels_file().splitlines(keepends=True)
+        lines[4] = line + b"\n"
+        return b"".join(lines)
+
+    @staticmethod
+    def per_record_error(labels_path, reason):
+        with pytest.raises(ContractViolationError) as info:
+            reference.read_held_out_labels(labels_path)
+        assert str(info.value).startswith(f"{labels_path} line 5: ") and reason in str(info.value)
+        return str(info.value)
+
+    @staticmethod
+    def errors(path):
+        """The errors of read_stream and score_stream on the stream at ``path``."""
+        errors = []
+        for read in (
+            lambda: read_stream(path, labels_sibling_path(path)),
+            lambda: score_stream(MODEL, STATS, path, SCHEMA, DELTA),
+        ):
+            with pytest.raises(ContractViolationError) as info:
+                read()
+            errors.append(str(info.value))
+        return errors
+
+    @pytest.mark.parametrize("chunk", [1, 2, 1024])
+    @pytest.mark.parametrize("line, reason", BAD_LABELS.values(), ids=list(BAD_LABELS))
+    def test_per_record_message_at_every_run_length(
+        self, tmp_path, monkeypatch, chunk, line, reason
+    ):
+        path = tmp_path / "stream.jsonl"
+        path.write_bytes(stream_body(labels=False))
+        labels_path = labels_sibling_path(path)
+        labels_path.write_bytes(self.labels_body(line))
+        want = self.per_record_error(labels_path, reason)
+        monkeypatch.setattr(preprocess, "_CHUNK", chunk)
+        assert self.errors(path) == [want, want]
+
+    @needs_fork
+    @pytest.mark.parametrize("cpus", [2, 3])
+    @pytest.mark.parametrize("line, reason", BAD_LABELS.values(), ids=list(BAD_LABELS))
+    def test_per_record_message_at_every_split(self, tmp_path, split, cpus, line, reason):
+        path = tmp_path / "stream.jsonl"
+        path.write_bytes(stream_body(labels=False))
+        labels_path = labels_sibling_path(path)
+        body = self.labels_body(line)
+        for t in near_line_starts(body)[:: cpus - 1]:
+            labels_path.write_bytes(split_at(body, t))
+            split(1)
+            want = self.per_record_error(labels_path, reason)
+            split(cpus)
+            assert self.errors(path) == [want, want], f"split at byte {t}"
+            assert not multiprocessing.active_children()

@@ -444,3 +444,11 @@ class TestHeldOutLabels:
         holdout.write_text("\n".join(lines) + "\n")
         _, labels, _ = read_stream(holdout, labels_sibling_path(holdout))
         assert labels == [e.label for e in generate(StreamConfig(n_events=3, seed=4))]
+
+    def test_ids_are_matched_as_text(self, holdout):
+        # an id written as a number in both files is the same id, "7"
+        for path in (holdout, labels_sibling_path(holdout)):
+            path.write_text(path.read_text().replace('"evt-000001"', "7"))
+        events, labels, _ = read_stream(holdout, labels_sibling_path(holdout))
+        assert events.event_id[1] == "7"
+        assert labels == [e.label for e in generate(StreamConfig(n_events=3, seed=4))]
