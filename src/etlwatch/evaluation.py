@@ -41,6 +41,7 @@ from .errors import (
 from .preprocess import (
     FeatureSchema,
     StandardizationStats,
+    collector_paused,
     fit_stats,
     fork_ways,
     forked,
@@ -194,6 +195,7 @@ class DataBundle:
     schema: FeatureSchema
 
 
+@collector_paused()
 def make_bundle(
     events: Sequence[LabeledEvent],
     schema: FeatureSchema | None = None,

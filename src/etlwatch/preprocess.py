@@ -25,17 +25,18 @@ so every line gives the record or the error per-line ``json.loads`` gives; a
 line nested too deeply for ``json`` is an error, not a crash.
 :func:`read_chunks` gathers the records into columns a run at a time and
 checks each run, reading a large file in line-aligned byte ranges on every
-usable CPU.
+usable CPU, with the garbage collector paused (:func:`collector_paused`).
 """
 
 from __future__ import annotations
 
 import bisect
+import gc
 import itertools
 import json
 import math
 import os
-from contextlib import closing
+from contextlib import closing, contextmanager
 from dataclasses import dataclass, fields as dataclass_fields
 from functools import partial
 from operator import attrgetter, itemgetter
@@ -580,9 +581,10 @@ _CHUNK = 1024
 # 25-30 ms to fork, hear from and reap, with what it sends back. Decoding,
 # checking and scoring a MiB of stream lines, as detect does, takes about
 # 28 ms, and splitting it broke even at about this much per process (best
-# of 7). Decoding and checking alone takes about 20 ms, and a plain read
-# split in two was no faster up to 4 MiB per process, nor slower. So a file
-# is split only where every process gets at least this much.
+# of 7). A plain read, with the collector paused, breaks even here too:
+# 2 MiB of stream / detection lines took 35.9 / 31.7 ms in one range and
+# 34.1 / 30.3 ms in two, and 4 MiB 66.6 / 62.8 against 62.3 / 59.6 ms (best
+# of 7, 8 rounds). So a file is split only where every process gets this much.
 _SPLIT_BYTES = 1 << 20
 # Bytes read at a time when a reader counts the lines before its range.
 _COUNT_BLOCK = 1 << 20
@@ -737,6 +739,25 @@ def _read_range(path, fields, check, start: int, end: float) -> tuple[list, Exce
         return _check_range(fh, path, fields, check, start, end)
 
 
+@contextmanager
+def collector_paused() -> Iterator[None]:
+    """Pause the cyclic garbage collector, process-wide, for the body.
+
+    Decoded JSON values, their columns and generated events form no cycles,
+    yet the collector walks them every 700 allocations, and in a forked
+    reader copies the pages it walks. Another thread's cycles wait for the
+    next collection. On exit the collector is enabled if it was on entry.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
+@collector_paused()
 def read_chunks(
     path: str | Path,
     fields: dict[str, object],

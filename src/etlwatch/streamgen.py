@@ -46,6 +46,7 @@ from .preprocess import (
     EventBatch,
     FirstFailure,
     Records,
+    collector_paused,
     event_to_dict,
     read_chunks,
 )
@@ -399,6 +400,7 @@ def inject(event: EtlEvent, anomaly_class: str, rng: SeededRng) -> EtlEvent:
     raise ContractViolationError(f"unknown anomaly class {anomaly_class!r}")
 
 
+@collector_paused()
 def generate(cfg: StreamConfig) -> list[LabeledEvent]:
     """Generate ``cfg.n_events`` labeled events with strictly increasing timestamps."""
     rng = SeededRng(cfg.seed)

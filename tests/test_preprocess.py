@@ -1,3 +1,4 @@
+import gc
 import json
 import math
 import multiprocessing
@@ -40,7 +41,14 @@ from etlwatch.preprocess import (
     vectorize,
     vectorize_events,
 )
-from etlwatch.streamgen import labels_sibling_path, read_stream
+from etlwatch.evaluation import make_bundle
+from etlwatch.streamgen import (
+    StreamConfig,
+    generate,
+    labels_sibling_path,
+    read_stream,
+    write_labeled_events,
+)
 import reference
 from reference import read_jsonl as per_line_read_jsonl
 from reference import vectorize_row
@@ -600,6 +608,16 @@ def split(monkeypatch):
     return lambda n: claim_cpus(monkeypatch, n)
 
 
+@pytest.fixture(params=[True, False], ids=["collector-on", "collector-off"])
+def collector(request):
+    """Whether the cyclic garbage collector is enabled when the test starts:
+    as it is, or disabled by the test."""
+    was = gc.isenabled()
+    (gc.enable if request.param else gc.disable)()
+    yield request.param
+    (gc.enable if was else gc.disable)()
+
+
 def stream_body(
     *, bad: dict[int, bytes] = {}, change: dict[int, dict] = {}, labels: bool = True
 ) -> bytes:
@@ -690,7 +708,7 @@ class TestRangedRead:
     @pytest.mark.parametrize("cpus", [2, 3])
     @pytest.mark.parametrize("read, body, error", CASES, ids=range(len(CASES)))
     def test_same_result_and_error_as_one_range_at_every_split(
-        self, tmp_path, split, cpus, read, body, error
+        self, tmp_path, split, collector, cpus, read, body, error
     ):
         path = tmp_path / "lines.jsonl"
         # two ranges split at every line start; three at some of them
@@ -700,8 +718,10 @@ class TestRangedRead:
             want = read_outcome(read, path)
             if error is not None:
                 assert want.startswith("ContractViolationError: ") and error in want
+            assert gc.isenabled() is collector
             split(cpus)
             assert read_outcome(read, path) == want, f"split at byte {t}"
+            assert gc.isenabled() is collector
             assert not multiprocessing.active_children()
 
     def test_each_cpu_reads_one_range_and_numbers_its_lines(self, tmp_path, split):
@@ -876,7 +896,7 @@ class TestRangedScoring:
     @pytest.mark.parametrize("cpus", [2, 3])
     @pytest.mark.parametrize("body, labels, error", SCORING_CASES, ids=range(len(SCORING_CASES)))
     def test_same_records_and_error_as_scoring_a_one_range_read(
-        self, tmp_path, split, cpus, body, labels, error
+        self, tmp_path, split, collector, cpus, body, labels, error
     ):
         path = tmp_path / "stream.jsonl"
         if labels is not None:
@@ -890,8 +910,10 @@ class TestRangedScoring:
             else:
                 assert isinstance(want, str) and want.startswith("ContractViolationError: ") and error in want
             assert self.outcome(path, score_file=True) == want, "one range"
+            assert gc.isenabled() is collector
             split(cpus)
             assert self.outcome(path, score_file=True) == want, f"split at byte {t}"
+            assert gc.isenabled() is collector
             assert not multiprocessing.active_children()
 
     def test_ids_truth_and_errors(self, tmp_path, split):
@@ -982,3 +1004,59 @@ class TestBadLabelsFile:
             split(cpus)
             assert self.errors(path) == [want, want], f"split at byte {t}"
             assert not multiprocessing.active_children()
+
+
+class TestCollectorPaused:
+    """Reading, generating and bundling pause the cyclic garbage collector
+    and leave it as they found it."""
+
+    def test_pauses_nest_and_keep_a_disabled_collector_off(self, collector):
+        with preprocess.collector_paused():
+            with preprocess.collector_paused():
+                assert not gc.isenabled()
+            assert not gc.isenabled()
+        assert gc.isenabled() is collector
+        with pytest.raises(ZeroDivisionError), preprocess.collector_paused():
+            1 / 0
+        assert gc.isenabled() is collector
+
+    def test_generate_and_make_bundle_restore_the_collector(self, collector):
+        events = generate(StreamConfig(n_events=200, seed=3))
+        assert gc.isenabled() is collector
+        make_bundle(events)
+        assert gc.isenabled() is collector
+        with pytest.raises(ContractViolationError, match="too small"):
+            make_bundle(events[:3])
+        assert gc.isenabled() is collector
+
+    def test_scoring_generating_and_bundling_run_at_most_one_collection(self, tmp_path):
+        """The one allowed is the generation-0 pass that the first allocation
+        after the pause sets off; without the pause each call runs several."""
+        cfg = StreamConfig(n_events=4000, seed=7)
+        events = generate(cfg)
+        path = tmp_path / "stream.jsonl"
+        write_labeled_events(events, path)
+        generations = []
+
+        def count(phase, info):
+            if phase == "start":
+                generations.append(info["generation"])
+
+        calls = {
+            "score_stream": lambda: score_stream(MODEL, STATS, path, SCHEMA, DELTA),
+            "generate": lambda: generate(cfg),
+            "make_bundle": lambda: make_bundle(events),
+        }
+        runs = {}
+        gc.callbacks.append(count)
+        try:
+            for name, call in calls.items():
+                gc.collect()  # every generation starts empty, so the one pass is generation 0
+                generations.clear()
+                call()
+                runs[name] = list(generations)
+        finally:
+            gc.callbacks.remove(count)
+        assert all(run in ([], [0]) for run in runs.values()), {
+            name: len(run) for name, run in runs.items()
+        }
