@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
 """Regenerate the benchmark stream and both sensitivity sweeps from scratch.
 
-Chains generate -> train -> sweep with the default grids and seed, leaving
-every artifact (stream, model, history, sweep reports, manifests) under
-results/. Rerunning produces byte-identical primary outputs.
+Chains generate -> train -> sweep with the default seed and RESULTS.md's
+grids (``evaluation.LR_GRID`` and ``K_GRID``), leaving every artifact
+(stream, model, history, sweep reports, manifests) under results/.
+Rerunning produces byte-identical primary outputs.
 
 Usage: python scripts/reproduce_sweeps.py [--out-dir results] [--seed 7]
 """
@@ -13,8 +14,11 @@ import subprocess
 import sys
 from pathlib import Path
 
-LR_GRID = "0.0001,0.0005,0.001,0.005,0.01"
-K_GRID = "4,8,16,32,64,128"
+from etlwatch.evaluation import K_GRID, LR_GRID
+
+
+def _grid(values: tuple) -> str:
+    return ",".join(map(str, values))
 
 
 def run(*args: str) -> None:
@@ -37,9 +41,9 @@ def main() -> None:
     run("generate", "--n", "10000", "--anomaly-rate", "0.05",
         "--seed", str(args.seed), "--out", str(stream))
     run("train", str(stream), "--seed", str(args.seed), "--out", str(model))
-    run("sweep", str(stream), "--knob", "lr", "--grid", LR_GRID,
+    run("sweep", str(stream), "--knob", "lr", "--grid", _grid(LR_GRID),
         "--seed", str(args.seed), "--out-dir", str(out))
-    run("sweep", str(stream), "--knob", "k", "--grid", K_GRID,
+    run("sweep", str(stream), "--knob", "k", "--grid", _grid(K_GRID),
         "--seed", str(args.seed), "--out-dir", str(out))
 
     print(f"\nsweep reports and manifests are under {out}/")

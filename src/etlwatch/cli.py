@@ -33,6 +33,7 @@ from .detector import (
 )
 from .errors import EtlwatchError
 from .evaluation import (
+    DELTA_QUANTILE,
     emit_report,
     make_bundle,
     metrics_at_threshold,
@@ -107,12 +108,6 @@ def _run_generate(params: dict) -> tuple[list[str], list[str], dict]:
     return [], [params["out"]], {"n_anomalies": n_anomalies}
 
 
-def _read_stream_and_labels(path: str) -> tuple:
-    """:func:`read_stream`, with the held-out labels file when one sits beside it."""
-    labels_path = labels_sibling_path(path)
-    return read_stream(path, labels_path if labels_path.exists() else None)
-
-
 def _train_config(params: dict) -> TrainConfig:
     return TrainConfig(
         learning_rate=params["lr"],
@@ -125,7 +120,7 @@ def _train_config(params: dict) -> TrainConfig:
 
 
 def _run_train(params: dict) -> tuple[list[str], list[str], dict]:
-    events, labels, _ = _read_stream_and_labels(params["stream"])
+    events, labels, _ = read_stream(params["stream"])
     schema = FeatureSchema()
     x_raw = vectorize_events(events.where([not label for label in labels]), schema)
     stats = fit_stats(x_raw)
@@ -153,16 +148,20 @@ def _run_train(params: dict) -> tuple[list[str], list[str], dict]:
 
 def _run_detect(params: dict) -> tuple[list[str], list[str], dict]:
     model, stats, schema = load_model(params["model"])
+    out, csv_path = params["out"], Path(params["out"]).with_suffix(".csv")
+    if csv_path == Path(out):
+        raise click.UsageError(
+            f"--out {out} is where the CSV detections go; give --out a suffix other than .csv"
+        )
     if params["delta"] is not None:
         delta = params["delta"]
     else:
-        val_events, val_labels, _ = _read_stream_and_labels(params["calibrate"])
+        val_events, val_labels, _ = read_stream(params["calibrate"])
         val_events = val_events.where([not label for label in val_labels])
         x_val = standardize(vectorize_events(val_events, schema), stats)
         delta = calibrate_threshold(batch_scores(model, x_val), params["quantile"])
 
     results = score_stream(model, stats, params["stream"], schema, delta)
-    out, csv_path = params["out"], Path(params["out"]).with_suffix(".csv")
     _write_detections(results, out, csv_path)
     click.echo(
         f"scored {len(results)} events at delta={delta!r}: "
@@ -240,8 +239,12 @@ def _run_sweep(params: dict) -> tuple[list[str], list[str], dict]:
     if not all(a < b for a, b in zip(grid, grid[1:])):
         raise click.UsageError(f"--grid must be strictly ascending, got {grid}")
     stream, seed = params["stream"], params["seed"]
-    columns = read_stream(stream, labels_sibling_path(stream))
-    bundle = make_bundle([LabeledEvent(*row) for row in zip(*columns)])
+    events, labels, classes = read_stream(stream)
+    if None in labels:
+        raise EtlwatchError(
+            f"{stream} has unlabeled records and no labels file at {labels_sibling_path(stream)}"
+        )
+    bundle = make_bundle([LabeledEvent(*row) for row in zip(events, labels, classes)])
     result = sweep(knob, _train_config(params), grid, bundle, seed)
     out_dir = Path(params["out_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -395,7 +398,7 @@ def cmd_train(stream, lr, k, l1_penalty, epochs, batch, seed, out):
               help="Explicit threshold.")
 @click.option("--calibrate", type=click.Path(exists=True, dir_okay=False), default=None,
               help="Validation stream whose normal scores calibrate the threshold.")
-@click.option("--quantile", type=float, default=0.95, show_default=True,
+@click.option("--quantile", type=float, default=DELTA_QUANTILE, show_default=True,
               callback=_check_quantile)
 @click.option("--out", required=True, type=click.Path(dir_okay=False))
 def cmd_detect(stream, model, delta, calibrate, quantile, out):

@@ -49,7 +49,6 @@ from .streamgen import (
     STREAM_FIELDS,
     _check_stream_records,
     fill_held_out_labels,
-    labels_sibling_path,
 )
 
 @dataclass(frozen=True, slots=True)
@@ -243,11 +242,7 @@ def score_stream(
     labels = list(itertools.chain.from_iterable(labels for _, labels in parts))
     if None not in labels:
         return detections
-    labels_path = labels_sibling_path(path)
-    fill_held_out_labels(
-        path, labels_path if labels_path.exists() else None, detections.ids, labels,
-        [None] * len(labels),
-    )
+    fill_held_out_labels(path, detections.ids, labels, [None] * len(labels))
     errors = detections.errors
     truth = [label for i, label in enumerate(labels) if i not in errors]
     return Detections(detections.ids, detections.scores, detections.flags, truth, errors)

@@ -24,7 +24,7 @@ from __future__ import annotations
 import csv
 import json
 import os
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from functools import partial
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -141,11 +141,7 @@ def metrics_at_threshold(
     """Confusion counts and derived metrics with predicted-anomaly iff score > delta."""
     scores_arr = np.asarray(scores, dtype=np.float64)
     labels_arr = np.asarray(labels, dtype=bool)
-    if scores_arr.shape != labels_arr.shape or scores_arr.ndim != 1:
-        raise ContractViolationError(
-            f"scores and labels must be equal-length 1-D sequences, "
-            f"got {scores_arr.shape} and {labels_arr.shape}"
-        )
+    area = auc(scores_arr, labels_arr)  # checks the shapes and that both classes are present
     predicted = scores_arr > delta
     confusion = ConfusionCounts(
         tp=int(np.sum(predicted & labels_arr)),
@@ -165,7 +161,7 @@ def metrics_at_threshold(
         else None
     )
     return MetricsReport(
-        auc=auc(scores_arr, labels_arr),
+        auc=area,
         acc=(confusion.tp + confusion.tn) / n,
         precision=precision,
         recall=recall,
@@ -196,21 +192,12 @@ class DataBundle:
 
 
 @collector_paused()
-def make_bundle(
-    events: Sequence[LabeledEvent],
-    schema: FeatureSchema | None = None,
-    train_frac: float = 0.6,
-    val_frac: float = 0.2,
-) -> DataBundle:
+def make_bundle(events: Sequence[LabeledEvent]) -> DataBundle:
     """Split a labeled stream 60/20/20 in stream order and standardize it."""
-    if not 0 < train_frac < 1 or not 0 < val_frac < 1 or train_frac + val_frac >= 1:
-        raise ContractViolationError(
-            f"invalid split fractions train={train_frac}, val={val_frac}"
-        )
-    schema = schema or FeatureSchema()
+    schema = FeatureSchema()
     n = len(events)
-    n_train = int(n * train_frac)
-    n_val = int(n * val_frac)
+    n_train = int(n * 0.6)
+    n_val = int(n * 0.2)
     train_part = [e.event for e in events[:n_train] if not e.label]
     val_part = [e.event for e in events[n_train : n_train + n_val] if not e.label]
     test_part = events[n_train + n_val :]
@@ -237,9 +224,9 @@ def standard_benchmark(seed: int = 7, n_events: int = 10_000) -> DataBundle:
     return make_bundle(generate(cfg))
 
 
-# Quantile of the validation normals' scores that sets delta; ``detect``'s
-# --quantile defaults to the same value.
-_DELTA_QUANTILE = 0.95
+# Quantile of the validation normals' scores that sets delta; also the
+# default of ``detect --quantile``.
+DELTA_QUANTILE = 0.95
 
 # sweep knob -> the TrainConfig field its grid values set
 _KNOB_FIELDS = {"lr": "learning_rate", "k": "latent_dim"}
@@ -248,7 +235,7 @@ _KNOB_FIELDS = {"lr": "learning_rate", "k": "latent_dim"}
 def evaluate_config(bundle: DataBundle, cfg: TrainConfig) -> MetricsReport:
     """Train on the bundle, calibrate delta on validation normals, score test."""
     params, _ = train(bundle.x_train, cfg)
-    delta = calibrate_threshold(batch_scores(params, bundle.x_val), _DELTA_QUANTILE)
+    delta = calibrate_threshold(batch_scores(params, bundle.x_val), DELTA_QUANTILE)
     test_scores = batch_scores(params, bundle.x_test)
     return metrics_at_threshold(test_scores, bundle.y_test, delta)
 
@@ -452,17 +439,4 @@ def report_filename(knob: str, seed: int, fmt: str) -> str:
 
 
 def metrics_to_dict(report: MetricsReport) -> dict:
-    return {
-        "auc": report.auc,
-        "acc": report.acc,
-        "precision": report.precision,
-        "recall": report.recall,
-        "confusion": {
-            "tp": report.confusion.tp,
-            "fp": report.confusion.fp,
-            "tn": report.confusion.tn,
-            "fn": report.confusion.fn,
-        },
-        "n": report.n,
-        "delta_used": report.delta_used,
-    }
+    return asdict(report)

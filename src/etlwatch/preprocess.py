@@ -511,16 +511,18 @@ def vectorize(event: EtlEvent, schema: FeatureSchema) -> np.ndarray:
     return vectorize_events([event], schema)[0]
 
 
-def fit_stats(x: np.ndarray, epsilon: float = 1e-8) -> StandardizationStats:
-    """Column means and population standard deviations, floored at epsilon."""
+def fit_stats(x: np.ndarray) -> StandardizationStats:
+    """Column means and population standard deviations, floored at
+    :class:`StandardizationStats`' epsilon."""
     x = as_matrix(x, "feature matrix")
     if x.shape[0] < 2:
         raise InsufficientDataError(
             f"fitting stats needs at least 2 rows, got {x.shape[0]}"
         )
     mu = x.mean(axis=0)
-    sigma = np.maximum(x.std(axis=0), epsilon)  # population (divide-by-N) std
-    return StandardizationStats(mu=mu, sigma=sigma, epsilon=epsilon)
+    # population (divide-by-N) std
+    sigma = np.maximum(x.std(axis=0), StandardizationStats.epsilon)
+    return StandardizationStats(mu=mu, sigma=sigma)
 
 
 def standardize(x: np.ndarray, stats: StandardizationStats) -> np.ndarray:

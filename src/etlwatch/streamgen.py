@@ -276,9 +276,8 @@ class _NormalEvents:
     What depends on the config alone (the amount band and log location of
     each device type, the unit latency and duration bands, the categorical
     weights' sums) is worked out once here; an event's load factor, record
-    mean and duration scale once per event. Generation truncates its draws
-    to these bands and :func:`numeric_bands` reports them, so each band has
-    this one definition.
+    mean and duration scale once per event, and each draw is truncated to
+    its band.
     """
 
     __slots__ = ("cfg", "devices", "geos", "amount", "_latency", "_duration")
@@ -298,37 +297,23 @@ class _NormalEvents:
         self._latency = (g_lo * cfg.latency_scale, g_hi * cfg.latency_scale)
         self._duration = _unit_gamma_band(cfg.duration_shape)
 
-    @staticmethod
-    def records_band(mean: float) -> tuple[float, float]:
-        return _poisson_band(round(mean, 2))
-
-    def latency_band(self, lf: float) -> tuple[float, float]:
-        lo, hi = self._latency
-        return lo * lf, hi * lf
-
-    def duration_scale(self, records_loaded: int) -> float:
-        cfg = self.cfg
-        return cfg.duration_scale * max(records_loaded, 1) / cfg.records_mean
-
-    def duration_band(self, scale: float) -> tuple[float, float]:
-        lo, hi = self._duration
-        return lo * scale, hi * scale
-
     def draw(self, rng: SeededRng, timestamp: int, event_id: str) -> EtlEvent:
         cfg = self.cfg
         lf = load_factor(cfg, timestamp)
         device = sample_categorical(rng, self.devices)
         geo = sample_categorical(rng, self.geos)
         mean = cfg.records_mean * lf
-        records = _truncated(self.records_band(mean), sample_poisson, rng, mean)
+        records = _truncated(_poisson_band(round(mean, 2)), sample_poisson, rng, mean)
         log_mu, amount_band = self.amount[device]
         amount = _truncated(amount_band, sample_lognormal, rng, log_mu, cfg.amount_log_sigma)
+        lo, hi = self._latency
         latency = _truncated(
-            self.latency_band(lf), sample_gamma, rng, cfg.latency_shape, cfg.latency_scale * lf
+            (lo * lf, hi * lf), sample_gamma, rng, cfg.latency_shape, cfg.latency_scale * lf
         )
-        scale = self.duration_scale(records)
+        scale = cfg.duration_scale * max(records, 1) / cfg.records_mean
+        lo, hi = self._duration
         duration = _truncated(
-            self.duration_band(scale), sample_gamma, rng, cfg.duration_shape, scale
+            (lo * scale, hi * scale), sample_gamma, rng, cfg.duration_shape, scale
         )
         return EtlEvent(
             timestamp,
@@ -343,35 +328,18 @@ class _NormalEvents:
         )
 
 
-def numeric_bands(
-    cfg: StreamConfig, timestamp: int, records_loaded: int, device_type: str
-) -> dict[str, tuple[float, float]]:
-    """Conditional 0.001-0.999 quantile band per numeric field.
-
-    The amount band depends on the event's device channel, the latency band
-    on its time of day, the duration band on its actual record count; normal
-    draws are truncated to these bands and the generator invariant test
-    re-derives them from the emitted fields.
-    """
-    normal = _NormalEvents(cfg)
-    lf = load_factor(cfg, timestamp)
-    return {
-        "amount": normal.amount[DEFAULT_DEVICE_TYPES.index(device_type)][1],
-        "latency_ms": normal.latency_band(lf),
-        "task_duration_s": normal.duration_band(normal.duration_scale(records_loaded)),
-        "records_loaded": normal.records_band(cfg.records_mean * lf),
-    }
+_MAX_TRIES = 10_000
 
 
-def _truncated(band: tuple[float, float], draw, *args, max_tries: int = 10_000):
+def _truncated(band: tuple[float, float], draw, *args):
     """``draw(*args)`` until a value lies inside ``band``."""
     lo, hi = band
-    for _ in range(max_tries):
+    for _ in range(_MAX_TRIES):
         value = draw(*args)
         if lo <= value <= hi:
             return value
     raise ContractViolationError(
-        f"could not draw a value inside [{lo}, {hi}] after {max_tries} tries"
+        f"could not draw a value inside [{lo}, {hi}] after {_MAX_TRIES} tries"
     )
 
 
@@ -459,46 +427,41 @@ def write_labeled_events(
 STREAM_FIELDS = EVENT_RECORD_FIELDS | {"label": None, "anomaly_class": None}
 
 
-def read_stream(
-    path: str | Path, labels_path: str | Path | None = None
-) -> tuple[EventBatch, list[bool | None], list[str | None]]:
+def read_stream(path: str | Path) -> tuple[EventBatch, list[bool | None], list[str | None]]:
     """Read an event stream: its events, labels and anomaly classes in line order.
 
     The records are checked as columns by :meth:`EventBatch.from_records`,
     then ``label``, which must be ``true`` or ``false``; a null or absent
-    label is None. An event without an id gets ``line-<n>``. When
-    ``labels_path`` is given, that file fills the label and class of every
-    record without an inline label, matched by ``event_id``, and such a
-    record missing from it is an error. The first bad line of either file
-    raises one :class:`ContractViolationError` naming it.
+    label is None. An event without an id gets ``line-<n>``. Records without
+    an inline label are labeled by :func:`fill_held_out_labels`. The first
+    bad line of either file raises one :class:`ContractViolationError`
+    naming it.
     """
     parts = read_chunks(path, STREAM_FIELDS, _check_stream_records)
     events = EventBatch.concat(part[0] for part in parts)
     labels = list(itertools.chain.from_iterable(part[1] for part in parts))
     classes = list(itertools.chain.from_iterable(part[2] for part in parts))
-    fill_held_out_labels(path, labels_path, events.event_id, labels, classes)
+    fill_held_out_labels(path, events.event_id, labels, classes)
     return events, labels, classes
 
 
 def fill_held_out_labels(
     path: str | Path,
-    labels_path: str | Path | None,
     event_ids: Sequence[str],
     labels: list[bool | None],
     classes: list[str | None],
 ) -> None:
     """Fill in place the label and class of every record of the stream at
-    ``path`` that has no inline label, from the labels file at
-    ``labels_path`` matched by ``event_id``; nothing is read when
-    ``labels_path`` is None or every record has a label. A missing labels
-    file, a bad line of it or a record it lacks raises one
+    ``path`` that has no inline label, from its sibling labels file
+    (:func:`labels_sibling_path`) matched by ``event_id``. Nothing is looked
+    up when every record has a label, and without that file the labels stay
+    None. A bad line of the file or a record it lacks raises one
     :class:`ContractViolationError`."""
-    if labels_path is None or None not in labels:
+    if None not in labels:
         return
-    if not Path(labels_path).exists():
-        raise ContractViolationError(
-            f"{path} has unlabeled records and no labels file at {labels_path}"
-        )
+    labels_path = labels_sibling_path(path)
+    if not labels_path.exists():
+        return
     held_out = dict(
         itertools.chain.from_iterable(read_chunks(labels_path, _LABEL_FIELDS, _check_labels))
     )

@@ -145,6 +145,15 @@ class TestDetect:
                         "--delta", "1", "--out", str(out)])
         assert out.with_suffix(".csv").exists()
 
+    def test_out_that_is_the_csv_file_is_usage_error(self, runner, workspace, tmp_path):
+        # the CSV detections once overwrote the JSONL ones written to det.csv
+        _, stream, model = workspace
+        out = tmp_path / "det.csv"
+        result = runner.invoke(main, ["detect", str(stream), "--model", str(model),
+                                      "--delta", "1", "--out", str(out)])
+        assert f"--out {out} is where the CSV detections go" in error_line(result, 2)
+        assert list(tmp_path.iterdir()) == []
+
     def test_calibrated_run_flags_at_most_quantile_share(self, runner, workspace, tmp_path):
         # score the calibration normals themselves: at most 5% may exceed delta
         _, stream, model = workspace
@@ -581,7 +590,8 @@ class TestEvaluate:
 
     def test_holdout_labels_give_the_inline_result(self, runner, tmp_path):
         # train skips the held-out anomalies, detect calibrates on normals
-        # only and carries truth labels, so evaluate reads the same report
+        # only and carries truth labels, so evaluate reads the same report,
+        # and sweep bundles the same labeled events
         outputs = {}
         for layout in ("inline", "holdout"):
             d = tmp_path / layout
@@ -594,7 +604,10 @@ class TestEvaluate:
             run_ok(runner, ["detect", str(stream), "--model", str(model),
                             "--calibrate", str(stream), "--out", str(d / "det.jsonl")])
             run_ok(runner, ["evaluate", str(d / "det.jsonl"), "--out", str(d / "r.json")])
-            outputs[layout] = (trained.output, (d / "r.json").read_bytes())
+            run_ok(runner, ["sweep", str(stream), "--knob", "k", "--grid", "4,8",
+                            "--epochs", "1", "--out-dir", str(d / "sweep")])
+            reports = [(d / "sweep" / f"sweep_k_7.{fmt}").read_bytes() for fmt in ("csv", "json")]
+            outputs[layout] = (trained.output, (d / "r.json").read_bytes(), reports)
         assert (tmp_path / "holdout" / "stream.labels.jsonl").exists()
         assert outputs["holdout"] == outputs["inline"]
 
@@ -607,6 +620,19 @@ class TestEvaluate:
 
 
 class TestSweep:
+    def test_unlabeled_stream_without_labels_file_is_one_line_error(self, runner, tmp_path):
+        stream = tmp_path / "stream.jsonl"
+        run_ok(runner, ["generate", "--n", "400", "--seed", "7", "--holdout",
+                        "--out", str(stream)])
+        labels = tmp_path / "stream.labels.jsonl"
+        labels.unlink()
+        result = runner.invoke(main, ["sweep", str(stream), "--knob", "k", "--grid", "4",
+                                      "--epochs", "1", "--out-dir", str(tmp_path / "out")])
+        assert error_line(result, 1) == (
+            f"Error: {stream} has unlabeled records and no labels file at {labels}"
+        )
+        assert not (tmp_path / "out").exists()
+
     def test_lr_sweep_row_count(self, runner, workspace, tmp_path):
         _, stream, _ = workspace
         run_ok(runner, ["sweep", str(stream), "--knob", "lr",
@@ -696,6 +722,22 @@ class TestReplay:
         out.unlink()
         run_ok(runner, ["replay", str(tmp_path / "det.jsonl.manifest.json")])
         assert out.read_bytes() == original
+
+    def test_detect_manifest_whose_out_is_the_csv_file_is_usage_error(
+        self, runner, workspace, tmp_path
+    ):
+        _, stream, model = workspace
+        run_ok(runner, ["detect", str(stream), "--model", str(model),
+                        "--delta", "1", "--out", str(tmp_path / "det.jsonl")])
+        manifest = tmp_path / "det.jsonl.manifest.json"
+        payload = json.loads(manifest.read_text())
+        out = tmp_path / "det.csv"
+        payload["params"]["out"] = str(out)
+        manifest.write_text(json.dumps(payload))
+        written = sorted(tmp_path.iterdir())
+        result = runner.invoke(main, ["replay", str(manifest)])
+        assert f"--out {out} is where the CSV detections go" in error_line(result, 2)
+        assert sorted(tmp_path.iterdir()) == written
 
     def test_manifest_without_params_is_usage_error(self, runner, tmp_path):
         bad = tmp_path / "m.json"

@@ -968,7 +968,7 @@ class TestBadLabelsFile:
         """The errors of read_stream and score_stream on the stream at ``path``."""
         errors = []
         for read in (
-            lambda: read_stream(path, labels_sibling_path(path)),
+            lambda: read_stream(path),
             lambda: score_stream(MODEL, STATS, path, SCHEMA, DELTA),
         ):
             with pytest.raises(ContractViolationError) as info:

@@ -24,7 +24,6 @@ from etlwatch.streamgen import (
     generate,
     inject,
     labels_sibling_path,
-    numeric_bands,
     read_stream,
     sample_gamma,
     sample_poisson,
@@ -69,12 +68,7 @@ class TestGenerate:
     )
     def test_equals_the_per_event_reference(self, seed, changes):
         cfg = StreamConfig(n_events=400, seed=seed, **changes)
-        events = generate(cfg)
-        assert events == reference.generate(cfg)
-        for item in events[:50]:
-            event = item.event
-            args = (cfg, event.timestamp, event.records_loaded, event.device_type)
-            assert numeric_bands(*args) == reference.numeric_bands(*args)
+        assert generate(cfg) == reference.generate(cfg)
 
     def test_different_seeds_differ(self):
         a = generate(StreamConfig(n_events=50, seed=5))
@@ -119,7 +113,7 @@ class TestGenerate:
             if item.label:
                 continue
             event = item.event
-            bands = numeric_bands(
+            bands = reference.numeric_bands(
                 cfg, event.timestamp, event.records_loaded, event.device_type
             )
             for field, (lo, hi) in bands.items():
@@ -247,8 +241,7 @@ class TestConfigValidation:
 
 
 def read_labeled(path):
-    columns = read_stream(path, labels_sibling_path(path))
-    return [LabeledEvent(*row) for row in zip(*columns)]
+    return [LabeledEvent(*row) for row in zip(*read_stream(path))]
 
 
 class TestLabeledEventFiles:
@@ -267,16 +260,28 @@ class TestLabeledEventFiles:
         assert "label" not in path.read_text().splitlines()[0]
         assert labels_sibling_path(path).exists()
         assert read_labeled(path) == events
-        # without a labels file the labels come back absent, not guessed
-        assert read_stream(path)[1:] == ([None] * 60, [None] * 60)
 
-    def test_holdout_without_labels_file_fails(self, tmp_path):
-        events = generate(StreamConfig(n_events=5, seed=4))
+    def test_holdout_labels_come_from_the_sibling_file_when_it_exists(self, tmp_path):
+        events = generate(StreamConfig(n_events=60, seed=4))
         path = tmp_path / "stream.jsonl"
         write_labeled_events(events, path, holdout=True)
+        _, labels, classes = read_stream(path)
+        assert labels == [e.label for e in events]
+        assert classes == [e.anomaly_class for e in events]
+        # without a labels file the labels come back absent, not guessed
         labels_sibling_path(path).unlink()
-        with pytest.raises(ContractViolationError, match="no labels file"):
-            read_labeled(path)
+        assert read_stream(path)[1:] == ([None] * 60, [None] * 60)
+
+    def test_inline_stream_never_looks_for_a_labels_file(self, tmp_path, monkeypatch):
+        events = generate(StreamConfig(n_events=5, seed=4))
+        path = tmp_path / "stream.jsonl"
+        write_labeled_events(events, path)
+
+        def looked(path):
+            raise AssertionError(f"looked for the labels file of {path}")
+
+        monkeypatch.setattr(streamgen, "labels_sibling_path", looked)
+        assert read_labeled(path) == events
 
     def test_holdout_event_missing_from_labels_file_fails(self, tmp_path):
         events = generate(StreamConfig(n_events=5, seed=4))
@@ -435,20 +440,20 @@ class TestHeldOutLabels:
     def test_label_must_be_a_boolean(self, holdout, text, reason):
         labels = self.edit_label(holdout, text)
         with pytest.raises(ContractViolationError) as info:
-            read_stream(holdout, labels)
+            read_stream(holdout)
         assert str(info.value) == f"{labels} line 2: {reason}"
 
     def test_null_inline_label_reads_from_the_labels_file(self, holdout):
         lines = holdout.read_text().splitlines()
         lines[1] = lines[1][:-1] + ', "label": null}'
         holdout.write_text("\n".join(lines) + "\n")
-        _, labels, _ = read_stream(holdout, labels_sibling_path(holdout))
+        _, labels, _ = read_stream(holdout)
         assert labels == [e.label for e in generate(StreamConfig(n_events=3, seed=4))]
 
     def test_ids_are_matched_as_text(self, holdout):
         # an id written as a number in both files is the same id, "7"
         for path in (holdout, labels_sibling_path(holdout)):
             path.write_text(path.read_text().replace('"evt-000001"', "7"))
-        events, labels, _ = read_stream(holdout, labels_sibling_path(holdout))
+        events, labels, _ = read_stream(holdout)
         assert events.event_id[1] == "7"
         assert labels == [e.label for e in generate(StreamConfig(n_events=3, seed=4))]
