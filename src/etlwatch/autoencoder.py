@@ -13,9 +13,11 @@ across batch sizes. Gradients are exact up to the usual subgradient choices:
 d|h|/dh = 0 at h = 0 and relu'(0) = 0.
 
 All sums reduce through numpy's deterministic (pairwise) accumulation, so a
-fixed seed and config reproduce training bit-for-bit. One gradient kernel
-serves both :func:`backprop` and :func:`train`; it computes in place into
-arrays its caller owns, so a training step allocates nothing and rounds
+fixed seed and config reproduce training bit-for-bit. One gradient kernel,
+the step :func:`_gradients` builds for a batch length, serves both
+:func:`backprop` and :func:`train`. It binds its work arrays, ufuncs,
+constants and activation branches when it is built and computes in place,
+so a training step allocates nothing, makes no attribute lookup and rounds
 exactly as the same arithmetic on fresh arrays.
 """
 
@@ -349,54 +351,74 @@ def _views(flat: np.ndarray, d: int, k: int) -> tuple[np.ndarray, ...]:
     )
 
 
-def _scratch(n: int, d: int, k: int) -> tuple[np.ndarray, ...]:
-    """The work arrays :func:`_gradients` needs for a batch of n rows."""
-    return tuple(np.empty((n, m)) for m in (k, k, k, k, d, d, d))
-
-
 def _gradients(
-    params: AutoencoderParams,
-    x: np.ndarray,
-    l1_penalty: float,
-    grads: Gradients,
-    scratch: tuple[np.ndarray, ...],
-) -> None:
-    """Write the exact gradients for a validated (n, d) batch into ``grads``.
+    params: AutoencoderParams, n: int, l1_penalty: float, grads: Gradients
+) -> Callable[[np.ndarray], None]:
+    """The gradient step for batches of n rows: ``step(x)`` writes the exact
+    gradients of the total loss for a validated (n, d) batch into ``grads``.
 
-    ``scratch`` is :func:`_scratch` for the batch's n rows. Every operation
-    writes into it or into ``grads`` in place, and each element goes through
-    the same operations in the same order as on fresh arrays, so the bits
-    are the same. ``np.dot`` makes the same BLAS call as ``@`` with less
-    overhead. The gradients may come out non-finite: callers run it under
+    The step binds once what each call would otherwise look up: its seven
+    work arrays, the parameter and gradient blocks (bound, not copied, so it
+    sees their in-place updates), the ufuncs, the two scale constants and
+    each activation's branch. Every operation writes into a work array or
+    into ``grads`` in place, and each element goes through the same
+    operations in the same order as on fresh arrays, so the bits are the
+    same. ``np.dot`` makes the same BLAS call as ``@`` with less overhead,
+    and ``np.add.reduce`` is what ``ndarray.sum`` calls. The gradients may
+    come out non-finite: callers run the step under
     ``np.errstate(all="ignore")`` and check them.
     """
-    z_h, h, l1, d_h, z_o, xhat, d_zo = scratch
+    d, k = params.d, params.k
+    z_h, h, l1, d_h = (np.empty((n, k)) for _ in range(4))
+    z_o, xhat, d_zo = (np.empty((n, d)) for _ in range(3))
+    d_h_t, d_zo_t = d_h.T, d_zo.T
+    w_e_t, b_e, w_d, b_d = params.w_e.T, params.b_e, params.w_d, params.b_d
+    w_d_t = w_d.T
+    g_w_e, g_b_e, g_w_d, g_b_d = grads.w_e, grads.b_e, grads.w_d, grads.b_d
+    rec_scale, l1_scale = 2.0 / n, l1_penalty / n
+    dot, add, subtract, multiply, sign = np.dot, np.add, np.subtract, np.multiply, np.sign
+    sum_rows = np.add.reduce
+    # identity: the activation is its input, and x * 1.0 == x needs no step
     act_h, act_o = params.hidden_activation, params.output_activation
-    n = x.shape[0]
-    np.dot(x, params.w_e.T, out=z_h)
-    z_h += params.b_e
-    h = z_h if act_h is Activation.IDENTITY else act_h.apply(z_h, out=h)
-    np.dot(h, params.w_d.T, out=z_o)
-    z_o += params.b_d
-    xhat = z_o if act_o is Activation.IDENTITY else act_o.apply(z_o, out=xhat)
+    apply_h = derive_h = apply_o = derive_o = None
+    if act_h is Activation.IDENTITY:
+        h = z_h
+    else:
+        apply_h, derive_h = act_h.apply, act_h.derivative
+    if act_o is Activation.IDENTITY:
+        xhat = z_o
+    else:
+        apply_o, derive_o = act_o.apply, act_o.derivative
 
-    np.subtract(xhat, x, out=d_zo)
-    d_zo *= 2.0 / n
-    if act_o is not Activation.IDENTITY:  # identity: x * 1.0 == x
-        d_zo *= act_o.derivative(z_o, xhat, out=z_o)
-    np.dot(d_zo.T, h, out=grads.w_d)
-    d_zo.sum(axis=0, out=grads.b_d)
+    def step(x: np.ndarray) -> None:
+        dot(x, w_e_t, z_h)
+        add(z_h, b_e, z_h)
+        if apply_h is not None:
+            apply_h(z_h, h)
+        dot(h, w_d_t, z_o)
+        add(z_o, b_d, z_o)
+        if apply_o is not None:
+            apply_o(z_o, xhat)
 
-    np.dot(d_zo, params.w_d, out=d_h)
-    # sign(0) = 0 is the chosen subgradient of the L1 term; np.sign runs
-    # several times slower in place, hence an array of its own
-    np.sign(h, out=l1)
-    l1 *= l1_penalty / n
-    d_h += l1
-    if act_h is not Activation.IDENTITY:
-        d_h *= act_h.derivative(z_h, h, out=z_h)
-    np.dot(d_h.T, x, out=grads.w_e)
-    d_h.sum(axis=0, out=grads.b_e)
+        subtract(xhat, x, d_zo)
+        multiply(d_zo, rec_scale, d_zo)
+        if derive_o is not None:
+            multiply(d_zo, derive_o(z_o, xhat, z_o), d_zo)
+        dot(d_zo_t, h, g_w_d)
+        sum_rows(d_zo, 0, None, g_b_d)
+
+        dot(d_zo, w_d, d_h)
+        # sign(0) = 0 is the chosen subgradient of the L1 term; np.sign runs
+        # several times slower in place, hence an array of its own
+        sign(h, l1)
+        multiply(l1, l1_scale, l1)
+        add(d_h, l1, d_h)
+        if derive_h is not None:
+            multiply(d_h, derive_h(z_h, h, z_h), d_h)
+        dot(d_h_t, x, g_w_e)
+        sum_rows(d_h, 0, None, g_b_e)
+
+    return step
 
 
 def backprop(params: AutoencoderParams, x_batch: np.ndarray, l1_penalty: float) -> Gradients:
@@ -416,7 +438,7 @@ def backprop(params: AutoencoderParams, x_batch: np.ndarray, l1_penalty: float) 
     d, k = params.d, params.k
     grads = Gradients(*_views(np.empty(2 * k * d + k + d), d, k))
     with np.errstate(all="ignore"):
-        _gradients(params, x, l1_penalty, grads, _scratch(x.shape[0], d, k))
+        _gradients(params, x.shape[0], l1_penalty, grads)(x)
     for name, arr in vars(grads).items():
         if not np.all(np.isfinite(arr)):
             raise NumericalError(f"non-finite gradient for parameter block {name}")
@@ -482,9 +504,11 @@ def train(
     The parameters are views of one flat vector and the gradients views of
     a second, so each step's update is ``grad *= lr; theta -= grad``, which
     rounds exactly as :func:`sgd_step`'s per-block ``w - lr * g``. The
-    gradient kernel behind :func:`backprop` writes into the second vector,
-    with work arrays kept for the two batch lengths an epoch has, so a step
-    allocates nothing. Parameters are checked for finiteness once per epoch:
+    gradient step behind :func:`backprop` writes into the second vector; one
+    is built for each of the two batch lengths an epoch has. Each epoch
+    gathers the shuffled rows into one kept array, whose batch views are
+    made once, so a step allocates nothing. Parameters are checked for
+    finiteness once per epoch:
     a non-finite value stays non-finite under every later update, so the
     check names the same epoch as a check after every step would.
 
@@ -509,7 +533,9 @@ def train(
     params = AutoencoderParams(*_views(theta, d, k), *activations)
     grad = np.empty_like(theta)
     grads = Gradients(*_views(grad, d, k))
-    scratch = {m: _scratch(m, d, k) for m in {size, n % size} if m}
+    steps = {m: _gradients(params, m, cfg.l1_penalty, grads) for m in {size, n % size} if m}
+    shuffled = np.empty_like(x)
+    batches = [(shuffled[lo : lo + size], steps[min(size, n - lo)]) for lo in range(0, n, size)]
     lr = cfg.learning_rate
     x_max = max(float(x.max()), -float(x.min()))
     thetas = np.empty((cfg.epochs, theta.size))
@@ -517,11 +543,12 @@ def train(
 
     for epoch in range(cfg.epochs):
         started = time.perf_counter()
-        shuffled = x[rng.shuffled_indices(n)]
+        # the indices are a permutation, so "clip" never clips; it spares
+        # the buffered copy that take makes into out under "raise"
+        np.take(x, rng.shuffled_indices(n), axis=0, out=shuffled, mode="clip")
         with np.errstate(all="ignore"):  # a non-finite step is caught below
-            for lo in range(0, n, size):
-                batch = shuffled[lo : lo + size]
-                _gradients(params, batch, cfg.l1_penalty, grads, scratch[batch.shape[0]])
+            for batch, step in batches:
+                step(batch)
                 grad *= lr
                 theta -= grad
         history.epoch_seconds.append(time.perf_counter() - started)

@@ -6,7 +6,9 @@ version and wall time. ``etlwatch replay <manifest>`` re-runs the recorded
 subcommand and reproduces the primary outputs byte-identically.
 
 Exit codes: 0 on success, 1 on runtime failure (IO, divergence, bad data),
-2 on usage or flag-validation errors.
+2 on usage or flag-validation errors. An output, a manifest included, that
+would replace a file the run reads (an input, or the labels file beside
+one) is a usage error, raised before anything is written.
 """
 
 from __future__ import annotations
@@ -91,6 +93,25 @@ def _execute(subcommand: str, params: dict) -> None:
     _write_manifest(subcommand, params, inputs, outputs, extras, started)
 
 
+def _refuse_overwrites(inputs: list[str], outputs: list[str]) -> None:
+    """A usage error when an output or the manifest that goes with it names a
+    file the run reads: an input, or the labels file beside one, which
+    :func:`read_stream` reads. Each runner that reads a file calls it with
+    every file it read (evaluate's also include the detect manifest it
+    took delta from) just before its first write."""
+    read = {}
+    for name in inputs:
+        for path in (Path(name), labels_sibling_path(name)):
+            read.setdefault(path.resolve(), path)
+    for name in [*outputs, _manifest_path(outputs[0])]:
+        clash = read.get(Path(name).resolve())
+        if clash is not None:
+            raise click.UsageError(
+                f"output {name} would overwrite {clash}, which this run reads; "
+                "write the output elsewhere"
+            )
+
+
 # --- runners (shared by the flag-parsing commands and `replay`) -------------
 
 def _run_generate(params: dict) -> tuple[list[str], list[str], dict]:
@@ -125,9 +146,10 @@ def _run_train(params: dict) -> tuple[list[str], list[str], dict]:
     x_raw = vectorize_events(events.where([not label for label in labels]), schema)
     stats = fit_stats(x_raw)
     params_out, history = train(standardize(x_raw, stats), _train_config(params))
-    save_model(params["out"], params_out, stats, schema)
-
     history_path = Path(params["out"]).with_suffix(".history.csv")
+    inputs, outputs = [params["stream"]], [params["out"], str(history_path)]
+    _refuse_overwrites(inputs, outputs)
+    save_model(params["out"], params_out, stats, schema)
     with open(history_path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["epoch", "l_rec", "l_reg", "l_total", "seconds"])
@@ -143,7 +165,7 @@ def _run_train(params: dict) -> tuple[list[str], list[str], dict]:
         f"trained on {x_raw.shape[0]} events for {len(history)} epochs, "
         f"final loss {final.l_total:.6f}"
     )
-    return [params["stream"]], [params["out"], str(history_path)], {}
+    return inputs, outputs, {}
 
 
 def _run_detect(params: dict) -> tuple[list[str], list[str], dict]:
@@ -162,15 +184,16 @@ def _run_detect(params: dict) -> tuple[list[str], list[str], dict]:
         delta = calibrate_threshold(batch_scores(model, x_val), params["quantile"])
 
     results = score_stream(model, stats, params["stream"], schema, delta)
+    inputs, outputs = [params["stream"], params["model"]], [out, str(csv_path)]
+    if params["delta"] is None:
+        inputs.append(params["calibrate"])
+    _refuse_overwrites(inputs, outputs)
     _write_detections(results, out, csv_path)
     click.echo(
         f"scored {len(results)} events at delta={delta!r}: "
         f"{int(results.flags.sum())} anomalies, {len(results.errors)} error records"
     )
-    inputs = [params["stream"], params["model"]]
-    if params["delta"] is None:
-        inputs.append(params["calibrate"])
-    return inputs, [out, str(csv_path)], {"delta": delta}
+    return inputs, outputs, {"delta": delta}
 
 
 # Records from which detect writes its CSV file in a forked worker while it
@@ -199,9 +222,11 @@ def _run_evaluate(params: dict) -> tuple[list[str], list[str], dict]:
             "evaluation needs ground truth: the detection file must carry "
             "truth_label on every scored record"
         )
+    read = [params["detections"]]
     delta = params.get("delta")
     if delta is None:
         manifest_path = _manifest_path(params["detections"])
+        read.append(str(manifest_path))
         if not manifest_path.exists():
             raise EtlwatchError(
                 f"no --delta given and no manifest found at {manifest_path}"
@@ -217,6 +242,7 @@ def _run_evaluate(params: dict) -> tuple[list[str], list[str], dict]:
                 f"manifest {manifest_path} records no delta; pass --delta"
             )
     report = metrics_at_threshold(records.scores, records.truth, delta)
+    _refuse_overwrites(read, [params["out"]])
     write_metrics_report(report, params["out"], params["format"])
     click.echo(
         f"n={report.n} auc={report.auc:.4f} acc={report.acc:.4f} "
@@ -247,12 +273,12 @@ def _run_sweep(params: dict) -> tuple[list[str], list[str], dict]:
     bundle = make_bundle([LabeledEvent(*row) for row in zip(events, labels, classes)])
     result = sweep(knob, _train_config(params), grid, bundle, seed)
     out_dir = Path(params["out_dir"])
+    formats = ("csv", "json")
+    outputs = [str(out_dir / report_filename(result.knob, seed, fmt)) for fmt in formats]
+    _refuse_overwrites([stream], outputs)
     out_dir.mkdir(parents=True, exist_ok=True)
-    outputs = []
-    for fmt in ("csv", "json"):
-        out_path = out_dir / report_filename(result.knob, seed, fmt)
+    for fmt, out_path in zip(formats, outputs):
         emit_report(result, out_path, fmt)
-        outputs.append(str(out_path))
     d = bundle.x_train.shape[1]
     noted = set()
     for entry in result.entries:

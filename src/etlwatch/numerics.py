@@ -4,17 +4,18 @@ Everything in this package computes in 64-bit floats. Matrices are plain
 2-D ``numpy`` arrays in row-major order; vectors are 1-D arrays. The random
 source is a splitmix64 generator written out here so that a given seed
 produces the same draw sequence on every platform and every numpy version.
-Scalar draws (``next_u64``, ``uniform``, ``unit``) and block draws
-(``next_u64_block``, ``uniform_block``) consume one and the same sequence: a
-block of n draws returns, and advances the state by, exactly what n scalar
-draws would. ``uniform`` and ``unit`` take their 53-bit fractions from a block
-drawn ahead; the next raw or block draw first gives back the fractions not yet
-used, so buffering never changes which value a call returns.
+The scalar draw ``next_u64`` and the block draws (``next_u64_block``,
+``uniform_block``) consume one and the same sequence: a block of n draws
+returns, and advances the state by, exactly what n scalar draws would.
+``fractions`` hands out that sequence's 53-bit fractions one call at a time
+through a C-level iterator over whole blocks, for loops that draw a few
+floats per step.
 """
 
 from __future__ import annotations
 
-import math
+import itertools
+from typing import Callable
 
 import numpy as np
 
@@ -26,8 +27,8 @@ _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
-# fractions unit() draws ahead in one block
-_AHEAD = 256
+# fractions a fractions() source draws at a time
+_BLOCK = 1024
 
 
 class SeededRng:
@@ -40,31 +41,20 @@ class SeededRng:
     Because splitmix64 is counter-based (output t is a fixed mix of
     ``seed + t * golden``), a block draw computes n outputs at once in
     wrapping ``np.uint64`` arithmetic. Block and scalar draws are one
-    sequence and may be interleaved freely. :meth:`unit` draws its
-    fractions ``_AHEAD`` at a time; ``_state`` then runs ahead of the
-    sequence by the fractions still buffered, which :meth:`_give_back`
-    rewinds before any raw draw.
+    sequence and may be interleaved freely.
 
     Instances are cheap but stateful; do not share one across concurrent
     tasks.
     """
 
-    __slots__ = ("seed", "_state", "_ahead")
+    __slots__ = ("seed", "_state")
 
     def __init__(self, seed: int) -> None:
         self.seed = seed & _MASK64
         self._state = self.seed
-        self._ahead: list[float] = []  # unused fractions, the next one last
-
-    def _give_back(self) -> None:
-        """Rewind the state over the fractions drawn ahead but not used."""
-        if self._ahead:
-            self._state = (self._state - len(self._ahead) * _GOLDEN) & _MASK64
-            self._ahead = []
 
     def next_u64(self) -> int:
         """Return the next raw 64-bit output."""
-        self._give_back()
         self._state = (self._state + _GOLDEN) & _MASK64
         z = self._state
         z = ((z ^ (z >> 30)) * _MIX1) & _MASK64
@@ -79,7 +69,6 @@ class SeededRng:
         """
         if n < 0:
             raise ContractViolationError(f"block size must be >= 0, got {n}")
-        self._give_back()
         steps = np.arange(1, n + 1, dtype=np.uint64)
         z = np.uint64(self._state) + steps * np.uint64(_GOLDEN)  # wraps mod 2^64
         z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
@@ -87,39 +76,16 @@ class SeededRng:
         self._state = (self._state + n * _GOLDEN) & _MASK64
         return z ^ (z >> np.uint64(31))
 
-    def uniform(self, lo: float = 0.0, hi: float = 1.0) -> float:
-        """Draw a float in [lo, hi).
-
-        Uses the top 53 bits of the raw output, so all 2^53 representable
-        offsets in [0, 1) are reachable. The width ``hi - lo`` must be
-        finite: wider bounds are rejected, since every draw would overflow.
-        """
-        if not lo < hi or math.isinf(float(hi) - float(lo)):
-            raise ContractViolationError(
-                f"uniform bounds require lo < hi and a finite hi - lo, got [{lo}, {hi})"
-            )
-        value = lo + self.unit() * (hi - lo)
-        if value >= hi:  # guard the rare rounding onto the open bound
-            value = np.nextafter(hi, lo)
-        return value
-
-    def unit(self) -> float:
-        """Draw a float in [0, 1): the value ``uniform()`` would return.
-
-        With the default bounds ``0.0 + u * 1.0 == u`` and the open-bound
-        guard never fires, so this skips both.
-        """
-        if not self._ahead:
-            fractions = (self.next_u64_block(_AHEAD) >> np.uint64(11)) * 2.0**-53
-            self._ahead = fractions[::-1].tolist()
-        return self._ahead.pop()
-
     def uniform_block(
         self, n: int, lo: float = 0.0, hi: float | np.ndarray = 1.0
     ) -> np.ndarray:
-        """Draw ``n`` floats at once; element t equals the t-th ``uniform(lo, hi)``.
+        """Draw ``n`` floats in [lo, hi) at once, one raw draw each.
 
-        ``hi`` may be an array of ``n`` upper bounds, one per draw.
+        Draw t is ``lo + u * (hi - lo)`` for the top 53 bits ``u`` of the
+        raw output as a fraction of 2^53, so all 2^53 representable offsets
+        in [0, 1) are reachable. ``hi`` may be an array of ``n`` upper
+        bounds, one per draw. Each width ``hi - lo`` must be finite: wider
+        bounds are rejected, since every draw would overflow.
         """
         hi = np.asarray(hi, dtype=np.float64)
         with np.errstate(over="ignore"):
@@ -130,20 +96,27 @@ class SeededRng:
             )
         u = (self.next_u64_block(n) >> np.uint64(11)).astype(np.float64) * 2.0**-53
         value = lo + u * width
-        # guard the rare rounding onto the open bound, as uniform() does
+        # guard the rare rounding onto the open bound
         return np.where(value >= hi, np.nextafter(hi, lo), value)
 
-    def index(self, n: int) -> int:
-        """Draw an integer in [0, n)."""
-        if n < 1:
-            raise ContractViolationError(f"index bound must be >= 1, got {n}")
-        return int(self.uniform(0.0, float(n)))
+    def fractions(self) -> Callable[[], float]:
+        """A zero-argument source of floats in [0, 1): call t returns
+        element t of one long ``uniform_block``.
+
+        The source draws ``_BLOCK`` fractions at a time, on its first call
+        and whenever it has handed out all it drew, and hands them out
+        through C-level iterators, so a call runs no Python code. This rng's
+        state moves by whole blocks: a later draw from the rng itself
+        continues after the last block the source drew.
+        """
+        blocks = map(self.uniform_block, itertools.repeat(_BLOCK))
+        return itertools.chain.from_iterable(map(np.ndarray.tolist, blocks)).__next__
 
     def shuffled_indices(self, n: int) -> np.ndarray:
         """Return a Fisher-Yates permutation of range(n).
 
-        Swap i (from n-1 down to 1) exchanges i with ``index(i + 1)``; all
-        n-1 indices come from one block draw.
+        Swap i (from n-1 down to 1) exchanges i with ``j = int(u_i)`` for
+        ``u_i`` in [0, i + 1); all n-1 draws come from one block draw.
         """
         bounds = np.arange(n, 1, -1, dtype=np.float64)  # i + 1 for each swap
         js = self.uniform_block(bounds.shape[0], 0.0, bounds).astype(np.int64)

@@ -5,7 +5,8 @@ record, one line or one tie group at a time, with fresh arrays for every
 intermediate. The tests compare the library's column-wise encoder, its
 column readers of streams, labels files and detections, its line writers,
 its JSON-lines reader, its rank computation, its sigmoid, its epoch loss, its gradient
-kernel and its stream generator with these, bit for bit and byte for byte.
+kernel, its stream generator and its random draws with these, bit for bit and
+byte for byte.
 """
 
 import csv
@@ -312,8 +313,8 @@ def gradients(params, x, l1_penalty):
     )
 
 
-def sample_categorical(rng, weights):
-    u = rng.uniform() * sum(weights)
+def sample_categorical(unit, weights):
+    u = unit() * sum(weights)
     acc = 0.0
     for i, w in enumerate(weights):
         acc += w
@@ -361,28 +362,28 @@ def _truncated(draw, lo, hi, max_tries=10_000):
     )
 
 
-def _draw_normal_event(cfg, rng, timestamp, event_id):
+def _draw_normal_event(cfg, unit, timestamp, event_id):
     lf = load_factor(cfg, timestamp)
-    device = DEFAULT_DEVICE_TYPES[sample_categorical(rng, cfg.device_weights)]
-    geo = DEFAULT_GEO_REGIONS[sample_categorical(rng, cfg.geo_weights)]
+    device = DEFAULT_DEVICE_TYPES[sample_categorical(unit, cfg.device_weights)]
+    geo = DEFAULT_GEO_REGIONS[sample_categorical(unit, cfg.geo_weights)]
     records = int(
         _truncated(
-            lambda: sample_poisson(rng, cfg.records_mean * lf),
+            lambda: sample_poisson(unit, cfg.records_mean * lf),
             *records_band(cfg, timestamp),
         )
     )
     bands = numeric_bands(cfg, timestamp, records, device)
     log_mu = cfg.amount_log_mu + cfg.amount_device_offsets[DEFAULT_DEVICE_TYPES.index(device)]
     amount = _truncated(
-        lambda: sample_lognormal(rng, log_mu, cfg.amount_log_sigma), *bands["amount"]
+        lambda: sample_lognormal(unit, log_mu, cfg.amount_log_sigma), *bands["amount"]
     )
     latency = _truncated(
-        lambda: sample_gamma(rng, cfg.latency_shape, cfg.latency_scale * lf),
+        lambda: sample_gamma(unit, cfg.latency_shape, cfg.latency_scale * lf),
         *bands["latency_ms"],
     )
     duration_scale = cfg.duration_scale * max(records, 1) / cfg.records_mean
     duration = _truncated(
-        lambda: sample_gamma(rng, cfg.duration_shape, duration_scale),
+        lambda: sample_gamma(unit, cfg.duration_shape, duration_scale),
         *bands["task_duration_s"],
     )
     return EtlEvent(
@@ -399,16 +400,70 @@ def _draw_normal_event(cfg, rng, timestamp, event_id):
 
 
 def generate(cfg):
-    """A labeled stream, each event's bands and draws worked out on their own."""
-    rng = SeededRng(cfg.seed)
+    """A labeled stream, each event's bands and draws worked out on their own,
+    with one raw draw of the scalar oracle per fraction."""
+    unit = ReferenceRng(cfg.seed).fractions()
     timestamp = cfg.start_timestamp
     out = []
     for i in range(cfg.n_events):
-        timestamp += max(1, round(sample_exponential(rng, cfg.mean_gap_ms)))
-        event = _draw_normal_event(cfg, rng, timestamp, event_id=f"evt-{i:06d}")
-        if rng.uniform() < cfg.anomaly_rate:
-            anomaly_class = ANOMALY_CLASSES[sample_categorical(rng, cfg.mix.weights())]
-            out.append(LabeledEvent(inject(event, anomaly_class, rng), True, anomaly_class))
+        timestamp += max(1, round(sample_exponential(unit, cfg.mean_gap_ms)))
+        event = _draw_normal_event(cfg, unit, timestamp, event_id=f"evt-{i:06d}")
+        if unit() < cfg.anomaly_rate:
+            anomaly_class = ANOMALY_CLASSES[sample_categorical(unit, cfg.mix.weights())]
+            out.append(LabeledEvent(inject(event, anomaly_class, unit), True, anomaly_class))
         else:
             out.append(LabeledEvent(event, False))
     return out
+
+
+def reference_uniform(rng, lo: float = 0.0, hi: float = 1.0) -> float:
+    """A float in [lo, hi) from one ``next_u64()``: the scalar form of one
+    element of ``uniform_block``."""
+    u = (rng.next_u64() >> 11) * 2.0**-53
+    value = lo + u * (hi - lo)
+    if value >= hi:
+        value = np.nextafter(hi, lo)
+    return value
+
+
+def reference_shuffled_indices(rng, n: int) -> np.ndarray:
+    """Scalar Fisher-Yates, one draw per swap: the oracle for the block-drawn shuffle."""
+    perm = np.arange(n)
+    for i in range(n - 1, 0, -1):
+        j = int(reference_uniform(rng, 0.0, float(i + 1)))
+        perm[i], perm[j] = perm[j], perm[i]
+    return perm
+
+
+class ReferenceRng:
+    """Scalar-only oracle for :class:`SeededRng`: every draw is one ``next_u64()``.
+
+    Its sequence is splitmix64 one output at a time. It has the public draw
+    methods of ``SeededRng`` and can stand in for it, and it keeps the scalar
+    ``uniform(lo, hi)`` and ``index(n)`` that tests draw their data with.
+    Its :meth:`fractions` source makes one raw draw per call.
+    """
+
+    def __init__(self, seed: int) -> None:
+        self._rng = SeededRng(seed)
+
+    def next_u64(self) -> int:
+        return self._rng.next_u64()
+
+    def next_u64_block(self, n: int) -> np.ndarray:
+        return np.array([self.next_u64() for _ in range(n)], dtype=np.uint64)
+
+    def uniform(self, lo: float = 0.0, hi: float = 1.0) -> float:
+        return reference_uniform(self, lo, hi)
+
+    def uniform_block(self, n: int, lo: float = 0.0, hi: float = 1.0) -> np.ndarray:
+        return np.array([self.uniform(lo, hi) for _ in range(n)])
+
+    def index(self, n: int) -> int:
+        return int(self.uniform(0.0, float(n)))
+
+    def shuffled_indices(self, n: int) -> np.ndarray:
+        return reference_shuffled_indices(self, n)
+
+    def fractions(self):
+        return self.uniform

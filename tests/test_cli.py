@@ -698,6 +698,104 @@ def test_bad_value_is_usage_error(runner, workspace, tmp_path, args, reason):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.fixture(scope="module")
+def own_inputs(workspace, tmp_path_factory):
+    """Name -> bytes of the files each case below reads: copies of the shared
+    stream under other names, the model, a holdout stream with its labels
+    file, and detections with truth labels and their manifest."""
+    _, stream, model = workspace
+    root = tmp_path_factory.mktemp("own")
+    runner = CliRunner()
+    run_ok(runner, ["generate", "--n", "300", "--seed", "5", "--holdout",
+                    "--out", str(root / "h.jsonl")])
+    run_ok(runner, ["detect", str(stream), "--model", str(model), "--delta", "1",
+                    "--out", str(root / "det.jsonl")])
+    files = {name: stream.read_bytes() for name in (
+        "s.jsonl", "t.csv", "x.history.csv", "o.jsonl.manifest.json", "sweep_k_7.csv"
+    )}
+    files["m.json"] = model.read_bytes()
+    for name in ("h.jsonl", "h.labels.jsonl", "det.jsonl", "det.jsonl.manifest.json"):
+        files[name] = (root / name).read_bytes()
+    return files
+
+
+# Commands whose output, or its manifest, names a file they read, and that file.
+TRAIN = ["--epochs", "1", "--k", "2"]
+OVERWRITES = {
+    "train-out-is-the-stream": (
+        "s.jsonl", ["train", "s.jsonl", *TRAIN, "--out", "s.jsonl"]),
+    "train-history-is-the-stream": (
+        "x.history.csv", ["train", "x.history.csv", *TRAIN, "--out", "x.json"]),
+    "train-out-is-the-labels-file": (
+        "h.labels.jsonl", ["train", "h.jsonl", *TRAIN, "--out", "h.labels.jsonl"]),
+    "detect-out-is-the-stream": (
+        "s.jsonl", ["detect", "s.jsonl", "--model", "m.json", "--delta", "1", "--out", "s.jsonl"]),
+    "detect-out-is-the-model": (
+        "m.json", ["detect", "s.jsonl", "--model", "m.json", "--delta", "1", "--out", "m.json"]),
+    "detect-out-is-the-calibration-stream": (
+        "s.jsonl",
+        ["detect", "t.csv", "--model", "m.json", "--calibrate", "s.jsonl", "--out", "s.jsonl"]),
+    "detect-csv-is-the-stream": (
+        "t.csv", ["detect", "t.csv", "--model", "m.json", "--delta", "1", "--out", "t.jsonl"]),
+    "detect-manifest-is-the-stream": (
+        "o.jsonl.manifest.json",
+        ["detect", "o.jsonl.manifest.json", "--model", "m.json", "--delta", "1",
+         "--out", "o.jsonl"]),
+    "evaluate-out-is-the-detections": (
+        "det.jsonl", ["evaluate", "det.jsonl", "--delta", "1", "--out", "det.jsonl"]),
+    "evaluate-out-is-the-detect-manifest": (
+        "det.jsonl.manifest.json",
+        ["evaluate", "det.jsonl", "--out", "det.jsonl.manifest.json"]),
+    "sweep-report-is-the-stream": (
+        "sweep_k_7.csv",
+        ["sweep", "sweep_k_7.csv", "--knob", "k", "--grid", "4", *TRAIN, "--out-dir", "."]),
+}
+
+
+class TestOutputThatNamesAnInput:
+    """An output that would replace a file its run reads ends the run with
+    exit code 2 and one Error: line naming that file, and writes nothing."""
+
+    @pytest.fixture
+    def files(self, own_inputs, tmp_path, monkeypatch):
+        for name, data in own_inputs.items():
+            (tmp_path / name).write_bytes(data)
+        monkeypatch.chdir(tmp_path)
+        return tmp_path
+
+    @staticmethod
+    def contents(root):
+        return {path.name: path.read_bytes() for path in root.iterdir()}
+
+    @pytest.mark.parametrize("case", list(OVERWRITES))
+    def test_on_the_flag_path(self, runner, files, case):
+        clash, args = OVERWRITES[case]
+        before = self.contents(files)
+        result = runner.invoke(main, args)
+        assert f"would overwrite {clash}, which this run reads" in error_line(result, 2)
+        assert self.contents(files) == before
+
+    @pytest.mark.parametrize("case", list(OVERWRITES))
+    def test_through_replay(self, runner, files, monkeypatch, case):
+        clash, args = OVERWRITES[case]
+        recorded = {}
+        with monkeypatch.context() as patch:  # the flag parser's params, not run
+            patch.setattr(cli, "_execute", lambda name, params: recorded.update(
+                subcommand=name, params=params))
+            run_ok(runner, args)
+        manifest = files / "recorded.json"
+        manifest.write_text(json.dumps(recorded))
+        before = self.contents(files)
+        result = runner.invoke(main, ["replay", str(manifest)])
+        assert f"would overwrite {clash}, which this run reads" in error_line(result, 2)
+        assert self.contents(files) == before
+
+    def test_a_distinct_output_still_runs(self, runner, files):
+        run_ok(runner, ["detect", "t.csv", "--model", "m.json", "--delta", "1",
+                        "--out", "t.det.jsonl"])
+        assert (files / "t.det.csv").exists()
+
+
 class TestReplay:
     def test_replay_reproduces_stream_byte_identically(self, runner, tmp_path):
         out = tmp_path / "s.jsonl"

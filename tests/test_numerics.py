@@ -8,9 +8,10 @@ from hypothesis import strategies as st
 
 from etlwatch.autoencoder import init_params
 from etlwatch.errors import ContractViolationError, NumericalError
-from etlwatch.numerics import SeededRng
+from etlwatch.numerics import _BLOCK, SeededRng
 
 from gradcheck import finite_diff_grad
+from reference import ReferenceRng, reference_shuffled_indices, reference_uniform
 
 finite_floats = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
 
@@ -72,63 +73,14 @@ def test_no_test_seeds_from_the_process_random_string_hash():
     assert offenders == []
 
 
-def reference_uniform(rng, lo: float = 0.0, hi: float = 1.0) -> float:
-    """One ``uniform(lo, hi)`` from one ``next_u64()``, with no draw-ahead buffer."""
-    u = (rng.next_u64() >> 11) * 2.0**-53
-    value = lo + u * (hi - lo)
-    if value >= hi:
-        value = np.nextafter(hi, lo)
-    return value
-
-
-def reference_shuffled_indices(rng, n: int) -> np.ndarray:
-    """Scalar Fisher-Yates, one draw per swap: the oracle for the block-drawn shuffle."""
-    perm = np.arange(n)
-    for i in range(n - 1, 0, -1):
-        j = int(reference_uniform(rng, 0.0, float(i + 1)))
-        perm[i], perm[j] = perm[j], perm[i]
-    return perm
-
-
-class ReferenceRng:
-    """Scalar-only oracle for :class:`SeededRng`: every draw is one ``next_u64()``.
-
-    Its inner generator never draws ahead, so its sequence is splitmix64 one
-    output at a time. It has the public draw methods of ``SeededRng`` and can
-    stand in for it.
-    """
-
-    def __init__(self, seed: int) -> None:
-        self._rng = SeededRng(seed)
-
-    def next_u64(self) -> int:
-        return self._rng.next_u64()
-
-    def next_u64_block(self, n: int) -> np.ndarray:
-        return np.array([self.next_u64() for _ in range(n)], dtype=np.uint64)
-
-    def uniform(self, lo: float = 0.0, hi: float = 1.0) -> float:
-        return reference_uniform(self, lo, hi)
-
-    def unit(self) -> float:
-        return reference_uniform(self)
-
-    def uniform_block(self, n: int, lo: float = 0.0, hi: float = 1.0) -> np.ndarray:
-        return np.array([self.uniform(lo, hi) for _ in range(n)])
-
-    def index(self, n: int) -> int:
-        return int(self.uniform(0.0, float(n)))
-
-    def shuffled_indices(self, n: int) -> np.ndarray:
-        return reference_shuffled_indices(self, n)
+def _fractions(rng, count: int) -> list[float]:
+    """The first ``count`` values of a new :meth:`SeededRng.fractions` source."""
+    source = rng.fractions()
+    return [source() for _ in range(count)]
 
 
 def _draw(rng, method: str, count: int) -> list:
     """``count`` draws of one kind, as a list."""
-    if method == "uniform":
-        return [rng.uniform(-1.0, 2.0) for _ in range(count)]
-    if method == "index":
-        return [rng.index(7) for _ in range(count)]
     if method == "next_u64":
         return [rng.next_u64() for _ in range(count)]
     if method == "uniform_block":
@@ -142,37 +94,32 @@ class TestSeededRng:
         assert [a.next_u64() for _ in range(100)] == [b.next_u64() for _ in range(100)]
 
     def test_first_draws_are_distinct(self):
-        rng = SeededRng(42)
-        assert rng.uniform() != rng.uniform()
+        first, second = _fractions(SeededRng(42), 2)
+        assert first != second
 
     def test_different_seeds_differ(self):
         assert SeededRng(1).next_u64() != SeededRng(2).next_u64()
 
-    def test_uniform_stays_in_range(self):
-        rng = SeededRng(9)
-        for _ in range(1000):
-            value = rng.uniform(-2.0, 3.0)
-            assert -2.0 <= value < 3.0
+    def test_uniform_block_stays_in_range(self):
+        values = SeededRng(9).uniform_block(1000, -2.0, 3.0)
+        assert np.all((-2.0 <= values) & (values < 3.0))
 
-    def test_uniform_rejects_bad_bounds(self):
+    def test_fractions_stay_in_the_unit_interval(self):
+        values = _fractions(SeededRng(9), 3000)
+        assert all(type(value) is float and 0.0 <= value < 1.0 for value in values)
+
+    def test_uniform_block_rejects_empty_bounds(self):
         with pytest.raises(ContractViolationError):
-            SeededRng(0).uniform(1.0, 1.0)
+            SeededRng(0).uniform_block(2, 1.0, 1.0)
 
     def test_law_of_large_numbers(self):
         # 1e5 draws on [0,1): sample mean within [0.49, 0.51]
-        rng = SeededRng(123)
-        mean = sum(rng.uniform() for _ in range(100_000)) / 100_000
+        mean = sum(_fractions(SeededRng(123), 100_000)) / 100_000
         assert 0.49 <= mean <= 0.51
 
     def test_shuffled_indices_is_permutation(self):
         perm = SeededRng(5).shuffled_indices(50)
         assert sorted(perm.tolist()) == list(range(50))
-
-    def test_index_bounds(self):
-        rng = SeededRng(3)
-        assert all(0 <= rng.index(7) < 7 for _ in range(200))
-        with pytest.raises(ContractViolationError):
-            rng.index(0)
 
     def test_block_and_scalar_draws_interleave(self):
         a, b = SeededRng(11), SeededRng(11)
@@ -196,8 +143,6 @@ class TestSeededRng:
         # lo + u * (hi - lo) is then inf or NaN, which the open-bound guard
         # used to clamp to the float just below hi on every draw
         message = "uniform bounds require lo < hi and a finite hi - lo, got "
-        with pytest.raises(ContractViolationError, match=re.escape(f"{message}[{lo}, {hi})")):
-            SeededRng(0).uniform(lo, hi)
         with pytest.raises(ContractViolationError, match=re.escape(f"{message}lo={lo}, hi={hi}")):
             SeededRng(0).uniform_block(6, lo, hi)
         with pytest.raises(ContractViolationError, match=re.escape(f"{message}lo={lo}, hi=[")):
@@ -207,10 +152,9 @@ class TestSeededRng:
     def test_the_widest_finite_width_draws_as_before(self):
         top = np.finfo(np.float64).max
         lo, hi = -top / 2, float(np.nextafter(top / 2, 0.0))
-        rng, block_rng, oracle_rng = SeededRng(8), SeededRng(8), SeededRng(8)
-        values = [rng.uniform(lo, hi) for _ in range(300)]
+        block_rng, oracle_rng = SeededRng(8), SeededRng(8)
+        values = block_rng.uniform_block(300, lo, hi).tolist()
         assert values == [reference_uniform(oracle_rng, lo, hi) for _ in range(300)]
-        assert block_rng.uniform_block(300, lo, hi).tolist() == values
         assert all(lo <= value < hi for value in values)
 
 
@@ -234,7 +178,7 @@ class TestRngOracles:
         [
             (-2.0, 3.0),
             # one ulp wide: lo + u * (hi - lo) rounds onto hi for about half
-            # the draws, so the open-bound guard must match uniform()'s
+            # the draws, so the open-bound guard must match the oracle's
             (1.0, float(np.nextafter(1.0, 2.0))),
         ],
     )
@@ -245,22 +189,22 @@ class TestRngOracles:
         assert block.tolist() == expected
         assert block_rng.next_u64() == oracle_rng.next_u64()
 
-    @pytest.mark.parametrize("lo, hi", [(-2.0, 3.0), (1.0, float(np.nextafter(1.0, 2.0)))])
+    @pytest.mark.parametrize("count", [0, 1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 600])
     @pytest.mark.parametrize("seed", [0, 7, 2**64 - 1])
-    def test_buffered_uniform_equals_one_raw_draw_per_call(self, seed, lo, hi):
-        # 600 draws cross two refills of the draw-ahead block
-        rng, oracle_rng = SeededRng(seed), SeededRng(seed)
-        values = [rng.uniform(lo, hi) for _ in range(600)]
-        assert values == [reference_uniform(oracle_rng, lo, hi) for _ in range(600)]
-        assert rng.next_u64() == oracle_rng.next_u64()
+    def test_fractions_equal_one_raw_draw_per_call(self, seed, count):
+        # the source draws whole blocks: the rng goes on after the last one
+        rng, oracle = SeededRng(seed), ReferenceRng(seed)
+        assert _fractions(rng, count) == [oracle.uniform() for _ in range(count)]
+        oracle.next_u64_block(-count % _BLOCK)
+        assert rng.next_u64() == oracle.next_u64()
 
     @given(
         st.integers(min_value=0, max_value=2**64 - 1),
         st.lists(
             st.tuples(
                 st.sampled_from(
-                    ["uniform", "index", "next_u64", "next_u64_block",
-                     "uniform_block", "shuffled_indices"]
+                    ["fractions", "next_u64", "next_u64_block", "uniform_block",
+                     "shuffled_indices"]
                 ),
                 st.integers(min_value=0, max_value=300),
             ),
@@ -269,35 +213,16 @@ class TestRngOracles:
     )
     @settings(max_examples=60, deadline=None)
     def test_any_interleaving_equals_the_scalar_oracle(self, seed, calls):
+        # each fractions source is new, and the oracle skips the rest of the
+        # last block it drew
         rng, oracle = SeededRng(seed), ReferenceRng(seed)
         for method, count in calls:
-            assert _draw(rng, method, count) == _draw(oracle, method, count), method
-        assert rng.next_u64() == oracle.next_u64()
-        assert rng.uniform() == oracle.uniform()
-
-    @given(
-        st.integers(min_value=0, max_value=2**64 - 1),
-        st.lists(
-            st.tuples(
-                st.sampled_from(["unit", "uniform", "next_u64", "next_u64_block"]),
-                st.integers(min_value=0, max_value=300),
-            ),
-            max_size=10,
-        ),
-    )
-    @settings(max_examples=60, deadline=None)
-    def test_unit_equals_uniform_with_default_bounds(self, seed, calls):
-        # the same calls on the scalar oracle, with every unit() drawn as
-        # uniform() instead
-        rng, oracle = SeededRng(seed), ReferenceRng(seed)
-        for method, count in calls:
-            if method == "unit":
-                got = [rng.unit() for _ in range(count)]
-                assert got == [oracle.uniform() for _ in range(count)]
+            if method == "fractions":
+                assert _fractions(rng, count) == _fractions(oracle, count)
+                oracle.next_u64_block(-count % _BLOCK)
             else:
                 assert _draw(rng, method, count) == _draw(oracle, method, count), method
         assert rng.next_u64() == oracle.next_u64()
-        assert rng.unit() == oracle.uniform()
 
     @pytest.mark.parametrize("seed", [0, 7, 12345, 2**64 - 1])
     @pytest.mark.parametrize("n", [0, 1, 2, 3, 100, 5700])

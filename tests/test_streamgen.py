@@ -10,7 +10,7 @@ import pytest
 import reference
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from test_numerics import ReferenceRng
+from reference import ReferenceRng
 
 from etlwatch import preprocess, streamgen
 from etlwatch.errors import ContractViolationError
@@ -69,6 +69,40 @@ class TestGenerate:
     def test_equals_the_per_event_reference(self, seed, changes):
         cfg = StreamConfig(n_events=400, seed=seed, **changes)
         assert generate(cfg) == reference.generate(cfg)
+
+    def test_equals_the_per_event_reference_at_full_size(self, benchmark_stream):
+        # the default config: 10 000 events at seed 7
+        assert benchmark_stream == reference.generate(StreamConfig(seed=7))
+
+    @pytest.mark.parametrize(
+        "field, sampler",
+        [("records", "sample_poisson"), ("amount", "sample_lognormal"),
+         ("latency", "sample_gamma"), ("duration", "sample_gamma")],
+    )
+    def test_a_band_no_draw_reaches_fails_after_10_000_tries(self, monkeypatch, field, sampler):
+        cfg = StreamConfig()
+        normal = streamgen._NormalEvents(cfg)
+        never = (math.inf, math.inf)
+        if field == "records":
+            monkeypatch.setattr(streamgen, "_poisson_band", lambda mean: never)
+        elif field == "amount":
+            normal.amount = [(log_mu, never) for log_mu, _ in normal.amount]
+        else:
+            setattr(normal, f"_{field}", never)
+        shapes = {"latency": cfg.latency_shape, "duration": cfg.duration_shape}
+        tries = []
+        draw = getattr(streamgen, sampler)
+
+        def counted(unit, *args):
+            if args[0] == shapes.get(field, args[0]):  # gamma: this field's draws only
+                tries.append(args)
+            return draw(unit, *args)
+
+        monkeypatch.setattr(streamgen, sampler, counted)
+        message = r"could not draw a value inside \[inf, inf\] after 10000 tries"
+        with pytest.raises(ContractViolationError, match=message):
+            normal.draw(SeededRng(1).fractions(), cfg.start_timestamp, "evt-000000")
+        assert len(tries) == 10_000
 
     def test_different_seeds_differ(self):
         a = generate(StreamConfig(n_events=50, seed=5))
@@ -167,55 +201,68 @@ class TestInject:
         return generate(StreamConfig(n_events=1, anomaly_rate=0.0, seed=2))[0].event
 
     def test_delay_strictly_increases_latency(self, normal_event):
-        out = inject(normal_event, "delay", SeededRng(1))
+        out = inject(normal_event, "delay", SeededRng(1).fractions())
         assert out.latency_ms > normal_event.latency_ms
         factor = out.latency_ms / normal_event.latency_ms
         assert 5.0 <= factor <= 20.0
 
     def test_missing_sets_mask_and_zeroes_fields(self, normal_event):
-        out = inject(normal_event, "missing", SeededRng(2))
+        out = inject(normal_event, "missing", SeededRng(2).fractions())
         assert any(out.missing_mask)
         for i, field in enumerate(MASKABLE_FIELDS):
             if out.missing_mask[i]:
                 assert getattr(out, field) == 0.0
 
     def test_duplicate_signature(self, normal_event):
-        out = inject(normal_event, "duplicate", SeededRng(3))
+        out = inject(normal_event, "duplicate", SeededRng(3).fractions())
         assert out.records_loaded == 2 * normal_event.records_loaded
         assert out.task_duration_s == pytest.approx(normal_event.task_duration_s / 2)
 
     def test_spike_bounds(self, normal_event):
-        out = inject(normal_event, "spike", SeededRng(4))
+        out = inject(normal_event, "spike", SeededRng(4).fractions())
         assert 10.0 * normal_event.amount <= out.amount <= 50.0 * normal_event.amount
+
+    def test_open_bound_guard_keeps_each_draw_below_its_bound(self, normal_event):
+        # the largest fraction, 1 - 2^-53, makes lo + u * (hi - lo) round onto
+        # 20 for the delay factor; the guard takes the float below the bound
+        top = 1.0 - 2.0**-53
+        delayed = inject(normal_event, "delay", lambda: top)
+        assert delayed.latency_ms / normal_event.latency_ms < 20.0
+        assert delayed.latency_ms == normal_event.latency_ms * math.nextafter(20.0, 0.0)
+        spiked = inject(normal_event, "spike", lambda: top)
+        assert spiked.amount / normal_event.amount < 50.0
+        # three fields to mask, the first of them the last index
+        masked = inject(normal_event, "missing", iter([top, top, 0.0, 0.5]).__next__)
+        assert masked.missing_mask == (True,) * len(MASKABLE_FIELDS)
 
     def test_unknown_class(self, normal_event):
         with pytest.raises(ContractViolationError):
-            inject(normal_event, "gremlins", SeededRng(5))
+            inject(normal_event, "gremlins", SeededRng(5).fractions())
 
 
 class TestSamplers:
     def test_gamma_moments(self):
-        rng = SeededRng(11)
-        draws = [sample_gamma(rng, 3.0, 2.0) for _ in range(20_000)]
+        unit = SeededRng(11).fractions()
+        draws = [sample_gamma(unit, 3.0, 2.0) for _ in range(20_000)]
         assert np.mean(draws) == pytest.approx(6.0, rel=0.05)
         assert np.var(draws) == pytest.approx(12.0, rel=0.15)
 
     def test_gamma_shape_below_one(self):
-        rng = SeededRng(12)
-        draws = [sample_gamma(rng, 0.5, 1.0) for _ in range(20_000)]
+        unit = SeededRng(12).fractions()
+        draws = [sample_gamma(unit, 0.5, 1.0) for _ in range(20_000)]
         assert np.mean(draws) == pytest.approx(0.5, rel=0.1)
 
     def test_poisson_small_and_large_mean(self):
-        rng = SeededRng(13)
-        small = [sample_poisson(rng, 4.0) for _ in range(20_000)]
+        unit = SeededRng(13).fractions()
+        small = [sample_poisson(unit, 4.0) for _ in range(20_000)]
         assert np.mean(small) == pytest.approx(4.0, rel=0.05)
-        large = [sample_poisson(rng, 40.0) for _ in range(20_000)]
+        large = [sample_poisson(unit, 40.0) for _ in range(20_000)]
         assert np.mean(large) == pytest.approx(40.0, rel=0.05)
         assert np.var(large) == pytest.approx(40.0, rel=0.15)
 
     def test_poisson_deterministic(self):
-        a = [sample_poisson(SeededRng(9), 25.0) for _ in range(5)]
-        b = [sample_poisson(SeededRng(9), 25.0) for _ in range(5)]
+        a = [sample_poisson(SeededRng(9).fractions(), 25.0) for _ in range(5)]
+        b = [sample_poisson(SeededRng(9).fractions(), 25.0) for _ in range(5)]
         assert a == b
 
 
