@@ -198,11 +198,9 @@ class TrainHistory:
     the training set; the first read drops both.
     """
 
-    def __init__(
-        self, losses: list[LossBreakdown] | None = None, epoch_seconds: list[float] | None = None
-    ) -> None:
-        self._losses: list[LossBreakdown | None] = list(losses or [])
-        self.epoch_seconds: list[float] = list(epoch_seconds or [])
+    def __init__(self) -> None:
+        self._losses: list[LossBreakdown | None] = []
+        self.epoch_seconds: list[float] = []
         # epoch -> its loss, for the entries still None
         self._loss_at: Callable[[int], LossBreakdown] | None = None
 

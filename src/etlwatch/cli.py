@@ -6,9 +6,11 @@ version and wall time. ``etlwatch replay <manifest>`` re-runs the recorded
 subcommand and reproduces the primary outputs byte-identically.
 
 Exit codes: 0 on success, 1 on runtime failure (IO, divergence, bad data),
-2 on usage or flag-validation errors. An output, a manifest included, that
-would replace a file the run reads (an input, or the labels file beside
-one) is a usage error, raised before anything is written.
+2 on usage or flag-validation errors. A run from flags and a replayed one
+take one path: :func:`_execute` checks the parameters against one table,
+then the runner refuses an output, a manifest included, that would replace
+a file the run reads (an input, or the labels file beside one) before it
+opens any input.
 """
 
 from __future__ import annotations
@@ -83,9 +85,58 @@ def _write_manifest(
         fh.write("\n")
 
 
+def _must(holds, problem):
+    return lambda value: None if holds(value) else problem
+
+
+def _mix_problem(weights: object) -> str | None:
+    if not isinstance(weights, dict):
+        return "must map each anomaly class to its weight"
+    unknown = [name for name in weights if name not in ANOMALY_CLASSES]
+    if unknown:
+        return f"unknown class {unknown[0]!r}"
+    missing = set(ANOMALY_CLASSES) - set(weights)
+    if missing:
+        return f"mix is missing classes: {sorted(missing)}"
+    if any(w < 0 for w in weights.values()) or not abs(sum(weights.values()) - 1.0) <= 1e-9:
+        return "mix weights must be non-negative and sum to 1"
+    return None
+
+
+_POSITIVE = _must(lambda v: 0 < v < math.inf, "must be finite and > 0")
+_NON_NEGATIVE = _must(lambda v: 0 <= v < math.inf, "must be finite and >= 0")
+# Each parameter with bounds of its own -> the problem of a value, or None
+_PARAM_CHECKS = {
+    "n": _POSITIVE,
+    "anomaly_rate": _must(lambda v: 0 <= v < 1, "must lie in [0, 1)"),
+    "mix": _mix_problem,
+    "lr": _POSITIVE,
+    "k": _POSITIVE,
+    "l1_penalty": _NON_NEGATIVE,
+    "epochs": _POSITIVE,
+    "batch": _POSITIVE,
+    "delta": _NON_NEGATIVE,
+    "quantile": _must(lambda v: 0 < v < 1, "must lie strictly inside (0, 1)"),
+}
+
+
+def _check_params(subcommand: str, params: dict) -> None:
+    """The one check of a run's parameters, whether they came from flags or
+    from a manifest: each value present, in the order the subcommand declares
+    its flags, against :data:`_PARAM_CHECKS`, then delta against calibrate."""
+    for param in main.commands[subcommand].params:
+        check, value = _PARAM_CHECKS.get(param.name), params.get(param.name)
+        problem = None if check is None or value is None else check(value)
+        if problem:
+            raise click.BadParameter(problem, param=param)
+    if "calibrate" in params and (params.get("delta") is None) == (params["calibrate"] is None):
+        raise click.UsageError("give exactly one of --delta or --calibrate")
+
+
 def _execute(subcommand: str, params: dict) -> None:
     started = time.perf_counter()
     runner = _RUNNERS[subcommand]
+    _check_params(subcommand, params)
     try:
         inputs, outputs, extras = runner(params)
     except (EtlwatchError, OSError) as exc:
@@ -97,8 +148,8 @@ def _refuse_overwrites(inputs: list[str], outputs: list[str]) -> None:
     """A usage error when an output or the manifest that goes with it names a
     file the run reads: an input, or the labels file beside one, which
     :func:`read_stream` reads. Each runner that reads a file calls it with
-    every file it read (evaluate's also include the detect manifest it
-    took delta from) just before its first write."""
+    every file it will read (evaluate's also include the detect manifest it
+    takes delta from) before it opens any of them."""
     read = {}
     for name in inputs:
         for path in (Path(name), labels_sibling_path(name)):
@@ -141,14 +192,14 @@ def _train_config(params: dict) -> TrainConfig:
 
 
 def _run_train(params: dict) -> tuple[list[str], list[str], dict]:
+    history_path = Path(params["out"]).with_suffix(".history.csv")
+    inputs, outputs = [params["stream"]], [params["out"], str(history_path)]
+    _refuse_overwrites(inputs, outputs)
     events, labels, _ = read_stream(params["stream"])
     schema = FeatureSchema()
     x_raw = vectorize_events(events.where([not label for label in labels]), schema)
     stats = fit_stats(x_raw)
     params_out, history = train(standardize(x_raw, stats), _train_config(params))
-    history_path = Path(params["out"]).with_suffix(".history.csv")
-    inputs, outputs = [params["stream"]], [params["out"], str(history_path)]
-    _refuse_overwrites(inputs, outputs)
     save_model(params["out"], params_out, stats, schema)
     with open(history_path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
@@ -169,25 +220,25 @@ def _run_train(params: dict) -> tuple[list[str], list[str], dict]:
 
 
 def _run_detect(params: dict) -> tuple[list[str], list[str], dict]:
-    model, stats, schema = load_model(params["model"])
+    model_path = params["model"]
     out, csv_path = params["out"], Path(params["out"]).with_suffix(".csv")
     if csv_path == Path(out):
         raise click.UsageError(
             f"--out {out} is where the CSV detections go; give --out a suffix other than .csv"
         )
-    if params["delta"] is not None:
-        delta = params["delta"]
-    else:
+    delta = params["delta"]
+    inputs, outputs = [params["stream"], model_path], [out, str(csv_path)]
+    if delta is None:
+        inputs.append(params["calibrate"])
+    _refuse_overwrites(inputs, outputs)
+    model, stats, schema = load_model(model_path)
+    if delta is None:
         val_events, val_labels, _ = read_stream(params["calibrate"])
         val_events = val_events.where([not label for label in val_labels])
         x_val = standardize(vectorize_events(val_events, schema), stats)
         delta = calibrate_threshold(batch_scores(model, x_val), params["quantile"])
 
     results = score_stream(model, stats, params["stream"], schema, delta)
-    inputs, outputs = [params["stream"], params["model"]], [out, str(csv_path)]
-    if params["delta"] is None:
-        inputs.append(params["calibrate"])
-    _refuse_overwrites(inputs, outputs)
     _write_detections(results, out, csv_path)
     click.echo(
         f"scored {len(results)} events at delta={delta!r}: "
@@ -216,17 +267,17 @@ def _write_detections(results: Detections, out: str, csv_path: Path) -> None:
 
 
 def _run_evaluate(params: dict) -> tuple[list[str], list[str], dict]:
+    delta = params.get("delta")
+    manifest_path = _manifest_path(params["detections"])
+    read = [params["detections"]] + ([str(manifest_path)] if delta is None else [])
+    _refuse_overwrites(read, [params["out"]])
     records = read_detections_jsonl(params["detections"])
     if not records.truth or None in records.truth:
         raise EtlwatchError(
             "evaluation needs ground truth: the detection file must carry "
             "truth_label on every scored record"
         )
-    read = [params["detections"]]
-    delta = params.get("delta")
     if delta is None:
-        manifest_path = _manifest_path(params["detections"])
-        read.append(str(manifest_path))
         if not manifest_path.exists():
             raise EtlwatchError(
                 f"no --delta given and no manifest found at {manifest_path}"
@@ -242,7 +293,6 @@ def _run_evaluate(params: dict) -> tuple[list[str], list[str], dict]:
                 f"manifest {manifest_path} records no delta; pass --delta"
             )
     report = metrics_at_threshold(records.scores, records.truth, delta)
-    _refuse_overwrites(read, [params["out"]])
     write_metrics_report(report, params["out"], params["format"])
     click.echo(
         f"n={report.n} auc={report.auc:.4f} acc={report.acc:.4f} "
@@ -254,6 +304,8 @@ def _run_evaluate(params: dict) -> tuple[list[str], list[str], dict]:
 def _run_sweep(params: dict) -> tuple[list[str], list[str], dict]:
     knob = params["knob"]
     grid = [float(v) for v in params["grid"]]
+    if not grid:
+        raise click.UsageError("--grid must list at least one value")
     if knob == "k":
         if not all(v.is_integer() and v >= 1 for v in grid):
             raise click.UsageError(f"every k in --grid must be an integer >= 1, got {grid}")
@@ -265,6 +317,10 @@ def _run_sweep(params: dict) -> tuple[list[str], list[str], dict]:
     if not all(a < b for a, b in zip(grid, grid[1:])):
         raise click.UsageError(f"--grid must be strictly ascending, got {grid}")
     stream, seed = params["stream"], params["seed"]
+    out_dir = Path(params["out_dir"])
+    formats = ("csv", "json")
+    outputs = [str(out_dir / report_filename(knob, seed, fmt)) for fmt in formats]
+    _refuse_overwrites([stream], outputs)
     events, labels, classes = read_stream(stream)
     if None in labels:
         raise EtlwatchError(
@@ -272,10 +328,6 @@ def _run_sweep(params: dict) -> tuple[list[str], list[str], dict]:
         )
     bundle = make_bundle([LabeledEvent(*row) for row in zip(events, labels, classes)])
     result = sweep(knob, _train_config(params), grid, bundle, seed)
-    out_dir = Path(params["out_dir"])
-    formats = ("csv", "json")
-    outputs = [str(out_dir / report_filename(result.knob, seed, fmt)) for fmt in formats]
-    _refuse_overwrites([stream], outputs)
     out_dir.mkdir(parents=True, exist_ok=True)
     for fmt, out_path in zip(formats, outputs):
         emit_report(result, out_path, fmt)
@@ -310,66 +362,40 @@ def _fmt(value: float | None) -> str:
 # --- flag parsing -------------------------------------------------------------
 
 def _parse_mix(ctx: object, param: object, value: str) -> dict:
-    weights = {}
     try:
-        for part in value.split(","):
-            name, _, raw = part.partition("=")
-            name = name.strip()
-            if name not in ANOMALY_CLASSES:
-                raise ValueError(f"unknown class {name!r}")
-            weights[name] = float(raw)
+        return {
+            name.strip(): float(raw)
+            for name, _, raw in (part.partition("=") for part in value.split(","))
+        }
     except ValueError as exc:
         raise click.BadParameter(str(exc)) from exc
-    missing = set(ANOMALY_CLASSES) - set(weights)
-    if missing:
-        raise click.BadParameter(f"mix is missing classes: {sorted(missing)}")
-    if any(w < 0 for w in weights.values()) or abs(sum(weights.values()) - 1.0) > 1e-9:
-        raise click.BadParameter("mix weights must be non-negative and sum to 1")
-    return weights
 
 
-def _check_rate(ctx: object, param: object, value: float) -> float:
-    if not 0.0 <= value < 1.0:
-        raise click.BadParameter("must lie in [0, 1)")
-    return value
-
-
-def _check_positive(ctx: object, param: object, value: float) -> float:
-    if value is not None and not (value > 0 and math.isfinite(value)):
-        raise click.BadParameter("must be finite and > 0")
-    return value
-
-
-def _check_non_negative(ctx: object, param: object, value: float) -> float:
-    if value is not None and not (value >= 0 and math.isfinite(value)):
-        raise click.BadParameter("must be finite and >= 0")
-    return value
-
-
-def _check_quantile(ctx: object, param: object, value: float) -> float:
-    if not 0.0 < value < 1.0:
-        raise click.BadParameter("must lie strictly inside (0, 1)")
-    return value
+def _parse_grid(ctx: object, param: object, value: str) -> list[float]:
+    try:
+        return [float(v) for v in value.split(",") if v.strip()]
+    except ValueError as exc:
+        raise click.BadParameter(f"must be comma-separated numbers: {exc}") from exc
 
 
 def _train_options(fn):
-    for option in reversed(
-        [
-            click.option("--lr", type=float, default=0.001, show_default=True,
-                         callback=_check_positive, help="SGD learning rate."),
-            click.option("--k", type=int, default=32, show_default=True,
-                         callback=_check_positive, help="Latent dimension."),
-            click.option("--lambda", "l1_penalty", type=float, default=1e-4,
-                         show_default=True, callback=_check_non_negative,
-                         help="L1 coefficient on the latent representation."),
-            click.option("--epochs", type=int, default=50, show_default=True,
-                         callback=_check_positive),
-            click.option("--batch", type=int, default=64, show_default=True,
-                         callback=_check_positive),
-        ]
-    ):
+    for option in reversed([
+        click.option("--lr", type=float, default=0.001, show_default=True,
+                     help="SGD learning rate."),
+        click.option("--k", type=int, default=32, show_default=True, help="Latent dimension."),
+        click.option("--lambda", "l1_penalty", type=float, default=1e-4, show_default=True,
+                     help="L1 coefficient on the latent representation."),
+        click.option("--epochs", type=int, default=50, show_default=True),
+        click.option("--batch", type=int, default=64, show_default=True),
+    ]):
         fn = option(fn)
     return fn
+
+
+def _execute_flags() -> None:
+    """Run the invoked subcommand on its flags, in declaration order: the manifest's."""
+    ctx = click.get_current_context()
+    _execute(ctx.command.name, {p.name: ctx.params[p.name] for p in ctx.command.params})
 
 
 @click.group()
@@ -379,10 +405,8 @@ def main() -> None:
 
 
 @main.command("generate")
-@click.option("--n", type=int, default=10_000, show_default=True,
-              callback=_check_positive, help="Number of events.")
-@click.option("--anomaly-rate", type=float, default=0.05, show_default=True,
-              callback=_check_rate)
+@click.option("--n", type=int, default=10_000, show_default=True, help="Number of events.")
+@click.option("--anomaly-rate", type=float, default=0.05, show_default=True)
 @click.option("--mix", default="delay=0.25,missing=0.25,duplicate=0.25,spike=0.25",
               show_default=True, callback=_parse_mix,
               help="Per-class anomaly weights.")
@@ -390,12 +414,9 @@ def main() -> None:
 @click.option("--holdout", is_flag=True,
               help="Write labels to a sibling file instead of inline fields.")
 @click.option("--out", required=True, type=click.Path(dir_okay=False))
-def cmd_generate(n, anomaly_rate, mix, seed, holdout, out):
+def cmd_generate(**_):
     """Generate a labeled synthetic event stream."""
-    _execute("generate", {
-        "n": n, "anomaly_rate": anomaly_rate, "mix": mix, "seed": seed,
-        "holdout": holdout, "out": out,
-    })
+    _execute_flags()
 
 
 @main.command("train")
@@ -404,75 +425,53 @@ def cmd_generate(n, anomaly_rate, mix, seed, holdout, out):
 @click.option("--seed", type=int, default=7, show_default=True)
 @click.option("--out", required=True, type=click.Path(dir_okay=False),
               help="Model file; a .history.csv is written next to it.")
-def cmd_train(stream, lr, k, l1_penalty, epochs, batch, seed, out):
+def cmd_train(**_):
     """Fit standardization stats and train the autoencoder.
 
     When the stream carries labels, only normal-labeled records are used.
     Unlabeled streams are trained on wholesale; anomaly contamination up to
     a few percent is tolerated because normal traffic dominates the fit.
     """
-    _execute("train", {
-        "stream": stream, "lr": lr, "k": k, "l1_penalty": l1_penalty,
-        "epochs": epochs, "batch": batch, "seed": seed, "out": out,
-    })
+    _execute_flags()
 
 
 @main.command("detect")
 @click.argument("stream", type=click.Path(exists=True, dir_okay=False))
 @click.option("--model", required=True, type=click.Path(exists=True, dir_okay=False))
-@click.option("--delta", type=float, default=None, callback=_check_non_negative,
-              help="Explicit threshold.")
+@click.option("--delta", type=float, default=None, help="Explicit threshold.")
 @click.option("--calibrate", type=click.Path(exists=True, dir_okay=False), default=None,
               help="Validation stream whose normal scores calibrate the threshold.")
-@click.option("--quantile", type=float, default=DELTA_QUANTILE, show_default=True,
-              callback=_check_quantile)
+@click.option("--quantile", type=float, default=DELTA_QUANTILE, show_default=True)
 @click.option("--out", required=True, type=click.Path(dir_okay=False))
-def cmd_detect(stream, model, delta, calibrate, quantile, out):
+def cmd_detect(**_):
     """Score a stream against the threshold; one output record per event."""
-    if (delta is None) == (calibrate is None):
-        raise click.UsageError("give exactly one of --delta or --calibrate")
-    _execute("detect", {
-        "stream": stream, "model": model, "delta": delta,
-        "calibrate": calibrate, "quantile": quantile, "out": out,
-    })
+    _execute_flags()
 
 
 @main.command("evaluate")
 @click.argument("detections", type=click.Path(exists=True, dir_okay=False))
-@click.option("--delta", type=float, default=None, callback=_check_non_negative,
+@click.option("--delta", type=float, default=None,
               help="Threshold used; defaults to the detect run's manifest value.")
-@click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default="json",
+@click.option("--format", type=click.Choice(["csv", "json"]), default="json",
               show_default=True)
 @click.option("--out", required=True, type=click.Path(dir_okay=False))
-def cmd_evaluate(detections, delta, fmt, out):
+def cmd_evaluate(**_):
     """Compute AUC/ACC/precision/recall from a detection file with truth labels."""
-    _execute("evaluate", {
-        "detections": detections, "delta": delta, "format": fmt, "out": out,
-    })
+    _execute_flags()
 
 
 @main.command("sweep")
 @click.argument("stream", type=click.Path(exists=True, dir_okay=False))
 @click.option("--knob", type=click.Choice(["lr", "k"]), required=True)
-@click.option("--grid", required=True,
+@click.option("--grid", required=True, callback=_parse_grid,
               help="Comma-separated knob values, e.g. 0.0001,0.001,0.01")
 @_train_options
 @click.option("--seed", type=int, default=7, show_default=True)
 @click.option("--out-dir", default=".", show_default=True,
               type=click.Path(file_okay=False))
-def cmd_sweep(stream, knob, grid, lr, k, l1_penalty, epochs, batch, seed, out_dir):
+def cmd_sweep(**_):
     """Retrain across a knob grid and emit sweep_<knob>_<seed>.{csv,json}."""
-    try:
-        values = [float(v) for v in grid.split(",") if v.strip()]
-    except ValueError as exc:
-        raise click.BadParameter(f"--grid must be comma-separated numbers: {exc}") from exc
-    if not values:
-        raise click.BadParameter("--grid must list at least one value")
-    _execute("sweep", {
-        "stream": stream, "knob": knob, "grid": values, "lr": lr, "k": k,
-        "l1_penalty": l1_penalty, "epochs": epochs, "batch": batch,
-        "seed": seed, "out_dir": out_dir,
-    })
+    _execute_flags()
 
 
 class _RecordedParams(dict):

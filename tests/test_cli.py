@@ -36,6 +36,18 @@ def error_line(result, exit_code):
     return errors[0]
 
 
+def record(runner, monkeypatch, args, manifest):
+    """Write to ``manifest`` what the flag parser hands a run of ``args``,
+    without running it: the manifest ``replay`` reads for that run."""
+    recorded = {}
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "_execute", lambda name, params: recorded.update(
+            subcommand=name, params=params))
+        run_ok(runner, args)
+    manifest.write_text(json.dumps(recorded))
+    return recorded
+
+
 @pytest.fixture(scope="module")
 def workspace(tmp_path_factory):
     """One generated stream + trained model shared across CLI tests."""
@@ -671,20 +683,20 @@ class TestSweep:
         assert result.exit_code == 2
 
 
-@pytest.mark.parametrize(
-    "args, reason",
-    [
-        (["sweep", "--knob", "k", "--grid", "4.5,8.9"], "integer >= 1"),
-        (["sweep", "--knob", "k", "--grid", "0,4"], "integer >= 1"),
-        (["sweep", "--knob", "lr", "--grid", "nan"], "finite and > 0"),
-        (["sweep", "--knob", "lr", "--grid", "0.001,inf"], "finite and > 0"),
-        (["sweep", "--knob", "lr", "--grid", "0.001", "--lambda", "nan"], "finite and >= 0"),
-        (["train", "--lr", "inf"], "finite and > 0"),
-        (["detect", "--delta", "nan"], "finite and >= 0"),
-        (["sweep", "--knob", "k", "--grid", "4,4"], "strictly ascending"),
-        (["sweep", "--knob", "k", "--grid", "8,4"], "strictly ascending"),
-    ],
-)
+BAD_VALUES = [
+    (["sweep", "--knob", "k", "--grid", "4.5,8.9"], "integer >= 1"),
+    (["sweep", "--knob", "k", "--grid", "0,4"], "integer >= 1"),
+    (["sweep", "--knob", "lr", "--grid", "nan"], "finite and > 0"),
+    (["sweep", "--knob", "lr", "--grid", "0.001,inf"], "finite and > 0"),
+    (["sweep", "--knob", "lr", "--grid", "0.001", "--lambda", "nan"], "finite and >= 0"),
+    (["train", "--lr", "inf"], "finite and > 0"),
+    (["detect", "--delta", "nan"], "finite and >= 0"),
+    (["sweep", "--knob", "k", "--grid", "4,4"], "strictly ascending"),
+    (["sweep", "--knob", "k", "--grid", "8,4"], "strictly ascending"),
+]
+
+
+@pytest.mark.parametrize("args, reason", BAD_VALUES)
 def test_bad_value_is_usage_error(runner, workspace, tmp_path, args, reason):
     _, stream, model = workspace
     command, *flags = args
@@ -696,6 +708,99 @@ def test_bad_value_is_usage_error(runner, workspace, tmp_path, args, reason):
     result = runner.invoke(main, [command, str(stream), *flags, *out])
     assert reason in error_line(result, 2)
     assert not (tmp_path / "out").exists()
+
+
+STREAM = "<stream>"  # stands for the shared stream's path
+
+
+@pytest.mark.parametrize(
+    "args, reason",
+    BAD_VALUES + [
+        (["generate", "--anomaly-rate", "1.5"], "must lie in [0, 1)"),
+        (["generate", "--mix", "delay=1.0,missing=1.0,duplicate=0,spike=0"], "sum to 1"),
+        (["generate", "--mix", "delay=0.5,missing=0.25,duplicate=0.25"], "missing classes"),
+        (["generate", "--n", "0"], "finite and > 0"),
+        (["train", "--lr", "0"], "finite and > 0"),
+        (["detect", "--calibrate", STREAM, "--quantile", "1.5"], "strictly inside (0, 1)"),
+        (["detect", "--delta", "1", "--calibrate", STREAM], "exactly one of --delta or --calibrate"),
+        (["detect"], "exactly one of --delta or --calibrate"),
+        (["sweep", "--knob", "k", "--grid", ","], "at least one value"),
+    ],
+)
+def test_replay_refuses_what_the_flags_refuse(
+    runner, workspace, tmp_path, monkeypatch, args, reason
+):
+    _, stream, model = workspace
+    command, *flags = [str(stream) if arg == STREAM else arg for arg in args]
+    out = str(tmp_path / "out")
+    args = {
+        "generate": [command, *flags, "--out", out],
+        "sweep": [command, str(stream), *flags, "--epochs", "1", "--out-dir", out],
+        "train": [command, str(stream), *flags, "--out", out],
+        "detect": [command, str(stream), "--model", str(model), *flags, "--out", out],
+    }[command]
+    message = error_line(runner.invoke(main, args), 2)
+    assert reason in message
+    manifest = tmp_path / "recorded.json"
+    record(runner, monkeypatch, args, manifest)
+    result = runner.invoke(main, ["replay", str(manifest)])
+    assert error_line(result, 2) == message
+    assert [path.name for path in tmp_path.iterdir()] == [manifest.name]
+
+
+@pytest.mark.parametrize(
+    "subcommand, params, message",
+    [
+        ("detect", {"delta": None, "calibrate": None, "quantile": 0.95},
+         "Error: give exactly one of --delta or --calibrate"),
+        ("generate", {"n": 50, "anomaly_rate": 0.05, "seed": 7, "holdout": False,
+                      "mix": {"delay": 0.5, "missing": 0.25, "duplicate": 0.25}},
+         "Error: Invalid value for '--mix': mix is missing classes: ['spike']"),
+    ],
+)
+def test_a_written_manifest_is_checked_as_its_flags_are(
+    runner, workspace, tmp_path, subcommand, params, message
+):
+    # replay once ran these: detect failed on a None path, generate took
+    # 0.25 for the missing class
+    _, stream, model = workspace
+    out = tmp_path / "out.jsonl"
+    paths = {"stream": str(stream), "model": str(model)} if subcommand == "detect" else {}
+    manifest = tmp_path / "m.json"
+    manifest.write_text(json.dumps(
+        {"subcommand": subcommand, "params": {**paths, **params, "out": str(out)}}))
+    result = runner.invoke(main, ["replay", str(manifest)])
+    assert error_line(result, 2) == message
+    assert [path.name for path in tmp_path.iterdir()] == [manifest.name]
+
+
+def test_manifest_params_keep_their_keys_and_order(runner, workspace, tmp_path, monkeypatch):
+    # each run gives its flags in an order other than the one declared
+    root, stream, model = workspace
+    runs = {
+        "generate": (["--out", "s.jsonl", "--holdout", "--seed", "3", "--n", "5"],
+                     ["n", "anomaly_rate", "mix", "seed", "holdout", "out"]),
+        "train": ([str(stream), "--out", "m.json", "--batch", "8", "--lr", "0.01"],
+                  ["stream", "lr", "k", "l1_penalty", "epochs", "batch", "seed", "out"]),
+        "detect": ([str(stream), "--out", "d.jsonl", "--delta", "1", "--model", str(model)],
+                   ["stream", "model", "delta", "calibrate", "quantile", "out"]),
+        "evaluate": ([str(stream), "--out", "r.json", "--format", "csv"],
+                     ["detections", "delta", "format", "out"]),
+        "sweep": ([str(stream), "--out-dir", ".", "--grid", "4,8", "--knob", "k"],
+                  ["stream", "knob", "grid", "lr", "k", "l1_penalty", "epochs", "batch",
+                   "seed", "out_dir"]),
+    }
+    for subcommand, (flags, keys) in runs.items():
+        recorded = record(runner, monkeypatch, [subcommand, *flags], tmp_path / "m.json")
+        assert recorded["subcommand"] == subcommand
+        assert list(recorded["params"]) == keys, subcommand
+    assert recorded["params"]["grid"] == [4.0, 8.0]
+    assert recorded["params"]["out_dir"] == "."
+    # the manifests the workspace's real runs wrote
+    for name, subcommand in (("stream.jsonl", "generate"), ("model.json", "train")):
+        written = json.loads((root / f"{name}.manifest.json").read_text())
+        assert list(written["params"]) == runs[subcommand][1]
+    assert written["params"]["stream"] == str(stream)
 
 
 @pytest.fixture(scope="module")
@@ -767,8 +872,17 @@ class TestOutputThatNamesAnInput:
     def contents(root):
         return {path.name: path.read_bytes() for path in root.iterdir()}
 
+    @pytest.fixture
+    def unread(self, monkeypatch):
+        """Every input reader of the runners fails: the check comes first."""
+        def opened(*args, **kwargs):
+            raise AssertionError(f"{args[0]} was opened before the overwrite check")
+
+        for name in ("read_stream", "read_detections_jsonl", "load_model"):
+            monkeypatch.setattr(cli, name, opened)
+
     @pytest.mark.parametrize("case", list(OVERWRITES))
-    def test_on_the_flag_path(self, runner, files, case):
+    def test_on_the_flag_path(self, runner, files, unread, case):
         clash, args = OVERWRITES[case]
         before = self.contents(files)
         result = runner.invoke(main, args)
@@ -776,15 +890,10 @@ class TestOutputThatNamesAnInput:
         assert self.contents(files) == before
 
     @pytest.mark.parametrize("case", list(OVERWRITES))
-    def test_through_replay(self, runner, files, monkeypatch, case):
+    def test_through_replay(self, runner, files, monkeypatch, unread, case):
         clash, args = OVERWRITES[case]
-        recorded = {}
-        with monkeypatch.context() as patch:  # the flag parser's params, not run
-            patch.setattr(cli, "_execute", lambda name, params: recorded.update(
-                subcommand=name, params=params))
-            run_ok(runner, args)
         manifest = files / "recorded.json"
-        manifest.write_text(json.dumps(recorded))
+        record(runner, monkeypatch, args, manifest)
         before = self.contents(files)
         result = runner.invoke(main, ["replay", str(manifest)])
         assert f"would overwrite {clash}, which this run reads" in error_line(result, 2)
