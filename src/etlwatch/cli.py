@@ -120,13 +120,28 @@ _PARAM_CHECKS = {
 }
 
 
+# The JSON types a manifest value may have, by the click type of its flag:
+# those the flag gives, so a boolean is no number
+_JSON_TYPES = {
+    click.types.BoolParamType: {bool},
+    click.types.IntParamType: {int},
+    click.types.FloatParamType: {int, float},
+}
+
+
 def _check_params(subcommand: str, params: dict) -> None:
     """The one check of a run's parameters, whether they came from flags or
     from a manifest: each value present, in the order the subcommand declares
-    its flags, against :data:`_PARAM_CHECKS`, then delta against calibrate."""
+    its flags, against its flag's :data:`_JSON_TYPES` and then
+    :data:`_PARAM_CHECKS`, and last delta against calibrate."""
     for param in main.commands[subcommand].params:
-        check, value = _PARAM_CHECKS.get(param.name), params.get(param.name)
-        problem = None if check is None or value is None else check(value)
+        value = params.get(param.name)
+        if value is None:
+            continue
+        if type(value) not in _JSON_TYPES.get(type(param.type), {type(value)}):
+            raise click.BadParameter(f"{value!r} is not a valid {param.type.name}.", param=param)
+        check = _PARAM_CHECKS.get(param.name)
+        problem = None if check is None else check(value)
         if problem:
             raise click.BadParameter(problem, param=param)
     if "calibrate" in params and (params.get("delta") is None) == (params["calibrate"] is None):

@@ -26,6 +26,13 @@ line nested too deeply for ``json`` is an error, not a crash.
 :func:`read_chunks` gathers the records into columns a run at a time and
 checks each run, reading a large file in line-aligned byte ranges on every
 usable CPU, with the garbage collector paused (:func:`collector_paused`).
+
+Work runs in forked processes through one start, send, receive and reap
+path: :func:`forked` runs jobs side by side and returns their results, and
+:func:`ahead` runs one producer in a worker that sends each item as soon as
+it is made, while the caller works on the items before it. Each runs its
+work in the caller where :func:`fork_ways` gives one way; a worker never
+forks, and a caller's live workers count against its CPUs.
 """
 
 from __future__ import annotations
@@ -595,17 +602,21 @@ _COUNT_BLOCK = 1 << 20
 def fork_ways(jobs: int) -> int:
     """How many processes to run ``jobs`` independent jobs on.
 
-    That is the number of usable CPUs, at most ``jobs``; it is 1 where the
-    ``fork`` start method is unavailable and in a daemonic process, which
-    may not start children.
+    That is the number of usable CPUs less the caller's live workers, at
+    least 1 and at most ``jobs``. It is 1 where the ``fork`` start method is
+    unavailable and in a daemonic process, which may not start children:
+    every worker :func:`forked` and :func:`ahead` start is one, so a worker
+    never forks.
     """
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    ways = min(cpus, jobs)
-    if ways > 1:
+    if min(cpus, jobs) > 1:
         import multiprocessing
 
-        if "fork" in multiprocessing.get_all_start_methods():
-            return 1 if multiprocessing.current_process().daemon else ways
+        if (
+            "fork" in multiprocessing.get_all_start_methods()
+            and not multiprocessing.current_process().daemon
+        ):
+            return max(1, min(cpus - len(multiprocessing.active_children()), jobs))
     return 1
 
 
@@ -623,43 +634,89 @@ def forked(jobs: Sequence[Callable[[], T]], who: str, what: str) -> Iterator[T]:
         for job in jobs:
             yield job()
         return
+    workers = []
+    try:
+        for job in jobs[1:]:  # each worker makes one item, its job's result
+            workers.append(_start(lambda job=job: (job(),)))
+        yield jobs[0]()
+        for worker in workers:
+            yield next(_received(*worker, who, what))
+    finally:
+        _reap(workers)
+
+
+def ahead(produce: Callable[[], Iterable[T]], who: str, what: str) -> Iterator[T]:
+    """Each item of ``produce()`` in order, made ahead of the caller: a forked
+    worker runs the producer and sends each item as soon as it is made, while
+    the caller works on the items before it. Where :func:`fork_ways` gives one
+    way, the producer runs in the caller and gives the same items.
+
+    Errors and clean-up are those of :func:`forked`: the worker's exception
+    is raised where its next item would be, a worker that ends early raises
+    "<who> ended with exit code <n> before it sent its <what>", and closing
+    the iterator, or any exception, terminates and reaps the worker.
+    """
+    if fork_ways(2) < 2:
+        yield from produce()
+        return
+    worker = _start(produce)
+    try:
+        yield from _received(*worker, who, what)
+    finally:
+        _reap([worker])
+
+
+def _start(produce: Callable[[], Iterable]) -> tuple:
+    """A forked, daemonic worker that runs :func:`_send_items` on ``produce``,
+    and the end of its pipe that the caller reads."""
     import multiprocessing
 
     fork = multiprocessing.get_context("fork")
-    workers = []
+    receive, send = fork.Pipe(duplex=False)
+    worker = fork.Process(target=_send_items, args=(send, produce), daemon=True)
+    worker.start()
+    send.close()  # the worker's end, so its death reads as EOF here
+    return worker, receive
+
+
+def _send_items(send, produce: Callable[[], Iterable]) -> None:
+    """A forked worker: send each item of ``produce()`` as ``(True, item)`` as
+    soon as it is made, then ``(False, None)``, or ``(False, exc)`` for the
+    exception it raised."""
     try:
-        for job in jobs[1:]:
-            receive, send = fork.Pipe(duplex=False)
-            worker = fork.Process(target=_send_result, args=(send, job))
-            worker.start()
-            send.close()  # the worker's end, so its death reads as EOF here
-            workers.append((worker, receive))
-        yield jobs[0]()
-        for worker, receive in workers:
-            try:
-                result, error = receive.recv()
-            except EOFError:
-                worker.join()
-                raise EtlwatchError(
-                    f"{who} ended with exit code {worker.exitcode} before it sent its {what}"
-                ) from None
-            if error is not None:
-                raise error
-            yield result
-    finally:
-        for worker, receive in workers:
-            worker.terminate()  # a worker that has sent has nothing left to do
+        for item in produce():
+            send.send((True, item))
+    except Exception as exc:  # the caller raises it where the next item would be
+        send.send((False, exc))
+    else:
+        send.send((False, None))
+
+
+def _received(worker, receive, who: str, what: str) -> Iterator:
+    """The items a worker started by :func:`_start` sends, in order; the
+    exception it sends is raised where its next item would be."""
+    while True:
+        try:
+            more, item = receive.recv()
+        except EOFError:
             worker.join()
-            receive.close()
+            raise EtlwatchError(
+                f"{who} ended with exit code {worker.exitcode} before it sent its {what}"
+            ) from None
+        if more:
+            yield item
+        elif item is None:
+            return
+        else:
+            raise item
 
 
-def _send_result(send, job: Callable) -> None:
-    """A forked worker: send back ``job()``, or the exception it raised."""
-    try:
-        result = job(), None
-    except Exception as exc:  # the caller raises it where the result would be
-        result = None, exc
-    send.send(result)
+def _reap(workers: list) -> None:
+    """Terminate and join each worker, and close its pipe."""
+    for worker, receive in workers:
+        worker.terminate()  # a worker that has sent has nothing left to do
+        worker.join()
+        receive.close()
 
 
 def _json_runs(

@@ -714,8 +714,8 @@ STREAM = "<stream>"  # stands for the shared stream's path
 
 
 @pytest.mark.parametrize(
-    "args, reason",
-    BAD_VALUES + [
+    "args, reason, edit",
+    [(*case, None) for case in BAD_VALUES + [
         (["generate", "--anomaly-rate", "1.5"], "must lie in [0, 1)"),
         (["generate", "--mix", "delay=1.0,missing=1.0,duplicate=0,spike=0"], "sum to 1"),
         (["generate", "--mix", "delay=0.5,missing=0.25,duplicate=0.25"], "missing classes"),
@@ -725,10 +725,18 @@ STREAM = "<stream>"  # stands for the shared stream's path
         (["detect", "--delta", "1", "--calibrate", STREAM], "exactly one of --delta or --calibrate"),
         (["detect"], "exactly one of --delta or --calibrate"),
         (["sweep", "--knob", "k", "--grid", ","], "at least one value"),
+    ]] + [
+        # a recorded value of a type its flag never gives
+        (["generate"], "Invalid value for '--holdout': 'no' is not a valid boolean.",
+         {"holdout": "no"}),
+        (["generate"], "Invalid value for '--n': True is not a valid integer.", {"n": True}),
+        (["train"], "Invalid value for '--lr': '0.1' is not a valid float.", {"lr": "0.1"}),
+        (["detect", "--delta", "1"], "Invalid value for '--delta': False is not a valid float.",
+         {"delta": False}),
     ],
 )
 def test_replay_refuses_what_the_flags_refuse(
-    runner, workspace, tmp_path, monkeypatch, args, reason
+    runner, workspace, tmp_path, monkeypatch, args, reason, edit
 ):
     _, stream, model = workspace
     command, *flags = [str(stream) if arg == STREAM else arg for arg in args]
@@ -739,10 +747,16 @@ def test_replay_refuses_what_the_flags_refuse(
         "train": [command, str(stream), *flags, "--out", out],
         "detect": [command, str(stream), "--model", str(model), *flags, "--out", out],
     }[command]
-    message = error_line(runner.invoke(main, args), 2)
-    assert reason in message
     manifest = tmp_path / "recorded.json"
-    record(runner, monkeypatch, args, manifest)
+    if edit is None:
+        message = error_line(runner.invoke(main, args), 2)
+        assert reason in message
+        record(runner, monkeypatch, args, manifest)
+    else:  # the flags give no such value; a manifest edited by hand may
+        recorded = record(runner, monkeypatch, args, manifest)
+        recorded["params"].update(edit)
+        manifest.write_text(json.dumps(recorded))
+        message = f"Error: {reason}"
     result = runner.invoke(main, ["replay", str(manifest)])
     assert error_line(result, 2) == message
     assert [path.name for path in tmp_path.iterdir()] == [manifest.name]
@@ -970,7 +984,7 @@ class TestReplay:
                 '{"subcommand": "generate", "params": {"n": "abc", "anomaly_rate": 0.05, '
                 '"seed": 7, "mix": {"delay": 0.25, "missing": 0.25, "duplicate": 0.25, '
                 '"spike": 0.25}}}',
-                "not supported between",
+                "Invalid value for '--n': 'abc' is not a valid integer.",
             ),
         ],
     )

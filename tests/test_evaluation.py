@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from etlwatch.autoencoder import TrainConfig
-from etlwatch import evaluation
+from etlwatch import autoencoder, evaluation
 from etlwatch.errors import (
     ContractViolationError,
     EncodingError,
@@ -354,6 +354,32 @@ class TestSweepPool:
             assert get_threads() == 3
         finally:
             set_threads(before)
+
+    def test_a_k_sweep_on_two_cpus_starts_one_process(self, monkeypatch, small_bundle, tmp_path):
+        # every training would shuffle ahead if a CPU were free; the worker
+        # waits a little first, so that it is busy when the caller trains
+        caller, evaluate_config = os.getpid(), evaluation.evaluate_config
+        log, start = tmp_path / "started", multiprocessing.process.BaseProcess.start
+
+        def logged_start(process):
+            with open(log, "a") as fh:  # one line a process, from any process
+                fh.write(f"{os.getpid()}\n")
+            start(process)
+
+        def busy_worker(bundle, cfg):
+            if os.getpid() != caller:
+                time.sleep(0.2)
+            return evaluate_config(bundle, cfg)
+
+        monkeypatch.setattr(autoencoder, "_AHEAD_ROWS", 1)
+        monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", logged_start)
+        monkeypatch.setattr(evaluation, "evaluate_config", busy_worker)
+        use_cpus(monkeypatch, 2)
+        result = sweep("k", FAST, [4, 8], small_bundle, seed=3)
+        assert log.read_text() == f"{caller}\n"  # ways - 1 = 1, by the caller
+        assert not multiprocessing.active_children()
+        use_cpus(monkeypatch, 1)
+        assert result == sweep("k", FAST, [4, 8], small_bundle, seed=3)
 
     def test_daemonic_caller_runs_serially(self, monkeypatch, small_bundle):
         use_cpus(monkeypatch, 1)

@@ -1,5 +1,6 @@
 import json
 import math
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -153,6 +154,114 @@ class TestGenerate:
             for field, (lo, hi) in bands.items():
                 value = float(getattr(event, field))
                 assert lo <= value <= hi, (field, value, lo, hi)
+
+
+CONFIGS = {
+    "default": {},
+    "skewed-mix": {"anomaly_rate": 0.2, "mix": AnomalyMix(0.55, 0.05, 0.1, 0.3)},
+    "ptrs": {"records_mean": 14.0},
+    "gamma-boost": {"latency_shape": 0.6},
+    "flat-day": {"diurnal_amplitude": 0.0},
+}
+
+
+@pytest.fixture
+def ahead_of_all(monkeypatch):
+    """Draw every stream in blocks of 64 events, in a process of its own
+    wherever two CPUs are usable."""
+    monkeypatch.setattr(streamgen, "_AHEAD_EVENTS", 1)
+    monkeypatch.setattr(streamgen, "_DRAW_BLOCK", 64)
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="claims CPUs")
+class TestDrawnAhead:
+    """generate's draws made in a forked process (two CPUs claimed) give the
+    stream made in one process (one CPU), and its errors."""
+
+    @pytest.mark.parametrize("changes", CONFIGS.values(), ids=CONFIGS)
+    def test_same_stream_as_drawn_inline(self, cpus, started, ahead_of_all, changes):
+        cfg = StreamConfig(n_events=700, seed=11, **changes)
+        cpus(2)
+        events = generate(cfg)
+        assert len(started) == 1
+        cpus(1)
+        assert generate(cfg) == events == reference.generate(cfg)
+        assert len(started) == 1
+        assert not multiprocessing.active_children()
+
+    def test_a_band_no_draw_reaches_is_raised_in_the_caller(
+        self, cpus, started, ahead_of_all, monkeypatch
+    ):
+        calls = 0
+        band = streamgen._poisson_band
+
+        def unreachable_from_event_200(mean):
+            nonlocal calls
+            calls += 1
+            return (math.inf, math.inf) if calls > 200 else band(mean)
+
+        monkeypatch.setattr(streamgen, "_poisson_band", unreachable_from_event_200)
+        cpus(2)
+        message = r"could not draw a value inside \[inf, inf\] after 10000 tries"
+        with pytest.raises(ContractViolationError, match=message):
+            generate(StreamConfig(n_events=700, seed=11))
+        assert len(started) == 1 and calls == 0  # every draw was in the other process
+        assert not multiprocessing.active_children()
+
+    @pytest.mark.parametrize("n_cpus", [1, 2])
+    def test_an_event_before_a_failed_draw_is_checked_first(
+        self, cpus, ahead_of_all, monkeypatch, n_cpus
+    ):
+        # every amount is inf, which the event check refuses; the records
+        # band of event 3, in the first block, is one no draw reaches
+        calls = 0
+        band = streamgen._poisson_band
+
+        def unreachable_from_event_3(mean):
+            nonlocal calls
+            calls += 1
+            return (math.inf, math.inf) if calls > 3 else band(mean)
+
+        monkeypatch.setattr(streamgen, "_poisson_band", unreachable_from_event_3)
+        cpus(n_cpus)
+        cfg = StreamConfig(n_events=700, seed=11, amount_log_mu=math.inf)
+        with pytest.raises(ContractViolationError, match="non-finite value for field 'amount'"):
+            generate(cfg)
+        assert not multiprocessing.active_children()
+
+
+class TestPoissonBands:
+    @pytest.fixture
+    def empty_cache(self, monkeypatch):
+        monkeypatch.setattr(streamgen, "_POISSON_BANDS", {})
+        return lambda: streamgen._POISSON_BANDS
+
+    def test_the_fill_equals_one_scalar_call_per_default_mean(self, empty_cache):
+        assert streamgen._fill_poisson_bands(StreamConfig())
+        bands = empty_cache()
+        assert list(bands) == [k / 100 for k in range(440, 1161)]  # 4.40 ... 11.60
+        for mean, band in bands.items():
+            assert band == streamgen._ppf("poisson", mu=mean), mean
+
+    def test_a_default_stream_makes_no_scalar_poisson_call(self, empty_cache, monkeypatch):
+        ppf, dists = streamgen._ppf, []
+        monkeypatch.setattr(
+            streamgen, "_ppf", lambda dist, **shape: dists.append(dist) or ppf(dist, **shape)
+        )
+        generate(StreamConfig(n_events=2000, seed=3))
+        assert "poisson" not in dists
+        assert len(empty_cache()) == 721
+
+    def test_means_beyond_the_cache_are_drawn_inline(
+        self, empty_cache, cpus, started, ahead_of_all
+    ):
+        # records_mean 100 at amplitude 0.45 reaches the 9 001 means 55.00 ... 145.00
+        cfg = StreamConfig(n_events=300, seed=5, records_mean=100.0)
+        assert not streamgen._fill_poisson_bands(cfg) and not empty_cache()
+        cpus(2)
+        assert generate(cfg) == reference.generate(cfg)
+        assert started == []
+        assert 0 < len(empty_cache()) <= streamgen._POISSON_CACHE
 
 
 COLD_START = """
