@@ -20,7 +20,7 @@ constants and activation branches when it is built and computes in place,
 so a training step allocates nothing, makes no attribute lookup and rounds
 exactly as the same arithmetic on fresh arrays. The epoch permutations
 depend only on the seed, so a long training takes them from a forked
-process that shuffles ahead (:func:`~etlwatch.preprocess.ahead`) while this
+process that shuffles ahead (:func:`~etlwatch.workers.ahead`) while this
 one gathers rows and steps.
 """
 
@@ -46,7 +46,8 @@ from .errors import (
     TrainingDivergedError,
 )
 from .numerics import SeededRng, as_matrix, require_finite
-from .preprocess import FeatureSchema, StandardizationStats, ahead
+from .preprocess import FeatureSchema, StandardizationStats
+from .workers import ahead
 
 MODEL_FORMAT_VERSION = 1
 
@@ -510,7 +511,7 @@ def train(
     The epoch shuffle and the weight initialization both draw from a single
     rng seeded with ``cfg.seed``. From :data:`_AHEAD_ROWS` shuffled rows on,
     the permutations come from a forked process that starts from the rng
-    after :func:`init_params` (:func:`~etlwatch.preprocess.ahead`), so they
+    after :func:`init_params` (:func:`~etlwatch.workers.ahead`), so they
     are the same. The history records each epoch's loss breakdown on the
     full training set and the wall time of its permutation, gather and
     steps. A non-finite ``x_train`` raises :class:`NumericalError`. An epoch

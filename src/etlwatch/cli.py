@@ -10,7 +10,9 @@ Exit codes: 0 on success, 1 on runtime failure (IO, divergence, bad data),
 take one path: :func:`_execute` checks the parameters against one table,
 then the runner refuses an output, a manifest included, that would replace
 a file the run reads (an input, or the labels file beside one) before it
-opens any input.
+opens any input. From :data:`_SPLIT_ROWS` records on, ``detect`` writes its
+CSV file in a worker (:func:`~etlwatch.workers.run`) while it writes the
+JSONL file.
 """
 
 from __future__ import annotations
@@ -45,7 +47,7 @@ from .evaluation import (
     sweep,
     write_metrics_report,
 )
-from .preprocess import FeatureSchema, fit_stats, forked, standardize, vectorize_events
+from .preprocess import FeatureSchema, fit_stats, standardize, vectorize_events
 from .streamgen import (
     ANOMALY_CLASSES,
     AnomalyMix,
@@ -56,6 +58,7 @@ from .streamgen import (
     read_stream,
     write_labeled_events,
 )
+from .workers import fork_ways, run
 
 
 def _manifest_path(primary_output: str | Path) -> Path:
@@ -89,6 +92,11 @@ def _must(holds, problem):
     return lambda value: None if holds(value) else problem
 
 
+def _numbers(values) -> bool:
+    """Whether every value is a JSON number, which a boolean is not."""
+    return all(type(v) in (int, float) for v in values)
+
+
 def _mix_problem(weights: object) -> str | None:
     if not isinstance(weights, dict):
         return "must map each anomaly class to its weight"
@@ -98,6 +106,8 @@ def _mix_problem(weights: object) -> str | None:
     missing = set(ANOMALY_CLASSES) - set(weights)
     if missing:
         return f"mix is missing classes: {sorted(missing)}"
+    if not _numbers(weights.values()):
+        return "mix weights must be numbers"
     if any(w < 0 for w in weights.values()) or not abs(sum(weights.values()) - 1.0) <= 1e-9:
         return "mix weights must be non-negative and sum to 1"
     return None
@@ -110,6 +120,7 @@ _PARAM_CHECKS = {
     "n": _POSITIVE,
     "anomaly_rate": _must(lambda v: 0 <= v < 1, "must lie in [0, 1)"),
     "mix": _mix_problem,
+    "grid": _must(lambda v: isinstance(v, list) and _numbers(v), "must be a list of numbers"),
     "lr": _POSITIVE,
     "k": _POSITIVE,
     "l1_penalty": _NON_NEGATIVE,
@@ -270,15 +281,18 @@ _SPLIT_ROWS = 10_000
 
 
 def _write_detections(results: Detections, out: str, csv_path: Path) -> None:
-    """Write the JSONL and the CSV detections, the CSV file in a :func:`forked`
-    worker from :data:`_SPLIT_ROWS` records on."""
-    jobs = [partial(write_detections_jsonl, results, out),
-            partial(write_detections_csv, results, csv_path)]
-    if len(results) >= _SPLIT_ROWS:
-        list(forked(jobs, f"the writer process of {csv_path}", "result"))
+    """Write the JSONL and the CSV detections, from :data:`_SPLIT_ROWS`
+    records on and with two usable processes as :func:`~etlwatch.workers.run`'s
+    jobs: the CSV file first, so a worker writes it while the caller writes the
+    JSONL file. Otherwise the JSONL file is written first, so where both
+    fail, the JSONL file's error is the one raised either way."""
+    if len(results) >= _SPLIT_ROWS and fork_ways(2) > 1:
+        run([partial(write_detections_csv, results, csv_path),
+             partial(write_detections_jsonl, results, out)],
+            f"the writer process of {csv_path}", "result")
     else:
-        for job in jobs:
-            job()
+        write_detections_jsonl(results, out)
+        write_detections_csv(results, csv_path)
 
 
 def _run_evaluate(params: dict) -> tuple[list[str], list[str], dict]:

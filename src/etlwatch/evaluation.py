@@ -8,15 +8,14 @@ denominator is zero is reported as ``None``, never silently as 0 or 1.
 
 Sweeps retrain one model per grid value from the same seed on the same data
 bundle, so the knob under study is the only varying factor. Grid points are
-independent, so a sweep runs them on every usable CPU, longest first: the
-points wait in one queue in descending latent dimension (lr points, which
-cost the same, keep grid order), and the calling process and one forked
-worker per other CPU each take the next point whenever they are free. Every
-process uses one OpenBLAS thread, and results are listed in grid order.
-Every point gives the same bits in any process, so the reports do not
-depend on the CPU count. With one usable CPU, or where numpy's OpenBLAS
-cannot be pinned or ``fork`` is unavailable, or in a daemonic process, the
-points run serially in the calling process.
+independent, so a sweep runs them on every usable CPU as the jobs of
+:func:`~etlwatch.workers.run`, longest first: in descending latent dimension
+(lr points, which cost the same, keep grid order), each process taking the
+next point whenever it is free. Every process uses one OpenBLAS thread, and
+results are listed in grid order. Every point gives the same bits in any
+process, so the reports do not depend on the CPU count. With one usable CPU,
+or where numpy's OpenBLAS cannot be pinned or ``fork`` is unavailable, or in
+a daemonic process, the points run serially in the calling process.
 """
 
 from __future__ import annotations
@@ -43,12 +42,11 @@ from .preprocess import (
     StandardizationStats,
     collector_paused,
     fit_stats,
-    fork_ways,
-    forked,
     standardize,
     vectorize_events,
 )
 from .streamgen import LabeledEvent, StreamConfig, generate
+from .workers import fork_ways, run
 
 LR_GRID = (0.0001, 0.0005, 0.001, 0.005, 0.01)
 K_GRID = (4, 8, 16, 32, 64, 128)
@@ -252,21 +250,6 @@ def _point(bundle: DataBundle, cfg: TrainConfig) -> tuple[MetricsReport | None, 
         return None, True
 
 
-def _take_points(
-    bundle: DataBundle, queue: list[TrainConfig], taken, start: int
-) -> list[tuple[int, tuple[MetricsReport | None, bool]]]:
-    """Run point ``start`` of ``queue``, then each next point that no process
-    has taken (``taken`` is the shared index of the next), until none is
-    left; return them by queue position."""
-    done, i = [], start
-    while i < len(queue):
-        done.append((i, _point(bundle, queue[i])))
-        with taken.get_lock():
-            i = taken.value
-            taken.value += 1
-    return done
-
-
 def _openblas_threads():
     """Get and set functions for the thread count of numpy's bundled OpenBLAS,
     or None where numpy was built without one that can be asked."""
@@ -290,34 +273,27 @@ def _run_points(
 ) -> list[tuple[MetricsReport | None, bool]]:
     """``_point`` of every config on ``bundle``, in order, on every usable CPU.
 
-    With ``ways`` usable processes (:func:`fork_ways`) the points queue
-    longest first (stable, so points of one latent dimension keep their
-    order). :func:`forked` workers ``1 .. ways - 1`` start on the queue's
-    first points and the caller on the next, and then each process takes the
-    next point left whenever it is free. Every process uses one OpenBLAS
-    thread, since two processes of two threads each on two cores run slower
-    than one; the caller gets its own count back afterwards.
+    With ``ways`` usable processes (:func:`fork_ways`) the points run longest
+    first (stable, so points of one latent dimension keep their order) as
+    :func:`run`'s jobs: workers start on the first points and the caller on
+    the next, and then each process takes the next point left whenever it is
+    free. Every process uses one OpenBLAS thread, since two processes of two
+    threads each on two cores run slower than one; the caller gets its own
+    count back afterwards.
     """
     ways = fork_ways(len(cfgs))
     blas = _openblas_threads() if ways > 1 else None
     if blas is None:
         return [_point(bundle, cfg) for cfg in cfgs]
-    import multiprocessing
-
     get_threads, set_threads = blas
     threads = get_threads()
     order = sorted(range(len(cfgs)), key=lambda i: -cfgs[i].latent_dim)
-    queue, taken = [cfgs[i] for i in order], multiprocessing.get_context("fork").Value("i", ways)
-    jobs = [partial(_take_points, bundle, queue, taken, (job - 1) % ways) for job in range(ways)]
     try:
         set_threads(1)  # forked workers inherit the count
-        done = [point for points in forked(jobs, "a sweep process", "points") for point in points]
+        done = run([partial(_point, bundle, cfgs[i]) for i in order], "a sweep process", "points")
     finally:
         set_threads(threads)
-    results: list = [None] * len(cfgs)
-    for i, result in done:
-        results[order[i]] = result
-    return results
+    return [done[order.index(i)] for i in range(len(cfgs))]
 
 
 def sweep(

@@ -25,14 +25,8 @@ so every line gives the record or the error per-line ``json.loads`` gives; a
 line nested too deeply for ``json`` is an error, not a crash.
 :func:`read_chunks` gathers the records into columns a run at a time and
 checks each run, reading a large file in line-aligned byte ranges on every
-usable CPU, with the garbage collector paused (:func:`collector_paused`).
-
-Work runs in forked processes through one start, send, receive and reap
-path: :func:`forked` runs jobs side by side and returns their results, and
-:func:`ahead` runs one producer in a worker that sends each item as soon as
-it is made, while the caller works on the items before it. Each runs its
-work in the caller where :func:`fork_ways` gives one way; a worker never
-forks, and a caller's live workers count against its CPUs.
+usable CPU (:mod:`~etlwatch.workers`), with the garbage collector paused
+(:func:`collector_paused`).
 """
 
 from __future__ import annotations
@@ -43,7 +37,7 @@ import itertools
 import json
 import math
 import os
-from contextlib import closing, contextmanager
+from contextlib import contextmanager
 from dataclasses import dataclass, fields as dataclass_fields
 from functools import partial
 from operator import attrgetter, itemgetter
@@ -52,8 +46,9 @@ from typing import BinaryIO, Callable, Iterable, Iterator, NamedTuple, Sequence,
 
 import numpy as np
 
-from .errors import ContractViolationError, EncodingError, EtlwatchError, InsufficientDataError
+from .errors import ContractViolationError, EncodingError, InsufficientDataError
 from .numerics import as_matrix, as_vector
+from .workers import fork_ways, run
 
 MS_PER_DAY = 86_400_000
 
@@ -599,126 +594,6 @@ _SPLIT_BYTES = 1 << 20
 _COUNT_BLOCK = 1 << 20
 
 
-def fork_ways(jobs: int) -> int:
-    """How many processes to run ``jobs`` independent jobs on.
-
-    That is the number of usable CPUs less the caller's live workers, at
-    least 1 and at most ``jobs``. It is 1 where the ``fork`` start method is
-    unavailable and in a daemonic process, which may not start children:
-    every worker :func:`forked` and :func:`ahead` start is one, so a worker
-    never forks.
-    """
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    if min(cpus, jobs) > 1:
-        import multiprocessing
-
-        if (
-            "fork" in multiprocessing.get_all_start_methods()
-            and not multiprocessing.current_process().daemon
-        ):
-            return max(1, min(cpus - len(multiprocessing.active_children()), jobs))
-    return 1
-
-
-def forked(jobs: Sequence[Callable[[], T]], who: str, what: str) -> Iterator[T]:
-    """Each job's result in job order: job 0 runs in the caller while each
-    other job runs in a forked worker of its own, or, where :func:`fork_ways`
-    gives fewer ways than there are jobs, the caller runs every job in turn.
-
-    A worker's exception is raised where its result would be, and a worker
-    that ends without sending raises :class:`EtlwatchError` ("<who> ended
-    with exit code <n> before it sent its <what>"). Closing the iterator, or
-    any exception, terminates and reaps every worker.
-    """
-    if len(jobs) < 2 or fork_ways(len(jobs)) < len(jobs):
-        for job in jobs:
-            yield job()
-        return
-    workers = []
-    try:
-        for job in jobs[1:]:  # each worker makes one item, its job's result
-            workers.append(_start(lambda job=job: (job(),)))
-        yield jobs[0]()
-        for worker in workers:
-            yield next(_received(*worker, who, what))
-    finally:
-        _reap(workers)
-
-
-def ahead(produce: Callable[[], Iterable[T]], who: str, what: str) -> Iterator[T]:
-    """Each item of ``produce()`` in order, made ahead of the caller: a forked
-    worker runs the producer and sends each item as soon as it is made, while
-    the caller works on the items before it. Where :func:`fork_ways` gives one
-    way, the producer runs in the caller and gives the same items.
-
-    Errors and clean-up are those of :func:`forked`: the worker's exception
-    is raised where its next item would be, a worker that ends early raises
-    "<who> ended with exit code <n> before it sent its <what>", and closing
-    the iterator, or any exception, terminates and reaps the worker.
-    """
-    if fork_ways(2) < 2:
-        yield from produce()
-        return
-    worker = _start(produce)
-    try:
-        yield from _received(*worker, who, what)
-    finally:
-        _reap([worker])
-
-
-def _start(produce: Callable[[], Iterable]) -> tuple:
-    """A forked, daemonic worker that runs :func:`_send_items` on ``produce``,
-    and the end of its pipe that the caller reads."""
-    import multiprocessing
-
-    fork = multiprocessing.get_context("fork")
-    receive, send = fork.Pipe(duplex=False)
-    worker = fork.Process(target=_send_items, args=(send, produce), daemon=True)
-    worker.start()
-    send.close()  # the worker's end, so its death reads as EOF here
-    return worker, receive
-
-
-def _send_items(send, produce: Callable[[], Iterable]) -> None:
-    """A forked worker: send each item of ``produce()`` as ``(True, item)`` as
-    soon as it is made, then ``(False, None)``, or ``(False, exc)`` for the
-    exception it raised."""
-    try:
-        for item in produce():
-            send.send((True, item))
-    except Exception as exc:  # the caller raises it where the next item would be
-        send.send((False, exc))
-    else:
-        send.send((False, None))
-
-
-def _received(worker, receive, who: str, what: str) -> Iterator:
-    """The items a worker started by :func:`_start` sends, in order; the
-    exception it sends is raised where its next item would be."""
-    while True:
-        try:
-            more, item = receive.recv()
-        except EOFError:
-            worker.join()
-            raise EtlwatchError(
-                f"{who} ended with exit code {worker.exitcode} before it sent its {what}"
-            ) from None
-        if more:
-            yield item
-        elif item is None:
-            return
-        else:
-            raise item
-
-
-def _reap(workers: list) -> None:
-    """Terminate and join each worker, and close its pipe."""
-    for worker, receive in workers:
-        worker.terminate()  # a worker that has sent has nothing left to do
-        worker.join()
-        receive.close()
-
-
 def _json_runs(
     fh: BinaryIO, path: str | Path, start: int = 0, end: float = math.inf
 ) -> Iterator[tuple[Sequence[int], list[dict], Exception | None]]:
@@ -833,12 +708,13 @@ def read_chunks(
 
     A file of at least :data:`_SPLIT_BYTES` per process is read as
     line-aligned byte ranges, one per usable CPU (:func:`fork_ways`), with
-    :func:`forked`: workers check ranges 1, 2, ... and send back their parts
-    and their first failure, while the caller checks range 0 from its own
-    handle. The parts are joined in range order and the first failure in
-    line order is raised, so the result and every error are those of a read
-    in one range, which is what a small file, one usable CPU or a file that
-    cannot be seeked (a FIFO) gets.
+    :func:`~etlwatch.workers.run`: workers check ranges 1, 2, ... and send
+    back their parts and their first failure, while the caller checks range
+    0 from its own handle, which needs no count of the lines before it. The
+    parts are joined in range order and the first failure in line order is
+    raised, so the result and every error are those of a read in one range,
+    which is what a small file, one usable CPU or a file that cannot be
+    seeked (a FIFO) gets.
     """
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size if fh.seekable() else 0
@@ -851,15 +727,15 @@ def read_chunks(
         if ways > 1:
             fh.seek(0)
         bounds.append(math.inf)
-        jobs = [partial(_check_range, fh, path, fields, check, 0, bounds[1])]
-        jobs += [
+        jobs = [
             partial(_read_range, path, fields, check, start, end)
             for start, end in zip(bounds[1:], bounds[2:])
         ]
-        parts = []
-        with closing(forked(jobs, f"{path}: a reader process", "records")) as ranges:
-            for theirs, failure in ranges:
-                parts += theirs
-                if failure is not None:
-                    raise failure
+        jobs.append(partial(_check_range, fh, path, fields, check, 0, bounds[1]))  # the caller's
+        ranges = run(jobs, f"{path}: a reader process", "records")
+    parts = []
+    for theirs, failure in ranges[-1:] + ranges[:-1]:  # range 0 first
+        parts += theirs
+        if failure is not None:
+            raise failure
     return parts

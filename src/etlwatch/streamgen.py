@@ -27,7 +27,7 @@ the rng, and :func:`generate` hands them its rng's
 draws an event takes is one C-level call.
 
 The draws depend on the config alone, so a large stream is drawn in a forked
-process (:func:`~etlwatch.preprocess.ahead`) that sends blocks of field
+process (:func:`~etlwatch.workers.ahead`) that sends blocks of field
 values while the calling process builds and checks the events, giving the
 bytes a stream drawn in one process has. The Poisson bands of every mean a
 config can reach are cached before it forks, in one vectorised scipy call.
@@ -57,11 +57,11 @@ from .preprocess import (
     EventBatch,
     FirstFailure,
     Records,
-    ahead,
     collector_paused,
     event_to_dict,
     read_chunks,
 )
+from .workers import ahead
 
 ANOMALY_CLASSES = ("delay", "missing", "duplicate", "spike")
 DELAY_FACTOR_RANGE = (5.0, 20.0)
@@ -497,7 +497,7 @@ def generate(cfg: StreamConfig) -> list[LabeledEvent]:
     """Generate ``cfg.n_events`` labeled events with strictly increasing timestamps.
 
     From :data:`_AHEAD_EVENTS` events on, a forked process makes the draws
-    (:func:`~etlwatch.preprocess.ahead`) while this one builds and checks
+    (:func:`~etlwatch.workers.ahead`) while this one builds and checks
     each :class:`EtlEvent` (the normal event, then the one its fault makes)
     and :class:`LabeledEvent` as the blocks arrive. The Poisson bands of
     every mean the config can reach are cached first, so the draw process

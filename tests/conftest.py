@@ -4,7 +4,7 @@ import os
 
 import pytest
 
-from etlwatch import preprocess
+from etlwatch import workers
 
 
 @pytest.fixture
@@ -15,14 +15,14 @@ def cpus(monkeypatch):
 
 @pytest.fixture
 def started(monkeypatch):
-    """The producers of the workers :func:`~etlwatch.preprocess.forked` and
-    :func:`~etlwatch.preprocess.ahead` start in this process, in order."""
+    """The producers of the workers :func:`~etlwatch.workers.run` and
+    :func:`~etlwatch.workers.ahead` start in this process, in order."""
     producers = []
-    start = preprocess._start
+    start = workers._start
 
     def counted(produce):
         producers.append(produce)
         return start(produce)
 
-    monkeypatch.setattr(preprocess, "_start", counted)
+    monkeypatch.setattr(workers, "_start", counted)
     return producers

@@ -297,6 +297,13 @@ class TestDetectionWriters:
                                       "--delta", "1", "--out", str(tmp_path / "d.jsonl")])
         assert "Is a directory" in error_line(result, 1)
 
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_when_both_files_fail_the_jsonl_error_is_raised(self, monkeypatch, tmp_path, cpus):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        missing = tmp_path / "missing"
+        with pytest.raises(FileNotFoundError, match=r"missing/d\.jsonl"):
+            cli._write_detections(self.RECORDS, missing / "d.jsonl", missing / "d.csv")
+
     def test_caller_failure_stops_the_worker(self, monkeypatch, tmp_path):
         def fails(results, path):
             raise EtlwatchError("failed in the caller")
@@ -733,6 +740,13 @@ STREAM = "<stream>"  # stands for the shared stream's path
         (["train"], "Invalid value for '--lr': '0.1' is not a valid float.", {"lr": "0.1"}),
         (["detect", "--delta", "1"], "Invalid value for '--delta': False is not a valid float.",
          {"delta": False}),
+        # and elements of a type the flag's parser never gives
+        (["sweep", "--knob", "k", "--grid", "4,8"],
+         "Invalid value for '--grid': must be a list of numbers", {"grid": [True, 2]}),
+        (["sweep", "--knob", "k", "--grid", "4,8"],
+         "Invalid value for '--grid': must be a list of numbers", {"grid": ["4", "8"]}),
+        (["generate"], "Invalid value for '--mix': mix weights must be numbers",
+         {"mix": {"delay": True, "missing": 0, "duplicate": 0, "spike": 0}}),
     ],
 )
 def test_replay_refuses_what_the_flags_refuse(
@@ -975,7 +989,8 @@ class TestReplay:
             ("[1, 2]", "JSON object"),
             ('{"subcommand": "detect", "params": {}}', "lack 'model'"),
             ('{"subcommand": "generate", "params": {"n": 5}}', "lack 'mix'"),
-            ('{"subcommand": "sweep", "params": {"knob": "k", "grid": 5}}', "not iterable"),
+            ('{"subcommand": "sweep", "params": {"knob": "k", "grid": 5}}',
+             "Invalid value for '--grid': must be a list of numbers"),
             ('{"subcommand": "sweep", "params": {"knob": "k", "grid": [4.5]}}', "integer >= 1"),
             ('{"subcommand": "sweep", "params": {"knob": "x", "grid": [1]}}', "unknown sweep knob"),
             ('{"subcommand": "sweep", "params": {"knob": "lr", "grid": [0.01, 0.01]}}',

@@ -1,12 +1,10 @@
 import gc
-import itertools
 import json
 import math
 import multiprocessing
 import os
 import pickle
 import re
-import signal
 import subprocess
 import sys
 import threading
@@ -30,13 +28,11 @@ from etlwatch.errors import (
 )
 from etlwatch.preprocess import (
     EtlEvent,
-    ahead,
     EventBatch,
     FeatureSchema,
     encode_events,
     event_to_dict,
     fit_stats,
-    fork_ways,
     hour_angle,
     parse_event,
     read_chunks,
@@ -761,12 +757,6 @@ class TestRangedRead:
             writer.join()
         assert parts == [os.getpid()]
 
-    def test_fork_ways_is_the_usable_cpus_up_to_the_jobs(self, monkeypatch):
-        claim_cpus(monkeypatch, 3)
-        assert [fork_ways(jobs) for jobs in (0, 1, 2, 3, 50)] == [1, 1, 2, 3, 3]
-        claim_cpus(monkeypatch, 1)
-        assert fork_ways(50) == 1
-
 
 @needs_fork
 class TestReaderProcesses:
@@ -825,96 +815,6 @@ class TestReaderProcesses:
         with pytest.raises(ContractViolationError, match="line 2: Expecting property name"):
             read_chunks(path, {"a": None}, lambda records, first: records.values["a"])
         assert not multiprocessing.active_children()
-
-
-@needs_fork
-class TestAhead:
-    """ahead's items, errors and clean-up, with the producer in a forked
-    worker (two CPUs claimed) and in the caller (one)."""
-
-    @pytest.mark.parametrize("n_cpus", [1, 2])
-    def test_same_items_in_a_worker_and_inline(self, monkeypatch, started, n_cpus):
-        claim_cpus(monkeypatch, n_cpus)
-
-        def produce():  # arrays of 0 to 80 kB, more than a pipe holds
-            for i in range(40):
-                yield os.getpid(), i, np.arange(i * 256, dtype=np.int64)
-
-        items = list(ahead(produce, "a test worker", "item"))
-        assert [i for _, i, _ in items] == list(range(40))
-        for i, (_, _, values) in enumerate(items):
-            np.testing.assert_array_equal(values, np.arange(i * 256))
-        in_caller = {pid for pid, _, _ in items} == {os.getpid()}
-        assert in_caller == (n_cpus == 1)
-        assert len(started) == n_cpus - 1
-        assert not multiprocessing.active_children()
-
-    def test_worker_exception_is_raised_where_its_item_would_be(self, monkeypatch, started):
-        claim_cpus(monkeypatch, 2)
-
-        def produce():
-            yield from range(3)
-            raise UndefinedMetricError(f"failed after 3 items in {os.getpid()}")
-
-        items = ahead(produce, "a test worker", "item")
-        assert [next(items) for _ in range(3)] == [0, 1, 2]
-        with pytest.raises(UndefinedMetricError, match="failed after 3 items") as info:
-            next(items)
-        assert str(os.getpid()) not in str(info.value)
-        assert len(started) == 1
-        assert not multiprocessing.active_children()
-
-    def test_a_killed_worker_is_an_error(self, monkeypatch):
-        claim_cpus(monkeypatch, 2)
-
-        def produce():
-            yield "first"
-            os.kill(os.getpid(), signal.SIGKILL)
-
-        started = time.monotonic()
-        items = ahead(produce, "a test worker", "item")
-        assert next(items) == "first"
-        message = "a test worker ended with exit code -9 before it sent its item"
-        with pytest.raises(EtlwatchError, match=message):
-            next(items)
-        assert time.monotonic() - started < 30
-        assert not multiprocessing.active_children()
-
-    def test_closing_or_leaving_early_stops_the_worker(self, monkeypatch):
-        claim_cpus(monkeypatch, 2)
-        items = ahead(itertools.count, "a test worker", "item")
-        assert [next(items) for _ in range(3)] == [0, 1, 2]
-        items.close()  # the worker is blocked on a full pipe, or still counting
-        assert not multiprocessing.active_children()
-        with pytest.raises(UndefinedMetricError):
-            for i in ahead(itertools.count, "a test worker", "item"):
-                if i == 2:
-                    raise UndefinedMetricError("the caller failed")
-        gc.collect()  # the abandoned iterator is closed when it is collected
-        assert not multiprocessing.active_children()
-
-    def test_a_worker_never_forks(self, monkeypatch):
-        claim_cpus(monkeypatch, 3)
-        assert list(ahead(lambda: [fork_ways(3)], "a test worker", "item")) == [1]
-        # job 0 runs in the caller while job 1's worker is live
-        jobs = [lambda: fork_ways(3)] * 2
-        assert list(preprocess.forked(jobs, "a test worker", "result")) == [2, 1]
-
-    def test_live_workers_count_against_the_cpus(self, monkeypatch):
-        claim_cpus(monkeypatch, 3)
-
-        def produce():
-            yield "first"
-            time.sleep(60)  # busy until the caller closes the iterator
-
-        items = ahead(produce, "a test worker", "item")
-        next(items)
-        assert [fork_ways(jobs) for jobs in (1, 2, 3, 50)] == [1, 2, 2, 2]
-        claim_cpus(monkeypatch, 2)
-        assert fork_ways(2) == 1
-        assert list(ahead(lambda: [os.getpid()], "a test worker", "item")) == [os.getpid()]
-        items.close()
-        assert fork_ways(2) == 2
 
 
 STREAM_IDS = ["e-0", "e-1", "e-2", "line-6", "e-4", "e-5"]
