@@ -18,10 +18,7 @@ the step :func:`_gradients` builds for a batch length, serves both
 :func:`backprop` and :func:`train`. It binds its work arrays, ufuncs,
 constants and activation branches when it is built and computes in place,
 so a training step allocates nothing, makes no attribute lookup and rounds
-exactly as the same arithmetic on fresh arrays. The epoch permutations
-depend only on the seed, so a long training takes them from a forked
-process that shuffles ahead (:func:`~etlwatch.workers.ahead`) while this
-one gathers rows and steps.
+exactly as the same arithmetic on fresh arrays.
 """
 
 from __future__ import annotations
@@ -30,10 +27,9 @@ import enum
 import json
 import math
 import time
-from contextlib import closing
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterator
+from typing import Callable
 
 import numpy as np
 
@@ -47,7 +43,6 @@ from .errors import (
 )
 from .numerics import SeededRng, as_matrix, require_finite
 from .preprocess import FeatureSchema, StandardizationStats
-from .workers import ahead
 
 MODEL_FORMAT_VERSION = 1
 
@@ -192,8 +187,7 @@ class LossBreakdown:
 class TrainHistory:
     """Per-epoch losses on the full training set plus wall time per epoch.
 
-    ``epoch_seconds`` times each epoch's permutation (its shuffle, or the
-    wait for the process that shuffles ahead), the gather of its rows and
+    ``epoch_seconds`` times each epoch's shuffle, the gather of its rows and
     its steps, not its loss.
     The history :func:`train` returns computes its ``losses`` on first
     read, each with :func:`batch_loss` on a copy of the parameters taken
@@ -491,16 +485,6 @@ def _loss_bound(
     return z_h + z_o + n * (d * diff * diff + k * h * max(1.0, l1_penalty))
 
 
-# Shuffled rows (epochs x rows) from which train takes its permutations from
-# a forked process. On 2 vCPUs a shuffle costs about 0.16 us a row; at 100
-# MB RSS the first permutation arrives about 5 ms after the fork, and each
-# later one takes about 0.1 ms to receive. Medians at reference speed of 15
-# alternating runs, shuffled ahead against inline: 72.2 against 66.2 ms at
-# 2 000 rows x 30 epochs, 103.0 against 110.6 ms at 2 000 x 50, and 291.5
-# against 341.1 ms at 5 696 x 50.
-_AHEAD_ROWS = 100_000
-
-
 def train(
     x_train: np.ndarray,
     cfg: TrainConfig,
@@ -509,15 +493,12 @@ def train(
     """Mini-batch SGD over shuffled epochs; fully determined by cfg.
 
     The epoch shuffle and the weight initialization both draw from a single
-    rng seeded with ``cfg.seed``. From :data:`_AHEAD_ROWS` shuffled rows on,
-    the permutations come from a forked process that starts from the rng
-    after :func:`init_params` (:func:`~etlwatch.workers.ahead`), so they
-    are the same. The history records each epoch's loss breakdown on the
-    full training set and the wall time of its permutation, gather and
-    steps. A non-finite ``x_train`` raises :class:`NumericalError`. An epoch
-    that leaves a non-finite parameter (from a non-finite gradient or an
-    overflowing update) or a non-finite epoch loss aborts with
-    :class:`TrainingDivergedError`.
+    rng seeded with ``cfg.seed``. The history records each epoch's loss
+    breakdown on the full training set and the wall time of its shuffle,
+    gather and steps. A non-finite ``x_train`` raises
+    :class:`NumericalError`. An epoch that leaves a non-finite parameter
+    (from a non-finite gradient or an overflowing update) or a non-finite
+    epoch loss aborts with :class:`TrainingDivergedError`.
 
     The parameters are views of one flat vector and the gradients views of
     a second, so each step's update is ``grad *= lr; theta -= grad``, which
@@ -559,41 +540,32 @@ def train(
     thetas = np.empty((cfg.epochs, theta.size))
     history = TrainHistory()
 
-    def permutations() -> Iterator[np.ndarray]:
-        for _ in range(cfg.epochs):
-            yield rng.shuffled_indices(n)
+    for epoch in range(cfg.epochs):
+        started = time.perf_counter()
+        # the indices are a permutation, so "clip" never clips; it spares
+        # the buffered copy that take makes into out under "raise"
+        np.take(x, rng.shuffled_indices(n), axis=0, out=shuffled, mode="clip")
+        with np.errstate(all="ignore"):  # a non-finite step is caught below
+            for batch, step in batches:
+                step(batch)
+                grad *= lr
+                theta -= grad
+        history.epoch_seconds.append(time.perf_counter() - started)
+        theta_max = float(np.abs(theta).max())  # NaN or inf if any parameter is
+        if not math.isfinite(theta_max):
+            raise TrainingDivergedError(epoch, lr) from NumericalError(
+                f"non-finite parameters after epoch {epoch}"
+            )
 
-    if cfg.epochs * n >= _AHEAD_ROWS:
-        shuffles = ahead(permutations, "the shuffle process of train", "permutation")
-    else:
-        shuffles = permutations()
-    with closing(shuffles):
-        for epoch in range(cfg.epochs):
-            started = time.perf_counter()
-            # the indices are a permutation, so "clip" never clips; it spares
-            # the buffered copy that take makes into out under "raise"
-            np.take(x, next(shuffles), axis=0, out=shuffled, mode="clip")
-            with np.errstate(all="ignore"):  # a non-finite step is caught below
-                for batch, step in batches:
-                    step(batch)
-                    grad *= lr
-                    theta -= grad
-            history.epoch_seconds.append(time.perf_counter() - started)
-            theta_max = float(np.abs(theta).max())  # NaN or inf if any parameter is
-            if not math.isfinite(theta_max):
-                raise TrainingDivergedError(epoch, lr) from NumericalError(
-                    f"non-finite parameters after epoch {epoch}"
-                )
-
-            thetas[epoch] = theta
-            epoch_loss = None
-            bound = _loss_bound(x_max, theta_max, n, d, k, activations, cfg.l1_penalty)
-            if not bound < _LOSS_BOUND_LIMIT:  # NaN, from 0 * inf, included
-                with np.errstate(all="ignore"):
-                    epoch_loss = batch_loss(params, x, cfg.l1_penalty)
-                if not np.isfinite(epoch_loss.l_total):
-                    raise TrainingDivergedError(epoch, lr)
-            history._losses.append(epoch_loss)
+        thetas[epoch] = theta
+        epoch_loss = None
+        bound = _loss_bound(x_max, theta_max, n, d, k, activations, cfg.l1_penalty)
+        if not bound < _LOSS_BOUND_LIMIT:  # NaN, from 0 * inf, included
+            with np.errstate(all="ignore"):
+                epoch_loss = batch_loss(params, x, cfg.l1_penalty)
+            if not np.isfinite(epoch_loss.l_total):
+                raise TrainingDivergedError(epoch, lr)
+        history._losses.append(epoch_loss)
 
     x_kept = x.copy()  # the caller may change x_train before the losses are read
 

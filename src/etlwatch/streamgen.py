@@ -26,11 +26,8 @@ the rng, and :func:`generate` hands them its rng's
 :meth:`~etlwatch.numerics.SeededRng.fractions`, so each of the roughly 18
 draws an event takes is one C-level call.
 
-The draws depend on the config alone, so a large stream is drawn in a forked
-process (:func:`~etlwatch.workers.ahead`) that sends blocks of field
-values while the calling process builds and checks the events, giving the
-bytes a stream drawn in one process has. The Poisson bands of every mean a
-config can reach are cached before it forks, in one vectorised scipy call.
+The Poisson bands of every mean a config can reach are cached before its
+first event is drawn, in one vectorised scipy call.
 """
 
 from __future__ import annotations
@@ -38,11 +35,10 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from contextlib import closing
 from dataclasses import dataclass, replace
-from functools import lru_cache, partial
+from functools import lru_cache
 from pathlib import Path
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Sequence
 
 from .errors import ContractViolationError
 from .numerics import SeededRng
@@ -61,7 +57,6 @@ from .preprocess import (
     event_to_dict,
     read_chunks,
 )
-from .workers import ahead
 
 ANOMALY_CLASSES = ("delay", "missing", "duplicate", "spike")
 DELAY_FACTOR_RANGE = (5.0, 20.0)
@@ -297,10 +292,10 @@ def _store_band(mean: float, band: tuple[float, float]) -> tuple[float, float]:
     return band
 
 
-def _fill_poisson_bands(cfg: StreamConfig) -> bool:
+def _fill_poisson_bands(cfg: StreamConfig) -> None:
     """Cache the Poisson band of every rounded mean ``cfg`` can reach, those
     not yet cached in one vectorised ``ppf`` call, whose bits are those of
-    one call per mean; False, with nothing cached, where they would not fit.
+    one call per mean; nothing where they would not fit.
 
     A mean is ``records_mean`` times a load factor within ``1 -/+
     diurnal_amplitude``, rounded to 0.01: the float ``k / 100`` for an
@@ -311,7 +306,7 @@ def _fill_poisson_bands(cfg: StreamConfig) -> bool:
             cfg.records_mean * (1.0 + cfg.diurnal_amplitude))
     lo, hi = (round(round(end, 2) * 100) for end in ends)
     if hi - lo >= _POISSON_CACHE:
-        return False
+        return
     means = [k / 100 for k in range(lo, hi + 1) if k / 100 not in _POISSON_BANDS]
     if means:
         from scipy import stats
@@ -319,7 +314,6 @@ def _fill_poisson_bands(cfg: StreamConfig) -> bool:
         lows, highs = stats.poisson.ppf([[q] for q in BAND_QUANTILES], mu=means).tolist()
         for mean, low, high in zip(means, lows, highs):
             _store_band(mean, (low, high))
-    return True
 
 
 _NO_MASK = (False,) * len(MASKABLE_FIELDS)
@@ -353,10 +347,9 @@ class _NormalEvents:
         self._latency = (g_lo * cfg.latency_scale, g_hi * cfg.latency_scale)
         self._duration = _unit_gamma_band(cfg.duration_shape)
 
-    def draw(self, unit: Unit, timestamp: int, event_id: str) -> tuple:
-        """One normal event's fields, in :class:`EtlEvent` order; each numeric
-        value is redrawn until it lies in its band, at most ``_MAX_TRIES``
-        times."""
+    def draw(self, unit: Unit, timestamp: int, event_id: str) -> EtlEvent:
+        """One normal event; each numeric value is redrawn until it lies in
+        its band, at most ``_MAX_TRIES`` times."""
         cfg = self.cfg
         lf = load_factor(cfg, timestamp)
         device = sample_categorical(unit, self.devices)
@@ -393,7 +386,7 @@ class _NormalEvents:
                 break
         else:
             raise _no_draw_inside(lo, hi)
-        return (
+        return EtlEvent(
             timestamp,
             amount,
             latency,
@@ -425,17 +418,9 @@ def _uniform(unit: Unit, lo: float, hi: float) -> float:
 
 def inject(event: EtlEvent, anomaly_class: str, unit: Unit) -> EtlEvent:
     """Apply one fault signature to a freshly drawn normal event."""
-    numbers = event.amount, event.latency_ms, event.task_duration_s, event.records_loaded
-    return replace(event, **_fault(anomaly_class, *numbers, unit))
-
-
-def _fault(
-    anomaly_class: str, amount: float, latency: float, duration: float, records: int, unit: Unit
-) -> dict:
-    """The fields one fault signature changes in a normal event with these
-    numeric fields, and their new values."""
     if anomaly_class == "delay":
-        return {"latency_ms": latency * _uniform(unit, *DELAY_FACTOR_RANGE)}
+        factor = _uniform(unit, *DELAY_FACTOR_RANGE)
+        return replace(event, latency_ms=event.latency_ms * factor)
     if anomaly_class == "missing":
         n = float(len(MASKABLE_FIELDS))
         n_missing = 1 + int(_uniform(unit, 0.0, n))
@@ -443,81 +428,43 @@ def _fault(
         while len(chosen) < n_missing:
             chosen.add(int(_uniform(unit, 0.0, n)))
         mask = tuple(i in chosen for i in range(len(MASKABLE_FIELDS)))
-        return {"missing_mask": mask, **{MASKABLE_FIELDS[i]: 0.0 for i in sorted(chosen)}}
+        updates = {MASKABLE_FIELDS[i]: 0.0 for i in sorted(chosen)}
+        return replace(event, missing_mask=mask, **updates)
     if anomaly_class == "duplicate":
-        return {"records_loaded": records * 2, "task_duration_s": duration * 0.5}
+        return replace(
+            event,
+            records_loaded=event.records_loaded * 2,
+            task_duration_s=event.task_duration_s * 0.5,
+        )
     if anomaly_class == "spike":
-        return {"amount": amount * _uniform(unit, *SPIKE_FACTOR_RANGE)}
+        factor = _uniform(unit, *SPIKE_FACTOR_RANGE)
+        return replace(event, amount=event.amount * factor)
     raise ContractViolationError(f"unknown anomaly class {anomaly_class!r}")
-
-
-# Events a draw process sends at a time.
-_DRAW_BLOCK = 500
-# Events from which generate draws in a process of its own. On 2 vCPUs at
-# 100 MB RSS the draws take about 70 % of an inline generate, a fork about
-# 3 ms, and pickling and unpickling the blocks about 0.7 us an event on
-# each side. Medians at reference speed of 15 alternating runs, drawn ahead
-# against inline: 42.3 against 38.9 ms at 2 000 events, 52.8 against 56.5
-# ms at 3 000, and 171.8 against 187.3 ms at 10 000.
-_AHEAD_EVENTS = 3_000
-
-
-def _draws(normal: _NormalEvents) -> Iterator[list[tuple]]:
-    """The draws of the stream of ``normal.cfg``, in blocks of up to
-    :data:`_DRAW_BLOCK` events: each event's fields as :class:`EtlEvent`
-    takes them, its anomaly class (None for a normal event), and the fields
-    its fault changes (see :func:`inject`). A draw that fails is raised once
-    the events before it have been handed on, so they are checked first."""
-    cfg = normal.cfg
-    unit = SeededRng(cfg.seed).fractions()
-    mix = running_sums(cfg.mix.weights())
-    timestamp = cfg.start_timestamp
-    rows: list[tuple] = []
-    try:
-        for i in range(cfg.n_events):
-            timestamp += max(1, round(sample_exponential(unit, cfg.mean_gap_ms)))
-            fields = normal.draw(unit, timestamp, f"evt-{i:06d}")
-            if unit() < cfg.anomaly_rate:
-                anomaly_class = ANOMALY_CLASSES[sample_categorical(unit, mix)]
-                rows.append((fields, anomaly_class, _fault(anomaly_class, *fields[1:5], unit)))
-            else:
-                rows.append((fields, None, None))
-            if len(rows) == _DRAW_BLOCK:
-                yield rows
-                rows = []
-    except Exception:
-        yield rows
-        raise
-    if rows:
-        yield rows
 
 
 @collector_paused()
 def generate(cfg: StreamConfig) -> list[LabeledEvent]:
     """Generate ``cfg.n_events`` labeled events with strictly increasing timestamps.
 
-    From :data:`_AHEAD_EVENTS` events on, a forked process makes the draws
-    (:func:`~etlwatch.workers.ahead`) while this one builds and checks
-    each :class:`EtlEvent` (the normal event, then the one its fault makes)
-    and :class:`LabeledEvent` as the blocks arrive. The Poisson bands of
-    every mean the config can reach are cached first, so the draw process
-    starts with all of them; a config whose means would not fit in the cache
-    is drawn here.
+    Each event is drawn, built and checked as an :class:`EtlEvent`, then
+    given its fault (see :func:`inject`), if any, before the next is drawn.
+    The Poisson bands of every mean the config can reach are cached first
+    (:func:`_fill_poisson_bands`).
     """
-    draws = partial(_draws, _NormalEvents(cfg))
-    if _fill_poisson_bands(cfg) and cfg.n_events >= _AHEAD_EVENTS:
-        blocks = ahead(draws, "the draw process of generate", "events")
-    else:
-        blocks = draws()
+    _fill_poisson_bands(cfg)
+    unit = SeededRng(cfg.seed).fractions()
+    normal = _NormalEvents(cfg)
+    mix = running_sums(cfg.mix.weights())
+    timestamp = cfg.start_timestamp
     out: list[LabeledEvent] = []
-    with closing(blocks):
-        for rows in blocks:
-            for fields, anomaly_class, changes in rows:
-                event = EtlEvent(*fields)
-                if anomaly_class is None:
-                    out.append(LabeledEvent(event, False))
-                else:
-                    out.append(LabeledEvent(replace(event, **changes), True, anomaly_class))
+    for i in range(cfg.n_events):
+        timestamp += max(1, round(sample_exponential(unit, cfg.mean_gap_ms)))
+        event = normal.draw(unit, timestamp, f"evt-{i:06d}")
+        if unit() < cfg.anomaly_rate:
+            anomaly_class = ANOMALY_CLASSES[sample_categorical(unit, mix)]
+            out.append(LabeledEvent(inject(event, anomaly_class, unit), True, anomaly_class))
+        else:
+            out.append(LabeledEvent(event, False))
     return out
 
 

@@ -15,14 +15,14 @@ def cpus(monkeypatch):
 
 @pytest.fixture
 def started(monkeypatch):
-    """The producers of the workers :func:`~etlwatch.workers.run` and
-    :func:`~etlwatch.workers.ahead` start in this process, in order."""
-    producers = []
+    """The jobs of the workers :func:`~etlwatch.workers.run` starts in this
+    process, in order."""
+    jobs = []
     start = workers._start
 
-    def counted(produce):
-        producers.append(produce)
-        return start(produce)
+    def counted(job):
+        jobs.append(job)
+        return start(job)
 
     monkeypatch.setattr(workers, "_start", counted)
-    return producers
+    return jobs

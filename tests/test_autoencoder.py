@@ -1,9 +1,5 @@
 import json
 import math
-import multiprocessing
-import os
-import signal
-import time
 
 import numpy as np
 import pytest
@@ -31,7 +27,6 @@ from etlwatch.autoencoder import (
 )
 from etlwatch.errors import (
     ContractViolationError,
-    EtlwatchError,
     ModelFormatError,
     ModelShapeError,
     ModelVersionError,
@@ -558,6 +553,15 @@ class TestTrain:
         cfg = TrainConfig(learning_rate=0.01, epochs=3, batch_size=48, seed=9, latent_dim=4)
         self.assert_same_as_public_step_loop(small_training_set, cfg, (act_h, act_o))
 
+    @pytest.mark.parametrize("act_h", ALL_ACTIVATIONS)
+    @pytest.mark.parametrize("act_o", ALL_ACTIVATIONS)
+    def test_narrow_short_last_batch_bitwise_equal_to_public_step_loop(
+        self, small_training_set, act_h, act_o
+    ):
+        # k = 2 in batches of 100: two full batches, then one of 56 rows
+        cfg = TrainConfig(learning_rate=0.01, epochs=3, batch_size=100, seed=9, latent_dim=2)
+        self.assert_same_as_public_step_loop(small_training_set, cfg, (act_h, act_o))
+
     @pytest.mark.parametrize("lr", [100.0, 1e4])
     def test_divergence_epoch_matches_public_step_loop(self, small_training_set, lr):
         cfg = TrainConfig(learning_rate=lr, epochs=10, batch_size=32, seed=2, latent_dim=2)
@@ -758,77 +762,6 @@ def saved_model(tmp_path):
     path = tmp_path / "model.json"
     save_model(path, params, stats, schema)
     return path, params, stats, schema
-
-
-@pytest.fixture
-def shuffled_ahead(monkeypatch):
-    """Shuffle every training ahead, in a process of its own wherever two
-    CPUs are usable."""
-    monkeypatch.setattr(autoencoder, "_AHEAD_ROWS", 1)
-
-
-@pytest.mark.skipif(
-    not hasattr(os, "sched_getaffinity") or "fork" not in multiprocessing.get_all_start_methods(),
-    reason="the shuffle process needs fork",
-)
-class TestShuffledAhead:
-    """train's permutations made in a forked process (two CPUs claimed) give
-    the training made in one process (one CPU), and its errors."""
-
-    @pytest.mark.parametrize("activations", [
-        (Activation.TANH, Activation.IDENTITY), (Activation.RELU, Activation.SIGMOID),
-        (Activation.SIGMOID, Activation.TANH), (Activation.IDENTITY, Activation.RELU),
-    ], ids=lambda pair: "-".join(act.value for act in pair))
-    # 256 rows: batches of 48 and of 100 leave a short last batch
-    @pytest.mark.parametrize("k, batch", [(4, 32), (4, 48), (2, 100)])
-    def test_same_bits_as_shuffled_inline(
-        self, small_training_set, cpus, started, shuffled_ahead, activations, k, batch
-    ):
-        cfg = TrainConfig(learning_rate=0.01, epochs=6, batch_size=batch, seed=9, latent_dim=k)
-        cpus(2)
-        params, history = train(small_training_set, cfg, activations)
-        assert len(started) == 1
-        cpus(1)
-        inline, inline_history = train(small_training_set, cfg, activations)
-        assert len(started) == 1
-        np.testing.assert_array_equal(flatten_params(params), flatten_params(inline))
-        assert history.losses == inline_history.losses
-        assert not multiprocessing.active_children()
-
-    def test_divergence_mid_training_stops_the_shuffle_process(
-        self, small_training_set, cpus, started, shuffled_ahead
-    ):
-        cfg = TrainConfig(learning_rate=100.0, epochs=40, batch_size=32, seed=2, latent_dim=2)
-        _, _, diverged_at = reference_train(small_training_set, cfg)
-        assert 0 < diverged_at < cfg.epochs - 1
-        cpus(2)
-        with pytest.raises(TrainingDivergedError) as info:
-            train(small_training_set, cfg)
-        assert info.value.epoch == diverged_at
-        assert len(started) == 1
-        assert not multiprocessing.active_children()
-
-    def test_a_killed_shuffle_process_is_an_error(
-        self, small_training_set, cpus, shuffled_ahead, monkeypatch
-    ):
-        caller, shuffled = os.getpid(), SeededRng.shuffled_indices
-        calls = 0
-
-        def killed_at_the_third(rng, n):
-            nonlocal calls
-            calls += 1
-            if calls == 3 and os.getpid() != caller:
-                os.kill(os.getpid(), signal.SIGKILL)
-            return shuffled(rng, n)
-
-        monkeypatch.setattr(SeededRng, "shuffled_indices", killed_at_the_third)
-        cpus(2)
-        started = time.monotonic()
-        message = "the shuffle process of train ended with exit code -9 before it sent"
-        with pytest.raises(EtlwatchError, match=message):
-            train(small_training_set, TrainConfig(epochs=5, batch_size=32, latent_dim=2))
-        assert time.monotonic() - started < 30
-        assert not multiprocessing.active_children()
 
 
 class TestModelDocument:

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from etlwatch.autoencoder import TrainConfig
-from etlwatch import autoencoder, evaluation
+from etlwatch import evaluation
 from etlwatch.errors import (
     ContractViolationError,
     EncodingError,
@@ -356,9 +356,7 @@ class TestSweepPool:
             set_threads(before)
 
     def test_a_k_sweep_on_two_cpus_starts_one_process(self, monkeypatch, small_bundle, tmp_path):
-        # every training would shuffle ahead if a CPU were free; the worker
-        # waits a little first, so that it is busy when the caller trains
-        caller, evaluate_config = os.getpid(), evaluation.evaluate_config
+        caller = os.getpid()
         log, start = tmp_path / "started", multiprocessing.process.BaseProcess.start
 
         def logged_start(process):
@@ -366,14 +364,7 @@ class TestSweepPool:
                 fh.write(f"{os.getpid()}\n")
             start(process)
 
-        def busy_worker(bundle, cfg):
-            if os.getpid() != caller:
-                time.sleep(0.2)
-            return evaluate_config(bundle, cfg)
-
-        monkeypatch.setattr(autoencoder, "_AHEAD_ROWS", 1)
         monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", logged_start)
-        monkeypatch.setattr(evaluation, "evaluate_config", busy_worker)
         use_cpus(monkeypatch, 2)
         result = sweep("k", FAST, [4, 8], small_bundle, seed=3)
         assert log.read_text() == f"{caller}\n"  # ways - 1 = 1, by the caller

@@ -1,6 +1,5 @@
 import json
 import math
-import multiprocessing
 import os
 import subprocess
 import sys
@@ -37,6 +36,15 @@ def benchmark_stream():
     return generate(StreamConfig(seed=7))
 
 
+CONFIGS = {
+    "default": {},
+    "skewed-mix": {"anomaly_rate": 0.2, "mix": AnomalyMix(0.55, 0.05, 0.1, 0.3)},
+    "ptrs": {"records_mean": 14.0},  # Poisson means >= 10 take the PTRS branch
+    "gamma-boost": {"latency_shape": 0.6},  # gamma shape < 1 takes the boost path
+    "flat-day": {"diurnal_amplitude": 0.0},
+}
+
+
 class TestGenerate:
     def test_zero_rate_means_all_normal(self):
         events = generate(StreamConfig(n_events=300, anomaly_rate=0.0, seed=1))
@@ -56,17 +64,8 @@ class TestGenerate:
         monkeypatch.setattr(streamgen, "SeededRng", ReferenceRng)
         assert generate(cfg) == events
 
-    @pytest.mark.parametrize("seed", [0, 7, 2**64 - 1])
-    @pytest.mark.parametrize(
-        "changes",
-        [
-            {"anomaly_rate": 0.2, "mix": AnomalyMix(0.55, 0.05, 0.1, 0.3)},
-            {"records_mean": 14.0},  # Poisson means >= 10 take the PTRS branch
-            {"latency_shape": 0.6},  # gamma shape < 1 takes the boost path
-            {"diurnal_amplitude": 0.0},
-        ],
-        ids=["skewed-mix", "ptrs", "gamma-boost", "flat-day"],
-    )
+    @pytest.mark.parametrize("seed", [0, 7, 11, 2**64 - 1])
+    @pytest.mark.parametrize("changes", CONFIGS.values(), ids=CONFIGS)
     def test_equals_the_per_event_reference(self, seed, changes):
         cfg = StreamConfig(n_events=400, seed=seed, **changes)
         assert generate(cfg) == reference.generate(cfg)
@@ -74,6 +73,37 @@ class TestGenerate:
     def test_equals_the_per_event_reference_at_full_size(self, benchmark_stream):
         # the default config: 10 000 events at seed 7
         assert benchmark_stream == reference.generate(StreamConfig(seed=7))
+
+    def test_a_band_no_draw_reaches_is_an_error(self, monkeypatch):
+        calls = 0
+        band = streamgen._poisson_band
+
+        def unreachable_from_event_200(mean):
+            nonlocal calls
+            calls += 1
+            return (math.inf, math.inf) if calls > 200 else band(mean)
+
+        monkeypatch.setattr(streamgen, "_poisson_band", unreachable_from_event_200)
+        message = r"could not draw a value inside \[inf, inf\] after 10000 tries"
+        with pytest.raises(ContractViolationError, match=message):
+            generate(StreamConfig(n_events=700, seed=11))
+        assert calls == 201  # one band an event
+
+    def test_an_event_before_a_failed_draw_is_checked_first(self, monkeypatch):
+        # every amount is inf, which the event check refuses; the records
+        # band of event 3 is one no draw reaches
+        calls = 0
+        band = streamgen._poisson_band
+
+        def unreachable_from_event_3(mean):
+            nonlocal calls
+            calls += 1
+            return (math.inf, math.inf) if calls > 3 else band(mean)
+
+        monkeypatch.setattr(streamgen, "_poisson_band", unreachable_from_event_3)
+        cfg = StreamConfig(n_events=700, seed=11, amount_log_mu=math.inf)
+        with pytest.raises(ContractViolationError, match="non-finite value for field 'amount'"):
+            generate(cfg)
 
     @pytest.mark.parametrize(
         "field, sampler",
@@ -156,80 +186,6 @@ class TestGenerate:
                 assert lo <= value <= hi, (field, value, lo, hi)
 
 
-CONFIGS = {
-    "default": {},
-    "skewed-mix": {"anomaly_rate": 0.2, "mix": AnomalyMix(0.55, 0.05, 0.1, 0.3)},
-    "ptrs": {"records_mean": 14.0},
-    "gamma-boost": {"latency_shape": 0.6},
-    "flat-day": {"diurnal_amplitude": 0.0},
-}
-
-
-@pytest.fixture
-def ahead_of_all(monkeypatch):
-    """Draw every stream in blocks of 64 events, in a process of its own
-    wherever two CPUs are usable."""
-    monkeypatch.setattr(streamgen, "_AHEAD_EVENTS", 1)
-    monkeypatch.setattr(streamgen, "_DRAW_BLOCK", 64)
-
-
-@pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="claims CPUs")
-class TestDrawnAhead:
-    """generate's draws made in a forked process (two CPUs claimed) give the
-    stream made in one process (one CPU), and its errors."""
-
-    @pytest.mark.parametrize("changes", CONFIGS.values(), ids=CONFIGS)
-    def test_same_stream_as_drawn_inline(self, cpus, started, ahead_of_all, changes):
-        cfg = StreamConfig(n_events=700, seed=11, **changes)
-        cpus(2)
-        events = generate(cfg)
-        assert len(started) == 1
-        cpus(1)
-        assert generate(cfg) == events == reference.generate(cfg)
-        assert len(started) == 1
-        assert not multiprocessing.active_children()
-
-    def test_a_band_no_draw_reaches_is_raised_in_the_caller(
-        self, cpus, started, ahead_of_all, monkeypatch
-    ):
-        calls = 0
-        band = streamgen._poisson_band
-
-        def unreachable_from_event_200(mean):
-            nonlocal calls
-            calls += 1
-            return (math.inf, math.inf) if calls > 200 else band(mean)
-
-        monkeypatch.setattr(streamgen, "_poisson_band", unreachable_from_event_200)
-        cpus(2)
-        message = r"could not draw a value inside \[inf, inf\] after 10000 tries"
-        with pytest.raises(ContractViolationError, match=message):
-            generate(StreamConfig(n_events=700, seed=11))
-        assert len(started) == 1 and calls == 0  # every draw was in the other process
-        assert not multiprocessing.active_children()
-
-    @pytest.mark.parametrize("n_cpus", [1, 2])
-    def test_an_event_before_a_failed_draw_is_checked_first(
-        self, cpus, ahead_of_all, monkeypatch, n_cpus
-    ):
-        # every amount is inf, which the event check refuses; the records
-        # band of event 3, in the first block, is one no draw reaches
-        calls = 0
-        band = streamgen._poisson_band
-
-        def unreachable_from_event_3(mean):
-            nonlocal calls
-            calls += 1
-            return (math.inf, math.inf) if calls > 3 else band(mean)
-
-        monkeypatch.setattr(streamgen, "_poisson_band", unreachable_from_event_3)
-        cpus(n_cpus)
-        cfg = StreamConfig(n_events=700, seed=11, amount_log_mu=math.inf)
-        with pytest.raises(ContractViolationError, match="non-finite value for field 'amount'"):
-            generate(cfg)
-        assert not multiprocessing.active_children()
-
-
 class TestPoissonBands:
     @pytest.fixture
     def empty_cache(self, monkeypatch):
@@ -237,7 +193,7 @@ class TestPoissonBands:
         return lambda: streamgen._POISSON_BANDS
 
     def test_the_fill_equals_one_scalar_call_per_default_mean(self, empty_cache):
-        assert streamgen._fill_poisson_bands(StreamConfig())
+        streamgen._fill_poisson_bands(StreamConfig())
         bands = empty_cache()
         assert list(bands) == [k / 100 for k in range(440, 1161)]  # 4.40 ... 11.60
         for mean, band in bands.items():
@@ -252,15 +208,12 @@ class TestPoissonBands:
         assert "poisson" not in dists
         assert len(empty_cache()) == 721
 
-    def test_means_beyond_the_cache_are_drawn_inline(
-        self, empty_cache, cpus, started, ahead_of_all
-    ):
+    def test_means_beyond_the_cache_are_not_filled(self, empty_cache):
         # records_mean 100 at amplitude 0.45 reaches the 9 001 means 55.00 ... 145.00
         cfg = StreamConfig(n_events=300, seed=5, records_mean=100.0)
-        assert not streamgen._fill_poisson_bands(cfg) and not empty_cache()
-        cpus(2)
+        streamgen._fill_poisson_bands(cfg)
+        assert not empty_cache()
         assert generate(cfg) == reference.generate(cfg)
-        assert started == []
         assert 0 < len(empty_cache()) <= streamgen._POISSON_CACHE
 
 

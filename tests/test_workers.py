@@ -1,10 +1,7 @@
-"""The processes etlwatch forks: how many (fork_ways), jobs side by side
-(run) and a producer ahead of its caller (ahead), and that no other module
-starts one."""
+"""The processes etlwatch forks: how many (fork_ways) and jobs side by side
+(run), and that no other module starts one."""
 
 import ast
-import gc
-import itertools
 import multiprocessing
 import os
 import signal
@@ -16,8 +13,11 @@ import numpy as np
 import pytest
 
 import etlwatch
+from etlwatch.autoencoder import TrainConfig, train
 from etlwatch.errors import EtlwatchError, UndefinedMetricError
-from etlwatch.workers import ahead, fork_ways, run
+from etlwatch.numerics import SeededRng
+from etlwatch.streamgen import StreamConfig, generate
+from etlwatch.workers import fork_ways, run
 
 FORK = "fork" in multiprocessing.get_all_start_methods() and hasattr(os, "sched_getaffinity")
 needs_fork = pytest.mark.skipif(not FORK, reason="workers need fork and sched_getaffinity")
@@ -160,92 +160,44 @@ class TestRun:
         assert not daemon.is_alive()
         assert pids == [pid] * 3
 
+    def test_a_worker_never_forks(self, cpus, started):
+        cpus(3)
+
+        def in_a_worker():  # job 0, which a worker runs
+            return os.getpid(), fork_ways(3), run([os.getpid] * 3, "a nested worker", "result")
+
+        (pid, ways, pids), _ = run([in_a_worker, os.getpid], "a test worker", "result")
+        assert pid != os.getpid()
+        assert ways == 1 and pids == [pid] * 3
+        assert len(started) == 1
+
+    def test_live_workers_count_against_the_cpus(self, cpus, started):
+        measured = multiprocessing.get_context("fork").Event()
+
+        def busy():  # job 0, which a worker runs until the caller has measured
+            measured.wait(60)
+
+        def measure():  # job 1, which the caller runs beside that worker
+            try:
+                ways = [fork_ways(jobs) for jobs in (1, 2, 3, 50)]
+                cpus(2)
+                return ways, fork_ways(2), run([os.getpid] * 2, "a nested worker", "result")
+            finally:
+                measured.set()
+
+        cpus(3)
+        _, (ways, ways_on_two, pids) = run([busy, measure], "a test worker", "result")
+        assert ways == [1, 2, 2, 2]
+        assert ways_on_two == 1 and pids == [os.getpid()] * 2
+        assert len(started) == 1
+        assert fork_ways(2) == 2
+
 
 @needs_fork
-class TestAhead:
-    """ahead's items, errors and clean-up, with the producer in a forked
-    worker (two CPUs claimed) and in the caller (one)."""
-
-    @pytest.mark.parametrize("n_cpus", [1, 2])
-    def test_same_items_in_a_worker_and_inline(self, cpus, started, n_cpus):
-        cpus(n_cpus)
-
-        def produce():  # arrays of 0 to 80 kB, more than a pipe holds
-            for i in range(40):
-                yield os.getpid(), i, np.arange(i * 256, dtype=np.int64)
-
-        items = list(ahead(produce, "a test worker", "item"))
-        assert [i for _, i, _ in items] == list(range(40))
-        for i, (_, _, values) in enumerate(items):
-            np.testing.assert_array_equal(values, np.arange(i * 256))
-        in_caller = {pid for pid, _, _ in items} == {os.getpid()}
-        assert in_caller == (n_cpus == 1)
-        assert len(started) == n_cpus - 1
-        assert not multiprocessing.active_children()
-
-    def test_worker_exception_is_raised_where_its_item_would_be(self, cpus, started):
-        cpus(2)
-
-        def produce():
-            yield from range(3)
-            raise UndefinedMetricError(f"failed after 3 items in {os.getpid()}")
-
-        items = ahead(produce, "a test worker", "item")
-        assert [next(items) for _ in range(3)] == [0, 1, 2]
-        with pytest.raises(UndefinedMetricError, match="failed after 3 items") as info:
-            next(items)
-        assert str(os.getpid()) not in str(info.value)
-        assert len(started) == 1
-        assert not multiprocessing.active_children()
-
-    def test_a_killed_worker_is_an_error(self, cpus):
-        cpus(2)
-
-        def produce():
-            yield "first"
-            os.kill(os.getpid(), signal.SIGKILL)
-
-        started = time.monotonic()
-        items = ahead(produce, "a test worker", "item")
-        assert next(items) == "first"
-        message = "a test worker ended with exit code -9 before it sent its item"
-        with pytest.raises(EtlwatchError, match=message):
-            next(items)
-        assert time.monotonic() - started < 30
-        assert not multiprocessing.active_children()
-
-    def test_closing_or_leaving_early_stops_the_worker(self, cpus):
-        cpus(2)
-        items = ahead(itertools.count, "a test worker", "item")
-        assert [next(items) for _ in range(3)] == [0, 1, 2]
-        items.close()  # the worker is blocked on a full pipe, or still counting
-        assert not multiprocessing.active_children()
-        with pytest.raises(UndefinedMetricError):
-            for i in ahead(itertools.count, "a test worker", "item"):
-                if i == 2:
-                    raise UndefinedMetricError("the caller failed")
-        gc.collect()  # the abandoned iterator is closed when it is collected
-        assert not multiprocessing.active_children()
-
-    def test_a_worker_never_forks(self, cpus):
-        cpus(3)
-        assert list(ahead(lambda: [fork_ways(3)], "a test worker", "item")) == [1]
-        # job 1 runs in the caller while job 0's worker is live
-        jobs = [lambda: fork_ways(3)] * 2
-        assert run(jobs, "a test worker", "result") == [1, 2]
-
-    def test_live_workers_count_against_the_cpus(self, cpus):
-        cpus(3)
-
-        def produce():
-            yield "first"
-            time.sleep(60)  # busy until the caller closes the iterator
-
-        items = ahead(produce, "a test worker", "item")
-        next(items)
-        assert [fork_ways(jobs) for jobs in (1, 2, 3, 50)] == [1, 2, 2, 2]
-        cpus(2)
-        assert fork_ways(2) == 1
-        assert list(ahead(lambda: [os.getpid()], "a test worker", "item")) == [os.getpid()]
-        items.close()
-        assert fork_ways(2) == 2
+def test_generate_and_train_start_no_process(cpus, started):
+    cpus(2)
+    assert len(generate(StreamConfig(n_events=3_000, seed=11))) == 3_000
+    x = SeededRng(5).uniform_block(2_000 * 8, -1.0, 1.0).reshape(2_000, 8)
+    train(x, TrainConfig(epochs=50, batch_size=64, latent_dim=2))  # 100 000 shuffled rows
+    assert started == []
+    assert not multiprocessing.active_children()
