@@ -14,4 +14,4 @@ from .detector import calibrate_threshold, score, score_stream  # noqa: F401
 from .errors import EtlwatchError  # noqa: F401
 from .evaluation import DataBundle, auc, metrics_at_threshold, standard_benchmark  # noqa: F401
 from .preprocess import EtlEvent, FeatureSchema, fit_stats, standardize, vectorize  # noqa: F401
-from .streamgen import StreamConfig, generate, inject  # noqa: F401
+from .streamgen import StreamConfig, generate  # noqa: F401

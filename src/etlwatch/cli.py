@@ -51,7 +51,7 @@ from .preprocess import FeatureSchema, fit_stats, standardize, vectorize_events
 from .streamgen import (
     ANOMALY_CLASSES,
     AnomalyMix,
-    LabeledEvent,
+    LabeledStream,
     StreamConfig,
     generate as generate_stream,
     labels_sibling_path,
@@ -199,10 +199,10 @@ def _run_generate(params: dict) -> tuple[list[str], list[str], dict]:
         mix=mix,
         seed=params["seed"],
     )
-    events = generate_stream(cfg)
-    write_labeled_events(events, params["out"], holdout=params["holdout"])
-    n_anomalies = sum(1 for e in events if e.label)
-    click.echo(f"wrote {len(events)} events ({n_anomalies} anomalous) to {params['out']}")
+    stream = generate_stream(cfg)
+    write_labeled_events(stream, params["out"], holdout=params["holdout"])
+    n_anomalies = sum(stream.labels)
+    click.echo(f"wrote {len(stream)} events ({n_anomalies} anomalous) to {params['out']}")
     return [], [params["out"]], {"n_anomalies": n_anomalies}
 
 
@@ -355,7 +355,7 @@ def _run_sweep(params: dict) -> tuple[list[str], list[str], dict]:
         raise EtlwatchError(
             f"{stream} has unlabeled records and no labels file at {labels_sibling_path(stream)}"
         )
-    bundle = make_bundle([LabeledEvent(*row) for row in zip(events, labels, classes)])
+    bundle = make_bundle(LabeledStream(events, labels, classes))
     result = sweep(knob, _train_config(params), grid, bundle, seed)
     out_dir.mkdir(parents=True, exist_ok=True)
     for fmt, out_path in zip(formats, outputs):

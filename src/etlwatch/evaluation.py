@@ -45,7 +45,7 @@ from .preprocess import (
     standardize,
     vectorize_events,
 )
-from .streamgen import LabeledEvent, StreamConfig, generate
+from .streamgen import LabeledEvent, LabeledStream, StreamConfig, generate
 from .workers import fork_ways, run
 
 LR_GRID = (0.0001, 0.0005, 0.001, 0.005, 0.01)
@@ -191,14 +191,21 @@ class DataBundle:
 
 @collector_paused()
 def make_bundle(events: Sequence[LabeledEvent]) -> DataBundle:
-    """Split a labeled stream 60/20/20 in stream order and standardize it."""
+    """Split a labeled stream 60/20/20 in stream order and standardize it.
+
+    The stream is worked on as columns: a :class:`LabeledStream` as it is,
+    any other sequence of labeled events gathered into one first
+    (:meth:`LabeledStream.from_events`).
+    """
+    stream = LabeledStream.from_events(events)
     schema = FeatureSchema()
-    n = len(events)
+    n = len(stream)
     n_train = int(n * 0.6)
     n_val = int(n * 0.2)
-    train_part = [e.event for e in events[:n_train] if not e.label]
-    val_part = [e.event for e in events[n_train : n_train + n_val] if not e.label]
-    test_part = events[n_train + n_val :]
+    normal = [not label for label in stream.labels]
+    train_part = stream.events[:n_train].where(normal[:n_train])
+    val_part = stream.events[n_train : n_train + n_val].where(normal[n_train : n_train + n_val])
+    test_part = stream.events[n_train + n_val :]
     if len(train_part) < 2 or not val_part or not test_part:
         raise ContractViolationError("stream is too small to split into three parts")
 
@@ -206,10 +213,8 @@ def make_bundle(events: Sequence[LabeledEvent]) -> DataBundle:
     stats = fit_stats(x_train_raw)
     x_train = standardize(x_train_raw, stats)
     x_val = standardize(vectorize_events(val_part, schema), stats)
-    x_test = standardize(
-        vectorize_events([e.event for e in test_part], schema), stats
-    )
-    y_test = np.array([e.label for e in test_part], dtype=bool)
+    x_test = standardize(vectorize_events(test_part, schema), stats)
+    y_test = np.array(stream.labels[n_train + n_val :], dtype=bool)
     return DataBundle(
         x_train=x_train, x_val=x_val, x_test=x_test, y_test=y_test,
         stats=stats, schema=schema,

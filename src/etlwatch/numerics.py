@@ -115,15 +115,52 @@ class SeededRng:
     def shuffled_indices(self, n: int) -> np.ndarray:
         """Return a Fisher-Yates permutation of range(n).
 
-        Swap i (from n-1 down to 1) exchanges i with ``j = int(u_i)`` for
-        ``u_i`` in [0, i + 1); all n-1 draws come from one block draw.
+        Swap i (from n-1 down to 1) exchanges positions i and ``j_i =
+        int(u_i)`` for ``u_i`` in [0, i + 1); all n-1 draws come from one
+        block draw. The swaps are not run one by one; their result is worked
+        out in whole-array steps:
+
+        * Position i is final once swap i is done, and receives what j_i
+          held just before it: what the next swap t > i with ``j_t = j_i``
+          carried into j_i, or j_i itself if there is none.
+        * Swap t carried C(t), what position t held just before swap t. By
+          the same rule C(q) = C(W(q)) for the first t > q with ``j_t = q``,
+          W(q), and C(q) = q if there is none. Position 0 ends with C(0).
+          Every C that is read is at a position q with ``j_q != q``, or at 0.
+
+        One stable ``argsort`` of the j's (a radix sort on keys of at most
+        16 bits while n <= 65 536) groups the swaps by j with t ascending,
+        so neighbours in that order give each swap's next swap in its group
+        and each position's W. Pointer doubling along W then gives every C.
         """
         bounds = np.arange(n, 1, -1, dtype=np.float64)  # i + 1 for each swap
-        js = self.uniform_block(bounds.shape[0], 0.0, bounds).astype(np.int64)
-        perm = list(range(n))
-        for i, j in zip(range(n - 1, 0, -1), js.tolist()):
-            perm[i], perm[j] = perm[j], perm[i]
-        return np.array(perm, dtype=np.int_)
+        draws = self.uniform_block(bounds.shape[0], 0.0, bounds)
+        if n < 2:
+            return np.arange(n)
+        # js[t - 1] is j_t, for the swaps t = 1 ... n-1 in ascending order
+        js = draws[::-1].astype(np.min_scalar_type(n - 1))
+        order = np.argsort(js, kind="stable")
+        group, swap = js[order], order + 1
+        starts = np.empty(n - 1, dtype=bool)  # where each group of equal j's begins
+        starts[0] = True
+        np.not_equal(group[1:], group[:-1], out=starts[1:])
+        after = np.zeros(n, dtype=np.intp)  # the next swap in swap t's group, or 0
+        after[swap[:-1]] = np.where(starts[1:], 0, swap[1:])
+        # W(q) is the first swap of group q where that swap is not q itself.
+        # Where it is, j_q = q, and C(q) is never read: no swap carries into
+        # q after swap q, so q is neither a next swap nor a W.
+        firsts = np.flatnonzero(starts)
+        carried = np.arange(n)  # W(q) where there is one, and q where not
+        carried[group[firsts]] = swap[firsts]
+        while True:
+            further = carried[carried]
+            if np.array_equal(further, carried):
+                break
+            carried = further
+        perm = np.empty(n, dtype=np.int_)
+        perm[0] = carried[0]
+        perm[1:] = np.where(after[1:] > 0, carried[after[1:]], js)
+        return perm
 
 
 def as_matrix(m: np.ndarray, name: str = "matrix") -> np.ndarray:

@@ -88,10 +88,17 @@ class EtlEvent:
             raise ContractViolationError(
                 f"missing_mask must have {len(MASKABLE_FIELDS)} entries, got {len(mask)}"
             )
-        values = (self.amount, self.latency_ms, self.task_duration_s, self.records_loaded)
-        for value, masked, name in zip(values, (*mask, False), NUMERIC_FIELDS):
-            if not masked and not math.isfinite(float(value)):
-                raise ContractViolationError(f"non-finite value for field {name!r}: {value}")
+        numbers = (self.amount, self.latency_ms, self.task_duration_s, self.records_loaded)
+        check_finite(numbers, mask)
+
+
+def check_finite(numbers: Sequence, mask: Sequence[bool]) -> None:
+    """Raise on the first of an event's four numerics, in :data:`NUMERIC_FIELDS`
+    order, that is neither masked nor finite: the check every :class:`EtlEvent`
+    passes, with ``mask`` its ``missing_mask``."""
+    for value, masked, name in zip(numbers, (*mask, False), NUMERIC_FIELDS):
+        if not masked and not math.isfinite(float(value)):
+            raise ContractViolationError(f"non-finite value for field {name!r}: {value}")
 
 
 EVENT_FIELDS = tuple(field.name for field in dataclass_fields(EtlEvent))
@@ -226,10 +233,12 @@ def _integers(values: list, name: str, first: FirstFailure) -> list[int]:
 class EventBatch(Sequence[EtlEvent]):
     """Events held as one list per :class:`EtlEvent` field, in input order.
 
-    ``batch[i]`` builds the event of row ``i``; a slice and :meth:`where`
-    give new batches over the same values. The columns are not checked
-    here: :meth:`from_events` takes them from checked events and
-    :meth:`from_records` checks decoded records.
+    ``batch[i]`` builds the event of row ``i`` and ``batch[i] = event``
+    writes an event's fields into row ``i``; a slice and :meth:`where` give
+    new batches over the same values. The columns are not checked here:
+    :meth:`from_events` takes them from checked events,
+    :meth:`from_records` checks decoded records, and a caller of
+    :meth:`from_rows` checks its rows.
     """
 
     __slots__ = EVENT_FIELDS
@@ -253,6 +262,10 @@ class EventBatch(Sequence[EtlEvent]):
             return EventBatch(*(column[index] for column in self.columns()))
         return EtlEvent(*(column[index] for column in self.columns()))
 
+    def __setitem__(self, index: int, event: EtlEvent) -> None:
+        for column, value in zip(self.columns(), _EVENT_ROW(event)):
+            column[index] = value
+
     def __iter__(self) -> Iterator[EtlEvent]:
         return itertools.starmap(EtlEvent, zip(*self.columns()))
 
@@ -274,7 +287,12 @@ class EventBatch(Sequence[EtlEvent]):
         """The events as a batch; a batch is returned as it is."""
         if isinstance(events, EventBatch):
             return events
-        columns = [list(column) for column in zip(*map(_EVENT_ROW, events))]
+        return cls.from_rows(map(_EVENT_ROW, events))
+
+    @classmethod
+    def from_rows(cls, rows: Iterable[Sequence]) -> EventBatch:
+        """Rows of an event's field values, in :data:`EVENT_FIELDS` order, as a batch."""
+        columns = [list(column) for column in zip(*rows)]
         return cls(*(columns or [[] for _ in EVENT_FIELDS]))
 
     @classmethod
@@ -549,20 +567,6 @@ def parse_event(record: dict) -> EtlEvent:
     if first.message is not None:
         raise ContractViolationError(first.message)
     return batch[0]
-
-
-def event_to_dict(event: EtlEvent) -> dict:
-    return {
-        "event_id": event.event_id,
-        "timestamp": event.timestamp,
-        "amount": event.amount,
-        "latency_ms": event.latency_ms,
-        "task_duration_s": event.task_duration_s,
-        "records_loaded": event.records_loaded,
-        "device_type": event.device_type,
-        "geo_region": event.geo_region,
-        "missing_mask": list(event.missing_mask),
-    }
 
 
 # orjson reads an integer literal outside the 64-bit range as a float, where

@@ -12,6 +12,12 @@ Every numeric draw is rejection-truncated to the 0.001-0.999 quantile band
 of its conditional distribution, so normal events stay in the bulk and the
 fault injectors below are what push events out of it.
 
+A stream is held as columns, a :class:`LabeledStream`. :func:`generate`
+draws each event's field values as one row, checks them as an
+:class:`~etlwatch.preprocess.EtlEvent` would be checked, applies the event's
+fault to them (:func:`inject`), if any, and checks them again; the rows
+become the stream's columns once every event is drawn.
+
 Fault classes (applied to a freshly drawn normal event):
 
 * ``delay``     - latency multiplied by a factor uniform in [5, 20]
@@ -35,10 +41,11 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
+from operator import attrgetter, itemgetter
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import ContractViolationError
 from .numerics import SeededRng
@@ -46,15 +53,17 @@ from .preprocess import (
     ABSENT,
     DEFAULT_DEVICE_TYPES,
     DEFAULT_GEO_REGIONS,
+    EVENT_FIELDS,
     EVENT_RECORD_FIELDS,
     MASKABLE_FIELDS,
     MS_PER_DAY,
+    NUMERIC_FIELDS,
     EtlEvent,
     EventBatch,
     FirstFailure,
     Records,
+    check_finite,
     collector_paused,
-    event_to_dict,
     read_chunks,
 )
 
@@ -142,12 +151,74 @@ class LabeledEvent:
     anomaly_class: str | None = None
 
     def __post_init__(self) -> None:
-        if self.label != (self.anomaly_class is not None):
-            raise ContractViolationError(
-                "anomaly_class must be present exactly when label is true"
-            )
-        if self.anomaly_class is not None and self.anomaly_class not in ANOMALY_CLASSES:
-            raise ContractViolationError(f"unknown anomaly class {self.anomaly_class!r}")
+        _check_pair(self.label, self.anomaly_class)
+
+
+def _check_pair(label: object, anomaly_class: object) -> None:
+    """Raise unless ``anomaly_class`` is one of :data:`ANOMALY_CLASSES`
+    exactly when ``label`` is true, and None when it is false."""
+    if label != (anomaly_class is not None):
+        raise ContractViolationError("anomaly_class must be present exactly when label is true")
+    if anomaly_class is not None and anomaly_class not in ANOMALY_CLASSES:
+        raise ContractViolationError(f"unknown anomaly class {anomaly_class!r}")
+
+
+# every (label, anomaly_class) pair that _check_pair passes
+_LABEL_PAIRS = {(False, None), *((True, name) for name in ANOMALY_CLASSES)}
+
+
+class LabeledStream(Sequence[LabeledEvent]):
+    """Labeled events held as columns: an :class:`EventBatch`, and a label
+    and an anomaly class per event.
+
+    ``stream[i]`` builds the :class:`LabeledEvent` of row ``i`` and a slice
+    gives a new stream; ``stream[i] = item`` writes an item's fields into
+    row ``i``. Every label and class pair is checked as ``LabeledEvent``
+    checks it: the first bad pair raises its error.
+    """
+
+    __slots__ = ("events", "labels", "classes")
+
+    def __init__(
+        self, events: EventBatch, labels: list[bool], classes: list[str | None]
+    ) -> None:
+        if not len(events) == len(labels) == len(classes):
+            raise ContractViolationError("a labeled stream needs one label and class per event")
+        try:
+            checked = set(zip(labels, classes)) <= _LABEL_PAIRS
+        except TypeError:  # an unhashable class, which the scan below refuses
+            checked = False
+        if not checked:
+            for pair in zip(labels, classes):
+                _check_pair(*pair)
+        self.events, self.labels, self.classes = events, labels, classes
+
+    @classmethod
+    def from_events(cls, items: Iterable[LabeledEvent]) -> LabeledStream:
+        """The labeled events as a stream; a stream is returned as it is."""
+        if isinstance(items, LabeledStream):
+            return items
+        items = list(items)
+        return cls(
+            EventBatch.from_events(map(attrgetter("event"), items)),
+            list(map(attrgetter("label"), items)),
+            list(map(attrgetter("anomaly_class"), items)),
+        )
+
+    def __len__(self) -> int:
+        return len(self.labels)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return LabeledStream(self.events[index], self.labels[index], self.classes[index])
+        return LabeledEvent(self.events[index], self.labels[index], self.classes[index])
+
+    def __setitem__(self, index: int, item: LabeledEvent) -> None:
+        self.events[index] = item.event
+        self.labels[index], self.classes[index] = item.label, item.anomaly_class
+
+    def __iter__(self) -> Iterator[LabeledEvent]:
+        return map(LabeledEvent, self.events, self.labels, self.classes)
 
 
 # --- distribution samplers ------------------------------------------------
@@ -317,6 +388,10 @@ def _fill_poisson_bands(cfg: StreamConfig) -> None:
 
 
 _NO_MASK = (False,) * len(MASKABLE_FIELDS)
+# An event drawn here is a row: a list of its field values in EVENT_FIELDS
+# order; _AT gives each field's position in it.
+_AT = {name: i for i, name in enumerate(EVENT_FIELDS)}
+_NUMBERS = itemgetter(*(_AT[name] for name in NUMERIC_FIELDS))
 
 
 class _NormalEvents:
@@ -347,9 +422,9 @@ class _NormalEvents:
         self._latency = (g_lo * cfg.latency_scale, g_hi * cfg.latency_scale)
         self._duration = _unit_gamma_band(cfg.duration_shape)
 
-    def draw(self, unit: Unit, timestamp: int, event_id: str) -> EtlEvent:
-        """One normal event; each numeric value is redrawn until it lies in
-        its band, at most ``_MAX_TRIES`` times."""
+    def draw(self, unit: Unit, timestamp: int, event_id: str) -> list:
+        """The row of one normal event, unchecked; each numeric value is
+        redrawn until it lies in its band, at most ``_MAX_TRIES`` times."""
         cfg = self.cfg
         lf = load_factor(cfg, timestamp)
         device = sample_categorical(unit, self.devices)
@@ -386,7 +461,7 @@ class _NormalEvents:
                 break
         else:
             raise _no_draw_inside(lo, hi)
-        return EtlEvent(
+        return [
             timestamp,
             amount,
             latency,
@@ -396,7 +471,7 @@ class _NormalEvents:
             DEFAULT_GEO_REGIONS[geo],
             _NO_MASK,
             event_id,
-        )
+        ]
 
 
 _MAX_TRIES = 10_000
@@ -416,56 +491,68 @@ def _uniform(unit: Unit, lo: float, hi: float) -> float:
     return value if value < hi else math.nextafter(hi, lo)
 
 
-def inject(event: EtlEvent, anomaly_class: str, unit: Unit) -> EtlEvent:
-    """Apply one fault signature to a freshly drawn normal event."""
+def inject(row: list, anomaly_class: str, unit: Unit) -> None:
+    """Apply one fault signature, in place, to the row of a freshly drawn
+    normal event (see :meth:`_NormalEvents.draw`)."""
     if anomaly_class == "delay":
-        factor = _uniform(unit, *DELAY_FACTOR_RANGE)
-        return replace(event, latency_ms=event.latency_ms * factor)
-    if anomaly_class == "missing":
+        row[_AT["latency_ms"]] *= _uniform(unit, *DELAY_FACTOR_RANGE)
+    elif anomaly_class == "missing":
         n = float(len(MASKABLE_FIELDS))
         n_missing = 1 + int(_uniform(unit, 0.0, n))
         chosen: set[int] = set()
         while len(chosen) < n_missing:
             chosen.add(int(_uniform(unit, 0.0, n)))
-        mask = tuple(i in chosen for i in range(len(MASKABLE_FIELDS)))
-        updates = {MASKABLE_FIELDS[i]: 0.0 for i in sorted(chosen)}
-        return replace(event, missing_mask=mask, **updates)
-    if anomaly_class == "duplicate":
-        return replace(
-            event,
-            records_loaded=event.records_loaded * 2,
-            task_duration_s=event.task_duration_s * 0.5,
-        )
-    if anomaly_class == "spike":
-        factor = _uniform(unit, *SPIKE_FACTOR_RANGE)
-        return replace(event, amount=event.amount * factor)
-    raise ContractViolationError(f"unknown anomaly class {anomaly_class!r}")
+        for i in chosen:
+            row[_AT[MASKABLE_FIELDS[i]]] = 0.0
+        row[_AT["missing_mask"]] = tuple(i in chosen for i in range(len(MASKABLE_FIELDS)))
+    elif anomaly_class == "duplicate":
+        row[_AT["records_loaded"]] *= 2
+        row[_AT["task_duration_s"]] *= 0.5
+    elif anomaly_class == "spike":
+        row[_AT["amount"]] *= _uniform(unit, *SPIKE_FACTOR_RANGE)
+    else:
+        raise ContractViolationError(f"unknown anomaly class {anomaly_class!r}")
+
+
+def _check(row: list) -> None:
+    """:func:`~etlwatch.preprocess.check_finite` of a row, the check an
+    :class:`EtlEvent` of it would make. A finite sum of the three floats and
+    a finite count show that every number is finite, and spare the call."""
+    amount, latency, duration, records = numbers = _NUMBERS(row)
+    if not (math.isfinite(amount + latency + duration) and math.isfinite(records)):
+        check_finite(numbers, row[_AT["missing_mask"]])
 
 
 @collector_paused()
-def generate(cfg: StreamConfig) -> list[LabeledEvent]:
+def generate(cfg: StreamConfig) -> LabeledStream:
     """Generate ``cfg.n_events`` labeled events with strictly increasing timestamps.
 
-    Each event is drawn, built and checked as an :class:`EtlEvent`, then
-    given its fault (see :func:`inject`), if any, before the next is drawn.
-    The Poisson bands of every mean the config can reach are cached first
-    (:func:`_fill_poisson_bands`).
+    Each event is drawn as a row of field values and checked as an
+    :class:`EtlEvent` would be, then given its fault (see :func:`inject`),
+    if any, and checked again, before the next is drawn. The rows become the
+    stream's columns at the end. The Poisson bands of every mean the config
+    can reach are cached first (:func:`_fill_poisson_bands`).
     """
     _fill_poisson_bands(cfg)
     unit = SeededRng(cfg.seed).fractions()
     normal = _NormalEvents(cfg)
     mix = running_sums(cfg.mix.weights())
     timestamp = cfg.start_timestamp
-    out: list[LabeledEvent] = []
+    rows: list[list] = []
+    classes: list[str | None] = []
     for i in range(cfg.n_events):
         timestamp += max(1, round(sample_exponential(unit, cfg.mean_gap_ms)))
-        event = normal.draw(unit, timestamp, f"evt-{i:06d}")
+        row = normal.draw(unit, timestamp, f"evt-{i:06d}")
+        _check(row)
+        anomaly_class = None
         if unit() < cfg.anomaly_rate:
             anomaly_class = ANOMALY_CLASSES[sample_categorical(unit, mix)]
-            out.append(LabeledEvent(inject(event, anomaly_class, unit), True, anomaly_class))
-        else:
-            out.append(LabeledEvent(event, False))
-    return out
+            inject(row, anomaly_class, unit)
+            _check(row)
+        rows.append(row)
+        classes.append(anomaly_class)
+    labels = [anomaly_class is not None for anomaly_class in classes]
+    return LabeledStream(EventBatch.from_rows(rows), labels, classes)
 
 
 # --- labeled-event files ----------------------------------------------------
@@ -474,34 +561,33 @@ def labels_sibling_path(path: str | Path) -> Path:
     return Path(path).with_suffix(".labels.jsonl")
 
 
+# The keys of a written event record, in order.
+_RECORD_KEYS = ("event_id", *EVENT_FIELDS[:-1])
+_LABEL_KEYS = ("event_id", "label", "anomaly_class")
+
+
 def write_labeled_events(
-    events: list[LabeledEvent], path: str | Path, holdout: bool = False
+    events: Sequence[LabeledEvent], path: str | Path, holdout: bool = False
 ) -> None:
-    """Write one JSON record per event.
+    """Write one JSON record per event, from the columns of the stream
+    (:meth:`LabeledStream.from_events`).
 
     With ``holdout=True`` the event file carries no label fields and the
     labels go to a sibling ``<stem>.labels.jsonl`` file keyed by event_id.
     """
+    stream = LabeledStream.from_events(events)
+    columns = [getattr(stream.events, name) for name in _RECORD_KEYS]
+    keys = _RECORD_KEYS
+    if not holdout:
+        columns += [stream.labels, stream.classes]
+        keys += _LABEL_KEYS[1:]
     with open(path, "w", encoding="utf-8") as fh:
-        for item in events:
-            record = event_to_dict(item.event)
-            if not holdout:
-                record["label"] = item.label
-                record["anomaly_class"] = item.anomaly_class
-            fh.write(json.dumps(record) + "\n")
+        for values in zip(*columns):
+            fh.write(json.dumps(dict(zip(keys, values))) + "\n")
     if holdout:
         with open(labels_sibling_path(path), "w", encoding="utf-8") as fh:
-            for item in events:
-                fh.write(
-                    json.dumps(
-                        {
-                            "event_id": item.event.event_id,
-                            "label": item.label,
-                            "anomaly_class": item.anomaly_class,
-                        }
-                    )
-                    + "\n"
-                )
+            for values in zip(stream.events.event_id, stream.labels, stream.classes):
+                fh.write(json.dumps(dict(zip(_LABEL_KEYS, values))) + "\n")
 
 
 # The fields of a stream record: an event's, and its optional label and class.

@@ -5,8 +5,9 @@ record, one line or one tie group at a time, with fresh arrays for every
 intermediate. The tests compare the library's column-wise encoder, its
 column readers of streams, labels files and detections, its line writers,
 its JSON-lines reader, its rank computation, its sigmoid, its epoch loss, its gradient
-kernel, its stream generator and its random draws with these, bit for bit and
-byte for byte.
+kernel, its stream generator and fault injector, its labeled-stream writer,
+its bundle split and its random draws with these, bit for bit and byte for
+byte.
 """
 
 import csv
@@ -26,13 +27,16 @@ from etlwatch.preprocess import (
     DEFAULT_GEO_REGIONS,
     MASKABLE_FIELDS,
     EtlEvent,
+    FeatureSchema,
+    fit_stats,
     hour_angle,
     standardize,
 )
 from etlwatch.streamgen import (
     ANOMALY_CLASSES,
+    DELAY_FACTOR_RANGE,
+    SPIKE_FACTOR_RANGE,
     LabeledEvent,
-    inject,
     load_factor,
     sample_exponential,
     sample_gamma,
@@ -399,6 +403,38 @@ def _draw_normal_event(cfg, unit, timestamp, event_id):
     )
 
 
+def _uniform(unit, lo, hi):
+    value = lo + unit() * (hi - lo)
+    return value if value < hi else math.nextafter(hi, lo)
+
+
+def inject(event, anomaly_class, unit):
+    """Apply one fault signature to a built event through ``dataclasses.replace``,
+    which checks the faulted event as a new one."""
+    if anomaly_class == "delay":
+        factor = _uniform(unit, *DELAY_FACTOR_RANGE)
+        return replace(event, latency_ms=event.latency_ms * factor)
+    if anomaly_class == "missing":
+        n = float(len(MASKABLE_FIELDS))
+        n_missing = 1 + int(_uniform(unit, 0.0, n))
+        chosen = set()
+        while len(chosen) < n_missing:
+            chosen.add(int(_uniform(unit, 0.0, n)))
+        mask = tuple(i in chosen for i in range(len(MASKABLE_FIELDS)))
+        updates = {MASKABLE_FIELDS[i]: 0.0 for i in sorted(chosen)}
+        return replace(event, missing_mask=mask, **updates)
+    if anomaly_class == "duplicate":
+        return replace(
+            event,
+            records_loaded=event.records_loaded * 2,
+            task_duration_s=event.task_duration_s * 0.5,
+        )
+    if anomaly_class == "spike":
+        factor = _uniform(unit, *SPIKE_FACTOR_RANGE)
+        return replace(event, amount=event.amount * factor)
+    raise ContractViolationError(f"unknown anomaly class {anomaly_class!r}")
+
+
 def generate(cfg):
     """A labeled stream, each event's bands and draws worked out on their own,
     with one raw draw of the scalar oracle per fraction."""
@@ -414,6 +450,63 @@ def generate(cfg):
         else:
             out.append(LabeledEvent(event, False))
     return out
+
+
+def make_bundle(items):
+    """The 60/20/20 bundle of a list of labeled events as ``(x_train, x_val,
+    x_test, y_test)``, its parts picked and encoded one event at a time."""
+    schema = FeatureSchema()
+    n = len(items)
+    n_train, n_val = int(n * 0.6), int(n * 0.2)
+    train_part = [item.event for item in items[:n_train] if not item.label]
+    val_part = [item.event for item in items[n_train : n_train + n_val] if not item.label]
+    test_part = items[n_train + n_val :]
+
+    def rows(events):
+        return np.array([vectorize_row(event, schema) for event in events])
+
+    x_train = rows(train_part)
+    stats = fit_stats(x_train)
+    return (
+        standardize(x_train, stats),
+        standardize(rows(val_part), stats),
+        standardize(rows([item.event for item in test_part]), stats),
+        np.array([item.label for item in test_part], dtype=bool),
+    )
+
+
+def event_to_dict(event):
+    """One event as the record a stream file holds for it."""
+    return {
+        "event_id": event.event_id,
+        "timestamp": event.timestamp,
+        "amount": event.amount,
+        "latency_ms": event.latency_ms,
+        "task_duration_s": event.task_duration_s,
+        "records_loaded": event.records_loaded,
+        "device_type": event.device_type,
+        "geo_region": event.geo_region,
+        "missing_mask": list(event.missing_mask),
+    }
+
+
+def write_labeled_events(items, path, holdout=False):
+    """One ``json.dumps`` of a dict per labeled event, built from the event."""
+    with open(path, "w", encoding="utf-8") as fh:
+        for item in items:
+            record = event_to_dict(item.event)
+            if not holdout:
+                record["label"] = item.label
+                record["anomaly_class"] = item.anomaly_class
+            fh.write(json.dumps(record) + "\n")
+    if holdout:
+        with open(streamgen.labels_sibling_path(path), "w", encoding="utf-8") as fh:
+            for item in items:
+                fh.write(json.dumps({
+                    "event_id": item.event.event_id,
+                    "label": item.label,
+                    "anomaly_class": item.anomaly_class,
+                }) + "\n")
 
 
 def reference_uniform(rng, lo: float = 0.0, hi: float = 1.0) -> float:

@@ -652,6 +652,25 @@ class TestSweep:
         )
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("label, anomaly_class, message", [
+        (True, "gremlins", "unknown anomaly class 'gremlins'"),
+        (False, "delay", "anomaly_class must be present exactly when label is true"),
+    ])
+    def test_a_label_and_class_that_disagree_are_one_line_error(
+        self, runner, workspace, tmp_path, label, anomaly_class, message
+    ):
+        _, stream, _ = workspace
+        lines = stream.read_text().splitlines()
+        record = json.loads(lines[2])
+        record.update(label=label, anomaly_class=anomaly_class)
+        lines[2] = json.dumps(record)
+        edited = tmp_path / "stream.jsonl"
+        edited.write_text("\n".join(lines) + "\n")
+        result = runner.invoke(main, ["sweep", str(edited), "--knob", "k", "--grid", "4",
+                                      "--epochs", "1", "--out-dir", str(tmp_path / "out")])
+        assert error_line(result, 1) == f"Error: {message}"
+        assert not (tmp_path / "out").exists()
+
     def test_lr_sweep_row_count(self, runner, workspace, tmp_path):
         _, stream, _ = workspace
         run_ok(runner, ["sweep", str(stream), "--knob", "lr",

@@ -29,13 +29,13 @@ from etlwatch.preprocess import (
     EtlEvent,
     FeatureSchema,
     StandardizationStats,
-    event_to_dict,
     fit_stats,
     standardize,
     vectorize,
 )
 from etlwatch.streamgen import StreamConfig, generate
 import reference
+from reference import event_to_dict
 
 
 def passthrough_stats(d: int) -> StandardizationStats:

@@ -234,6 +234,23 @@ class TestRngOracles:
         np.testing.assert_array_equal(perm, expected)
         assert rng.next_u64() == oracle_rng.next_u64()
 
+    @given(st.integers(min_value=0, max_value=2**64 - 1), st.integers(min_value=0, max_value=3000))
+    @settings(max_examples=200, deadline=None)
+    def test_shuffle_equals_scalar_fisher_yates_at_any_size(self, seed, n):
+        perm = SeededRng(seed).shuffled_indices(n)
+        expected = reference_shuffled_indices(SeededRng(seed), n)
+        assert perm.dtype == expected.dtype
+        np.testing.assert_array_equal(perm, expected)
+
+    # the sort key widens past 16 bits after 65 536, and past 65 535 in value at 100 000
+    @pytest.mark.parametrize("n", [65_536, 65_537, 100_000])
+    def test_shuffle_matches_scalar_fisher_yates_at_the_key_width_edge(self, n):
+        rng, oracle_rng = SeededRng(n), SeededRng(n)
+        np.testing.assert_array_equal(
+            rng.shuffled_indices(n), reference_shuffled_indices(oracle_rng, n)
+        )
+        assert rng.next_u64() == oracle_rng.next_u64()
+
     @pytest.mark.parametrize("d, k", [(16, 4), (16, 128), (1, 1)])
     def test_init_params_matches_per_element_uniform(self, d, k):
         rng, oracle_rng = SeededRng(7), SeededRng(7)

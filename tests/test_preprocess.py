@@ -31,7 +31,6 @@ from etlwatch.preprocess import (
     EventBatch,
     FeatureSchema,
     encode_events,
-    event_to_dict,
     fit_stats,
     hour_angle,
     parse_event,
@@ -50,7 +49,7 @@ from etlwatch.streamgen import (
 )
 import reference
 from reference import read_jsonl as per_line_read_jsonl
-from reference import vectorize_row
+from reference import event_to_dict, vectorize_row
 
 SCHEMA = FeatureSchema()
 

@@ -1,8 +1,10 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -10,16 +12,18 @@ import pytest
 import reference
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from reference import ReferenceRng
+from reference import ReferenceRng, event_to_dict
 
 from etlwatch import preprocess, streamgen
 from etlwatch.errors import ContractViolationError
+from etlwatch.evaluation import make_bundle
 from etlwatch.numerics import SeededRng
-from etlwatch.preprocess import MASKABLE_FIELDS, event_to_dict
+from etlwatch.preprocess import EVENT_FIELDS, MASKABLE_FIELDS, EtlEvent
 from etlwatch.streamgen import (
     ANOMALY_CLASSES,
     AnomalyMix,
     LabeledEvent,
+    LabeledStream,
     StreamConfig,
     generate,
     inject,
@@ -54,25 +58,25 @@ class TestGenerate:
     def test_same_seed_gives_identical_streams(self):
         a = generate(StreamConfig(n_events=200, seed=5))
         b = generate(StreamConfig(n_events=200, seed=5))
-        assert a == b
+        assert list(a) == list(b)
 
     @pytest.mark.parametrize("seed", [0, 7, 2**64 - 1])
     def test_equals_a_run_on_the_scalar_reference_rng(self, monkeypatch, seed):
         # a 20 % anomaly rate exercises every injector's draws
         cfg = StreamConfig(n_events=1500, anomaly_rate=0.2, seed=seed)
-        events = generate(cfg)
+        events = list(generate(cfg))
         monkeypatch.setattr(streamgen, "SeededRng", ReferenceRng)
-        assert generate(cfg) == events
+        assert list(generate(cfg)) == events
 
     @pytest.mark.parametrize("seed", [0, 7, 11, 2**64 - 1])
     @pytest.mark.parametrize("changes", CONFIGS.values(), ids=CONFIGS)
     def test_equals_the_per_event_reference(self, seed, changes):
         cfg = StreamConfig(n_events=400, seed=seed, **changes)
-        assert generate(cfg) == reference.generate(cfg)
+        assert list(generate(cfg)) == reference.generate(cfg)
 
     def test_equals_the_per_event_reference_at_full_size(self, benchmark_stream):
         # the default config: 10 000 events at seed 7
-        assert benchmark_stream == reference.generate(StreamConfig(seed=7))
+        assert list(benchmark_stream) == reference.generate(StreamConfig(seed=7))
 
     def test_a_band_no_draw_reaches_is_an_error(self, monkeypatch):
         calls = 0
@@ -104,6 +108,26 @@ class TestGenerate:
         cfg = StreamConfig(n_events=700, seed=11, amount_log_mu=math.inf)
         with pytest.raises(ContractViolationError, match="non-finite value for field 'amount'"):
             generate(cfg)
+
+    @pytest.mark.parametrize("field, changes", [
+        ("amount", {"amount_log_mu": math.inf}),
+        ("latency_ms", {"latency_scale": math.inf}),
+        ("task_duration_s", {"duration_scale": math.inf}),
+        # exp(709) is finite, and ten times it is not: every spike overflows
+        ("amount", {"amount_log_mu": 709.0, "amount_log_sigma": 0.01,
+                    "amount_device_offsets": (0.0, 0.0, 0.0),
+                    "anomaly_rate": 0.5, "mix": AnomalyMix(0.0, 0.0, 0.0, 1.0)}),
+    ])
+    def test_a_non_finite_value_is_refused_as_an_event_refuses_it(self, field, changes):
+        # before its fault, or after it when only the fault overflows
+        cfg = StreamConfig(n_events=200, seed=3, **changes)
+        with pytest.raises(ContractViolationError) as info:
+            reference.generate(cfg)
+        assert str(info.value) == f"non-finite value for field {field!r}: inf"
+        with pytest.raises(ContractViolationError, match=re.escape(str(info.value))):
+            generate(cfg)
+        if "mix" in changes:  # the normal events before the first spike pass
+            assert len(generate(replace(cfg, anomaly_rate=0.0))) == 200
 
     @pytest.mark.parametrize(
         "field, sampler",
@@ -138,7 +162,7 @@ class TestGenerate:
     def test_different_seeds_differ(self):
         a = generate(StreamConfig(n_events=50, seed=5))
         b = generate(StreamConfig(n_events=50, seed=6))
-        assert a != b
+        assert list(a) != list(b)
 
     def test_anomaly_count_in_binomial_interval(self, benchmark_stream):
         # binomial(10^4, 0.05): mean 500, 5 sigma ~ 109
@@ -213,7 +237,7 @@ class TestPoissonBands:
         cfg = StreamConfig(n_events=300, seed=5, records_mean=100.0)
         streamgen._fill_poisson_bands(cfg)
         assert not empty_cache()
-        assert generate(cfg) == reference.generate(cfg)
+        assert list(generate(cfg)) == reference.generate(cfg)
         assert 0 < len(empty_cache()) <= streamgen._POISSON_CACHE
 
 
@@ -262,44 +286,59 @@ class TestInject:
     def normal_event(self):
         return generate(StreamConfig(n_events=1, anomaly_rate=0.0, seed=2))[0].event
 
+    @staticmethod
+    def inject(event, anomaly_class, unit):
+        """``streamgen.inject`` on the row of ``event``, built back into an event."""
+        row = [getattr(event, name) for name in EVENT_FIELDS]
+        streamgen.inject(row, anomaly_class, unit)
+        return EtlEvent(*row)
+
     def test_delay_strictly_increases_latency(self, normal_event):
-        out = inject(normal_event, "delay", SeededRng(1).fractions())
+        out = self.inject(normal_event, "delay", SeededRng(1).fractions())
         assert out.latency_ms > normal_event.latency_ms
         factor = out.latency_ms / normal_event.latency_ms
         assert 5.0 <= factor <= 20.0
 
     def test_missing_sets_mask_and_zeroes_fields(self, normal_event):
-        out = inject(normal_event, "missing", SeededRng(2).fractions())
+        out = self.inject(normal_event, "missing", SeededRng(2).fractions())
         assert any(out.missing_mask)
         for i, field in enumerate(MASKABLE_FIELDS):
             if out.missing_mask[i]:
                 assert getattr(out, field) == 0.0
 
     def test_duplicate_signature(self, normal_event):
-        out = inject(normal_event, "duplicate", SeededRng(3).fractions())
+        out = self.inject(normal_event, "duplicate", SeededRng(3).fractions())
         assert out.records_loaded == 2 * normal_event.records_loaded
         assert out.task_duration_s == pytest.approx(normal_event.task_duration_s / 2)
 
     def test_spike_bounds(self, normal_event):
-        out = inject(normal_event, "spike", SeededRng(4).fractions())
+        out = self.inject(normal_event, "spike", SeededRng(4).fractions())
         assert 10.0 * normal_event.amount <= out.amount <= 50.0 * normal_event.amount
 
     def test_open_bound_guard_keeps_each_draw_below_its_bound(self, normal_event):
         # the largest fraction, 1 - 2^-53, makes lo + u * (hi - lo) round onto
         # 20 for the delay factor; the guard takes the float below the bound
         top = 1.0 - 2.0**-53
-        delayed = inject(normal_event, "delay", lambda: top)
+        delayed = self.inject(normal_event, "delay", lambda: top)
         assert delayed.latency_ms / normal_event.latency_ms < 20.0
         assert delayed.latency_ms == normal_event.latency_ms * math.nextafter(20.0, 0.0)
-        spiked = inject(normal_event, "spike", lambda: top)
+        spiked = self.inject(normal_event, "spike", lambda: top)
         assert spiked.amount / normal_event.amount < 50.0
         # three fields to mask, the first of them the last index
-        masked = inject(normal_event, "missing", iter([top, top, 0.0, 0.5]).__next__)
+        masked = self.inject(normal_event, "missing", iter([top, top, 0.0, 0.5]).__next__)
         assert masked.missing_mask == (True,) * len(MASKABLE_FIELDS)
+
+    @pytest.mark.parametrize("seed", range(8))
+    @pytest.mark.parametrize("anomaly_class", ANOMALY_CLASSES)
+    def test_equals_the_per_event_reference(self, normal_event, anomaly_class, seed):
+        unit, oracle_unit = SeededRng(seed).fractions(), SeededRng(seed).fractions()
+        expected = reference.inject(normal_event, anomaly_class, oracle_unit)
+        assert self.inject(normal_event, anomaly_class, unit) == expected
+        assert unit() == oracle_unit()  # both drew the same number of fractions
 
     def test_unknown_class(self, normal_event):
         with pytest.raises(ContractViolationError):
-            inject(normal_event, "gremlins", SeededRng(5).fractions())
+            self.inject(normal_event, "gremlins", SeededRng(5).fractions())
 
 
 class TestSamplers:
@@ -359,7 +398,7 @@ class TestLabeledEventFiles:
         path = tmp_path / "stream.jsonl"
         write_labeled_events(events, path)
         assert not labels_sibling_path(path).exists()
-        assert read_labeled(path) == events
+        assert read_labeled(path) == list(events)
         assert len(path.read_text().splitlines()) == 60
 
     def test_holdout_round_trip(self, tmp_path):
@@ -368,7 +407,7 @@ class TestLabeledEventFiles:
         write_labeled_events(events, path, holdout=True)
         assert "label" not in path.read_text().splitlines()[0]
         assert labels_sibling_path(path).exists()
-        assert read_labeled(path) == events
+        assert read_labeled(path) == list(events)
 
     def test_holdout_labels_come_from_the_sibling_file_when_it_exists(self, tmp_path):
         events = generate(StreamConfig(n_events=60, seed=4))
@@ -390,7 +429,7 @@ class TestLabeledEventFiles:
             raise AssertionError(f"looked for the labels file of {path}")
 
         monkeypatch.setattr(streamgen, "labels_sibling_path", looked)
-        assert read_labeled(path) == events
+        assert read_labeled(path) == list(events)
 
     def test_holdout_event_missing_from_labels_file_fails(self, tmp_path):
         events = generate(StreamConfig(n_events=5, seed=4))
@@ -420,6 +459,89 @@ class TestLabeledEventFiles:
         path.write_text("\n".join(json.dumps(r) for r in rows) + "\n")
         read, _, _ = read_stream(path)
         assert [e.event_id for e in read] == ["line-1", "evt-000001", "line-3"]
+
+
+class TestLabeledStream:
+    CFG = StreamConfig(n_events=300, anomaly_rate=0.2, seed=8)
+
+    @pytest.fixture
+    def stream(self):
+        return generate(self.CFG)
+
+    def test_reads_as_the_labeled_events_it_holds(self, stream):
+        items = reference.generate(self.CFG)
+        assert len(stream) == 300
+        assert stream[0] == items[0] and stream[-1] == items[-1] and stream[57] == items[57]
+        assert list(stream) == items
+        part = stream[100:160]
+        assert isinstance(part, LabeledStream)
+        assert len(part) == 60 and list(part) == items[100:160]
+        assert LabeledStream.from_events(stream) is stream
+        assert list(LabeledStream.from_events(items)) == items
+
+    @pytest.mark.parametrize("holdout", [False, True])
+    def test_a_slice_writes_the_bytes_of_its_events(self, stream, tmp_path, holdout):
+        items = reference.generate(self.CFG)[100:160]
+        write_labeled_events(stream[100:160], tmp_path / "part.jsonl", holdout=holdout)
+        reference.write_labeled_events(items, tmp_path / "expected.jsonl", holdout=holdout)
+        names = ["{}.jsonl", "{}.labels.jsonl"] if holdout else ["{}.jsonl"]
+        for name in names:
+            got = (tmp_path / name.format("part")).read_bytes()
+            assert got == (tmp_path / name.format("expected")).read_bytes()
+        # a list of labeled events writes the same bytes
+        write_labeled_events(items, tmp_path / "list.jsonl", holdout=holdout)
+        assert (tmp_path / "list.jsonl").read_bytes() == (tmp_path / "part.jsonl").read_bytes()
+
+    def test_an_assigned_item_is_read_and_written(self, stream, tmp_path):
+        # as the benchmark poisons a stream: replace one event's device type
+        items = reference.generate(self.CFG)
+        for i, label in ((5, False), (6, True)):
+            event = replace(stream[i].event, device_type="mainframe")
+            stream[i] = replace(stream[i], event=event)
+            items[i] = replace(items[i], event=event)
+            assert stream[i] == items[i]
+        normal, anomalous = stream.labels.index(False), stream.labels.index(True)
+        stream[normal] = items[normal] = LabeledEvent(items[normal].event, True, "spike")
+        stream[anomalous] = items[anomalous] = LabeledEvent(items[anomalous].event, False)
+        assert stream.labels[normal] is True and stream.classes[normal] == "spike"
+        assert stream.labels[anomalous] is False and stream.classes[anomalous] is None
+        assert list(stream) == items
+        write_labeled_events(stream, tmp_path / "stream.jsonl")
+        reference.write_labeled_events(items, tmp_path / "expected.jsonl")
+        assert (tmp_path / "stream.jsonl").read_bytes() == (
+            tmp_path / "expected.jsonl"
+        ).read_bytes()
+
+    def test_the_bundle_of_its_list_is_its_bundle(self, stream):
+        expected = reference.make_bundle(list(stream))
+        for bundle in (make_bundle(stream), make_bundle(list(stream))):
+            got = (bundle.x_train, bundle.x_val, bundle.x_test, bundle.y_test)
+            for a, b in zip(got, expected):
+                assert a.dtype == b.dtype and a.shape == b.shape
+                assert a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("label, anomaly_class", [
+        (True, None), (False, "delay"), (None, None), (True, "gremlins"), (True, ["delay"]),
+        (1, "spike"), (0, None),
+    ])
+    def test_pairs_are_checked_as_a_labeled_event_checks_them(
+        self, stream, label, anomaly_class
+    ):
+        events = stream.events[:3]
+        labels, classes = [False, label, True], [None, anomaly_class, "bogus"]
+        try:
+            LabeledEvent(events[1], label, anomaly_class)
+        except ContractViolationError as exc:
+            expected = str(exc)
+        else:  # the first bad pair is then the last one
+            expected = "unknown anomaly class 'bogus'"
+        with pytest.raises(ContractViolationError) as info:
+            LabeledStream(events, labels, classes)
+        assert str(info.value) == expected
+
+    def test_every_event_needs_a_label_and_a_class(self, stream):
+        with pytest.raises(ContractViolationError, match="one label and class per event"):
+            LabeledStream(stream.events[:3], stream.labels[:3], stream.classes[:2])
 
 
 HUGE = "1" + "0" * 400  # a JSON integer too large for a float
