@@ -2,8 +2,9 @@
 
 Every subcommand writes a ``<output>.manifest.json`` next to its primary
 output recording the resolved parameters, seed, inputs, outputs, tool
-version and wall time. ``etlwatch replay <manifest>`` re-runs the recorded
-subcommand and reproduces the primary outputs byte-identically.
+version, the kernel numpy's OpenBLAS runs (``blas_kernel``) and wall time.
+``etlwatch replay <manifest>`` re-runs the recorded subcommand and
+reproduces the primary outputs byte-identically.
 
 Exit codes: 0 on success, 1 on runtime failure (IO, divergence, bad data),
 2 on usage or flag-validation errors. A run from flags and a replayed one
@@ -40,6 +41,7 @@ from .detector import (
 from .errors import EtlwatchError
 from .evaluation import (
     DELTA_QUANTILE,
+    blas_kernel,
     emit_report,
     make_bundle,
     metrics_at_threshold,
@@ -80,6 +82,7 @@ def _write_manifest(
         "inputs": inputs,
         "outputs": outputs,
         "tool_version": __version__,
+        "blas_kernel": blas_kernel(),
         "wall_time_s": time.perf_counter() - started,
     }
     manifest.update(extras)

@@ -17,6 +17,7 @@ record is asked for.
 from __future__ import annotations
 
 import bisect
+import contextlib
 import csv
 import io
 import itertools
@@ -36,11 +37,10 @@ from .numerics import as_vector
 from .preprocess import (
     ABSENT,
     FeatureSchema,
-    FirstFailure,
     Records,
     StandardizationStats,
+    each_record,
     encode_events,
-    float_error,
     read_chunks,
     standardize,
     vectorize,  # noqa: F401  unused here; the benchmark traces vectorize under this name
@@ -112,6 +112,16 @@ class Detections(Sequence):
             flags.append(part.flags)
             truth += part.truth
         return cls(ids, np.concatenate(scores), np.concatenate(flags), truth, errors)
+
+    @classmethod
+    def from_results(cls, records: Sequence[DetectionResult | StreamError]) -> Detections:
+        """The records as columns."""
+        errors = {i: r.error for i, r in enumerate(records) if type(r) is StreamError}
+        scored = [r for r in records if type(r) is not StreamError]
+        return cls(
+            [r.event_id for r in records], [r.score for r in scored],
+            [r.is_anomaly for r in scored], [r.truth_label for r in scored], errors,
+        )
 
     def rows(
         self,
@@ -227,10 +237,8 @@ def score_stream(
     if not (delta >= 0 and math.isfinite(delta)):
         raise ContractViolationError(f"delta must be finite and >= 0, got {delta}")
 
-    def check(records: Records, first: FirstFailure) -> tuple[Detections, list] | None:
-        events, labels, _ = _check_stream_records(records, first)
-        if first.message is not None:
-            return None  # read_chunks raises it
+    def check(records: Records) -> tuple[Detections, list]:
+        events, labels, _ = _check_stream_records(records)
         x, failed = encode_events(events, schema)
         scores = batch_scores(params, standardize(x, stats))
         errors = {position: str(exc) for position, exc in failed}
@@ -325,46 +333,52 @@ def read_detections_jsonl(path: str | Path) -> Detections:
     JSON object, lacks a field, holds a field of another type, a ``NaN``
     score or a score too large for a float raises
     :class:`ContractViolationError` naming the file, the first such line
-    and the field.
+    and the field. Each record is checked by itself, except in a run of
+    records of the types :func:`write_detections_jsonl` writes, which is
+    checked as columns.
     """
     return Detections.concat(read_chunks(path, _DETECTION_FIELDS, _check_detection_records))
 
 
-def _score_error(value: int | float) -> str | None:
-    """Why a JSON number is not a score: it is NaN or too large for a float."""
-    error = float_error(value)
-    if error is None and math.isnan(value):
-        return "field 'score' must not be NaN"
-    return error
-
-
-def _check_detection_records(records: Records, first: FirstFailure) -> Detections | None:
+def _check_detection_records(records: Records) -> Detections:
+    """A run of detection records: as columns when every id is a string,
+    every score an int or a float, not NaN and not too large for a float,
+    every flag a boolean and every truth label a boolean or null; else
+    record by record."""
     ids, failed, score, flag, truth = records.values.values()
-    first.absent(records, "event_id", "no field 'event_id'")
-    scored = [i for i, error in enumerate(failed) if error is ABSENT]
-    first.absent(records, "score", "no field 'score'", scored)
-    scores = [score[i] for i in scored]
-    first.types(
-        scores, {int, float}, lambda v: f"field 'score' must be a number, got {v!r}", scored
-    )
-    try:
-        scores = list(map(float, scores))
-        nan = any(map(math.isnan, scores))
-    except (TypeError, ValueError, OverflowError):
-        nan = True
-    if nan:  # or a number too large for a float
-        first.scan(scores, lambda v: _score_error(v) is not None, _score_error, scored)
-    first.absent(records, "is_anomaly", "no field 'is_anomaly'", scored)
-    flags = [flag[i] for i in scored]
-    first.types(
-        flags, {bool}, lambda v: f"field 'is_anomaly' must be a boolean, got {v!r}", scored
-    )
-    truth = [truth[i] for i in scored]
-    first.types(
-        truth, {bool, type(None)},
-        lambda v: f"field 'truth_label' must be a boolean or null, got {v!r}", scored,
-    )
-    if first.message is not None:
-        return None  # read_chunks raises it
     errors = {i: error for i, error in enumerate(failed) if error is not ABSENT}
-    return Detections(ids, scores, flags, truth, errors)
+    if errors:
+        scored = [i not in errors for i in range(len(ids))]
+        score, flag, truth = (list(itertools.compress(c, scored)) for c in (score, flag, truth))
+    if (
+        set(map(type, ids)) <= {str}
+        and set(map(type, score)) <= {int, float}
+        and set(map(type, flag)) <= {bool}
+        and set(map(type, truth)) <= {bool, type(None)}
+    ):
+        with contextlib.suppress(OverflowError):  # from an int too large for a float
+            scores = np.array(score, dtype=np.float64)
+            if not np.isnan(scores).any():
+                return Detections(ids, scores, flag, truth, errors)
+    return Detections.from_results(each_record(_detection, records))
+
+
+def _detection(record: dict) -> DetectionResult | StreamError:
+    """One detection record: an error record, or a scored one."""
+    if "error" in record:
+        return StreamError(record["event_id"], record["error"])
+    event_id, value = record["event_id"], record["score"]
+    if type(value) is not int and type(value) is not float:
+        raise ContractViolationError(f"field 'score' must be a number, got {value!r}")
+    value = float(value)
+    if math.isnan(value):
+        raise ContractViolationError("field 'score' must not be NaN")
+    flag = record["is_anomaly"]
+    if type(flag) is not bool:
+        raise ContractViolationError(f"field 'is_anomaly' must be a boolean, got {flag!r}")
+    truth = record.get("truth_label")
+    if truth is not None and type(truth) is not bool:
+        raise ContractViolationError(
+            f"field 'truth_label' must be a boolean or null, got {truth!r}"
+        )
+    return DetectionResult(event_id, value, flag, truth)

@@ -21,10 +21,12 @@ a daemonic process, the points run serially in the calling process.
 from __future__ import annotations
 
 import csv
+import ctypes
 import json
 import os
 from dataclasses import asdict, dataclass, replace
 from functools import partial
+from glob import glob
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -255,22 +257,31 @@ def _point(bundle: DataBundle, cfg: TrainConfig) -> tuple[MetricsReport | None, 
         return None, True
 
 
+def _openblas(name: str, restype, *argtypes):
+    """The function ``scipy_openblas_<name>64_`` of numpy's bundled OpenBLAS,
+    or None where numpy was built without one that has it."""
+    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
+    for path in glob(os.path.join(libs, "*openblas*")):
+        function = getattr(ctypes.CDLL(path), f"scipy_openblas_{name}64_", None)
+        if function is not None:
+            function.argtypes, function.restype = list(argtypes), restype
+            return function
+    return None
+
+
 def _openblas_threads():
     """Get and set functions for the thread count of numpy's bundled OpenBLAS,
     or None where numpy was built without one that can be asked."""
-    import ctypes
-    from glob import glob
+    get = _openblas("get_num_threads", ctypes.c_int)
+    set_ = _openblas("set_num_threads", None, ctypes.c_int)
+    return None if get is None or set_ is None else (get, set_)
 
-    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
-    for path in glob(os.path.join(libs, "*openblas*")):
-        lib = ctypes.CDLL(path)
-        get = getattr(lib, "scipy_openblas_get_num_threads64_", None)
-        set_ = getattr(lib, "scipy_openblas_set_num_threads64_", None)
-        if get is not None and set_ is not None:
-            get.argtypes, get.restype = [], ctypes.c_int
-            set_.argtypes, set_.restype = [ctypes.c_int], None
-            return get, set_
-    return None
+
+def blas_kernel() -> str | None:
+    """The kernel numpy's bundled OpenBLAS chose for this CPU, such as
+    ``SkylakeX``, or None where numpy was built without one that can be asked."""
+    corename = _openblas("get_corename", ctypes.c_char_p)
+    return None if corename is None else corename().decode()
 
 
 def _run_points(

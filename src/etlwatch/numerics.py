@@ -96,8 +96,10 @@ class SeededRng:
             )
         u = (self.next_u64_block(n) >> np.uint64(11)).astype(np.float64) * 2.0**-53
         value = lo + u * width
-        # guard the rare rounding onto the open bound
-        return np.where(value >= hi, np.nextafter(hi, lo), value)
+        over = np.flatnonzero(value >= hi)
+        if over.size:  # the rare rounding onto the open bound
+            value[over] = np.nextafter(np.broadcast_to(hi, value.shape)[over], lo)
+        return value
 
     def fractions(self) -> Callable[[], float]:
         """A zero-argument source of floats in [0, 1): call t returns

@@ -2,12 +2,13 @@
 
 An :class:`EtlEvent` is one pipeline record. An :class:`EventBatch` holds
 many of them as one list per field and builds an ``EtlEvent`` only when one
-is asked for. :meth:`EventBatch.from_records` checks decoded records against
-the stream schema one column at a time: type scans over each column, then
-one ``np.isfinite`` per numeric column. It is the only copy of the schema;
-:func:`parse_event` runs it on a batch of one record. A bad record is
-reported as a record-by-record check would report it: the first bad record,
-with its first failing check.
+is asked for. :func:`parse_event` is the stream schema: it checks one
+decoded record field by field and is the only place its messages are
+written. A run of records read from a file is checked as columns only to
+learn whether every record has the canonical types
+(:func:`canonical_events`); a run that has not goes through
+:func:`parse_event` record by record (:func:`each_record`), and its first
+bad record names the line.
 
 :func:`encode_events` turns a batch into fixed-width float rows, one column
 at a time: numeric fields in schema order (missing ones emit 0 with a
@@ -117,117 +118,161 @@ EVENT_RECORD_FIELDS = {name: ABSENT for name in EVENT_FIELDS[:-1]} | {"event_id"
 
 
 class Records(NamedTuple):
-    """Decoded JSON records held as columns."""
+    """A run of decoded JSON records, and the same records held as columns."""
 
+    rows: list[dict]  # the records
     values: dict[str, list]  # each field's value per record, or its default
-    gaps: set[str]  # the fields some record lacks
     line_nos: Sequence[int]  # each record's line in its file
 
 
-def _gather(records: Sequence[dict], fields: dict[str, object], line_nos=()) -> Records:
+def _gather(records: list[dict], fields: dict[str, object], line_nos: Sequence[int]) -> Records:
     """Each field's value in every record; the field's default where a record lacks it."""
-    values, gaps = {}, set()
+    values = {}
     for name, default in fields.items():
         try:
             values[name] = list(map(itemgetter(name), records))
         except KeyError:
             values[name] = [record.get(name, default) for record in records]
-            gaps.add(name)
-    return Records(values, gaps, line_nos)
+    return Records(records, values, line_nos)
 
 
-class FirstFailure:
-    """The first bad row of a batch of records, and what is wrong with it.
+class BadRecord(Exception):
+    """``BadRecord(row, message)``: the record in row ``row`` of a run fails
+    its rule with ``message``."""
 
-    Checks run in the order one record's fields are checked, each over the
-    rows before the first bad row found so far. So a check may assume that
-    every earlier check passed, and the last row found is the first bad row,
-    with the message of its first failing check.
+
+def each_record(rule: Callable[[dict], T], records: Records) -> list[T]:
+    """``rule`` of every record of a run, in order.
+
+    The first record that ``rule`` fails on raises :class:`BadRecord`. A
+    field the record lacks (a ``KeyError``) reads ``no field '<name>'``; the
+    text of a :class:`ContractViolationError`, of an ``OverflowError`` from
+    ``float`` or of a ``RecursionError`` from showing a value nested too
+    deeply is the message.
     """
-
-    __slots__ = ("row", "message")
-
-    def __init__(self, rows: int) -> None:
-        self.row = rows
-        self.message: str | None = None
-
-    def scan(self, values: Sequence, bad: Callable, message: Callable, rows=None) -> None:
-        """Find the first value for which ``bad`` holds; ``rows`` numbers the
-        values when they are not the rows 0, 1, 2, ..."""
-        for row, value in zip(range(len(values)) if rows is None else rows, values):
-            if row >= self.row:
-                return
-            if bad(value):
-                try:
-                    self.row, self.message = row, message(value)
-                except RecursionError as exc:  # a value nested too deeply to show
-                    self.row, self.message = row, str(exc)
-                return
-
-    def types(self, values: Sequence, allowed: set[type], message: Callable, rows=None) -> None:
-        """:meth:`scan` for a value of a type not ``allowed``, once a set of
-        the column's types shows that there is one."""
-        if not set(map(type, values)) <= allowed:
-            self.scan(values, lambda value: type(value) not in allowed, message, rows)
-
-    def absent(self, records: Records, name: str, message: str, rows=None) -> None:
-        """:meth:`scan` for a record that lacks the field ``name``."""
-        if name in records.gaps:
-            values = records.values[name]
-            if rows is not None:
-                values = [values[i] for i in rows]
-            if _Absent in set(map(type, values)):
-                self.scan(values, lambda value: value is ABSENT, lambda _: message, rows)
-
-
-def float_error(value: object) -> str | None:
-    """Why ``float(value)`` fails, or None when it does not."""
+    results = []
     try:
-        float(value)
-    except (TypeError, ValueError, OverflowError) as exc:
-        return str(exc)
-    return None
+        for record in records.rows:
+            results.append(rule(record))
+    except KeyError as exc:
+        raise BadRecord(len(results), f"no field {exc.args[0]!r}") from None
+    except (ContractViolationError, OverflowError, RecursionError) as exc:
+        raise BadRecord(len(results), str(exc)) from None
+    return results
 
 
-def _floats(values: list, first: FirstFailure) -> list[float]:
-    """``float`` of every value, up to the first one it fails on."""
+def _integral(record: dict, name: str) -> int:
+    value = record[name]
+    if type(value) is int:
+        return value
+    if type(value) is float and value.is_integer():
+        return int(value)
+    raise ContractViolationError(f"field {name!r} must be an integer, got {value!r}")
+
+
+def _number(value: object, name: str) -> float:
+    if type(value) is int or type(value) is float:
+        return float(value)
+    raise ContractViolationError(f"field {name!r} must be a number, got {value!r}")
+
+
+def parse_event(record: dict) -> EtlEvent:
+    """Check one decoded event record against the stream schema and build its event.
+
+    The fields are checked one after another, and the first failing check
+    raises :class:`ContractViolationError`. Every field but ``event_id`` is
+    required. ``timestamp`` and ``records_loaded`` must be JSON integers,
+    or integral floats. ``missing_mask`` must be an array of booleans, one
+    per maskable field. A masked numeric is kept as read and never read;
+    any other must be a JSON number, and :class:`EtlEvent` checks that it
+    is finite. A missing or null ``event_id`` gives the id ``""``, and any
+    other value its ``str``.
+    """
     try:
-        return list(map(float, values))
-    except (TypeError, ValueError, OverflowError):
-        first.scan(values, lambda value: float_error(value) is not None, float_error)
-        return list(map(float, values[: first.row]))
+        timestamp = _integral(record, "timestamp")
+        numbers = [record[name] for name in MASKABLE_FIELDS]
+        mask = record["missing_mask"]
+        if type(mask) is not list:
+            raise ContractViolationError(f"field 'missing_mask' must be an array, got {mask!r}")
+        if not set(map(type, mask)) <= {bool}:
+            raise ContractViolationError(
+                f"field 'missing_mask' must be an array of booleans, got {mask!r}"
+            )
+        padded = (*mask, *[False] * len(MASKABLE_FIELDS))  # EtlEvent checks the length
+        numbers = [
+            value if masked else _number(value, name)
+            for value, masked, name in zip(numbers, padded, MASKABLE_FIELDS)
+        ]
+        event_id = record.get("event_id")
+        return EtlEvent(
+            timestamp,
+            *numbers,
+            _integral(record, "records_loaded"),
+            str(record["device_type"]),
+            str(record["geo_region"]),
+            tuple(mask),
+            "" if event_id is None else str(event_id),
+        )
+    except KeyError as exc:
+        raise ContractViolationError(f"event record is missing field {exc.args[0]!r}") from None
+    except (OverflowError, RecursionError) as exc:  # a number too large, a value too deep
+        raise ContractViolationError(str(exc)) from None
 
 
-def _str_error(value: object) -> str | None:
-    """Why ``str(value)`` fails, or None when it does not."""
-    try:
-        str(value)
-    except RecursionError as exc:  # a value nested too deeply to show
-        return str(exc)
-    return None
+# The types each field of an event record has when a run of records is
+# checked as columns (canonical_events).
+_CANONICAL_TYPES = {
+    "timestamp": {int},
+    **{name: {int, float} for name in MASKABLE_FIELDS},
+    "records_loaded": {int},
+    "device_type": {str},
+    "geo_region": {str},
+    "missing_mask": {list},
+    "event_id": {str, type(None)},
+}
 
 
-def _strings(values: list, first: FirstFailure) -> list[str]:
-    """``str`` of every value, up to the first one it fails on."""
-    if set(map(type, values)) <= {str}:
-        return values
-    try:
-        return list(map(str, values))
-    except RecursionError:
-        first.scan(values, lambda value: _str_error(value) is not None, _str_error)
-        return list(map(str, values[: first.row]))
+def canonical_events(values: dict[str, list]) -> EventBatch | None:
+    """The run of event records whose fields are ``values`` as a batch, when
+    every record has the canonical types; else None, and the run must go
+    through :func:`parse_event` one record at a time.
 
-
-def _integers(values: list, name: str, first: FirstFailure) -> list[int]:
-    """The values as ints, up to the first that is not an int or an integral float."""
-    if set(map(type, values)) <= {int}:
-        return values
-    first.scan(
-        values,
-        lambda v: type(v) is not int and not (type(v) is float and v.is_integer()),
-        lambda v: f"field {name!r} must be an integer, got {v!r}",
+    Canonical are int ``timestamp`` and ``records_loaded``, finite float
+    numerics or unmasked finite int ones, an array of three booleans as
+    ``missing_mask``, string categories, and a string or null
+    ``event_id``. Every such record passes :func:`parse_event`, and the
+    batch holds the events it gives; a set of types per column and one
+    ``np.isfinite`` per numeric column show it.
+    """
+    types = {name: set(map(type, values[name])) for name in _CANONICAL_TYPES}
+    masks = values["missing_mask"]
+    if not (
+        all(types[name] <= allowed for name, allowed in _CANONICAL_TYPES.items())
+        and set(map(len, masks)) <= {len(MASKABLE_FIELDS)}
+        and set(map(type, itertools.chain.from_iterable(masks))) <= {bool}
+    ):
+        return None
+    numbers = []
+    for j, name in enumerate(NUMERIC_FIELDS):
+        column = values[name]
+        try:
+            floats = np.array(column, dtype=np.float64)
+        except OverflowError:  # an int too large for a float
+            return None
+        if not np.isfinite(floats).all():
+            return None
+        if name in MASKABLE_FIELDS and int in types[name]:
+            if True in (mask[j] for mask in masks):
+                return None  # a masked int is kept as read, an unmasked one as a float
+            column = floats.tolist()
+        numbers.append(column)
+    ids = values["event_id"]
+    if type(None) in types["event_id"]:
+        ids = ["" if value is None else value for value in ids]
+    return EventBatch(
+        values["timestamp"], *numbers, values["device_type"], values["geo_region"],
+        list(map(tuple, masks)), ids,
     )
-    return [int(v) if type(v) is float else v for v in values[: first.row]]
 
 
 class EventBatch(Sequence[EtlEvent]):
@@ -237,7 +282,7 @@ class EventBatch(Sequence[EtlEvent]):
     writes an event's fields into row ``i``; a slice and :meth:`where` give
     new batches over the same values. The columns are not checked here:
     :meth:`from_events` takes them from checked events,
-    :meth:`from_records` checks decoded records, and a caller of
+    :func:`canonical_events` checks decoded records, and a caller of
     :meth:`from_rows` checks its rows.
     """
 
@@ -294,96 +339,6 @@ class EventBatch(Sequence[EtlEvent]):
         """Rows of an event's field values, in :data:`EVENT_FIELDS` order, as a batch."""
         columns = [list(column) for column in zip(*rows)]
         return cls(*(columns or [[] for _ in EVENT_FIELDS]))
-
-    @classmethod
-    def from_records(cls, records: Records, first: FirstFailure) -> EventBatch:
-        """Check decoded event records against the stream schema.
-
-        ``records`` holds every field of :data:`EVENT_RECORD_FIELDS`. The
-        first bad record and its message go to ``first``, and the batch
-        holds the records before it. Every field but ``event_id`` is
-        required, and a null ``event_id`` counts as absent. ``timestamp``
-        and ``records_loaded`` must be JSON integers, or integral floats.
-        ``missing_mask`` must be an array of booleans, one per maskable
-        field. A masked numeric is kept as read and never read; any other
-        must be a finite JSON number.
-        """
-        raw = records.values
-
-        def present(*names: str) -> None:
-            for name in names:
-                first.absent(records, name, f"event record is missing field {name!r}")
-
-        present("timestamp")
-        timestamp = _integers(raw["timestamp"], "timestamp", first)
-        present(*MASKABLE_FIELDS, "missing_mask")
-        masks = raw["missing_mask"]
-        first.types(masks, {list}, lambda m: f"field 'missing_mask' must be an array, got {m!r}")
-        if not set(map(type, itertools.chain.from_iterable(masks[: first.row]))) <= {bool}:
-            first.scan(
-                masks,
-                lambda m: not set(map(type, m)) <= {bool},
-                lambda m: f"field 'missing_mask' must be an array of booleans, got {m!r}",
-            )
-        head, size = masks[: first.row], len(MASKABLE_FIELDS)
-        odd_size = bool(set(map(len, head)) - {size})
-        if odd_size:  # padded here; the length is checked below
-            head = [(*m, *[False] * size)[:size] for m in head]
-        masked = list(zip(*head)) or [()] * size
-
-        numbers = {}  # each number column as floats; a masked value as read, or 0.0
-        converted = set()
-        for name, flags in zip(MASKABLE_FIELDS, masked):
-            values = raw[name][: first.row]
-            if not set(map(type, values)) <= {float}:  # an int, or an odd masked value
-                if True in flags:
-                    values = [0.0 if m else v for v, m in zip(values, flags)]
-                first.types(
-                    values, {int, float}, lambda v: f"field {name!r} must be a number, got {v!r}"
-                )
-                values = _floats(values[: first.row], first)
-                converted.add(name)
-            numbers[name] = values
-        present("records_loaded")
-        records_loaded = _integers(raw["records_loaded"][: first.row], "records_loaded", first)
-        categories = []
-        for name in ("device_type", "geo_region"):
-            present(name)
-            categories.append(_strings(raw[name][: first.row], first))
-        ids = raw["event_id"][: first.row]
-        if not set(map(type, ids)) <= {str}:
-            ids = _strings(["" if v is None else v for v in ids], first)
-        if odd_size:
-            first.scan(
-                masks,
-                lambda m: len(m) != size,
-                lambda m: f"missing_mask must have {size} entries, got {len(m)}",
-            )
-        for name, flags in zip(MASKABLE_FIELDS, masked):
-            values = np.array(numbers[name][: first.row], dtype=np.float64)
-            bad = ~np.isfinite(values)
-            if bad.any():  # a masked value may be anything
-                bad = np.flatnonzero(bad & ~np.array(flags[: len(values)], dtype=bool))
-                if bad.size:
-                    first.row = int(bad[0])
-                    first.message = f"non-finite value for field {name!r}: {values[first.row]}"
-        _floats(records_loaded[: first.row], first)  # EtlEvent checks that it is finite
-
-        n = first.row
-        for name, flags in zip(MASKABLE_FIELDS, masked):
-            values, flags = numbers[name][:n], flags[:n]
-            if name in converted and True in flags:  # a masked value is kept as read
-                numbers[name] = [v if m else f for v, f, m in zip(raw[name], values, flags)]
-            else:
-                numbers[name] = values
-        return cls(
-            timestamp[:n],
-            *numbers.values(),
-            records_loaded[:n],
-            *(values[:n] for values in categories),
-            list(map(tuple, masks[:n])),
-            ids[:n],
-        )
 
 
 @dataclass(frozen=True)
@@ -555,20 +510,6 @@ def standardize(x: np.ndarray, stats: StandardizationStats) -> np.ndarray:
     return (x - stats.mu) / stats.sigma
 
 
-def parse_event(record: dict) -> EtlEvent:
-    """Build an :class:`EtlEvent` from one decoded JSON record.
-
-    This is :meth:`EventBatch.from_records` on one record, so it applies the
-    same schema; a bad record raises its first failing check. A missing or
-    null ``event_id`` gives the id ``""``.
-    """
-    first = FirstFailure(1)
-    batch = EventBatch.from_records(_gather([record], EVENT_RECORD_FIELDS), first)
-    if first.message is not None:
-        raise ContractViolationError(first.message)
-    return batch[0]
-
-
 # orjson reads an integer literal outside the 64-bit range as a float, where
 # json gives the exact int. Such a literal holds a run of at least 19 digits,
 # which one search finds once every digit is mapped to "0".
@@ -662,10 +603,11 @@ def _check_range(
     line as a :class:`ContractViolationError`, or None."""
     parts = []
     for line_nos, records, failure in _json_runs(fh, path, start, end):
-        first = FirstFailure(len(records))
-        parts.append(check(_gather(records, fields, line_nos), first))
-        if first.message is not None:
-            failure = ContractViolationError(f"{path} line {line_nos[first.row]}: {first.message}")
+        try:
+            parts.append(check(_gather(records, fields, line_nos)))
+        except BadRecord as bad:
+            row, message = bad.args
+            return parts, ContractViolationError(f"{path} line {line_nos[row]}: {message}")
         if failure is not None:
             return parts, failure
     return parts, None
@@ -699,16 +641,17 @@ def collector_paused() -> Iterator[None]:
 def read_chunks(
     path: str | Path,
     fields: dict[str, object],
-    check: Callable[[Records, FirstFailure], T],
+    check: Callable[[Records], T],
 ) -> list[T]:
     """``check`` of each run of records of a JSON-lines file, in line order.
 
     Each run of up to :data:`_CHUNK` records is :func:`_gather`-ed into the
-    ``fields`` columns, and ``check`` reports its first bad record to its
-    :class:`FirstFailure`. The first bad line, a bad record or a line that
-    is not a UTF-8 JSON object, raises one :class:`ContractViolationError`
-    naming the file and line; a line that fails to decode is reported only
-    once the records before it have been checked.
+    ``fields`` columns, and ``check`` raises :class:`BadRecord` for the
+    first bad record of a run it cannot take. The first bad line, a bad
+    record or a line that is not a UTF-8 JSON object, raises one
+    :class:`ContractViolationError` naming the file and line; a line that
+    fails to decode is reported only once the records before it have been
+    checked.
 
     A file of at least :data:`_SPLIT_BYTES` per process is read as
     line-aligned byte ranges, one per usable CPU (:func:`fork_ways`), with

@@ -60,10 +60,12 @@ from .preprocess import (
     NUMERIC_FIELDS,
     EtlEvent,
     EventBatch,
-    FirstFailure,
     Records,
+    canonical_events,
     check_finite,
     collector_paused,
+    each_record,
+    parse_event,
     read_chunks,
 )
 
@@ -597,12 +599,14 @@ STREAM_FIELDS = EVENT_RECORD_FIELDS | {"label": None, "anomaly_class": None}
 def read_stream(path: str | Path) -> tuple[EventBatch, list[bool | None], list[str | None]]:
     """Read an event stream: its events, labels and anomaly classes in line order.
 
-    The records are checked as columns by :meth:`EventBatch.from_records`,
-    then ``label``, which must be ``true`` or ``false``; a null or absent
-    label is None. An event without an id gets ``line-<n>``. Records without
-    an inline label are labeled by :func:`fill_held_out_labels`. The first
-    bad line of either file raises one :class:`ContractViolationError`
-    naming it.
+    Each record is checked by :func:`~etlwatch.preprocess.parse_event`,
+    then its ``label``, which must be ``true`` or ``false``; a null or
+    absent label is None. A run of records of the canonical types
+    (:func:`~etlwatch.preprocess.canonical_events`) is checked as columns
+    instead. An event without an id gets ``line-<n>``. Records without an
+    inline label are labeled by :func:`fill_held_out_labels`. The first bad
+    line of either file raises one :class:`ContractViolationError` naming
+    it.
     """
     parts = read_chunks(path, STREAM_FIELDS, _check_stream_records)
     events = EventBatch.concat(part[0] for part in parts)
@@ -642,35 +646,52 @@ def fill_held_out_labels(
 
 
 def _check_stream_records(
-    records: Records, first: FirstFailure
+    records: Records,
 ) -> tuple[EventBatch, list[bool | None], list[str | None]]:
-    """The events, labels and classes of a run of stream records; an event
+    """The events, labels and classes of a run of stream records: as
+    columns when the run is canonical, else record by record; an event
     without an id gets ``line-<n>``."""
-    events = EventBatch.from_records(records, first)
-    first.types(records.values["label"], {bool, type(None)}, _label_message)
+    events = canonical_events(records.values)
+    if events is None or not set(map(type, records.values["label"])) <= {bool, type(None)}:
+        events = EventBatch.from_events(each_record(_stream_event, records))
     if "" in events.event_id:
         events.event_id = [i or f"line-{no}" for i, no in zip(events.event_id, records.line_nos)]
     return events, records.values["label"], records.values["anomaly_class"]
 
 
-def _label_message(value: object) -> str:
-    return f"field 'label' must be a boolean, got {value!r}"
+def _stream_event(record: dict) -> EtlEvent:
+    """A stream record's event (:func:`parse_event`), once its label is checked."""
+    event = parse_event(record)
+    _label(record)
+    return event
+
+
+def _label(record: dict) -> bool | None:
+    """A record's label, which must be ``true`` or ``false``; None when it is null or absent."""
+    label = record.get("label")
+    if label is not None and type(label) is not bool:
+        raise ContractViolationError(f"field 'label' must be a boolean, got {label!r}")
+    return label
 
 
 # The fields of a labels-file record; every field but anomaly_class is required.
 _LABEL_FIELDS = {"event_id": ABSENT, "label": None, "anomaly_class": None}
 
 
-def _check_labels(
-    records: Records, first: FirstFailure
-) -> list[tuple[str, tuple[bool, str | None]]] | None:
+def _check_labels(records: Records) -> list[tuple[str, tuple[bool, str | None]]]:
     """A run of labels-file records as ``(event_id, (label, anomaly_class))``
-    pairs, with ``str`` of each ``event_id``; a null label counts as absent."""
+    pairs: as columns when every id is a string and every label a boolean,
+    else record by record."""
     ids, labels, classes = records.values.values()
-    first.absent(records, "event_id", "no field 'event_id'")
-    first.types(
-        labels, {bool}, lambda label: "no field 'label'" if label is None else _label_message(label)
-    )
-    if first.message is not None:
-        return None  # read_chunks raises it
-    return list(zip(map(str, ids), zip(labels, classes)))
+    if set(map(type, ids)) <= {str} and set(map(type, labels)) <= {bool}:
+        return list(zip(ids, zip(labels, classes)))
+    return each_record(_held_out_label, records)
+
+
+def _held_out_label(record: dict) -> tuple[str, tuple[bool, str | None]]:
+    """A labels-file record as ``(str(event_id), (label, anomaly_class))``;
+    a null label counts as absent."""
+    event_id, label = str(record["event_id"]), _label(record)
+    if label is None:
+        raise KeyError("label")
+    return event_id, (label, record.get("anomaly_class"))

@@ -8,7 +8,7 @@ import pytest
 from click.testing import CliRunner
 
 from etlwatch.autoencoder import load_model
-from etlwatch import cli, preprocess
+from etlwatch import cli, evaluation, preprocess
 from etlwatch.cli import main
 from etlwatch.detector import DetectionResult, StreamError, batch_scores
 from etlwatch.errors import EtlwatchError
@@ -97,6 +97,14 @@ class TestGenerate:
         assert manifest["subcommand"] == "generate"
         assert manifest["params"]["n"] == 50
         assert manifest["tool_version"]
+
+    def test_manifest_names_the_blas_kernel(self, runner, tmp_path):
+        out = tmp_path / "s.jsonl"
+        run_ok(runner, ["generate", "--n", "50", "--out", str(out)])
+        manifest = json.loads((tmp_path / "s.jsonl.manifest.json").read_text())
+        kernel = evaluation.blas_kernel()
+        assert manifest["blas_kernel"] == kernel
+        assert kernel is None or (type(kernel) is str and kernel)
 
 
 class TestTrain:

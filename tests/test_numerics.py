@@ -189,7 +189,16 @@ class TestRngOracles:
         assert block.tolist() == expected
         assert block_rng.next_u64() == oracle_rng.next_u64()
 
-    @pytest.mark.parametrize("count", [0, 1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 600])
+    def test_uniform_block_with_bounds_per_draw_equals_successive_uniform(self):
+        # every other bound one ulp above lo, where about half the draws
+        # round onto it: the guard takes the float below each draw's own bound
+        his = np.where(np.arange(200) % 2 == 0, 3.0, np.nextafter(1.0, 2.0))
+        block_rng, oracle_rng = SeededRng(5), SeededRng(5)
+        block = block_rng.uniform_block(200, 1.0, his)
+        assert block.tolist() == [reference_uniform(oracle_rng, 1.0, hi) for hi in his.tolist()]
+        assert (block == 1.0).sum() > 20
+
+    @pytest.mark.parametrize("count",[0, 1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 600])
     @pytest.mark.parametrize("seed", [0, 7, 2**64 - 1])
     def test_fractions_equal_one_raw_draw_per_call(self, seed, count):
         # the source draws whole blocks: the rng goes on after the last one

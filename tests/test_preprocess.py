@@ -9,6 +9,7 @@ import subprocess
 import sys
 import threading
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -16,9 +17,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from etlwatch import preprocess
+from etlwatch import detector, preprocess, streamgen
 from etlwatch.autoencoder import AutoencoderParams
-from etlwatch.detector import read_detections_jsonl, score_stream
+from etlwatch.detector import read_detections_jsonl, score_stream, write_detections_jsonl
 from etlwatch.errors import (
     ContractViolationError,
     EncodingError,
@@ -576,9 +577,12 @@ def outcome(parse, record):
 
 
 @pytest.mark.parametrize("first_fault", FAULTS, ids=repr)
-def test_faults_in_one_record_give_the_per_record_check_order(first_fault):
-    """Every pair of faults in one record: the column check names the one a
-    field-by-field check meets first."""
+def test_faults_in_one_record_give_the_per_record_check_order(tmp_path, first_fault):
+    """Every pair of faults in one record: the record check, and a stream
+    read that meets the record as its line 2, name the one a field-by-field
+    check meets first."""
+    good = json.dumps(event_to_dict(make_event()))
+    path = tmp_path / "stream.jsonl"
     for second_fault in FAULTS:
         record = event_to_dict(make_event())
         for field, value in (first_fault, second_fault):
@@ -586,7 +590,15 @@ def test_faults_in_one_record_give_the_per_record_check_order(first_fault):
                 record.pop(field, None)
             else:
                 record[field] = value
-        assert outcome(parse_event, record) == outcome(reference.parse_event, record)
+        want = outcome(reference.parse_event, record)
+        assert outcome(parse_event, record) == want
+        path.write_text("\n".join([good, json.dumps(record), good]) + "\n")
+        if want.startswith("error: "):
+            with pytest.raises(ContractViolationError) as info:
+                read_stream(path)
+            assert str(info.value) == f"{path} line 2: {want.removeprefix('error: ')}"
+        else:  # repr, because a masked NaN is not equal to itself
+            assert repr(list(read_stream(path)[0])) == repr(reference.read_stream(path)[0])
 
 
 # --- reading a file in line-aligned byte ranges ---------------------------------
@@ -726,7 +738,7 @@ class TestRangedRead:
         path = tmp_path / "lines.jsonl"
         path.write_bytes(b"".join(b'{"a": %d}\n' % i for i in range(30)))
         split(3)
-        parts = read_chunks(path, {"a": None}, lambda records, first: (
+        parts = read_chunks(path, {"a": None}, lambda records: (
             os.getpid(), list(records.line_nos), records.values["a"]
         ))
         pids = [pid for pid, _, _ in parts]
@@ -751,7 +763,7 @@ class TestRangedRead:
         writer = threading.Thread(target=fifo.write_bytes, args=(stream_body(),))
         writer.start()
         try:
-            parts = read_chunks(fifo, {}, lambda records, first: os.getpid())
+            parts = read_chunks(fifo, {}, lambda records: os.getpid())
         finally:
             writer.join()
         assert parts == [os.getpid()]
@@ -772,7 +784,7 @@ class TestReaderProcesses:
     def test_worker_that_dies_without_sending_is_an_error(self, path):
         caller = os.getpid()
 
-        def dies_in_a_worker(records, first):
+        def dies_in_a_worker(records):
             if os.getpid() != caller:
                 os._exit(3)
             return records.values["a"]
@@ -784,7 +796,7 @@ class TestReaderProcesses:
     def test_worker_exception_reaches_the_caller(self, path):
         caller = os.getpid()
 
-        def fails_in_a_worker(records, first):
+        def fails_in_a_worker(records):
             if os.getpid() != caller:
                 raise UndefinedMetricError(f"failed at line {records.line_nos[0]}")
             return records.values["a"]
@@ -796,7 +808,7 @@ class TestReaderProcesses:
     def test_caller_exception_stops_the_workers(self, path):
         caller = os.getpid()
 
-        def fails_in_the_caller(records, first):
+        def fails_in_the_caller(records):
             if os.getpid() == caller:
                 raise UndefinedMetricError("failed in the caller")
             time.sleep(60)  # a worker still busy is stopped, not waited for
@@ -812,7 +824,7 @@ class TestReaderProcesses:
         lines[1] = b"{broken\n"
         path.write_bytes(b"".join(lines))
         with pytest.raises(ContractViolationError, match="line 2: Expecting property name"):
-            read_chunks(path, {"a": None}, lambda records, first: records.values["a"])
+            read_chunks(path, {"a": None}, lambda records: records.values["a"])
         assert not multiprocessing.active_children()
 
 
@@ -921,6 +933,39 @@ class TestRangedScoring:
         }
         assert detections.truth == [True, True, False, True]
         assert not multiprocessing.active_children()
+
+
+@pytest.mark.parametrize("holdout", [False, True], ids=["inline", "held-out"])
+def test_canonical_runs_are_checked_as_columns(tmp_path, monkeypatch, holdout):
+    """A generated stream, its labels file and its detections are read with
+    no per-record check. The same stream with integral-float timestamps is
+    read record by record, with the same columns and detections."""
+    rules = []
+    for module in (streamgen, detector):
+        def counted(rule, records, each_record=module.each_record):
+            rules.append(rule.__name__)
+            return each_record(rule, records)
+
+        monkeypatch.setattr(module, "each_record", counted)
+    stream = generate(StreamConfig(n_events=3000, seed=5))
+    for i in range(0, 3000, 97):  # some events detect cannot encode
+        stream[i] = replace(stream[i], event=replace(stream[i].event, device_type="toaster"))
+    path, typed = tmp_path / "stream.jsonl", tmp_path / "typed.jsonl"
+    write_labeled_events(stream, path, holdout=holdout)
+    read = read_stream(path)
+    detections = score_stream(MODEL, STATS, path, SCHEMA, DELTA)
+    write_detections_jsonl(detections, tmp_path / "det.jsonl")
+    assert list(read_detections_jsonl(tmp_path / "det.jsonl")) == list(detections)
+    assert detections.errors and rules == []
+
+    typed.write_text(re.sub(r'"timestamp": (\d+)', r'"timestamp": \1.0', path.read_text()))
+    if holdout:
+        labels_sibling_path(typed).write_bytes(labels_sibling_path(path).read_bytes())
+    typed_read = read_stream(typed)
+    assert rules and set(rules) == {"_stream_event"}
+    assert repr(typed_read[0].columns()) == repr(read[0].columns())
+    assert typed_read[1:] == read[1:]
+    assert list(score_stream(MODEL, STATS, typed, SCHEMA, DELTA)) == list(detections)
 
 
 # A labels-file line for e-4 (line 5) with each fault a labels record can
