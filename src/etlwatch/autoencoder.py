@@ -619,12 +619,13 @@ def save_model(
 def load_model(
     path: str | Path,
 ) -> tuple[AutoencoderParams, StandardizationStats, FeatureSchema]:
-    """Read and validate a model document written by :func:`save_model`."""
+    """Read and validate a model document written by :func:`save_model`; one
+    that records another feature layout or sigma floor is refused."""
     try:
         with open(path, encoding="utf-8") as fh:
             document = json.load(fh)
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise ModelFormatError(f"model file {path} is truncated or not valid JSON") from exc
+    except (ValueError, RecursionError) as exc:  # not JSON, not UTF-8, or nested too deeply
+        raise ModelFormatError(f"model file {path} is not readable JSON: {exc}") from exc
     if not isinstance(document, dict):
         raise ModelFormatError(f"model file {path} does not hold a JSON object")
 
@@ -644,10 +645,13 @@ def load_model(
         b_d = np.array(document["b_d"], dtype=np.float64)
         mu = np.array(document["mu"], dtype=np.float64)
         sigma = np.array(document["sigma"], dtype=np.float64)
-        epsilon = float(document["epsilon"])
+        if document["epsilon"] != StandardizationStats.epsilon:
+            raise ContractViolationError(f"field 'epsilon' must be {StandardizationStats.epsilon}")
         schema = FeatureSchema.from_dict(document["schema"])
         hidden = Activation(document["activations"]["hidden"])
         output = Activation(document["activations"]["output"])
+    except ContractViolationError as exc:
+        raise ModelFormatError(f"model file {path}: {exc}") from None
     except (KeyError, TypeError, ValueError) as exc:
         raise ModelFormatError(f"model file {path} is missing or corrupts a field") from exc
 
@@ -670,5 +674,5 @@ def load_model(
         w_e=w_e, b_e=b_e, w_d=w_d, b_d=b_d,
         hidden_activation=hidden, output_activation=output,
     )
-    stats = StandardizationStats(mu=mu, sigma=sigma, epsilon=epsilon)
+    stats = StandardizationStats(mu=mu, sigma=sigma)
     return params, stats, schema

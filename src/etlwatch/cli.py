@@ -140,13 +140,15 @@ _JSON_TYPES = {
     click.types.BoolParamType: {bool},
     click.types.IntParamType: {int},
     click.types.FloatParamType: {int, float},
+    click.types.Path: {str},
+    click.types.Choice: {str},
 }
 
 
 def _check_params(subcommand: str, params: dict) -> None:
     """The one check of a run's parameters, whether they came from flags or
     from a manifest: each value present, in the order the subcommand declares
-    its flags, against its flag's :data:`_JSON_TYPES` and then
+    its flags, against its flag's :data:`_JSON_TYPES`, its choices and then
     :data:`_PARAM_CHECKS`, and last delta against calibrate."""
     for param in main.commands[subcommand].params:
         value = params.get(param.name)
@@ -154,6 +156,8 @@ def _check_params(subcommand: str, params: dict) -> None:
             continue
         if type(value) not in _JSON_TYPES.get(type(param.type), {type(value)}):
             raise click.BadParameter(f"{value!r} is not a valid {param.type.name}.", param=param)
+        if isinstance(param.type, click.Choice):
+            param.type.convert(value, param, None)  # raises click's message for another value
         check = _PARAM_CHECKS.get(param.name)
         problem = None if check is None else check(value)
         if problem:
@@ -311,18 +315,16 @@ def _run_evaluate(params: dict) -> tuple[list[str], list[str], dict]:
         )
     if delta is None:
         if not manifest_path.exists():
-            raise EtlwatchError(
-                f"no --delta given and no manifest found at {manifest_path}"
-            )
+            raise EtlwatchError(f"no --delta given and no manifest found at {manifest_path}")
         try:
             with open(manifest_path, encoding="utf-8") as fh:
                 manifest = json.load(fh)
-        except ValueError as exc:
+        except (ValueError, RecursionError) as exc:  # RecursionError: nested too deeply
             raise EtlwatchError(f"manifest {manifest_path} is not valid JSON: {exc}") from exc
         delta = manifest.get("delta") if isinstance(manifest, dict) else None
-        if delta is None:
+        if not _numbers([delta]) or _NON_NEGATIVE(delta):  # --delta's rule, which None fails
             raise EtlwatchError(
-                f"manifest {manifest_path} records no delta; pass --delta"
+                f"manifest {manifest_path} records no finite delta >= 0 ({delta!r}); pass --delta"
             )
     report = metrics_at_threshold(records.scores, records.truth, delta)
     write_metrics_report(report, params["out"], params["format"])
@@ -342,8 +344,6 @@ def _run_sweep(params: dict) -> tuple[list[str], list[str], dict]:
         if not all(v.is_integer() and v >= 1 for v in grid):
             raise click.UsageError(f"every k in --grid must be an integer >= 1, got {grid}")
         grid = [int(v) for v in grid]
-    elif knob != "lr":
-        raise click.UsageError(f"unknown sweep knob {knob!r}")
     elif not all(math.isfinite(v) and v > 0 for v in grid):
         raise click.UsageError(f"every lr in --grid must be finite and > 0, got {grid}")
     if not all(a < b for a, b in zip(grid, grid[1:])):
@@ -412,13 +412,14 @@ def _parse_grid(ctx: object, param: object, value: str) -> list[float]:
 
 def _train_options(fn):
     for option in reversed([
-        click.option("--lr", type=float, default=0.001, show_default=True,
+        click.option("--lr", type=float, default=TrainConfig.learning_rate,
                      help="SGD learning rate."),
-        click.option("--k", type=int, default=32, show_default=True, help="Latent dimension."),
-        click.option("--lambda", "l1_penalty", type=float, default=1e-4, show_default=True,
+        click.option("--k", type=int, default=TrainConfig.latent_dim, help="Latent dimension."),
+        click.option("--lambda", "l1_penalty", type=float, default=TrainConfig.l1_penalty,
                      help="L1 coefficient on the latent representation."),
-        click.option("--epochs", type=int, default=50, show_default=True),
-        click.option("--batch", type=int, default=64, show_default=True),
+        click.option("--epochs", type=int, default=TrainConfig.epochs),
+        click.option("--batch", type=int, default=TrainConfig.batch_size),
+        click.option("--seed", type=int, default=TrainConfig.seed),
     ]):
         fn = option(fn)
     return fn
@@ -430,19 +431,18 @@ def _execute_flags() -> None:
     _execute(ctx.command.name, {p.name: ctx.params[p.name] for p in ctx.command.params})
 
 
-@click.group()
+@click.group(context_settings={"show_default": True})
 @click.version_option(version=__version__)
 def main() -> None:
     """Autoencoder-based anomaly detection for ETL event streams."""
 
 
 @main.command("generate")
-@click.option("--n", type=int, default=10_000, show_default=True, help="Number of events.")
-@click.option("--anomaly-rate", type=float, default=0.05, show_default=True)
-@click.option("--mix", default="delay=0.25,missing=0.25,duplicate=0.25,spike=0.25",
-              show_default=True, callback=_parse_mix,
-              help="Per-class anomaly weights.")
-@click.option("--seed", type=int, default=7, show_default=True)
+@click.option("--n", type=int, default=StreamConfig.n_events, help="Number of events.")
+@click.option("--anomaly-rate", type=float, default=StreamConfig.anomaly_rate)
+@click.option("--mix", callback=_parse_mix, help="Per-class anomaly weights.",
+              default=",".join(f"{c}={getattr(StreamConfig.mix, c)}" for c in ANOMALY_CLASSES))
+@click.option("--seed", type=int, default=StreamConfig.seed)
 @click.option("--holdout", is_flag=True,
               help="Write labels to a sibling file instead of inline fields.")
 @click.option("--out", required=True, type=click.Path(dir_okay=False))
@@ -454,7 +454,6 @@ def cmd_generate(**_):
 @main.command("train")
 @click.argument("stream", type=click.Path(exists=True, dir_okay=False))
 @_train_options
-@click.option("--seed", type=int, default=7, show_default=True)
 @click.option("--out", required=True, type=click.Path(dir_okay=False),
               help="Model file; a .history.csv is written next to it.")
 def cmd_train(**_):
@@ -473,7 +472,7 @@ def cmd_train(**_):
 @click.option("--delta", type=float, default=None, help="Explicit threshold.")
 @click.option("--calibrate", type=click.Path(exists=True, dir_okay=False), default=None,
               help="Validation stream whose normal scores calibrate the threshold.")
-@click.option("--quantile", type=float, default=DELTA_QUANTILE, show_default=True)
+@click.option("--quantile", type=float, default=DELTA_QUANTILE)
 @click.option("--out", required=True, type=click.Path(dir_okay=False))
 def cmd_detect(**_):
     """Score a stream against the threshold; one output record per event."""
@@ -484,8 +483,7 @@ def cmd_detect(**_):
 @click.argument("detections", type=click.Path(exists=True, dir_okay=False))
 @click.option("--delta", type=float, default=None,
               help="Threshold used; defaults to the detect run's manifest value.")
-@click.option("--format", type=click.Choice(["csv", "json"]), default="json",
-              show_default=True)
+@click.option("--format", type=click.Choice(["csv", "json"]), default="json")
 @click.option("--out", required=True, type=click.Path(dir_okay=False))
 def cmd_evaluate(**_):
     """Compute AUC/ACC/precision/recall from a detection file with truth labels."""
@@ -498,9 +496,7 @@ def cmd_evaluate(**_):
 @click.option("--grid", required=True, callback=_parse_grid,
               help="Comma-separated knob values, e.g. 0.0001,0.001,0.01")
 @_train_options
-@click.option("--seed", type=int, default=7, show_default=True)
-@click.option("--out-dir", default=".", show_default=True,
-              type=click.Path(file_okay=False))
+@click.option("--out-dir", default=".", type=click.Path(file_okay=False))
 def cmd_sweep(**_):
     """Retrain across a knob grid and emit sweep_<knob>_<seed>.{csv,json}."""
     _execute_flags()
@@ -520,7 +516,7 @@ def cmd_replay(manifest):
     try:
         with open(manifest, encoding="utf-8") as fh:
             payload = json.load(fh)
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:
         raise click.UsageError(f"manifest {manifest} is not valid JSON: {exc}") from exc
     if not isinstance(payload, dict):
         raise click.UsageError(f"manifest {manifest} does not hold a JSON object")

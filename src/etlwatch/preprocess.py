@@ -10,14 +10,15 @@ learn whether every record has the canonical types
 :func:`parse_event` record by record (:func:`each_record`), and its first
 bad record names the line.
 
-:func:`encode_events` turns a batch into fixed-width float rows, one column
-at a time: numeric fields in schema order (missing ones emit 0 with a
-companion indicator set to 1), one-hot blocks for the categorical fields,
-one missing indicator per maskable numeric field, and a (sin, cos) encoding
-of the hour of day. :func:`vectorize_events` and :func:`vectorize` are its
-all-or-nothing and one-event forms. :func:`fit_stats` / :func:`standardize`
-apply per-feature (x - mu) / sigma rescaling; stats are fit on training data
-once and frozen for every later split and stream.
+:func:`encode_events` turns a batch into rows of the one, constant feature
+layout (:class:`FeatureSchema`), one column at a time: numeric fields
+(missing ones emit 0 with a companion indicator set to 1), one-hot blocks
+for the categorical fields, one missing indicator per maskable numeric
+field, and a (sin, cos) encoding of the hour of day. :func:`vectorize_events`
+and :func:`vectorize` are its all-or-nothing and one-event forms.
+:func:`fit_stats` / :func:`standardize` apply per-feature (x - mu) / sigma
+rescaling, sigma floored at the constant :attr:`StandardizationStats.epsilon`;
+stats are fit on training data once and frozen for every later split and stream.
 
 JSON-lines files (event streams, label files and detections) share one
 reader, :func:`read_chunks`, and one line decoder. orjson decodes the lines,
@@ -58,9 +59,10 @@ T = TypeVar("T")
 DEFAULT_DEVICE_TYPES = ("mobile", "web", "pos")
 DEFAULT_GEO_REGIONS = ("na", "eu", "apac", "latam")
 # Numeric fields that may legitimately be absent from a record. records_loaded
-# is a loader-side count and is always present.
+# is a loader-side count and is always present. The maskable fields lead the
+# numeric ones, so mask bit j belongs to numeric field j.
 MASKABLE_FIELDS = ("amount", "latency_ms", "task_duration_s")
-NUMERIC_FIELDS = ("amount", "latency_ms", "task_duration_s", "records_loaded")
+NUMERIC_FIELDS = (*MASKABLE_FIELDS, "records_loaded")
 
 
 @dataclass(frozen=True, slots=True)
@@ -343,22 +345,16 @@ class EventBatch(Sequence[EtlEvent]):
 
 @dataclass(frozen=True)
 class FeatureSchema:
-    """Fixed ordering of feature slots; determines the input dimension d."""
+    """The one feature layout: its slots, in order, and its dimension d.
+    Each is a class constant, not a field, so every instance is the same."""
 
-    numeric_fields: tuple[str, ...] = NUMERIC_FIELDS
-    device_types: tuple[str, ...] = DEFAULT_DEVICE_TYPES
-    geo_regions: tuple[str, ...] = DEFAULT_GEO_REGIONS
-    maskable_fields: tuple[str, ...] = MASKABLE_FIELDS
-
-    @property
-    def dim(self) -> int:
-        return (
-            len(self.numeric_fields)
-            + len(self.device_types)
-            + len(self.geo_regions)
-            + len(self.maskable_fields)
-            + 2  # hour-of-day (sin, cos)
-        )
+    numeric_fields = NUMERIC_FIELDS
+    device_types = DEFAULT_DEVICE_TYPES
+    geo_regions = DEFAULT_GEO_REGIONS
+    maskable_fields = MASKABLE_FIELDS
+    dim = 2 + sum(  # hour-of-day (sin, cos) and the four blocks
+        map(len, (NUMERIC_FIELDS, DEFAULT_DEVICE_TYPES, DEFAULT_GEO_REGIONS, MASKABLE_FIELDS))
+    )
 
     def column_names(self) -> list[str]:
         names = list(self.numeric_fields)
@@ -369,30 +365,32 @@ class FeatureSchema:
         return names
 
     def to_dict(self) -> dict:
-        return {
-            "numeric_fields": list(self.numeric_fields),
-            "device_types": list(self.device_types),
-            "geo_regions": list(self.geo_regions),
-            "maskable_fields": list(self.maskable_fields),
-        }
+        names = ("numeric_fields", "device_types", "geo_regions", "maskable_fields")
+        return {name: list(getattr(self, name)) for name in names}
 
     @classmethod
-    def from_dict(cls, data: dict) -> FeatureSchema:
-        return cls(
-            numeric_fields=tuple(data["numeric_fields"]),
-            device_types=tuple(data["device_types"]),
-            geo_regions=tuple(data["geo_regions"]),
-            maskable_fields=tuple(data["maskable_fields"]),
-        )
+    def from_dict(cls, data: object) -> FeatureSchema:
+        """The schema of a model document's ``"schema"`` object, which must be
+        :meth:`to_dict`'s: any other layout raises
+        :class:`ContractViolationError` naming the first field that differs."""
+        layout = cls().to_dict()
+        if not isinstance(data, dict):
+            raise ContractViolationError("field 'schema' must be an object")
+        for name in [*layout, *data]:
+            if data.get(name, ABSENT) != layout.get(name, ABSENT):
+                expected = json.dumps(layout[name]) if name in layout else "absent"
+                raise ContractViolationError(f"field 'schema.{name}' must be {expected}")
+        return cls()
 
 
 @dataclass(frozen=True)
 class StandardizationStats:
-    """Frozen per-feature mean and (floored) standard deviation."""
+    """Frozen per-feature mean and standard deviation, every sigma at least
+    the one floor, :attr:`epsilon`."""
 
+    epsilon = 1e-8  # a class constant, not a field
     mu: np.ndarray
     sigma: np.ndarray
-    epsilon: float = 1e-8
 
     def __post_init__(self) -> None:
         mu = as_vector(self.mu, "mu")
@@ -418,6 +416,12 @@ def hour_angle(timestamp_ms: int) -> float:
     return 2.0 * math.pi * (timestamp_ms % MS_PER_DAY) / MS_PER_DAY
 
 
+# The column of each device and region value: where FeatureSchema.column_names puts it.
+_COLUMN = {name: j for j, name in enumerate(FeatureSchema().column_names())}
+_DEVICE_COLUMN = {v: _COLUMN[f"device_type={v}"] for v in DEFAULT_DEVICE_TYPES}
+_REGION_COLUMN = {v: _COLUMN[f"geo_region={v}"] for v in DEFAULT_GEO_REGIONS}
+
+
 def encode_events(
     events: Iterable[EtlEvent], schema: FeatureSchema
 ) -> tuple[np.ndarray, list[tuple[int, EncodingError]]]:
@@ -425,20 +429,17 @@ def encode_events(
 
     ``events`` is read as an :class:`EventBatch` (see
     :meth:`EventBatch.from_events`). The (m, d) matrix holds one row per
-    event that encodes, in input order. Each event that does not is listed
-    as ``(position, EncodingError)`` instead; an unknown ``device_type`` is
-    reported before an unknown ``geo_region``. A masked numeric encodes as 0
-    and its value is never read, and nothing of an event that fails is read
-    past its categories. Hour columns use ``math.sin``/``math.cos`` per
-    event, so every value is bitwise what a per-event encoding gives.
+    event that encodes, in input order, in the one :class:`FeatureSchema`
+    layout. Each event that does not is listed as ``(position,
+    EncodingError)`` instead; an unknown ``device_type`` is reported before
+    an unknown ``geo_region``. A masked numeric encodes as 0 and its value
+    is never read, and nothing of an event that fails is read past its
+    categories. Hour columns use ``math.sin``/``math.cos`` per event, so
+    every value is bitwise what a per-event encoding gives.
     """
     batch = EventBatch.from_events(events)
-    device_at = len(schema.numeric_fields)
-    device_col = {v: device_at + j for j, v in enumerate(schema.device_types)}
-    region_at = device_at + len(schema.device_types)
-    region_col = {v: region_at + j for j, v in enumerate(schema.geo_regions)}
-    devices = list(map(device_col.get, batch.device_type))
-    regions = list(map(region_col.get, batch.geo_region))
+    devices = list(map(_DEVICE_COLUMN.get, batch.device_type))
+    regions = list(map(_REGION_COLUMN.get, batch.geo_region))
     errors: list[tuple[int, EncodingError]] = []
     if None in devices or None in regions:
         keep = [True] * len(devices)
@@ -451,22 +452,19 @@ def encode_events(
         devices = list(itertools.compress(devices, keep))
         regions = list(itertools.compress(regions, keep))
 
-    n, n_mask = len(batch), len(schema.maskable_fields)
-    x = np.zeros((n, schema.dim), dtype=np.float64)
+    n, size = len(batch), len(MASKABLE_FIELDS)  # every event's mask has size entries
+    x = np.zeros((n, FeatureSchema.dim), dtype=np.float64)
     flags = itertools.chain.from_iterable(batch.missing_mask)
-    size = len(MASKABLE_FIELDS)  # every event's mask has this many entries
-    missing = np.fromiter(map(bool, flags), bool, n * size).reshape(n, size)[:, :n_mask]
-    for j, name in enumerate(schema.numeric_fields):
+    missing = np.fromiter(map(bool, flags), bool, n * size).reshape(n, size)
+    for j, name in enumerate(NUMERIC_FIELDS):
         values = getattr(batch, name)
-        if name in schema.maskable_fields:
-            masked = missing[:, schema.maskable_fields.index(name)]
-            if masked.any():
-                values = [0.0 if m else v for v, m in zip(values, masked.tolist())]
+        if j < size and missing[:, j].any():  # mask bit j masks numeric field j
+            values = [0.0 if m else v for v, m in zip(values, missing[:, j].tolist())]
         x[:, j] = list(map(float, values))
     rows = np.arange(n)
     x[rows, devices] = 1.0
     x[rows, regions] = 1.0
-    x[:, -2 - n_mask : -2] = missing
+    x[:, -2 - size : -2] = missing
     angles = list(map(hour_angle, batch.timestamp))
     x[:, -2] = list(map(math.sin, angles))
     x[:, -1] = list(map(math.cos, angles))
@@ -488,7 +486,7 @@ def vectorize(event: EtlEvent, schema: FeatureSchema) -> np.ndarray:
 
 def fit_stats(x: np.ndarray) -> StandardizationStats:
     """Column means and population standard deviations, floored at
-    :class:`StandardizationStats`' epsilon."""
+    :attr:`StandardizationStats.epsilon`."""
     x = as_matrix(x, "feature matrix")
     if x.shape[0] < 2:
         raise InsufficientDataError(

@@ -560,3 +560,41 @@ class ReferenceRng:
 
     def fractions(self):
         return self.uniform
+
+
+_LAYOUT = FeatureSchema().to_dict()
+# Hand edits of a model document to a feature layout or sigma floor other
+# than the one: each edit's top-level updates (a dict value updates that
+# object), and the field the refusal must name.
+EDITED_MODELS = {
+    "numeric-field-foo": (
+        {"schema": {"numeric_fields": [*_LAYOUT["numeric_fields"][:-1], "foo"]}},
+        "schema.numeric_fields",
+    ),
+    "four-maskable-three-regions": (
+        {"schema": {"maskable_fields": [*_LAYOUT["maskable_fields"], "records_loaded"],
+                    "geo_regions": _LAYOUT["geo_regions"][:-1]}},
+        "schema.geo_regions",
+    ),
+    "maskable-reordered": (
+        {"schema": {"maskable_fields": _LAYOUT["maskable_fields"][::-1]}},
+        "schema.maskable_fields",
+    ),
+    "devices-reordered": (
+        {"schema": {"device_types": _LAYOUT["device_types"][::-1]}}, "schema.device_types"
+    ),
+    "epsilon-1e-10": ({"epsilon": 1e-10}, "epsilon"),
+}
+
+
+def edit_model(source, target, edit):
+    """Write to ``target`` the model document of ``source`` with ``edit`` applied."""
+    with open(source, encoding="utf-8") as fh:
+        document = json.load(fh)
+    for key, value in edit.items():
+        if isinstance(value, dict):
+            document[key].update(value)
+        else:
+            document[key] = value
+    with open(target, "w", encoding="utf-8") as fh:
+        json.dump(document, fh, indent=1)

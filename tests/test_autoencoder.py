@@ -1,5 +1,7 @@
+import dataclasses
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -800,3 +802,69 @@ class TestModelDocument:
         path.write_text(json.dumps(doc))
         with pytest.raises(ModelShapeError):
             load_model(path)
+
+    @pytest.mark.parametrize("edit, field", reference.EDITED_MODELS.values(),
+                             ids=reference.EDITED_MODELS)
+    def test_another_layout_or_floor_is_refused(self, saved_model, edit, field):
+        path, *_ = saved_model
+        reference.edit_model(path, path, edit)
+        named = f"^model file {re.escape(str(path))}: field '{field}' must be"
+        with pytest.raises(ModelFormatError, match=named):
+            load_model(path)
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            ({"schema": {"extra": None}}, "field 'schema.extra' must be absent"),
+            ({"schema": 5}, "field 'schema' must be an object"),
+            ({"epsilon": "1e-08"}, "field 'epsilon' must be 1e-08"),
+            ({"epsilon": True}, "field 'epsilon' must be 1e-08"),
+        ],
+    )
+    def test_a_refusal_names_the_field(self, saved_model, edit, message):
+        path, *_ = saved_model
+        reference.edit_model(path, path, edit)
+        named = f"^model file {re.escape(str(path))}: {re.escape(message)}"
+        with pytest.raises(ModelFormatError, match=named):
+            load_model(path)
+
+    def test_a_missing_layout_field_is_named(self, saved_model):
+        path, *_ = saved_model
+        doc = json.loads(path.read_text())
+        del doc["schema"]["geo_regions"]
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ModelFormatError, match=r"field 'schema\.geo_regions' must be \["):
+            load_model(path)
+
+    def test_the_one_layout_in_another_key_order_loads(self, saved_model, tmp_path):
+        path, params, stats, schema = saved_model
+        doc = json.loads(path.read_text())
+        doc["schema"] = dict(reversed(doc["schema"].items()))
+        path.write_text(json.dumps(doc))
+        loaded_params, loaded_stats, loaded_schema = load_model(path)
+        assert loaded_schema == schema
+        np.testing.assert_array_equal(loaded_stats.sigma, stats.sigma)
+
+    def test_a_file_nested_too_deeply_is_a_format_error(self, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000 + "]" * 100_000)
+        with pytest.raises(ModelFormatError, match="maximum recursion depth"):
+            load_model(path)
+
+
+class TestOneLayout:
+    def test_the_layout_and_the_floor_are_not_fields(self):
+        assert dataclasses.fields(FeatureSchema) == ()
+        assert [f.name for f in dataclasses.fields(StandardizationStats)] == ["mu", "sigma"]
+        with pytest.raises(TypeError):
+            FeatureSchema(numeric_fields=("amount",))
+        with pytest.raises(TypeError):
+            StandardizationStats(mu=np.zeros(2), sigma=np.ones(2), epsilon=1e-10)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            FeatureSchema().device_types = ("web",)
+
+    def test_the_layout(self):
+        schema = FeatureSchema()
+        assert schema == FeatureSchema() and schema.dim == len(schema.column_names()) == 16
+        assert StandardizationStats.epsilon == 1e-8
+        assert FeatureSchema.from_dict(json.loads(json.dumps(schema.to_dict()))) == schema

@@ -1,4 +1,5 @@
 import json
+import math
 import multiprocessing
 import os
 import time
@@ -248,6 +249,23 @@ class TestDetect:
         message = result.output.strip()
         assert message.startswith("Error:") and "\n" not in message
         assert "line 3" in message and reason in message
+
+
+    @pytest.mark.parametrize("edit, field", reference.EDITED_MODELS.values(),
+                             ids=reference.EDITED_MODELS)
+    def test_a_model_of_another_layout_or_floor_is_one_line_error(
+        self, runner, workspace, tmp_path, edit, field
+    ):
+        _, stream, model = workspace
+        edited = tmp_path / "edited.json"
+        reference.edit_model(model, edited, edit)
+        out = tmp_path / "det.jsonl"
+        result = runner.invoke(main, ["detect", str(stream), "--model", str(edited),
+                                      "--delta", "1", "--out", str(out)])
+        message = error_line(result, 1)
+        assert result.output.strip() == message
+        assert message.startswith(f"Error: model file {edited}: field '{field}' must be")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["edited.json"]
 
 
 FORK = "fork" in multiprocessing.get_all_start_methods() and hasattr(os, "sched_getaffinity")
@@ -604,7 +622,10 @@ class TestEvaluate:
         confusion = payload["confusion"]
         assert (payload["auc"], confusion["tp"], confusion["fn"]) == (1.0, 2, 0)
 
-    @pytest.mark.parametrize("manifest_text", ["not json", "[1, 2]"])
+    @pytest.mark.parametrize(
+        "manifest_text",
+        ["not json", "[1, 2]", pytest.param("[" * 100_000 + "]" * 100_000, id="deep")],
+    )
     def test_unreadable_manifest_is_one_line_error(
         self, runner, detections, tmp_path, manifest_text
     ):
@@ -614,6 +635,22 @@ class TestEvaluate:
                                       "--out", str(tmp_path / "r.json")])
         message = error_line(result, 1)
         assert result.output.strip() == message and manifest.name in message
+
+    @pytest.mark.parametrize("delta", ["abc", [1], math.nan, -5, True], ids=repr)
+    def test_a_manifest_delta_that_delta_refuses_is_one_line_error(
+        self, runner, detections, tmp_path, delta
+    ):
+        # evaluate once crashed on the first two and scored at the last three
+        manifest = detections.parent / (detections.name + ".manifest.json")
+        payload = json.loads(manifest.read_text())
+        payload["delta"] = delta
+        manifest.write_text(json.dumps(payload))
+        report = tmp_path / "r.json"
+        result = runner.invoke(main, ["evaluate", str(detections), "--out", str(report)])
+        message = error_line(result, 1)
+        assert result.output.strip() == message
+        assert f"manifest {manifest} records no finite delta >= 0" in message
+        assert not report.exists()
 
     def test_holdout_labels_give_the_inline_result(self, runner, tmp_path):
         # train skips the held-out anomalies, detect calibrates on normals
@@ -829,6 +866,82 @@ def test_a_written_manifest_is_checked_as_its_flags_are(
     assert [path.name for path in tmp_path.iterdir()] == [manifest.name]
 
 
+@pytest.mark.parametrize(
+    "args, edit, message",
+    [
+        (["generate"], {"out": 1}, "Invalid value for '--out': 1 is not a valid file."),
+        (["detect", "--delta", "1"], {"stream": 0},
+         "Invalid value for 'STREAM': 0 is not a valid file."),
+        (["detect", "--delta", "1"], {"model": ["m.json"]},
+         "Invalid value for '--model': ['m.json'] is not a valid file."),
+        (["detect", "--calibrate", STREAM], {"calibrate": True},
+         "Invalid value for '--calibrate': True is not a valid file."),
+        (["evaluate", "--delta", "1"], {"detections": 1.5},
+         "Invalid value for 'DETECTIONS': 1.5 is not a valid file."),
+        (["evaluate", "--delta", "1"], {"format": "xml"},
+         "Invalid value for '--format': 'xml' is not one of 'csv', 'json'."),
+        (["evaluate", "--delta", "1"], {"format": 1},
+         "Invalid value for '--format': 1 is not a valid choice."),
+        (["sweep", "--knob", "k", "--grid", "4"], {"knob": "K"},
+         "Invalid value for '--knob': 'K' is not one of 'lr', 'k'."),
+        (["sweep", "--knob", "k", "--grid", "4"], {"out_dir": 7},
+         "Invalid value for '--out-dir': 7 is not a valid directory."),
+    ],
+)
+def test_replay_refuses_a_path_or_choice_its_flag_never_gives(
+    runner, workspace, tmp_path, monkeypatch, args, edit, message
+):
+    # a generate manifest with "out": 1 once wrote the stream to stdout
+    _, stream, model = workspace
+    command, *flags = [str(stream) if arg == STREAM else arg for arg in args]
+    given = {
+        "generate": [command, *flags, "--out", "s.jsonl"],
+        "detect": [command, str(stream), "--model", str(model), *flags, "--out", "d.jsonl"],
+        "evaluate": [command, str(stream), *flags, "--out", "r.json"],
+        "sweep": [command, str(stream), *flags, "--out-dir", str(tmp_path / "out")],
+    }[command]
+    manifest = tmp_path / "recorded.json"
+    recorded = record(runner, monkeypatch, given, manifest)
+    recorded["params"].update(edit)
+    manifest.write_text(json.dumps(recorded))
+    result = runner.invoke(main, ["replay", str(manifest)])
+    assert error_line(result, 2) == f"Error: {message}"
+    assert "Usage:" in result.output and "{" not in result.output
+    assert [path.name for path in tmp_path.iterdir()] == [manifest.name]
+
+
+def test_default_flags_give_the_library_defaults(runner, workspace, tmp_path, monkeypatch):
+    _, stream, _ = workspace
+    manifest = tmp_path / "m.json"
+    generate = record(runner, monkeypatch, ["generate", "--out", "s.jsonl"], manifest)
+    assert generate["params"] == {
+        "n": 10_000, "anomaly_rate": 0.05,
+        "mix": {"delay": 0.25, "missing": 0.25, "duplicate": 0.25, "spike": 0.25},
+        "seed": 7, "holdout": False, "out": "s.jsonl",
+    }
+    train = {"lr": 0.001, "k": 32, "l1_penalty": 0.0001, "epochs": 50, "batch": 64, "seed": 7}
+    recorded = record(runner, monkeypatch, ["train", str(stream), "--out", "m.json"], manifest)
+    assert recorded["params"] == {"stream": str(stream), **train, "out": "m.json"}
+    recorded = record(runner, monkeypatch, ["sweep", str(stream), "--knob", "k", "--grid", "4"],
+                      manifest)
+    assert recorded["params"] == {
+        "stream": str(stream), "knob": "k", "grid": [4.0], **train, "out_dir": "."
+    }
+    shown = {
+        "generate": ["[default: 10000]", "[default: 0.05]", "[default: 7]",
+                     "[default: delay=0.25,missing=0.25,duplicate=0.25,spike=0.25]"],
+        "train": ["[default: 0.001]", "[default: 32]", "[default: 0.0001]", "[default: 50]",
+                  "[default: 64]", "[default: 7]"],
+        "sweep": ["[default: 0.001]", "[default: 32]", "[default: .]"],
+        "detect": ["[default: 0.95]"],
+        "evaluate": ["[default: json]"],
+    }
+    for command, defaults in shown.items():
+        text = " ".join(run_ok(runner, [command, "--help"]).output.split())
+        for default in defaults:
+            assert default in text, (command, default)
+
+
 def test_manifest_params_keep_their_keys_and_order(runner, workspace, tmp_path, monkeypatch):
     # each run gives its flags in an order other than the one declared
     root, stream, model = workspace
@@ -1019,7 +1132,10 @@ class TestReplay:
             ('{"subcommand": "sweep", "params": {"knob": "k", "grid": 5}}',
              "Invalid value for '--grid': must be a list of numbers"),
             ('{"subcommand": "sweep", "params": {"knob": "k", "grid": [4.5]}}', "integer >= 1"),
-            ('{"subcommand": "sweep", "params": {"knob": "x", "grid": [1]}}', "unknown sweep knob"),
+            ('{"subcommand": "sweep", "params": {"knob": "x", "grid": [1]}}',
+             "Invalid value for '--knob': 'x' is not one of 'lr', 'k'."),
+            pytest.param("[" * 100_000 + "]" * 100_000, "not valid JSON: maximum recursion depth",
+                         id="deep"),
             ('{"subcommand": "sweep", "params": {"knob": "lr", "grid": [0.01, 0.01]}}',
              "strictly ascending"),
             (
