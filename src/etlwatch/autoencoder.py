@@ -636,24 +636,42 @@ def load_model(
             f"this build reads version {MODEL_FORMAT_VERSION}"
         )
 
+    def field(name: str, read: Callable, expected: str):
+        """``read`` of the field at the dotted path ``name``; a field that is
+        missing or that ``read`` refuses is a ModelFormatError naming it."""
+        value = document
+        try:
+            for key in name.split("."):
+                value = value[key]
+            return read(value)
+        except (KeyError, TypeError, ValueError, OverflowError):
+            message = f"model file {path}: field {name!r} must be {expected}"
+            raise ModelFormatError(message) from None
+
+    def integer(value: object) -> int:
+        if type(value) is not int:
+            raise TypeError(value)
+        return value
+
+    def floor(value: object) -> None:
+        if value != StandardizationStats.epsilon:
+            raise ValueError(value)
+
+    d, k = (field(name, integer, "an integer") for name in ("d", "k"))
+    w_e, b_e, w_d, b_d, mu, sigma = (
+        field(name, lambda value: np.array(value, dtype=np.float64), "an array of numbers")
+        for name in ("w_e", "b_e", "w_d", "b_d", "mu", "sigma")
+    )
+    field("epsilon", floor, str(StandardizationStats.epsilon))
     try:
-        d = int(document["d"])
-        k = int(document["k"])
-        w_e = np.array(document["w_e"], dtype=np.float64)
-        b_e = np.array(document["b_e"], dtype=np.float64)
-        w_d = np.array(document["w_d"], dtype=np.float64)
-        b_d = np.array(document["b_d"], dtype=np.float64)
-        mu = np.array(document["mu"], dtype=np.float64)
-        sigma = np.array(document["sigma"], dtype=np.float64)
-        if document["epsilon"] != StandardizationStats.epsilon:
-            raise ContractViolationError(f"field 'epsilon' must be {StandardizationStats.epsilon}")
-        schema = FeatureSchema.from_dict(document["schema"])
-        hidden = Activation(document["activations"]["hidden"])
-        output = Activation(document["activations"]["output"])
+        schema = field("schema", FeatureSchema.from_dict, "an object")
     except ContractViolationError as exc:
         raise ModelFormatError(f"model file {path}: {exc}") from None
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ModelFormatError(f"model file {path} is missing or corrupts a field") from exc
+    choices = ", ".join(repr(activation.value) for activation in Activation)
+    hidden, output = (
+        field(f"activations.{layer}", Activation, f"one of {choices}")
+        for layer in ("hidden", "output")
+    )
 
     if w_e.shape != (k, d) or w_d.shape != (d, k):
         raise ModelShapeError(

@@ -31,8 +31,8 @@ from . import __version__
 from .autoencoder import TrainConfig, load_model, save_model, train
 from .detector import (
     Detections,
-    batch_scores,
     calibrate_threshold,
+    calibration_scores,
     read_detections_jsonl,
     score_stream,
     write_detections_csv,
@@ -149,10 +149,13 @@ def _check_params(subcommand: str, params: dict) -> None:
     """The one check of a run's parameters, whether they came from flags or
     from a manifest: each value present, in the order the subcommand declares
     its flags, against its flag's :data:`_JSON_TYPES`, its choices and then
-    :data:`_PARAM_CHECKS`, and last delta against calibrate."""
+    :data:`_PARAM_CHECKS`, and last delta against calibrate. A null value
+    passes only for a flag whose default is None."""
     for param in main.commands[subcommand].params:
-        value = params.get(param.name)
-        if value is None:
+        if param.name not in params:
+            continue
+        value = params[param.name]
+        if value is None and param.default is None:
             continue
         if type(value) not in _JSON_TYPES.get(type(param.type), {type(value)}):
             raise click.BadParameter(f"{value!r} is not a valid {param.type.name}.", param=param)
@@ -266,10 +269,8 @@ def _run_detect(params: dict) -> tuple[list[str], list[str], dict]:
     _refuse_overwrites(inputs, outputs)
     model, stats, schema = load_model(model_path)
     if delta is None:
-        val_events, val_labels, _ = read_stream(params["calibrate"])
-        val_events = val_events.where([not label for label in val_labels])
-        x_val = standardize(vectorize_events(val_events, schema), stats)
-        delta = calibrate_threshold(batch_scores(model, x_val), params["quantile"])
+        validation = calibration_scores(model, stats, params["calibrate"], schema)
+        delta = calibrate_threshold(validation, params["quantile"])
 
     results = score_stream(model, stats, params["stream"], schema, delta)
     _write_detections(results, out, csv_path)

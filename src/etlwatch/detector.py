@@ -3,12 +3,13 @@
 A sample's anomaly score is the squared Euclidean distance between its
 standardized feature vector and the autoencoder's reconstruction. The
 decision threshold delta is calibrated as a nearest-rank quantile of scores
-on held-out normal data; a score strictly above delta is an anomaly, so
+on held-out normal data (:func:`calibration_scores` scores a validation
+file); a score strictly above delta is an anomaly, so
 delta = max(validation scores) admits every validation normal.
 
 A scored stream is a :class:`Detections`: columns of ids, scores, flags and
 truth labels, with the errors held by position. :func:`score_stream` builds
-it, the two writers format their lines from its columns, and
+it, the two writers format their lines from its columns a slice at a time, and
 :func:`read_detections_jsonl` reads one back; a
 :class:`DetectionResult` or :class:`StreamError` is built only when a
 record is asked for.
@@ -31,11 +32,13 @@ from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
 import numpy as np
 
+from . import preprocess
 from .autoencoder import AutoencoderParams
-from .errors import ContractViolationError, InsufficientDataError
+from .errors import ContractViolationError, EncodingError, InsufficientDataError
 from .numerics import as_vector
 from .preprocess import (
     ABSENT,
+    EventBatch,
     FeatureSchema,
     Records,
     StandardizationStats,
@@ -129,23 +132,30 @@ class Detections(Sequence):
         failed: Callable[[str, str], T],
     ) -> Iterator[T]:
         """``scored(event_id, score, is_anomaly, truth_label)`` or
-        ``failed(event_id, error)`` of every record, in order."""
-        ids, errors = self.ids, self.errors
-        keep = [True] * len(ids)
-        for position in errors:
-            keep[position] = False
-        done = map(
-            scored, itertools.compress(ids, keep), self.scores.tolist(), self.flags.tolist(),
-            self.truth,
-        )
+        ``failed(event_id, error)`` of every record, in order, from the
+        columns of one slice of :data:`~etlwatch.preprocess._CHUNK` records
+        at a time."""
+        ids, errors, error_at, chunk = self.ids, self.errors, self._error_at, preprocess._CHUNK
 
         def runs() -> Iterator[Iterable[T]]:  # the scored records between errors, and each error
-            start = 0
-            for position in self._error_at:
-                yield itertools.islice(done, position - start)
-                yield (failed(ids[position], errors[position]),)
-                start = position + 1
-            yield done
+            k = e = 0  # the scored records and the errors before the slice
+            for start in range(0, len(ids), chunk):
+                stop = min(start + chunk, len(ids))
+                cut = error_at[e : bisect.bisect_left(error_at, stop, lo=e)]
+                end = k + stop - start - len(cut)
+                keep = [True] * (stop - start)
+                for position in cut:
+                    keep[position - start] = False
+                done = map(
+                    scored, itertools.compress(ids[start:stop], keep),
+                    self.scores[k:end].tolist(), self.flags[k:end].tolist(), self.truth[k:end],
+                )
+                for position in cut:
+                    yield itertools.islice(done, position - start)
+                    yield (failed(ids[position], errors[position]),)
+                    start = position + 1
+                yield done
+                k, e = end, e + len(cut)
 
         return itertools.chain.from_iterable(runs())
 
@@ -208,6 +218,36 @@ def calibrate_threshold(validation_scores: Sequence[float], q: float) -> float:
     return float(np.sort(np.asarray(validation_scores, dtype=np.float64))[rank - 1])
 
 
+def _score_run(
+    params: AutoencoderParams,
+    stats: StandardizationStats,
+    events: EventBatch,
+    schema: FeatureSchema,
+) -> tuple[np.ndarray, list[tuple[int, EncodingError]]]:
+    """The scores of a run of events that encode, in order, and the
+    ``(position, EncodingError)`` of each that does not."""
+    x, failed = encode_events(events, schema)
+    return batch_scores(params, standardize(x, stats)), failed
+
+
+def _fill_labels(path: str | os.PathLike, runs: list[tuple[list[str], list]]) -> None:
+    """Fill in place, as :func:`read_stream` does, the missing labels of runs
+    of a stream file, given as ``(event_ids, labels)`` pairs in line order."""
+    ids = list(itertools.chain.from_iterable(ids for ids, _ in runs))
+    labels = list(itertools.chain.from_iterable(labels for _, labels in runs))
+    fill_held_out_labels(path, ids, labels, [None] * len(labels))
+    filled = iter(labels)
+    for _, run_labels in runs:
+        run_labels[:] = itertools.islice(filled, len(run_labels))
+
+
+def _popped(items: list[T]) -> Iterator[T]:
+    """The items of a list in order, each removed from it as it is yielded."""
+    items.reverse()
+    while items:
+        yield items.pop()
+
+
 def score_stream(
     params: AutoencoderParams,
     stats: StandardizationStats,
@@ -223,12 +263,12 @@ def score_stream(
     so a malformed record never aborts the run; output order matches input
     order. Each run of records that :func:`read_chunks` checks is encoded,
     scored and compared with delta as one batch in the process that reads
-    it, and a reader process sends back only the run's columns and inline
-    labels. So a large file is decoded, encoded and scored on every usable
-    CPU, with the same records and errors as scoring what
-    :func:`read_stream` returns; since :func:`batch_scores` is
-    batch-invariant, every score equals the one the library gives the same
-    standardized row in any batch.
+    it, and a reader process sends back only the run's columns, and its
+    inline labels only when one of them is missing. So a large file is
+    decoded, encoded and scored on every usable CPU, with the same records
+    and errors as scoring what :func:`read_stream` returns; since
+    :func:`batch_scores` is batch-invariant, every score equals the one the
+    library gives the same standardized row in any batch.
     """
     if schema.dim != params.d:
         raise ContractViolationError(
@@ -237,23 +277,62 @@ def score_stream(
     if not (delta >= 0 and math.isfinite(delta)):
         raise ContractViolationError(f"delta must be finite and >= 0, got {delta}")
 
-    def check(records: Records) -> tuple[Detections, list]:
+    def check(records: Records) -> tuple[Detections, list | None]:
         events, labels, _ = _check_stream_records(records)
-        x, failed = encode_events(events, schema)
-        scores = batch_scores(params, standardize(x, stats))
+        scores, failed = _score_run(params, stats, events, schema)
         errors = {position: str(exc) for position, exc in failed}
         truth = [label for i, label in enumerate(labels) if i not in errors]
-        return Detections(events.event_id, scores, scores > delta, truth, errors), labels
+        detections = Detections(events.event_id, scores, scores > delta, truth, errors)
+        return detections, labels if None in labels else None
 
     parts = read_chunks(path, STREAM_FIELDS, check)
-    detections = Detections.concat(part for part, _ in parts)
-    labels = list(itertools.chain.from_iterable(labels for _, labels in parts))
-    if None not in labels:
-        return detections
-    fill_held_out_labels(path, detections.ids, labels, [None] * len(labels))
-    errors = detections.errors
-    truth = [label for i, label in enumerate(labels) if i not in errors]
-    return Detections(detections.ids, detections.scores, detections.flags, truth, errors)
+    _fill_labels(path, [(part.ids, labels) for part, labels in parts if labels is not None])
+    for part, labels in parts:
+        if labels is not None:
+            part.truth[:] = [label for i, label in enumerate(labels) if i not in part.errors]
+    return Detections.concat(part for part, _ in _popped(parts))
+
+
+def calibration_scores(
+    params: AutoencoderParams,
+    stats: StandardizationStats,
+    path: str | os.PathLike,
+    schema: FeatureSchema,
+) -> np.ndarray:
+    """The scores of the normal and unlabeled events of a stream file, in
+    line order: the validation scores delta is calibrated on.
+
+    The file is read as :func:`read_stream` reads it, labels file included,
+    and each run of records is encoded, standardized and scored as
+    :func:`score_stream` scores it; a run keeps only its scores, its events
+    that fail to encode and, where one of its labels is missing, its ids and
+    labels. The scores are those of :func:`batch_scores` over the normal and
+    unlabeled events in one batch. The first such event that fails to encode
+    raises its :class:`EncodingError`, as :func:`vectorize_events` would; an
+    anomalous one is skipped.
+    """
+
+    def check(records: Records) -> tuple[np.ndarray, list, list | None, list | None]:
+        events, labels, _ = _check_stream_records(records)
+        if None in labels:  # its normal events are known once the labels are filled
+            return (*_score_run(params, stats, events, schema), events.event_id, labels)
+        normal = events.where([not label for label in labels])
+        return (*_score_run(params, stats, normal, schema), None, None)
+
+    runs = read_chunks(path, STREAM_FIELDS, check)
+    _fill_labels(path, [(ids, labels) for _, _, ids, labels in runs if labels is not None])
+    kept = [np.zeros(0)]
+    for scores, failed, _, labels in runs:
+        if labels is not None:  # a run scored whole: keep its normal and unlabeled rows
+            normal = np.array([label is not True for label in labels], dtype=bool)
+            encoded = np.ones(len(labels), dtype=bool)
+            encoded[[position for position, _ in failed]] = False
+            scores = scores[normal[encoded]]
+            failed = [(position, exc) for position, exc in failed if normal[position]]
+        if failed:
+            raise failed[0][1]
+        kept.append(scores)
+    return np.concatenate(kept)
 
 
 _JSON_BOOL = {True: "true", False: "false"}

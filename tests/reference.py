@@ -2,12 +2,12 @@
 
 Each function is the plain form the library once used: one event, one
 record, one line or one tie group at a time, with fresh arrays for every
-intermediate. The tests compare the library's column-wise encoder, its
-column readers of streams, labels files and detections, its line writers,
-its JSON-lines reader, its rank computation, its sigmoid, its epoch loss, its gradient
-kernel, its stream generator and fault injector, its labeled-stream writer,
-its bundle split and its random draws with these, bit for bit and byte for
-byte.
+intermediate, or one whole file at a time. The tests compare the library's
+column-wise encoder, its column readers of streams, labels files and
+detections, its line writers, its JSON-lines reader, its calibration scores,
+its rank computation, its sigmoid, its epoch loss, its gradient kernel, its
+stream generator and fault injector, its labeled-stream writer, its bundle
+split and its random draws with these, bit for bit and byte for byte.
 """
 
 import csv
@@ -31,6 +31,7 @@ from etlwatch.preprocess import (
     fit_stats,
     hour_angle,
     standardize,
+    vectorize_events,
 )
 from etlwatch.streamgen import (
     ANOMALY_CLASSES,
@@ -118,6 +119,15 @@ def detections(records):
             flags.append(record.is_anomaly)
             truth.append(record.truth_label)
     return Detections(ids, scores, flags, truth, errors)
+
+
+def calibration_scores(params, stats, path, schema):
+    """The validation scores of a stream file, the whole file at once: its
+    events and filled labels, the normal and unlabeled events as one batch,
+    their rows and scores."""
+    events, labels, _ = streamgen.read_stream(path)
+    normal = events.where([not label for label in labels])
+    return batch_scores(params, standardize(vectorize_events(normal, schema), stats))
 
 
 def average_ranks(values):
@@ -587,12 +597,29 @@ EDITED_MODELS = {
 }
 
 
+# Stands for a top-level field an edit deletes.
+DELETED = object()
+# Hand edits of a model document outside the layout and the floor, and the
+# field the refusal must name.
+CORRUPT_MODELS = {
+    "hidden-tanh2": ({"activations": {"hidden": "tanh2"}}, "activations.hidden"),
+    "no-w_d": ({"w_d": DELETED}, "w_d"),
+    "b_e-string": ({"b_e": "x"}, "b_e"),
+    "k-string": ({"k": "8"}, "k"),
+    "d-fraction": ({"d": 16.5}, "d"),
+    "d-infinity": ({"d": math.inf}, "d"),
+}
+MODEL_EDITS = EDITED_MODELS | CORRUPT_MODELS
+
+
 def edit_model(source, target, edit):
     """Write to ``target`` the model document of ``source`` with ``edit`` applied."""
     with open(source, encoding="utf-8") as fh:
         document = json.load(fh)
     for key, value in edit.items():
-        if isinstance(value, dict):
+        if value is DELETED:
+            del document[key]
+        elif isinstance(value, dict):
             document[key].update(value)
         else:
             document[key] = value

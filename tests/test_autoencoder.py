@@ -803,9 +803,12 @@ class TestModelDocument:
         with pytest.raises(ModelShapeError):
             load_model(path)
 
-    @pytest.mark.parametrize("edit, field", reference.EDITED_MODELS.values(),
-                             ids=reference.EDITED_MODELS)
+    @pytest.mark.parametrize("edit, field", reference.MODEL_EDITS.values(),
+                             ids=reference.MODEL_EDITS)
     def test_another_layout_or_floor_is_refused(self, saved_model, edit, field):
+        # and a field that is missing or will not read (CORRUPT_MODELS): of
+        # those, a string k loaded, a fractional d was cut to an integer and
+        # an infinite d raised OverflowError
         path, *_ = saved_model
         reference.edit_model(path, path, edit)
         named = f"^model file {re.escape(str(path))}: field '{field}' must be"

@@ -251,11 +251,12 @@ class TestDetect:
         assert "line 3" in message and reason in message
 
 
-    @pytest.mark.parametrize("edit, field", reference.EDITED_MODELS.values(),
-                             ids=reference.EDITED_MODELS)
+    @pytest.mark.parametrize("edit, field", reference.MODEL_EDITS.values(),
+                             ids=reference.MODEL_EDITS)
     def test_a_model_of_another_layout_or_floor_is_one_line_error(
         self, runner, workspace, tmp_path, edit, field
     ):
+        # and one with a field that is missing or will not read (CORRUPT_MODELS)
         _, stream, model = workspace
         edited = tmp_path / "edited.json"
         reference.edit_model(model, edited, edit)
@@ -801,6 +802,12 @@ STREAM = "<stream>"  # stands for the shared stream's path
         (["generate"], "Invalid value for '--holdout': 'no' is not a valid boolean.",
          {"holdout": "no"}),
         (["generate"], "Invalid value for '--n': True is not a valid integer.", {"n": True}),
+        # null, which only a flag whose default is None takes: "seed": null once
+        # failed inside generate, "epochs": null once read the stream first
+        (["generate"], "Invalid value for '--seed': None is not a valid integer.",
+         {"seed": None}),
+        (["train"], "Invalid value for '--epochs': None is not a valid integer.",
+         {"epochs": None}),
         (["train"], "Invalid value for '--lr': '0.1' is not a valid float.", {"lr": "0.1"}),
         (["detect", "--delta", "1"], "Invalid value for '--delta': False is not a valid float.",
          {"delta": False}),
@@ -882,6 +889,10 @@ def test_a_written_manifest_is_checked_as_its_flags_are(
          "Invalid value for '--format': 'xml' is not one of 'csv', 'json'."),
         (["evaluate", "--delta", "1"], {"format": 1},
          "Invalid value for '--format': 1 is not a valid choice."),
+        (["detect", "--delta", "1"], {"out": None},
+         "Invalid value for '--out': None is not a valid file."),
+        (["evaluate", "--delta", "1"], {"format": None},
+         "Invalid value for '--format': None is not a valid choice."),
         (["sweep", "--knob", "k", "--grid", "4"], {"knob": "K"},
          "Invalid value for '--knob': 'K' is not one of 'lr', 'k'."),
         (["sweep", "--knob", "k", "--grid", "4"], {"out_dir": 7},

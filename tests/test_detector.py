@@ -4,6 +4,7 @@ import json
 import math
 import os
 import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,20 +12,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from etlwatch.autoencoder import Activation, AutoencoderParams
-from etlwatch import cli, preprocess
+from etlwatch import cli, preprocess, streamgen
 from etlwatch.detector import (
     DetectionResult,
     Detections,
     StreamError,
     batch_scores,
     calibrate_threshold,
+    calibration_scores,
     read_detections_jsonl,
     score,
     score_stream,
     write_detections_csv,
     write_detections_jsonl,
 )
-from etlwatch.errors import ContractViolationError, InsufficientDataError
+from etlwatch.errors import ContractViolationError, EtlwatchError, InsufficientDataError
 from etlwatch.preprocess import (
     EtlEvent,
     FeatureSchema,
@@ -300,6 +302,41 @@ class TestScoreStream:
         errors = {i for i, r in enumerate(whole) if isinstance(r, StreamError)}
         assert errors == {i for i in bad if i < n}
 
+    @pytest.mark.parametrize("lacks", [None, "e7", "e6"])  # e6 fails to encode
+    def test_runs_that_mix_inline_and_held_out_labels(
+        self, tiny_pipeline, tmp_path, monkeypatch, lacks
+    ):
+        # runs of 4: runs 0, 3 and 6 inline, the others mixed; an error
+        # record inline (13) and one held out (6)
+        monkeypatch.setattr(preprocess, "_CHUNK", 4)
+        _, stats, schema, events = tiny_pipeline
+        model = squeezed_model(schema.dim)
+        n = 30
+        stream = [dataclasses.replace(events[i % len(events)], event_id=f"e{i}") for i in range(n)]
+        for at in (6, 13):
+            stream[at] = dataclasses.replace(stream[at], device_type="toaster")
+        truth = [i % 3 == 0 for i in range(n)]
+        inline = [(i // 4) % 3 == 0 or i % 5 == 0 for i in range(n)]
+        assert inline[13] and not inline[6] and not inline[7]
+        path = write_split_labels(tmp_path / "stream.jsonl", stream, truth, inline)
+        if lacks:
+            drop_held_out_label(path, lacks)
+
+        def scored_whole():
+            events, labels, _ = streamgen.read_stream(path)
+            return reference.score_one_at_a_time(model, stats, events, schema, 1.0, labels)
+
+        ours = outcome(lambda: list(score_stream(model, stats, path, schema, 1.0)))
+        assert ours == outcome(scored_whole)
+        if lacks:
+            labels_path = streamgen.labels_sibling_path(path)
+            assert ours == f"ContractViolationError: event '{lacks}' has no entry in {labels_path}"
+        else:
+            assert [r.truth_label for r in ours if isinstance(r, DetectionResult)] == [
+                t for i, t in enumerate(truth) if i not in (6, 13)
+            ]
+            assert [i for i, r in enumerate(ours) if isinstance(r, StreamError)] == [6, 13]
+
     def test_records_stay_in_order_across_chunk_edges(self, tiny_pipeline, tmp_path):
         _, stats, schema, events = tiny_pipeline
         model = squeezed_model(schema.dim)
@@ -326,6 +363,148 @@ class TestScoreStream:
                 continue
             value = score(model, stats, vectorize(event, schema))
             assert record == DetectionResult(record.event_id, value, value > 1.0, truth[i])
+
+
+def write_split_labels(path, events, truth, inline):
+    """Write ``events`` as a stream file whose record i carries its truth
+    label inline where ``inline[i]`` holds and null elsewhere; those labels
+    go to the sibling labels file."""
+    write_stream(path, events, [t if keep else None for t, keep in zip(truth, inline)])
+    held_out = [
+        json.dumps({"event_id": event.event_id, "label": t}) + "\n"
+        for event, t, keep in zip(events, truth, inline) if not keep
+    ]
+    if held_out:
+        streamgen.labels_sibling_path(path).write_text("".join(held_out))
+    return path
+
+
+def drop_held_out_label(path, event_id):
+    """Delete the line of ``event_id`` from the labels file beside ``path``."""
+    labels_path = streamgen.labels_sibling_path(path)
+    lines = labels_path.read_text().splitlines(keepends=True)
+    labels_path.write_text(
+        "".join(line for line in lines if json.loads(line)["event_id"] != event_id)
+    )
+
+
+def outcome(compute, *args):
+    """What ``compute(*args)`` gives: its value, or its error's type and message."""
+    try:
+        return compute(*args)
+    except EtlwatchError as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def calibration_stream(events, normals):
+    """Events with ids ``e<i>`` and their labels: exactly ``normals`` normal
+    ones, every 7th anomalous, and an anomalous one last."""
+    stream, truth = [], []
+    while normals:
+        anomalous = len(stream) % 7 == 3
+        normals -= not anomalous
+        stream.append(dataclasses.replace(events[len(stream) % len(events)],
+                                          event_id=f"e{len(stream)}"))
+        truth.append(anomalous)
+    stream.append(dataclasses.replace(events[0], event_id=f"e{len(stream)}"))
+    return stream, [*truth, True]
+
+
+# How the records of a calibration file carry their labels: the i-th inline
+# or in the labels file; "none" has neither.
+LABELINGS = {
+    "inline": lambda i: True,
+    "held-out": lambda i: False,
+    "mixed": lambda i: i < CHUNK or i % 3 == 0,  # the first run inline, the rest mixed
+    "none": None,
+}
+
+
+def write_calibration(path, stream, truth, labeling):
+    if LABELINGS[labeling] is None:
+        return write_stream(path, stream)
+    inline = list(map(LABELINGS[labeling], range(len(truth))))
+    return write_split_labels(path, stream, truth, inline)
+
+
+class TestCalibrationScores:
+    """detect's validation scores, read and scored a run at a time, against
+    the whole file read at once and its normal rows scored as one batch."""
+
+    @staticmethod
+    def assert_as_the_reference(model, stats, path, schema):
+        ours, theirs = (
+            outcome(calibrate, model, stats, path, schema)
+            for calibrate in (calibration_scores, reference.calibration_scores)
+        )
+        if isinstance(theirs, str):
+            assert ours == theirs
+            return ours
+        assert ours.tobytes() == theirs.tobytes()
+        assert calibrate_threshold(ours, 0.95) == calibrate_threshold(theirs, 0.95)
+        return ours
+
+    @pytest.mark.parametrize("labeling", LABELINGS)
+    @pytest.mark.parametrize("normals", [CHUNK - 1, CHUNK, CHUNK + 1])
+    def test_equal_the_reference_at_run_edges(self, tiny_pipeline, tmp_path, normals, labeling):
+        _, stats, schema, events = tiny_pipeline
+        model = squeezed_model(schema.dim)
+        stream, truth = calibration_stream(events, normals)
+        path = write_calibration(tmp_path / "val.jsonl", stream, truth, labeling)
+        scores = self.assert_as_the_reference(model, stats, path, schema)
+        assert len(scores) == (len(stream) if labeling == "none" else normals)
+
+    @pytest.mark.parametrize("labeling", ["inline", "held-out", "mixed"])
+    @pytest.mark.parametrize("anomalous", [True, False])
+    def test_an_event_that_fails_to_encode(
+        self, tiny_pipeline, tmp_path, labeling, anomalous
+    ):
+        # skipped when it is anomalous, raised when it is normal; an
+        # anomalous one after it is skipped either way
+        _, stats, schema, events = tiny_pipeline
+        model = squeezed_model(schema.dim)
+        stream, truth = calibration_stream(events, CHUNK + 1)
+        for at, field, value, label in ((CHUNK + 1, "device_type", "toaster", anomalous),
+                                        (CHUNK + 3, "geo_region", "mars", True)):
+            stream[at] = dataclasses.replace(stream[at], **{field: value})
+            truth[at] = label
+        path = write_calibration(tmp_path / "val.jsonl", stream, truth, labeling)
+        result = self.assert_as_the_reference(model, stats, path, schema)
+        if anomalous:
+            assert len(result) == truth.count(False)
+        else:
+            assert result == (
+                "EncodingError: cannot encode field 'device_type': unknown value 'toaster'"
+            )
+
+    def test_a_record_the_labels_file_lacks(self, tiny_pipeline, tmp_path):
+        _, stats, schema, events = tiny_pipeline
+        stream, truth = calibration_stream(events, CHUNK + 1)
+        path = write_calibration(tmp_path / "val.jsonl", stream, truth, "mixed")
+        drop_held_out_label(path, f"e{CHUNK + 1}")
+        result = self.assert_as_the_reference(squeezed_model(schema.dim), stats, path, schema)
+        labels_path = streamgen.labels_sibling_path(path)
+        assert result == (
+            f"ContractViolationError: event 'e{CHUNK + 1}' has no entry in {labels_path}"
+        )
+
+    def test_holds_one_run_of_events_at_a_time(self, tiny_pipeline, tmp_path, cpus, monkeypatch):
+        # the whole file at once holds every event; a run at a time, its scores
+        cpus(1)
+        monkeypatch.setattr(preprocess, "_CHUNK", 256)
+        _, stats, schema, events = tiny_pipeline
+        model = squeezed_model(schema.dim)
+        stream, truth = calibration_stream(events, 4000)
+        path = write_calibration(tmp_path / "val.jsonl", stream, truth, "inline")
+        peaks = []
+        for calibrate in (calibration_scores, reference.calibration_scores):
+            tracemalloc.start()
+            try:
+                calibrate(model, stats, path, schema)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[0] < 2_000_000 < peaks[1]
 
 
 # any text, rich in what csv.writer quotes: commas, quotes, CR and LF
@@ -467,6 +646,35 @@ class TestDetections:
         assert detections.truth == [r.truth_label for r in scored]
         with pytest.raises(IndexError):
             detections[len(records)]
+
+    @pytest.mark.parametrize("chunk", [1, 2, 3, 8, 9, 1024])
+    def test_rows_come_in_slices_of_a_run(self, tmp_path, monkeypatch, chunk):
+        # errors first, last and at slice edges
+        monkeypatch.setattr(preprocess, "_CHUNK", chunk)
+        records = odd_records()
+        detections = reference.detections(records)
+        assert list(detections) == records
+        for write, write_reference, suffix in WRITERS:
+            write(detections, tmp_path / f"ours.{suffix}")
+            write_reference(records, tmp_path / f"theirs.{suffix}")
+            assert (tmp_path / f"ours.{suffix}").read_bytes() == (
+                tmp_path / f"theirs.{suffix}").read_bytes()
+
+    def test_a_write_holds_one_slice_of_columns_at_a_time(self, tmp_path):
+        # a whole-stream write once built a float and two lists per record
+        n = 20_000
+        errors = {i: "unknown device_type 'toaster'" for i in range(0, n, 97)}
+        m = n - len(errors)
+        detections = Detections([f"e{i}" for i in range(n)], np.linspace(0.0, 2.0, m),
+                                np.arange(m) % 2 == 0, [True, False, None] * (m // 3)
+                                + [None] * (m % 3), errors)
+        tracemalloc.start()
+        try:
+            write_detections_jsonl(detections, tmp_path / "detections.jsonl")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 400_000
 
     def test_columns_that_disagree_are_refused(self):
         with pytest.raises(ContractViolationError):
