@@ -76,45 +76,68 @@ T = TypeVar("T")
 class Detections(Sequence):
     """The records of one scored stream, held as columns.
 
-    ``ids`` has one entry per record, and ``errors`` maps the position of
-    each record that could not be scored to its message. ``scores``,
-    ``flags`` and ``truth`` have one entry per scored record, in order.
-    Indexing and iterating build :class:`DetectionResult` and
-    :class:`StreamError` records on demand.
+    The event ids are held as one string, written end to end, with the
+    offset at which each starts and the last ends in one array of the
+    smallest unsigned integer type that holds the string's length;
+    :meth:`event_ids` slices them out. ``errors`` maps the position of each
+    record that could not be scored to its message. ``scores``, ``flags``
+    and ``truth`` have one entry per scored record, in order. Indexing and
+    iterating build :class:`DetectionResult` and :class:`StreamError`
+    records on demand.
     """
 
-    __slots__ = ("ids", "scores", "flags", "truth", "errors", "_error_at")
+    __slots__ = ("_text", "_bounds", "scores", "flags", "truth", "errors", "_error_at")
 
     def __init__(
         self,
-        ids: list[str],
+        ids: Sequence[str],
         scores: np.ndarray,
         flags: np.ndarray,
         truth: list[bool | None],
         errors: dict[int, str],
     ) -> None:
-        self.ids = ids
+        text = "".join(ids)
+        bounds = itertools.accumulate(map(len, ids), initial=0)
+        self._fill(text, np.fromiter(bounds, np.min_scalar_type(len(text)), len(ids) + 1),
+                   scores, flags, truth, errors)
+
+    def _fill(self, text: str, bounds: np.ndarray, scores, flags, truth, errors) -> None:
+        """Set the columns, and check that they describe one stream."""
+        self._text, self._bounds = text, bounds
         self.scores = np.asarray(scores, dtype=np.float64)
         self.flags = np.asarray(flags, dtype=bool)
         self.truth = truth
         self.errors = errors
         self._error_at = sorted(errors)
-        scored = len(ids) - len(errors)
+        scored = len(self) - len(errors)
         if not len(self.scores) == len(self.flags) == len(truth) == scored or (
-            errors and not 0 <= self._error_at[0] <= self._error_at[-1] < len(ids)
+            errors and not 0 <= self._error_at[0] <= self._error_at[-1] < len(self)
         ):
             raise ContractViolationError("detection columns do not describe one stream")
 
     @classmethod
     def concat(cls, parts: Iterable[Detections]) -> Detections:
-        ids, scores, flags, truth, errors = [], [np.zeros(0)], [np.zeros(0, bool)], [], {}
+        texts, ends, n = [], [], 0
+        scores, flags, truth, errors = [np.zeros(0)], [np.zeros(0, bool)], [], {}
         for part in parts:
-            errors.update((len(ids) + position, error) for position, error in part.errors.items())
-            ids += part.ids
+            errors.update((n + position, error) for position, error in part.errors.items())
+            texts.append(part._text)
+            ends.append(part._bounds[1:])
+            n += len(part)
             scores.append(part.scores)
             flags.append(part.flags)
             truth += part.truth
-        return cls(ids, np.concatenate(scores), np.concatenate(flags), truth, errors)
+        text = "".join(texts)
+        bounds = np.zeros(n + 1, np.min_scalar_type(len(text)))
+        at = base = 0
+        for part_text, part_ends in zip(texts, ends):  # each part's offsets, shifted in place
+            shifted = bounds[at + 1 : at + 1 + len(part_ends)]
+            shifted[:] = part_ends
+            shifted += base
+            at, base = at + len(part_ends), base + len(part_text)
+        joined = cls.__new__(cls)
+        joined._fill(text, bounds, np.concatenate(scores), np.concatenate(flags), truth, errors)
+        return joined
 
     @classmethod
     def from_results(cls, records: Sequence[DetectionResult | StreamError]) -> Detections:
@@ -126,6 +149,12 @@ class Detections(Sequence):
             [r.is_anomaly for r in scored], [r.truth_label for r in scored], errors,
         )
 
+    def event_ids(self, start: int = 0, stop: int | None = None) -> list[str]:
+        """The event ids of records ``start`` up to ``stop``, in order."""
+        start, stop, _ = slice(start, stop).indices(len(self))
+        bounds, text = self._bounds[start : stop + 1].tolist(), self._text
+        return [text[i:j] for i, j in zip(bounds, bounds[1:])]
+
     def rows(
         self,
         scored: Callable[[str, float, bool, bool | None], T],
@@ -135,24 +164,26 @@ class Detections(Sequence):
         ``failed(event_id, error)`` of every record, in order, from the
         columns of one slice of :data:`~etlwatch.preprocess._CHUNK` records
         at a time."""
-        ids, errors, error_at, chunk = self.ids, self.errors, self._error_at, preprocess._CHUNK
+        n, errors, error_at, chunk = len(self), self.errors, self._error_at, preprocess._CHUNK
 
         def runs() -> Iterator[Iterable[T]]:  # the scored records between errors, and each error
             k = e = 0  # the scored records and the errors before the slice
-            for start in range(0, len(ids), chunk):
-                stop = min(start + chunk, len(ids))
+            for first in range(0, n, chunk):
+                stop = min(first + chunk, n)
+                ids = self.event_ids(first, stop)
                 cut = error_at[e : bisect.bisect_left(error_at, stop, lo=e)]
-                end = k + stop - start - len(cut)
-                keep = [True] * (stop - start)
+                end = k + stop - first - len(cut)
+                keep = [True] * (stop - first)
                 for position in cut:
-                    keep[position - start] = False
+                    keep[position - first] = False
                 done = map(
-                    scored, itertools.compress(ids[start:stop], keep),
+                    scored, itertools.compress(ids, keep),
                     self.scores[k:end].tolist(), self.flags[k:end].tolist(), self.truth[k:end],
                 )
+                start = first
                 for position in cut:
                     yield itertools.islice(done, position - start)
-                    yield (failed(ids[position], errors[position]),)
+                    yield (failed(ids[position - first], errors[position]),)
                     start = position + 1
                 yield done
                 k, e = end, e + len(cut)
@@ -160,7 +191,7 @@ class Detections(Sequence):
         return itertools.chain.from_iterable(runs())
 
     def __len__(self) -> int:
-        return len(self.ids)
+        return len(self._bounds) - 1
 
     def __iter__(self) -> Iterator[DetectionResult | StreamError]:
         return self.rows(DetectionResult, StreamError)
@@ -169,11 +200,12 @@ class Detections(Sequence):
         if isinstance(index, slice):
             return [self[i] for i in range(len(self))[index]]
         i = range(len(self))[index]
+        event_id = self._text[self._bounds[i] : self._bounds[i + 1]]
         if i in self.errors:
-            return StreamError(self.ids[i], self.errors[i])
+            return StreamError(event_id, self.errors[i])
         k = i - bisect.bisect_left(self._error_at, i)
         return DetectionResult(
-            self.ids[i], float(self.scores[k]), bool(self.flags[k]), self.truth[k]
+            event_id, float(self.scores[k]), bool(self.flags[k]), self.truth[k]
         )
 
     def __repr__(self) -> str:
@@ -286,7 +318,9 @@ def score_stream(
         return detections, labels if None in labels else None
 
     parts = read_chunks(path, STREAM_FIELDS, check)
-    _fill_labels(path, [(part.ids, labels) for part, labels in parts if labels is not None])
+    _fill_labels(
+        path, [(part.event_ids(), labels) for part, labels in parts if labels is not None]
+    )
     for part, labels in parts:
         if labels is not None:
             part.truth[:] = [label for i, label in enumerate(labels) if i not in part.errors]
@@ -404,15 +438,15 @@ _DETECTION_FIELDS = {
 def read_detections_jsonl(path: str | Path) -> Detections:
     """Read back a file written by :func:`write_detections_jsonl`.
 
-    A record with an ``error`` field is an error record. In every other
-    record ``score`` must be a JSON number (not a boolean) other than
-    ``NaN``, ``is_anomaly`` a boolean and ``truth_label``, if present, a
-    boolean or null; nothing is coerced. ``Infinity`` is a score: ``detect``
-    writes it for an event whose error overflows. A line that is not a UTF-8
-    JSON object, lacks a field, holds a field of another type, a ``NaN``
-    score or a score too large for a float raises
-    :class:`ContractViolationError` naming the file, the first such line
-    and the field. Each record is checked by itself, except in a run of
+    Every ``event_id`` must be a string. A record with an ``error`` field
+    is an error record. In every other record ``score`` must be a JSON
+    number (not a boolean) other than ``NaN``, ``is_anomaly`` a boolean and
+    ``truth_label``, if present, a boolean or null; nothing is coerced.
+    ``Infinity`` is a score: ``detect`` writes it for an event whose error
+    overflows. A line that is not a UTF-8 JSON object, lacks a field, holds
+    a field of another type, a ``NaN`` score or a score too large for a
+    float raises :class:`ContractViolationError` naming the file, the first
+    such line and the field. Each record is checked by itself, except in a run of
     records of the types :func:`write_detections_jsonl` writes, which is
     checked as columns.
     """
@@ -444,9 +478,12 @@ def _check_detection_records(records: Records) -> Detections:
 
 def _detection(record: dict) -> DetectionResult | StreamError:
     """One detection record: an error record, or a scored one."""
+    event_id = record["event_id"]
+    if type(event_id) is not str:
+        raise ContractViolationError(f"field 'event_id' must be a string, got {event_id!r}")
     if "error" in record:
-        return StreamError(record["event_id"], record["error"])
-    event_id, value = record["event_id"], record["score"]
+        return StreamError(event_id, record["error"])
+    value = record["score"]
     if type(value) is not int and type(value) is not float:
         raise ContractViolationError(f"field 'score' must be a number, got {value!r}")
     value = float(value)

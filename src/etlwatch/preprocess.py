@@ -465,7 +465,10 @@ def encode_events(
     x[rows, devices] = 1.0
     x[rows, regions] = 1.0
     x[:, -2 - size : -2] = missing
-    angles = list(map(hour_angle, batch.timestamp))
+    # hour_angle's operations in its order, on the day's milliseconds taken
+    # as Python ints, so a timestamp beyond int64 encodes too
+    day_ms = np.array([t % MS_PER_DAY for t in batch.timestamp], dtype=np.float64)
+    angles = (2.0 * math.pi * day_ms / MS_PER_DAY).tolist()
     x[:, -2] = list(map(math.sin, angles))
     x[:, -1] = list(map(math.cos, angles))
     return x, errors

@@ -264,9 +264,12 @@ def read_detections_jsonl(path):
     """Detection records, one line at a time."""
 
     def parse(record, line_no):
+        event_id = record["event_id"]
+        if type(event_id) is not str:
+            raise ContractViolationError(f"field 'event_id' must be a string, got {event_id!r}")
         if "error" in record:
-            return StreamError(record["event_id"], record["error"])
-        event_id, score = record["event_id"], record["score"]
+            return StreamError(event_id, record["error"])
+        score = record["score"]
         if type(score) not in (int, float):
             raise ContractViolationError(f"field 'score' must be a number, got {score!r}")
         score = float(score)

@@ -676,6 +676,29 @@ class TestDetections:
             tracemalloc.stop()
         assert peak < 400_000
 
+    def test_a_scored_or_read_stream_holds_under_50_bytes_per_record(
+        self, tmp_path, tiny_pipeline
+    ):
+        # one str object per id once took about 86 bytes per record
+        model, stats, schema, events = tiny_pipeline
+        n = 20_000
+        ids = [f"evt-{i:06d}" for i in range(n)]  # 200 000 characters: wider offsets than a run's
+        stream = [dataclasses.replace(events[i % len(events)], event_id=event_id)
+                  for i, event_id in enumerate(ids)]
+        path = write_stream(tmp_path / "stream.jsonl", stream, [i % 7 == 0 for i in range(n)])
+        write_detections_jsonl(score_stream(model, stats, path, schema, 0.5),
+                               tmp_path / "detections.jsonl")
+        for build in (lambda: score_stream(model, stats, path, schema, 0.5),
+                      lambda: read_detections_jsonl(tmp_path / "detections.jsonl")):
+            tracemalloc.start()
+            try:
+                detections = build()
+                held = tracemalloc.get_traced_memory()[0]
+            finally:
+                tracemalloc.stop()
+            assert held < 50 * n
+            assert detections.event_ids() == ids
+
     def test_columns_that_disagree_are_refused(self):
         with pytest.raises(ContractViolationError):
             Detections(["a", "b"], np.zeros(2), np.zeros(2, bool), [None, None], {1: "boom"})

@@ -19,7 +19,13 @@ from hypothesis import strategies as st
 
 from etlwatch import detector, preprocess, streamgen
 from etlwatch.autoencoder import AutoencoderParams
-from etlwatch.detector import read_detections_jsonl, score_stream, write_detections_jsonl
+from etlwatch.detector import (
+    Detections,
+    read_detections_jsonl,
+    score_stream,
+    write_detections_csv,
+    write_detections_jsonl,
+)
 from etlwatch.errors import (
     ContractViolationError,
     EncodingError,
@@ -121,6 +127,24 @@ class TestVectorize:
         assert hour_angle(0) == 0.0
         assert hour_angle(86_400_000) == 0.0
         assert hour_angle(43_200_000) == pytest.approx(math.pi)
+
+    def test_encoded_hour_columns_have_hour_angle_bits(self):
+        # the encoder takes each day's milliseconds as a Python int, then
+        # computes the angles of a run as one float64 expression
+        angles = {
+            0: "0x0.0p+0",
+            -1: "0x1.921fb4f62d221p+2",
+            preprocess.MS_PER_DAY - 1: "0x1.921fb4f62d221p+2",
+            preprocess.MS_PER_DAY: "0x0.0p+0",
+            2**63 + 5: "0x1.e396731627307p+0",
+            10**30: "0x1.dc975b9345b5ep-2",
+        }
+        x, failed = encode_events([make_event(timestamp=t) for t in angles], SCHEMA)
+        assert not failed
+        for (t, angle), row in zip(angles.items(), x):
+            assert hour_angle(t).hex() == angle
+            assert [v.hex() for v in row[-2:].tolist()] == [
+                math.sin(hour_angle(t)).hex(), math.cos(hour_angle(t)).hex()]
 
 
 # Values a masked field may hold, since EtlEvent checks only present fields;
@@ -710,6 +734,9 @@ CASES = [
      "line 6: field 'score' must not be NaN"),
     (read_detections_jsonl, detection_body(bad={2: b'{"score": 1}', 6: b"{broken"}),
      "line 3: no field 'event_id'"),
+    # an id is held as text, so one of another type is refused, not kept
+    (read_detections_jsonl, detection_body(bad={2: b'{"event_id": 5, "error": "boom"}'}),
+     "line 3: field 'event_id' must be a string, got 5"),
 ]
 
 
@@ -895,7 +922,7 @@ class TestRangedScoring:
                 d = reference.detections(score_one_at_a_time(path))
         except Exception as exc:
             return f"{type(exc).__name__}: {exc}"
-        return d.ids, d.scores.tolist(), d.flags.tolist(), d.truth, d.errors
+        return d.event_ids(), d.scores.tolist(), d.flags.tolist(), d.truth, d.errors
 
     @pytest.mark.parametrize("cpus", [2, 3])
     @pytest.mark.parametrize("body, labels, error", SCORING_CASES, ids=range(len(SCORING_CASES)))
@@ -926,12 +953,59 @@ class TestRangedScoring:
         labels_sibling_path(path).write_bytes(labels_file())
         split(3)
         detections = score_stream(MODEL, STATS, path, SCHEMA, DELTA)
-        assert detections.ids == STREAM_IDS
+        assert detections.event_ids() == STREAM_IDS
         assert detections.errors == {
             1: "cannot encode field 'device_type': unknown value 'toaster'",
             5: "cannot encode field 'geo_region': unknown value 'mars'",
         }
         assert detections.truth == [True, True, False, True]
+        assert not multiprocessing.active_children()
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    @pytest.mark.parametrize("chunk", [1, 2, 3, 8])
+    def test_odd_ids_come_back_whole_at_run_and_range_edges(
+        self, tmp_path, monkeypatch, split, cpus, chunk
+    ):
+        monkeypatch.setattr(preprocess, "_CHUNK", chunk)
+        odd = ["naïve-事件", "astral-\U0001F600\U00010348", "line\nbreak", 'say "hi"',
+               "back\\slash", "nul\x00byte", None]
+        lines = []
+        for i in range(15):
+            record = event_to_dict(make_event(amount=float(i), event_id=odd[i % len(odd)]))
+            if record["event_id"] is None:
+                del record["event_id"]  # it gets line-<n>
+            if i in (0, 2, 3, 7, 8, 14):
+                record["device_type"] = "toaster"
+            record["label"] = i % 3 == 0
+            # escaped, surrogate pairs included, or as UTF-8
+            lines.append(json.dumps(record, ensure_ascii=i % 2 == 0) + "\n")
+        path = tmp_path / "stream.jsonl"
+        path.write_text("".join(lines), encoding="utf-8")
+        split(cpus)
+        want = score_one_at_a_time(path)
+        assert {"line-7", "line-14", "nul\x00byte"} <= {r.event_id for r in want}
+        detections = score_stream(MODEL, STATS, path, SCHEMA, DELTA)
+        assert list(detections) == want
+        n = len(want)
+        assert [detections[i] for i in range(-n, n)] == want * 2
+        for cut in (slice(None), slice(1, 9, 2), slice(None, None, -3), slice(5, 2)):
+            assert detections[cut] == want[cut]
+        assert detections.event_ids(3, 11) == [r.event_id for r in want[3:11]]
+        edges = [0, 0, 3, 4, 8, n]
+        parts = [reference.detections(want[a:b]) for a, b in zip(edges, edges[1:])]
+        assert list(Detections.concat(parts)) == want
+        for write, write_reference, suffix in (
+            (write_detections_jsonl, reference.write_detections_jsonl, "jsonl"),
+            (write_detections_csv, reference.write_detections_csv, "csv"),
+        ):
+            write(detections, tmp_path / f"ours.{suffix}")
+            write_reference(want, tmp_path / f"theirs.{suffix}")
+            assert (tmp_path / f"ours.{suffix}").read_bytes() == (
+                tmp_path / f"theirs.{suffix}").read_bytes()
+        back = read_detections_jsonl(tmp_path / "ours.jsonl")
+        assert list(back) == want
+        write_detections_jsonl(back, tmp_path / "back.jsonl")
+        assert (tmp_path / "back.jsonl").read_bytes() == (tmp_path / "ours.jsonl").read_bytes()
         assert not multiprocessing.active_children()
 
 
