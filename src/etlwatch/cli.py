@@ -34,6 +34,7 @@ from .detector import (
     calibrate_threshold,
     calibration_scores,
     read_detections_jsonl,
+    read_normal_rows,
     score_stream,
     write_detections_csv,
     write_detections_jsonl,
@@ -49,7 +50,7 @@ from .evaluation import (
     sweep,
     write_metrics_report,
 )
-from .preprocess import FeatureSchema, fit_stats, standardize, vectorize_events
+from .preprocess import FeatureSchema, fit_stats, standardize
 from .streamgen import (
     ANOMALY_CLASSES,
     AnomalyMix,
@@ -231,11 +232,13 @@ def _run_train(params: dict) -> tuple[list[str], list[str], dict]:
     history_path = Path(params["out"]).with_suffix(".history.csv")
     inputs, outputs = [params["stream"]], [params["out"], str(history_path)]
     _refuse_overwrites(inputs, outputs)
-    events, labels, _ = read_stream(params["stream"])
     schema = FeatureSchema()
-    x_raw = vectorize_events(events.where([not label for label in labels]), schema)
-    stats = fit_stats(x_raw)
-    params_out, history = train(standardize(x_raw, stats), _train_config(params))
+    x = read_normal_rows(params["stream"], schema)
+    stats = fit_stats(x)
+    x = standardize(x, stats)  # the raw rows are dropped here
+    n_rows = len(x)
+    params_out, history = train(x, _train_config(params))
+    del x  # train keeps its own copy until the history's losses are read
     save_model(params["out"], params_out, stats, schema)
     with open(history_path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
@@ -249,7 +252,7 @@ def _run_train(params: dict) -> tuple[list[str], list[str], dict]:
             )
     final = history.losses[-1]
     click.echo(
-        f"trained on {x_raw.shape[0]} events for {len(history)} epochs, "
+        f"trained on {n_rows} events for {len(history)} epochs, "
         f"final loss {final.l_total:.6f}"
     )
     return inputs, outputs, {}

@@ -34,11 +34,10 @@ import numpy as np
 
 from . import preprocess
 from .autoencoder import AutoencoderParams
-from .errors import ContractViolationError, EncodingError, InsufficientDataError
+from .errors import ContractViolationError, InsufficientDataError
 from .numerics import as_vector
 from .preprocess import (
     ABSENT,
-    EventBatch,
     FeatureSchema,
     Records,
     StandardizationStats,
@@ -220,16 +219,24 @@ def batch_scores(params: AutoencoderParams, x_std: np.ndarray) -> np.ndarray:
     ``einsum`` contractions, which reduce every output element over its own
     row in a fixed order, whereas a BLAS matrix product picks its kernel,
     and with it the summation order, by the shape of the whole batch.
+    It allocates one (n, k) and one (n, d) array, the two products: the
+    bias, the activation, the difference and its square overwrite them in
+    place, which rounds each element as fresh arrays would.
     """
     x_std = np.atleast_2d(np.asarray(x_std, dtype=np.float64))
     if x_std.ndim != 2 or x_std.shape[1] != params.d:
         raise ContractViolationError(
             f"scoring expects rows of dimension {params.d}, got shape {x_std.shape}"
         )
-    h = params.hidden_activation.apply(np.einsum("nd,kd->nk", x_std, params.w_e) + params.b_e)
-    xhat = params.output_activation.apply(np.einsum("nk,dk->nd", h, params.w_d) + params.b_d)
-    diff = x_std - xhat
-    return np.sum(diff * diff, axis=1)
+    h = np.einsum("nd,kd->nk", x_std, params.w_e)
+    h += params.b_e
+    params.hidden_activation.apply(h, out=h)
+    diff = np.einsum("nk,dk->nd", h, params.w_d)
+    diff += params.b_d
+    params.output_activation.apply(diff, out=diff)
+    np.subtract(x_std, diff, out=diff)
+    np.multiply(diff, diff, out=diff)
+    return np.sum(diff, axis=1)
 
 
 def score(
@@ -248,18 +255,6 @@ def calibrate_threshold(validation_scores: Sequence[float], q: float) -> float:
         raise InsufficientDataError("threshold calibration needs at least one score")
     rank = math.ceil(q * n)  # 1-based
     return float(np.sort(np.asarray(validation_scores, dtype=np.float64))[rank - 1])
-
-
-def _score_run(
-    params: AutoencoderParams,
-    stats: StandardizationStats,
-    events: EventBatch,
-    schema: FeatureSchema,
-) -> tuple[np.ndarray, list[tuple[int, EncodingError]]]:
-    """The scores of a run of events that encode, in order, and the
-    ``(position, EncodingError)`` of each that does not."""
-    x, failed = encode_events(events, schema)
-    return batch_scores(params, standardize(x, stats)), failed
 
 
 def _fill_labels(path: str | os.PathLike, runs: list[tuple[list[str], list]]) -> None:
@@ -311,7 +306,8 @@ def score_stream(
 
     def check(records: Records) -> tuple[Detections, list | None]:
         events, labels, _ = _check_stream_records(records)
-        scores, failed = _score_run(params, stats, events, schema)
+        x, failed = encode_events(events, schema)
+        scores = batch_scores(params, standardize(x, stats))
         errors = {position: str(exc) for position, exc in failed}
         truth = [label for i, label in enumerate(labels) if i not in errors]
         detections = Detections(events.event_id, scores, scores > delta, truth, errors)
@@ -327,6 +323,50 @@ def score_stream(
     return Detections.concat(part for part, _ in _popped(parts))
 
 
+def read_normal_rows(
+    path: str | os.PathLike,
+    schema: FeatureSchema,
+    step: Callable[[np.ndarray], np.ndarray] = lambda rows: rows,
+) -> np.ndarray:
+    """``step`` of the feature rows of the normal and unlabeled events of a
+    stream file, run by run, joined in line order: by default the rows
+    themselves, the ones ``train`` fits on.
+
+    The file is read as :func:`read_stream` reads it, labels file included.
+    Each run of records is encoded, and its rows go through ``step``, in the
+    process that reads it; a run keeps only what ``step`` gives for its rows,
+    one entry per row, its events that fail to encode and, where one of its
+    labels is missing, its ids and labels. So what is held is one entry per
+    normal and unlabeled event, as in :func:`vectorize_events` of those
+    events in one batch, and not the events. The first such event that
+    fails to encode raises its :class:`EncodingError`, as
+    :func:`vectorize_events` would; an anomalous one is skipped.
+    """
+
+    def check(records: Records) -> tuple[np.ndarray, list, list | None, list | None]:
+        events, labels, _ = _check_stream_records(records)
+        if None in labels:  # its normal events are known once the labels are filled
+            x, failed = encode_events(events, schema)
+            return step(x), failed, events.event_id, labels
+        x, failed = encode_events(events.where([not label for label in labels]), schema)
+        return step(x), failed, None, None
+
+    runs = read_chunks(path, STREAM_FIELDS, check)
+    _fill_labels(path, [(ids, labels) for _, _, ids, labels in runs if labels is not None])
+    kept = []
+    for rows, failed, _, labels in runs:
+        if labels is not None:  # a run encoded whole: keep its normal and unlabeled rows
+            normal = np.array([label is not True for label in labels], dtype=bool)
+            encoded = np.ones(len(labels), dtype=bool)
+            encoded[[position for position, _ in failed]] = False
+            rows = rows[normal[encoded]]
+            failed = [(position, exc) for position, exc in failed if normal[position]]
+        if failed:
+            raise failed[0][1]
+        kept.append(rows)
+    return np.concatenate(kept) if kept else step(np.zeros((0, schema.dim)))
+
+
 def calibration_scores(
     params: AutoencoderParams,
     stats: StandardizationStats,
@@ -336,37 +376,12 @@ def calibration_scores(
     """The scores of the normal and unlabeled events of a stream file, in
     line order: the validation scores delta is calibrated on.
 
-    The file is read as :func:`read_stream` reads it, labels file included,
-    and each run of records is encoded, standardized and scored as
-    :func:`score_stream` scores it; a run keeps only its scores, its events
-    that fail to encode and, where one of its labels is missing, its ids and
-    labels. The scores are those of :func:`batch_scores` over the normal and
-    unlabeled events in one batch. The first such event that fails to encode
-    raises its :class:`EncodingError`, as :func:`vectorize_events` would; an
-    anomalous one is skipped.
+    :func:`read_normal_rows` with each run's rows standardized and scored
+    as :func:`score_stream` scores them, so a run keeps only its scores. The
+    scores are those of :func:`batch_scores` over the normal and unlabeled
+    events in one batch.
     """
-
-    def check(records: Records) -> tuple[np.ndarray, list, list | None, list | None]:
-        events, labels, _ = _check_stream_records(records)
-        if None in labels:  # its normal events are known once the labels are filled
-            return (*_score_run(params, stats, events, schema), events.event_id, labels)
-        normal = events.where([not label for label in labels])
-        return (*_score_run(params, stats, normal, schema), None, None)
-
-    runs = read_chunks(path, STREAM_FIELDS, check)
-    _fill_labels(path, [(ids, labels) for _, _, ids, labels in runs if labels is not None])
-    kept = [np.zeros(0)]
-    for scores, failed, _, labels in runs:
-        if labels is not None:  # a run scored whole: keep its normal and unlabeled rows
-            normal = np.array([label is not True for label in labels], dtype=bool)
-            encoded = np.ones(len(labels), dtype=bool)
-            encoded[[position for position, _ in failed]] = False
-            scores = scores[normal[encoded]]
-            failed = [(position, exc) for position, exc in failed if normal[position]]
-        if failed:
-            raise failed[0][1]
-        kept.append(scores)
-    return np.concatenate(kept)
+    return read_normal_rows(path, schema, lambda x: batch_scores(params, standardize(x, stats)))
 
 
 _JSON_BOOL = {True: "true", False: "false"}
@@ -439,9 +454,10 @@ def read_detections_jsonl(path: str | Path) -> Detections:
     """Read back a file written by :func:`write_detections_jsonl`.
 
     Every ``event_id`` must be a string. A record with an ``error`` field
-    is an error record. In every other record ``score`` must be a JSON
-    number (not a boolean) other than ``NaN``, ``is_anomaly`` a boolean and
-    ``truth_label``, if present, a boolean or null; nothing is coerced.
+    is an error record, and its ``error`` must be a string. In every other
+    record ``score`` must be a JSON number (not a boolean) other than
+    ``NaN``, ``is_anomaly`` a boolean and ``truth_label``, if present, a
+    boolean or null; nothing is coerced.
     ``Infinity`` is a score: ``detect`` writes it for an event whose error
     overflows. A line that is not a UTF-8 JSON object, lacks a field, holds
     a field of another type, a ``NaN`` score or a score too large for a
@@ -454,10 +470,10 @@ def read_detections_jsonl(path: str | Path) -> Detections:
 
 
 def _check_detection_records(records: Records) -> Detections:
-    """A run of detection records: as columns when every id is a string,
-    every score an int or a float, not NaN and not too large for a float,
-    every flag a boolean and every truth label a boolean or null; else
-    record by record."""
+    """A run of detection records: as columns when every id and error is
+    a string, every score an int or a float, not NaN and not too large for a
+    float, every flag a boolean and every truth label a boolean or null;
+    else record by record."""
     ids, failed, score, flag, truth = records.values.values()
     errors = {i: error for i, error in enumerate(failed) if error is not ABSENT}
     if errors:
@@ -465,6 +481,7 @@ def _check_detection_records(records: Records) -> Detections:
         score, flag, truth = (list(itertools.compress(c, scored)) for c in (score, flag, truth))
     if (
         set(map(type, ids)) <= {str}
+        and set(map(type, errors.values())) <= {str}
         and set(map(type, score)) <= {int, float}
         and set(map(type, flag)) <= {bool}
         and set(map(type, truth)) <= {bool, type(None)}
@@ -482,7 +499,10 @@ def _detection(record: dict) -> DetectionResult | StreamError:
     if type(event_id) is not str:
         raise ContractViolationError(f"field 'event_id' must be a string, got {event_id!r}")
     if "error" in record:
-        return StreamError(event_id, record["error"])
+        error = record["error"]
+        if type(error) is not str:
+            raise ContractViolationError(f"field 'error' must be a string, got {error!r}")
+        return StreamError(event_id, error)
     value = record["score"]
     if type(value) is not int and type(value) is not float:
         raise ContractViolationError(f"field 'score' must be a number, got {value!r}")

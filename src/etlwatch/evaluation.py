@@ -197,7 +197,9 @@ def make_bundle(events: Sequence[LabeledEvent]) -> DataBundle:
 
     The stream is worked on as columns: a :class:`LabeledStream` as it is,
     any other sequence of labeled events gathered into one first
-    (:meth:`LabeledStream.from_events`).
+    (:meth:`LabeledStream.from_events`). Each split's events are selected
+    from the stream's columns in one pass
+    (:meth:`~etlwatch.preprocess.EventBatch.where`).
     """
     stream = LabeledStream.from_events(events)
     schema = FeatureSchema()
@@ -205,15 +207,15 @@ def make_bundle(events: Sequence[LabeledEvent]) -> DataBundle:
     n_train = int(n * 0.6)
     n_val = int(n * 0.2)
     normal = [not label for label in stream.labels]
-    train_part = stream.events[:n_train].where(normal[:n_train])
-    val_part = stream.events[n_train : n_train + n_val].where(normal[n_train : n_train + n_val])
+    train_part = stream.events.where(normal[:n_train])
+    val_part = stream.events.where(normal[n_train : n_train + n_val], n_train)
     test_part = stream.events[n_train + n_val :]
     if len(train_part) < 2 or not val_part or not test_part:
         raise ContractViolationError("stream is too small to split into three parts")
 
-    x_train_raw = vectorize_events(train_part, schema)
-    stats = fit_stats(x_train_raw)
-    x_train = standardize(x_train_raw, stats)
+    x_train = vectorize_events(train_part, schema)
+    stats = fit_stats(x_train)
+    x_train = standardize(x_train, stats)  # the raw rows are dropped here
     x_val = standardize(vectorize_events(val_part, schema), stats)
     x_test = standardize(vectorize_events(test_part, schema), stats)
     y_test = np.array(stream.labels[n_train + n_val :], dtype=bool)
@@ -238,8 +240,12 @@ _KNOB_FIELDS = {"lr": "learning_rate", "k": "latent_dim"}
 
 
 def evaluate_config(bundle: DataBundle, cfg: TrainConfig) -> MetricsReport:
-    """Train on the bundle, calibrate delta on validation normals, score test."""
-    params, _ = train(bundle.x_train, cfg)
+    """Train on the bundle, calibrate delta on validation normals, score test.
+
+    The training history, which holds a copy of the parameters per epoch and
+    one of ``x_train``, is dropped before anything is scored.
+    """
+    params = train(bundle.x_train, cfg)[0]
     delta = calibrate_threshold(batch_scores(params, bundle.x_val), DELTA_QUANTILE)
     test_scores = batch_scores(params, bundle.x_test)
     return metrics_at_threshold(test_scores, bundle.y_test, delta)

@@ -316,10 +316,15 @@ class EventBatch(Sequence[EtlEvent]):
     def __iter__(self) -> Iterator[EtlEvent]:
         return itertools.starmap(EtlEvent, zip(*self.columns()))
 
-    def where(self, keep: Iterable[bool]) -> EventBatch:
-        """The rows whose entry of ``keep`` is true."""
+    def where(self, keep: Iterable[bool], start: int = 0) -> EventBatch:
+        """The rows from row ``start`` on whose entry of ``keep`` is true:
+        row ``start + i`` where ``keep[i]`` is, in one pass over each column,
+        without a copy of its rows from ``start`` on."""
         keep = list(keep)
-        return EventBatch(*(list(itertools.compress(c, keep)) for c in self.columns()))
+        return EventBatch(*(
+            list(itertools.compress(itertools.islice(c, start, None), keep))
+            for c in self.columns()
+        ))
 
     @classmethod
     def concat(cls, batches: Iterable[EventBatch]) -> EventBatch:
@@ -502,13 +507,19 @@ def fit_stats(x: np.ndarray) -> StandardizationStats:
 
 
 def standardize(x: np.ndarray, stats: StandardizationStats) -> np.ndarray:
-    """Apply (x - mu) / sigma per feature; accepts a vector or a matrix."""
+    """Apply (x - mu) / sigma per feature; accepts a vector or a matrix.
+
+    Only the result is allocated: the division overwrites the difference in
+    place. ``x`` is left as it is.
+    """
     x = np.asarray(x, dtype=np.float64)
     if x.shape[-1] != stats.dim:
         raise ContractViolationError(
             f"cannot standardize shape {x.shape} with stats of dimension {stats.dim}"
         )
-    return (x - stats.mu) / stats.sigma
+    y = x - stats.mu
+    y /= stats.sigma
+    return y
 
 
 # orjson reads an integer literal outside the 64-bit range as a float, where

@@ -16,7 +16,7 @@ A stream is held as columns, a :class:`LabeledStream`. :func:`generate`
 draws each event's field values as one row, checks them as an
 :class:`~etlwatch.preprocess.EtlEvent` would be checked, applies the event's
 fault to them (:func:`inject`), if any, and checks them again; the rows
-become the stream's columns once every event is drawn.
+are moved into the stream's columns a chunk at a time.
 
 Fault classes (applied to a freshly drawn normal event):
 
@@ -58,6 +58,7 @@ from .preprocess import (
     MASKABLE_FIELDS,
     MS_PER_DAY,
     NUMERIC_FIELDS,
+    _CHUNK,
     EtlEvent,
     EventBatch,
     Records,
@@ -531,30 +532,37 @@ def generate(cfg: StreamConfig) -> LabeledStream:
 
     Each event is drawn as a row of field values and checked as an
     :class:`EtlEvent` would be, then given its fault (see :func:`inject`),
-    if any, and checked again, before the next is drawn. The rows become the
-    stream's columns at the end. The Poisson bands of every mean the config
-    can reach are cached first (:func:`_fill_poisson_bands`).
+    if any, and checked again, before the next is drawn. Each
+    :data:`~etlwatch.preprocess._CHUNK` rows are moved into the stream's
+    columns once drawn, so the rows of one chunk are held at a time. The
+    Poisson bands of every mean the config can reach are cached first
+    (:func:`_fill_poisson_bands`).
     """
     _fill_poisson_bands(cfg)
     unit = SeededRng(cfg.seed).fractions()
     normal = _NormalEvents(cfg)
     mix = running_sums(cfg.mix.weights())
     timestamp = cfg.start_timestamp
-    rows: list[list] = []
+    columns: list[list] = [[] for _ in EVENT_FIELDS]
     classes: list[str | None] = []
-    for i in range(cfg.n_events):
-        timestamp += max(1, round(sample_exponential(unit, cfg.mean_gap_ms)))
-        row = normal.draw(unit, timestamp, f"evt-{i:06d}")
-        _check(row)
-        anomaly_class = None
-        if unit() < cfg.anomaly_rate:
-            anomaly_class = ANOMALY_CLASSES[sample_categorical(unit, mix)]
-            inject(row, anomaly_class, unit)
+    n = cfg.n_events
+    for first in range(0, n, _CHUNK):
+        rows = []
+        for i in range(first, min(first + _CHUNK, n)):
+            timestamp += max(1, round(sample_exponential(unit, cfg.mean_gap_ms)))
+            row = normal.draw(unit, timestamp, f"evt-{i:06d}")
             _check(row)
-        rows.append(row)
-        classes.append(anomaly_class)
+            anomaly_class = None
+            if unit() < cfg.anomaly_rate:
+                anomaly_class = ANOMALY_CLASSES[sample_categorical(unit, mix)]
+                inject(row, anomaly_class, unit)
+                _check(row)
+            rows.append(row)
+            classes.append(anomaly_class)
+        for column, values in zip(columns, zip(*rows)):
+            column += values
     labels = [anomaly_class is not None for anomaly_class in classes]
-    return LabeledStream(EventBatch.from_rows(rows), labels, classes)
+    return LabeledStream(EventBatch(*columns), labels, classes)
 
 
 # --- labeled-event files ----------------------------------------------------

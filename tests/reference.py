@@ -4,8 +4,9 @@ Each function is the plain form the library once used: one event, one
 record, one line or one tie group at a time, with fresh arrays for every
 intermediate, or one whole file at a time. The tests compare the library's
 column-wise encoder, its column readers of streams, labels files and
-detections, its line writers, its JSON-lines reader, its calibration scores,
-its rank computation, its sigmoid, its epoch loss, its gradient kernel, its
+detections, its line writers, its JSON-lines reader, its standardization,
+its scoring pass, its training rows and calibration scores, its rank
+computation, its sigmoid, its epoch loss, its gradient kernel, its
 stream generator and fault injector, its labeled-stream writer, its bundle
 split and its random draws with these, bit for bit and byte for byte.
 """
@@ -19,7 +20,7 @@ import numpy as np
 
 from etlwatch import streamgen
 from etlwatch.autoencoder import Gradients, latent_l1, reconstruction_loss, total_loss
-from etlwatch.detector import DetectionResult, Detections, StreamError, batch_scores
+from etlwatch.detector import DetectionResult, Detections, StreamError
 from etlwatch.errors import ContractViolationError, EncodingError, EtlwatchError
 from etlwatch.numerics import SeededRng
 from etlwatch.preprocess import (
@@ -30,7 +31,6 @@ from etlwatch.preprocess import (
     FeatureSchema,
     fit_stats,
     hour_angle,
-    standardize,
     vectorize_events,
 )
 from etlwatch.streamgen import (
@@ -44,6 +44,21 @@ from etlwatch.streamgen import (
     sample_lognormal,
     sample_poisson,
 )
+
+
+def standardize(x, stats):
+    """(x - mu) / sigma, the difference a fresh array."""
+    return (np.asarray(x, dtype=np.float64) - stats.mu) / stats.sigma
+
+
+def batch_scores(params, x_std):
+    """Each row's squared reconstruction error with the ``einsum`` products
+    of the library's scoring pass, each intermediate a fresh array."""
+    x_std = np.atleast_2d(np.asarray(x_std, dtype=np.float64))
+    h = params.hidden_activation.apply(np.einsum("nd,kd->nk", x_std, params.w_e) + params.b_e)
+    xhat = params.output_activation.apply(np.einsum("nk,dk->nd", h, params.w_d) + params.b_d)
+    diff = x_std - xhat
+    return np.sum(diff * diff, axis=1)
 
 
 def vectorize_row(event, schema):
@@ -121,13 +136,18 @@ def detections(records):
     return Detections(ids, scores, flags, truth, errors)
 
 
-def calibration_scores(params, stats, path, schema):
-    """The validation scores of a stream file, the whole file at once: its
-    events and filled labels, the normal and unlabeled events as one batch,
-    their rows and scores."""
+def read_normal_rows(path, schema):
+    """The feature rows of the normal and unlabeled events of a stream file,
+    the whole file at once: its events and filled labels, then those events
+    encoded as one batch."""
     events, labels, _ = streamgen.read_stream(path)
-    normal = events.where([not label for label in labels])
-    return batch_scores(params, standardize(vectorize_events(normal, schema), stats))
+    return vectorize_events(events.where([not label for label in labels]), schema)
+
+
+def calibration_scores(params, stats, path, schema):
+    """The validation scores of a stream file, the whole file at once: the
+    rows of :func:`read_normal_rows`, standardized and scored as one batch."""
+    return batch_scores(params, standardize(read_normal_rows(path, schema), stats))
 
 
 def average_ranks(values):
@@ -268,7 +288,10 @@ def read_detections_jsonl(path):
         if type(event_id) is not str:
             raise ContractViolationError(f"field 'event_id' must be a string, got {event_id!r}")
         if "error" in record:
-            return StreamError(event_id, record["error"])
+            error = record["error"]
+            if type(error) is not str:
+                raise ContractViolationError(f"field 'error' must be a string, got {error!r}")
+            return StreamError(event_id, error)
         score = record["score"]
         if type(score) not in (int, float):
             raise ContractViolationError(f"field 'score' must be a number, got {score!r}")

@@ -8,12 +8,14 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
-from etlwatch.autoencoder import load_model
+from etlwatch.autoencoder import TrainConfig, load_model, save_model, train
 from etlwatch import cli, evaluation, preprocess
 from etlwatch.cli import main
 from etlwatch.detector import DetectionResult, StreamError, batch_scores
 from etlwatch.errors import EtlwatchError
-from etlwatch.preprocess import hour_angle, parse_event, standardize, vectorize_events
+from etlwatch.preprocess import (
+    FeatureSchema, fit_stats, hour_angle, parse_event, standardize, vectorize_events,
+)
 import reference
 
 
@@ -130,6 +132,28 @@ class TestTrain:
         result = runner.invoke(main, ["train", str(tmp_path / "absent.jsonl"),
                                       "--out", str(tmp_path / "m.json")])
         assert result.exit_code == 2  # click path validation
+
+    @pytest.mark.parametrize("holdout", [False, True])
+    def test_a_stream_read_in_two_ranges_trains_the_model_of_one_read(
+        self, runner, tmp_path, monkeypatch, cpus, started, holdout
+    ):
+        stream = tmp_path / "s.jsonl"
+        run_ok(runner, ["generate", "--n", "2500", "--seed", "4", "--out", str(stream)]
+               + ["--holdout"] * holdout)
+        monkeypatch.setattr(preprocess, "_SPLIT_BYTES", stream.stat().st_size // 2)
+        cpus(2)
+        run_ok(runner, ["train", str(stream), "--epochs", "2", "--k", "8", "--seed", "4",
+                        "--out", str(tmp_path / "m.json")])
+        assert len(started) == 1  # a worker read the second range
+        # the model of the whole file read at once
+        schema = FeatureSchema()
+        x = reference.read_normal_rows(stream, schema)
+        stats = fit_stats(x)
+        params, _ = train(reference.standardize(x, stats),
+                          TrainConfig(epochs=2, latent_dim=8, seed=4))
+        save_model(tmp_path / "expected.json", params, stats, schema)
+        assert (tmp_path / "m.json").read_bytes() == (tmp_path / "expected.json").read_bytes()
+        assert not multiprocessing.active_children()
 
     def test_full_defaults_on_5000_events_under_60s(self, runner, tmp_path):
         import time
@@ -1057,7 +1081,7 @@ class TestOutputThatNamesAnInput:
         def opened(*args, **kwargs):
             raise AssertionError(f"{args[0]} was opened before the overwrite check")
 
-        for name in ("read_stream", "read_detections_jsonl", "load_model"):
+        for name in ("read_stream", "read_normal_rows", "read_detections_jsonl", "load_model"):
             monkeypatch.setattr(cli, name, opened)
 
     @pytest.mark.parametrize("case", list(OVERWRITES))

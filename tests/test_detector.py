@@ -21,6 +21,7 @@ from etlwatch.detector import (
     calibrate_threshold,
     calibration_scores,
     read_detections_jsonl,
+    read_normal_rows,
     score,
     score_stream,
     write_detections_csv,
@@ -119,6 +120,41 @@ class TestBatchScores:
         for i in range(n):
             assert batch_scores(params, x_std[i]).tobytes() == full[i : i + 1].tobytes()
             assert score(params, stats, x_raw[i]) == full[i]
+
+    @pytest.mark.parametrize("n", [1, 2_000])
+    @pytest.mark.parametrize("act_o", list(Activation))
+    @pytest.mark.parametrize("act_h", list(Activation))
+    def test_equal_fresh_arrays_bit_for_bit(self, act_h, act_o, n):
+        # computed in place; rows far out reach both sigmoid branches and relu's zero
+        rnd = np.random.default_rng(n)
+        d, k = 16, 24
+        params = AutoencoderParams(
+            w_e=rnd.normal(size=(k, d)), b_e=rnd.normal(size=k),
+            w_d=rnd.normal(size=(d, k)), b_d=rnd.normal(size=d),
+            hidden_activation=act_h, output_activation=act_o,
+        )
+        x = rnd.normal(scale=3.0, size=(n, d))
+        x[::7] *= 50.0
+        before = x.copy()
+        assert batch_scores(params, x).tobytes() == reference.batch_scores(params, x).tobytes()
+        assert x.tobytes() == before.tobytes()
+
+    def test_holds_one_n_by_k_array_at_k_128(self):
+        # a fresh array for the bias and one for the activation once held three
+        n, d, k = 2_000, 16, 128
+        rnd = np.random.default_rng(5)
+        params = AutoencoderParams(
+            w_e=rnd.normal(size=(k, d)), b_e=rnd.normal(size=k),
+            w_d=rnd.normal(size=(d, k)), b_d=rnd.normal(size=d),
+        )
+        x = rnd.normal(size=(n, d))
+        tracemalloc.start()
+        try:
+            batch_scores(params, x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * n * k * 8  # one (n, k) array, one (n, d) and the scores
 
 
 class TestCalibrateThreshold:
@@ -428,18 +464,25 @@ def write_calibration(path, stream, truth, labeling):
 
 
 class TestCalibrationScores:
-    """detect's validation scores, read and scored a run at a time, against
-    the whole file read at once and its normal rows scored as one batch."""
+    """detect's validation scores and train's rows, read a run at a time,
+    against the whole file read at once and its normal rows encoded and
+    scored as one batch."""
 
     @staticmethod
     def assert_as_the_reference(model, stats, path, schema):
+        # train's rows, from the same reader, too
+        rows, their_rows = (
+            outcome(read, path, schema) for read in (read_normal_rows, reference.read_normal_rows)
+        )
         ours, theirs = (
             outcome(calibrate, model, stats, path, schema)
             for calibrate in (calibration_scores, reference.calibration_scores)
         )
         if isinstance(theirs, str):
-            assert ours == theirs
+            assert ours == theirs == rows == their_rows
             return ours
+        assert rows.shape == their_rows.shape == (len(theirs), schema.dim)
+        assert rows.tobytes() == their_rows.tobytes()
         assert ours.tobytes() == theirs.tobytes()
         assert calibrate_threshold(ours, 0.95) == calibrate_threshold(theirs, 0.95)
         return ours
@@ -505,6 +548,21 @@ class TestCalibrationScores:
             finally:
                 tracemalloc.stop()
         assert peaks[0] < 2_000_000 < peaks[1]
+
+    def test_train_rows_hold_under_300_bytes_per_event(self, tiny_pipeline, tmp_path):
+        # about 220 here; the whole file at once, as train once read it, about 680
+        _, _, schema, events = tiny_pipeline
+        stream, truth = calibration_stream(events, 17_143)  # 20 001 events
+        n = len(stream)
+        path = write_calibration(tmp_path / "train.jsonl", stream, truth, "inline")
+        tracemalloc.start()
+        try:
+            rows = read_normal_rows(path, schema)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rows.shape == (truth.count(False), schema.dim)
+        assert peak < 300 * n
 
 
 # any text, rich in what csv.writer quotes: commas, quotes, CR and LF

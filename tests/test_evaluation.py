@@ -5,6 +5,7 @@ import multiprocessing
 import os
 import pickle
 import time
+import weakref
 
 import numpy as np
 import pytest
@@ -197,6 +198,25 @@ def test_trained_model_separates_class_means(small_bundle):
     params, _ = train(small_bundle.x_train, TrainConfig(epochs=10, latent_dim=8))
     scores = batch_scores(params, small_bundle.x_test)
     assert scores[small_bundle.y_test].mean() > scores[~small_bundle.y_test].mean()
+
+
+def test_the_training_history_is_gone_before_anything_is_scored(small_bundle, monkeypatch):
+    # it holds a copy of the parameters per epoch and one of x_train
+    train, batch_scores, histories, alive = evaluation.train, evaluation.batch_scores, [], []
+
+    def watched_train(x, cfg):
+        params, history = train(x, cfg)
+        histories.append(weakref.ref(history))
+        return params, history
+
+    def watched_scores(params, x):
+        alive.append(histories[0]() is not None)
+        return batch_scores(params, x)
+
+    monkeypatch.setattr(evaluation, "train", watched_train)
+    monkeypatch.setattr(evaluation, "batch_scores", watched_scores)
+    evaluation.evaluate_config(small_bundle, FAST)
+    assert alive == [False, False]
 
 
 class TestSweeps:

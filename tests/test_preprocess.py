@@ -291,6 +291,18 @@ class TestStandardize:
         with pytest.raises(ContractViolationError):
             standardize(np.zeros(4), stats)
 
+    @pytest.mark.parametrize("shape", [(16,), (1, 16), (2_000, 16)])
+    def test_equals_a_fresh_difference_bit_for_bit_and_leaves_its_input(self, shape):
+        rng = np.random.default_rng(len(shape))
+        stats = preprocess.StandardizationStats(mu=rng.normal(size=16) * 100,
+                                                sigma=np.r_[1e-8, rng.uniform(1e-3, 1e3, 15)])
+        x = rng.normal(scale=1e3, size=shape)
+        before = x.copy()
+        z = standardize(x, stats)
+        assert z.tobytes() == reference.standardize(x, stats).tobytes()
+        assert x.tobytes() == before.tobytes()
+        assert not np.shares_memory(z, x)
+
     @given(st.randoms(use_true_random=False))
     @settings(max_examples=25)
     def test_round_trip_mean_and_std(self, rnd):
@@ -737,6 +749,9 @@ CASES = [
     # an id is held as text, so one of another type is refused, not kept
     (read_detections_jsonl, detection_body(bad={2: b'{"event_id": 5, "error": "boom"}'}),
      "line 3: field 'event_id' must be a string, got 5"),
+    # an error is written as text, so one of another type is refused, not kept
+    (read_detections_jsonl, detection_body(bad={2: b'{"event_id": "a", "error": null}'}),
+     "line 3: field 'error' must be a string, got None"),
 ]
 
 

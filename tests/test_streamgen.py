@@ -4,7 +4,7 @@ import os
 import re
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import astuple, replace
 from pathlib import Path
 
 import numpy as np
@@ -49,6 +49,15 @@ CONFIGS = {
 }
 
 
+def bits(items):
+    """Each labeled event's fields, every float as its hex form."""
+    return [
+        (item.label, item.anomaly_class,
+         *(v.hex() if type(v) is float else v for v in astuple(item.event)))
+        for item in items
+    ]
+
+
 class TestGenerate:
     def test_zero_rate_means_all_normal(self):
         events = generate(StreamConfig(n_events=300, anomaly_rate=0.0, seed=1))
@@ -73,6 +82,13 @@ class TestGenerate:
     def test_equals_the_per_event_reference(self, seed, changes):
         cfg = StreamConfig(n_events=400, seed=seed, **changes)
         assert list(generate(cfg)) == reference.generate(cfg)
+
+    @pytest.mark.parametrize("n", [1023, 1024, 1025, 2049])
+    def test_equals_the_per_event_reference_bit_for_bit_at_chunk_edges(self, n):
+        # rows are moved into the columns one chunk at a time
+        assert preprocess._CHUNK == 1024
+        cfg = StreamConfig(n_events=n, anomaly_rate=0.2, seed=n)
+        assert bits(generate(cfg)) == bits(reference.generate(cfg))
 
     def test_equals_the_per_event_reference_at_full_size(self, benchmark_stream):
         # the default config: 10 000 events at seed 7
@@ -512,7 +528,10 @@ class TestLabeledStream:
             tmp_path / "expected.jsonl"
         ).read_bytes()
 
-    def test_the_bundle_of_its_list_is_its_bundle(self, stream):
+    @pytest.mark.parametrize("n", [300, 4097])
+    def test_the_bundle_of_its_list_is_its_bundle(self, n):
+        # each split is selected from the stream's columns, not from a copied slice
+        stream = generate(replace(self.CFG, n_events=n))
         expected = reference.make_bundle(list(stream))
         for bundle in (make_bundle(stream), make_bundle(list(stream))):
             got = (bundle.x_train, bundle.x_val, bundle.x_test, bundle.y_test)
