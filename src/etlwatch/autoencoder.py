@@ -196,7 +196,9 @@ class TrainHistory:
     its bound could not rule out an overflow, keeps that value. Until then
     the history holds the copies, epochs x P x 8 bytes for P = 2kd + k + d
     parameters (0.43 MB at the defaults, 1.7 MB at k = 128), and a copy of
-    the training set; the first read drops both.
+    the training set; the first read drops both. A read allocates one
+    slice's forward pass at a time (see :func:`_row_losses`), not one over
+    the whole set.
     """
 
     def __init__(self) -> None:
@@ -280,63 +282,63 @@ def decode(params: AutoencoderParams, h: np.ndarray) -> np.ndarray:
     return params.output_activation.apply(z, out=z)
 
 
-def reconstruction_loss(x: np.ndarray, xhat: np.ndarray) -> float:
-    """Mean over samples of the squared Euclidean reconstruction error.
-
-    The squared norm is summed over features, not averaged, so the value for
-    a single (x, xhat) pair is exactly ||x - xhat||^2.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    xhat = np.asarray(xhat, dtype=np.float64)
-    if x.shape != xhat.shape:
-        raise ContractViolationError(
-            f"reconstruction_loss shape mismatch: {x.shape} vs {xhat.shape}"
-        )
-    diff = x - xhat
-    if diff.ndim == 1:
-        return float(diff @ diff)
-    return float(np.mean(np.sum(diff * diff, axis=1)))
-
-
-def latent_l1(h: np.ndarray, l1_penalty: float) -> float:
-    """l1_penalty times the batch-mean L1 norm of the latents."""
-    if l1_penalty < 0:
-        raise ContractViolationError(f"l1_penalty must be >= 0, got {l1_penalty}")
-    h = np.asarray(h, dtype=np.float64)
-    if h.ndim == 1:
-        return float(l1_penalty * np.sum(np.abs(h)))
-    return float(l1_penalty * np.mean(np.sum(np.abs(h), axis=1)))
-
-
 def total_loss(l_rec: float, l_reg: float) -> LossBreakdown:
     if l_rec < 0 or l_reg < 0:
         raise ContractViolationError("loss terms must be non-negative")
     return LossBreakdown(l_rec=l_rec, l_reg=l_reg, l_total=l_rec + l_reg)
 
 
+# Rows a loss runs through its forward pass at a time (see _row_losses).
+_SLICE = 1024
+
+
 def batch_loss(params: AutoencoderParams, x: np.ndarray, l1_penalty: float) -> LossBreakdown:
     """Forward pass plus loss decomposition for a standardized batch.
 
-    Equal bit for bit to ``total_loss(reconstruction_loss(x, xhat),
-    latent_l1(h, l1_penalty))`` with ``h = encode(params, x)`` and ``xhat =
-    decode(params, h)``, but it allocates only two n-row arrays, the two
-    products of :func:`encode` and :func:`decode`: the difference, its square
-    and ``|h|`` overwrite them in place. A training history runs it over
-    the whole training set once per epoch, where allocating and first
-    touching fresh n-row arrays costs more than the arithmetic done on them.
+    Equal bit for bit to ``total_loss(l_rec, l_reg)`` with ``l_rec`` the
+    mean over rows of ``||x - xhat||^2`` (summed over features) and
+    ``l_reg`` ``l1_penalty`` times the mean over rows of ``||h||_1``, where
+    ``h = encode(params, x)`` and ``xhat = decode(params, h)`` over the
+    whole batch at once. An (n, d) batch runs through its forward pass a
+    slice of rows at a time (:func:`_row_losses`). A training history runs
+    it over the whole training set once per epoch.
     """
     x = np.asarray(x, dtype=np.float64)
-    h = encode(params, x)
-    diff = decode(params, h)
     if l1_penalty < 0:
         raise ContractViolationError(f"l1_penalty must be >= 0, got {l1_penalty}")
-    np.subtract(x, diff, out=diff)
-    np.abs(h, out=h)
-    if diff.ndim == 1:
-        return total_loss(float(diff @ diff), float(l1_penalty * np.sum(h)))
-    np.multiply(diff, diff, out=diff)
-    l_rec = float(np.mean(np.sum(diff, axis=1)))
-    return total_loss(l_rec, float(l1_penalty * np.mean(np.sum(h, axis=1))))
+    if x.ndim == 1:
+        h = encode(params, x)
+        diff = np.subtract(x, decode(params, h))
+        return total_loss(float(diff @ diff), float(l1_penalty * np.sum(np.abs(h, out=h))))
+    rec, reg = _row_losses(params, x)
+    return total_loss(float(np.mean(rec)), float(l1_penalty * np.mean(reg)))
+
+
+def _row_losses(params: AutoencoderParams, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's ``||x - xhat||^2`` and ``||h||_1``, with the bits of the
+    forward pass over all of the (n, d) ``x`` at once.
+
+    The rows go through :func:`encode` and :func:`decode` :data:`_SLICE` at
+    a time, the last rows joining the slice before when they are at most
+    half a slice. The products of slices aligned at multiples of ``_SLICE``
+    and none that short have the bits of the product of all rows; a short
+    one may not, as BLAS computes one row (gemv) or a few (a small-matrix
+    kernel) another way. Each slice's two products are all it allocates
+    besides the two (n,) results: the difference, its square and ``|h|``
+    overwrite them in place.
+    """
+    n = len(x)
+    starts = range(0, max(n - _SLICE // 2, 1), _SLICE)
+    rec, reg = np.empty(n), np.empty(n)
+    for lo, hi in zip(starts, [*starts[1:], n]):
+        part = x[lo:hi]
+        h = encode(params, part)
+        diff = decode(params, h)
+        np.subtract(part, diff, out=diff)
+        np.multiply(diff, diff, out=diff)
+        np.add.reduce(diff, axis=1, out=rec[lo:hi])
+        np.add.reduce(np.abs(h, out=h), axis=1, out=reg[lo:hi])
+    return rec, reg
 
 
 def _views(flat: np.ndarray, d: int, k: int) -> tuple[np.ndarray, ...]:
@@ -514,7 +516,9 @@ def train(
     Most callers never read the losses, so each epoch only copies the
     parameters into one epochs x P array, and the history computes the
     losses from those rows on first read (see :class:`TrainHistory`); it
-    keeps a copy of the training set until then. An epoch's loss is computed
+    keeps a copy of the training set until then, in the buffer the epochs
+    gathered their shuffled rows into, so training holds two n-row arrays,
+    ``x_train`` and that buffer, and no third. An epoch's loss is computed
     at once, as the divergence check needs, only when :func:`_loss_bound`
     from max|x| (once per call) and max|theta| (once per epoch) cannot rule
     out an overflow in :func:`batch_loss`; a deferred loss is then finite.
@@ -567,7 +571,10 @@ def train(
                 raise TrainingDivergedError(epoch, lr)
         history._losses.append(epoch_loss)
 
-    x_kept = x.copy()  # the caller may change x_train before the losses are read
+    # the caller may change x_train before the losses are read, so the
+    # history keeps a copy: the shuffle buffer, which the steps are done with
+    x_kept = shuffled
+    x_kept[...] = x
 
     def loss_at(epoch: int) -> LossBreakdown:
         after = AutoencoderParams(*_views(thetas[epoch], d, k), *activations)

@@ -235,7 +235,7 @@ def _run_train(params: dict) -> tuple[list[str], list[str], dict]:
     schema = FeatureSchema()
     x = read_normal_rows(params["stream"], schema)
     stats = fit_stats(x)
-    x = standardize(x, stats)  # the raw rows are dropped here
+    standardize(x, stats, out=x)
     n_rows = len(x)
     params_out, history = train(x, _train_config(params))
     del x  # train keeps its own copy until the history's losses are read

@@ -199,7 +199,8 @@ def make_bundle(events: Sequence[LabeledEvent]) -> DataBundle:
     any other sequence of labeled events gathered into one first
     (:meth:`LabeledStream.from_events`). Each split's events are selected
     from the stream's columns in one pass
-    (:meth:`~etlwatch.preprocess.EventBatch.where`).
+    (:meth:`~etlwatch.preprocess.EventBatch.where`), and the training rows
+    are standardized in place.
     """
     stream = LabeledStream.from_events(events)
     schema = FeatureSchema()
@@ -215,7 +216,7 @@ def make_bundle(events: Sequence[LabeledEvent]) -> DataBundle:
 
     x_train = vectorize_events(train_part, schema)
     stats = fit_stats(x_train)
-    x_train = standardize(x_train, stats)  # the raw rows are dropped here
+    standardize(x_train, stats, out=x_train)
     x_val = standardize(vectorize_events(val_part, schema), stats)
     x_test = standardize(vectorize_events(test_part, schema), stats)
     y_test = np.array(stream.labels[n_train + n_val :], dtype=bool)

@@ -39,6 +39,7 @@ import itertools
 import json
 import math
 import os
+from array import array
 from contextlib import contextmanager
 from dataclasses import dataclass, fields as dataclass_fields
 from functools import partial
@@ -278,19 +279,23 @@ def canonical_events(values: dict[str, list]) -> EventBatch | None:
 
 
 class EventBatch(Sequence[EtlEvent]):
-    """Events held as one list per :class:`EtlEvent` field, in input order.
+    """Events held as one column per :class:`EtlEvent` field, in input order.
 
-    ``batch[i]`` builds the event of row ``i`` and ``batch[i] = event``
-    writes an event's fields into row ``i``; a slice and :meth:`where` give
-    new batches over the same values. The columns are not checked here:
-    :meth:`from_events` takes them from checked events,
-    :func:`canonical_events` checks decoded records, and a caller of
-    :meth:`from_rows` checks its rows.
+    A column is a list, or an ``array("d")`` of floats, 8 bytes a value,
+    as :func:`~etlwatch.streamgen.generate` holds its three float fields;
+    a read gives Python values either way. ``batch[i]`` builds the event of
+    row ``i`` and ``batch[i] = event`` writes an event's fields into row
+    ``i``, refusing, before it writes any, an event with a value other than
+    a float for an array column. A slice, :meth:`where` and :meth:`concat`
+    give new batches over the same values, with columns of the same types.
+    The columns are not checked here: :meth:`from_events` takes them from
+    checked events, :func:`canonical_events` checks decoded records, and a
+    caller of :meth:`from_rows` checks its rows.
     """
 
     __slots__ = EVENT_FIELDS
 
-    def __init__(self, *columns: list) -> None:
+    def __init__(self, *columns: list | array) -> None:
         if len(columns) != len(EVENT_FIELDS) or len(set(map(len, columns))) > 1:
             raise ContractViolationError(
                 f"an event batch needs {len(EVENT_FIELDS)} columns of one length"
@@ -298,7 +303,7 @@ class EventBatch(Sequence[EtlEvent]):
         for name, column in zip(EVENT_FIELDS, columns):
             setattr(self, name, column)
 
-    def columns(self) -> list[list]:
+    def columns(self) -> list[list | array]:
         return [getattr(self, name) for name in EVENT_FIELDS]
 
     def __len__(self) -> int:
@@ -310,7 +315,13 @@ class EventBatch(Sequence[EtlEvent]):
         return EtlEvent(*(column[index] for column in self.columns()))
 
     def __setitem__(self, index: int, event: EtlEvent) -> None:
-        for column, value in zip(self.columns(), _EVENT_ROW(event)):
+        row = _EVENT_ROW(event)
+        for name, column, value in zip(EVENT_FIELDS, self.columns(), row):
+            if type(column) is array and not isinstance(value, float):
+                raise ContractViolationError(
+                    f"field {name!r} of this batch holds floats only, got {value!r}"
+                )
+        for column, value in zip(self.columns(), row):
             column[index] = value
 
     def __iter__(self) -> Iterator[EtlEvent]:
@@ -321,18 +332,21 @@ class EventBatch(Sequence[EtlEvent]):
         row ``start + i`` where ``keep[i]`` is, in one pass over each column,
         without a copy of its rows from ``start`` on."""
         keep = list(keep)
-        return EventBatch(*(
-            list(itertools.compress(itertools.islice(c, start, None), keep))
-            for c in self.columns()
-        ))
+        columns = [column[:0] for column in self.columns()]
+        for column, values in zip(columns, self.columns()):
+            column.extend(itertools.compress(itertools.islice(values, start, None), keep))
+        return EventBatch(*columns)
 
     @classmethod
     def concat(cls, batches: Iterable[EventBatch]) -> EventBatch:
-        columns = [[] for _ in EVENT_FIELDS]
+        """The batches' rows in order, each column of the first batch's type."""
+        columns = None
         for batch in batches:
+            if columns is None:
+                columns = [part[:0] for part in batch.columns()]
             for column, part in zip(columns, batch.columns()):
-                column += part
-        return cls(*columns)
+                column.extend(part)
+        return cls(*(columns or [[] for _ in EVENT_FIELDS]))
 
     @classmethod
     def from_events(cls, events: Iterable[EtlEvent]) -> EventBatch:
@@ -416,11 +430,6 @@ class StandardizationStats:
         return self.mu.shape[0]
 
 
-def hour_angle(timestamp_ms: int) -> float:
-    """Hour-of-day expressed as an angle in [0, 2*pi)."""
-    return 2.0 * math.pi * (timestamp_ms % MS_PER_DAY) / MS_PER_DAY
-
-
 # The column of each device and region value: where FeatureSchema.column_names puts it.
 _COLUMN = {name: j for j, name in enumerate(FeatureSchema().column_names())}
 _DEVICE_COLUMN = {v: _COLUMN[f"device_type={v}"] for v in DEFAULT_DEVICE_TYPES}
@@ -470,8 +479,8 @@ def encode_events(
     x[rows, devices] = 1.0
     x[rows, regions] = 1.0
     x[:, -2 - size : -2] = missing
-    # hour_angle's operations in its order, on the day's milliseconds taken
-    # as Python ints, so a timestamp beyond int64 encodes too
+    # the hour-of-day angle 2 pi (t mod day) / day, on the day's milliseconds
+    # taken as Python ints, so a timestamp beyond int64 encodes too
     day_ms = np.array([t % MS_PER_DAY for t in batch.timestamp], dtype=np.float64)
     angles = (2.0 * math.pi * day_ms / MS_PER_DAY).tolist()
     x[:, -2] = list(map(math.sin, angles))
@@ -494,30 +503,54 @@ def vectorize(event: EtlEvent, schema: FeatureSchema) -> np.ndarray:
 
 def fit_stats(x: np.ndarray) -> StandardizationStats:
     """Column means and population standard deviations, floored at
-    :attr:`StandardizationStats.epsilon`."""
+    :attr:`StandardizationStats.epsilon`.
+
+    The bits are those of ``x.mean(axis=0)`` and ``x.std(axis=0)``, but
+    the sums run :data:`_CHUNK` rows at a time (:func:`_column_sums`), so
+    the deviations and their squares are never held for every row at once.
+    """
     x = as_matrix(x, "feature matrix")
-    if x.shape[0] < 2:
-        raise InsufficientDataError(
-            f"fitting stats needs at least 2 rows, got {x.shape[0]}"
-        )
-    mu = x.mean(axis=0)
+    n = x.shape[0]
+    if n < 2:
+        raise InsufficientDataError(f"fitting stats needs at least 2 rows, got {n}")
+    mu = _column_sums(x) / n
     # population (divide-by-N) std
-    sigma = np.maximum(x.std(axis=0), StandardizationStats.epsilon)
+    sigma = np.maximum(np.sqrt(_column_sums(x, mu) / n), StandardizationStats.epsilon)
     return StandardizationStats(mu=mu, sigma=sigma)
 
 
-def standardize(x: np.ndarray, stats: StandardizationStats) -> np.ndarray:
+def _column_sums(x: np.ndarray, mu: np.ndarray | None = None) -> np.ndarray:
+    """The sum down each column of a C-ordered ``x``, or with ``mu`` given of
+    ``(x - mu) ** 2``, :data:`_CHUNK` rows at a time. numpy sums axis 0 of
+    such an array one row after another, so adding each chunk's rows onto
+    the running sums in one reduce gives the bits of one sum over all rows."""
+    sums = None
+    for lo in range(0, len(x), _CHUNK):
+        chunk = x[lo : lo + _CHUNK]
+        if mu is not None:
+            chunk = chunk - mu
+            np.multiply(chunk, chunk, out=chunk)
+        if sums is not None:
+            chunk = np.vstack((sums[None], chunk))
+        sums = np.add.reduce(chunk, axis=0)
+    return sums
+
+
+def standardize(
+    x: np.ndarray, stats: StandardizationStats, out: np.ndarray | None = None
+) -> np.ndarray:
     """Apply (x - mu) / sigma per feature; accepts a vector or a matrix.
 
-    Only the result is allocated: the division overwrites the difference in
-    place. ``x`` is left as it is.
+    The result goes into ``out``, which may be ``x`` itself, when given, and
+    into a new array otherwise, which is then all that is allocated: the
+    division overwrites the difference in place.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.shape[-1] != stats.dim:
         raise ContractViolationError(
             f"cannot standardize shape {x.shape} with stats of dimension {stats.dim}"
         )
-    y = x - stats.mu
+    y = np.subtract(x, stats.mu, out=out)
     y /= stats.sigma
     return y
 

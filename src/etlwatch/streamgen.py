@@ -16,7 +16,8 @@ A stream is held as columns, a :class:`LabeledStream`. :func:`generate`
 draws each event's field values as one row, checks them as an
 :class:`~etlwatch.preprocess.EtlEvent` would be checked, applies the event's
 fault to them (:func:`inject`), if any, and checks them again; the rows
-are moved into the stream's columns a chunk at a time.
+are moved into the stream's columns a chunk at a time, the three floats
+of an event into ``array("d")`` columns, 8 bytes a value.
 
 Fault classes (applied to a freshly drawn normal event):
 
@@ -41,6 +42,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+from array import array
 from dataclasses import dataclass
 from functools import lru_cache
 from operator import attrgetter, itemgetter
@@ -534,7 +536,9 @@ def generate(cfg: StreamConfig) -> LabeledStream:
     :class:`EtlEvent` would be, then given its fault (see :func:`inject`),
     if any, and checked again, before the next is drawn. Each
     :data:`~etlwatch.preprocess._CHUNK` rows are moved into the stream's
-    columns once drawn, so the rows of one chunk are held at a time. The
+    columns once drawn, so the rows of one chunk are held at a time;
+    ``amount``, ``latency_ms`` and ``task_duration_s`` go into
+    ``array("d")`` columns, which hold no float objects. The
     Poisson bands of every mean the config can reach are cached first
     (:func:`_fill_poisson_bands`).
     """
@@ -543,7 +547,7 @@ def generate(cfg: StreamConfig) -> LabeledStream:
     normal = _NormalEvents(cfg)
     mix = running_sums(cfg.mix.weights())
     timestamp = cfg.start_timestamp
-    columns: list[list] = [[] for _ in EVENT_FIELDS]
+    columns = [array("d") if name in MASKABLE_FIELDS else [] for name in EVENT_FIELDS]
     classes: list[str | None] = []
     n = cfg.n_events
     for first in range(0, n, _CHUNK):
@@ -560,7 +564,7 @@ def generate(cfg: StreamConfig) -> LabeledStream:
             rows.append(row)
             classes.append(anomaly_class)
         for column, values in zip(columns, zip(*rows)):
-            column += values
+            column.extend(values)
     labels = [anomaly_class is not None for anomaly_class in classes]
     return LabeledStream(EventBatch(*columns), labels, classes)
 

@@ -4,9 +4,10 @@ Each function is the plain form the library once used: one event, one
 record, one line or one tie group at a time, with fresh arrays for every
 intermediate, or one whole file at a time. The tests compare the library's
 column-wise encoder, its column readers of streams, labels files and
-detections, its line writers, its JSON-lines reader, its standardization,
-its scoring pass, its training rows and calibration scores, its rank
-computation, its sigmoid, its epoch loss, its gradient kernel, its
+detections, its line writers, its JSON-lines reader, its column statistics and
+standardization, its scoring pass, its training rows and calibration
+scores, its rank computation, its sigmoid, its epoch loss and per-row loss
+terms, its gradient kernel, its
 stream generator and fault injector, its labeled-stream writer, its bundle
 split and its random draws with these, bit for bit and byte for byte.
 """
@@ -19,7 +20,7 @@ from dataclasses import replace
 import numpy as np
 
 from etlwatch import streamgen
-from etlwatch.autoencoder import Gradients, latent_l1, reconstruction_loss, total_loss
+from etlwatch.autoencoder import Gradients, total_loss
 from etlwatch.detector import DetectionResult, Detections, StreamError
 from etlwatch.errors import ContractViolationError, EncodingError, EtlwatchError
 from etlwatch.numerics import SeededRng
@@ -29,14 +30,11 @@ from etlwatch.preprocess import (
     MASKABLE_FIELDS,
     EtlEvent,
     FeatureSchema,
-    fit_stats,
-    hour_angle,
+    StandardizationStats,
     vectorize_events,
 )
 from etlwatch.streamgen import (
     ANOMALY_CLASSES,
-    DELAY_FACTOR_RANGE,
-    SPIKE_FACTOR_RANGE,
     LabeledEvent,
     load_factor,
     sample_exponential,
@@ -44,6 +42,14 @@ from etlwatch.streamgen import (
     sample_lognormal,
     sample_poisson,
 )
+
+
+def fit_stats(x):
+    """Column means and population standard deviations over every row at
+    once, sigma floored at ``StandardizationStats.epsilon``."""
+    x = np.asarray(x, dtype=np.float64)
+    sigma = np.maximum(x.std(axis=0), StandardizationStats.epsilon)
+    return StandardizationStats(mu=x.mean(axis=0), sigma=sigma)
 
 
 def standardize(x, stats):
@@ -59,6 +65,39 @@ def batch_scores(params, x_std):
     xhat = params.output_activation.apply(np.einsum("nk,dk->nd", h, params.w_d) + params.b_d)
     diff = x_std - xhat
     return np.sum(diff * diff, axis=1)
+
+
+def hour_angle(timestamp_ms):
+    """Hour-of-day expressed as an angle in [0, 2*pi)."""
+    return 2.0 * math.pi * (timestamp_ms % 86_400_000) / 86_400_000
+
+
+def reconstruction_loss(x, xhat):
+    """Mean over samples of the squared Euclidean reconstruction error.
+
+    The squared norm is summed over features, not averaged, so the value for
+    a single (x, xhat) pair is exactly ||x - xhat||^2.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    xhat = np.asarray(xhat, dtype=np.float64)
+    if x.shape != xhat.shape:
+        raise ContractViolationError(
+            f"reconstruction_loss shape mismatch: {x.shape} vs {xhat.shape}"
+        )
+    diff = x - xhat
+    if diff.ndim == 1:
+        return float(diff @ diff)
+    return float(np.mean(np.sum(diff * diff, axis=1)))
+
+
+def latent_l1(h, l1_penalty):
+    """l1_penalty times the batch-mean L1 norm of the latents."""
+    if l1_penalty < 0:
+        raise ContractViolationError(f"l1_penalty must be >= 0, got {l1_penalty}")
+    h = np.asarray(h, dtype=np.float64)
+    if h.ndim == 1:
+        return float(l1_penalty * np.sum(np.abs(h)))
+    return float(l1_penalty * np.mean(np.sum(np.abs(h), axis=1)))
 
 
 def vectorize_row(event, schema):
@@ -331,8 +370,17 @@ def forward(params, x):
     return h, params.output_activation.apply(h @ params.w_d.T + params.b_d)
 
 
+def row_losses(params, x):
+    """Each row's squared reconstruction error and latent L1 norm, from one
+    forward pass over all rows."""
+    h, xhat = forward(params, x)
+    diff = x - xhat
+    return np.sum(diff * diff, axis=1), np.sum(np.abs(h), axis=1)
+
+
 def batch_loss(params, x, l1_penalty):
-    """The epoch loss composed from the public loss terms."""
+    """The epoch loss over the whole batch at once, composed from the two
+    loss terms above."""
     h, xhat = forward(params, x)
     return total_loss(reconstruction_loss(x, xhat), latent_l1(h, l1_penalty))
 
@@ -446,9 +494,13 @@ def _uniform(unit, lo, hi):
 
 def inject(event, anomaly_class, unit):
     """Apply one fault signature to a built event through ``dataclasses.replace``,
-    which checks the faulted event as a new one."""
+    which checks the faulted event as a new one. The factors are the ones
+    the module docstring of ``streamgen`` states, written here as literals:
+    a delay multiplies the latency by a factor in [5, 20), a spike the
+    amount by one in [10, 50), and a duplicate doubles the records loaded
+    and halves the duration."""
     if anomaly_class == "delay":
-        factor = _uniform(unit, *DELAY_FACTOR_RANGE)
+        factor = _uniform(unit, 5.0, 20.0)
         return replace(event, latency_ms=event.latency_ms * factor)
     if anomaly_class == "missing":
         n = float(len(MASKABLE_FIELDS))
@@ -466,7 +518,7 @@ def inject(event, anomaly_class, unit):
             task_duration_s=event.task_duration_s * 0.5,
         )
     if anomaly_class == "spike":
-        factor = _uniform(unit, *SPIKE_FACTOR_RANGE)
+        factor = _uniform(unit, 10.0, 50.0)
         return replace(event, amount=event.amount * factor)
     raise ContractViolationError(f"unknown anomaly class {anomaly_class!r}")
 

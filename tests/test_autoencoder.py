@@ -1,14 +1,16 @@
+import contextlib
 import dataclasses
 import json
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from etlwatch import autoencoder
+from etlwatch import autoencoder, evaluation
 from etlwatch.autoencoder import (
     Activation,
     AutoencoderParams,
@@ -19,9 +21,7 @@ from etlwatch.autoencoder import (
     decode,
     encode,
     init_params,
-    latent_l1,
     load_model,
-    reconstruction_loss,
     save_model,
     sgd_step,
     total_loss,
@@ -42,7 +42,7 @@ from etlwatch.streamgen import StreamConfig, generate
 
 import reference
 from gradcheck import finite_diff_grad
-from reference import ReferenceRng
+from reference import ReferenceRng, latent_l1, reconstruction_loss
 
 ALL_ACTIVATIONS = list(Activation)
 
@@ -292,6 +292,27 @@ class TestLosses:
         assert breakdown.l_total == breakdown.l_rec + breakdown.l_reg
 
 
+@contextlib.contextmanager
+def one_blas_thread():
+    """numpy's OpenBLAS on one thread for the body, where it can be set.
+    Some kernels (Haswell, Prescott) split a product's rows between two
+    threads at a row that is not a multiple of their block, and round the
+    rows at the split another way than one thread does (ROADMAP item 12),
+    so their bits depend on the thread count, in a slice and over all rows
+    alike."""
+    blas = evaluation._openblas_threads()
+    if blas is None:
+        yield
+        return
+    get_threads, set_threads = blas
+    before = get_threads()
+    set_threads(1)
+    try:
+        yield
+    finally:
+        set_threads(before)
+
+
 class TestBatchLoss:
     """batch_loss overwrites its temporaries in place; every bit must stay as
     the loss terms composed on fresh arrays give it."""
@@ -329,6 +350,22 @@ class TestBatchLoss:
         with np.errstate(all="ignore"):
             self.assert_same_as_reference(params, x, 1e-4)
             self.assert_same_as_reference(params, x[3], 1e-4)
+
+    @pytest.mark.parametrize("n", [1, 2, 1536, 2048, 2049, 2050, 2560, 2561, 3071])
+    @pytest.mark.parametrize("k", [4, 32, 128])
+    @pytest.mark.parametrize("act", ALL_ACTIVATIONS)
+    def test_slices_give_each_row_the_whole_set_bits(self, n, k, act):
+        # n = 0, 1 and 2 mod the slice, and odd; a last slice of at most half
+        # a slice (2 - 512 rows here) joins the one before, a longer one not
+        assert autoencoder._SLICE == 1024
+        rng = SeededRng(n + k)
+        params = init_params(16, k, (act, act), rng)
+        x = rng.uniform_block(n * 16, -4.0, 4.0).reshape(n, 16)
+        with one_blas_thread():  # on two, Haswell's and Prescott's splits differ too
+            got = autoencoder._row_losses(params, x)
+            want = reference.row_losses(params, x)
+            assert batch_loss(params, x, 0.3) == reference.batch_loss(params, x, 0.3)
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
 
     def test_takes_a_list_and_keeps_the_checks(self):
         params = init_params(3, 2, rng=SeededRng(3))
@@ -645,6 +682,30 @@ class TestTrain:
         assert len(calls) == 4
         assert history.losses == expected
         assert len(calls) == 4
+
+    @pytest.mark.parametrize("n", [2048, 2049, 2050, 3071])
+    @pytest.mark.parametrize("k", [4, 32, 128])
+    @pytest.mark.parametrize("act", ALL_ACTIVATIONS)
+    def test_the_history_holds_the_whole_set_losses(self, n, k, act):
+        cfg = TrainConfig(learning_rate=0.01, epochs=2, seed=n, latent_dim=k)
+        x = np.random.default_rng(n).normal(size=(n, 16))
+        with one_blas_thread():
+            _, expected, _ = reference_train(x, cfg, (act, act))
+        assert train(x, cfg, (act, act))[1].losses == expected
+
+    def test_reading_the_losses_holds_no_n_by_k_array(self):
+        n, k = 20_000, 128
+        x = np.random.default_rng(5).normal(size=(n, 16))
+        _, history = train(x, TrainConfig(epochs=2, latent_dim=k))
+        tracemalloc.start()
+        try:
+            history.losses
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # one slice's two products and one row sum of each term per row:
+        # about 0.13 (n, k) arrays here
+        assert peak < 0.25 * n * k * 8
 
     def test_evaluate_config_computes_no_loss(self, monkeypatch):
         bundle = make_bundle(generate(StreamConfig(n_events=1000, seed=13)))

@@ -14,7 +14,7 @@ from etlwatch.cli import main
 from etlwatch.detector import DetectionResult, StreamError, batch_scores
 from etlwatch.errors import EtlwatchError
 from etlwatch.preprocess import (
-    FeatureSchema, fit_stats, hour_angle, parse_event, standardize, vectorize_events,
+    FeatureSchema, fit_stats, parse_event, standardize, vectorize_events,
 )
 import reference
 
@@ -458,7 +458,7 @@ class TestStreamFields:
     def test_a_timestamp_of_21_digits_scores_as_json_reads_it(self, runner, workspace, tmp_path):
         # orjson reads an integer this large as a float, whose hour of day differs
         timestamp = 123_456_789_012_345_678_901
-        assert hour_angle(timestamp) != hour_angle(int(float(timestamp)))
+        assert reference.hour_angle(timestamp) != reference.hour_angle(int(float(timestamp)))
         stream = stream_with_line(
             workspace, tmp_path / "wide.jsonl", [False, False, False], timestamp=str(timestamp)
         )

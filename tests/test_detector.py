@@ -163,6 +163,12 @@ class TestCalibrateThreshold:
         scores = [float(i) for i in range(1, 101)]
         assert calibrate_threshold(scores, 0.95) == 95.0
 
+    @pytest.mark.parametrize("q, rank", [(0.93, 10), (0.51, 6), (0.12, 2), (0.05, 1)])
+    def test_the_ceiling_rank_where_q_n_is_not_whole(self, q, rank):
+        # q * n = 9.3, 5.1, 1.2 and 0.5: a rounded rank would be 9, 5, 1 and 0
+        scores = [float(i) for i in range(10, 0, -1)]
+        assert calibrate_threshold(scores, q) == float(rank)
+
     def test_single_score(self):
         assert calibrate_threshold([3.7], 0.5) == 3.7
         assert calibrate_threshold([3.7], 0.99) == 3.7

@@ -146,6 +146,12 @@ class TestMetricsAtThreshold:
         assert report.acc == 1.0
         assert report.delta_used == 2.5
 
+    def test_a_score_equal_to_delta_is_not_flagged(self):
+        # flagged means score > delta: the normal and the anomaly at 2.0 are not
+        report = metrics_at_threshold([1.0, 2.0, 2.0, 3.0], [False, False, True, True], 2.0)
+        assert (report.confusion.tp, report.confusion.fp) == (1, 0)
+        assert (report.confusion.tn, report.confusion.fn) == (2, 1)
+
     @given(st.randoms(use_true_random=False), st.integers(min_value=4, max_value=40))
     @settings(max_examples=60)
     def test_metric_identities(self, rnd, n):

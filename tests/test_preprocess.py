@@ -39,7 +39,6 @@ from etlwatch.preprocess import (
     FeatureSchema,
     encode_events,
     fit_stats,
-    hour_angle,
     parse_event,
     read_chunks,
     standardize,
@@ -56,7 +55,7 @@ from etlwatch.streamgen import (
 )
 import reference
 from reference import read_jsonl as per_line_read_jsonl
-from reference import event_to_dict, vectorize_row
+from reference import event_to_dict, hour_angle, vectorize_row
 
 SCHEMA = FeatureSchema()
 
@@ -267,6 +266,19 @@ class TestFitStats:
         with pytest.raises(InsufficientDataError):
             fit_stats(np.ones((1, 4)))
 
+    @pytest.mark.parametrize("n", [2, 1023, 1024, 1025, 2048, 2049, 2050, 3071])
+    def test_equals_the_whole_set_mean_and_std_bit_for_bit(self, n):
+        # the sums run a chunk of rows at a time; n = 0, 1, 2 mod the chunk and odd
+        assert preprocess._CHUNK == 1024
+        rng = np.random.default_rng(n)
+        x = rng.normal(rng.uniform(-1e4, 1e4, 16), rng.uniform(1e-3, 1e3, 16), size=(n, 16))
+        x[:, 7:10] = rng.integers(0, 2, size=(n, 3))  # indicator columns
+        x[:, 10] = 5.0  # a constant column, whose sigma is floored
+        x[0, 11] = -0.0
+        got, want = fit_stats(x), reference.fit_stats(x)
+        assert got.mu.tobytes() == want.mu.tobytes()
+        assert got.sigma.tobytes() == want.sigma.tobytes()
+
 
 class TestStandardize:
     def test_centering(self):
@@ -302,6 +314,9 @@ class TestStandardize:
         assert z.tobytes() == reference.standardize(x, stats).tobytes()
         assert x.tobytes() == before.tobytes()
         assert not np.shares_memory(z, x)
+        # into out, the input itself included
+        assert standardize(x, stats, out=x) is x
+        assert x.tobytes() == z.tobytes()
 
     @given(st.randoms(use_true_random=False))
     @settings(max_examples=25)
