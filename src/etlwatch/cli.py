@@ -30,11 +30,12 @@ import click
 from . import __version__
 from .autoencoder import TrainConfig, load_model, save_model, train
 from .detector import (
+    TRUTH_CODES,
     Detections,
     calibrate_threshold,
     calibration_scores,
-    read_detections_jsonl,
     read_normal_rows,
+    read_scores_and_truth,
     score_stream,
     write_detections_csv,
     write_detections_jsonl,
@@ -311,8 +312,10 @@ def _run_evaluate(params: dict) -> tuple[list[str], list[str], dict]:
     manifest_path = _manifest_path(params["detections"])
     read = [params["detections"]] + ([str(manifest_path)] if delta is None else [])
     _refuse_overwrites(read, [params["out"]])
-    records = read_detections_jsonl(params["detections"])
-    if not records.truth or None in records.truth:
+    scores, truth = read_scores_and_truth(params["detections"])
+    if not len(scores):
+        raise EtlwatchError(f"{params['detections']} holds no scored record to evaluate")
+    if TRUTH_CODES[None] in truth:
         raise EtlwatchError(
             "evaluation needs ground truth: the detection file must carry "
             "truth_label on every scored record"
@@ -330,7 +333,7 @@ def _run_evaluate(params: dict) -> tuple[list[str], list[str], dict]:
             raise EtlwatchError(
                 f"manifest {manifest_path} records no finite delta >= 0 ({delta!r}); pass --delta"
             )
-    report = metrics_at_threshold(records.scores, records.truth, delta)
+    report = metrics_at_threshold(scores, truth == TRUTH_CODES[True], delta)
     write_metrics_report(report, params["out"], params["format"])
     click.echo(
         f"n={report.n} auc={report.auc:.4f} acc={report.acc:.4f} "

@@ -123,7 +123,7 @@ EVENT_RECORD_FIELDS = {name: ABSENT for name in EVENT_FIELDS[:-1]} | {"event_id"
 class Records(NamedTuple):
     """A run of decoded JSON records, and the same records held as columns."""
 
-    rows: list[dict]  # the records
+    rows: list[dict]  # the records; a check empties it once the run's columns pass
     values: dict[str, list]  # each field's value per record, or its default
     line_nos: Sequence[int]  # each record's line in its file
 
@@ -603,6 +603,7 @@ def _json_runs(
     json to decode, ends the last run, which carries a
     :class:`ContractViolationError` that names the file and line with the
     message of json's ValueError or RecursionError; the others carry None.
+    A block's raw lines are let go before its records are yielded.
     """
     from orjson import loads  # here, not at import, which it would slow by ~15 ms
 
@@ -622,6 +623,7 @@ def _json_runs(
             except ValueError:  # a blank line, bad JSON or JSON that orjson rejects
                 records = None
             if records is not None and set(map(type, records)) == {dict}:
+                del lines
                 yield line_nos, records, None
                 continue
         numbered, records = [], []
@@ -637,6 +639,7 @@ def _json_runs(
                 return
             numbered.append(no)
             records.append(record)
+        del lines
         yield numbered, records, None
 
 

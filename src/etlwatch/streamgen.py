@@ -661,11 +661,14 @@ def _check_stream_records(
     records: Records,
 ) -> tuple[EventBatch, list[bool | None], list[str | None]]:
     """The events, labels and classes of a run of stream records: as
-    columns when the run is canonical, else record by record; an event
-    without an id gets ``line-<n>``."""
+    columns when the run is canonical, and then its decoded records are
+    let go, else record by record; an event without an id gets
+    ``line-<n>``."""
     events = canonical_events(records.values)
     if events is None or not set(map(type, records.values["label"])) <= {bool, type(None)}:
         events = EventBatch.from_events(each_record(_stream_event, records))
+    else:
+        records.rows.clear()
     if "" in events.event_id:
         events.event_id = [i or f"line-{no}" for i, no in zip(events.event_id, records.line_nos)]
     return events, records.values["label"], records.values["anomaly_class"]

@@ -3,16 +3,22 @@ import math
 import multiprocessing
 import os
 import time
+import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
 from etlwatch.autoencoder import TrainConfig, load_model, save_model, train
 from etlwatch import cli, evaluation, preprocess
 from etlwatch.cli import main
-from etlwatch.detector import DetectionResult, StreamError, batch_scores
-from etlwatch.errors import EtlwatchError
+from etlwatch.detector import (
+    DetectionResult, Detections, StreamError, batch_scores, read_detections_jsonl,
+    write_detections_jsonl,
+)
+from etlwatch.errors import ContractViolationError, EtlwatchError
+from etlwatch.evaluation import metrics_at_threshold, write_metrics_report
 from etlwatch.preprocess import (
     FeatureSchema, fit_stats, parse_event, standardize, vectorize_events,
 )
@@ -533,6 +539,44 @@ def test_a_deeply_nested_value_is_shown_in_its_error(
     assert message.startswith(f"Error: {path} line 3: {reason}")
 
 
+# Detection files, as lines, that evaluate reports on: error records, int
+# scores and an Infinity score.
+SCORED = '{"event_id": "%s", "score": %s, "is_anomaly": %s, "truth_label": %s}'
+FAILED = '{"event_id": "%s", "error": "unknown geo_region \'mars\'"}'
+READ_AS_COLUMNS = {
+    "error-records": [FAILED % "a", SCORED % ("b", 9.0, "true", "true"), FAILED % "c",
+                      SCORED % ("d", 0.25, "false", "false"),
+                      SCORED % ("e", 0.5, "false", "true"), FAILED % "f"],
+    "int-scores": [SCORED % ("a", 2, "true", "true"), SCORED % ("b", 0, "false", "false"),
+                   SCORED % ("c", 1, "false", "true")],
+    "infinity": [SCORED % ("a", "Infinity", "true", "false"),
+                 SCORED % ("b", 0.5, "false", "true"), SCORED % ("c", 1.5, "true", "true")],
+}
+GOOD = [SCORED % ("a", 9.0, "true", "true"), SCORED % ("b", 0.25, "false", "false")]
+# Detection files evaluate refuses, as lines, each with its one Error: line;
+# TestEvaluate's other tests refuse each field of a bad type, a NaN score and
+# a bad line.
+REFUSALS = {
+    "null-truth-label": (
+        [*GOOD, SCORED % ("c", 0.5, "false", "null")],
+        "Error: evaluation needs ground truth: the detection file must carry "
+        "truth_label on every scored record"),
+    "run-read-record-by-record": (
+        [*GOOD, SCORED % ("c", 0.5, 1, "true")],
+        "Error: {path} line 3: field 'is_anomaly' must be a boolean, got 1"),
+    "empty": ([], "Error: {path} holds no scored record to evaluate"),
+    "error-records-only": ([FAILED % "a", FAILED % "b", FAILED % "c"],
+                           "Error: {path} holds no scored record to evaluate"),
+}
+
+
+def per_record_error(path):
+    """The ``Error:`` line of reading the detections at ``path`` one line at a time."""
+    with pytest.raises(ContractViolationError) as info:
+        reference.read_detections_jsonl(path)
+    return f"Error: {info.value}"
+
+
 class TestEvaluate:
     @pytest.fixture
     def detections(self, runner, workspace, tmp_path):
@@ -597,11 +641,13 @@ class TestEvaluate:
         message = error_line(result, 1)
         assert result.output.strip() == message
         assert detections.name in message and "line 5" in message
+        assert message == per_record_error(detections)
 
     @pytest.mark.parametrize(
         "field, value",
         [("truth_label", "false"), ("truth_label", 0), ("is_anomaly", "no"),
-         ("is_anomaly", 1), ("score", "2.5"), ("score", True)],
+         ("is_anomaly", 1), ("score", "2.5"), ("score", True), ("event_id", 5),
+         ("error", None)],
     )
     def test_detection_field_of_another_type_is_one_line_error(
         self, runner, tmp_path, field, value
@@ -621,6 +667,7 @@ class TestEvaluate:
         message = error_line(result, 1)
         assert result.output.strip() == message
         assert f"{detections} line 1: field '{field}' must be" in message
+        assert message == per_record_error(detections)
         assert not report.exists()
 
     def test_nan_score_is_one_line_error_and_infinity_a_score(self, runner, tmp_path):
@@ -646,6 +693,55 @@ class TestEvaluate:
         payload = json.loads(report.read_text())
         confusion = payload["confusion"]
         assert (payload["auc"], confusion["tp"], confusion["fn"]) == (1.0, 2, 0)
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    @pytest.mark.parametrize("lines", READ_AS_COLUMNS.values(), ids=list(READ_AS_COLUMNS))
+    def test_report_is_metrics_at_threshold_of_the_read_columns(
+        self, runner, tmp_path, lines, fmt
+    ):
+        detections, report, theirs = tmp_path / "det.jsonl", tmp_path / "r", tmp_path / "theirs"
+        detections.write_text("".join(line + "\n" for line in lines))
+        run_ok(runner, ["evaluate", str(detections), "--delta", "1", "--format", fmt,
+                        "--out", str(report)])
+        read = read_detections_jsonl(detections)
+        write_metrics_report(metrics_at_threshold(read.scores, read.truth, 1.0), theirs, fmt)
+        assert report.read_bytes() == theirs.read_bytes()
+
+    @pytest.mark.parametrize("lines, message", REFUSALS.values(), ids=list(REFUSALS))
+    def test_a_refused_file_is_its_one_line_error(
+        self, runner, tmp_path, monkeypatch, lines, message
+    ):
+        # two records a run: lines 1 and 2 pass as columns and let their
+        # records go, and line 3's run takes the per-record rule
+        monkeypatch.setattr(preprocess, "_CHUNK", 2)
+        detections, report = tmp_path / "det.jsonl", tmp_path / "r.json"
+        detections.write_text("".join(line + "\n" for line in lines))
+        result = runner.invoke(main, ["evaluate", str(detections), "--delta", "1",
+                                      "--out", str(report)])
+        assert result.output.strip() == error_line(result, 1)
+        assert error_line(result, 1) == message.format(path=detections)
+        assert not report.exists()
+
+    def test_holds_under_50_bytes_per_scored_record(self, runner, tmp_path, cpus):
+        # about 41 here, most of it the AUC's ranks; the whole stream's
+        # records, as evaluate once read them back, about 63
+        cpus(1)
+        n = 50_000
+        errors = {i: "unknown device_type 'toaster'" for i in range(0, n, 100)}
+        m = n - len(errors)
+        scores = np.linspace(0.0, 3.0, m)
+        truth = (np.arange(m) % 20 == 0).tolist()
+        path = tmp_path / "det.jsonl"
+        write_detections_jsonl(
+            Detections([f"evt-{i}" for i in range(n)], scores, scores > 2.0, truth, errors), path
+        )
+        tracemalloc.start()
+        try:
+            run_ok(runner, ["evaluate", str(path), "--delta", "2", "--out", str(tmp_path / "r")])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 50 * m
 
     @pytest.mark.parametrize(
         "manifest_text",
@@ -1081,7 +1177,7 @@ class TestOutputThatNamesAnInput:
         def opened(*args, **kwargs):
             raise AssertionError(f"{args[0]} was opened before the overwrite check")
 
-        for name in ("read_stream", "read_normal_rows", "read_detections_jsonl", "load_model"):
+        for name in ("read_stream", "read_normal_rows", "read_scores_and_truth", "load_model"):
             monkeypatch.setattr(cli, name, opened)
 
     @pytest.mark.parametrize("case", list(OVERWRITES))

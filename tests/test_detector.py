@@ -555,6 +555,22 @@ class TestCalibrationScores:
                 tracemalloc.stop()
         assert peaks[0] < 2_000_000 < peaks[1]
 
+    def test_peaks_under_1_6_mb_over_20_001_events(self, tiny_pipeline, tmp_path, cpus):
+        # about 1.30 MB here; with each run's lines and decoded records held
+        # until the run is scored, about 2.02 MB
+        cpus(1)
+        _, stats, schema, events = tiny_pipeline
+        stream, truth = calibration_stream(events, 17_143)  # 20 001 events
+        path = write_calibration(tmp_path / "val.jsonl", stream, truth, "inline")
+        tracemalloc.start()
+        try:
+            scores = calibration_scores(squeezed_model(schema.dim), stats, path, schema)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(scores) == truth.count(False)
+        assert peak < 1_600_000
+
     def test_train_rows_hold_under_300_bytes_per_event(self, tiny_pipeline, tmp_path):
         # about 220 here; the whole file at once, as train once read it, about 680
         _, _, schema, events = tiny_pipeline

@@ -14,10 +14,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from etlwatch import detector, preprocess, streamgen
+from etlwatch import cli, detector, preprocess, streamgen
 from etlwatch.autoencoder import AutoencoderParams
 from etlwatch.detector import (
     Detections,
@@ -45,7 +46,7 @@ from etlwatch.preprocess import (
     vectorize,
     vectorize_events,
 )
-from etlwatch.evaluation import make_bundle
+from etlwatch.evaluation import make_bundle, metrics_at_threshold, write_metrics_report
 from etlwatch.streamgen import (
     StreamConfig,
     generate,
@@ -502,6 +503,20 @@ class TestEventIO:
             (1, 1), (2, 4)
         ]
 
+    @pytest.mark.parametrize(
+        "body", [b'{"a": 1}\n{"a": 2}\n', b'{"a": 1}\n\n{"a": 2}\n'], ids=["orjson", "json"]
+    )
+    def test_json_runs_let_a_block_s_lines_go_before_its_records_are_checked(
+        self, tmp_path, body
+    ):
+        # orjson takes no block with a blank line
+        path = tmp_path / "records.jsonl"
+        path.write_bytes(body)
+        with open(path, "rb") as fh:
+            runs = preprocess._json_runs(fh, path)
+            assert [record["a"] for record in next(runs)[1]] == [1, 2]
+            assert "lines" not in runs.gi_frame.f_locals
+
     def test_json_runs_bad_line_names_file_and_line(self, tmp_path):
         path = tmp_path / "records.jsonl"
         path.write_bytes(b'{"a": 1}\n[1, 2]\n{"a": 3}\n')
@@ -770,6 +785,20 @@ CASES = [
 ]
 
 
+# Detection files that evaluate reads: every scored record labeled, with
+# detection_body's error record, Infinity score, int score, blanks and line
+# ends; then with a NaN score, which it refuses.
+LABELED_C = b'{"event_id": "c", "score": Infinity, "is_anomaly": true, "truth_label": false}'
+EVALUATED = {
+    "labeled": detection_body(bad={
+        4: LABELED_C, 5: b'{"event_id": "d", "score": 2, "is_anomaly": true, "truth_label": true}'
+    }),
+    "nan-score": detection_body(bad={
+        4: LABELED_C, 5: b'{"event_id": "d", "score": NaN, "is_anomaly": true, "truth_label": true}'
+    }),
+}
+
+
 @needs_fork
 class TestRangedRead:
     @pytest.mark.parametrize("cpus", [2, 3])
@@ -789,6 +818,30 @@ class TestRangedRead:
             split(cpus)
             assert read_outcome(read, path) == want, f"split at byte {t}"
             assert gc.isenabled() is collector
+            assert not multiprocessing.active_children()
+
+    @pytest.mark.parametrize("cpus", [2, 3])
+    @pytest.mark.parametrize("body", EVALUATED.values(), ids=list(EVALUATED))
+    def test_evaluate_reports_the_columns_of_a_one_range_read_at_every_split(
+        self, tmp_path, split, cpus, body
+    ):
+        path, report, theirs = tmp_path / "det.jsonl", tmp_path / "r.json", tmp_path / "theirs"
+        args = ["evaluate", str(path), "--delta", "1", "--out", str(report)]
+        for t in near_line_starts(body)[:: cpus - 1]:
+            path.write_bytes(split_at(body, t))
+            report.unlink(missing_ok=True)
+            split(1)
+            try:
+                read = read_detections_jsonl(path)
+            except ContractViolationError as exc:
+                want = f"Error: {exc}"
+            else:
+                write_metrics_report(metrics_at_threshold(read.scores, read.truth, 1.0), theirs, "json")
+                want = theirs.read_bytes()
+            split(cpus)
+            result = CliRunner().invoke(cli.main, args)
+            got = report.read_bytes() if result.exit_code == 0 else result.output.strip()
+            assert got == want, f"split at byte {t}"
             assert not multiprocessing.active_children()
 
     def test_each_cpu_reads_one_range_and_numbers_its_lines(self, tmp_path, split):
@@ -1070,6 +1123,50 @@ def test_canonical_runs_are_checked_as_columns(tmp_path, monkeypatch, holdout):
     assert repr(typed_read[0].columns()) == repr(read[0].columns())
     assert typed_read[1:] == read[1:]
     assert list(score_stream(MODEL, STATS, typed, SCHEMA, DELTA)) == list(detections)
+
+
+@pytest.mark.parametrize(
+    "fields, check, body, kept",
+    [(streamgen.STREAM_FIELDS, streamgen._check_stream_records, stream_body(), 0),
+     # an integral float timestamp takes the per-record rule, which reads the records
+     (streamgen.STREAM_FIELDS, streamgen._check_stream_records,
+      stream_body(change={1: {"timestamp": 5.0}}), 6),
+     (detector._DETECTION_FIELDS, detector._check_detection_records, detection_body(), 0)],
+    ids=["stream", "stream-record-by-record", "detections"],
+)
+def test_a_run_that_passes_as_columns_lets_its_records_go(tmp_path, fields, check, body, kept):
+    path = tmp_path / "lines.jsonl"
+    path.write_bytes(body)
+
+    def checked(records):
+        check(records)
+        return len(records.rows)
+
+    assert read_chunks(path, fields, checked) == [kept]
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 1024])
+@pytest.mark.parametrize(
+    "read, per_record, body, line",
+    [(read_stream, reference.read_stream,
+      stream_body(change={1: {"timestamp": 5.0}}, bad={6: b'{"timestamp": "8"}'}), 7),
+     (read_detections_jsonl, reference.read_detections_jsonl,
+      detection_body(bad={5: b'{"event_id": "d", "score": "2"}'}), 6)],
+    ids=["stream", "detections"],
+)
+def test_a_run_read_record_by_record_names_its_first_bad_line(
+    tmp_path, monkeypatch, chunk, read, per_record, body, line
+):
+    # the runs before it pass as columns and let their records go
+    monkeypatch.setattr(preprocess, "_CHUNK", chunk)
+    path = tmp_path / "lines.jsonl"
+    path.write_bytes(body)
+    errors = []
+    for each in (read, per_record):
+        with pytest.raises(ContractViolationError) as info:
+            each(path)
+        errors.append(str(info.value))
+    assert errors[0] == errors[1] and errors[0].startswith(f"{path} line {line}: ")
 
 
 # A labels-file line for e-4 (line 5) with each fault a labels record can
