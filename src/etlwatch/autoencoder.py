@@ -623,9 +623,7 @@ def save_model(
         fh.write("\n")
 
 
-def load_model(
-    path: str | Path,
-) -> tuple[AutoencoderParams, StandardizationStats, FeatureSchema]:
+def load_model(path: str | Path) -> tuple[AutoencoderParams, StandardizationStats]:
     """Read and validate a model document written by :func:`save_model`; one
     that records another feature layout or sigma floor is refused."""
     try:
@@ -671,7 +669,7 @@ def load_model(
     )
     field("epsilon", floor, str(StandardizationStats.epsilon))
     try:
-        schema = field("schema", FeatureSchema.from_dict, "an object")
+        field("schema", FeatureSchema.from_dict, "an object")
     except ContractViolationError as exc:
         raise ModelFormatError(f"model file {path}: {exc}") from None
     choices = ", ".join(repr(activation.value) for activation in Activation)
@@ -689,15 +687,14 @@ def load_model(
         raise ModelShapeError(
             f"bias shapes b_e={b_e.shape}, b_d={b_d.shape} contradict d={d}, k={k}"
         )
-    if mu.shape != (d,) or sigma.shape != (d,) or schema.dim != d:
+    if mu.shape != (d,) or sigma.shape != (d,) or FeatureSchema.dim != d:
         raise ModelShapeError(
             f"stats of dimension {mu.shape[0]}/{sigma.shape[0]} or schema dimension "
-            f"{schema.dim} contradict d={d}"
+            f"{FeatureSchema.dim} contradict d={d}"
         )
 
     params = AutoencoderParams(
         w_e=w_e, b_e=b_e, w_d=w_d, b_d=b_d,
         hidden_activation=hidden, output_activation=output,
     )
-    stats = StandardizationStats(mu=mu, sigma=sigma)
-    return params, stats, schema
+    return params, StandardizationStats(mu=mu, sigma=sigma)

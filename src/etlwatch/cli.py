@@ -233,14 +233,13 @@ def _run_train(params: dict) -> tuple[list[str], list[str], dict]:
     history_path = Path(params["out"]).with_suffix(".history.csv")
     inputs, outputs = [params["stream"]], [params["out"], str(history_path)]
     _refuse_overwrites(inputs, outputs)
-    schema = FeatureSchema()
-    x = read_normal_rows(params["stream"], schema)
+    x = read_normal_rows(params["stream"])
     stats = fit_stats(x)
     standardize(x, stats, out=x)
     n_rows = len(x)
     params_out, history = train(x, _train_config(params))
     del x  # train keeps its own copy until the history's losses are read
-    save_model(params["out"], params_out, stats, schema)
+    save_model(params["out"], params_out, stats, FeatureSchema())
     with open(history_path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["epoch", "l_rec", "l_reg", "l_total", "seconds"])
@@ -271,12 +270,12 @@ def _run_detect(params: dict) -> tuple[list[str], list[str], dict]:
     if delta is None:
         inputs.append(params["calibrate"])
     _refuse_overwrites(inputs, outputs)
-    model, stats, schema = load_model(model_path)
+    model, stats = load_model(model_path)
     if delta is None:
-        validation = calibration_scores(model, stats, params["calibrate"], schema)
+        validation = calibration_scores(model, stats, params["calibrate"])
         delta = calibrate_threshold(validation, params["quantile"])
 
-    results = score_stream(model, stats, params["stream"], schema, delta)
+    results = score_stream(model, stats, params["stream"], delta)
     _write_detections(results, out, csv_path)
     click.echo(
         f"scored {len(results)} events at delta={delta!r}: "

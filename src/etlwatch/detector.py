@@ -258,17 +258,6 @@ def calibrate_threshold(validation_scores: Sequence[float], q: float) -> float:
     return float(np.sort(np.asarray(validation_scores, dtype=np.float64))[rank - 1])
 
 
-def _fill_labels(path: str | os.PathLike, runs: list[tuple[list[str], list]]) -> None:
-    """Fill in place, as :func:`read_stream` does, the missing labels of runs
-    of a stream file, given as ``(event_ids, labels)`` pairs in line order."""
-    ids = list(itertools.chain.from_iterable(ids for ids, _ in runs))
-    labels = list(itertools.chain.from_iterable(labels for _, labels in runs))
-    fill_held_out_labels(path, ids, labels, [None] * len(labels))
-    filled = iter(labels)
-    for _, run_labels in runs:
-        run_labels[:] = itertools.islice(filled, len(run_labels))
-
-
 def _popped(items: list[T]) -> Iterator[T]:
     """The items of a list in order, each removed from it as it is yielded."""
     items.reverse()
@@ -280,7 +269,6 @@ def score_stream(
     params: AutoencoderParams,
     stats: StandardizationStats,
     path: str | os.PathLike,
-    schema: FeatureSchema,
     delta: float,
 ) -> Detections:
     """Score the events of a stream file against ``delta``, one record per event.
@@ -298,16 +286,16 @@ def score_stream(
     :func:`batch_scores` is batch-invariant, every score equals the one the
     library gives the same standardized row in any batch.
     """
-    if schema.dim != params.d:
+    if params.d != FeatureSchema.dim:
         raise ContractViolationError(
-            f"schema dimension {schema.dim} does not match model d={params.d}"
+            f"model d={params.d} does not match the feature dimension {FeatureSchema.dim}"
         )
     if not (delta >= 0 and math.isfinite(delta)):
         raise ContractViolationError(f"delta must be finite and >= 0, got {delta}")
 
     def check(records: Records) -> tuple[Detections, list | None]:
         events, labels, _ = _check_stream_records(records)
-        x, failed = encode_events(events, schema)
+        x, failed = encode_events(events)
         scores = batch_scores(params, standardize(x, stats))
         errors = {position: str(exc) for position, exc in failed}
         truth = [label for i, label in enumerate(labels) if i not in errors]
@@ -315,8 +303,8 @@ def score_stream(
         return detections, labels if None in labels else None
 
     parts = read_chunks(path, STREAM_FIELDS, check)
-    _fill_labels(
-        path, [(part.event_ids(), labels) for part, labels in parts if labels is not None]
+    fill_held_out_labels(
+        path, ((part.event_ids(), labels, None) for part, labels in parts if labels is not None)
     )
     for part, labels in parts:
         if labels is not None:
@@ -326,7 +314,6 @@ def score_stream(
 
 def read_normal_rows(
     path: str | os.PathLike,
-    schema: FeatureSchema,
     step: Callable[[np.ndarray], np.ndarray] = lambda rows: rows,
 ) -> np.ndarray:
     """``step`` of the feature rows of the normal and unlabeled events of a
@@ -347,13 +334,15 @@ def read_normal_rows(
     def check(records: Records) -> tuple[np.ndarray, list, list | None, list | None]:
         events, labels, _ = _check_stream_records(records)
         if None in labels:  # its normal events are known once the labels are filled
-            x, failed = encode_events(events, schema)
+            x, failed = encode_events(events)
             return step(x), failed, events.event_id, labels
-        x, failed = encode_events(events.where([not label for label in labels]), schema)
+        x, failed = encode_events(events.where([not label for label in labels]))
         return step(x), failed, None, None
 
     runs = read_chunks(path, STREAM_FIELDS, check)
-    _fill_labels(path, [(ids, labels) for _, _, ids, labels in runs if labels is not None])
+    fill_held_out_labels(
+        path, ((ids, labels, None) for _, _, ids, labels in runs if labels is not None)
+    )
     kept = []
     for rows, failed, _, labels in runs:
         if labels is not None:  # a run encoded whole: keep its normal and unlabeled rows
@@ -365,14 +354,11 @@ def read_normal_rows(
         if failed:
             raise failed[0][1]
         kept.append(rows)
-    return np.concatenate(kept) if kept else step(np.zeros((0, schema.dim)))
+    return np.concatenate(kept) if kept else step(np.zeros((0, FeatureSchema.dim)))
 
 
 def calibration_scores(
-    params: AutoencoderParams,
-    stats: StandardizationStats,
-    path: str | os.PathLike,
-    schema: FeatureSchema,
+    params: AutoencoderParams, stats: StandardizationStats, path: str | os.PathLike
 ) -> np.ndarray:
     """The scores of the normal and unlabeled events of a stream file, in
     line order: the validation scores delta is calibrated on.
@@ -382,7 +368,7 @@ def calibration_scores(
     scores are those of :func:`batch_scores` over the normal and unlabeled
     events in one batch.
     """
-    return read_normal_rows(path, schema, lambda x: batch_scores(params, standardize(x, stats)))
+    return read_normal_rows(path, lambda x: batch_scores(params, standardize(x, stats)))
 
 
 _JSON_BOOL = {True: "true", False: "false"}

@@ -203,7 +203,6 @@ def make_bundle(events: Sequence[LabeledEvent]) -> DataBundle:
     are standardized in place.
     """
     stream = LabeledStream.from_events(events)
-    schema = FeatureSchema()
     n = len(stream)
     n_train = int(n * 0.6)
     n_val = int(n * 0.2)
@@ -214,15 +213,15 @@ def make_bundle(events: Sequence[LabeledEvent]) -> DataBundle:
     if len(train_part) < 2 or not val_part or not test_part:
         raise ContractViolationError("stream is too small to split into three parts")
 
-    x_train = vectorize_events(train_part, schema)
+    x_train = vectorize_events(train_part)
     stats = fit_stats(x_train)
     standardize(x_train, stats, out=x_train)
-    x_val = standardize(vectorize_events(val_part, schema), stats)
-    x_test = standardize(vectorize_events(test_part, schema), stats)
+    x_val = standardize(vectorize_events(val_part), stats)
+    x_test = standardize(vectorize_events(test_part), stats)
     y_test = np.array(stream.labels[n_train + n_val :], dtype=bool)
     return DataBundle(
         x_train=x_train, x_val=x_val, x_test=x_test, y_test=y_test,
-        stats=stats, schema=schema,
+        stats=stats, schema=FeatureSchema(),
     )
 
 

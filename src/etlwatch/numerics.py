@@ -4,9 +4,9 @@ Everything in this package computes in 64-bit floats. Matrices are plain
 2-D ``numpy`` arrays in row-major order; vectors are 1-D arrays. The random
 source is a splitmix64 generator written out here so that a given seed
 produces the same draw sequence on every platform and every numpy version.
-The scalar draw ``next_u64`` and the block draws (``next_u64_block``,
-``uniform_block``) consume one and the same sequence: a block of n draws
-returns, and advances the state by, exactly what n scalar draws would.
+The block draws (``next_u64_block``, ``uniform_block``) consume one
+sequence: a block of n draws returns the next n splitmix64 outputs and
+advances the state by exactly n steps.
 ``fractions`` hands out that sequence's 53-bit fractions one call at a time
 through a C-level iterator over whole blocks, for loops that draw a few
 floats per step.
@@ -40,8 +40,8 @@ class SeededRng:
 
     Because splitmix64 is counter-based (output t is a fixed mix of
     ``seed + t * golden``), a block draw computes n outputs at once in
-    wrapping ``np.uint64`` arithmetic. Block and scalar draws are one
-    sequence and may be interleaved freely.
+    wrapping ``np.uint64`` arithmetic. Blocks of any sizes, drawn one after
+    another, continue one sequence.
 
     Instances are cheap but stateful; do not share one across concurrent
     tasks.
@@ -53,20 +53,10 @@ class SeededRng:
         self.seed = seed & _MASK64
         self._state = self.seed
 
-    def next_u64(self) -> int:
-        """Return the next raw 64-bit output."""
-        self._state = (self._state + _GOLDEN) & _MASK64
-        z = self._state
-        z = ((z ^ (z >> 30)) * _MIX1) & _MASK64
-        z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
-        return z ^ (z >> 31)
-
     def next_u64_block(self, n: int) -> np.ndarray:
-        """Return the next ``n`` raw outputs as a ``uint64`` array.
-
-        Equal to ``n`` successive :meth:`next_u64` calls, including the state
-        left behind.
-        """
+        """Return the next ``n`` raw outputs as a ``uint64`` array: output t
+        is the mix of the state advanced t times, and the state is left
+        advanced ``n`` times."""
         if n < 0:
             raise ContractViolationError(f"block size must be >= 0, got {n}")
         steps = np.arange(1, n + 1, dtype=np.uint64)

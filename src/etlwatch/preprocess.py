@@ -437,7 +437,7 @@ _REGION_COLUMN = {v: _COLUMN[f"geo_region={v}"] for v in DEFAULT_GEO_REGIONS}
 
 
 def encode_events(
-    events: Iterable[EtlEvent], schema: FeatureSchema
+    events: Iterable[EtlEvent],
 ) -> tuple[np.ndarray, list[tuple[int, EncodingError]]]:
     """Encode events column by column; return the rows and the failures.
 
@@ -488,17 +488,17 @@ def encode_events(
     return x, errors
 
 
-def vectorize_events(events: Iterable[EtlEvent], schema: FeatureSchema) -> np.ndarray:
+def vectorize_events(events: Iterable[EtlEvent]) -> np.ndarray:
     """:func:`encode_events` as an (n, d) matrix; raises the first EncodingError."""
-    x, errors = encode_events(events, schema)
+    x, errors = encode_events(events)
     if errors:
         raise errors[0][1]
     return x
 
 
-def vectorize(event: EtlEvent, schema: FeatureSchema) -> np.ndarray:
-    """Encode one event as a feature vector of length ``schema.dim``."""
-    return vectorize_events([event], schema)[0]
+def vectorize(event: EtlEvent) -> np.ndarray:
+    """Encode one event as a feature vector of length :attr:`FeatureSchema.dim`."""
+    return vectorize_events([event])[0]
 
 
 def fit_stats(x: np.ndarray) -> StandardizationStats:

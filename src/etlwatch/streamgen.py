@@ -621,40 +621,53 @@ def read_stream(path: str | Path) -> tuple[EventBatch, list[bool | None], list[s
     it.
     """
     parts = read_chunks(path, STREAM_FIELDS, _check_stream_records)
+    fill_held_out_labels(path, ((part[0].event_id, part[1], part[2]) for part in parts))
     events = EventBatch.concat(part[0] for part in parts)
     labels = list(itertools.chain.from_iterable(part[1] for part in parts))
     classes = list(itertools.chain.from_iterable(part[2] for part in parts))
-    fill_held_out_labels(path, events.event_id, labels, classes)
     return events, labels, classes
 
 
 def fill_held_out_labels(
     path: str | Path,
-    event_ids: Sequence[str],
-    labels: list[bool | None],
-    classes: list[str | None],
+    runs: Iterable[tuple[Sequence[str], list[bool | None], list[str | None] | None]],
 ) -> None:
-    """Fill in place the label and class of every record of the stream at
-    ``path`` that has no inline label, from its sibling labels file
-    (:func:`labels_sibling_path`) matched by ``event_id``. Nothing is looked
-    up when every record has a label, and without that file the labels stay
-    None. A bad line of the file or a record it lacks raises one
-    :class:`ContractViolationError`."""
-    if None not in labels:
-        return
-    labels_path = labels_sibling_path(path)
-    if not labels_path.exists():
-        return
-    held_out = dict(
-        itertools.chain.from_iterable(read_chunks(labels_path, _LABEL_FIELDS, _check_labels))
-    )
-    for i, event_id in enumerate(event_ids):
-        if labels[i] is None:
-            if event_id not in held_out:
-                raise ContractViolationError(
-                    f"event {event_id!r} has no entry in {labels_path}"
-                )
-            labels[i], classes[i] = held_out[event_id]
+    """Fill in place the label, and the class where a run gives its classes,
+    of every record of the stream at ``path`` that has no inline label, from
+    its sibling labels file (:func:`labels_sibling_path`) matched by
+    ``event_id``.
+
+    ``runs`` are the stream's runs of records in line order, each as
+    ``(event_ids, labels, classes)``, with ``classes`` None where only the
+    labels are wanted; they are walked once, one run at a time. The labels
+    file is read at the first missing label, so nothing is looked up when
+    every record has a label, and without that file the labels stay None.
+    A bad line of the file or a record it lacks raises one
+    :class:`ContractViolationError`.
+    """
+    held_out = None
+    for event_ids, labels, classes in runs:
+        if None not in labels:
+            continue
+        if held_out is None:
+            labels_path = labels_sibling_path(path)
+            if not labels_path.exists():
+                return
+            held_out = {}  # a later entry for an id wins
+            for ids, *columns in read_chunks(labels_path, _LABEL_FIELDS, _check_labels):
+                # each id's label, or with classes wanted its (label, class) pair
+                held_out.update(zip(ids, columns[0] if classes is None else zip(*columns)))
+        for i, label in enumerate(labels):
+            if label is None:
+                event_id = event_ids[i]
+                if event_id not in held_out:
+                    raise ContractViolationError(
+                        f"event {event_id!r} has no entry in {labels_path}"
+                    )
+                if classes is None:
+                    labels[i] = held_out[event_id]
+                else:
+                    labels[i], classes[i] = held_out[event_id]
 
 
 def _check_stream_records(
@@ -693,20 +706,20 @@ def _label(record: dict) -> bool | None:
 _LABEL_FIELDS = {"event_id": ABSENT, "label": None, "anomaly_class": None}
 
 
-def _check_labels(records: Records) -> list[tuple[str, tuple[bool, str | None]]]:
-    """A run of labels-file records as ``(event_id, (label, anomaly_class))``
-    pairs: as columns when every id is a string and every label a boolean,
-    else record by record."""
+def _check_labels(records: Records) -> tuple[list[str], list[bool], list[str | None]]:
+    """A run of labels-file records as its columns of ids, labels and
+    classes, each id its ``str``: checked as columns when every id is a
+    string and every label a boolean, else record by record."""
     ids, labels, classes = records.values.values()
-    if set(map(type, ids)) <= {str} and set(map(type, labels)) <= {bool}:
-        return list(zip(ids, zip(labels, classes)))
-    return each_record(_held_out_label, records)
+    if not (set(map(type, ids)) <= {str} and set(map(type, labels)) <= {bool}):
+        ids = each_record(_held_out_id, records)
+    return ids, labels, classes
 
 
-def _held_out_label(record: dict) -> tuple[str, tuple[bool, str | None]]:
-    """A labels-file record as ``(str(event_id), (label, anomaly_class))``;
+def _held_out_id(record: dict) -> str:
+    """A labels-file record's ``str(event_id)``, once its label is checked;
     a null label counts as absent."""
     event_id, label = str(record["event_id"]), _label(record)
     if label is None:
         raise KeyError("label")
-    return event_id, (label, record.get("anomaly_class"))
+    return event_id

@@ -19,11 +19,10 @@ from dataclasses import replace
 
 import numpy as np
 
-from etlwatch import streamgen
+from etlwatch import numerics, streamgen
 from etlwatch.autoencoder import Gradients, total_loss
 from etlwatch.detector import DetectionResult, Detections, StreamError
 from etlwatch.errors import ContractViolationError, EncodingError, EtlwatchError
-from etlwatch.numerics import SeededRng
 from etlwatch.preprocess import (
     DEFAULT_DEVICE_TYPES,
     DEFAULT_GEO_REGIONS,
@@ -100,8 +99,9 @@ def latent_l1(h, l1_penalty):
     return float(l1_penalty * np.mean(np.sum(np.abs(h), axis=1)))
 
 
-def vectorize_row(event, schema):
-    """Encode one event, one slot after another."""
+def vectorize_row(event):
+    """Encode one event, one slot after another, in the one layout."""
+    schema = FeatureSchema
     values = []
     for name in schema.numeric_fields:
         if name in schema.maskable_fields and event.missing_mask[
@@ -175,18 +175,18 @@ def detections(records):
     return Detections(ids, scores, flags, truth, errors)
 
 
-def read_normal_rows(path, schema):
+def read_normal_rows(path):
     """The feature rows of the normal and unlabeled events of a stream file,
     the whole file at once: its events and filled labels, then those events
     encoded as one batch."""
     events, labels, _ = streamgen.read_stream(path)
-    return vectorize_events(events.where([not label for label in labels]), schema)
+    return vectorize_events(events.where([not label for label in labels]))
 
 
-def calibration_scores(params, stats, path, schema):
+def calibration_scores(params, stats, path):
     """The validation scores of a stream file, the whole file at once: the
     rows of :func:`read_normal_rows`, standardized and scored as one batch."""
-    return batch_scores(params, standardize(read_normal_rows(path, schema), stats))
+    return batch_scores(params, standardize(read_normal_rows(path), stats))
 
 
 def average_ranks(values):
@@ -203,13 +203,13 @@ def average_ranks(values):
     return ranks
 
 
-def score_one_at_a_time(params, stats, events, schema, delta, truth_labels=None):
+def score_one_at_a_time(params, stats, events, delta, truth_labels=None):
     """Score a stream event by event, each as a batch of one."""
     results = []
     for i, event in enumerate(events):
         event_id = event.event_id or f"event-{i}"
         try:
-            row = vectorize_row(event, schema)
+            row = vectorize_row(event)
         except EncodingError as exc:
             results.append(StreamError(event_id=event_id, error=str(exc)))
             continue
@@ -543,7 +543,6 @@ def generate(cfg):
 def make_bundle(items):
     """The 60/20/20 bundle of a list of labeled events as ``(x_train, x_val,
     x_test, y_test)``, its parts picked and encoded one event at a time."""
-    schema = FeatureSchema()
     n = len(items)
     n_train, n_val = int(n * 0.6), int(n * 0.2)
     train_part = [item.event for item in items[:n_train] if not item.label]
@@ -551,7 +550,7 @@ def make_bundle(items):
     test_part = items[n_train + n_val :]
 
     def rows(events):
-        return np.array([vectorize_row(event, schema) for event in events])
+        return np.array([vectorize_row(event) for event in events])
 
     x_train = rows(train_part)
     stats = fit_stats(x_train)
@@ -597,10 +596,21 @@ def write_labeled_events(items, path, holdout=False):
                 }) + "\n")
 
 
+def next_u64(rng) -> int:
+    """The next raw 64-bit output of a :class:`SeededRng` or a
+    :class:`ReferenceRng`: one splitmix64 step of its state, the scalar form
+    of one element of ``next_u64_block``."""
+    rng._state = (rng._state + numerics._GOLDEN) & numerics._MASK64
+    z = rng._state
+    z = ((z ^ (z >> 30)) * numerics._MIX1) & numerics._MASK64
+    z = ((z ^ (z >> 27)) * numerics._MIX2) & numerics._MASK64
+    return z ^ (z >> 31)
+
+
 def reference_uniform(rng, lo: float = 0.0, hi: float = 1.0) -> float:
-    """A float in [lo, hi) from one ``next_u64()``: the scalar form of one
+    """A float in [lo, hi) from one :func:`next_u64`: the scalar form of one
     element of ``uniform_block``."""
-    u = (rng.next_u64() >> 11) * 2.0**-53
+    u = (next_u64(rng) >> 11) * 2.0**-53
     value = lo + u * (hi - lo)
     if value >= hi:
         value = np.nextafter(hi, lo)
@@ -617,7 +627,7 @@ def reference_shuffled_indices(rng, n: int) -> np.ndarray:
 
 
 class ReferenceRng:
-    """Scalar-only oracle for :class:`SeededRng`: every draw is one ``next_u64()``.
+    """Scalar-only oracle for :class:`SeededRng`: every draw is one :func:`next_u64`.
 
     Its sequence is splitmix64 one output at a time. It has the public draw
     methods of ``SeededRng`` and can stand in for it, and it keeps the scalar
@@ -626,13 +636,10 @@ class ReferenceRng:
     """
 
     def __init__(self, seed: int) -> None:
-        self._rng = SeededRng(seed)
-
-    def next_u64(self) -> int:
-        return self._rng.next_u64()
+        self._state = seed & numerics._MASK64
 
     def next_u64_block(self, n: int) -> np.ndarray:
-        return np.array([self.next_u64() for _ in range(n)], dtype=np.uint64)
+        return np.array([next_u64(self) for _ in range(n)], dtype=np.uint64)
 
     def uniform(self, lo: float = 0.0, hi: float = 1.0) -> float:
         return reference_uniform(self, lo, hi)

@@ -278,7 +278,7 @@ def test_criterion_9_serialization(tmp_path):
         first = tmp_path / f"model_{i}_a.json"
         second = tmp_path / f"model_{i}_b.json"
         save_model(first, params, stats, schema)
-        save_model(second, *load_model(first))
+        save_model(second, *load_model(first), schema)
         assert first.read_bytes() == second.read_bytes(), f"cycle {i} not byte-identical"
 
     good = tmp_path / "model_0_a.json"

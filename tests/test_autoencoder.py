@@ -829,15 +829,15 @@ def saved_model(tmp_path):
 
 class TestModelDocument:
     def test_round_trip_is_byte_identical(self, saved_model, tmp_path):
-        path, *_ = saved_model
-        params, stats, schema = load_model(path)
+        path, _, _, schema = saved_model
+        params, stats = load_model(path)
         second = tmp_path / "model2.json"
         save_model(second, params, stats, schema)
         assert path.read_bytes() == second.read_bytes()
 
     def test_round_trip_values_exact(self, saved_model):
         path, params, stats, _ = saved_model
-        loaded_params, loaded_stats, _ = load_model(path)
+        loaded_params, loaded_stats = load_model(path)
         np.testing.assert_array_equal(loaded_params.w_e, params.w_e)
         np.testing.assert_array_equal(loaded_stats.sigma, stats.sigma)
 
@@ -901,12 +901,12 @@ class TestModelDocument:
             load_model(path)
 
     def test_the_one_layout_in_another_key_order_loads(self, saved_model, tmp_path):
-        path, params, stats, schema = saved_model
+        path, params, stats, _ = saved_model
         doc = json.loads(path.read_text())
         doc["schema"] = dict(reversed(doc["schema"].items()))
         path.write_text(json.dumps(doc))
-        loaded_params, loaded_stats, loaded_schema = load_model(path)
-        assert loaded_schema == schema
+        loaded_params, loaded_stats = load_model(path)
+        np.testing.assert_array_equal(loaded_params.w_d, params.w_d)
         np.testing.assert_array_equal(loaded_stats.sigma, stats.sigma)
 
     def test_a_file_nested_too_deeply_is_a_format_error(self, tmp_path):

@@ -152,12 +152,11 @@ class TestTrain:
                         "--out", str(tmp_path / "m.json")])
         assert len(started) == 1  # a worker read the second range
         # the model of the whole file read at once
-        schema = FeatureSchema()
-        x = reference.read_normal_rows(stream, schema)
+        x = reference.read_normal_rows(stream)
         stats = fit_stats(x)
         params, _ = train(reference.standardize(x, stats),
                           TrainConfig(epochs=2, latent_dim=8, seed=4))
-        save_model(tmp_path / "expected.json", params, stats, schema)
+        save_model(tmp_path / "expected.json", params, stats, FeatureSchema())
         assert (tmp_path / "m.json").read_bytes() == (tmp_path / "expected.json").read_bytes()
         assert not multiprocessing.active_children()
 
@@ -238,9 +237,9 @@ class TestDetect:
         out = tmp_path / "det.jsonl"
         run_ok(runner, ["detect", str(stream), "--model", str(model),
                         "--delta", "1", "--out", str(out)])
-        params, stats, schema = load_model(model)
+        params, stats = load_model(model)
         events = [parse_event(json.loads(line)) for line in stream.read_text().splitlines()]
-        expected = batch_scores(params, standardize(vectorize_events(events, schema), stats))
+        expected = batch_scores(params, standardize(vectorize_events(events), stats))
         scores = [json.loads(line)["score"] for line in out.read_text().splitlines()]
         assert scores == expected.tolist()
 
@@ -470,10 +469,10 @@ class TestStreamFields:
         )
         out = tmp_path / "det.jsonl"
         run_ok(runner, ["detect", str(stream), *command_args("detect", workspace, out)])
-        params, stats, schema = load_model(workspace[2])
+        params, stats = load_model(workspace[2])
         events = [parse_event(json.loads(line)) for line in stream.read_text().splitlines()]
         assert events[2].timestamp == timestamp
-        expected = batch_scores(params, standardize(vectorize_events(events, schema), stats))
+        expected = batch_scores(params, standardize(vectorize_events(events), stats))
         assert [json.loads(line)["score"] for line in out.read_text().splitlines()] == (
             expected.tolist()
         )

@@ -41,6 +41,10 @@ import reference
 from reference import event_to_dict
 
 
+# The width of every feature row.
+DIM = FeatureSchema.dim
+
+
 def passthrough_stats(d: int) -> StandardizationStats:
     return StandardizationStats(mu=np.zeros(d), sigma=np.ones(d))
 
@@ -199,13 +203,12 @@ class TestCalibrateThreshold:
 @pytest.fixture(scope="module")
 def tiny_pipeline():
     events = [e.event for e in generate(StreamConfig(n_events=40, anomaly_rate=0.0, seed=3))]
-    schema = FeatureSchema()
     from etlwatch.preprocess import standardize, vectorize_events
 
-    x = vectorize_events(events, schema)
+    x = vectorize_events(events)
     stats = fit_stats(x)
-    model = identity_model(schema.dim)
-    return model, stats, schema, events
+    model = identity_model(DIM)
+    return model, stats, events
 
 
 def write_stream(path, events, truth=None):
@@ -221,7 +224,7 @@ def write_stream(path, events, truth=None):
 @pytest.fixture(scope="module")
 def tiny_stream(tiny_pipeline, tmp_path_factory):
     """The tiny pipeline's events as a stream file without labels."""
-    return write_stream(tmp_path_factory.mktemp("stream") / "stream.jsonl", tiny_pipeline[3])
+    return write_stream(tmp_path_factory.mktemp("stream") / "stream.jsonl", tiny_pipeline[2])
 
 
 # Lines read, checked and scored at a time.
@@ -230,26 +233,26 @@ CHUNK = preprocess._CHUNK
 
 class TestScoreStream:
     def test_empty_stream(self, tiny_pipeline, tmp_path):
-        model, stats, schema, _ = tiny_pipeline
+        model, stats, _ = tiny_pipeline
         path = tmp_path / "stream.jsonl"
         path.write_text("")
-        assert list(score_stream(model, stats, path, schema, 1.0)) == []
-        assert list(score_stream(model, stats, str(path), schema, 1.0)) == []
+        assert list(score_stream(model, stats, path, 1.0)) == []
+        assert list(score_stream(model, stats, str(path), 1.0)) == []
 
     def test_concatenation_equals_concatenated_results(self, tiny_pipeline, tmp_path):
-        model, stats, schema, events = tiny_pipeline
+        model, stats, events = tiny_pipeline
 
         def scored(name, part):
-            return list(score_stream(model, stats, write_stream(tmp_path / name, part), schema, 0.5))
+            return list(score_stream(model, stats, write_stream(tmp_path / name, part), 0.5))
 
         whole = scored("whole.jsonl", events)
         assert whole == scored("head.jsonl", events[:25]) + scored("tail.jsonl", events[25:])
 
     def test_bad_event_becomes_error_record(self, tiny_pipeline, tmp_path):
-        model, stats, schema, events = tiny_pipeline
+        model, stats, events = tiny_pipeline
         broken = [events[0], dataclasses.replace(events[1], device_type="toaster"), events[2]]
         path = write_stream(tmp_path / "stream.jsonl", broken)
-        results = score_stream(model, stats, path, schema, 0.0)
+        results = score_stream(model, stats, path, 0.0)
         assert len(results) == 3
         assert isinstance(results[0], DetectionResult)
         assert isinstance(results[1], StreamError)
@@ -257,44 +260,46 @@ class TestScoreStream:
         assert isinstance(results[2], DetectionResult)
 
     def test_order_preserved_and_truth_passthrough(self, tiny_pipeline, tmp_path):
-        model, stats, schema, events = tiny_pipeline
+        model, stats, events = tiny_pipeline
         truth = [i % 2 == 0 for i in range(len(events))]
         path = write_stream(tmp_path / "stream.jsonl", events, truth)
-        results = score_stream(model, stats, path, schema, 0.0)
+        results = score_stream(model, stats, path, 0.0)
         assert [r.event_id for r in results] == [e.event_id for e in events]
         assert [r.truth_label for r in results] == truth
 
-    def test_schema_model_mismatch(self, tiny_pipeline, tiny_stream):
-        _, stats, schema, _ = tiny_pipeline
-        with pytest.raises(ContractViolationError):
-            score_stream(identity_model(4), stats, tiny_stream, schema, 0.0)
+    def test_schema_model_mismatch(self, tiny_pipeline, tmp_path):
+        # refused before the file is opened: there is no file at the path
+        _, stats, _ = tiny_pipeline
+        message = "model d=4 does not match the feature dimension 16"
+        with pytest.raises(ContractViolationError, match=message):
+            score_stream(identity_model(4), stats, tmp_path / "absent.jsonl", 0.0)
 
     def test_stats_model_mismatch(self, tiny_pipeline, tiny_stream):
-        model, _, schema, _ = tiny_pipeline
+        model, _, _ = tiny_pipeline
         with pytest.raises(ContractViolationError, match="stats of dimension 4"):
-            score_stream(model, passthrough_stats(4), tiny_stream, schema, 0.0)
+            score_stream(model, passthrough_stats(4), tiny_stream, 0.0)
 
     def test_rejects_bad_delta(self, tiny_pipeline, tiny_stream):
-        model, stats, schema, _ = tiny_pipeline
+        model, stats, _ = tiny_pipeline
         for delta in (-1.0, math.nan, math.inf):
             with pytest.raises(ContractViolationError, match="delta"):
-                score_stream(model, stats, tiny_stream, schema, delta)
+                score_stream(model, stats, tiny_stream, delta)
 
     def test_score_equal_to_delta_is_normal(self, tiny_pipeline, tmp_path):
-        _, stats, schema, events = tiny_pipeline
-        model = squeezed_model(schema.dim)
+        _, stats, events = tiny_pipeline
+        model = squeezed_model(DIM)
         path = write_stream(tmp_path / "stream.jsonl", events[:1])
-        value = score_stream(model, stats, path, schema, 0.0)[0].score
+        value = score_stream(model, stats, path, 0.0)[0].score
         assert value > 0
-        assert score_stream(model, stats, path, schema, value)[0].is_anomaly is False
+        assert score_stream(model, stats, path, value)[0].is_anomaly is False
 
     def test_score_above_delta_is_anomaly(self, tiny_pipeline, tmp_path):
-        _, stats, schema, events = tiny_pipeline
-        model = squeezed_model(schema.dim)
+        _, stats, events = tiny_pipeline
+        model = squeezed_model(DIM)
         path = write_stream(tmp_path / "stream.jsonl", events[:1])
-        value = score_stream(model, stats, path, schema, 0.0)[0].score
+        value = score_stream(model, stats, path, 0.0)[0].score
         below = float(np.nextafter(value, 0.0))
-        assert score_stream(model, stats, path, schema, below)[0].is_anomaly is True
+        assert score_stream(model, stats, path, below)[0].is_anomaly is True
 
     @given(
         st.floats(min_value=0, max_value=100),
@@ -302,23 +307,23 @@ class TestScoreStream:
     )
     @settings(max_examples=40, deadline=None)
     def test_raising_delta_never_flags_more_events(self, tiny_pipeline, tiny_stream, d1, d2):
-        _, stats, schema, _ = tiny_pipeline
-        model = squeezed_model(schema.dim)
+        _, stats, _ = tiny_pipeline
+        model = squeezed_model(DIM)
         lo, hi = sorted((d1, d2))
         flagged = [
-            {r.event_id for r in score_stream(model, stats, tiny_stream, schema, d) if r.is_anomaly}
+            {r.event_id for r in score_stream(model, stats, tiny_stream, d) if r.is_anomaly}
             for d in (lo, hi)
         ]
         assert flagged[1] <= flagged[0]
 
     @pytest.mark.parametrize("n", [CHUNK - 1, CHUNK, CHUNK + 1])
     def test_chunks_equal_scoring_one_event_at_a_time(self, tiny_pipeline, tmp_path, n):
-        _, stats, schema, events = tiny_pipeline
+        _, stats, events = tiny_pipeline
         rnd = np.random.default_rng(n)
         k = 5
         model = AutoencoderParams(
-            w_e=rnd.normal(size=(k, schema.dim)), b_e=rnd.normal(size=k),
-            w_d=rnd.normal(size=(schema.dim, k)), b_d=rnd.normal(size=schema.dim),
+            w_e=rnd.normal(size=(k, DIM)), b_e=rnd.normal(size=k),
+            w_d=rnd.normal(size=(DIM, k)), b_d=rnd.normal(size=DIM),
             hidden_activation=Activation.TANH,
         )
         # unknown values just before and after the first run's edge, and at the ends
@@ -336,11 +341,11 @@ class TestScoreStream:
         truth = [None if i % 5 == 0 else i % 3 == 0 for i in range(n)]
         path = write_stream(tmp_path / "stream.jsonl", stream, truth)
         read, labels, _ = reference.read_stream(path)
-        whole = score_stream(model, stats, path, schema, 0.0)
+        whole = score_stream(model, stats, path, 0.0)
         delta = float(np.median([r.score for r in whole if isinstance(r, DetectionResult)]))
         for d in (0.0, delta):
-            expected = reference.score_one_at_a_time(model, stats, read, schema, d, labels)
-            assert list(score_stream(model, stats, path, schema, d)) == expected
+            expected = reference.score_one_at_a_time(model, stats, read, d, labels)
+            assert list(score_stream(model, stats, path, d)) == expected
         errors = {i for i, r in enumerate(whole) if isinstance(r, StreamError)}
         assert errors == {i for i in bad if i < n}
 
@@ -351,8 +356,8 @@ class TestScoreStream:
         # runs of 4: runs 0, 3 and 6 inline, the others mixed; an error
         # record inline (13) and one held out (6)
         monkeypatch.setattr(preprocess, "_CHUNK", 4)
-        _, stats, schema, events = tiny_pipeline
-        model = squeezed_model(schema.dim)
+        _, stats, events = tiny_pipeline
+        model = squeezed_model(DIM)
         n = 30
         stream = [dataclasses.replace(events[i % len(events)], event_id=f"e{i}") for i in range(n)]
         for at in (6, 13):
@@ -366,9 +371,9 @@ class TestScoreStream:
 
         def scored_whole():
             events, labels, _ = streamgen.read_stream(path)
-            return reference.score_one_at_a_time(model, stats, events, schema, 1.0, labels)
+            return reference.score_one_at_a_time(model, stats, events, 1.0, labels)
 
-        ours = outcome(lambda: list(score_stream(model, stats, path, schema, 1.0)))
+        ours = outcome(lambda: list(score_stream(model, stats, path, 1.0)))
         assert ours == outcome(scored_whole)
         if lacks:
             labels_path = streamgen.labels_sibling_path(path)
@@ -379,9 +384,31 @@ class TestScoreStream:
             ]
             assert [i for i, r in enumerate(ours) if isinstance(r, StreamError)] == [6, 13]
 
+    def test_held_out_labels_peak_under_4_mb_over_20_000_lines(
+        self, tiny_pipeline, tmp_path, cpus
+    ):
+        # about 3.3 MB here, against 1.7 MB with the labels inline; with every
+        # id joined into one list, a class list beside the labels and a
+        # (label, class) pair per held-out id, about 6.9 MB
+        cpus(1)
+        model, stats, events = tiny_pipeline
+        n = 20_000
+        stream = [dataclasses.replace(events[i % len(events)], event_id=f"evt-{i:06d}")
+                  for i in range(n)]
+        truth = [i % 7 == 0 for i in range(n)]
+        path = write_split_labels(tmp_path / "stream.jsonl", stream, truth, [False] * n)
+        tracemalloc.start()
+        try:
+            detections = score_stream(model, stats, path, 0.5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert detections.truth == truth
+        assert peak < 4_000_000
+
     def test_records_stay_in_order_across_chunk_edges(self, tiny_pipeline, tmp_path):
-        _, stats, schema, events = tiny_pipeline
-        model = squeezed_model(schema.dim)
+        _, stats, events = tiny_pipeline
+        model = squeezed_model(DIM)
         n = 2 * CHUNK + 3
         broken = {0, CHUNK - 1, CHUNK, n - 1}
         stream = []
@@ -393,7 +420,7 @@ class TestScoreStream:
         stream[CHUNK + 1] = dataclasses.replace(stream[CHUNK + 1], event_id="")
         truth = [i % 3 == 0 for i in range(n)]
         results = score_stream(
-            model, stats, write_stream(tmp_path / "stream.jsonl", stream, truth), schema, 1.0
+            model, stats, write_stream(tmp_path / "stream.jsonl", stream, truth), 1.0
         )
         ids = [f"e{i}" for i in range(n)]
         ids[CHUNK + 1] = f"line-{CHUNK + 2}"
@@ -403,7 +430,7 @@ class TestScoreStream:
             if i in broken:
                 assert "toaster" in record.error
                 continue
-            value = score(model, stats, vectorize(event, schema))
+            value = score(model, stats, vectorize(event))
             assert record == DetectionResult(record.event_id, value, value > 1.0, truth[i])
 
 
@@ -475,19 +502,19 @@ class TestCalibrationScores:
     scored as one batch."""
 
     @staticmethod
-    def assert_as_the_reference(model, stats, path, schema):
+    def assert_as_the_reference(model, stats, path):
         # train's rows, from the same reader, too
         rows, their_rows = (
-            outcome(read, path, schema) for read in (read_normal_rows, reference.read_normal_rows)
+            outcome(read, path) for read in (read_normal_rows, reference.read_normal_rows)
         )
         ours, theirs = (
-            outcome(calibrate, model, stats, path, schema)
+            outcome(calibrate, model, stats, path)
             for calibrate in (calibration_scores, reference.calibration_scores)
         )
         if isinstance(theirs, str):
             assert ours == theirs == rows == their_rows
             return ours
-        assert rows.shape == their_rows.shape == (len(theirs), schema.dim)
+        assert rows.shape == their_rows.shape == (len(theirs), DIM)
         assert rows.tobytes() == their_rows.tobytes()
         assert ours.tobytes() == theirs.tobytes()
         assert calibrate_threshold(ours, 0.95) == calibrate_threshold(theirs, 0.95)
@@ -496,11 +523,11 @@ class TestCalibrationScores:
     @pytest.mark.parametrize("labeling", LABELINGS)
     @pytest.mark.parametrize("normals", [CHUNK - 1, CHUNK, CHUNK + 1])
     def test_equal_the_reference_at_run_edges(self, tiny_pipeline, tmp_path, normals, labeling):
-        _, stats, schema, events = tiny_pipeline
-        model = squeezed_model(schema.dim)
+        _, stats, events = tiny_pipeline
+        model = squeezed_model(DIM)
         stream, truth = calibration_stream(events, normals)
         path = write_calibration(tmp_path / "val.jsonl", stream, truth, labeling)
-        scores = self.assert_as_the_reference(model, stats, path, schema)
+        scores = self.assert_as_the_reference(model, stats, path)
         assert len(scores) == (len(stream) if labeling == "none" else normals)
 
     @pytest.mark.parametrize("labeling", ["inline", "held-out", "mixed"])
@@ -510,15 +537,15 @@ class TestCalibrationScores:
     ):
         # skipped when it is anomalous, raised when it is normal; an
         # anomalous one after it is skipped either way
-        _, stats, schema, events = tiny_pipeline
-        model = squeezed_model(schema.dim)
+        _, stats, events = tiny_pipeline
+        model = squeezed_model(DIM)
         stream, truth = calibration_stream(events, CHUNK + 1)
         for at, field, value, label in ((CHUNK + 1, "device_type", "toaster", anomalous),
                                         (CHUNK + 3, "geo_region", "mars", True)):
             stream[at] = dataclasses.replace(stream[at], **{field: value})
             truth[at] = label
         path = write_calibration(tmp_path / "val.jsonl", stream, truth, labeling)
-        result = self.assert_as_the_reference(model, stats, path, schema)
+        result = self.assert_as_the_reference(model, stats, path)
         if anomalous:
             assert len(result) == truth.count(False)
         else:
@@ -527,11 +554,11 @@ class TestCalibrationScores:
             )
 
     def test_a_record_the_labels_file_lacks(self, tiny_pipeline, tmp_path):
-        _, stats, schema, events = tiny_pipeline
+        _, stats, events = tiny_pipeline
         stream, truth = calibration_stream(events, CHUNK + 1)
         path = write_calibration(tmp_path / "val.jsonl", stream, truth, "mixed")
         drop_held_out_label(path, f"e{CHUNK + 1}")
-        result = self.assert_as_the_reference(squeezed_model(schema.dim), stats, path, schema)
+        result = self.assert_as_the_reference(squeezed_model(DIM), stats, path)
         labels_path = streamgen.labels_sibling_path(path)
         assert result == (
             f"ContractViolationError: event 'e{CHUNK + 1}' has no entry in {labels_path}"
@@ -541,15 +568,15 @@ class TestCalibrationScores:
         # the whole file at once holds every event; a run at a time, its scores
         cpus(1)
         monkeypatch.setattr(preprocess, "_CHUNK", 256)
-        _, stats, schema, events = tiny_pipeline
-        model = squeezed_model(schema.dim)
+        _, stats, events = tiny_pipeline
+        model = squeezed_model(DIM)
         stream, truth = calibration_stream(events, 4000)
         path = write_calibration(tmp_path / "val.jsonl", stream, truth, "inline")
         peaks = []
         for calibrate in (calibration_scores, reference.calibration_scores):
             tracemalloc.start()
             try:
-                calibrate(model, stats, path, schema)
+                calibrate(model, stats, path)
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
@@ -559,12 +586,12 @@ class TestCalibrationScores:
         # about 1.30 MB here; with each run's lines and decoded records held
         # until the run is scored, about 2.02 MB
         cpus(1)
-        _, stats, schema, events = tiny_pipeline
+        _, stats, events = tiny_pipeline
         stream, truth = calibration_stream(events, 17_143)  # 20 001 events
         path = write_calibration(tmp_path / "val.jsonl", stream, truth, "inline")
         tracemalloc.start()
         try:
-            scores = calibration_scores(squeezed_model(schema.dim), stats, path, schema)
+            scores = calibration_scores(squeezed_model(DIM), stats, path)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -573,17 +600,17 @@ class TestCalibrationScores:
 
     def test_train_rows_hold_under_300_bytes_per_event(self, tiny_pipeline, tmp_path):
         # about 220 here; the whole file at once, as train once read it, about 680
-        _, _, schema, events = tiny_pipeline
+        _, _, events = tiny_pipeline
         stream, truth = calibration_stream(events, 17_143)  # 20 001 events
         n = len(stream)
         path = write_calibration(tmp_path / "train.jsonl", stream, truth, "inline")
         tracemalloc.start()
         try:
-            rows = read_normal_rows(path, schema)
+            rows = read_normal_rows(path)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert rows.shape == (truth.count(False), schema.dim)
+        assert rows.shape == (truth.count(False), DIM)
         assert peak < 300 * n
 
 
@@ -760,15 +787,15 @@ class TestDetections:
         self, tmp_path, tiny_pipeline
     ):
         # one str object per id once took about 86 bytes per record
-        model, stats, schema, events = tiny_pipeline
+        model, stats, events = tiny_pipeline
         n = 20_000
         ids = [f"evt-{i:06d}" for i in range(n)]  # 200 000 characters: wider offsets than a run's
         stream = [dataclasses.replace(events[i % len(events)], event_id=event_id)
                   for i, event_id in enumerate(ids)]
         path = write_stream(tmp_path / "stream.jsonl", stream, [i % 7 == 0 for i in range(n)])
-        write_detections_jsonl(score_stream(model, stats, path, schema, 0.5),
+        write_detections_jsonl(score_stream(model, stats, path, 0.5),
                                tmp_path / "detections.jsonl")
-        for build in (lambda: score_stream(model, stats, path, schema, 0.5),
+        for build in (lambda: score_stream(model, stats, path, 0.5),
                       lambda: read_detections_jsonl(tmp_path / "detections.jsonl")):
             tracemalloc.start()
             try:
@@ -786,14 +813,14 @@ class TestDetections:
             Detections(["a"], np.zeros(0), np.zeros(0, bool), [], {1: "boom"})
 
     def test_scored_stream_writes_reference_bytes(self, tmp_path, tiny_pipeline):
-        model, stats, schema, events = tiny_pipeline
+        model, stats, events = tiny_pipeline
         stream = list(events)
         for i in (0, 17, len(stream) - 1):
             stream[i] = dataclasses.replace(stream[i], device_type="toaster")
         stream[5] = dataclasses.replace(stream[5], event_id='say "hi", 事件')
         truth = [None if i % 5 == 0 else i % 2 == 0 for i in range(len(stream))]
         path = write_stream(tmp_path / "stream.jsonl", stream, truth)
-        detections = score_stream(model, stats, path, schema, 0.5)
+        detections = score_stream(model, stats, path, 0.5)
         assert sorted(detections.errors) == [0, 17, len(stream) - 1]
         for write, write_reference, suffix in WRITERS:
             write(detections, tmp_path / f"ours.{suffix}")

@@ -11,7 +11,7 @@ from etlwatch.errors import ContractViolationError, NumericalError
 from etlwatch.numerics import _BLOCK, SeededRng
 
 from gradcheck import finite_diff_grad
-from reference import ReferenceRng, reference_shuffled_indices, reference_uniform
+from reference import ReferenceRng, next_u64, reference_shuffled_indices, reference_uniform
 
 finite_floats = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
 
@@ -82,7 +82,7 @@ def _fractions(rng, count: int) -> list[float]:
 def _draw(rng, method: str, count: int) -> list:
     """``count`` draws of one kind, as a list."""
     if method == "next_u64":
-        return [rng.next_u64() for _ in range(count)]
+        return [next_u64(rng) for _ in range(count)]
     if method == "uniform_block":
         return rng.uniform_block(count, -1.0, 2.0).tolist()
     return getattr(rng, method)(count).tolist()  # next_u64_block, shuffled_indices
@@ -91,14 +91,14 @@ def _draw(rng, method: str, count: int) -> list:
 class TestSeededRng:
     def test_identical_seeds_give_identical_streams(self):
         a, b = SeededRng(42), SeededRng(42)
-        assert [a.next_u64() for _ in range(100)] == [b.next_u64() for _ in range(100)]
+        assert a.next_u64_block(100).tolist() == b.next_u64_block(100).tolist()
 
     def test_first_draws_are_distinct(self):
         first, second = _fractions(SeededRng(42), 2)
         assert first != second
 
     def test_different_seeds_differ(self):
-        assert SeededRng(1).next_u64() != SeededRng(2).next_u64()
+        assert SeededRng(1).next_u64_block(1) != SeededRng(2).next_u64_block(1)
 
     def test_uniform_block_stays_in_range(self):
         values = SeededRng(9).uniform_block(1000, -2.0, 3.0)
@@ -123,8 +123,8 @@ class TestSeededRng:
 
     def test_block_and_scalar_draws_interleave(self):
         a, b = SeededRng(11), SeededRng(11)
-        mixed = [a.next_u64(), *a.next_u64_block(3).tolist(), a.next_u64()]
-        assert mixed == [b.next_u64() for _ in range(5)]
+        mixed = [next_u64(a), *a.next_u64_block(3).tolist(), next_u64(a)]
+        assert mixed == [next_u64(b) for _ in range(5)]
 
     def test_block_rejects_negative_count(self):
         with pytest.raises(ContractViolationError):
@@ -170,8 +170,8 @@ class TestRngOracles:
         block_rng, scalar_rng = SeededRng(seed), SeededRng(seed)
         block = block_rng.next_u64_block(count)
         assert block.dtype == np.uint64 and block.shape == (count,)
-        assert block.tolist() == [scalar_rng.next_u64() for _ in range(count)]
-        assert block_rng.next_u64() == scalar_rng.next_u64()
+        assert block.tolist() == [next_u64(scalar_rng) for _ in range(count)]
+        assert next_u64(block_rng) == next_u64(scalar_rng)
 
     @pytest.mark.parametrize(
         "lo, hi",
@@ -187,7 +187,7 @@ class TestRngOracles:
         block = block_rng.uniform_block(200, lo, hi)
         expected = [reference_uniform(oracle_rng, lo, hi) for _ in range(200)]
         assert block.tolist() == expected
-        assert block_rng.next_u64() == oracle_rng.next_u64()
+        assert next_u64(block_rng) == next_u64(oracle_rng)
 
     def test_uniform_block_with_bounds_per_draw_equals_successive_uniform(self):
         # every other bound one ulp above lo, where about half the draws
@@ -205,7 +205,7 @@ class TestRngOracles:
         rng, oracle = SeededRng(seed), ReferenceRng(seed)
         assert _fractions(rng, count) == [oracle.uniform() for _ in range(count)]
         oracle.next_u64_block(-count % _BLOCK)
-        assert rng.next_u64() == oracle.next_u64()
+        assert next_u64(rng) == next_u64(oracle)
 
     @given(
         st.integers(min_value=0, max_value=2**64 - 1),
@@ -231,7 +231,7 @@ class TestRngOracles:
                 oracle.next_u64_block(-count % _BLOCK)
             else:
                 assert _draw(rng, method, count) == _draw(oracle, method, count), method
-        assert rng.next_u64() == oracle.next_u64()
+        assert next_u64(rng) == next_u64(oracle)
 
     @pytest.mark.parametrize("seed", [0, 7, 12345, 2**64 - 1])
     @pytest.mark.parametrize("n", [0, 1, 2, 3, 100, 5700])
@@ -241,7 +241,7 @@ class TestRngOracles:
         expected = reference_shuffled_indices(oracle_rng, n)
         assert perm.dtype == expected.dtype
         np.testing.assert_array_equal(perm, expected)
-        assert rng.next_u64() == oracle_rng.next_u64()
+        assert next_u64(rng) == next_u64(oracle_rng)
 
     @given(st.integers(min_value=0, max_value=2**64 - 1), st.integers(min_value=0, max_value=3000))
     @settings(max_examples=200, deadline=None)
@@ -258,7 +258,7 @@ class TestRngOracles:
         np.testing.assert_array_equal(
             rng.shuffled_indices(n), reference_shuffled_indices(oracle_rng, n)
         )
-        assert rng.next_u64() == oracle_rng.next_u64()
+        assert next_u64(rng) == next_u64(oracle_rng)
 
     @pytest.mark.parametrize("d, k", [(16, 4), (16, 128), (1, 1)])
     def test_init_params_matches_per_element_uniform(self, d, k):
@@ -269,4 +269,4 @@ class TestRngOracles:
         w_d = np.array([reference_uniform(oracle_rng, -bound, bound) for _ in range(d * k)])
         np.testing.assert_array_equal(params.w_e, w_e.reshape(k, d))
         np.testing.assert_array_equal(params.w_d, w_d.reshape(d, k))
-        assert rng.next_u64() == oracle_rng.next_u64()
+        assert next_u64(rng) == next_u64(oracle_rng)

@@ -80,48 +80,48 @@ def make_event(**overrides):
 class TestVectorize:
     def test_dimension_is_16(self):
         assert SCHEMA.dim == 16
-        assert vectorize(make_event(), SCHEMA).shape == (16,)
+        assert vectorize(make_event()).shape == (16,)
 
     def test_column_names_name_every_slot(self):
         names = SCHEMA.column_names()
         assert len(names) == len(set(names)) == SCHEMA.dim == 16
 
     def test_all_present_means_zero_indicators(self):
-        x = vectorize(make_event(), SCHEMA)
+        x = vectorize(make_event())
         names = SCHEMA.column_names()
         for i, name in enumerate(names):
             if name.endswith("_missing"):
                 assert x[i] == 0.0
 
     def test_device_change_only_touches_its_one_hot_block(self):
-        a = vectorize(make_event(device_type="web"), SCHEMA)
-        b = vectorize(make_event(device_type="pos"), SCHEMA)
+        a = vectorize(make_event(device_type="web"))
+        b = vectorize(make_event(device_type="pos"))
         names = SCHEMA.column_names()
         differing = {names[i] for i in np.nonzero(a != b)[0]}
         assert differing == {"device_type=web", "device_type=pos"}
 
     def test_midnight_time_features(self):
         # default start timestamp is exactly midnight UTC
-        x = vectorize(make_event(), SCHEMA)
+        x = vectorize(make_event())
         assert x[-2] == pytest.approx(0.0, abs=1e-12)  # sin
         assert x[-1] == pytest.approx(1.0)  # cos
 
     def test_missing_field_emits_zero_and_indicator(self):
         event = make_event(amount=0.0, missing_mask=(True, False, False))
-        x = vectorize(event, SCHEMA)
+        x = vectorize(event)
         names = SCHEMA.column_names()
         assert x[names.index("amount")] == 0.0
         assert x[names.index("amount_missing")] == 1.0
 
     def test_unknown_categorical_names_field_and_value(self):
         with pytest.raises(EncodingError, match="device_type.*tablet"):
-            vectorize(make_event(device_type="tablet"), SCHEMA)
+            vectorize(make_event(device_type="tablet"))
         with pytest.raises(EncodingError, match="geo_region"):
-            vectorize(make_event(geo_region="mars"), SCHEMA)
+            vectorize(make_event(geo_region="mars"))
 
     def test_deterministic(self):
         event = make_event()
-        np.testing.assert_array_equal(vectorize(event, SCHEMA), vectorize(event, SCHEMA))
+        np.testing.assert_array_equal(vectorize(event), vectorize(event))
 
     def test_hour_angle_wraps_daily(self):
         assert hour_angle(0) == 0.0
@@ -139,7 +139,7 @@ class TestVectorize:
             2**63 + 5: "0x1.e396731627307p+0",
             10**30: "0x1.dc975b9345b5ep-2",
         }
-        x, failed = encode_events([make_event(timestamp=t) for t in angles], SCHEMA)
+        x, failed = encode_events([make_event(timestamp=t) for t in angles])
         assert not failed
         for (t, angle), row in zip(angles.items(), x):
             assert hour_angle(t).hex() == angle
@@ -179,7 +179,7 @@ def reference_rows(chunk):
     rows, errors = [], []
     for position, event in enumerate(chunk):
         try:
-            rows.append(vectorize_row(event, SCHEMA))
+            rows.append(vectorize_row(event))
         except EncodingError as exc:
             errors.append((position, exc))
     return np.array(rows, dtype=np.float64).reshape(-1, SCHEMA.dim), errors
@@ -193,42 +193,42 @@ class TestEncodeEvents:
     @given(st.lists(events(), max_size=30))
     @settings(max_examples=150, deadline=None)
     def test_matches_per_event_reference_bit_for_bit(self, chunk):
-        x, errors = encode_events(chunk, SCHEMA)
+        x, errors = encode_events(chunk)
         want_x, want_errors = reference_rows(chunk)
         assert x.shape == want_x.shape and x.tobytes() == want_x.tobytes()
         assert describe(errors) == describe(want_errors)
         for event in chunk:
             try:
-                want = vectorize_row(event, SCHEMA)
+                want = vectorize_row(event)
             except EncodingError as exc:
                 with pytest.raises(EncodingError, match=f"^{re.escape(str(exc))}$"):
-                    vectorize(event, SCHEMA)
+                    vectorize(event)
                 continue
-            assert vectorize(event, SCHEMA).tobytes() == want.tobytes()
+            assert vectorize(event).tobytes() == want.tobytes()
 
     @given(st.lists(events(), min_size=1, max_size=30))
     @settings(max_examples=60, deadline=None)
     def test_vectorize_events_raises_the_first_error(self, chunk):
         _, want_errors = reference_rows(chunk)
         if not want_errors:
-            assert vectorize_events(chunk, SCHEMA).tobytes() == reference_rows(chunk)[0].tobytes()
+            assert vectorize_events(chunk).tobytes() == reference_rows(chunk)[0].tobytes()
             return
         with pytest.raises(EncodingError) as info:
-            vectorize_events(chunk, SCHEMA)
+            vectorize_events(chunk)
         first = want_errors[0][1]
         assert (info.value.field, info.value.value) == (first.field, first.value)
 
     def test_device_is_checked_before_region(self):
         event = make_event(device_type="tablet", geo_region="mars")
         with pytest.raises(EncodingError) as info:
-            vectorize_row(event, SCHEMA)
+            vectorize_row(event)
         assert info.value.field == "device_type"
-        _, errors = encode_events([make_event(), event], SCHEMA)
+        _, errors = encode_events([make_event(), event])
         assert describe(errors) == describe([(1, info.value)])
 
     def test_chunk_where_every_event_fails(self):
         chunk = [make_event(device_type="tablet"), make_event(geo_region="mars")] * 3
-        x, errors = encode_events(chunk, SCHEMA)
+        x, errors = encode_events(chunk)
         assert x.shape == (0, SCHEMA.dim)
         assert [(position, exc.field) for position, exc in errors] == [
             (i, "device_type" if i % 2 == 0 else "geo_region") for i in range(6)
@@ -238,8 +238,8 @@ class TestEncodeEvents:
         event = make_event(
             amount=math.nan, latency_ms=math.inf, missing_mask=(True, True, False)
         )
-        x = vectorize(event, SCHEMA)
-        assert x.tobytes() == vectorize_row(event, SCHEMA).tobytes()
+        x = vectorize(event)
+        assert x.tobytes() == vectorize_row(event).tobytes()
         assert np.all(np.isfinite(x)) and x[0] == x[1] == 0.0
 
 
@@ -453,7 +453,7 @@ class TestEventIO:
         record["amount"] = json.loads(text)
         event = parse_event(record)
         assert event.amount is record["amount"]
-        np.testing.assert_array_equal(vectorize(event, SCHEMA), vectorize(zero, SCHEMA))
+        np.testing.assert_array_equal(vectorize(event), vectorize(zero))
 
     def test_masked_field_is_still_required(self):
         record = event_to_dict(make_event(missing_mask=(True, False, False)))
@@ -604,8 +604,8 @@ class TestEventBatch:
         assert repr(list(batch.where(keep))) == repr([e for e, k in zip(chunk, keep) if k])
         halves = EventBatch.concat([batch[:5], batch[5:]])
         assert repr(list(halves)) == repr(chunk)
-        x, errors = encode_events(chunk, SCHEMA)
-        x_batch, errors_batch = encode_events(batch, SCHEMA)
+        x, errors = encode_events(chunk)
+        x_batch, errors_batch = encode_events(batch)
         assert x.tobytes() == x_batch.tobytes() and describe(errors) == describe(errors_batch)
 
     def test_columns_must_have_one_length(self):
@@ -989,7 +989,7 @@ def score_one_at_a_time(path):
                         f"event {event.event_id!r} has no entry in {labels_path}"
                     )
                 labels[i] = held_out[event.event_id][0]
-    return reference.score_one_at_a_time(MODEL, STATS, events, SCHEMA, DELTA, labels)
+    return reference.score_one_at_a_time(MODEL, STATS, events, DELTA, labels)
 
 
 @needs_fork
@@ -1000,7 +1000,7 @@ class TestRangedScoring:
     def outcome(self, path, score_file):
         try:
             if score_file:
-                d = score_stream(MODEL, STATS, path, SCHEMA, DELTA)
+                d = score_stream(MODEL, STATS, path, DELTA)
             else:
                 d = reference.detections(score_one_at_a_time(path))
         except Exception as exc:
@@ -1035,7 +1035,7 @@ class TestRangedScoring:
         path.write_bytes(stream_body(labels=False, change=UNKNOWN))
         labels_sibling_path(path).write_bytes(labels_file())
         split(3)
-        detections = score_stream(MODEL, STATS, path, SCHEMA, DELTA)
+        detections = score_stream(MODEL, STATS, path, DELTA)
         assert detections.event_ids() == STREAM_IDS
         assert detections.errors == {
             1: "cannot encode field 'device_type': unknown value 'toaster'",
@@ -1067,7 +1067,7 @@ class TestRangedScoring:
         split(cpus)
         want = score_one_at_a_time(path)
         assert {"line-7", "line-14", "nul\x00byte"} <= {r.event_id for r in want}
-        detections = score_stream(MODEL, STATS, path, SCHEMA, DELTA)
+        detections = score_stream(MODEL, STATS, path, DELTA)
         assert list(detections) == want
         n = len(want)
         assert [detections[i] for i in range(-n, n)] == want * 2
@@ -1110,7 +1110,7 @@ def test_canonical_runs_are_checked_as_columns(tmp_path, monkeypatch, holdout):
     path, typed = tmp_path / "stream.jsonl", tmp_path / "typed.jsonl"
     write_labeled_events(stream, path, holdout=holdout)
     read = read_stream(path)
-    detections = score_stream(MODEL, STATS, path, SCHEMA, DELTA)
+    detections = score_stream(MODEL, STATS, path, DELTA)
     write_detections_jsonl(detections, tmp_path / "det.jsonl")
     assert list(read_detections_jsonl(tmp_path / "det.jsonl")) == list(detections)
     assert detections.errors and rules == []
@@ -1122,7 +1122,7 @@ def test_canonical_runs_are_checked_as_columns(tmp_path, monkeypatch, holdout):
     assert rules and set(rules) == {"_stream_event"}
     assert repr(typed_read[0].columns()) == repr(read[0].columns())
     assert typed_read[1:] == read[1:]
-    assert list(score_stream(MODEL, STATS, typed, SCHEMA, DELTA)) == list(detections)
+    assert list(score_stream(MODEL, STATS, typed, DELTA)) == list(detections)
 
 
 @pytest.mark.parametrize(
@@ -1207,7 +1207,7 @@ class TestBadLabelsFile:
         errors = []
         for read in (
             lambda: read_stream(path),
-            lambda: score_stream(MODEL, STATS, path, SCHEMA, DELTA),
+            lambda: score_stream(MODEL, STATS, path, DELTA),
         ):
             with pytest.raises(ContractViolationError) as info:
                 read()
@@ -1281,7 +1281,7 @@ class TestCollectorPaused:
                 generations.append(info["generation"])
 
         calls = {
-            "score_stream": lambda: score_stream(MODEL, STATS, path, SCHEMA, DELTA),
+            "score_stream": lambda: score_stream(MODEL, STATS, path, DELTA),
             "generate": lambda: generate(cfg),
             "make_bundle": lambda: make_bundle(events),
         }
