@@ -1,8 +1,10 @@
 """Synthetic labeled ETL event streams with four injectable fault classes.
 
-Normal traffic is drawn from configurable base distributions (log-normal
-amounts, gamma latencies and durations, Poisson record counts) with two
-pieces of realistic structure a detector can learn:
+Normal traffic is drawn from fixed base distributions (log-normal
+amounts, gamma latencies and durations, Poisson record counts; the module
+constants below), of which a :class:`StreamConfig` shifts the amount
+location, the latency scale, the diurnal amplitude and the device mix, with
+two pieces of realistic structure a detector can learn:
 
 * a diurnal load factor scales expected record counts and latencies by time
   of day, and
@@ -33,8 +35,10 @@ the rng, and :func:`generate` hands them its rng's
 :meth:`~etlwatch.numerics.SeededRng.fractions`, so each of the roughly 18
 draws an event takes is one C-level call.
 
-The Poisson bands of every mean a config can reach are cached before its
-first event is drawn, in one vectorised scipy call.
+The quantile bands are worked out with scipy, loaded by the first stream
+generated: the three fixed bands once, and the Poisson bands of every mean
+a config can reach, not yet cached, in one vectorised call before its
+first event is drawn.
 """
 
 from __future__ import annotations
@@ -98,31 +102,38 @@ class AnomalyMix:
         return (self.delay, self.missing, self.duplicate, self.spike)
 
 
+# Base distributions of normal traffic. Amounts are log-normal and
+# conditional on the device channel (point-of-sale loads carry far larger
+# amounts than mobile ones), durations scale with the records actually
+# loaded, and latency follows the diurnal load factor.
+AMOUNT_LOG_SIGMA = 0.5
+AMOUNT_DEVICE_OFFSETS = (-0.5, 0.0, 1.0)  # added to amount_log_mu, per device type
+LATENCY_SHAPE = 1.3
+DURATION_SHAPE = 24.0
+DURATION_SCALE = 2.5
+RECORDS_MEAN = 8.0
+GEO_WEIGHTS = (0.6, 0.25, 0.125, 0.025)
+# The arrival process: the gap makes a 10k-event stream span about a week,
+# so chronological splits all cover full diurnal cycles.
+START_TIMESTAMP = 1_767_225_600_000  # 2026-01-01T00:00:00Z
+MEAN_GAP_MS = 60_000.0
+
+
 @dataclass(frozen=True)
 class StreamConfig:
+    """A stream's size, fault rate and mix and seed, and the four settings
+    of normal traffic that a shifted environment moves: the log location of
+    amounts, the latency scale, the diurnal amplitude of the load and the
+    device-channel weights."""
+
     n_events: int = 10_000
     anomaly_rate: float = 0.05
     mix: AnomalyMix = AnomalyMix()
     seed: int = 7
-    # base distributions for normal traffic; amounts are conditional on the
-    # device channel (point-of-sale loads carry far larger amounts than
-    # mobile ones), durations scale with the records actually loaded, and
-    # latency follows the diurnal load factor
     amount_log_mu: float = 4.0
-    amount_log_sigma: float = 0.5
-    amount_device_offsets: tuple[float, ...] = (-0.5, 0.0, 1.0)
-    latency_shape: float = 1.3
     latency_scale: float = 90.0
-    duration_shape: float = 24.0
-    duration_scale: float = 2.5
-    records_mean: float = 8.0
-    # arrival process and diurnal cycle; the default gap makes a 10k-event
-    # stream span about a week, so chronological splits all cover full cycles
-    start_timestamp: int = 1_767_225_600_000  # 2026-01-01T00:00:00Z
-    mean_gap_ms: float = 60_000.0
     diurnal_amplitude: float = 0.45
     device_weights: tuple[float, ...] = (0.55, 0.3, 0.15)
-    geo_weights: tuple[float, ...] = (0.6, 0.25, 0.125, 0.025)
 
     def __post_init__(self) -> None:
         if self.n_events < 0:
@@ -131,21 +142,21 @@ class StreamConfig:
             raise ContractViolationError(
                 f"anomaly_rate must lie in [0, 1), got {self.anomaly_rate}"
             )
-        for name in (
-            "amount_log_sigma", "latency_shape", "latency_scale",
-            "duration_shape", "duration_scale", "records_mean", "mean_gap_ms",
-        ):
-            if getattr(self, name) <= 0:
-                raise ContractViolationError(f"{name} must be > 0")
+        if math.isnan(self.amount_log_mu):
+            raise ContractViolationError("amount_log_mu must not be NaN")
+        if not self.latency_scale > 0:
+            raise ContractViolationError("latency_scale must be > 0")
         if not 0.0 <= self.diurnal_amplitude < 1.0:
             raise ContractViolationError("diurnal_amplitude must lie in [0, 1)")
-        if len(self.device_weights) != len(DEFAULT_DEVICE_TYPES) or len(
-            self.geo_weights
-        ) != len(DEFAULT_GEO_REGIONS):
-            raise ContractViolationError("categorical weights do not match category counts")
-        if len(self.amount_device_offsets) != len(DEFAULT_DEVICE_TYPES):
+        weights = self.device_weights
+        if not (
+            len(weights) == len(DEFAULT_DEVICE_TYPES)
+            and all(0.0 <= w < math.inf for w in weights)
+            and 0.0 < sum(weights) < math.inf
+        ):
             raise ContractViolationError(
-                "amount_device_offsets must give one offset per device type"
+                "device_weights must be one finite, non-negative weight per device type, "
+                f"with a positive finite sum, got {weights}"
             )
 
 
@@ -330,66 +341,24 @@ def load_factor(cfg: StreamConfig, timestamp: int) -> float:
     return 1.0 + cfg.diurnal_amplitude * math.sin(2.0 * math.pi * (frac - 0.375))
 
 
-def _ppf(dist: str, **shape: float) -> tuple[float, float]:
+@lru_cache(maxsize=None)
+def _bands() -> tuple[tuple[float, float], ...]:
+    """The 0.001-0.999 bands of the standard normal and of the unit gamma at
+    :data:`LATENCY_SHAPE` and at :data:`DURATION_SHAPE`."""
     # scipy loads on the first band, not at import: only generation pays for it
     from scipy import stats
 
-    lo, hi = getattr(stats, dist).ppf(BAND_QUANTILES, **shape)
-    return float(lo), float(hi)
-
-
-@lru_cache(maxsize=None)
-def _normal_band() -> tuple[float, float]:
-    return _ppf("norm")
-
-
-@lru_cache(maxsize=None)
-def _unit_gamma_band(shape: float) -> tuple[float, float]:
-    return _ppf("gamma", a=shape)
+    return (
+        tuple(stats.norm.ppf(BAND_QUANTILES).tolist()),
+        tuple(stats.gamma.ppf(BAND_QUANTILES, a=LATENCY_SHAPE).tolist()),
+        tuple(stats.gamma.ppf(BAND_QUANTILES, a=DURATION_SHAPE).tolist()),
+    )
 
 
 # The 0.001-0.999 Poisson band of each mean, rounded to 0.01 so that bands
-# repeat; at most _POISSON_CACHE of them, the oldest dropped first.
+# repeat. A mean is RECORDS_MEAN times a load factor below 2, so at most the
+# 1 601 means 0.00 ... 16.00 are ever held.
 _POISSON_BANDS: dict[float, tuple[float, float]] = {}
-_POISSON_CACHE = 4096
-
-
-def _poisson_band(mean: float) -> tuple[float, float]:
-    band = _POISSON_BANDS.get(mean)
-    if band is None:
-        band = _store_band(mean, _ppf("poisson", mu=mean))
-    return band
-
-
-def _store_band(mean: float, band: tuple[float, float]) -> tuple[float, float]:
-    if len(_POISSON_BANDS) >= _POISSON_CACHE:
-        del _POISSON_BANDS[next(iter(_POISSON_BANDS))]
-    _POISSON_BANDS[mean] = band
-    return band
-
-
-def _fill_poisson_bands(cfg: StreamConfig) -> None:
-    """Cache the Poisson band of every rounded mean ``cfg`` can reach, those
-    not yet cached in one vectorised ``ppf`` call, whose bits are those of
-    one call per mean; nothing where they would not fit.
-
-    A mean is ``records_mean`` times a load factor within ``1 -/+
-    diurnal_amplitude``, rounded to 0.01: the float ``k / 100`` for an
-    integer ``k`` between the rounded ends of that range (721 means for the
-    default config).
-    """
-    ends = (cfg.records_mean * (1.0 - cfg.diurnal_amplitude),
-            cfg.records_mean * (1.0 + cfg.diurnal_amplitude))
-    lo, hi = (round(round(end, 2) * 100) for end in ends)
-    if hi - lo >= _POISSON_CACHE:
-        return
-    means = [k / 100 for k in range(lo, hi + 1) if k / 100 not in _POISSON_BANDS]
-    if means:
-        from scipy import stats
-
-        lows, highs = stats.poisson.ppf([[q] for q in BAND_QUANTILES], mu=means).tolist()
-        for mean, low, high in zip(means, lows, highs):
-            _store_band(mean, (low, high))
 
 
 _NO_MASK = (False,) * len(MASKABLE_FIELDS)
@@ -415,17 +384,30 @@ class _NormalEvents:
     def __init__(self, cfg: StreamConfig) -> None:
         self.cfg = cfg
         self.devices = running_sums(cfg.device_weights)
-        self.geos = running_sums(cfg.geo_weights)
-        z_lo, z_hi = _normal_band()
-        sigma = cfg.amount_log_sigma
+        self.geos = running_sums(GEO_WEIGHTS)
+        (z_lo, z_hi), (g_lo, g_hi), self._duration = _bands()
+        sigma = AMOUNT_LOG_SIGMA
         # per device type: the log location of its amounts, and their band
         self.amount = [
             (log_mu, (math.exp(log_mu + sigma * z_lo), math.exp(log_mu + sigma * z_hi)))
-            for log_mu in (cfg.amount_log_mu + offset for offset in cfg.amount_device_offsets)
+            for log_mu in (cfg.amount_log_mu + offset for offset in AMOUNT_DEVICE_OFFSETS)
         ]
-        g_lo, g_hi = _unit_gamma_band(cfg.latency_shape)
         self._latency = (g_lo * cfg.latency_scale, g_hi * cfg.latency_scale)
-        self._duration = _unit_gamma_band(cfg.duration_shape)
+        # The Poisson band of every rounded mean the config reaches, those
+        # not yet held in one vectorised ppf call, whose bits are those of
+        # one call per mean: RECORDS_MEAN times a load factor within 1 -/+
+        # diurnal_amplitude, rounded to 0.01, is the float k / 100 for an
+        # integer k between the rounded ends of that range (721 means for
+        # the default config).
+        ends = (RECORDS_MEAN * (1.0 - cfg.diurnal_amplitude),
+                RECORDS_MEAN * (1.0 + cfg.diurnal_amplitude))
+        lo, hi = (round(round(end, 2) * 100) for end in ends)
+        means = [k / 100 for k in range(lo, hi + 1) if k / 100 not in _POISSON_BANDS]
+        if means:
+            from scipy import stats
+
+            lows, highs = stats.poisson.ppf([[q] for q in BAND_QUANTILES], mu=means).tolist()
+            _POISSON_BANDS.update(zip(means, zip(lows, highs)))
 
     def draw(self, unit: Unit, timestamp: int, event_id: str) -> list:
         """The row of one normal event, unchecked; each numeric value is
@@ -434,8 +416,8 @@ class _NormalEvents:
         lf = load_factor(cfg, timestamp)
         device = sample_categorical(unit, self.devices)
         geo = sample_categorical(unit, self.geos)
-        mean = cfg.records_mean * lf
-        lo, hi = _poisson_band(round(mean, 2))
+        mean = RECORDS_MEAN * lf
+        lo, hi = _POISSON_BANDS[round(mean, 2)]
         for _ in _TRIES:
             records = sample_poisson(unit, mean)
             if lo <= records <= hi:
@@ -444,7 +426,7 @@ class _NormalEvents:
             raise _no_draw_inside(lo, hi)
         log_mu, (lo, hi) = self.amount[device]
         for _ in _TRIES:
-            amount = sample_lognormal(unit, log_mu, cfg.amount_log_sigma)
+            amount = sample_lognormal(unit, log_mu, AMOUNT_LOG_SIGMA)
             if lo <= amount <= hi:
                 break
         else:
@@ -452,16 +434,16 @@ class _NormalEvents:
         lo, hi = self._latency
         lo, hi, scale = lo * lf, hi * lf, cfg.latency_scale * lf
         for _ in _TRIES:
-            latency = sample_gamma(unit, cfg.latency_shape, scale)
+            latency = sample_gamma(unit, LATENCY_SHAPE, scale)
             if lo <= latency <= hi:
                 break
         else:
             raise _no_draw_inside(lo, hi)
-        scale = cfg.duration_scale * max(records, 1) / cfg.records_mean
+        scale = DURATION_SCALE * max(records, 1) / RECORDS_MEAN
         lo, hi = self._duration
         lo, hi = lo * scale, hi * scale
         for _ in _TRIES:
-            duration = sample_gamma(unit, cfg.duration_shape, scale)
+            duration = sample_gamma(unit, DURATION_SHAPE, scale)
             if lo <= duration <= hi:
                 break
         else:
@@ -540,20 +522,19 @@ def generate(cfg: StreamConfig) -> LabeledStream:
     ``amount``, ``latency_ms`` and ``task_duration_s`` go into
     ``array("d")`` columns, which hold no float objects. The
     Poisson bands of every mean the config can reach are cached first
-    (:func:`_fill_poisson_bands`).
+    (:class:`_NormalEvents`).
     """
-    _fill_poisson_bands(cfg)
     unit = SeededRng(cfg.seed).fractions()
     normal = _NormalEvents(cfg)
     mix = running_sums(cfg.mix.weights())
-    timestamp = cfg.start_timestamp
+    timestamp = START_TIMESTAMP
     columns = [array("d") if name in MASKABLE_FIELDS else [] for name in EVENT_FIELDS]
     classes: list[str | None] = []
     n = cfg.n_events
     for first in range(0, n, _CHUNK):
         rows = []
         for i in range(first, min(first + _CHUNK, n)):
-            timestamp += max(1, round(sample_exponential(unit, cfg.mean_gap_ms)))
+            timestamp += max(1, round(sample_exponential(unit, MEAN_GAP_MS)))
             row = normal.draw(unit, timestamp, f"evt-{i:06d}")
             _check(row)
             anomaly_class = None

@@ -16,8 +16,10 @@ import csv
 import json
 import math
 from dataclasses import replace
+from functools import lru_cache
 
 import numpy as np
+from scipy import stats
 
 from etlwatch import numerics, streamgen
 from etlwatch.autoencoder import Gradients, total_loss
@@ -411,26 +413,45 @@ def sample_categorical(unit, weights):
     return len(weights) - 1
 
 
+# The fixed distribution values of normal traffic, written here as literals
+# so that the oracle does not move with streamgen's constants.
+AMOUNT_LOG_SIGMA = 0.5
+AMOUNT_DEVICE_OFFSETS = {"mobile": -0.5, "web": 0.0, "pos": 1.0}
+LATENCY_SHAPE = 1.3
+DURATION_SHAPE = 24.0
+DURATION_SCALE = 2.5
+RECORDS_MEAN = 8.0
+GEO_WEIGHTS = (0.6, 0.25, 0.125, 0.025)
+START_TIMESTAMP = 1_767_225_600_000  # 2026-01-01T00:00:00Z
+MEAN_GAP_MS = 60_000.0
+
+
+@lru_cache(maxsize=None)
+def band(dist, **shape):
+    """The 0.001-0.999 quantile band of a ``scipy.stats`` distribution, one
+    call per band."""
+    lo, hi = getattr(stats, dist).ppf((0.001, 0.999), **shape)
+    return float(lo), float(hi)
+
+
 def records_band(cfg, timestamp):
     lf = load_factor(cfg, timestamp)
-    return streamgen._poisson_band(round(cfg.records_mean * lf, 2))
+    return band("poisson", mu=round(RECORDS_MEAN * lf, 2))
 
 
 def numeric_bands(cfg, timestamp, records_loaded, device_type):
     """Each numeric field's band, worked out from scratch for one event."""
     lf = load_factor(cfg, timestamp)
-    z_lo, z_hi = streamgen._normal_band()
-    log_mu = cfg.amount_log_mu + cfg.amount_device_offsets[
-        DEFAULT_DEVICE_TYPES.index(device_type)
-    ]
+    z_lo, z_hi = band("norm")
+    log_mu = cfg.amount_log_mu + AMOUNT_DEVICE_OFFSETS[device_type]
     amount_band = (
-        math.exp(log_mu + cfg.amount_log_sigma * z_lo),
-        math.exp(log_mu + cfg.amount_log_sigma * z_hi),
+        math.exp(log_mu + AMOUNT_LOG_SIGMA * z_lo),
+        math.exp(log_mu + AMOUNT_LOG_SIGMA * z_hi),
     )
-    g_lo, g_hi = streamgen._unit_gamma_band(cfg.latency_shape)
+    g_lo, g_hi = band("gamma", a=LATENCY_SHAPE)
     latency_band = (g_lo * cfg.latency_scale * lf, g_hi * cfg.latency_scale * lf)
-    d_lo, d_hi = streamgen._unit_gamma_band(cfg.duration_shape)
-    duration_scale = cfg.duration_scale * max(records_loaded, 1) / cfg.records_mean
+    d_lo, d_hi = band("gamma", a=DURATION_SHAPE)
+    duration_scale = DURATION_SCALE * max(records_loaded, 1) / RECORDS_MEAN
     duration_band = (d_lo * duration_scale, d_hi * duration_scale)
     return {
         "amount": amount_band,
@@ -453,25 +474,25 @@ def _truncated(draw, lo, hi, max_tries=10_000):
 def _draw_normal_event(cfg, unit, timestamp, event_id):
     lf = load_factor(cfg, timestamp)
     device = DEFAULT_DEVICE_TYPES[sample_categorical(unit, cfg.device_weights)]
-    geo = DEFAULT_GEO_REGIONS[sample_categorical(unit, cfg.geo_weights)]
+    geo = DEFAULT_GEO_REGIONS[sample_categorical(unit, GEO_WEIGHTS)]
     records = int(
         _truncated(
-            lambda: sample_poisson(unit, cfg.records_mean * lf),
+            lambda: sample_poisson(unit, RECORDS_MEAN * lf),
             *records_band(cfg, timestamp),
         )
     )
     bands = numeric_bands(cfg, timestamp, records, device)
-    log_mu = cfg.amount_log_mu + cfg.amount_device_offsets[DEFAULT_DEVICE_TYPES.index(device)]
+    log_mu = cfg.amount_log_mu + AMOUNT_DEVICE_OFFSETS[device]
     amount = _truncated(
-        lambda: sample_lognormal(unit, log_mu, cfg.amount_log_sigma), *bands["amount"]
+        lambda: sample_lognormal(unit, log_mu, AMOUNT_LOG_SIGMA), *bands["amount"]
     )
     latency = _truncated(
-        lambda: sample_gamma(unit, cfg.latency_shape, cfg.latency_scale * lf),
+        lambda: sample_gamma(unit, LATENCY_SHAPE, cfg.latency_scale * lf),
         *bands["latency_ms"],
     )
-    duration_scale = cfg.duration_scale * max(records, 1) / cfg.records_mean
+    duration_scale = DURATION_SCALE * max(records, 1) / RECORDS_MEAN
     duration = _truncated(
-        lambda: sample_gamma(unit, cfg.duration_shape, duration_scale),
+        lambda: sample_gamma(unit, DURATION_SHAPE, duration_scale),
         *bands["task_duration_s"],
     )
     return EtlEvent(
@@ -527,10 +548,10 @@ def generate(cfg):
     """A labeled stream, each event's bands and draws worked out on their own,
     with one raw draw of the scalar oracle per fraction."""
     unit = ReferenceRng(cfg.seed).fractions()
-    timestamp = cfg.start_timestamp
+    timestamp = START_TIMESTAMP
     out = []
     for i in range(cfg.n_events):
-        timestamp += max(1, round(sample_exponential(unit, cfg.mean_gap_ms)))
+        timestamp += max(1, round(sample_exponential(unit, MEAN_GAP_MS)))
         event = _draw_normal_event(cfg, unit, timestamp, event_id=f"evt-{i:06d}")
         if unit() < cfg.anomaly_rate:
             anomaly_class = ANOMALY_CLASSES[sample_categorical(unit, cfg.mix.weights())]

@@ -46,8 +46,8 @@ def benchmark_stream():
 CONFIGS = {
     "default": {},
     "skewed-mix": {"anomaly_rate": 0.2, "mix": AnomalyMix(0.55, 0.05, 0.1, 0.3)},
-    "ptrs": {"records_mean": 14.0},  # Poisson means >= 10 take the PTRS branch
-    "gamma-boost": {"latency_shape": 0.6},  # gamma shape < 1 takes the boost path
+    # Poisson means up to 15.2, those >= 10 by the PTRS branch
+    "ptrs": {"diurnal_amplitude": 0.9},
     "flat-day": {"diurnal_amplitude": 0.0},
 }
 
@@ -97,33 +97,30 @@ class TestGenerate:
         # the default config: 10 000 events at seed 7
         assert list(benchmark_stream) == reference.generate(StreamConfig(seed=7))
 
+    class UnreachableBands(dict):
+        """Poisson bands that count their lookups, and from lookup ``after``
+        on give a band no draw reaches."""
+
+        def __init__(self, after):
+            super().__init__()
+            self.after, self.calls = after, 0
+
+        def __getitem__(self, mean):
+            self.calls += 1
+            return (math.inf, math.inf) if self.calls > self.after else super().__getitem__(mean)
+
     def test_a_band_no_draw_reaches_is_an_error(self, monkeypatch):
-        calls = 0
-        band = streamgen._poisson_band
-
-        def unreachable_from_event_200(mean):
-            nonlocal calls
-            calls += 1
-            return (math.inf, math.inf) if calls > 200 else band(mean)
-
-        monkeypatch.setattr(streamgen, "_poisson_band", unreachable_from_event_200)
+        bands = self.UnreachableBands(after=200)
+        monkeypatch.setattr(streamgen, "_POISSON_BANDS", bands)
         message = r"could not draw a value inside \[inf, inf\] after 10000 tries"
         with pytest.raises(ContractViolationError, match=message):
             generate(StreamConfig(n_events=700, seed=11))
-        assert calls == 201  # one band an event
+        assert bands.calls == 201  # one band an event
 
     def test_an_event_before_a_failed_draw_is_checked_first(self, monkeypatch):
         # every amount is inf, which the event check refuses; the records
         # band of event 3 is one no draw reaches
-        calls = 0
-        band = streamgen._poisson_band
-
-        def unreachable_from_event_3(mean):
-            nonlocal calls
-            calls += 1
-            return (math.inf, math.inf) if calls > 3 else band(mean)
-
-        monkeypatch.setattr(streamgen, "_poisson_band", unreachable_from_event_3)
+        monkeypatch.setattr(streamgen, "_POISSON_BANDS", self.UnreachableBands(after=3))
         cfg = StreamConfig(n_events=700, seed=11, amount_log_mu=math.inf)
         with pytest.raises(ContractViolationError, match="non-finite value for field 'amount'"):
             generate(cfg)
@@ -131,11 +128,10 @@ class TestGenerate:
     @pytest.mark.parametrize("field, changes", [
         ("amount", {"amount_log_mu": math.inf}),
         ("latency_ms", {"latency_scale": math.inf}),
-        ("task_duration_s", {"duration_scale": math.inf}),
-        # exp(709) is finite, and ten times it is not: every spike overflows
-        ("amount", {"amount_log_mu": 709.0, "amount_log_sigma": 0.01,
-                    "amount_device_offsets": (0.0, 0.0, 0.0),
-                    "anomaly_rate": 0.5, "mix": AnomalyMix(0.0, 0.0, 0.0, 1.0)}),
+        # amounts near exp(706) are finite, and 10 to 50 times them not always:
+        # the first spike that overflows fails
+        ("amount", {"amount_log_mu": 706.0, "anomaly_rate": 0.5,
+                    "mix": AnomalyMix(0.0, 0.0, 0.0, 1.0)}),
     ])
     def test_a_non_finite_value_is_refused_as_an_event_refuses_it(self, field, changes):
         # before its fault, or after it when only the fault overflows
@@ -154,16 +150,16 @@ class TestGenerate:
          ("latency", "sample_gamma"), ("duration", "sample_gamma")],
     )
     def test_a_band_no_draw_reaches_fails_after_10_000_tries(self, monkeypatch, field, sampler):
-        cfg = StreamConfig()
-        normal = streamgen._NormalEvents(cfg)
+        normal = streamgen._NormalEvents(StreamConfig())
         never = (math.inf, math.inf)
         if field == "records":
-            monkeypatch.setattr(streamgen, "_poisson_band", lambda mean: never)
+            for mean in list(streamgen._POISSON_BANDS):
+                monkeypatch.setitem(streamgen._POISSON_BANDS, mean, never)
         elif field == "amount":
             normal.amount = [(log_mu, never) for log_mu, _ in normal.amount]
         else:
             setattr(normal, f"_{field}", never)
-        shapes = {"latency": cfg.latency_shape, "duration": cfg.duration_shape}
+        shapes = {"latency": streamgen.LATENCY_SHAPE, "duration": streamgen.DURATION_SHAPE}
         tries = []
         draw = getattr(streamgen, sampler)
 
@@ -175,7 +171,7 @@ class TestGenerate:
         monkeypatch.setattr(streamgen, sampler, counted)
         message = r"could not draw a value inside \[inf, inf\] after 10000 tries"
         with pytest.raises(ContractViolationError, match=message):
-            normal.draw(SeededRng(1).fractions(), cfg.start_timestamp, "evt-000000")
+            normal.draw(SeededRng(1).fractions(), streamgen.START_TIMESTAMP, "evt-000000")
         assert len(tries) == 10_000
 
     def test_different_seeds_differ(self):
@@ -235,29 +231,18 @@ class TestPoissonBands:
         monkeypatch.setattr(streamgen, "_POISSON_BANDS", {})
         return lambda: streamgen._POISSON_BANDS
 
-    def test_the_fill_equals_one_scalar_call_per_default_mean(self, empty_cache):
-        streamgen._fill_poisson_bands(StreamConfig())
+    @pytest.mark.parametrize("amplitude, ends", [
+        (0.0, (800, 800)), (0.45, (440, 1160)), (0.9, (80, 1520)), (0.99, (8, 1592)),
+    ])
+    def test_a_stream_holds_the_band_of_each_mean_it_reaches(self, empty_cache, amplitude, ends):
+        # 10 000 events span about a week, every load factor of the day; the
+        # bands of the one vectorised call have the bits of one call per mean
+        generate(StreamConfig(n_events=10_000, seed=5, diurnal_amplitude=amplitude))
         bands = empty_cache()
-        assert list(bands) == [k / 100 for k in range(440, 1161)]  # 4.40 ... 11.60
+        lo, hi = ends
+        assert list(bands) == [k / 100 for k in range(lo, hi + 1)]  # 0.45: 4.40 ... 11.60
         for mean, band in bands.items():
-            assert band == streamgen._ppf("poisson", mu=mean), mean
-
-    def test_a_default_stream_makes_no_scalar_poisson_call(self, empty_cache, monkeypatch):
-        ppf, dists = streamgen._ppf, []
-        monkeypatch.setattr(
-            streamgen, "_ppf", lambda dist, **shape: dists.append(dist) or ppf(dist, **shape)
-        )
-        generate(StreamConfig(n_events=2000, seed=3))
-        assert "poisson" not in dists
-        assert len(empty_cache()) == 721
-
-    def test_means_beyond_the_cache_are_not_filled(self, empty_cache):
-        # records_mean 100 at amplitude 0.45 reaches the 9 001 means 55.00 ... 145.00
-        cfg = StreamConfig(n_events=300, seed=5, records_mean=100.0)
-        streamgen._fill_poisson_bands(cfg)
-        assert not empty_cache()
-        assert list(generate(cfg)) == reference.generate(cfg)
-        assert 0 < len(empty_cache()) <= streamgen._POISSON_CACHE
+            assert band == reference.band("poisson", mu=mean), mean
 
 
 COLD_START = """
@@ -398,6 +383,24 @@ class TestConfigValidation:
     def test_anomaly_rate_range(self):
         with pytest.raises(ContractViolationError):
             StreamConfig(anomaly_rate=1.0)
+
+    @pytest.mark.parametrize("name, value", [
+        ("device_weights", (0, 0, 0)),
+        ("device_weights", (math.nan, 0.3, 0.15)),
+        ("device_weights", (-1, 1, 1)),
+        ("device_weights", (math.inf, 1, 1)),
+        ("device_weights", (1e308, 1e308, 1)),  # a sum that overflows
+        ("device_weights", (0.5, 0.5)),
+        ("latency_scale", math.nan),
+        ("latency_scale", 0.0),
+        ("amount_log_mu", math.nan),
+        ("diurnal_amplitude", math.nan),
+    ])
+    def test_a_setting_no_stream_can_follow_is_refused_by_name(self, name, value):
+        # unchecked, such device weights make every event "pos", and a NaN
+        # fails only at the first draw
+        with pytest.raises(ContractViolationError, match=f"^{name} must "):
+            StreamConfig(**{name: value})
 
     def test_labeled_event_invariant(self):
         event = generate(StreamConfig(n_events=1, anomaly_rate=0.0, seed=1))[0].event
