@@ -11,9 +11,9 @@ Exit codes: 0 on success, 1 on runtime failure (IO, divergence, bad data),
 take one path: :func:`_execute` checks the parameters against one table,
 then the runner refuses an output, a manifest included, that would replace
 a file the run reads (an input, or the labels file beside one) before it
-opens any input. From :data:`_SPLIT_ROWS` records on, ``detect`` writes its
-CSV file in a worker (:func:`~etlwatch.workers.run`) while it writes the
-JSONL file.
+opens any input. From :data:`_SPLIT_ROWS` (20 000) records on, ``detect``
+writes its CSV file in a worker (:func:`~etlwatch.workers.run`) while it
+writes the JSONL file.
 """
 
 from __future__ import annotations
@@ -285,10 +285,11 @@ def _run_detect(params: dict) -> tuple[list[str], list[str], dict]:
 
 
 # Records from which detect writes its CSV file in a forked worker while it
-# writes the JSONL file. On 2 vCPUs at 110 MB RSS a fork and its reap cost
-# about 10 ms and each file 2-2.7 us per record: forking broke even at 5 000
-# records, and saved 4 ms at 10 000 and 49 ms at 50 000 (best of 7).
-_SPLIT_ROWS = 10_000
+# writes the JSONL file. On 2 vCPUs at 118 MB RSS a fork and its reap cost
+# about 7-10 ms and each file about 0.55 us per record: forking broke even at
+# about 15 000 records (it won 10 of 21 alternating pairs), won 18 of 21 at
+# 20 000 and saved 24 ms at 50 000 (best of 9: 34.6 against 58.6 ms).
+_SPLIT_ROWS = 20_000
 
 
 def _write_detections(results: Detections, out: str, csv_path: Path) -> None:

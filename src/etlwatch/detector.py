@@ -29,7 +29,7 @@ import os
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Sequence, TypeVar
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, TextIO, TypeVar
 
 import numpy as np
 
@@ -104,7 +104,8 @@ class Detections(Sequence):
     def _fill(self, text: str, bounds: np.ndarray, scores, flags, truth, errors) -> None:
         """Set the columns, and check that they describe one stream."""
         self._text, self._bounds = text, bounds
-        self.scores = np.asarray(scores, dtype=np.float64)
+        # native and C-ordered: orjson formats the writers' scores from the raw buffer
+        self.scores = np.ascontiguousarray(scores, dtype=np.float64)
         self.flags = np.asarray(flags, dtype=bool)
         self.truth = truth
         self.errors = errors
@@ -155,46 +156,40 @@ class Detections(Sequence):
         bounds, text = self._bounds[start : stop + 1].tolist(), self._text
         return [text[i:j] for i, j in zip(bounds, bounds[1:])]
 
-    def rows(
-        self,
-        scored: Callable[[str, float, bool, bool | None], T],
-        failed: Callable[[str, str], T],
-    ) -> Iterator[T]:
-        """``scored(event_id, score, is_anomaly, truth_label)`` or
-        ``failed(event_id, error)`` of every record, in order, from the
-        columns of one slice of :data:`~etlwatch.preprocess._CHUNK` records
-        at a time."""
+    def _slices(self) -> Iterator[tuple[list[str], np.ndarray, list[bool], list, list[tuple]]]:
+        """Each slice of :data:`~etlwatch.preprocess._CHUNK` records, in
+        order: its event ids, the scores, flags and truth labels of its
+        scored records, and its runs. A run ``(records, scored, error)`` is
+        the scored records ``ids[records]``, whose entries in the slice's
+        columns are ``[scored]``, and the message of the error record
+        ``ids[records.stop]`` after them, or None where the slice ends."""
         n, errors, error_at, chunk = len(self), self.errors, self._error_at, preprocess._CHUNK
-
-        def runs() -> Iterator[Iterable[T]]:  # the scored records between errors, and each error
-            k = e = 0  # the scored records and the errors before the slice
-            for first in range(0, n, chunk):
-                stop = min(first + chunk, n)
-                ids = self.event_ids(first, stop)
-                cut = error_at[e : bisect.bisect_left(error_at, stop, lo=e)]
-                end = k + stop - first - len(cut)
-                keep = [True] * (stop - first)
-                for position in cut:
-                    keep[position - first] = False
-                done = map(
-                    scored, itertools.compress(ids, keep),
-                    self.scores[k:end].tolist(), self.flags[k:end].tolist(), self.truth[k:end],
-                )
-                start = first
-                for position in cut:
-                    yield itertools.islice(done, position - start)
-                    yield (failed(ids[position - first], errors[position]),)
-                    start = position + 1
-                yield done
-                k, e = end, e + len(cut)
-
-        return itertools.chain.from_iterable(runs())
+        k = e = 0  # the scored records and the errors before the slice
+        for first in range(0, n, chunk):
+            stop = min(first + chunk, n)
+            cut = error_at[e : bisect.bisect_left(error_at, stop, lo=e)]
+            end = k + stop - first - len(cut)
+            runs, start = [], 0  # the next run's first record in the slice
+            for i, position in enumerate(cut):  # i errors before it in the slice
+                runs.append((slice(start, position - first),
+                             slice(start - i, position - first - i), errors[position]))
+                start = position - first + 1
+            runs.append((slice(start, stop - first), slice(start - len(cut), end - k), None))
+            yield (self.event_ids(first, stop), self.scores[k:end], self.flags[k:end].tolist(),
+                   self.truth[k:end], runs)
+            k, e = end, e + len(cut)
 
     def __len__(self) -> int:
         return len(self._bounds) - 1
 
     def __iter__(self) -> Iterator[DetectionResult | StreamError]:
-        return self.rows(DetectionResult, StreamError)
+        for ids, scores, flags, truth, runs in self._slices():
+            scores = scores.tolist()
+            for records, scored, error in runs:
+                yield from map(DetectionResult, ids[records], scores[scored], flags[scored],
+                               truth[scored])
+                if error is not None:
+                    yield StreamError(ids[records.stop], error)
 
     def __getitem__(self, index):
         if isinstance(index, slice):
@@ -371,18 +366,51 @@ def calibration_scores(
     return read_normal_rows(path, lambda x: batch_scores(params, standardize(x, stats)))
 
 
-_JSON_BOOL = {True: "true", False: "false"}
-# How a scored record's line ends, by its truth label.
-_JSONL_END = {None: "}\n", True: ', "truth_label": true}\n', False: ', "truth_label": false}\n'}
+def _score_texts(scores: np.ndarray, other: Callable[[float], str]) -> list[str]:
+    """The text of each score: Ryū's shortest round-trip digits from one
+    orjson call, which are ``float.__repr__``'s for 0 and for
+    ``1e-4 <= |x| < 1e16``, and ``other(x)`` for any other value: one that
+    ``float.__repr__`` writes in exponent form, inf or NaN."""
+    from orjson import OPT_SERIALIZE_NUMPY, dumps  # here, not at import, as in preprocess
+
+    if not len(scores):
+        return []
+    texts = dumps(scores, option=OPT_SERIALIZE_NUMPY).decode()[1:-1].split(",")
+    size = np.abs(scores)
+    odd = np.flatnonzero(~(((size >= 1e-4) & (size < 1e16)) | (scores == 0)))
+    for i, value in zip(odd.tolist(), scores[odd].tolist()):
+        texts[i] = other(value)
+    return texts
 
 
-def _jsonl_scored(event_id: str, value: float, flagged: bool, truth: bool | None) -> str:
-    """The ``json.dumps`` text of a scored record's mapping, with its newline."""
-    number = float.__repr__(value) if math.isfinite(value) else json.dumps(value)
-    return (
-        f'{{"event_id": {encode_basestring_ascii(event_id)}, "score": {number}, '
-        f'"is_anomaly": {_JSON_BOOL[flagged]}{_JSONL_END[truth]}'
-    )
+class _LineFormat(NamedTuple):
+    """How a writer builds its lines. A scored record's line is ``head``,
+    its id, ``mid``, its score's text and ``tails[is_anomaly,
+    truth_label]``; an error record's line is ``failed(event_id, error)``."""
+
+    head: str
+    mid: str
+    tails: dict[tuple[bool, bool | None], str]
+    clean: Callable[[str], bool]  # whether a slice's ids, joined, go in as they are
+    escape: Callable[[str], str]  # else how each id goes in
+    other: Callable[[float], str]  # a score's text outside orjson's range
+    failed: Callable[[str, str], str]
+
+
+def _write_lines(fh: TextIO, detections: Detections, form: _LineFormat) -> None:
+    """Write the line of every record, a slice at a time: one
+    :func:`_score_texts` call formats the slice's scores, and each run of
+    scored records is one join of pieces, written as it is joined."""
+    for ids, scores, flags, truth, runs in detections._slices():
+        cells = ids if form.clean("".join(ids)) else list(map(form.escape, ids))
+        texts = _score_texts(scores, form.other)
+        tails = list(map(form.tails.__getitem__, zip(flags, truth)))
+        for records, scored, error in runs:
+            line = [form.head, "", form.mid, "", ""] * (scored.stop - scored.start)
+            line[1::5], line[3::5], line[4::5] = cells[records], texts[scored], tails[scored]
+            fh.write("".join(line))
+            if error is not None:
+                fh.write(form.failed(ids[records.stop], error))
 
 
 def _jsonl_failed(event_id: str, error: str) -> str:
@@ -392,14 +420,30 @@ def _jsonl_failed(event_id: str, error: str) -> str:
     )
 
 
+# The pieces of json.dumps's text for a record's mapping. json.dumps writes
+# an id as it is, between quotes, when its text is printable ASCII without a
+# quote or a backslash.
+_JSONL = _LineFormat(
+    '{"event_id": "', '", "score": ',
+    {(flag, truth): f', "is_anomaly": {json.dumps(flag)}'
+     + ("}\n" if truth is None else f', "truth_label": {json.dumps(truth)}}}\n')
+     for flag in (True, False) for truth in (None, True, False)},
+    lambda text: text.isascii() and text.isprintable() and '"' not in text and "\\" not in text,
+    lambda event_id: encode_basestring_ascii(event_id)[1:-1],
+    lambda value: float.__repr__(value) if math.isfinite(value) else json.dumps(value),
+    _jsonl_failed,
+)
+
+
 def write_detections_jsonl(detections: Detections, path: str | Path) -> None:
-    """One JSON object per record, byte for byte what ``json.dumps`` writes for it."""
+    """One JSON object per record, byte for byte what ``json.dumps`` writes
+    for it. A scored record's line is joined from fixed pieces, its id and
+    its score's text: a slice's ids as they are where none needs an escape,
+    else each through ``encode_basestring_ascii``, and a score as orjson
+    writes it within ``1e-4 <= |x| < 1e16`` or at 0, else as ``json.dumps``
+    does (:func:`_score_texts`)."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.writelines(detections.rows(_jsonl_scored, _jsonl_failed))
-
-
-# A scored record's truth_label column, as csv.writer writes it.
-_CSV_TRUTH = {None: "", True: "True", False: "False"}
+        _write_lines(fh, detections, _JSONL)
 
 
 def _csv_line(row: list) -> str:
@@ -409,25 +453,33 @@ def _csv_line(row: list) -> str:
     return buffer.getvalue()
 
 
-def _csv_scored(event_id: str, value: float, flagged: bool, truth: bool | None) -> str:
-    """``csv.writer``'s line for a scored record: it quotes only an id that
-    holds a comma, a quote, a CR or an LF, and writes a float as
-    ``float.__repr__`` does."""
-    if "," in event_id or '"' in event_id or "\n" in event_id or "\r" in event_id:
-        return _csv_line([event_id, value, flagged, _CSV_TRUTH[truth], ""])
-    return f"{event_id},{float.__repr__(value)},{flagged},{_CSV_TRUTH[truth]},\r\n"
-
-
 def _csv_failed(event_id: str, error: str) -> str:
     return _csv_line([event_id, "", "", "", error])
 
 
+# The pieces of csv.writer's line for a scored record. csv.writer quotes
+# only a field that holds a comma, a quote, a CR or an LF.
+_CSV = _LineFormat(
+    "", ",",
+    {(flag, truth): f",{flag},{'' if truth is None else truth},\r\n"
+     for flag in (True, False) for truth in (None, True, False)},
+    lambda text: "," not in text and '"' not in text and "\r" not in text and "\n" not in text,
+    lambda event_id: _csv_line([event_id, ""])[:-3],  # the field, without ",\r\n"
+    float.__repr__,
+    _csv_failed,
+)
+
+
 def write_detections_csv(detections: Detections, path: str | Path) -> None:
     """Spreadsheet-friendly mirror of the line-delimited output, byte for
-    byte what ``csv.writer`` writes for its rows."""
+    byte what ``csv.writer`` writes for its rows. A scored row is joined as
+    :func:`write_detections_jsonl` joins a line: a slice's ids as they are
+    where none needs quoting, else each as ``csv.writer`` writes it, and a
+    score as orjson writes it within its range, else as ``float.__repr__``
+    does."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(_csv_line(["event_id", "score", "is_anomaly", "truth_label", "error"]))
-        fh.writelines(detections.rows(_csv_scored, _csv_failed))
+        _write_lines(fh, detections, _CSV)
 
 
 # The fields of a detection record, and what a record that lacks one reads as.

@@ -1,4 +1,6 @@
+import csv
 import dataclasses
+import io
 import itertools
 import json
 import math
@@ -12,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from etlwatch.autoencoder import Activation, AutoencoderParams
-from etlwatch import cli, preprocess, streamgen
+from etlwatch import cli, detector, preprocess, streamgen
 from etlwatch.detector import (
     DetectionResult,
     Detections,
@@ -693,6 +695,37 @@ class TestDetectionIO:
     def test_writers_match_reference_bytes(self, tmp_path_factory, records):
         self.assert_matches_reference(records, tmp_path_factory.mktemp("writers"))
 
+    def test_score_text_is_repr_in_the_csv_and_json_dumps_in_the_jsonl(self):
+        # the writers take orjson's digits for 0 and 1e-4 <= |x| < 1e16; the
+        # hypothesis test above draws too few scores to find a rare digit
+        # that differs. 2**20 bit patterns of either sign: 2**14 of any
+        # exponent, the rest of one in [2**-14, 2**55); then 10**x for x in
+        # [-5, 17), and short decimals.
+        rng = np.random.default_rng(2018)
+        n, wide = 1 << 20, 1 << 14
+        exponent = np.concatenate([rng.integers(0, 2048, wide),
+                                   rng.integers(1023 - 14, 1023 + 55, n - wide)])
+        bits = (rng.integers(0, 2, n, dtype=np.uint64) << np.uint64(63)
+                | exponent.astype(np.uint64) << np.uint64(52)
+                | rng.integers(0, 1 << 52, n, dtype=np.uint64))
+        edges = np.array([1e-4, 1e16])
+        special = np.array([0.0, 5e-324, 1e-310, np.inf, np.nan, *edges,
+                            *np.nextafter(edges, 0), *np.nextafter(edges, np.inf)])
+        decades = 10.0 ** rng.uniform(-5, 17, 1 << 14)
+        decimals = [float(f"{k}e{e}") for k, e in zip(rng.integers(1, 10**6, 1 << 14).tolist(),
+                                                       rng.integers(-11, 12, 1 << 14).tolist())]
+        values = np.concatenate([special, -special, bits.view(np.float64), decades, decimals])
+        floats = values.tolist()
+        for form, reference_texts in (
+            (detector._CSV, list(map(float.__repr__, floats))),
+            (detector._JSONL, json.dumps(floats)[1:-1].split(", ")),
+        ):
+            texts = detector._score_texts(values, form.other)
+            if texts != reference_texts:
+                assert len(texts) == len(reference_texts)
+                differ = [(v, a, b) for v, a, b in zip(floats, texts, reference_texts) if a != b]
+                assert differ[:5] == []
+
     @staticmethod
     def assert_matches_reference(records, root):
         detections = reference.detections(records)
@@ -718,9 +751,10 @@ class TestDetectionIO:
 
 
 def odd_records():
-    """Error records first and last; ids with quotes, commas, a newline and
-    non-ASCII text; every truth label; 1e16, the score of one masked field."""
-    ids = ['say "hi"', "a,b", "naïve-ünïcødé-事件", "line\nbreak", ""]
+    """Error records first and last; ids with quotes, commas, a newline, a
+    CR and non-ASCII text; every truth label; 1e16, the score of one masked
+    field."""
+    ids = ['say "hi"', "a,b", "naïve-ünïcødé-事件", "line\nbreak", "cr\rid", ""]
     scored = [
         DetectionResult(event_id, [0.25, 1e16, 2e16][i % 3], i % 2 == 0, truth)
         for i, (event_id, truth) in enumerate(itertools.product(ids, [None, True, False]))
@@ -732,6 +766,13 @@ def odd_records():
         *scored[7:],
         StreamError('last "one"', "unknown geo_region 'EU'"),
     ]
+
+
+def reference_csv_field(text):
+    """``text`` as ``csv.writer`` writes it as the first of two fields."""
+    buffer = io.StringIO()
+    csv.writer(buffer).writerow([text, ""])
+    return buffer.getvalue()[: -len(",\r\n")]
 
 
 WRITERS = [
@@ -756,9 +797,16 @@ class TestDetections:
 
     @pytest.mark.parametrize("chunk", [1, 2, 3, 8, 9, 1024])
     def test_rows_come_in_slices_of_a_run(self, tmp_path, monkeypatch, chunk):
-        # errors first, last and at slice edges
+        # errors first, last and at slice edges; the writers take the ids of
+        # a slice whose ids need no JSON escape or no CSV quoting as they are
         monkeypatch.setattr(preprocess, "_CHUNK", chunk)
-        records = odd_records()
+        plain = [DetectionResult(f"ev-{i}", [0.5, 3e-5, 2e16][i % 3], i % 2 == 0,
+                                 [None, True, False][i % 3]) for i in range(2 * chunk)]
+        records = [*odd_records(), *plain, *odd_records()]
+        slices = [records[i : i + chunk] for i in range(0, len(records), chunk)]
+        for as_is in (lambda text: json.dumps(text) == f'"{text}"',
+                      lambda text: reference_csv_field(text) == text):
+            assert {all(as_is(r.event_id) for r in part) for part in slices} == {True, False}
         detections = reference.detections(records)
         assert list(detections) == records
         for write, write_reference, suffix in WRITERS:
@@ -805,6 +853,19 @@ class TestDetections:
                 tracemalloc.stop()
             assert held < 50 * n
             assert detections.event_ids() == ids
+
+    def test_scores_in_any_layout_write_the_same_bytes(self, tmp_path):
+        # orjson formats a score array from its raw buffer
+        records = [DetectionResult(f"e{i}", 0.25 * i, i % 2 == 0) for i in range(5)]
+        values = np.arange(10.0) * 0.125
+        for scores in (values[::2], values.astype(">f8")[::2]):
+            detections = Detections([r.event_id for r in records], scores,
+                                    [r.is_anomaly for r in records], [None] * 5, {})
+            for write, write_reference, suffix in WRITERS:
+                write(detections, tmp_path / f"ours.{suffix}")
+                write_reference(records, tmp_path / f"theirs.{suffix}")
+                assert (tmp_path / f"ours.{suffix}").read_bytes() == (
+                    tmp_path / f"theirs.{suffix}").read_bytes()
 
     def test_columns_that_disagree_are_refused(self):
         with pytest.raises(ContractViolationError):
